@@ -29,9 +29,10 @@ race:
 # check is what CI runs: build, vet, lint, and the race-enabled test suite.
 check: build vet lint race
 
-# BENCH_PKGS covers the paper-scale benchmarks (root) plus the engine and
-# gossip microbenchmarks the hot-path work is tuned against.
-BENCH_PKGS = . ./internal/sim ./internal/ethsim
+# BENCH_PKGS covers the paper-scale benchmarks (root) plus the engine,
+# gossip, mempool and transaction-hash microbenchmarks the hot-path work is
+# tuned against.
+BENCH_PKGS = . ./internal/sim ./internal/ethsim ./internal/txpool ./internal/types
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' -timeout 0 $(BENCH_PKGS)
 
@@ -55,5 +56,6 @@ fuzz:
 	$(GO) test -fuzz=FuzzRLPDecode -fuzztime=30s ./internal/rlp/
 	$(GO) test -fuzz=FuzzFrameParse -fuzztime=30s ./internal/wire/
 	$(GO) test -fuzz=FuzzEventQueue -fuzztime=30s ./internal/sim/
+	$(GO) test -fuzz=FuzzPoolHeaps -fuzztime=30s ./internal/txpool/
 	$(GO) test -fuzz=FuzzTraceJSONL -fuzztime=30s ./internal/trace/
 	$(GO) test -fuzz=FuzzDynamicGraph -fuzztime=30s ./internal/graph/

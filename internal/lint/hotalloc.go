@@ -38,7 +38,7 @@ func hotAllocFunc(name string) bool {
 // non-pointer value is one allocation per event, per message, or per
 // tracked change.
 func runHotAlloc(pkg *Package) []Finding {
-	hotScope := pathIn(pkg.ScopePath(), heapBanScope...)
+	hotScope := pathIn(pkg.ScopePath(), modulePrefix+"/internal/sim", modulePrefix+"/internal/ethsim")
 	tickScope := pathIn(pkg.ScopePath(), tickPathScope...)
 	if !hotScope && !tickScope {
 		return nil

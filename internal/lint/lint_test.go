@@ -62,6 +62,14 @@ func TestHotPathGolden(t *testing.T) {
 	golden(t, "hotpath_sim", checkFixture(t, "hotpath", "toposhot/internal/sim/fixture"))
 }
 
+// TestPoolPathGolden loads the pre-rewrite mempool shape under the txpool
+// scope: the container/heap import and the map ranges inside SetStateNonce
+// and the repartition* functions are flagged; the collect-then-sort range in
+// a function off the admission path and the slice walk in offer stay silent.
+func TestPoolPathGolden(t *testing.T) {
+	golden(t, "poolpath", checkFixture(t, "poolpath", "toposhot/internal/txpool/poolfixture"))
+}
+
 func TestLockSafeGolden(t *testing.T) {
 	golden(t, "locksafe", checkFixture(t, "locksafe", "toposhot/internal/node/fixture"))
 }

@@ -44,13 +44,15 @@ var randAllowed = map[string]bool{
 
 // heapBanScope are the hot-path packages where container/heap is banned in
 // non-test code: event scheduling and message delivery run on the engine's
-// specialized index heap (DESIGN.md §8), and container/heap's interface
-// boxing reintroduces the per-event allocations the hot-path overhaul
-// removed. Test files may still use it — the queue fuzzer pins pop order
-// against a container/heap reference.
+// specialized index heap (DESIGN.md §8) and the mempool's eviction indexes on
+// its typed entry heap (DESIGN.md §15); container/heap's interface dispatch
+// and boxing reintroduce the per-event and per-admission costs those
+// overhauls removed. Test files may still use it — the queue and pool-heap
+// fuzzers pin layouts against a container/heap reference.
 var heapBanScope = []string{
 	modulePrefix + "/internal/sim",
 	modulePrefix + "/internal/ethsim",
+	modulePrefix + "/internal/txpool",
 }
 
 // deliveryPathFuncs names the ethsim functions on the per-message delivery
@@ -75,6 +77,33 @@ var deliveryPathFuncs = map[string]bool{
 	"marksSeg":           true,
 	"peerPos":            true,
 	"appendPropagatable": true,
+}
+
+// poolPathFuncs names the txpool functions on the per-admission path, under
+// the same outright map-iteration ban: a sender's entries live in a
+// nonce-ordered slice precisely so that stale drops and demotions happen in
+// ascending nonce order, not Go's map order (which used to leak into heap
+// layouts and checkpoint bytes). Every repartition* function is covered by
+// prefix. Pending, Content, Snapshot and RemoveConfirmed legitimately range
+// over maps (collect, then sort) and are deliberately not listed.
+var poolPathFuncs = map[string]bool{
+	"offer": true, "insert": true, "remove": true,
+	"link": true, "unlink": true, "insertAt": true, "removeAt": true,
+	"SetTime": true, "SetStateNonce": true,
+}
+
+// hotPathFunc reports whether the named function of a heapBanScope package
+// is on its hot path: everything in internal/sim, the delivery path in
+// ethsim, the admission path in txpool.
+func hotPathFunc(scopePath, name string) bool {
+	switch {
+	case pathIn(scopePath, modulePrefix+"/internal/sim"):
+		return true
+	case pathIn(scopePath, modulePrefix+"/internal/txpool"):
+		return poolPathFuncs[name] || strings.HasPrefix(name, "repartition")
+	default:
+		return deliveryPathFuncs[name]
+	}
 }
 
 // tickPathScope are the packages owning the O(Δ) incremental tick path:
@@ -103,7 +132,7 @@ var tickPathFuncs = map[string]bool{
 
 var analyzerNoDeterminism = &Analyzer{
 	Name: "nodeterminism",
-	Doc:  "simulation packages must be seed-reproducible: no wall clock, no global math/rand, no map-iteration-order-dependent results, no container/heap or map iteration on the scheduling/delivery hot path",
+	Doc:  "simulation packages must be seed-reproducible: no wall clock, no global math/rand, no map-iteration-order-dependent results, no container/heap or map iteration on the scheduling/delivery/admission hot path",
 	Run:  runNoDeterminism,
 }
 
@@ -146,13 +175,20 @@ func runNoDeterminism(pkg *Package) []Finding {
 
 // hotPathFindings enforces the hot-path rules in heapBanScope packages:
 // no container/heap anywhere, and no map iteration inside internal/sim
-// (the whole package is scheduler hot path) or inside the named ethsim
-// delivery-path functions. Test files are exempt — test code never runs on
-// the hot path, and the queue fuzzer deliberately pins pop order against a
-// container/heap reference.
+// (the whole package is scheduler hot path), inside the named ethsim
+// delivery-path functions, or inside the named txpool admission-path
+// functions. Test files are exempt — test code never runs on the hot path,
+// and the fuzzers deliberately pin heap behaviour against a container/heap
+// reference.
 func hotPathFindings(pkg *Package) []Finding {
 	if !pathIn(pkg.ScopePath(), heapBanScope...) {
 		return nil
+	}
+	heapAdvice := "use the engine's specialized index heap (DESIGN.md §8)"
+	rangeAdvice := "scheduling/delivery code iterates slices in deterministic order"
+	if pathIn(pkg.ScopePath(), modulePrefix+"/internal/txpool") {
+		heapAdvice = "use the pool's typed entry heap (DESIGN.md §15)"
+		rangeAdvice = "admission code walks the sender's nonce-ordered slice (DESIGN.md §15)"
 	}
 	var findings []Finding
 	for _, file := range pkg.Files {
@@ -162,11 +198,10 @@ func hotPathFindings(pkg *Package) []Finding {
 		for _, imp := range file.Imports {
 			if strings.Trim(imp.Path.Value, `"`) == "container/heap" {
 				findings = append(findings, report(pkg, imp, "nodeterminism",
-					"container/heap in a hot-path package; use the engine's specialized index heap (DESIGN.md §8)"))
+					"container/heap in a hot-path package; "+heapAdvice))
 			}
 		}
 	}
-	wholePackage := pathIn(pkg.ScopePath(), modulePrefix+"/internal/sim")
 	for _, file := range pkg.Files {
 		if pkg.IsTestFile(file) {
 			continue
@@ -176,7 +211,7 @@ func hotPathFindings(pkg *Package) []Finding {
 			if !ok || fn.Body == nil {
 				continue
 			}
-			if !wholePackage && !deliveryPathFuncs[fn.Name.Name] {
+			if !hotPathFunc(pkg.ScopePath(), fn.Name.Name) {
 				continue
 			}
 			ast.Inspect(fn.Body, func(n ast.Node) bool {
@@ -190,7 +225,7 @@ func hotPathFindings(pkg *Package) []Finding {
 				}
 				if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
 					findings = append(findings, report(pkg, rng, "nodeterminism",
-						"map iteration in hot-path function "+fn.Name.Name+"; scheduling/delivery code iterates slices in deterministic order"))
+						"map iteration in hot-path function "+fn.Name.Name+"; "+rangeAdvice))
 				}
 				return true
 			})

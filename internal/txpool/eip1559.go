@@ -27,28 +27,25 @@ func (p *Pool) SetBaseFee(baseFee uint64) []*types.Transaction {
 	if baseFee == 0 {
 		return nil
 	}
-	var drop []*entry
-	for _, e := range p.all {
+	var drop []*types.Transaction
+	for e := p.oldest; e != nil; e = e.next {
 		if e.tx.FeeCap() < baseFee {
-			drop = append(drop, e)
+			drop = append(drop, e.tx)
 		}
 	}
 	// Drop in hash order: the removal sequence feeds DropObserver and the
 	// returned slice, both of which must be identical across runs.
 	sort.Slice(drop, func(i, j int) bool {
-		hi, hj := drop[i].tx.Hash(), drop[j].tx.Hash()
+		hi, hj := drop[i].Hash(), drop[j].Hash()
 		return string(hi[:]) < string(hj[:])
 	})
-	out := make([]*types.Transaction, 0, len(drop))
-	for _, e := range drop {
-		p.remove(e)
-		p.repartition(e.tx.From)
-		out = append(out, e.tx)
+	for _, tx := range drop {
+		p.repartitionAfterRemove(p.all[tx.Hash()])
 		if p.DropObserver != nil {
-			p.DropObserver(e.tx, "base-fee-underpriced")
+			p.DropObserver(tx, "base-fee-underpriced")
 		}
 	}
-	return out
+	return drop
 }
 
 // BaseFee returns the base fee the pool last observed.

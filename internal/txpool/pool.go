@@ -1,7 +1,6 @@
 package txpool
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 
@@ -83,14 +82,80 @@ type Result struct {
 
 type entry struct {
 	tx      *types.Transaction
+	snd     *sender // the sender record holding this entry
+	price   uint64  // tx.GasPrice, kept here so heap sifts stay off the tx
 	added   float64 // pool time at admission, for expiry
 	seq     uint64  // admission sequence, tie-break for equal-price eviction
 	pending bool
-	// heap bookkeeping for the price index; -1 when not in the heap.
-	heapIdx int
-	// futIdx is this entry's slot in the future-only price heap; -1 while
-	// the entry is pending (or removed).
-	futIdx int
+	mark    int32 // scratch: the entry's index in Entries while Snapshot runs
+	// idx holds the entry's slot in the price heap and in the future-only
+	// heap (indexed by heap kind); -1 when not in that heap.
+	idx [2]int
+	// prev/next link the admission-ordered list; next also chains the free
+	// list once the entry is removed.
+	prev, next *entry
+}
+
+// sender is everything the pool knows about one account, behind a single
+// map look-up per admission.
+type sender struct {
+	// stateNonce is the account nonce from chain state: the next expected
+	// nonce. Accounts without a record have nonce 0.
+	stateNonce uint64
+	// pending/future tally the account's entries, so the per-account cap
+	// check and repartition's demotion test are O(1).
+	pending, future int
+	// txs holds the account's entries in ascending nonce order, all at or
+	// above stateNonce. Nonces arrive in order and evictions, expiries and
+	// confirmations take the oldest, so the common edits are an append at
+	// the tail and a reslice at the head that moves nothing.
+	txs []*entry
+}
+
+// search returns the position of nonce in s's nonce order and whether an
+// entry with that nonce is buffered. A nil sender holds nothing.
+func (s *sender) search(nonce uint64) (int, bool) {
+	if s == nil {
+		return 0, false
+	}
+	n := len(s.txs)
+	if n == 0 || s.txs[n-1].tx.Nonce < nonce {
+		return n, false
+	}
+	if s.txs[0].tx.Nonce >= nonce {
+		return 0, s.txs[0].tx.Nonce == nonce
+	}
+	lo, hi := 1, n-1 // txs[lo-1] < nonce <= txs[hi]
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if s.txs[mid].tx.Nonce < nonce {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, s.txs[lo].tx.Nonce == nonce
+}
+
+// insertAt places e at position i of the nonce order.
+func (s *sender) insertAt(i int, e *entry) {
+	s.txs = append(s.txs, e)
+	if i < len(s.txs)-1 {
+		copy(s.txs[i+1:], s.txs[i:])
+		s.txs[i] = e
+	}
+}
+
+// removeAt drops position i of the nonce order.
+func (s *sender) removeAt(i int) {
+	if i == 0 {
+		s.txs[0] = nil
+		s.txs = s.txs[1:]
+		return
+	}
+	copy(s.txs[i:], s.txs[i+1:])
+	s.txs[len(s.txs)-1] = nil
+	s.txs = s.txs[:len(s.txs)-1]
 }
 
 // Pool is a single node's mempool. It is not safe for concurrent use; the
@@ -98,30 +163,26 @@ type entry struct {
 type Pool struct {
 	policy Policy
 
-	all      map[types.Hash]*entry
-	bySender map[types.Address]map[uint64]*entry // sender → nonce → entry
-	// senderPending/senderFuture tally each sender's pending and future
-	// entries, so the per-account cap check and repartition's demotion
-	// test are O(1) instead of rescanning the sender's entries — the scans
-	// made admitting Z futures from one measurement account O(Z²).
-	senderPending map[types.Address]int
-	senderFuture  map[types.Address]int
-	// stateNonce is the account nonce from chain state: the next expected
-	// nonce per sender. Senders absent from the map have nonce 0.
-	stateNonce map[types.Address]uint64
+	all map[types.Hash]*entry
+	// senders holds one record per account with buffered entries or a
+	// non-zero state nonce; idle zero-nonce accounts have none.
+	senders map[types.Address]*sender
 
-	price priceHeap // min-heap over gas price for eviction victims
+	price entryHeap // min-heap over gas price for eviction victims
 	// futures is a second index over future entries only, so the full-pool
 	// pending-admission path finds its eviction victim in O(log n) instead
 	// of scanning the whole pool.
-	futures futureHeap
+	futures entryHeap
 	// admitSeq numbers admissions; equal-price eviction ties break toward
 	// the oldest admission, a defined order the old linear scan lacked.
 	admitSeq uint64
 
-	// ageQueue holds entries in admission order for O(1) amortized expiry;
-	// removed entries are skipped lazily (heapIdx == -1).
-	ageQueue []*entry
+	// oldest/newest bound the admission-ordered list of live entries:
+	// SetTime expires from oldest, Snapshot walks it.
+	oldest, newest *entry
+	// free chains removed entries for reuse. Live plus free entries never
+	// outnumber the peak population, so the list is bounded by Capacity.
+	free *entry
 
 	pendingCount int
 	futureCount  int
@@ -140,12 +201,11 @@ type Pool struct {
 // New returns an empty pool with the given policy.
 func New(policy Policy) *Pool {
 	return &Pool{
-		policy:        policy,
-		all:           make(map[types.Hash]*entry),
-		bySender:      make(map[types.Address]map[uint64]*entry),
-		senderPending: make(map[types.Address]int),
-		senderFuture:  make(map[types.Address]int),
-		stateNonce:    make(map[types.Address]uint64),
+		policy:  policy,
+		all:     make(map[types.Hash]*entry),
+		senders: make(map[types.Address]*sender),
+		price:   entryHeap{kind: priceHeap},
+		futures: entryHeap{kind: futureHeap},
 	}
 }
 
@@ -157,28 +217,19 @@ func (p *Pool) Policy() Policy { return p.policy }
 func (p *Pool) SetMetrics(m *Metrics) { p.metrics = m }
 
 // SetTime advances the pool clock (virtual seconds) and expires transactions
-// older than the policy expiry. Admission order makes the age queue
-// monotone, so expiry is O(expired) amortized.
+// older than the policy expiry. The admission list is age-ordered, so expiry
+// is O(expired).
 func (p *Pool) SetTime(now float64) {
 	p.now = now
 	if p.policy.Expiry <= 0 {
 		return
 	}
-	for len(p.ageQueue) > 0 {
-		e := p.ageQueue[0]
-		if e.heapIdx < 0 { // already removed; skip lazily
-			p.ageQueue = p.ageQueue[1:]
-			continue
-		}
-		if now-e.added <= p.policy.Expiry {
-			break
-		}
-		p.ageQueue = p.ageQueue[1:]
-		p.remove(e)
-		p.repartition(e.tx.From)
+	for e := p.oldest; e != nil && now-e.added > p.policy.Expiry; e = p.oldest {
+		tx := e.tx
+		p.repartitionAfterRemove(e)
 		p.metrics.observeExpired()
 		if p.DropObserver != nil {
-			p.DropObserver(e.tx, "expired")
+			p.DropObserver(tx, "expired")
 		}
 	}
 }
@@ -209,8 +260,9 @@ func (p *Pool) Get(h types.Hash) *types.Transaction {
 // GetBySenderNonce returns the buffered transaction from sender with the
 // given nonce, or nil.
 func (p *Pool) GetBySenderNonce(sender types.Address, nonce uint64) *types.Transaction {
-	if e, ok := p.bySender[sender][nonce]; ok {
-		return e.tx
+	s := p.senders[sender]
+	if i, ok := s.search(nonce); ok {
+		return s.txs[i].tx
 	}
 	return nil
 }
@@ -222,25 +274,49 @@ func (p *Pool) IsPending(h types.Hash) bool {
 }
 
 // StateNonce returns the chain nonce recorded for sender.
-func (p *Pool) StateNonce(sender types.Address) uint64 { return p.stateNonce[sender] }
-
-// SetStateNonce records sender's chain nonce. It re-evaluates the sender's
-// buffered transactions: stale ones are dropped and newly executable ones
-// promoted. It returns the promoted transactions.
-func (p *Pool) SetStateNonce(sender types.Address, nonce uint64) []*types.Transaction {
-	p.stateNonce[sender] = nonce
-	// Drop stale.
-	for n, e := range p.bySender[sender] {
-		if n < nonce {
-			p.remove(e)
-		}
+func (p *Pool) StateNonce(sender types.Address) uint64 {
+	if s := p.senders[sender]; s != nil {
+		return s.stateNonce
 	}
-	return p.repartition(sender)
+	return 0
 }
 
-// senderFutureCount counts sender's buffered future transactions.
-func (p *Pool) senderFutureCount(sender types.Address) int {
-	return p.senderFuture[sender]
+// SetStateNonce records sender's chain nonce. It re-evaluates the sender's
+// buffered transactions: stale ones are dropped (in ascending nonce order)
+// and newly executable ones promoted. It returns the promoted transactions.
+func (p *Pool) SetStateNonce(addr types.Address, nonce uint64) []*types.Transaction {
+	s := p.senders[addr]
+	if s == nil {
+		if nonce != 0 {
+			p.newSender(addr).stateNonce = nonce
+		}
+		return nil
+	}
+	s.stateNonce = nonce
+	for len(s.txs) > 0 && s.txs[0].tx.Nonce < nonce {
+		p.remove(s.txs[0])
+	}
+	if len(s.txs) == 0 {
+		p.releaseIfIdle(addr, s)
+		return nil
+	}
+	return p.repartition(s)
+}
+
+// newSender registers a record for addr.
+func (p *Pool) newSender(addr types.Address) *sender {
+	s := new(sender)
+	p.senders[addr] = s
+	return s
+}
+
+// releaseIfIdle forgets a sender that holds no entries and sits at nonce 0 —
+// indistinguishable from an account the pool never saw.
+func (p *Pool) releaseIfIdle(addr types.Address, s *sender) {
+	if len(s.txs) != 0 || s.stateNonce != 0 {
+		return
+	}
+	delete(p.senders, addr)
 }
 
 // markPending flips an entry's pending flag, keeping the global and
@@ -253,34 +329,14 @@ func (p *Pool) markPending(e *entry, pending bool) {
 	if pending {
 		p.pendingCount++
 		p.futureCount--
-		p.senderPending[e.tx.From]++
-		if p.senderFuture[e.tx.From]--; p.senderFuture[e.tx.From] == 0 {
-			delete(p.senderFuture, e.tx.From)
-		}
+		e.snd.pending++
+		e.snd.future--
 	} else {
 		p.pendingCount--
 		p.futureCount++
-		p.senderFuture[e.tx.From]++
-		if p.senderPending[e.tx.From]--; p.senderPending[e.tx.From] == 0 {
-			delete(p.senderPending, e.tx.From)
-		}
+		e.snd.pending--
+		e.snd.future++
 	}
-}
-
-// isExecutable reports whether a transaction with the given sender and nonce
-// would be pending: every nonce from the state nonce up to it is present.
-func (p *Pool) isExecutable(sender types.Address, nonce uint64) bool {
-	next := p.stateNonce[sender]
-	if nonce < next {
-		return false
-	}
-	m := p.bySender[sender]
-	for n := next; n < nonce; n++ {
-		if _, ok := m[n]; !ok {
-			return false
-		}
-	}
-	return true
 }
 
 // Offer submits a transaction to the pool and returns what happened. This is
@@ -303,27 +359,36 @@ func (p *Pool) offer(tx *types.Transaction) Result {
 	if _, ok := p.all[h]; ok {
 		return Result{Status: StatusKnown}
 	}
-	if tx.Nonce < p.stateNonce[tx.From] {
+	s := p.senders[tx.From] // nil for an account the pool holds nothing of
+	var state uint64
+	var futures int
+	if s != nil {
+		state, futures = s.stateNonce, s.future
+	}
+	if tx.Nonce < state {
 		return Result{Status: StatusStaleNonce}
 	}
 
 	// Replacement path: same sender and nonce as a buffered transaction.
-	if old, ok := p.bySender[tx.From][tx.Nonce]; ok {
-		if tx.GasPrice < p.policy.ReplaceThreshold(old.tx.GasPrice) {
+	// The new entry takes the old one's slot in the nonce order.
+	i, found := s.search(tx.Nonce)
+	if found {
+		old := s.txs[i]
+		if tx.GasPrice < p.policy.ReplaceThreshold(old.price) {
 			return Result{Status: StatusUnderpriced}
 		}
-		replaced := old.tx
-		wasPending := old.pending
-		p.remove(old)
-		e := p.insert(tx, wasPending)
-		_ = e
+		replaced, wasPending := old.tx, old.pending
+		p.unlink(old)
+		s.txs[i] = p.link(tx, h, s, wasPending)
 		return Result{Status: StatusReplaced, Replaced: replaced}
 	}
 
-	executable := p.isExecutable(tx.From, tx.Nonce)
+	// Entries are distinct nonces at or above the state nonce, so every
+	// nonce below tx's is buffered exactly when i of them are.
+	executable := uint64(i) == tx.Nonce-state
 
 	// Per-account future cap (U) applies to future admissions.
-	if !executable && p.senderFutureCount(tx.From) >= p.policy.MaxFuturePerAccount {
+	if !executable && futures >= p.policy.MaxFuturePerAccount {
 		return Result{Status: StatusOverAccountCap}
 	}
 
@@ -339,7 +404,7 @@ func (p *Pool) offer(tx *types.Transaction) Result {
 			victim = p.cheapestFuture()
 			if victim == nil {
 				victim = p.cheapest()
-				if victim == nil || tx.GasPrice <= victim.tx.GasPrice {
+				if victim == nil || tx.GasPrice <= victim.price {
 					return Result{Status: StatusPoolFull}
 				}
 			}
@@ -351,143 +416,165 @@ func (p *Pool) offer(tx *types.Transaction) Result {
 			// The incoming future must outbid the victim, and may evict a
 			// pending transaction only while the pending population exceeds
 			// P (Table 2's eviction conditions).
-			if tx.GasPrice <= victim.tx.GasPrice {
+			if tx.GasPrice <= victim.price {
 				return Result{Status: StatusPoolFull}
 			}
 			if victim.pending && p.pendingCount <= p.policy.MinPendingForEviction {
 				return Result{Status: StatusPoolFull}
 			}
 		}
+		vtx, own := victim.tx, victim.snd == s
 		p.remove(victim)
-		evicted = append(evicted, victim.tx)
+		if own {
+			// The victim was one of tx's own sender's entries: the record
+			// may be gone and the slot has moved. The classification above
+			// stands (repartition below corrects it), as it always has.
+			s = p.senders[tx.From]
+			i, _ = s.search(tx.Nonce)
+		}
+		evicted = append(evicted, vtx)
 		if p.DropObserver != nil {
-			p.DropObserver(victim.tx, "evicted")
+			p.DropObserver(vtx, "evicted")
 		}
 	}
 
-	p.insert(tx, executable)
+	if s == nil {
+		s = p.newSender(tx.From)
+	}
+	s.insertAt(i, p.link(tx, h, s, executable))
 	status := StatusFuture
 	var promoted []*types.Transaction
 	if executable {
 		status = StatusPending
-		promoted = p.repartition(tx.From)
-		// repartition reports the offered tx too; exclude it from Promoted.
-		filtered := promoted[:0]
-		for _, ptx := range promoted {
-			if ptx.Hash() != h {
-				filtered = append(filtered, ptx)
-			}
-		}
-		promoted = filtered
+		// tx went in pending, so repartition never reports it as promoted.
+		promoted = p.repartition(s)
 	}
 	return Result{Status: status, Evicted: evicted, Promoted: promoted}
 }
 
-// insert adds an entry with the given pending flag.
-func (p *Pool) insert(tx *types.Transaction, pending bool) *entry {
-	p.admitSeq++
-	e := &entry{tx: tx, added: p.now, seq: p.admitSeq, pending: pending, heapIdx: -1, futIdx: -1}
-	p.all[tx.Hash()] = e
-	m := p.bySender[tx.From]
-	if m == nil {
-		m = make(map[uint64]*entry)
-		p.bySender[tx.From] = m
+// link creates the entry for tx and adds it to every index except its
+// sender's nonce order, which the caller maintains.
+func (p *Pool) link(tx *types.Transaction, h types.Hash, s *sender, pending bool) *entry {
+	e := p.free
+	if e != nil {
+		p.free = e.next
+	} else {
+		e = new(entry)
 	}
-	m[tx.Nonce] = e
-	heap.Push(&p.price, e)
-	p.ageQueue = append(p.ageQueue, e)
+	p.admitSeq++
+	*e = entry{tx: tx, snd: s, price: tx.GasPrice, added: p.now, seq: p.admitSeq, pending: pending, idx: [2]int{-1, -1}}
+	p.enlist(e)
+	p.all[h] = e
+	p.price.push(e)
 	if pending {
 		p.pendingCount++
-		p.senderPending[tx.From]++
+		s.pending++
 	} else {
 		p.futureCount++
-		p.senderFuture[tx.From]++
-		heap.Push(&p.futures, e)
+		s.future++
+		p.futures.push(e)
 	}
 	return e
 }
 
-// remove deletes an entry from all indexes.
-func (p *Pool) remove(e *entry) {
+// enlist appends e to the admission-ordered list.
+func (p *Pool) enlist(e *entry) {
+	e.prev = p.newest
+	if p.newest != nil {
+		p.newest.next = e
+	} else {
+		p.oldest = e
+	}
+	p.newest = e
+}
+
+// unlink is link's inverse: it takes e out of every index except its
+// sender's nonce order and recycles it. e's fields are dead afterwards —
+// callers read e.tx (and anything else they need) first.
+func (p *Pool) unlink(e *entry) {
 	delete(p.all, e.tx.Hash())
-	m := p.bySender[e.tx.From]
-	delete(m, e.tx.Nonce)
-	if len(m) == 0 {
-		delete(p.bySender, e.tx.From)
-	}
-	if e.heapIdx >= 0 {
-		heap.Remove(&p.price, e.heapIdx)
-	}
-	if e.futIdx >= 0 {
-		heap.Remove(&p.futures, e.futIdx)
-	}
+	p.price.remove(e)
+	p.futures.remove(e)
 	if e.pending {
 		p.pendingCount--
-		if p.senderPending[e.tx.From]--; p.senderPending[e.tx.From] == 0 {
-			delete(p.senderPending, e.tx.From)
-		}
+		e.snd.pending--
 	} else {
 		p.futureCount--
-		if p.senderFuture[e.tx.From]--; p.senderFuture[e.tx.From] == 0 {
-			delete(p.senderFuture, e.tx.From)
-		}
+		e.snd.future--
+	}
+	if e.prev != nil {
+		e.prev.next = e.next
+	} else {
+		p.oldest = e.next
+	}
+	if e.next != nil {
+		e.next.prev = e.prev
+	} else {
+		p.newest = e.prev
+	}
+	*e = entry{next: p.free}
+	p.free = e
+}
+
+// remove deletes an entry from all indexes and recycles it; read e.tx before
+// calling. A sender left with nothing to remember is forgotten.
+func (p *Pool) remove(e *entry) {
+	s, addr := e.snd, e.tx.From
+	i := 0
+	if s.txs[0] != e {
+		i, _ = s.search(e.tx.Nonce)
+	}
+	s.removeAt(i)
+	p.unlink(e)
+	p.releaseIfIdle(addr, s)
+}
+
+// repartitionAfterRemove removes e and re-derives its sender's pending/future
+// split around the hole.
+func (p *Pool) repartitionAfterRemove(e *entry) {
+	s := e.snd
+	p.remove(e)
+	if len(s.txs) > 0 {
+		p.repartition(s)
 	}
 }
 
 // cheapest returns the lowest-priced entry, or nil when the pool is empty.
-func (p *Pool) cheapest() *entry {
-	if len(p.price) == 0 {
-		return nil
-	}
-	return p.price[0]
-}
+func (p *Pool) cheapest() *entry { return p.price.top() }
 
 // cheapestFuture returns the lowest-priced future entry (oldest admission on
 // price ties), or nil when no futures are buffered. The dedicated future heap
 // makes the full-pool pending-admission path O(log n); it used to scan the
 // whole pool.
-func (p *Pool) cheapestFuture() *entry {
-	if len(p.futures) == 0 {
-		return nil
-	}
-	return p.futures[0]
-}
+func (p *Pool) cheapestFuture() *entry { return p.futures.top() }
 
 // repartition re-derives the pending/future flags for one sender's
 // transactions after an insertion or nonce change, returning transactions
-// that transitioned future → pending (including a just-inserted one).
-func (p *Pool) repartition(sender types.Address) []*types.Transaction {
-	m := p.bySender[sender]
-	if len(m) == 0 {
-		return nil
-	}
+// that transitioned future → pending, in ascending nonce order.
+func (p *Pool) repartition(s *sender) []*types.Transaction {
 	var promoted []*types.Transaction
-	next := p.stateNonce[sender]
-	n := next
-	for {
-		e, ok := m[n]
-		if !ok {
-			break
-		}
+	// The executable run is the prefix whose nonces count up from the state
+	// nonce without a gap.
+	run := 0
+	for run < len(s.txs) && s.txs[run].tx.Nonce == s.stateNonce+uint64(run) {
+		e := s.txs[run]
 		if !e.pending {
 			p.markPending(e, true)
-			if e.futIdx >= 0 {
-				heap.Remove(&p.futures, e.futIdx)
-			}
+			p.futures.remove(e)
 			promoted = append(promoted, e.tx)
 		}
-		n++
+		run++
 	}
 	// Demote anything beyond the gap that is marked pending (can happen
-	// after a mid-sequence removal). The walk above left every nonce in
-	// [next, n) pending, so when the sender's pending tally equals that
-	// run's length no stale pending entry can exist and the scan is
-	// skipped — without the check every future admission pays O(entries).
-	if p.senderPending[sender] != int(n-next) {
-		for nonce, e := range m {
-			if nonce >= n && e.pending {
+	// after a mid-sequence removal), in ascending nonce order. The walk
+	// above left the whole run pending, so when the sender's pending tally
+	// equals the run's length no stale pending entry can exist and the scan
+	// is skipped — without the check every future admission pays O(entries).
+	if s.pending != run {
+		for _, e := range s.txs[run:] {
+			if e.pending {
 				p.markPending(e, false)
-				heap.Push(&p.futures, e)
+				p.futures.push(e)
 			}
 		}
 	}
@@ -517,7 +604,7 @@ func (p *Pool) RemoveConfirmed(txs []*types.Transaction) []*types.Transaction {
 	})
 	var promoted []*types.Transaction
 	for _, sender := range senders {
-		if next := touched[sender]; next > p.stateNonce[sender] {
+		if next := touched[sender]; next > p.StateNonce(sender) {
 			promoted = append(promoted, p.SetStateNonce(sender, next)...)
 		}
 	}
@@ -531,8 +618,7 @@ func (p *Pool) Drop(h types.Hash) bool {
 	if !ok {
 		return false
 	}
-	p.remove(e)
-	p.repartition(e.tx.From)
+	p.repartitionAfterRemove(e)
 	return true
 }
 
@@ -540,7 +626,7 @@ func (p *Pool) Drop(h types.Hash) bool {
 // price (miner order). Ties break on sender/nonce for determinism.
 func (p *Pool) Pending() []*types.Transaction {
 	out := make([]*types.Transaction, 0, p.pendingCount)
-	for _, e := range p.all {
+	for e := p.oldest; e != nil; e = e.next {
 		if e.pending {
 			out = append(out, e.tx)
 		}
@@ -561,7 +647,7 @@ func (p *Pool) Pending() []*types.Transaction {
 // txpool_content RPC view is stable across runs.
 func (p *Pool) Content() []*types.Transaction {
 	out := make([]*types.Transaction, 0, len(p.all))
-	for _, e := range p.all {
+	for e := p.oldest; e != nil; e = e.next {
 		out = append(out, e.tx)
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -573,75 +659,14 @@ func (p *Pool) Content() []*types.Transaction {
 
 // PendingPrices returns the gas prices of pending transactions in ascending
 // order; the measurement node feeds this to the median estimator for Y
-// (§5.2.1), which must not see map iteration order.
+// (§5.2.1).
 func (p *Pool) PendingPrices() []uint64 {
 	out := make([]uint64, 0, p.pendingCount)
-	for _, e := range p.all {
+	for e := p.oldest; e != nil; e = e.next {
 		if e.pending {
-			out = append(out, e.tx.GasPrice)
+			out = append(out, e.price)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// priceHeap is a min-heap of entries keyed by gas price, with index
-// maintenance for O(log n) removal.
-type priceHeap []*entry
-
-func (h priceHeap) Len() int { return len(h) }
-func (h priceHeap) Less(i, j int) bool {
-	if h[i].tx.GasPrice != h[j].tx.GasPrice {
-		return h[i].tx.GasPrice < h[j].tx.GasPrice
-	}
-	// Prefer evicting futures before pendings at equal price.
-	return !h[i].pending && h[j].pending
-}
-func (h priceHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].heapIdx = i
-	h[j].heapIdx = j
-}
-func (h *priceHeap) Push(x interface{}) {
-	e := x.(*entry)
-	e.heapIdx = len(*h)
-	*h = append(*h, e)
-}
-func (h *priceHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	e.heapIdx = -1
-	*h = old[:n-1]
-	return e
-}
-
-// futureHeap is a min-heap over future entries only, keyed by gas price with
-// admission order breaking ties, so the eviction sequence is fully defined.
-type futureHeap []*entry
-
-func (h futureHeap) Len() int { return len(h) }
-func (h futureHeap) Less(i, j int) bool {
-	if h[i].tx.GasPrice != h[j].tx.GasPrice {
-		return h[i].tx.GasPrice < h[j].tx.GasPrice
-	}
-	return h[i].seq < h[j].seq
-}
-func (h futureHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].futIdx = i
-	h[j].futIdx = j
-}
-func (h *futureHeap) Push(x interface{}) {
-	e := x.(*entry)
-	e.futIdx = len(*h)
-	*h = append(*h, e)
-}
-func (h *futureHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	e.futIdx = -1
-	*h = old[:n-1]
-	return e
 }

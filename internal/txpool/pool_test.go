@@ -319,7 +319,7 @@ func TestDropRemoves(t *testing.T) {
 	}
 }
 
-// invariantCheck verifies internal consistency of the pool counters.
+// invariantCheck verifies internal consistency of the pool's indexes.
 func invariantCheck(t *testing.T, p *Pool) {
 	t.Helper()
 	if p.PendingCount()+p.FutureCount() != p.Len() {
@@ -329,47 +329,97 @@ func invariantCheck(t *testing.T, p *Pool) {
 	if p.Len() > p.Policy().Capacity {
 		t.Fatalf("capacity exceeded: %d > %d", p.Len(), p.Policy().Capacity)
 	}
-	// The future heap must index exactly the future entries, and its top
-	// must agree with a reference scan under the (price, admission) order.
-	if len(p.futures) != p.FutureCount() {
+	// The price heap indexes every entry; the future heap exactly the
+	// future entries, and its top must agree with a reference scan under the
+	// (price, admission) order.
+	if len(p.price.a) != p.Len() {
+		t.Fatalf("price heap holds %d entries, pool %d", len(p.price.a), p.Len())
+	}
+	if len(p.futures.a) != p.FutureCount() {
 		t.Fatalf("future heap holds %d entries, future count is %d",
-			len(p.futures), p.FutureCount())
+			len(p.futures.a), p.FutureCount())
 	}
 	var ref *entry
-	for _, e := range p.all {
+	for h, e := range p.all {
+		if e.tx.Hash() != h || e.price != e.tx.GasPrice {
+			t.Fatalf("entry %v filed under %v with price %d", e.tx, h, e.price)
+		}
+		if i := e.idx[priceHeap]; i < 0 || p.price.a[i] != e {
+			t.Fatalf("entry %v mis-indexed in price heap (idx=%d)", h, i)
+		}
 		if e.pending {
-			if e.futIdx >= 0 {
-				t.Fatalf("pending %v indexed in future heap", e.tx.Hash())
+			if e.idx[futureHeap] >= 0 {
+				t.Fatalf("pending %v indexed in future heap", h)
 			}
 			continue
 		}
-		if e.futIdx < 0 || p.futures[e.futIdx] != e {
-			t.Fatalf("future %v mis-indexed (futIdx=%d)", e.tx.Hash(), e.futIdx)
+		if i := e.idx[futureHeap]; i < 0 || p.futures.a[i] != e {
+			t.Fatalf("future %v mis-indexed (idx=%d)", h, i)
 		}
-		if ref == nil || e.tx.GasPrice < ref.tx.GasPrice ||
-			(e.tx.GasPrice == ref.tx.GasPrice && e.seq < ref.seq) {
+		if ref == nil || e.price < ref.price || (e.price == ref.price && e.seq < ref.seq) {
 			ref = e
 		}
 	}
 	if got := p.cheapestFuture(); got != ref {
 		t.Fatalf("cheapestFuture disagrees with reference scan: got %v want %v", got, ref)
 	}
-	// The per-sender tallies must agree with a reference recount, with no
-	// stale zero-valued keys left behind.
-	refPending := map[types.Address]int{}
-	refFuture := map[types.Address]int{}
-	for _, e := range p.all {
-		if e.pending {
-			refPending[e.tx.From]++
-		} else {
-			refFuture[e.tx.From]++
+	// Every sender record must hold its entries in strictly ascending nonce
+	// order at or above its state nonce, with tallies that agree with a
+	// recount, and no record may outlive its purpose: one with no entries and
+	// state nonce 0 must have been released.
+	filed := 0
+	for addr, s := range p.senders {
+		live := s.txs
+		if len(live) == 0 && s.stateNonce == 0 {
+			t.Fatalf("empty sender record left behind for %v", addr)
 		}
+		pending, future := 0, 0
+		for i, e := range live {
+			if e.snd != s || e.tx.From != addr || p.all[e.tx.Hash()] != e {
+				t.Fatalf("sender %v slot %d holds a foreign or dead entry", addr, i)
+			}
+			if e.tx.Nonce < s.stateNonce || (i > 0 && live[i-1].tx.Nonce >= e.tx.Nonce) {
+				t.Fatalf("sender %v nonce order broken at slot %d", addr, i)
+			}
+			if e.pending {
+				pending++
+			} else {
+				future++
+			}
+		}
+		if s.pending != pending || s.future != future {
+			t.Fatalf("sender %v tallies drifted: have %d/%d want %d/%d", addr, s.pending, s.future, pending, future)
+		}
+		filed += len(live)
 	}
-	if !reflect.DeepEqual(p.senderPending, refPending) {
-		t.Fatalf("senderPending tally drifted: have %v want %v", p.senderPending, refPending)
+	if filed != p.Len() {
+		t.Fatalf("sender records hold %d entries, pool %d", filed, p.Len())
 	}
-	if !reflect.DeepEqual(p.senderFuture, refFuture) {
-		t.Fatalf("senderFuture tally drifted: have %v want %v", p.senderFuture, refFuture)
+	// The admission list visits exactly the live entries in seq order.
+	visited := 0
+	var prev *entry
+	for e := p.oldest; e != nil; prev, e = e, e.next {
+		if p.all[e.tx.Hash()] != e {
+			t.Fatalf("admission list visits dead entry seq=%d", e.seq)
+		}
+		if e.prev != prev || (prev != nil && prev.seq >= e.seq) {
+			t.Fatalf("admission list broken at seq=%d", e.seq)
+		}
+		visited++
+	}
+	if visited != p.Len() || p.newest != prev {
+		t.Fatalf("admission list visits %d of %d entries", visited, p.Len())
+	}
+	// Recycled entries hold nothing and stay bounded by the capacity.
+	spare := 0
+	for e := p.free; e != nil; e = e.next {
+		if e.tx != nil || e.snd != nil {
+			t.Fatal("free entry retains its transaction or sender")
+		}
+		spare++
+	}
+	if p.Len()+spare > p.Policy().Capacity {
+		t.Fatalf("%d live + %d free entries exceed capacity %d", p.Len(), spare, p.Policy().Capacity)
 	}
 }
 
@@ -456,5 +506,62 @@ func TestMeasurable(t *testing.T) {
 	}
 	if Nethermind.Measurable() || Aleth.Measurable() {
 		t.Error("zero-R clients should not be measurable")
+	}
+}
+
+// TestConfirmDemoteDeterministic pins the order in which one call drops a
+// sender's stale entries and demotes its stranded ones: ascending nonce. The
+// pool used to walk the sender's nonce→entry map for both, so in mined worlds
+// removal and push order — hence heap layout, equal-price eviction order and
+// checkpoint bytes — followed Go's map iteration order. Fifty fresh pools
+// driven through the same confirm/demote sequence must snapshot identically.
+func TestConfirmDemoteDeterministic(t *testing.T) {
+	run := func() Snapshot {
+		p := New(small(64))
+		// Background entries, so both heaps have some depth: pendings and
+		// gapped futures at a handful of recurring prices.
+		for i := uint64(0); i < 12; i++ {
+			p.Offer(tx(100+i, 0, 100+10*(i%3)))
+			p.Offer(tx(100+i, 2, 100+10*(i%4)))
+		}
+		// Three accounts with a ten-nonce pending run each, prices tied in
+		// threes.
+		var runs [3][]*types.Transaction
+		for a := range runs {
+			for n := uint64(0); n < 10; n++ {
+				rtx := tx(uint64(1+a), n, 100+10*(n%3))
+				runs[a] = append(runs[a], rtx)
+				p.Offer(rtx)
+			}
+		}
+		// A block confirms nonce 3 of account 1 without the pool having seen
+		// nonces 0..2 mined: four stale entries go in one SetStateNonce.
+		p.RemoveConfirmed(runs[0][3:4])
+		// Dropping mid-run entries strands the tails: five and four demotions
+		// in one repartition each.
+		p.Drop(runs[1][4].Hash())
+		p.Drop(runs[2][5].Hash())
+		// Jumping account 2 past its gap drops five stale entries and
+		// re-promotes the stranded tail.
+		p.SetStateNonce(acct(2), 5)
+		// Executable arrivals at a full pool now evict the demoted futures in
+		// (price, admission) order off the heap the demotions built.
+		for i := uint64(0); p.Len() < p.Policy().Capacity; i++ {
+			p.Offer(tx(200+i, 1, 100))
+		}
+		for i := uint64(0); i < 6; i++ {
+			p.Offer(tx(300+i, 0, 500))
+		}
+		invariantCheck(t, p)
+		return p.Snapshot()
+	}
+	want := run()
+	if len(want.FutureOrder) == 0 || len(want.StateNonces) != 2 {
+		t.Fatalf("sequence lost its shape: %d futures, %d state nonces", len(want.FutureOrder), len(want.StateNonces))
+	}
+	for i := 1; i < 50; i++ {
+		if got := run(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d snapshots differently from run 0: stale drops or demotions are order-dependent", i)
+		}
 	}
 }

@@ -23,14 +23,17 @@ type NonceSnapshot struct {
 
 // Snapshot is a complete, restorable image of a pool's observable state.
 //
-// Entries hold the live transactions in admission (age-queue) order. The two
-// heap layouts are preserved verbatim as index lists into Entries:
-// priceHeap's comparator is not a total order (it prefers futures over
-// pendings only at equal price), so rebuilding the heap by re-pushing could
-// produce a different — still valid, but not byte-identical — eviction
-// sequence. Copying the array layout reproduces the exact heap the original
-// pool would have used. Dead age-queue entries (lazily skipped tombstones)
-// are dropped: they have no observable effect.
+// Entries hold the live transactions in admission order. The two heap
+// layouts are preserved verbatim as index lists into Entries: the price
+// heap's comparator is not a total order (it prefers futures over pendings
+// only at equal price), so rebuilding the heap by re-pushing could produce a
+// different — still valid, but not byte-identical — eviction sequence.
+// Copying the array layout reproduces the exact heap the original pool would
+// have used.
+//
+// StateNonces lists the accounts with a non-zero chain nonce, by address. An
+// account at nonce 0 with nothing buffered has no record in the pool at all
+// and is not listed; restoring without it is the same pool.
 type Snapshot struct {
 	Entries     []EntrySnapshot
 	PriceOrder  []int32 // price-heap array layout, indices into Entries
@@ -45,26 +48,24 @@ type Snapshot struct {
 // — it is configuration, carried separately by the caller.
 func (p *Pool) Snapshot() Snapshot {
 	var s Snapshot
-	index := make(map[*entry]int32, len(p.all))
 	s.Entries = make([]EntrySnapshot, 0, len(p.all))
-	for _, e := range p.ageQueue {
-		if e.heapIdx < 0 {
-			continue // tombstone: removed, awaiting lazy skip
-		}
-		index[e] = int32(len(s.Entries))
+	for e := p.oldest; e != nil; e = e.next {
+		e.mark = int32(len(s.Entries))
 		s.Entries = append(s.Entries, EntrySnapshot{Tx: e.tx, Added: e.added, Seq: e.seq, Pending: e.pending})
 	}
-	s.PriceOrder = make([]int32, len(p.price))
-	for i, e := range p.price {
-		s.PriceOrder[i] = index[e]
+	s.PriceOrder = make([]int32, len(p.price.a))
+	for i, e := range p.price.a {
+		s.PriceOrder[i] = e.mark
 	}
-	s.FutureOrder = make([]int32, len(p.futures))
-	for i, e := range p.futures {
-		s.FutureOrder[i] = index[e]
+	s.FutureOrder = make([]int32, len(p.futures.a))
+	for i, e := range p.futures.a {
+		s.FutureOrder[i] = e.mark
 	}
-	s.StateNonces = make([]NonceSnapshot, 0, len(p.stateNonce))
-	for addr, nonce := range p.stateNonce {
-		s.StateNonces = append(s.StateNonces, NonceSnapshot{Addr: addr, Nonce: nonce})
+	s.StateNonces = make([]NonceSnapshot, 0, len(p.senders))
+	for addr, snd := range p.senders {
+		if snd.stateNonce != 0 {
+			s.StateNonces = append(s.StateNonces, NonceSnapshot{Addr: addr, Nonce: snd.stateNonce})
+		}
 	}
 	sort.Slice(s.StateNonces, func(i, j int) bool {
 		return string(s.StateNonces[i].Addr[:]) < string(s.StateNonces[j].Addr[:])
@@ -81,57 +82,63 @@ func (p *Pool) Snapshot() Snapshot {
 // order.
 func RestorePool(policy Policy, s Snapshot) (*Pool, error) {
 	p := New(policy)
+	for _, ns := range s.StateNonces {
+		p.SetStateNonce(ns.Addr, ns.Nonce)
+	}
 	ents := make([]*entry, len(s.Entries))
 	for i, es := range s.Entries {
 		if es.Tx == nil {
 			return nil, fmt.Errorf("txpool: snapshot entry %d has no transaction", i)
 		}
-		e := &entry{tx: es.Tx, added: es.Added, seq: es.Seq, pending: es.Pending, heapIdx: -1, futIdx: -1}
-		ents[i] = e
 		h := es.Tx.Hash()
 		if _, dup := p.all[h]; dup {
 			return nil, fmt.Errorf("txpool: duplicate transaction %v in snapshot", h)
 		}
-		p.all[h] = e
-		m := p.bySender[es.Tx.From]
-		if m == nil {
-			m = make(map[uint64]*entry)
-			p.bySender[es.Tx.From] = m
+		snd := p.senders[es.Tx.From]
+		if snd == nil {
+			snd = p.newSender(es.Tx.From)
 		}
-		m[es.Tx.Nonce] = e
-		p.ageQueue = append(p.ageQueue, e)
+		if es.Tx.Nonce < snd.stateNonce {
+			return nil, fmt.Errorf("txpool: snapshot holds %v nonce %d below its state nonce %d", es.Tx.From, es.Tx.Nonce, snd.stateNonce)
+		}
+		at, dup := snd.search(es.Tx.Nonce)
+		if dup {
+			return nil, fmt.Errorf("txpool: snapshot holds two transactions for %v nonce %d", es.Tx.From, es.Tx.Nonce)
+		}
+		e := &entry{tx: es.Tx, snd: snd, price: es.Tx.GasPrice, added: es.Added, seq: es.Seq, pending: es.Pending, idx: [2]int{-1, -1}}
+		ents[i] = e
+		p.all[h] = e
+		snd.insertAt(at, e)
+		p.enlist(e)
 		if es.Pending {
 			p.pendingCount++
-			p.senderPending[es.Tx.From]++
+			snd.pending++
 		} else {
 			p.futureCount++
-			p.senderFuture[es.Tx.From]++
+			snd.future++
 		}
 	}
 	if len(s.PriceOrder) != len(ents) {
 		return nil, fmt.Errorf("txpool: price-heap layout covers %d of %d entries", len(s.PriceOrder), len(ents))
 	}
-	p.price = make(priceHeap, len(s.PriceOrder))
+	p.price.a = make([]*entry, len(s.PriceOrder))
 	for i, idx := range s.PriceOrder {
-		if idx < 0 || int(idx) >= len(ents) || ents[idx].heapIdx != -1 {
+		if idx < 0 || int(idx) >= len(ents) || ents[idx].idx[priceHeap] != -1 {
 			return nil, fmt.Errorf("txpool: invalid price-heap slot %d → %d", i, idx)
 		}
-		p.price[i] = ents[idx]
-		ents[idx].heapIdx = i
+		p.price.a[i] = ents[idx]
+		ents[idx].idx[priceHeap] = i
 	}
-	p.futures = make(futureHeap, len(s.FutureOrder))
+	p.futures.a = make([]*entry, len(s.FutureOrder))
 	for i, idx := range s.FutureOrder {
-		if idx < 0 || int(idx) >= len(ents) || ents[idx].futIdx != -1 || ents[idx].pending {
+		if idx < 0 || int(idx) >= len(ents) || ents[idx].idx[futureHeap] != -1 || ents[idx].pending {
 			return nil, fmt.Errorf("txpool: invalid future-heap slot %d → %d", i, idx)
 		}
-		p.futures[i] = ents[idx]
-		ents[idx].futIdx = i
+		p.futures.a[i] = ents[idx]
+		ents[idx].idx[futureHeap] = i
 	}
-	if len(p.futures) != p.futureCount {
-		return nil, fmt.Errorf("txpool: future heap holds %d of %d futures", len(p.futures), p.futureCount)
-	}
-	for _, ns := range s.StateNonces {
-		p.stateNonce[ns.Addr] = ns.Nonce
+	if len(p.futures.a) != p.futureCount {
+		return nil, fmt.Errorf("txpool: future heap holds %d of %d futures", len(p.futures.a), p.futureCount)
 	}
 	p.admitSeq = s.AdmitSeq
 	p.now = s.Now

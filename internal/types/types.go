@@ -170,22 +170,26 @@ func (tx *Transaction) Hash() Hash {
 	if !tx.hash.IsZero() {
 		return tx.hash
 	}
-	h := sha256.New()
-	h.Write(tx.From[:])
-	h.Write(tx.To[:])
-	var buf [8]byte
+	// One sha256.Sum256 over a stack buffer: no digest object, no per-field
+	// Write. The preimage is From ‖ To ‖ six big-endian words ‖ Data; only a
+	// payload beyond the buffer's slack spills to the heap.
+	var buf [txHashFixed + 168]byte
+	b := append(buf[:0], tx.From[:]...)
+	b = append(b, tx.To[:]...)
 	dyn := uint64(0)
 	if tx.DynamicFee {
 		dyn = 1
 	}
-	for _, v := range []uint64{tx.Nonce, tx.GasPrice, tx.Gas, tx.Value, tx.Tip, dyn} {
-		binary.BigEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
+	for _, v := range [...]uint64{tx.Nonce, tx.GasPrice, tx.Gas, tx.Value, tx.Tip, dyn} {
+		b = binary.BigEndian.AppendUint64(b, v)
 	}
-	h.Write(tx.Data)
-	tx.hash = BytesToHash(h.Sum(nil))
+	b = append(b, tx.Data...)
+	tx.hash = sha256.Sum256(b)
 	return tx.hash
 }
+
+// txHashFixed is the length of a transaction's hash preimage before Data.
+const txHashFixed = 2*AddressLength + 6*8
 
 // Fee returns the maximum fee the transaction can pay (Gas × GasPrice).
 func (tx *Transaction) Fee() uint64 { return tx.Gas * tx.GasPrice }

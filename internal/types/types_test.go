@@ -136,3 +136,67 @@ func TestBlockHashChangesWithContents(t *testing.T) {
 		t.Fatal("different blocks share hash")
 	}
 }
+
+// pinnedTxs are the transactions whose digests TestTransactionHashPinned
+// hard-codes: a legacy transfer, a dynamic-fee transfer, and one carrying 100
+// bytes of payload.
+func pinnedTxs() []*Transaction {
+	data := make([]byte, 100)
+	for i := range data {
+		data[i] = byte(i * 7)
+	}
+	withData := NewTransaction(AddressFromUint64(5), AddressFromUint64(6), 9, 3*Gwei, 1)
+	withData.Data = data
+	return []*Transaction{
+		NewTransaction(AddressFromUint64(1), AddressFromUint64(2), 3, 2*Gwei, 7),
+		NewDynamicFeeTransaction(AddressFromUint64(3), AddressFromUint64(4), 0, 5*Gwei, Gwei/2, 11),
+		withData,
+	}
+}
+
+// TestTransactionHashPinned pins the digest bytes: transaction hashes key
+// every pool and order SetBaseFee drops, Content and the checkpoint goldens,
+// so the one-shot implementation must produce exactly what the streaming
+// sha256 one did (the values below were computed with it).
+func TestTransactionHashPinned(t *testing.T) {
+	want := []string{
+		"0xf1394a97d917b574d875734f863f8b403fbdebe93cb682172d122699d824c464",
+		"0x109fe134786e9c1d29e061700aa6c78ff49393ffab67c23521c202c1b9c39adc",
+		"0xc91cea09aa8ec12d049d9c03008289d2807f4b6a842794f41de4769422bdfa32",
+	}
+	for i, tx := range pinnedTxs() {
+		if got := tx.Hash().Hex(); got != want[i] {
+			t.Errorf("tx %d: hash %s, want %s", i, got, want[i])
+		}
+	}
+}
+
+// TestTransactionHashAllocs: hashing must not touch the heap — every
+// transaction in a campaign is hashed once, on the flood path.
+func TestTransactionHashAllocs(t *testing.T) {
+	for i, base := range pinnedTxs() {
+		allocs := testing.AllocsPerRun(100, func() {
+			tx := *base // fresh memo
+			if tx.Hash().IsZero() {
+				t.Fatal("zero hash")
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("tx %d: Hash allocates %v objects per call, want 0", i, allocs)
+		}
+	}
+}
+
+// BenchmarkTransactionHash times a cold digest (the memo is reset each
+// iteration) of a plain transfer — what every flooded transaction pays once.
+func BenchmarkTransactionHash(b *testing.B) {
+	base := *NewTransaction(AddressFromUint64(1), AddressFromUint64(2), 3, 2*Gwei, 7)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		tx := base
+		tx.Nonce = uint64(i)
+		if tx.Hash().IsZero() {
+			b.Fatal("zero hash")
+		}
+	}
+}
