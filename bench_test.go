@@ -328,8 +328,8 @@ func BenchmarkAppATxProbeBaseline(b *testing.B) {
 		}
 		if i == 0 {
 			benchPrint(b, experiments.FormatAppA(r))
-			b.ReportMetric(float64(r.Report.TxProbe.FalsePositives), "txprobe-FPs")
-			b.ReportMetric(float64(r.Report.TopoShot.FalsePositives), "toposhot-FPs")
+			b.ReportMetric(float64(r.TxProbe.FalsePositives), "txprobe-FPs")
+			b.ReportMetric(float64(r.TopoShot.FalsePositives), "toposhot-FPs")
 		}
 	}
 }

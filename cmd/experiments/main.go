@@ -17,14 +17,10 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"toposhot/internal/experiments"
-	"toposhot/internal/metrics"
 	"toposhot/internal/obs"
-	"toposhot/internal/profile"
 	runnerpool "toposhot/internal/runner"
-	"toposhot/internal/trace"
 	"toposhot/internal/txpool"
 )
 
@@ -185,19 +181,12 @@ func main() {
 	run := flag.String("run", "", "comma-separated experiment names, or 'all'")
 	seed := flag.Int64("seed", 42, "simulation seed")
 	parallel := flag.Int("parallel", 0, "worker-pool width for independent simulations (0 = GOMAXPROCS, 1 = serial); results are identical at any width")
-	withMetrics := flag.Bool("metrics", false, "print periodic progress lines and a final metrics snapshot to stderr")
-	metricsEvery := flag.Duration("metrics-interval", 10*time.Second, "progress line interval under -metrics")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	traceOut := flag.String("trace", "", "write a timeline trace to this file (.jsonl = JSONL, else Chrome/Perfetto JSON)")
-	traceLevel := flag.String("trace-level", "measure", "trace verbosity with -trace: off|measure|engine")
-	traceDet := flag.Bool("trace-deterministic", false, "suppress wall-clock fields so same-seed runs produce byte-identical traces (use with -parallel 1)")
-	logLevel := flag.String("log-level", "info", "structured event-log verbosity: debug|info|warn|error|off")
-	logFormat := flag.String("log-format", "text", "live log line format on stderr: text|jsonl")
-	logOut := flag.String("log", "", "write the deterministic event-log snapshot (JSONL) to this file on exit")
+	telemetry := obs.RegisterCLIFlags(flag.CommandLine)
+	// Sweeps fan out over workers, so this binary's help adds the width caveat.
+	flag.Lookup("trace-deterministic").Usage += " (use with -parallel 1)"
 	flag.Parse()
 
-	cli := obs.OpenCLI(*logLevel, *logFormat, *logOut)
+	cli := telemetry.Open()
 	lg := cli.Logger
 	defer func() {
 		if err := cli.Close(); err != nil {
@@ -206,39 +195,6 @@ func main() {
 	}()
 
 	runnerpool.SetParallelism(*parallel)
-
-	flushTrace := func() error { return nil }
-	if *traceOut != "" {
-		lv, err := trace.ParseLevel(*traceLevel)
-		if err != nil {
-			cli.Fatal(2, "trace-setup-failed", obs.Err(err))
-		}
-		if tr := trace.New(trace.Options{Level: lv, Deterministic: *traceDet}); tr != nil {
-			trace.Enable(tr) // networks, measurers, and sweeps self-wire
-			flushTrace = func() error { return tr.Snapshot().WriteFile(*traceOut) }
-		}
-	}
-
-	prof, err := profile.StartRuntime(*cpuprofile, *memprofile)
-	if err != nil {
-		cli.Fatal(1, "profile-setup-failed", obs.Err(err))
-	}
-	defer func() {
-		if err := prof.Stop(); err != nil {
-			lg.Error("profile-write-failed", obs.Err(err))
-		}
-	}()
-
-	if *withMetrics {
-		reg := metrics.NewRegistry()
-		metrics.Enable(reg) // networks, pools, and measurers self-wire
-		progress := metrics.StartProgress(reg, os.Stderr, *metricsEvery)
-		defer progress.Stop()
-		defer func() {
-			fmt.Fprintln(os.Stderr, "final metrics snapshot:")
-			_ = reg.WriteJSON(os.Stderr)
-		}()
-	}
 
 	rs := runners()
 	if *list || *run == "" {
@@ -305,7 +261,5 @@ func main() {
 		cli.Fatal(2, "no-experiment-matched", obs.String("run", *run),
 			obs.String("known", strings.Join(names, ", ")))
 	}
-	if err := flushTrace(); err != nil {
-		cli.Fatal(1, "trace-write-failed", obs.Err(err))
-	}
+	cli.FlushTrace()
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 
 	"toposhot/internal/core"
 	"toposhot/internal/tracker"
@@ -58,6 +59,26 @@ type campaignMeta struct {
 	Back     []backPair
 	Campaign *core.CampaignState `json:",omitempty"`
 	Tracking *trackingMeta       `json:",omitempty"`
+}
+
+// sortedBack lists a NodeID→vertex map in ascending NodeID order, so the
+// same campaign state always serializes to the same checkpoint bytes.
+func sortedBack(back map[types.NodeID]int) []backPair {
+	pairs := make([]backPair, 0, len(back))
+	for id, v := range back {
+		pairs = append(pairs, backPair{ID: id, V: v})
+	}
+	sort.Slice(pairs, func(i, j int) bool { return pairs[i].ID < pairs[j].ID })
+	return pairs
+}
+
+// backMap rebuilds the NodeID→vertex map a checkpoint carries.
+func (m *campaignMeta) backMap() map[types.NodeID]int {
+	back := make(map[types.NodeID]int, len(m.Back))
+	for _, p := range m.Back {
+		back[p.ID] = p.V
+	}
+	return back
 }
 
 // writeCheckpoint persists {magic, len(blob), blob, meta-JSON} atomically:

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"net/http"
 	"os"
-	"time"
 
 	"toposhot/internal/core"
 	"toposhot/internal/ethsim"
@@ -24,11 +23,8 @@ import (
 	"toposhot/internal/metrics"
 	"toposhot/internal/netgen"
 	"toposhot/internal/obs"
-	"toposhot/internal/profile"
 	"toposhot/internal/runner"
 	"toposhot/internal/strategy"
-	"toposhot/internal/trace"
-	"toposhot/internal/txpool"
 	"toposhot/internal/types"
 )
 
@@ -50,39 +46,15 @@ func main() {
 	out := flag.String("out", "", "output file (default stdout)")
 	uniform := flag.Bool("uniform", false, "all-default nodes (no heterogeneity)")
 	parallel := flag.Int("parallel", 0, "worker-pool width for independent simulations (0 = GOMAXPROCS, 1 = serial); results are identical at any width")
-	withMetrics := flag.Bool("metrics", false, "print periodic progress lines and a final metrics snapshot to stderr")
-	metricsEvery := flag.Duration("metrics-interval", 10*time.Second, "progress line interval under -metrics")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	traceOut := flag.String("trace", "", "write a timeline trace to this file (.jsonl = JSONL, else Chrome/Perfetto JSON)")
-	traceLevel := flag.String("trace-level", "measure", "trace verbosity with -trace: off|measure|engine")
-	traceDet := flag.Bool("trace-deterministic", false, "suppress wall-clock fields so same-seed runs produce byte-identical traces")
-	logLevel := flag.String("log-level", "info", "structured event-log verbosity: debug|info|warn|error|off")
-	logFormat := flag.String("log-format", "text", "live log line format on stderr: text|jsonl")
-	logOut := flag.String("log", "", "write the deterministic event-log snapshot (JSONL) to this file on exit")
+	telemetry := obs.RegisterCLIFlags(flag.CommandLine)
 	events := flag.String("events", "", "serve the live campaign dashboard (/, /events, /log, /ledger, /metrics, /trace/snapshot, /progress) on this address while the run is active")
 	flag.Parse()
 
-	cli := obs.OpenCLI(*logLevel, *logFormat, *logOut)
-	lg := cli.Logger
+	cli := telemetry.Open()
+	lg, tracer := cli.Logger, cli.Tracer
 	defer func() {
 		if err := cli.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-		}
-	}()
-
-	tracer, flushTrace, err := setupTrace(*traceOut, *traceLevel, *traceDet)
-	if err != nil {
-		cli.Fatal(2, "trace-setup-failed", obs.Err(err))
-	}
-
-	prof, err := profile.StartRuntime(*cpuprofile, *memprofile)
-	if err != nil {
-		cli.Fatal(1, "profile-setup-failed", obs.Err(err))
-	}
-	defer func() {
-		if err := prof.Stop(); err != nil {
-			lg.Error("profile-write-failed", obs.Err(err))
+			fmt.Fprintln(os.Stderr, obs.FormatLine("log-write-failed", obs.Err(err)))
 		}
 	}()
 
@@ -91,18 +63,11 @@ func main() {
 	// cmd/experiments and the benchmark harness).
 	runner.SetParallelism(*parallel)
 
-	var reg *metrics.Registry
-	if *withMetrics || *events != "" {
+	// The dashboard's /metrics needs a registry even without -metrics.
+	reg := cli.Metrics
+	if reg == nil && *events != "" {
 		reg = metrics.NewRegistry()
 		metrics.Enable(reg) // the network, pools, and measurer self-wire
-	}
-	if *withMetrics {
-		progress := metrics.StartProgress(reg, os.Stderr, *metricsEvery)
-		defer progress.Stop()
-		defer func() {
-			lg.Info("final-metrics-snapshot")
-			_ = reg.WriteJSON(os.Stderr)
-		}()
 	}
 
 	// The live dashboard serves the campaign's observability surfaces for the
@@ -146,6 +111,15 @@ func main() {
 	if *uniform {
 		het = netgen.Uniform()
 	}
+	// Every mode measures the same census world: 1/10-scale pools, the
+	// scaled ≤2000-slot edge budget, 300 prefilled background transactions.
+	census := experiments.CensusConfig{
+		Name: *preset, Grow: grow, Het: het, Seed: *seed,
+		PoolScale: 0.1, GroupK: *k, EdgeBudget: 144, Prefill: 300,
+	}
+	if census.Name == "" {
+		census.Name = "custom"
+	}
 
 	// Region-sharded mode: one independent engine per region, runner-wide
 	// parallel, honest intra-region coverage accounting. Per-region results
@@ -156,22 +130,16 @@ func main() {
 			cli.Fatal(2, "bad-flags",
 				obs.String("why", "-regions supports only the toposhot strategy and no -checkpoint/-resume"))
 		}
-		cfg := experiments.ScaleCensusConfig{
-			Name: *preset, Grow: grow, Het: het, Seed: *seed,
+		sc, err := experiments.RunScaleCensus(experiments.ScaleCensusConfig{
+			Name: census.Name, Grow: grow, Het: het, Seed: *seed,
 			Regions: *regions, Lanes: *lanes,
-			PoolScale: 0.1, GroupK: *k, EdgeBudget: 144, Prefill: 300,
-		}
-		if cfg.Name == "" {
-			cfg.Name = "custom"
-		}
-		sc, err := experiments.RunScaleCensus(cfg)
+			PoolScale: census.PoolScale, GroupK: census.GroupK, EdgeBudget: census.EdgeBudget, Prefill: census.Prefill,
+		})
 		if err != nil {
 			cli.Fatal(1, "census-failed", obs.Err(err))
 		}
 		fmt.Fprint(os.Stderr, experiments.FormatScaleCensus(sc))
-		if err := flushTrace(); err != nil {
-			cli.Fatal(1, "trace-write-failed", obs.Err(err))
-		}
+		cli.FlushTrace()
 		bw, closeOut := openOutput(cli, *out)
 		defer closeOut()
 		for _, e := range sc.Measured.Edges() {
@@ -188,10 +156,10 @@ func main() {
 			cli.Fatal(2, "bad-flags", obs.String("why", "-track supports only the toposhot strategy"))
 		}
 		runTracking(trackingFlags{
-			grow: grow, het: het, preset: *preset, seed: *seed, k: *k, lanes: *lanes,
+			census: census, lanes: *lanes,
 			ticks: *trackTicks, budget: *trackBudget, churn: *trackChurn,
 			checkpoint: *checkpoint, checkpointEvery: *checkpointEvery, resumeFrom: *resumeFrom,
-			out: *out, flushTrace: flushTrace, cli: cli, ledger: led,
+			out: *out, cli: cli, ledger: led,
 		})
 		return
 	}
@@ -206,8 +174,7 @@ func main() {
 		back    map[types.NodeID]int
 		resume  *core.CampaignState
 	)
-	params := core.DefaultParams()
-	params.Z = 512
+	params := census.MeasureParams()
 	if *resumeFrom != "" {
 		blob, meta, err := readCheckpoint(*resumeFrom)
 		if err != nil {
@@ -235,38 +202,23 @@ func main() {
 		m = core.NewMeasurer(net, super, params)
 		*seed, *k = meta.Seed, meta.K
 		targets, resume = meta.Targets, meta.Campaign
-		back = make(map[types.NodeID]int, len(meta.Back))
-		for _, p := range meta.Back {
-			back[p.ID] = p.V
-		}
+		back = meta.backMap()
 		lg.Info("campaign-resumed", obs.String("file", *resumeFrom),
 			obs.Int("nodes", int64(len(net.Nodes()))), obs.Float("virtual_s", net.Now()),
 			obs.Int("batches_done", int64(resume.BatchesDone)),
 			obs.Int("edges", int64(len(resume.Detected))))
 	} else {
 		g := netgen.Grow(grow)
-		netCfg := ethsim.DefaultConfig(*seed)
-		netCfg.LatencyTail = 0.05
-		netCfg.LatencyMax = 1.0
-		netCfg.Lanes = *lanes
-		net = ethsim.NewNetwork(netCfg)
-		het.Expiry = 75
-		inst := netgen.InstantiateScaled(net, g, het, *seed, 0.1)
-		super = ethsim.NewSupernode(net)
-		super.ConnectAll()
-		super.SetEstimatorPolicy(txpool.Geth.WithCapacity(512).WithExpiry(75))
-		net.StartJanitor(30)
-
-		w := ethsim.NewWorkload(net, 0.2, types.Gwei/10, 2*types.Gwei)
-		w.Prefill(300, 5)
-		w.Start(0)
+		world := experiments.BuildCensusWorld(census, g, *seed, *lanes, nil)
+		world.StartTraffic()
+		net, super = world.Net, world.Super
 		m = core.NewMeasurer(net, super, params)
 
 		lg.Info("network-built", obs.Int("nodes", int64(g.NumNodes())),
 			obs.Int("edges", int64(g.NumEdges())))
-		pre := m.Preprocess(inst.IDs)
-		targets = pre.EligibleNodes(inst.IDs)
-		back = inst.Back
+		pre := m.Preprocess(world.Inst.IDs)
+		targets = pre.EligibleNodes(world.Inst.IDs)
+		back = world.Inst.Back
 	}
 	truth := core.EdgeSetOf(net.Edges())
 
@@ -283,10 +235,7 @@ func main() {
 			if every < 1 {
 				every = 1
 			}
-			meta := &campaignMeta{Seed: *seed, K: *k, EdgeBudget: 144, Targets: targets}
-			for id, v := range back {
-				meta.Back = append(meta.Back, backPair{ID: id, V: v})
-			}
+			meta := &campaignMeta{Seed: *seed, K: *k, EdgeBudget: census.EdgeBudget, Targets: targets, Back: sortedBack(back)}
 			onBatch = func(st *core.CampaignState) error {
 				if st.BatchesDone%every != 0 {
 					return nil
@@ -300,7 +249,7 @@ func main() {
 			}
 		}
 		lg.Info("census-started", obs.Int("eligible", int64(len(targets))), obs.Int("k", int64(*k)))
-		res, err := m.MeasureNetworkResume(targets, *k, 144, resume, onBatch)
+		res, err := m.MeasureNetworkResume(targets, *k, census.EdgeBudget, resume, onBatch)
 		if err != nil {
 			cli.Fatal(1, "measurement-failed", obs.Err(err))
 		}
@@ -337,9 +286,7 @@ func main() {
 			obs.String("score", out.Score(truth).String()),
 			obs.Int("probe_txs", int64(out.LedgerCost().Total())))
 	}
-	if err := flushTrace(); err != nil {
-		cli.Fatal(1, "trace-write-failed", obs.Err(err))
-	}
+	cli.FlushTrace()
 
 	bw, closeOut := openOutput(cli, *out)
 	defer closeOut()
@@ -370,23 +317,4 @@ func openOutput(cli *obs.CLI, path string) (*bufio.Writer, func()) {
 			dst.Close()
 		}
 	}
-}
-
-// setupTrace creates and enables the process-default tracer per the -trace
-// flags and returns a flush function that snapshots and writes the trace
-// file. With tracing off both returns are no-ops.
-func setupTrace(out, level string, deterministic bool) (*trace.Tracer, func() error, error) {
-	if out == "" {
-		return nil, func() error { return nil }, nil
-	}
-	lv, err := trace.ParseLevel(level)
-	if err != nil {
-		return nil, nil, err
-	}
-	tr := trace.New(trace.Options{Level: lv, Deterministic: deterministic})
-	if tr == nil {
-		return nil, func() error { return nil }, nil
-	}
-	trace.Enable(tr) // networks and measurers self-wire, like metrics
-	return tr, func() error { return tr.Snapshot().WriteFile(out) }, nil
 }

@@ -5,19 +5,13 @@ import (
 	"os"
 
 	"toposhot/internal/experiments"
-	"toposhot/internal/netgen"
 	"toposhot/internal/obs"
 	"toposhot/internal/tracker"
-	"toposhot/internal/types"
 )
 
 // trackingFlags bundles the CLI state the -track mode consumes.
 type trackingFlags struct {
-	grow   netgen.GrowConfig
-	het    netgen.Heterogeneity
-	preset string
-	seed   int64
-	k      int
+	census experiments.CensusConfig
 	lanes  int
 
 	ticks  int
@@ -28,25 +22,17 @@ type trackingFlags struct {
 	checkpointEvery int
 	resumeFrom      string
 
-	out        string
-	flushTrace func() error
-	cli        *obs.CLI
-	ledger     *obs.Ledger
+	out    string
+	cli    *obs.CLI
+	ledger *obs.Ledger
 }
 
 // runTracking drives experiments.RunTracking from the CLI: seeding census,
 // churn, per-tick delta campaigns, optional per-tick resumable checkpoints,
 // and the final belief edge list on -out.
 func runTracking(f trackingFlags) {
-	name := f.preset
-	if name == "" {
-		name = "custom"
-	}
 	cfg := experiments.TrackingConfig{
-		Census: experiments.CensusConfig{
-			Name: name, Grow: f.grow, Het: f.het, Seed: f.seed,
-			PoolScale: 0.1, GroupK: f.k, EdgeBudget: 144, Prefill: 300,
-		},
+		Census:          f.census,
 		Ticks:           f.ticks,
 		TickSeconds:     120,
 		Tracker:         tracker.Config{Budget: f.budget, HalfLife: 6, MinConfidence: 0.25},
@@ -66,17 +52,13 @@ func runTracking(f trackingFlags) {
 			f.cli.Fatal(2, "bad-flags", obs.String("file", f.resumeFrom),
 				obs.String("why", "a census-campaign checkpoint; resume it without -track"))
 		}
-		back := make(map[types.NodeID]int, len(meta.Back))
-		for _, p := range meta.Back {
-			back[p.ID] = p.V
-		}
 		cfg.Resume = &experiments.TrackingResume{
 			Blob:             blob,
 			Tracker:          meta.Tracking.State,
 			TicksDone:        meta.Tracking.TicksDone,
 			Super:            meta.Super,
 			EventIndex:       meta.Tracking.EventIndex,
-			Back:             back,
+			Back:             meta.backMap(),
 			BaselineTxs:      meta.Tracking.BaselineTxs,
 			BaselineEther:    meta.Tracking.BaselineEther,
 			BaselineDuration: meta.Tracking.BaselineDuration,
@@ -105,8 +87,8 @@ func runTracking(f trackingFlags) {
 				return err
 			}
 			meta := &campaignMeta{
-				Seed: f.seed, K: f.k, EdgeBudget: 144, Super: tt.Super,
-				Targets: tt.Tracker.Targets(),
+				Seed: f.census.Seed, K: f.census.GroupK, EdgeBudget: f.census.EdgeBudget, Super: tt.Super,
+				Targets: tt.Tracker.Targets(), Back: sortedBack(tt.Back),
 				Tracking: &trackingMeta{
 					State:            tt.Tracker.State(),
 					TicksDone:        tt.Tick,
@@ -120,9 +102,6 @@ func runTracking(f trackingFlags) {
 					TrackerDuration:  tt.TotalDuration,
 				},
 			}
-			for id, v := range tt.Back {
-				meta.Back = append(meta.Back, backPair{ID: id, V: v})
-			}
 			return writeCheckpoint(f.checkpoint, blob, meta)
 		}
 	}
@@ -133,9 +112,7 @@ func runTracking(f trackingFlags) {
 	}
 	fmt.Fprint(os.Stderr, experiments.FormatTracking(tr))
 	fmt.Fprint(os.Stderr, experiments.FormatTrackingCost(tr))
-	if err := f.flushTrace(); err != nil {
-		f.cli.Fatal(1, "trace-write-failed", obs.Err(err))
-	}
+	f.cli.FlushTrace()
 
 	bw, closeOut := openOutput(f.cli, f.out)
 	defer closeOut()

@@ -98,14 +98,16 @@ func DefaultMinerConfig() MinerConfig {
 
 // Miner drives block production on a network. Each round, the next miner
 // node (round-robin over the registered miners) packs a block from its own
-// mempool.
+// mempool. It is the sim.Handler of its own events: argument 0 is a
+// production round, argument n applies block n network-wide.
 type Miner struct {
-	net   *ethsim.Network
-	cfg   MinerConfig
-	chain *Chain
-	ids   []types.NodeID
-	next  int
-	stop  bool
+	net    *ethsim.Network
+	cfg    MinerConfig
+	chain  *Chain
+	ids    []types.NodeID
+	next   int
+	stop   bool
+	stopAt float64
 
 	// OnBlock, when set, fires after each block is applied network-wide.
 	OnBlock func(b *types.Block)
@@ -127,23 +129,31 @@ func (m *Miner) Start(stopAt float64) {
 	if len(m.ids) == 0 {
 		return
 	}
-	var round func()
-	round = func() {
-		if m.stop || (stopAt > 0 && m.net.Now() >= stopAt) {
-			return
-		}
-		m.ProduceBlock()
-		gap := m.cfg.Interval
-		if m.cfg.Jitter {
-			gap = m.net.Engine().Rand().ExpFloat64() * m.cfg.Interval
-		}
-		m.net.Engine().After(gap, round)
-	}
-	m.net.Engine().After(m.cfg.Interval, round)
+	m.stopAt = stopAt
+	m.net.Engine().AfterHandler(m.cfg.Interval, m, 0)
 }
 
 // Stop halts production after the current round.
 func (m *Miner) Stop() { m.stop = true }
+
+// HandleEvent runs one production round (arg 0) or applies block arg. A
+// round schedules its successor only after ProduceBlock has scheduled the
+// block's application, so the two keep their relative sequence numbers.
+func (m *Miner) HandleEvent(arg uint64) {
+	if arg != 0 {
+		m.apply(m.chain.blocks[arg-1])
+		return
+	}
+	if m.stop || (m.stopAt > 0 && m.net.Now() >= m.stopAt) {
+		return
+	}
+	m.ProduceBlock()
+	gap := m.cfg.Interval
+	if m.cfg.Jitter {
+		gap = m.net.Engine().Rand().ExpFloat64() * m.cfg.Interval
+	}
+	m.net.Engine().AfterHandler(gap, m, 0)
+}
 
 // ProduceBlock immediately mines one block on the next miner in rotation
 // and applies it network-wide after the broadcast delay. It returns the
@@ -157,7 +167,7 @@ func (m *Miner) ProduceBlock() *types.Block {
 	}
 	b := PackBlock(node, uint64(m.chain.Height()+1), m.cfg.GasLimit, m.net.Now())
 	m.chain.append(b)
-	m.net.Engine().After(m.cfg.BroadcastDelay, func() { m.apply(b) })
+	m.net.Engine().AfterHandler(m.cfg.BroadcastDelay, m, b.Number)
 	return b
 }
 

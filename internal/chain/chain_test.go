@@ -1,9 +1,11 @@
 package chain
 
 import (
+	"errors"
 	"testing"
 
 	"toposhot/internal/ethsim"
+	"toposhot/internal/sim"
 	"toposhot/internal/txpool"
 	"toposhot/internal/types"
 )
@@ -86,6 +88,21 @@ func TestMinerAppliesBlocksNetworkWide(t *testing.T) {
 		if net.Node(id).Pool().Has(high.Hash()) {
 			t.Fatalf("included tx still in pool of %v", id)
 		}
+	}
+}
+
+// TestRunningMinerBlocksCheckpoint: the network serializes only its own
+// events, so a world with pending miner events must fail Checkpoint (naming
+// the foreign handler) rather than silently drop block production.
+func TestRunningMinerBlocksCheckpoint(t *testing.T) {
+	net, ids := buildMiningNet(4)
+	net.RunFor(5)
+	if _, err := net.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint before mining: %v", err)
+	}
+	NewMiner(net, DefaultMinerConfig(), ids[:1]).Start(0)
+	if _, err := net.Checkpoint(); !errors.Is(err, sim.ErrForeignHandler) {
+		t.Fatalf("Checkpoint with a running miner: err = %v, want sim.ErrForeignHandler", err)
 	}
 }
 

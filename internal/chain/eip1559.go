@@ -46,16 +46,21 @@ func NextBaseFee(baseFee, gasUsed, gasLimit uint64) uint64 {
 // Miner1559 drives EIP-1559 block production: like Miner, but each block
 // carries the running base fee, packs by effective tip, and pushes base-fee
 // updates into every pool (dropping newly underpriced transactions, the
-// Appendix-E "negative priority fee" rule).
+// Appendix-E "negative priority fee" rule). Its events follow Miner's
+// encoding: argument 0 is a round, argument n applies block n.
 type Miner1559 struct {
-	net   *ethsim.Network
-	cfg   MinerConfig
-	chain *Chain
-	ids   []types.NodeID
-	next  int
-	stop  bool
+	net    *ethsim.Network
+	cfg    MinerConfig
+	chain  *Chain
+	ids    []types.NodeID
+	next   int
+	stop   bool
+	stopAt float64
 
 	baseFee uint64
+	// fees[n-1] is the base fee block n leaves behind, pushed into the pools
+	// when block n is applied.
+	fees []uint64
 }
 
 // NewMiner1559 registers miners producing EIP-1559 blocks starting from the
@@ -77,19 +82,30 @@ func (m *Miner1559) Start(stopAt float64) {
 	if len(m.ids) == 0 {
 		return
 	}
-	var round func()
-	round = func() {
-		if m.stop || (stopAt > 0 && m.net.Now() >= stopAt) {
-			return
-		}
-		m.ProduceBlock()
-		m.net.Engine().After(m.cfg.Interval, round)
-	}
-	m.net.Engine().After(m.cfg.Interval, round)
+	m.stopAt = stopAt
+	m.net.Engine().AfterHandler(m.cfg.Interval, m, 0)
 }
 
 // Stop halts production.
 func (m *Miner1559) Stop() { m.stop = true }
+
+// HandleEvent runs one production round (arg 0) or applies block arg and its
+// successor base fee to every pool.
+func (m *Miner1559) HandleEvent(arg uint64) {
+	if arg != 0 {
+		b, fee := m.chain.blocks[arg-1], m.fees[arg-1]
+		for _, nd := range m.net.Nodes() {
+			nd.Pool().RemoveConfirmed(b.Txs)
+			nd.Pool().SetBaseFee(fee)
+		}
+		return
+	}
+	if m.stop || (m.stopAt > 0 && m.net.Now() >= m.stopAt) {
+		return
+	}
+	m.ProduceBlock()
+	m.net.Engine().AfterHandler(m.cfg.Interval, m, 0)
+}
 
 // ProduceBlock mines one EIP-1559 block on the next miner in rotation.
 func (m *Miner1559) ProduceBlock() *types.Block {
@@ -102,13 +118,8 @@ func (m *Miner1559) ProduceBlock() *types.Block {
 	b := PackBlock1559(node, uint64(m.chain.Height()+1), m.cfg.GasLimit, m.baseFee, m.net.Now())
 	m.chain.append(b)
 	m.baseFee = NextBaseFee(m.baseFee, b.GasUsed, b.GasLimit)
-	fee := m.baseFee
-	m.net.Engine().After(m.cfg.BroadcastDelay, func() {
-		for _, nd := range m.net.Nodes() {
-			nd.Pool().RemoveConfirmed(b.Txs)
-			nd.Pool().SetBaseFee(fee)
-		}
-	})
+	m.fees = append(m.fees, m.baseFee)
+	m.net.Engine().AfterHandler(m.cfg.BroadcastDelay, m, b.Number)
 	return b
 }
 

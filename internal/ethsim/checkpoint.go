@@ -26,8 +26,9 @@ const checkpointVersion = 2
 // byte-identical to the original's.
 //
 // Checkpointing requires every pending engine event to be one of the
-// network's kind-tagged handler events; a pending closure (e.g. a running
-// chain.Miner round) makes the state unserializable and returns an error.
+// network's own kind-tagged events; an event pending for any other handler
+// (e.g. a running chain.Miner round) makes the state unserializable and
+// returns an error wrapping sim.ErrForeignHandler.
 // Function-valued hooks are not part of the image: supernode observation
 // hooks are re-bound automatically on restore, but custom OnOffer /
 // OnTxAdmitted / AddJanitorHook callbacks must be re-registered by the

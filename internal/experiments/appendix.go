@@ -4,21 +4,24 @@ import (
 	"fmt"
 	"strings"
 
-	"toposhot/internal/baseline"
 	"toposhot/internal/chain"
 	"toposhot/internal/core"
+	"toposhot/internal/discv"
 	"toposhot/internal/ethsim"
 	"toposhot/internal/netgen"
 	"toposhot/internal/runner"
+	"toposhot/internal/strategy"
 	"toposhot/internal/trace"
 	"toposhot/internal/txpool"
 	"toposhot/internal/types"
 )
 
-// AppAResult contrasts TxProbe and TopoShot on the same Ethereum network.
+// AppAResult contrasts TxProbe and TopoShot on the same Ethereum network:
+// both methods' scores over the same measured pairs.
 type AppAResult struct {
-	Report baseline.CompareReport
-	Pairs  int
+	TxProbe  core.Score
+	TopoShot core.Score
+	Pairs    int
 }
 
 // AppA reproduces the Appendix-A argument empirically: on an account-model
@@ -27,7 +30,7 @@ type AppAResult struct {
 // TopoShot's replacement-based isolation holds.
 func AppA(seed int64) (*AppAResult, error) {
 	v := buildValidationNet(seed, 60, netgen.Uniform(), 10, nil)
-	probe := baseline.NewTxProbe(v.net, v.super)
+	probe := strategy.NewTxProbe(v.net, v.super)
 	truth := core.EdgeSetOf(v.net.Edges())
 	rng := v.net.Engine().Rand()
 	var pairs [][2]types.NodeID
@@ -46,11 +49,34 @@ func AppA(seed int64) (*AppAResult, error) {
 			pairs = append(pairs, [2]types.NodeID{a, b})
 		}
 	}
-	rep, err := baseline.Compare(v.m, probe, pairs)
-	if err != nil {
-		return nil, err
+	// Both methods probe each pair on this one network, TxProbe first: they
+	// share the pools, so the interleaved order is part of the result.
+	txProbe, topoShot, measuredTruth := core.NewEdgeSet(), core.NewEdgeSet(), core.NewEdgeSet()
+	for _, pr := range pairs {
+		got, err := probe.MeasureOneLink(pr[0], pr[1])
+		if err != nil {
+			return nil, err
+		}
+		if got {
+			txProbe.Add(pr[0], pr[1])
+		}
+		if got, err = v.m.MeasureOneLink(pr[0], pr[1]); err != nil {
+			return nil, err
+		}
+		if got {
+			topoShot.Add(pr[0], pr[1])
+		}
+		if truth.Has(pr[0], pr[1]) {
+			measuredTruth.Add(pr[0], pr[1])
+		}
 	}
-	return &AppAResult{Report: rep, Pairs: len(pairs)}, nil
+	// Scored the way strategy.Outcome.Score is: against the truth restricted
+	// to the measured pairs.
+	return &AppAResult{
+		TxProbe:  core.ScoreAgainst(txProbe, measuredTruth, nil),
+		TopoShot: core.ScoreAgainst(topoShot, measuredTruth, nil),
+		Pairs:    len(pairs),
+	}, nil
 }
 
 // FormatAppA renders the comparison.
@@ -58,10 +84,10 @@ func FormatAppA(r *AppAResult) string {
 	var b strings.Builder
 	b.WriteString("Appendix A — TxProbe vs TopoShot on an Ethereum network\n")
 	fmt.Fprintf(&b, "  pairs measured: %d\n", r.Pairs)
-	fmt.Fprintf(&b, "  TxProbe : %v\n", r.Report.TxProbe)
-	fmt.Fprintf(&b, "  TopoShot: %v\n", r.Report.TopoShot)
+	fmt.Fprintf(&b, "  TxProbe : %v\n", r.TxProbe)
+	fmt.Fprintf(&b, "  TopoShot: %v\n", r.TopoShot)
 	fmt.Fprintf(&b, "  TxProbe false positives: %d (isolation broken by account model)\n",
-		r.Report.TxProbe.FalsePositives)
+		r.TxProbe.FalsePositives)
 	return b.String()
 }
 
@@ -177,7 +203,7 @@ func FormatAppC(r *AppCResult) string {
 
 // W2Result is the inactive-edge crawl baseline.
 type W2Result struct {
-	Report baseline.InactiveEdgeReport
+	Report InactiveEdgeReport
 }
 
 // W2Crawl runs the FIND_NODE inactive-edge measurement (Gao et al.,
@@ -186,8 +212,82 @@ type W2Result struct {
 // cannot recover what TopoShot measures.
 func W2Crawl(seed int64) *W2Result {
 	v := buildValidationNet(seed, 150, netgen.Uniform(), 10, nil)
-	rep := baseline.CrawlInactive(v.net, 4, seed)
-	return &W2Result{Report: rep}
+	return &W2Result{Report: crawlInactive(v.net, 4, seed)}
+}
+
+// InactiveEdgeReport contrasts a W2 FIND_NODE crawl with the active-edge
+// ground truth.
+type InactiveEdgeReport struct {
+	InactiveEdges int
+	ActiveEdges   int
+	// Overlap counts inactive edges that are also active links.
+	Overlap int
+	// PrecisionAsActive is Overlap/InactiveEdges: how badly routing-table
+	// entries over-approximate the gossip topology.
+	PrecisionAsActive float64
+	// RecallOfActive is Overlap/ActiveEdges.
+	RecallOfActive float64
+}
+
+// crawlInactive runs the W2 baseline: build a discovery system over the
+// network's nodes, crawl routing tables with FIND_NODE, and score the
+// result against the active topology. The routing tables are populated
+// independently of the active links (real DHT state is discovery-driven),
+// holding ~272 entries per node versus ~50 active neighbors.
+func crawlInactive(net *ethsim.Network, lookups int, seed int64) InactiveEdgeReport {
+	var ids []types.NodeID
+	for _, nd := range net.Nodes() {
+		if nd.Config().Label == "supernode" {
+			continue
+		}
+		ids = append(ids, nd.ID())
+	}
+	sys := discv.NewSystem(ids, 8, 3, seed)
+	inactive := sys.CrawlInactiveEdges(lookups, seed+1)
+	activeSet := core.EdgeSetOf(net.Edges())
+	// Exclude the supernode's instrumentation links from the active-edge
+	// denominator only when a supernode actually exists: a zero-value
+	// sentinel would silently exclude a real node 0 on a supernode-less
+	// network (node ids are opaque; nothing reserves 0).
+	var superID *types.NodeID
+	for _, nd := range net.Nodes() {
+		if nd.Config().Label == "supernode" {
+			id := nd.ID()
+			superID = &id
+		}
+	}
+	active := activeEdgesExcluding(activeSet, superID)
+	overlap := 0
+	for _, e := range inactive {
+		if activeSet.Has(e[0], e[1]) {
+			overlap++
+		}
+	}
+	rep := InactiveEdgeReport{
+		InactiveEdges: len(inactive),
+		ActiveEdges:   active,
+		Overlap:       overlap,
+	}
+	if rep.InactiveEdges > 0 {
+		rep.PrecisionAsActive = float64(overlap) / float64(rep.InactiveEdges)
+	}
+	if rep.ActiveEdges > 0 {
+		rep.RecallOfActive = float64(overlap) / float64(rep.ActiveEdges)
+	}
+	return rep
+}
+
+// activeEdgesExcluding counts edges with neither endpoint equal to exclude;
+// a nil exclude counts every edge.
+func activeEdgesExcluding(s *core.EdgeSet, exclude *types.NodeID) int {
+	active := 0
+	for _, e := range s.Edges() {
+		if exclude != nil && (e[0] == *exclude || e[1] == *exclude) {
+			continue
+		}
+		active++
+	}
+	return active
 }
 
 // FormatW2 renders the crawl comparison.

@@ -11,12 +11,10 @@ import (
 	"strings"
 
 	"toposhot/internal/core"
-	"toposhot/internal/ethsim"
 	"toposhot/internal/graph"
 	"toposhot/internal/netgen"
 	"toposhot/internal/runner"
 	"toposhot/internal/trace"
-	"toposhot/internal/txpool"
 	"toposhot/internal/types"
 )
 
@@ -105,39 +103,17 @@ func RunCensus(cfg CensusConfig) (*Census, error) {
 
 	bs := tr.StartSpan(spanCensusBuild)
 	g := netgen.Grow(cfg.Grow)
-
-	// Census latency profile: well-connected public nodes with a modest
-	// straggler tail, matching multi-hour campaign conditions.
-	netCfg := ethsim.DefaultConfig(cfg.Seed)
-	netCfg.LatencyTail = 0.05
-	netCfg.LatencyMax = 1.0
-	net := ethsim.NewNetwork(netCfg)
-	net.SetTracer(tr)
+	world := BuildCensusWorld(cfg, g, cfg.Seed, 0, tr)
+	net, inst := world.Net, world.Inst
+	// The prefill span ends before a measurer exists to bind the lane's clock.
 	tr.SetClock(net.Now)
-	het := cfg.Het
-	het.Expiry = censusExpiry
-	inst := netgen.InstantiateScaled(net, g, het, cfg.Seed, cfg.PoolScale)
-	super := ethsim.NewSupernode(net)
-	super.ConnectAll()
-	super.SetEstimatorPolicy(txpool.Geth.
-		WithCapacity(int(float64(txpool.Geth.Capacity) * cfg.PoolScale)).
-		WithExpiry(censusExpiry))
-	// Expiry keeps multi-hour campaigns in steady state: stale measurement
-	// leftovers age out of the pools the way Geth drops 3-hour-old
-	// unconfirmed transactions. Scaled with the pools.
-	net.StartJanitor(30)
 	bs.End()
 
 	ps := tr.StartSpan(spanCensusPrefill)
-	w := ethsim.NewWorkload(net, censusBackgroundRate, types.Gwei/10, 2*types.Gwei)
-	w.Prefill(cfg.Prefill, 5)
-	w.Start(0)
+	w := world.StartTraffic()
 	ps.End()
 
-	params := core.DefaultParams()
-	params.Z = int(float64(txpool.Geth.Capacity) * cfg.PoolScale)
-	params.SettleTime = 6
-	m := core.NewMeasurer(net, super, params)
+	m := core.NewMeasurer(net, world.Super, cfg.MeasureParams())
 	m.SetTracer(tr)
 
 	pp := tr.StartSpan(spanPreprocess)
@@ -252,25 +228,3 @@ func FormatDegreeDistribution(g *graph.Graph, highCut int) string {
 	}
 	return b.String()
 }
-
-// runCensusVariant is RunCensus with an adjustable background rate, used by
-// calibration tests.
-func runCensusVariant(cfg CensusConfig, rate float64) (*Census, error) {
-	saved := censusBackgroundRate
-	censusBackgroundRate = rate
-	defer func() { censusBackgroundRate = saved }()
-	return RunCensus(cfg)
-}
-
-// censusBackgroundRate is the network-wide background tx arrival rate
-// during census measurement (txs/second).
-var censusBackgroundRate = 0.2
-
-// censusExpiry is the scaled unconfirmed-transaction drain time during
-// censuses. On a live testnet measurement leftovers (txC floods, plants)
-// leave the mempool within minutes — mined by the underloaded testnet's
-// miners or dropped by Geth's 3-hour expiry; the simulated campaign has no
-// miners, so this drain is modelled as a scaled expiry. It is several times
-// one batch's duration, so every measurement transaction comfortably
-// outlives the batch that needs it.
-const censusExpiry = 75.0

@@ -11,7 +11,6 @@ import (
 	"toposhot/internal/runner"
 	"toposhot/internal/strategy"
 	"toposhot/internal/trace"
-	"toposhot/internal/txpool"
 	"toposhot/internal/types"
 )
 
@@ -52,25 +51,11 @@ type CompareRow struct {
 // same-seed network, so the four campaigns probe identical topologies,
 // identical workloads, and identical virtual clocks without sharing pools.
 func compareNet(seed int64, n int, lane *trace.Tracer) (*ethsim.Network, *ethsim.Supernode, *netgen.Instantiated) {
-	netCfg := ethsim.DefaultConfig(seed)
-	netCfg.LatencyTail = 0.05
-	netCfg.LatencyMax = 1.0
-	net := ethsim.NewNetwork(netCfg)
-	if lane != nil {
-		net.SetTracer(lane)
-	}
+	cc := CensusConfig{Het: netgen.Uniform(), PoolScale: 0.1, Prefill: 350}
 	g := netgen.Grow(netgen.GoerliConfig.WithSeed(seed).WithN(n))
-	het := netgen.Uniform()
-	het.Expiry = censusExpiry
-	inst := netgen.InstantiateScaled(net, g, het, seed, 0.1)
-	super := ethsim.NewSupernode(net)
-	super.ConnectAll()
-	super.SetEstimatorPolicy(txpool.Geth.WithCapacity(scaledZ).WithExpiry(censusExpiry))
-	net.StartJanitor(30)
-	w := ethsim.NewWorkload(net, 0.2, types.Gwei/10, 2*types.Gwei)
-	w.Prefill(350, 5)
-	w.Start(0)
-	return net, super, inst
+	world := BuildCensusWorld(cc, g, seed, 0, lane)
+	world.StartTraffic()
+	return world.Net, world.Super, world.Inst
 }
 
 // comparePairs picks the shared probe list — EdgePairs true links and

@@ -5,13 +5,11 @@ import (
 	"strings"
 
 	"toposhot/internal/core"
-	"toposhot/internal/ethsim"
 	"toposhot/internal/graph"
 	"toposhot/internal/netgen"
 	"toposhot/internal/obs"
 	"toposhot/internal/runner"
 	"toposhot/internal/trace"
-	"toposhot/internal/txpool"
 	"toposhot/internal/types"
 )
 
@@ -147,32 +145,12 @@ func runScaleRegion(cfg ScaleCensusConfig, g *graph.Graph, region int, lg *obs.L
 	// Per-region seed salt: replica networks must not mirror each other's
 	// latency draws and account keys.
 	seed := cfg.Seed ^ int64(region+1)<<24
-	netCfg := ethsim.DefaultConfig(seed)
-	netCfg.LatencyTail = 0.05
-	netCfg.LatencyMax = 1.0
-	netCfg.Lanes = cfg.Lanes
-	net := ethsim.NewNetwork(netCfg)
-	net.SetTracer(tr)
-	tr.SetClock(net.Now)
+	cc := CensusConfig{Het: cfg.Het, PoolScale: cfg.PoolScale, Prefill: cfg.Prefill}
+	world := BuildCensusWorld(cc, sub, seed, cfg.Lanes, tr)
+	inst := world.Inst
+	w := world.StartTraffic()
 
-	het := cfg.Het
-	het.Expiry = censusExpiry
-	inst := netgen.InstantiateScaled(net, sub, het, seed, cfg.PoolScale)
-	super := ethsim.NewSupernode(net)
-	super.ConnectAll()
-	super.SetEstimatorPolicy(txpool.Geth.
-		WithCapacity(int(float64(txpool.Geth.Capacity) * cfg.PoolScale)).
-		WithExpiry(censusExpiry))
-	net.StartJanitor(30)
-
-	w := ethsim.NewWorkload(net, censusBackgroundRate, types.Gwei/10, 2*types.Gwei)
-	w.Prefill(cfg.Prefill, 5)
-	w.Start(0)
-
-	params := core.DefaultParams()
-	params.Z = int(float64(txpool.Geth.Capacity) * cfg.PoolScale)
-	params.SettleTime = 6
-	m := core.NewMeasurer(net, super, params)
+	m := core.NewMeasurer(world.Net, world.Super, cc.MeasureParams())
 	m.SetTracer(tr)
 	// The region's events go to its own pre-created scope (never the shared
 	// root scope: concurrent regions interleaving there would break snapshot

@@ -12,7 +12,6 @@ import (
 	"toposhot/internal/obs"
 	"toposhot/internal/runner"
 	"toposhot/internal/tracker"
-	"toposhot/internal/txpool"
 	"toposhot/internal/types"
 )
 
@@ -223,9 +222,7 @@ func RunTracking(cfg TrackingConfig) (*Tracking, error) {
 	}
 	led := out.CostLedger
 
-	params := core.DefaultParams()
-	params.Z = int(float64(txpool.Geth.Capacity) * cfg.Census.PoolScale)
-	params.SettleTime = 6
+	params := cfg.Census.MeasureParams()
 
 	if cfg.Resume != nil {
 		var err error
@@ -258,27 +255,12 @@ func RunTracking(cfg TrackingConfig) (*Tracking, error) {
 		out.BaselineDuration = cfg.Resume.BaselineDuration
 		out.CensusScore = cfg.Resume.CensusScore
 	} else {
-		// Fresh run: build the network exactly like RunCensus and seed the
-		// tracker with a full census — the per-tick baseline being beaten.
-		g := netgen.Grow(cfg.Census.Grow)
-		netCfg := ethsim.DefaultConfig(cfg.Census.Seed)
-		netCfg.LatencyTail = 0.05
-		netCfg.LatencyMax = 1.0
-		netCfg.Lanes = cfg.Lanes
-		net = ethsim.NewNetwork(netCfg)
-		het := cfg.Census.Het
-		het.Expiry = censusExpiry
-		inst := netgen.InstantiateScaled(net, g, het, cfg.Census.Seed, cfg.Census.PoolScale)
-		super = ethsim.NewSupernode(net)
-		super.ConnectAll()
-		super.SetEstimatorPolicy(txpool.Geth.
-			WithCapacity(int(float64(txpool.Geth.Capacity) * cfg.Census.PoolScale)).
-			WithExpiry(censusExpiry))
-		net.StartJanitor(30)
-
-		w := ethsim.NewWorkload(net, censusBackgroundRate, types.Gwei/10, 2*types.Gwei)
-		w.Prefill(cfg.Census.Prefill, 5)
-		w.Start(0)
+		// Fresh run: build RunCensus's world and seed the tracker with a full
+		// census — the per-tick baseline being beaten.
+		world := BuildCensusWorld(cfg.Census, netgen.Grow(cfg.Census.Grow), cfg.Census.Seed, cfg.Lanes, nil)
+		world.StartTraffic()
+		net, super = world.Net, world.Super
+		inst := world.Inst
 
 		back = inst.Back
 		for i, s := range net.Supernodes() {

@@ -16,8 +16,7 @@ var analyzerHotAlloc = &Analyzer{
 // nothing by construction; Perm is excluded because rng.Perm allocates and is
 // only called at topology setup.
 var simHotFuncs = map[string]bool{
-	"At": true, "After": true, "AtHandler": true, "AfterHandler": true,
-	"AtHandlerLane": true, "minLane": true,
+	"AtHandler": true, "AfterHandler": true, "AtHandlerLane": true, "minLane": true,
 	"schedule": true, "less": true, "siftUp": true, "siftDown": true,
 	"Step": true, "Run": true, "RunUntil": true, "Pending": true,
 }

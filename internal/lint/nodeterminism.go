@@ -8,17 +8,19 @@ import (
 )
 
 // nodeterminismScope lists the packages whose results must be reproducible
-// from a seed: the simulators, the measurement core, the measurement
-// strategies built on it, topology generation, the pool model the simulator
-// drives, the worker pool that runs independent simulations concurrently,
-// the topology tracker (whose probe schedule must replay identically from a
-// checkpoint), and the observability layer (whose event-log snapshots and
-// cost ledgers must byte-compare equal across same-seed runs at any
-// parallelism — timestamps come from injected virtual clocks, never the
-// wall).
+// from a seed: the simulators, block production (a sim.Handler whose block
+// schedule is what the Appendix-C twin worlds compare), the measurement core,
+// the measurement strategies built on it, topology generation, the pool model
+// the simulator drives, the worker pool that runs independent simulations
+// concurrently, the topology tracker (whose probe schedule must replay
+// identically from a checkpoint), and the observability layer (whose
+// event-log snapshots and cost ledgers must byte-compare equal across
+// same-seed runs at any parallelism — timestamps come from injected virtual
+// clocks, never the wall).
 var nodeterminismScope = []string{
 	modulePrefix + "/internal/sim",
 	modulePrefix + "/internal/ethsim",
+	modulePrefix + "/internal/chain",
 	modulePrefix + "/internal/core",
 	modulePrefix + "/internal/strategy",
 	modulePrefix + "/internal/netgen",

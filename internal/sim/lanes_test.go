@@ -165,16 +165,10 @@ func TestSnapshotRestore(t *testing.T) {
 	}
 }
 
-// TestSnapshotErrors pins the unserializable cases: closure events, events
-// for a foreign handler, and restoring onto a used engine.
+// TestSnapshotErrors pins the unserializable cases: events for a foreign
+// handler, and restoring onto a used engine.
 func TestSnapshotErrors(t *testing.T) {
 	h := &recHandler{}
-
-	e := New(1)
-	e.After(1, func() {})
-	if _, err := e.SnapshotEvents(h); err != ErrClosureEvent {
-		t.Fatalf("closure snapshot err = %v, want ErrClosureEvent", err)
-	}
 
 	e2 := New(1)
 	other := &recHandler{}

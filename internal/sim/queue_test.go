@@ -64,7 +64,7 @@ func FuzzEventQueue(f *testing.F) {
 				refSeq++
 				heap.Push(&ref, refEvent{at: at, seq: refSeq, id: id})
 				v := id
-				e.At(at, func() { got = append(got, v) })
+				e.AtHandler(at, funcHandler(func() { got = append(got, v) }), 0)
 				id++
 			} else {
 				e.Step()
@@ -105,7 +105,7 @@ func TestEventQueueInterleavedMatchesReference(t *testing.T) {
 			refSeq++
 			heap.Push(&ref, refEvent{at: at, seq: refSeq, id: id})
 			v := id
-			e.At(at, func() { got = append(got, v) })
+			e.AtHandler(at, funcHandler(func() { got = append(got, v) }), 0)
 			id++
 		} else {
 			e.Step()
@@ -133,7 +133,7 @@ func TestArenaRecyclesSlots(t *testing.T) {
 	e := New(1)
 	fill := func() {
 		for i := 0; i < 64; i++ {
-			e.After(float64(i), func() {})
+			e.AfterHandler(float64(i), funcHandler(func() {}), 0)
 		}
 	}
 	fill()
@@ -155,16 +155,16 @@ type countingHandler struct{ fired []uint64 }
 
 func (c *countingHandler) HandleEvent(arg uint64) { c.fired = append(c.fired, arg) }
 
-// TestHandlerEventsInterleaveWithClosures: typed and closure events share one
-// (at, seq) order.
+// TestHandlerEventsInterleaveWithClosures: events for a typed handler and
+// for closure adapters share one (at, seq) order.
 func TestHandlerEventsInterleaveWithClosures(t *testing.T) {
 	e := New(1)
 	h := &countingHandler{}
 	var order []string
 	e.AtHandler(2, h, 20)
-	e.At(1, func() { order = append(order, "c1") })
+	e.AtHandler(1, funcHandler(func() { order = append(order, "c1") }), 0)
 	e.AtHandler(1, h, 10)
-	e.At(2, func() { order = append(order, "c2") })
+	e.AtHandler(2, funcHandler(func() { order = append(order, "c2") }), 0)
 	e.Run(0)
 	if len(h.fired) != 2 || h.fired[0] != 10 || h.fired[1] != 20 {
 		t.Fatalf("handler order = %v", h.fired)
@@ -175,7 +175,7 @@ func TestHandlerEventsInterleaveWithClosures(t *testing.T) {
 }
 
 // BenchmarkEngineSchedule measures the steady-state schedule+dispatch cost
-// of the typed-handler path: a self-rescheduling handler keeps a constant
+// of the scheduler: a self-rescheduling handler keeps a constant
 // in-flight population, so after warmup every op is a recycled arena slot.
 func BenchmarkEngineSchedule(b *testing.B) {
 	e := New(1)
@@ -202,25 +202,4 @@ type selfScheduler struct {
 func (s *selfScheduler) HandleEvent(arg uint64) {
 	s.n++
 	s.e.AfterHandler(float64(s.n%13)*0.0007, s, arg)
-}
-
-// BenchmarkEngineScheduleClosure is the same loop over the closure API, for
-// comparing the two paths' per-event constants.
-func BenchmarkEngineScheduleClosure(b *testing.B) {
-	e := New(1)
-	var tick func()
-	n := uint64(0)
-	tick = func() {
-		n++
-		e.After(float64(n%13)*0.0007, tick)
-	}
-	const inflight = 1024
-	for i := 0; i < inflight; i++ {
-		e.After(float64(i%7)*0.001, tick)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Step()
-	}
 }

@@ -11,10 +11,10 @@
 // The scheduler is built for the gossip-flood hot path: events live in an
 // engine-owned arena indexed by per-lane 4-ary heaps of int32 slot numbers,
 // and freed slots are recycled through a free list, so steady-state
-// scheduling performs no allocation and no interface boxing. Events carry
-// either a closure (the general API) or a Handler plus a uint64 argument
-// (the allocation-free API the network simulator uses for its pooled
-// messages). The pop order is the strict total order (at, seq) — identical
+// scheduling performs no allocation and no interface boxing. Every event is
+// a Handler plus a uint64 argument: one long-lived object (the network, a
+// miner) owns all of its event kinds and decodes the argument itself, which
+// is also what makes pending events serializable. The pop order is the strict total order (at, seq) — identical
 // for any correct priority queue — so the number of lanes, the heap arity,
 // and the layout are pure implementation details that can never change a
 // replay: Step always pops the globally smallest (at, seq) across all lane
@@ -31,18 +31,17 @@ import (
 	"sort"
 )
 
-// Handler receives typed events scheduled with AtHandler/AfterHandler. It is
-// the allocation-free alternative to closure events: one long-lived object
-// (e.g. the network) handles every event kind, switching on arg.
+// Handler receives the events scheduled with AtHandler/AfterHandler: one
+// long-lived object (e.g. the network) handles every event kind, switching
+// on arg.
 type Handler interface {
 	HandleEvent(arg uint64)
 }
 
-// event is one scheduled occurrence. Exactly one of fn and h is set.
+// event is one scheduled occurrence.
 type event struct {
 	at   float64
 	seq  uint64 // tie-break: FIFO among same-time events
-	fn   func()
 	h    Handler
 	arg  uint64
 	lane int32
@@ -169,32 +168,26 @@ func (e *Engine) SetLanes(n int) {
 	}
 }
 
-// At schedules fn at absolute virtual time t. Scheduling in the past runs
-// the event at the current time instead (never backwards).
-func (e *Engine) At(t float64, fn func()) { e.schedule(t, fn, nil, 0, 0) }
-
-// After schedules fn d seconds from now.
-func (e *Engine) After(d float64, fn func()) { e.schedule(e.now+d, fn, nil, 0, 0) }
-
-// AtHandler schedules h.HandleEvent(arg) at absolute virtual time t. Unlike
-// At it captures nothing, so steady-state scheduling through a reused
-// Handler is allocation-free.
-func (e *Engine) AtHandler(t float64, h Handler, arg uint64) { e.schedule(t, nil, h, arg, 0) }
+// AtHandler schedules h.HandleEvent(arg) at absolute virtual time t.
+// Scheduling in the past runs the event at the current time instead (never
+// backwards). It captures nothing, so steady-state scheduling through a
+// reused Handler is allocation-free.
+func (e *Engine) AtHandler(t float64, h Handler, arg uint64) { e.schedule(t, h, arg, 0) }
 
 // AfterHandler schedules h.HandleEvent(arg) d seconds from now.
-func (e *Engine) AfterHandler(d float64, h Handler, arg uint64) { e.schedule(e.now+d, nil, h, arg, 0) }
+func (e *Engine) AfterHandler(d float64, h Handler, arg uint64) { e.schedule(e.now+d, h, arg, 0) }
 
 // AtHandlerLane schedules h.HandleEvent(arg) at absolute time t on the given
 // lane (taken modulo the lane count). Lane choice affects only which heap
 // holds the event — never its position in the global pop order.
 func (e *Engine) AtHandlerLane(t float64, h Handler, arg uint64, lane int) {
-	e.schedule(t, nil, h, arg, lane)
+	e.schedule(t, h, arg, lane)
 }
 
 // schedule stores the event in a recycled arena slot and pushes its index
 // onto its lane's heap. The (at, seq) key is unique per event, so neither
 // lane choice nor sift order can influence pop order.
-func (e *Engine) schedule(t float64, fn func(), h Handler, arg uint64, lane int) {
+func (e *Engine) schedule(t float64, h Handler, arg uint64, lane int) {
 	if t < e.now {
 		t = e.now
 	}
@@ -211,7 +204,7 @@ func (e *Engine) schedule(t float64, fn func(), h Handler, arg uint64, lane int)
 		e.arena = append(e.arena, event{})
 		idx = int32(len(e.arena) - 1)
 	}
-	e.arena[idx] = event{at: t, seq: e.seq, fn: fn, h: h, arg: arg, lane: int32(lane)}
+	e.arena[idx] = event{at: t, seq: e.seq, h: h, arg: arg, lane: int32(lane)}
 	e.lanes[lane] = append(e.lanes[lane], idx)
 	e.siftUp(e.lanes[lane], len(e.lanes[lane])-1)
 }
@@ -297,12 +290,10 @@ func (e *Engine) Step() bool {
 		e.siftDown(e.lanes[l], 0)
 	}
 	ev := e.arena[idx]
-	e.arena[idx] = event{} // release the closure/handler references
+	e.arena[idx] = event{} // release the handler reference
 	e.free = append(e.free, idx)
 	e.now = ev.at
-	if ev.fn != nil {
-		ev.fn()
-	} else if ev.h != nil {
+	if ev.h != nil {
 		ev.h.HandleEvent(ev.arg)
 	}
 	return true
@@ -346,19 +337,14 @@ func (e *Engine) RunUntil(t float64) {
 	}
 }
 
-// EventRecord is the serializable form of one pending handler event. Closure
-// events cannot be captured (a func() has no portable encoding), so
-// checkpointable simulations schedule everything through Handler+arg.
+// EventRecord is the serializable form of one pending event: everything but
+// the Handler, which the restoring side supplies.
 type EventRecord struct {
 	At   float64
 	Seq  uint64
 	Arg  uint64
 	Lane int32
 }
-
-// ErrClosureEvent is returned by SnapshotEvents when a pending event was
-// scheduled with At/After (a closure) and therefore cannot be serialized.
-var ErrClosureEvent = errors.New("sim: pending closure event is not checkpointable")
 
 // ErrForeignHandler is returned by SnapshotEvents when a pending event
 // targets a Handler other than the one being snapshotted.
@@ -369,17 +355,14 @@ var ErrForeignHandler = errors.New("sim: pending event targets a foreign handler
 var ErrNotFresh = errors.New("sim: RestoreState requires a fresh engine")
 
 // SnapshotEvents returns every pending event as an EventRecord, sorted by
-// seq (schedule order). All pending events must be handler events targeting
-// h; a closure or foreign-handler event makes the engine state
-// unserializable and returns an error.
+// seq (schedule order). All pending events must target h; an event for any
+// other handler (a running miner, say) makes the engine state unserializable
+// from h alone and returns ErrForeignHandler.
 func (e *Engine) SnapshotEvents(h Handler) ([]EventRecord, error) {
 	out := make([]EventRecord, 0, e.Pending())
 	for _, heap := range e.lanes {
 		for _, idx := range heap {
 			ev := &e.arena[idx]
-			if ev.fn != nil {
-				return nil, ErrClosureEvent
-			}
 			if ev.h != h {
 				return nil, ErrForeignHandler
 			}

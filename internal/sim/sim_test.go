@@ -5,12 +5,17 @@ import (
 	"testing"
 )
 
+// funcHandler adapts a func() to Handler for tests that only need ordering.
+type funcHandler func()
+
+func (f funcHandler) HandleEvent(uint64) { f() }
+
 func TestEventOrdering(t *testing.T) {
 	e := New(1)
 	var order []int
-	e.At(2.0, func() { order = append(order, 2) })
-	e.At(1.0, func() { order = append(order, 1) })
-	e.At(3.0, func() { order = append(order, 3) })
+	e.AtHandler(2.0, funcHandler(func() { order = append(order, 2) }), 0)
+	e.AtHandler(1.0, funcHandler(func() { order = append(order, 1) }), 0)
+	e.AtHandler(3.0, funcHandler(func() { order = append(order, 3) }), 0)
 	e.Run(0)
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("order = %v", order)
@@ -25,7 +30,7 @@ func TestFIFOAtSameTime(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.At(1.0, func() { order = append(order, i) })
+		e.AtHandler(1.0, funcHandler(func() { order = append(order, i) }), 0)
 	}
 	e.Run(0)
 	for i, v := range order {
@@ -38,7 +43,7 @@ func TestFIFOAtSameTime(t *testing.T) {
 func TestAfterRelative(t *testing.T) {
 	e := New(1)
 	var at float64
-	e.After(5, func() { at = e.Now() })
+	e.AfterHandler(5, funcHandler(func() { at = e.Now() }), 0)
 	e.Run(0)
 	if at != 5 {
 		t.Fatalf("fired at %v", at)
@@ -47,21 +52,21 @@ func TestAfterRelative(t *testing.T) {
 
 func TestPastSchedulingClamps(t *testing.T) {
 	e := New(1)
-	e.At(10, func() {
-		e.At(5, func() {
+	e.AtHandler(10, funcHandler(func() {
+		e.AtHandler(5, funcHandler(func() {
 			if e.Now() < 10 {
 				t.Error("clock went backwards")
 			}
-		})
-	})
+		}), 0)
+	}), 0)
 	e.Run(0)
 }
 
 func TestRunUntilLeavesFutureEvents(t *testing.T) {
 	e := New(1)
 	fired := 0
-	e.At(1, func() { fired++ })
-	e.At(5, func() { fired++ })
+	e.AtHandler(1, funcHandler(func() { fired++ }), 0)
+	e.AtHandler(5, funcHandler(func() { fired++ }), 0)
 	e.RunUntil(2)
 	if fired != 1 {
 		t.Fatalf("fired = %d, want 1", fired)
@@ -81,12 +86,12 @@ func TestRunUntilLeavesFutureEvents(t *testing.T) {
 func TestRunBudgetStopsRunaway(t *testing.T) {
 	e := New(1)
 	var count int
-	var loop func()
+	var loop funcHandler
 	loop = func() {
 		count++
-		e.After(1, loop)
+		e.AfterHandler(1, loop, 0)
 	}
-	e.After(1, loop)
+	e.AfterHandler(1, loop, 0)
 	e.Run(100)
 	if count != 100 {
 		t.Fatalf("budget ignored: ran %d events", count)

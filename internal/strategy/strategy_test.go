@@ -300,6 +300,15 @@ func TestRunPairsLedgerAttribution(t *testing.T) {
 	}
 }
 
+// TestTxProbeUnknownNode: the probe itself (not only RunPairs' up-front
+// validation) refuses a target the network has never seen.
+func TestTxProbeUnknownNode(t *testing.T) {
+	net, super, ids := buildRing(t, 2, 3)
+	if _, err := NewTxProbe(net, super).MeasureOneLink(ids[0], 999); err == nil {
+		t.Fatal("unknown target accepted")
+	}
+}
+
 // TestRunPairsValidates checks the campaign-level pair validation: typed
 // unknown-node errors and self-pair rejection, before any probe is sent.
 func TestRunPairsValidates(t *testing.T) {
