@@ -33,7 +33,7 @@ func main() {
 	k := flag.Int("k", 20, "parallel schedule group size K")
 	seed := flag.Int64("seed", 42, "simulation seed")
 	preset := flag.String("preset", "", "network preset: ropsten|rinkeby|goerli|mainnet (overrides -n)")
-	lanes := flag.Int("lanes", 0, "engine event-lane count (0 = serial heap); lane count changes wall-clock only, never results")
+	lanes := flag.Int("lanes", 0, "engine event-lane count: a tag recorded on events and in checkpoints; never changes results")
 	regions := flag.Int("regions", 0, "shard the census into this many regions, each censused in its own engine (mainnet-scale mode; only intra-region links are measurable, reported honestly)")
 	checkpoint := flag.String("checkpoint", "", "write a resumable campaign checkpoint to this file at batch boundaries")
 	checkpointEvery := flag.Int("checkpoint-every", 25, "batches between checkpoint writes under -checkpoint")

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/rand"
+	"sort"
 	"testing"
 
 	"toposhot/internal/chain"
@@ -74,6 +76,55 @@ func TestLedgerAccounting(t *testing.T) {
 	}
 	if Ether(1e18) != 1 {
 		t.Fatal("wei→ether conversion wrong")
+	}
+}
+
+// TestLedgerIncrementalTotalMatchesFullSort: the ledger keeps its
+// hash-ordered slice between reads and merges in only what was recorded
+// since. After each of three batches (fees large and varied enough that the
+// float sum depends on the order of addition) the total must equal — with ==
+// — a from-scratch sort of every transaction by hash followed by the same
+// left-to-right sum, which is what every read used to do.
+func TestLedgerIncrementalTotalMatchesFullSort(t *testing.T) {
+	l := NewLedger()
+	const base = 1.25e17
+	l.RestoreAggregates(7, 0, 7, base)
+	rng := rand.New(rand.NewSource(3))
+	var all []*types.Transaction
+	for batch := 0; batch < 3; batch++ {
+		for i := 0; i < 400; i++ {
+			price := types.Gwei + uint64(rng.Int63n(int64(500*types.Gwei)))
+			tx := types.NewTransaction(types.AddressFromUint64(uint64(len(all)+1)), types.AddressFromUint64(2), uint64(batch), price, 0)
+			l.RecordPending(tx)
+			all = append(all, tx)
+		}
+		l.RecordPending(all[rng.Intn(len(all))]) // recorded twice: priced once
+		dup := *all[0]
+		l.RecordPending(&dup) // equal content behind another pointer: the same transaction
+
+		ref := append([]*types.Transaction(nil), all...)
+		sort.Slice(ref, func(i, j int) bool {
+			hi, hj := ref[i].Hash(), ref[j].Hash()
+			return string(hi[:]) < string(hj[:])
+		})
+		want := float64(base)
+		for _, tx := range ref {
+			want += float64(tx.Fee())
+		}
+		if got := l.WorstCaseWei(); got != want {
+			t.Fatalf("batch %d: total %v, full sort-and-sum %v", batch, got, want)
+		}
+		if l.PendingCount() != len(all)+7 {
+			t.Fatalf("batch %d: PendingCount %d, want %d", batch, l.PendingCount(), len(all)+7)
+		}
+	}
+	// A sum in recording order differs: the order is what the test pins.
+	unordered := float64(base)
+	for _, tx := range all {
+		unordered += float64(tx.Fee())
+	}
+	if unordered == l.WorstCaseWei() {
+		t.Fatal("fees too tame: the float total does not depend on order, so the test shows nothing")
 	}
 }
 

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
-	"sort"
+	"slices"
 
 	"toposhot/internal/chain"
 	"toposhot/internal/types"
@@ -16,6 +17,13 @@ import (
 type Ledger struct {
 	pending map[types.Hash]*types.Transaction
 	futures int
+
+	// sorted holds the pending transactions in hash order, except those
+	// recorded since it was last read, which wait in fresh. A campaign reads
+	// its price after every batch; merging the newcomers in keeps that linear
+	// in the campaign where re-sorting everything each time was quadratic.
+	sorted []*types.Transaction
+	fresh  []*types.Transaction
 
 	// InjectedMsgs counts supernode sends, for load reporting.
 	InjectedMsgs int
@@ -35,7 +43,10 @@ func NewLedger() *Ledger {
 
 // RecordPending notes an emitted pending-class measurement transaction.
 func (l *Ledger) RecordPending(tx *types.Transaction) {
-	l.pending[tx.Hash()] = tx
+	if h := tx.Hash(); l.pending[h] == nil {
+		l.pending[h] = tx
+		l.fresh = append(l.fresh, tx)
+	}
 	l.InjectedMsgs++
 }
 
@@ -67,16 +78,31 @@ func (l *Ledger) RestoreAggregates(pending, futures, injected int, worstWei floa
 // sortedPending returns the pending transactions ordered by hash. Campaign
 // prices are float sums; summing in hash order keeps the total bit-identical
 // across runs (float addition is not associative over map iteration order).
+// The slice is the ledger's own: callers only read it.
 func (l *Ledger) sortedPending() []*types.Transaction {
-	out := make([]*types.Transaction, 0, len(l.pending))
-	for _, tx := range l.pending {
-		out = append(out, tx)
+	if len(l.fresh) == 0 {
+		return l.sorted
 	}
-	sort.Slice(out, func(i, j int) bool {
-		hi, hj := out[i].Hash(), out[j].Hash()
-		return string(hi[:]) < string(hj[:])
-	})
-	return out
+	slices.SortFunc(l.fresh, compareTxHash)
+	// Merge from the back into the grown slice: no second buffer.
+	i, j := len(l.sorted)-1, len(l.fresh)-1
+	l.sorted = append(l.sorted, l.fresh...)
+	for k := len(l.sorted) - 1; j >= 0; k-- {
+		if i >= 0 && compareTxHash(l.sorted[i], l.fresh[j]) > 0 {
+			l.sorted[k] = l.sorted[i]
+			i--
+		} else {
+			l.sorted[k] = l.fresh[j]
+			j--
+		}
+	}
+	l.fresh = l.fresh[:0]
+	return l.sorted
+}
+
+func compareTxHash(a, b *types.Transaction) int {
+	ha, hb := a.Hash(), b.Hash()
+	return bytes.Compare(ha[:], hb[:])
 }
 
 // WorstCaseWei prices the campaign as if every pending-class measurement

@@ -253,7 +253,10 @@ func encodeOverflow(m map[uint64]float64) rlp.Item {
 
 // encodeMsgs captures the pooled message arena verbatim: total length, the
 // free list in its exact order (slot reuse order feeds scheduling, so it must
-// survive), and every live slot's payload.
+// survive), and every live slot's payload. A message riding a flush's shared
+// batch is written as the payload it stands for — the batch minus the items
+// excluded for its destination — so the image does not know batches exist
+// and a restored message owns a private payload.
 func encodeMsgs(n *Network, tt *txTable) rlp.Item {
 	free := make([]rlp.Item, len(n.msgFree))
 	for i, f := range n.msgFree {
@@ -265,14 +268,24 @@ func encodeMsgs(n *Network, tt *txTable) rlp.Item {
 		if m.dst == nil {
 			continue
 		}
-		txRefs := make([]rlp.Item, len(m.txs))
-		for j, tx := range m.txs {
-			txRefs[j] = rlp.Uint(tt.ref(tx))
+		var txRefs, hashes []rlp.Item
+		if m.batch != 0 {
+			b := &n.batches[m.batch]
+			for j, it := range b.items {
+				switch {
+				case it.exclude == m.dst.id:
+				case m.kind == msgTxs:
+					txRefs = append(txRefs, rlp.Uint(tt.ref(it.tx)))
+				default:
+					hashes = append(hashes, rlp.Bytes(b.hashes[j][:]))
+				}
+			}
 		}
-		hashes := make([]rlp.Item, len(m.hashes))
+		for _, tx := range m.txs {
+			txRefs = append(txRefs, rlp.Uint(tt.ref(tx)))
+		}
 		for j := range m.hashes {
-			h := m.hashes[j]
-			hashes[j] = rlp.Bytes(h[:])
+			hashes = append(hashes, rlp.Bytes(m.hashes[j][:]))
 		}
 		live = append(live, rlp.List(
 			rlp.Uint(uint64(i)), rlp.Uint(uint64(m.kind)),

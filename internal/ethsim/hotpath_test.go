@@ -166,8 +166,8 @@ func TestAnnounceLockStillFiltersDuplicates(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := types.BytesToHash([]byte{0xaa})
-	nd.deliverAnnounce(src.ID(), []types.Hash{h})
-	nd.deliverAnnounce(src.ID(), []types.Hash{h})
+	nd.deliverAnnounce(src.ID(), []types.Hash{h}, nil)
+	nd.deliverAnnounce(src.ID(), []types.Hash{h}, nil)
 	net.RunFor(5)
 	if got := net.MsgCounts()["request"]; got != 1 {
 		t.Fatalf("requests after duplicate announce = %d, want 1", got)

@@ -80,11 +80,10 @@ type Config struct {
 	SpikeProb float64
 	// SpikeMax bounds a congestion spike in seconds.
 	SpikeMax float64
-	// Lanes is the number of event lanes the engine shards its queue into
-	// (< 1 means 1). Deliveries are laned by destination node, so a
-	// mainnet-scale network keeps per-lane heaps shallow. Lane count never
-	// affects results: the engine pops the global (at, seq) minimum across
-	// lanes, so any lane count replays byte-identically (DESIGN.md §12).
+	// Lanes is the engine's event-lane count (< 1 means 1). Deliveries are
+	// tagged with a lane by destination node; the tag is recorded on the
+	// event and in checkpoints and selects nothing, so any lane count replays
+	// byte-identically (DESIGN.md §12).
 	Lanes int
 }
 
@@ -154,19 +153,38 @@ const (
 )
 
 // netMsg is one pooled in-flight message: kind, payload, and destination.
-// Slots live in Network.msgs and recycle through Network.msgFree; their
-// payload slices keep capacity across reuse, so a steady gossip flood sends
-// without allocating. Buffers may retain transaction pointers until the slot
-// is next reused — bounded by the peak in-flight message count.
+// Slots live in Network.msgs and recycle through Network.msgFree. A message
+// sent by a gossip flush carries no payload of its own, only the index of the
+// flush's shared batch; requests, replies, injections and restored messages
+// own private buffers, which keep their capacity across reuse so that they
+// too send without allocating. Buffers may retain transaction pointers until
+// the slot is next reused — bounded by the peak in-flight message count.
 type netMsg struct {
 	kind msgKind
 	from types.NodeID
 	dst  *Node
 	sent float64
+	// batch indexes Network.batches when the payload is a flush's shared
+	// batch: the message is what the batch holds minus the items whose
+	// exclude is dst. 0 means the payload is private, in txs or hashes.
+	batch int32
 	// txs carries full transactions (msgTxs, msgInject).
 	txs []*types.Transaction
 	// hashes carries announcement/request hash lists (msgAnnounce, msgRequest).
 	hashes []types.Hash
+}
+
+// flushBatch is the payload of one gossip flush, shared by every message the
+// flush sends: the drained out-queue itself, and beside it the items' hashes
+// (filled once, and only when some peer is announced to). refs counts the
+// messages still in flight, plus the flush itself while it runs; once the
+// flush has returned the batch is immutable until the last delivery (or
+// drop) takes refs to zero and returns it to Network.batchFree with its
+// buffers' capacity.
+type flushBatch struct {
+	items  []outItem
+	hashes []types.Hash
+	refs   int32
 }
 
 // Network is a simulated Ethereum overlay.
@@ -201,6 +219,14 @@ type Network struct {
 	// Messages are addressed by arena index through sim.Handler events.
 	msgs    []netMsg
 	msgFree []int32
+
+	// batches is the pooled flush-payload arena, recycled through batchFree;
+	// slot 0 is never handed out, so a zero netMsg.batch means "none".
+	batches   []flushBatch
+	batchFree []int32
+
+	// permBuf is flush's reused peer-permutation buffer.
+	permBuf []int
 
 	// msgTally counts delivered messages per kind — a fixed array instead of
 	// the former string-keyed map, which cost a hash per delivery at scale.
@@ -313,6 +339,7 @@ func NewNetwork(cfg Config) *Network {
 		cfg:          cfg,
 		eng:          eng,
 		overflowMark: make(map[uint64]float64),
+		batches:      make([]flushBatch, 1),
 	}
 	if r := metrics.Enabled(); r != nil {
 		n.SetMetrics(r)
@@ -461,19 +488,59 @@ func (n *Network) msgTo(kind msgKind, from, to types.NodeID) int32 {
 func (n *Network) freeMsg(i int32) {
 	m := &n.msgs[i]
 	m.dst = nil
+	m.batch = 0
 	m.txs = m.txs[:0]
 	m.hashes = m.hashes[:0]
 	n.msgFree = append(n.msgFree, i)
 }
 
-// route samples link latency for the filled message slot i, applies the
-// per-link FIFO clamp, and schedules its delivery on the destination's lane.
-// The watermark lives in the dense adjacency slot of the sender's segment —
-// reused in place on every send, so steady-state gossip keeps exactly one
-// float per live directed link — falling back to the overflow map only for
-// links outside the arena. Scheduling is allocation-free: the event carries
-// the network as handler and the arena index as argument.
+// takeBatch returns the index of a pooled flush batch holding one reference,
+// the caller's, which it gives up with releaseBatch.
+func (n *Network) takeBatch() int32 {
+	var bi int32
+	if k := len(n.batchFree); k > 0 {
+		bi = n.batchFree[k-1]
+		n.batchFree = n.batchFree[:k-1]
+	} else {
+		n.batches = append(n.batches, flushBatch{})
+		bi = int32(len(n.batches) - 1)
+	}
+	n.batches[bi].refs = 1
+	return bi
+}
+
+// releaseBatch drops one reference to a flush batch — a delivered or dropped
+// message's, or the flush's own — and recycles the batch when it was the last.
+func (n *Network) releaseBatch(bi int32) {
+	b := &n.batches[bi]
+	if b.refs--; b.refs == 0 {
+		n.batchFree = append(n.batchFree, bi)
+	}
+}
+
+// route schedules the delivery of the filled message slot i, looking the
+// link up in the sender's adjacency segment. Requests, replies and
+// injections come this way; a flush already holds the slot and calls
+// routeVia directly.
 func (n *Network) route(i int32) {
+	m := &n.msgs[i]
+	slot := -1
+	if src := n.node(m.from); src != nil {
+		if p := src.peerPos(m.dst.id); p >= 0 {
+			slot = int(src.peerOff) + p
+		}
+	}
+	n.routeVia(i, slot)
+}
+
+// routeVia samples link latency for the filled message slot i, applies the
+// per-link FIFO clamp, and schedules its delivery on the destination's lane.
+// The watermark lives in adjacency slot `slot` of the sender's segment —
+// reused in place on every send, so steady-state gossip keeps exactly one
+// float per live directed link — falling back to the overflow map (slot < 0)
+// only for links outside the arena. Scheduling is allocation-free: the event
+// carries the network as handler and the arena index as argument.
+func (n *Network) routeVia(i int32, slot int) {
 	m := &n.msgs[i]
 	lat := n.eng.Jitter(n.cfg.LatencyBase, n.cfg.LatencyTail, n.cfg.LatencyMax)
 	if n.cfg.SpikeProb > 0 && n.eng.Rand().Float64() < n.cfg.SpikeProb {
@@ -481,12 +548,6 @@ func (n *Network) route(i int32) {
 	}
 	sent := n.eng.Now()
 	at := sent + lat
-	slot := -1
-	if src := n.node(m.from); src != nil {
-		if p := src.peerPos(m.dst.id); p >= 0 {
-			slot = int(src.peerOff) + p
-		}
-	}
 	if slot >= 0 {
 		if last := n.adjMark[slot]; at <= last {
 			at = last + 1e-6
@@ -541,25 +602,42 @@ func (n *Network) handleMsg(i int32) {
 	// Copy the header out: delivery below can send new messages, growing
 	// n.msgs and invalidating pointers into it. Slice headers and the dst
 	// pointer stay valid across that growth; the slot itself is not reused
-	// until freeMsg below.
+	// until freeMsg below. A shared batch is read through its own slice
+	// headers for the same reason, and nothing mutates it while this
+	// message holds a reference.
 	m := n.msgs[i]
+	var items []outItem
+	if m.batch != 0 {
+		items, m.hashes = n.batches[m.batch].items, n.batches[m.batch].hashes
+	}
 	if !m.dst.cfg.Unresponsive {
 		n.msgTally[m.kind]++
 		n.metrics.msgCounter(m.kind).Inc()
 		n.metrics.deliveryLatency.Observe(n.eng.Now() - m.sent) // effective one-hop delay
 		if n.traceEngine {
+			size := len(m.txs) + len(m.hashes)
+			if m.batch != 0 {
+				size = addressedTo(items, m.dst.id)
+			}
 			n.tracer.Event(evMsgDeliver, trace.String(attrKind, m.kind.String()),
 				trace.Int(attrFrom, int64(m.from)), trace.Int(attrTo, int64(m.dst.id)),
-				trace.Int(attrN, int64(len(m.txs)+len(m.hashes))))
+				trace.Int(attrN, int64(size)))
 		}
 		switch m.kind {
 		case msgTxs:
-			m.dst.deliverTxs(m.from, m.txs)
+			if m.batch != 0 {
+				m.dst.deliverBatch(m.from, items)
+			} else {
+				m.dst.deliverTxs(m.from, m.txs)
+			}
 		case msgAnnounce:
-			m.dst.deliverAnnounce(m.from, m.hashes)
+			m.dst.deliverAnnounce(m.from, m.hashes, items)
 		case msgRequest:
 			m.dst.deliverRequest(m.from, m.hashes)
 		}
+	}
+	if m.batch != 0 {
+		n.releaseBatch(m.batch)
 	}
 	n.freeMsg(i)
 }

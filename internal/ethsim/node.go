@@ -85,8 +85,9 @@ type Node struct {
 	lockQHead    int
 
 	// outQ buffers transactions awaiting the coalesced gossip flush, with
-	// the peer each one arrived from (never sent back there). The slice is
-	// recycled across flush windows.
+	// the peer each one arrived from (never sent back there). A flush hands
+	// the slice over as its batch's payload and takes the batch's spare
+	// buffer in exchange.
 	outQ           []outItem
 	flushScheduled bool
 
@@ -271,22 +272,46 @@ func (nd *Node) SubmitLocal(tx *types.Transaction) txpool.Result {
 func (nd *Node) deliverTxs(from types.NodeID, txs []*types.Transaction) {
 	out := nd.scratchOut[:0]
 	for _, tx := range txs {
-		rcpt := TxReceipt{From: from, Tx: tx, At: nd.net.Now()}
-		if nd.OnTxDelivered != nil {
-			nd.OnTxDelivered(rcpt)
-		}
-		res := nd.pool.Offer(tx)
-		if nd.net.OnOffer != nil {
-			nd.net.OnOffer(nd.id, from, tx, res.Status.String())
-		}
-		if nd.net.traceEngine {
-			nd.traceOffer(res)
-		}
-		if nd.OnTxAdmitted != nil && res.Status.Admitted() {
-			nd.OnTxAdmitted(rcpt, res)
-		}
-		out = nd.appendPropagatable(out, tx, res)
+		out = nd.receiveTx(from, tx, out)
 	}
+	nd.relay(from, out)
+}
+
+// deliverBatch is deliverTxs for a message whose payload is a flush's shared
+// batch: the items the sender excluded for this node are not part of it.
+func (nd *Node) deliverBatch(from types.NodeID, items []outItem) {
+	out := nd.scratchOut[:0]
+	for i := range items {
+		if items[i].exclude != nd.id {
+			out = nd.receiveTx(from, items[i].tx, out)
+		}
+	}
+	nd.relay(from, out)
+}
+
+// receiveTx offers one delivered transaction to the pool, fires the
+// observation hooks, and appends what the admission made propagatable.
+func (nd *Node) receiveTx(from types.NodeID, tx *types.Transaction, out []*types.Transaction) []*types.Transaction {
+	rcpt := TxReceipt{From: from, Tx: tx, At: nd.net.Now()}
+	if nd.OnTxDelivered != nil {
+		nd.OnTxDelivered(rcpt)
+	}
+	res := nd.pool.Offer(tx)
+	if nd.net.OnOffer != nil {
+		nd.net.OnOffer(nd.id, from, tx, res.Status.String())
+	}
+	if nd.net.traceEngine {
+		nd.traceOffer(res)
+	}
+	if nd.OnTxAdmitted != nil && res.Status.Admitted() {
+		nd.OnTxAdmitted(rcpt, res)
+	}
+	return nd.appendPropagatable(out, tx, res)
+}
+
+// relay queues what one delivery made propagatable and hands the scratch
+// buffer back.
+func (nd *Node) relay(from types.NodeID, out []*types.Transaction) {
 	if len(out) > 0 && !nd.cfg.NoForward {
 		nd.propagate(from, out)
 	}
@@ -359,8 +384,10 @@ func (nd *Node) propagate(exclude types.NodeID, txs []*types.Transaction) {
 // flush drains the out-queue: direct push to ⌈√peers⌉ random peers and
 // announcement to the rest (Geth ≥ 1.9.11), or push to all under
 // LegacyPushAll, never sending a transaction back where it came from.
-// Per-peer batches are built directly into pooled message buffers, so a
-// steady gossip flood allocates nothing here.
+// The drained queue itself becomes the payload — one pooled, immutable,
+// reference-counted flushBatch that every message of the flush points at;
+// each receiver skips the items excluded for it — so a flush copies nothing
+// per peer and a steady gossip flood allocates nothing here.
 func (nd *Node) flush() {
 	nd.flushScheduled = false
 	q := nd.outQ
@@ -377,52 +404,61 @@ func (nd *Node) flush() {
 		pushCount = int(math.Ceil(math.Sqrt(float64(len(peers)))))
 	}
 	net := nd.net
-	perm := net.eng.Perm(len(peers))
-	for i, pi := range perm {
+	bi := net.takeBatch()
+	b := &net.batches[bi] // stable: nothing below takes another batch
+	b.items, nd.outQ = q, b.items[:0]
+	b.hashes = b.hashes[:0]
+	// Nothing is addressed to a peer only when every item arrived from it.
+	sole, mixed := q[0].exclude, false
+	for i := 1; i < len(q) && !mixed; i++ {
+		mixed = q[i].exclude != sole
+	}
+	net.permBuf = net.eng.PermInto(net.permBuf, len(peers))
+	for i, pi := range net.permBuf {
 		peer := peers[pi]
-		if i < pushCount {
-			mi := net.msgTo(msgTxs, nd.id, peer)
-			if mi < 0 {
-				continue
-			}
-			batch := net.msgs[mi].txs[:0]
+		kind := msgTxs
+		if i >= pushCount {
+			kind = msgAnnounce
+		}
+		mi := net.msgTo(kind, nd.id, peer)
+		if mi < 0 {
+			continue
+		}
+		if !mixed && peer == sole {
+			net.freeMsg(mi)
+			continue
+		}
+		if kind == msgAnnounce && len(b.hashes) == 0 {
 			for _, it := range q {
-				if it.exclude != peer {
-					batch = append(batch, it.tx)
-				}
+				b.hashes = append(b.hashes, it.tx.Hash())
 			}
-			net.msgs[mi].txs = batch
-			if len(batch) == 0 {
-				net.freeMsg(mi)
-				continue
-			}
-			net.route(mi)
-		} else {
-			mi := net.msgTo(msgAnnounce, nd.id, peer)
-			if mi < 0 {
-				continue
-			}
-			hashes := net.msgs[mi].hashes[:0]
-			for _, it := range q {
-				if it.exclude != peer {
-					hashes = append(hashes, it.tx.Hash())
-				}
-			}
-			net.msgs[mi].hashes = hashes
-			if len(hashes) == 0 {
-				net.freeMsg(mi)
-				continue
-			}
-			net.route(mi)
+		}
+		net.msgs[mi].batch = bi
+		b.refs++
+		net.routeVia(mi, int(nd.peerOff)+pi)
+	}
+	net.releaseBatch(bi) // the flush's own reference: the batch is free already if nothing was sent
+}
+
+// addressedTo counts the items of a flush batch that go to peer: all but
+// those that arrived from it. (Only the engine trace needs the number.)
+func addressedTo(items []outItem, peer types.NodeID) int {
+	n := 0
+	for i := range items {
+		if items[i].exclude != peer {
+			n++
 		}
 	}
-	nd.outQ = q[:0] // recycle the drained queue for the next window
+	return n
 }
 
 // deliverAnnounce handles an announcement: unknown, unlocked hashes are
 // requested back from the announcer and locked for the AnnounceLock window.
 // The request's hash list is built directly into a pooled message buffer.
-func (nd *Node) deliverAnnounce(from types.NodeID, hashes []types.Hash) {
+// When the announcement rides a flush's shared batch, items is the batch
+// (parallel to hashes) and the hashes excluded for this node are skipped;
+// items is nil for a private payload.
+func (nd *Node) deliverAnnounce(from types.NodeID, hashes []types.Hash, items []outItem) {
 	net := nd.net
 	now := net.Now()
 	mi := net.msgTo(msgRequest, nd.id, from)
@@ -430,7 +466,10 @@ func (nd *Node) deliverAnnounce(from types.NodeID, hashes []types.Hash) {
 	if mi >= 0 {
 		want = net.msgs[mi].hashes[:0]
 	}
-	for _, h := range hashes {
+	for i, h := range hashes {
+		if items != nil && items[i].exclude == nd.id {
+			continue
+		}
 		if nd.OnHashAnnounced != nil {
 			nd.OnHashAnnounced(from, h, now)
 		}

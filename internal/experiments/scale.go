@@ -37,7 +37,7 @@ type ScaleCensusConfig struct {
 	// an independent replica network. More regions → smaller engines and more
 	// parallelism, but less pair coverage.
 	Regions int
-	// Lanes is the per-region engine's event-lane count (0 = serial heap).
+	// Lanes is the per-region engine's event-lane count (a recorded tag).
 	// Lane count never changes results, only wall-clock (DESIGN.md §12).
 	Lanes int
 	// PoolScale, GroupK, EdgeBudget, Prefill mirror CensusConfig, applied

@@ -11,14 +11,22 @@ var analyzerHotAlloc = &Analyzer{
 	Run:  runHotAlloc,
 }
 
-// simHotFuncs names the engine functions on the per-event scheduling path.
-// Sampling helpers (Jitter, Poisson, Perm) run per event too but allocate
-// nothing by construction; Perm is excluded because rng.Perm allocates and is
-// only called at topology setup.
+// simHotFuncs names the engine functions on the per-event scheduling path:
+// the schedule and step entry points, the time wheel's filing, refill and
+// far-heap functions (DESIGN.md §8), and the sorts refill runs — a closure
+// comparator there would be one allocation per bucket. PermInto is the
+// buffer-reusing permutation gossip draws once per flush; Perm, which
+// allocates its result, is left out and has no per-event caller. The
+// sampling helpers (Jitter, Poisson, Uniform) run per event too but allocate
+// nothing by construction.
 var simHotFuncs = map[string]bool{
-	"AtHandler": true, "AfterHandler": true, "AtHandlerLane": true, "minLane": true,
-	"schedule": true, "less": true, "siftUp": true, "siftDown": true,
-	"Step": true, "Run": true, "RunUntil": true, "Pending": true,
+	"AtHandler": true, "AfterHandler": true, "AtHandlerLane": true,
+	"schedule": true, "file": true, "insertFront": true,
+	"moveWindow": true, "setCur": true, "nextOccupied": true,
+	"refill": true, "insertionSort": true, "compareItems": true, "before": true,
+	"pushFar": true, "popFar": true,
+	"Step": true, "stepUntil": true, "Run": true, "RunUntil": true, "Pending": true,
+	"PermInto": true,
 }
 
 // hotAllocFunc reports whether a function is on the allocation-free hot

@@ -46,10 +46,10 @@ var randAllowed = map[string]bool{
 
 // heapBanScope are the hot-path packages where container/heap is banned in
 // non-test code: event scheduling and message delivery run on the engine's
-// specialized index heap (DESIGN.md §8) and the mempool's eviction indexes on
-// its typed entry heap (DESIGN.md §15); container/heap's interface dispatch
-// and boxing reintroduce the per-event and per-admission costs those
-// overhauls removed. Test files may still use it — the queue and pool-heap
+// time wheel and its inline-key far heap (DESIGN.md §8) and the mempool's
+// eviction indexes on its typed entry heap (DESIGN.md §15); container/heap's
+// interface dispatch and boxing reintroduce the per-event and per-admission
+// costs those overhauls removed. Test files may still use it — the queue and pool-heap
 // fuzzers pin layouts against a container/heap reference.
 var heapBanScope = []string{
 	modulePrefix + "/internal/sim",
@@ -66,6 +66,9 @@ var heapBanScope = []string{
 var deliveryPathFuncs = map[string]bool{
 	"flush":              true,
 	"deliverTxs":         true,
+	"deliverBatch":       true,
+	"receiveTx":          true,
+	"relay":              true,
 	"deliverAnnounce":    true,
 	"deliverRequest":     true,
 	"propagate":          true,
@@ -73,7 +76,13 @@ var deliveryPathFuncs = map[string]bool{
 	"HandleEvent":        true,
 	"handleMsg":          true,
 	"route":              true,
+	"routeVia":           true,
 	"TickPools":          true,
+	// The flush's shared payload (DESIGN.md §8): taken once per flush,
+	// released once per delivered message.
+	"takeBatch":    true,
+	"releaseBatch": true,
+	"addressedTo":  true,
 	// SoA accessors (DESIGN.md §12): per-message adjacency-arena lookups.
 	"peersSeg":           true,
 	"marksSeg":           true,
@@ -186,7 +195,7 @@ func hotPathFindings(pkg *Package) []Finding {
 	if !pathIn(pkg.ScopePath(), heapBanScope...) {
 		return nil
 	}
-	heapAdvice := "use the engine's specialized index heap (DESIGN.md §8)"
+	heapAdvice := "use the engine's time wheel and inline-key far heap (DESIGN.md §8)"
 	rangeAdvice := "scheduling/delivery code iterates slices in deterministic order"
 	if pathIn(pkg.ScopePath(), modulePrefix+"/internal/txpool") {
 		heapAdvice = "use the pool's typed entry heap (DESIGN.md §15)"

@@ -4,6 +4,11 @@
 // function are out of scope.
 package fixture
 
+import (
+	"slices"
+	"sort"
+)
+
 type handler interface{ HandleEvent(arg uint64) }
 
 type engine struct{ t float64 }
@@ -53,6 +58,24 @@ func (n *network) flush() {
 	}
 	want = append(want, 1)
 	_ = want
+}
+
+// refill is on the engine's per-event path: a closure comparator is one
+// allocation per sorted bucket (and sort.Slice boxes the slice); a named
+// comparator captures nothing.
+func (n *network) refill() {
+	sort.Slice(n.scratch, func(i, j int) bool { return n.scratch[i] < n.scratch[j] }) // want: closure, boxed slice
+	slices.SortFunc(n.scratch, compareIDs)                                            // clean
+}
+
+func compareIDs(a, b uint64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	}
+	return 0
 }
 
 // setup is not a hot-path function: the same constructs stay silent.

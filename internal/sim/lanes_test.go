@@ -182,6 +182,23 @@ func TestSnapshotErrors(t *testing.T) {
 	if err := e3.RestoreState(0, 0, 0, h, nil); err != ErrNotFresh {
 		t.Fatalf("used-engine restore err = %v, want ErrNotFresh", err)
 	}
+
+	// States no engine produces: a negative or NaN clock, an event left
+	// behind the clock or at NaN, a sequence number not yet issued.
+	for name, c := range map[string]struct {
+		now float64
+		rec EventRecord
+	}{
+		"negative clock":     {now: -1, rec: EventRecord{At: 1, Seq: 1}},
+		"NaN clock":          {now: math.NaN(), rec: EventRecord{At: 1, Seq: 1}},
+		"event before clock": {now: 5, rec: EventRecord{At: 4.999, Seq: 1}},
+		"event at NaN":       {now: 5, rec: EventRecord{At: math.NaN(), Seq: 1}},
+		"seq out of range":   {now: 5, rec: EventRecord{At: 6, Seq: 3}},
+	} {
+		if err := New(1).RestoreState(c.now, 2, 0, h, []EventRecord{c.rec}); err == nil {
+			t.Errorf("%s: RestoreState accepted it", name)
+		}
+	}
 }
 
 // TestRandDraws verifies the draw counter tracks every consuming method.
