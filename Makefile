@@ -10,8 +10,9 @@ vet:
 
 # lint runs the project-specific analyzers (see internal/lint and DESIGN.md
 # §6/§11): determinism, lock discipline, wire-error hygiene, big.Int aliasing,
-# metrics/trace nil-safety, plus the interprocedural lock-order, goroutine-leak,
-# and hot-path-allocation rules. Non-zero exit on any finding.
+# nil-safe handles (metrics instruments; trace recorders and the obs logger
+# and ledger), constant span names, plus the interprocedural lock-order,
+# goroutine-leak, and hot-path-allocation rules. Non-zero exit on any finding.
 lint:
 	$(GO) run ./cmd/toposhotlint ./...
 

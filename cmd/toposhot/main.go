@@ -284,7 +284,7 @@ func main() {
 		detected = out.Claimed
 		lg.Info("campaign-scored", obs.Float("virtual_h", out.VirtualSeconds/3600),
 			obs.String("score", out.Score(truth).String()),
-			obs.Int("probe_txs", int64(out.LedgerCost().Total())))
+			obs.Int("probe_txs", int64(out.Cost.Total())))
 	}
 	cli.FlushTrace()
 

@@ -28,6 +28,9 @@ type Ledger struct {
 	// InjectedMsgs counts supernode sends, for load reporting.
 	InjectedMsgs int
 
+	// open is what was recorded since the last Cut.
+	open Spend
+
 	// basePending/baseWorstWei carry the aggregates of a resumed campaign's
 	// earlier run: a checkpoint stores totals rather than every emitted
 	// transaction, so a restored ledger reports whole-campaign figures while
@@ -41,11 +44,20 @@ func NewLedger() *Ledger {
 	return &Ledger{pending: make(map[types.Hash]*types.Transaction)}
 }
 
+// Spend is one stretch of a ledger's growth: the transactions recorded
+// between two cuts and their worst-case fees, summed in recording order.
+type Spend struct {
+	Pending, Futures int
+	FeeWei           float64
+}
+
 // RecordPending notes an emitted pending-class measurement transaction.
 func (l *Ledger) RecordPending(tx *types.Transaction) {
 	if h := tx.Hash(); l.pending[h] == nil {
 		l.pending[h] = tx
 		l.fresh = append(l.fresh, tx)
+		l.open.Pending++
+		l.open.FeeWei += float64(tx.Fee())
 	}
 	l.InjectedMsgs++
 }
@@ -54,6 +66,28 @@ func (l *Ledger) RecordPending(tx *types.Transaction) {
 func (l *Ledger) RecordFutures(txs []*types.Transaction) {
 	l.futures += len(txs)
 	l.InjectedMsgs += len(txs)
+	l.open.Futures += len(txs)
+	l.open.FeeWei += feeWei(txs)
+}
+
+// Cut returns everything recorded since the previous cut and starts the next
+// stretch. Cost attribution is cut from the ledger rather than counted beside
+// it, so the cuts of a campaign add up to the ledger's growth by
+// construction.
+func (l *Ledger) Cut() Spend {
+	s := l.open
+	l.open = Spend{}
+	return s
+}
+
+// feeWei sums the worst-case fees of a transaction slice in slice order
+// (deterministic: callers pass slices built in deterministic order).
+func feeWei(txs []*types.Transaction) float64 {
+	var sum float64
+	for _, tx := range txs {
+		sum += float64(tx.Fee())
+	}
+	return sum
 }
 
 // PendingCount returns the number of pending-class transactions emitted

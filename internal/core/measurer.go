@@ -220,9 +220,6 @@ func (m *Measurer) SetTracer(t *trace.Tracer) {
 	t.SetClock(m.net.Now)
 }
 
-// Tracer returns the measurer's trace lane (nil when tracing is off).
-func (m *Measurer) Tracer() *trace.Tracer { return m.tracer }
-
 // Params returns the measurer's configuration.
 func (m *Measurer) Params() Params { return m.params }
 
@@ -398,11 +395,9 @@ func (m *Measurer) MeasureOneLink(a, b types.NodeID) (bool, error) {
 	dc.SetAttr(trace.String(AttrVerdict, verdict.String()))
 	dc.End()
 	span.SetAttr(trace.String(AttrVerdict, verdict.String()))
-	// One ledger line per probe: 3 pending (txC/txB/txA), both endpoints'
-	// eviction futures, worst-case fees in emission order.
-	m.recordPairCost(a, b, 3, len(futB)+len(futA),
-		float64(txC.Fee())+float64(txB.Fee())+float64(txA.Fee())+feeWei(futB)+feeWei(futA),
-		probeStart, verdict.String(), detected)
+	// One ledger line per probe: everything it recorded — txC/txB/txA and
+	// both endpoints' eviction futures, fees in emission order.
+	m.recordPairCost(a, b, m.Ledger.Cut(), probeStart, verdict.String(), detected)
 	m.metrics.oneLinks.Inc()
 	m.metrics.edgesMeasured.Inc()
 	if detected {

@@ -16,57 +16,39 @@ const (
 
 // SetObs binds the measurer to a structured event logger scope and a probe
 // cost-attribution ledger, pointing the scope's clock at the network's
-// virtual time (the same contract as SetTracer). Experiments that fan out
-// over workers pass each measurer its own pre-created scope and its own
-// ledger; sharing either across concurrently running engines would destroy
-// the byte-identity guarantee. Both may be nil: a nil logger records no
-// events, a nil ledger no cost records.
+// virtual time (the same contract as SetTracer). Attribution starts at
+// attach: what the measurer spent before belongs to no record of costs.
+// Experiments that fan out over workers pass each measurer its own
+// pre-created scope and its own ledger; sharing either across concurrently
+// running engines would destroy the byte-identity guarantee. Both may be nil:
+// a nil logger records no events, a nil ledger no cost records.
 func (m *Measurer) SetObs(lg *obs.Logger, costs *obs.Ledger) {
 	m.olog = lg
 	m.costs = costs
+	m.Ledger.Cut()
 	lg.SetClock(m.net.Now)
 }
 
 // Obs returns the measurer's event-log scope (nil when logging is off).
 func (m *Measurer) Obs() *obs.Logger { return m.olog }
 
-// ObsLedger returns the attached cost ledger (nil when none).
-func (m *Measurer) ObsLedger() *obs.Ledger { return m.costs }
-
 // SetPhase labels subsequent cost-ledger records with a campaign phase
 // ("preprocess", "census", "tick-3", ...), the middle level of the
 // per-pair → per-phase → per-campaign aggregation.
 func (m *Measurer) SetPhase(p string) { m.phase = p }
 
-// Phase returns the current ledger phase label.
-func (m *Measurer) Phase() string { return m.phase }
-
-// feeWei sums the worst-case fees of a transaction slice in slice order
-// (deterministic: callers pass slices built in deterministic order).
-func feeWei(txs []*types.Transaction) float64 {
-	var sum float64
-	for _, tx := range txs {
-		sum += float64(tx.Fee())
-	}
-	return sum
-}
-
 // recordPairCost appends one pair record: the per-probe "why" line that
 // makes a single link inference auditable — what was spent, when, and what
 // verdict it bought.
-func (m *Measurer) recordPairCost(a, b types.NodeID, pending, futures int,
-	fee, start float64, verdict string, detected bool) {
-	if m.costs == nil {
-		return
-	}
+func (m *Measurer) recordPairCost(a, b types.NodeID, s Spend, start float64, verdict string, detected bool) {
 	m.costs.Record(obs.ProbeRecord{
 		Phase:    m.phase,
 		Kind:     obs.KindPair,
 		A:        a,
 		B:        b,
-		Pending:  pending,
-		Futures:  futures,
-		FeeWei:   fee,
+		Pending:  s.Pending,
+		Futures:  s.Futures,
+		FeeWei:   s.FeeWei,
 		Start:    start,
 		End:      m.net.Now(),
 		Verdict:  verdict,
@@ -77,15 +59,13 @@ func (m *Measurer) recordPairCost(a, b types.NodeID, pending, futures int,
 // recordRoundCost appends one round record carrying the cost shared across a
 // MeasurePar batch (the per-participant mempool fills), which no single pair
 // owns.
-func (m *Measurer) recordRoundCost(futures int, fee, start float64) {
-	if m.costs == nil {
-		return
-	}
+func (m *Measurer) recordRoundCost(s Spend, start float64) {
 	m.costs.Record(obs.ProbeRecord{
 		Phase:   m.phase,
 		Kind:    obs.KindRound,
-		Futures: futures,
-		FeeWei:  fee,
+		Pending: s.Pending,
+		Futures: s.Futures,
+		FeeWei:  s.FeeWei,
 		Start:   start,
 		End:     m.net.Now(),
 	})

@@ -77,6 +77,12 @@ func (m *Measurer) MeasurePar(edges []Edge) (*ParResult, error) {
 	txC := make([]*types.Transaction, len(edges))
 	txA := make([]*types.Transaction, len(edges))
 	txB := make([]*types.Transaction, len(edges))
+	// Each edge owns its three measurement transactions: one cut per edge,
+	// kept only when a cost ledger is attached to receive it.
+	var edgeSpend []Spend
+	if m.costs != nil {
+		edgeSpend = make([]Spend, len(edges))
+	}
 	for i := range edges {
 		acct := m.freshAccount()
 		txC[i] = m.mintTx(acct, 0, m.params.PriceTxC(y))
@@ -87,6 +93,9 @@ func (m *Measurer) MeasurePar(edges []Edge) (*ParResult, error) {
 		m.Ledger.RecordPending(txC[i])
 		m.Ledger.RecordPending(txA[i])
 		m.Ledger.RecordPending(txB[i])
+		if s := m.Ledger.Cut(); edgeSpend != nil {
+			edgeSpend[i] = s
+		}
 	}
 
 	// p1: flood all txC through the network and wait X.
@@ -103,14 +112,10 @@ func (m *Measurer) MeasurePar(edges []Edge) (*ParResult, error) {
 	// Sink setup (paper's p3): Z futures evict the txCs, then the r-slot
 	// stream plants txB for own edges and re-plants txC for the others.
 	ss := m.tracer.StartSpan(spanSinkSetup, trace.Int(attrNodes, int64(len(sinks))))
-	var futCount int
-	var futFee float64
 	sinkOrder := sortedIDs(sinks)
 	for _, b := range sinkOrder {
 		fut := m.mintFutures(m.zFor(b), m.params.PriceFuture(y))
 		m.Ledger.RecordFutures(fut)
-		futCount += len(fut)
-		futFee += feeWei(fut)
 		m.super.Inject(b, fut...)
 		stream := make([]*types.Transaction, len(edges))
 		for i, e := range edges {
@@ -133,8 +138,6 @@ func (m *Measurer) MeasurePar(edges []Edge) (*ParResult, error) {
 	for _, a := range srcOrder {
 		fut := m.mintFutures(m.zFor(a), m.params.PriceFuture(y))
 		m.Ledger.RecordFutures(fut)
-		futCount += len(fut)
-		futFee += feeWei(fut)
 		m.super.Inject(a, fut...)
 		var others, own []*types.Transaction
 		for i, e := range edges {
@@ -150,6 +153,7 @@ func (m *Measurer) MeasurePar(edges []Edge) (*ParResult, error) {
 	}
 	m.runUntilDrained()
 	sp.End()
+	roundSpend := m.Ledger.Cut() // the two set-up phases' mempool fills
 
 	// p2's proceed-only-if check: verify each txA actually stuck on its
 	// source before trusting the iteration's negatives.
@@ -180,10 +184,10 @@ func (m *Measurer) MeasurePar(edges []Edge) (*ParResult, error) {
 	span.SetAttr(trace.Int(attrFailed, int64(len(res.SetupFailed))))
 	res.Duration = m.net.Now() - start
 
-	// Cost attribution: each edge owns its three measurement transactions
-	// and its verdict; the per-participant mempool fills are shared batch
-	// cost and land on one round record. Records append in edge order, then
-	// the round line — deterministic for a single engine at any lane width.
+	// Cost attribution: each edge owns its cut and its verdict; the
+	// per-participant mempool fills are shared batch cost and land on one
+	// round record. Records append in edge order, then the round line —
+	// deterministic for a single engine at any lane width.
 	if m.costs != nil {
 		failed := make(map[Edge]struct{}, len(res.SetupFailed))
 		for _, e := range res.SetupFailed {
@@ -197,11 +201,9 @@ func (m *Measurer) MeasurePar(edges []Edge) (*ParResult, error) {
 			} else if _, ok := failed[e]; ok {
 				verdict = obs.VerdictSetupFailed
 			}
-			m.recordPairCost(e.Source, e.Sink, 3, 0,
-				float64(txC[i].Fee())+float64(txA[i].Fee())+float64(txB[i].Fee()),
-				start, verdict, detected)
+			m.recordPairCost(e.Source, e.Sink, edgeSpend[i], start, verdict, detected)
 		}
-		m.recordRoundCost(futCount, futFee, start)
+		m.recordRoundCost(roundSpend, start)
 	}
 
 	m.metrics.rounds.Inc()

@@ -122,10 +122,7 @@ func Compare(seed int64, cfg CompareConfig) ([]CompareRow, error) {
 		}
 		row := CompareRow{
 			Method: ms[i], Pairs: len(pairs), Score: out.Score(truth),
-			// The cost columns are reproduced from the campaign's ledger
-			// aggregation, not the strategy's side counters — RunPairs
-			// enforces the two are identical, so the table is the ledger.
-			Cost: out.LedgerCost(), VirtualSeconds: out.VirtualSeconds,
+			Cost: out.Cost, VirtualSeconds: out.VirtualSeconds,
 		}
 		switch ms[i] {
 		case strategy.MethodTopoShot:

@@ -54,8 +54,8 @@ type TrackingConfig struct {
 	Lanes int
 	// Ledger, when set, receives the run's cost attribution in place of a
 	// fresh internal one — the CLI passes the live dashboard's ledger so cost
-	// burn is visible mid-run. It must start empty (the attribution
-	// cross-checks assume so).
+	// burn is visible mid-run. It must start empty (the census baseline is
+	// read from its totals).
 	Ledger *obs.Ledger
 	// OnTick, when set, observes each completed tick with checkpointing
 	// access to the live network and tracker (the CLI writes resumable
@@ -149,9 +149,9 @@ type Tracking struct {
 	MinRecall  float64
 	// CostLedger attributes every probe transaction this run sent: the
 	// seeding census under phase "census" (fresh runs only), each delta
-	// campaign under "tick-N". RunTracking cross-checks its aggregation
-	// against the measurers' own core.Ledger counters, so the cost tables
-	// FormatTrackingCost renders are the attribution, not a side tally.
+	// campaign under "tick-N". Its records are cuts of the measurers' own
+	// core.Ledger, so the cost tables FormatTrackingCost renders are the
+	// attribution, not a side tally.
 	CostLedger *obs.Ledger
 }
 
@@ -276,20 +276,16 @@ func RunTracking(cfg TrackingConfig) (*Tracking, error) {
 			return nil, fmt.Errorf("tracking: only %d eligible nodes", len(targets))
 		}
 
-		preTxs := m.Ledger.PendingCount() + m.Ledger.FutureCount()
 		// The seeding census attributes its spend to the run ledger under one
-		// phase; the cross-check below proves the attribution is exhaustive.
+		// phase. Attribution starts at attach, so the pre-processing probes
+		// above stay out of the per-tick baseline.
 		m.SetObs(m.Obs(), led)
 		m.SetPhase(phaseCensusCost)
 		res, err := m.MeasureNetwork(targets, cfg.Census.GroupK, cfg.Census.EdgeBudget)
 		if err != nil {
 			return nil, fmt.Errorf("tracking: seeding census: %w", err)
 		}
-		out.BaselineTxs = m.Ledger.PendingCount() + m.Ledger.FutureCount() - preTxs
-		if got := led.Totals().Txs(); got != out.BaselineTxs {
-			return nil, fmt.Errorf("tracking: census cost attribution drifted: ledger %d txs vs measurer %d",
-				got, out.BaselineTxs)
-		}
+		out.BaselineTxs = led.Totals().Txs()
 		out.BaselineEther = core.Ether(m.Ledger.WorstCaseWei())
 		out.BaselineDuration = res.Duration
 		out.CensusScore = scoreTracked(res.Detected, net, targets)
@@ -312,12 +308,9 @@ func RunTracking(cfg TrackingConfig) (*Tracking, error) {
 	}
 	out.Targets = len(targets)
 
-	// The tracker's measurer feeds the same run ledger, phase-labelled per
-	// tick. censusLedTxs marks the census/tick boundary for the final
-	// cross-check (zero on resume: the continuation's ledger starts empty).
+	// The tracker's measurer feeds the same run ledger, phase-labelled per tick.
 	pm := probe.Measurer()
 	pm.SetObs(pm.Obs(), led)
-	censusLedTxs := led.Totals().Txs()
 	lg := obs.Enabled().Scope(scopeTracking, nil)
 	lg.SetClock(net.Now)
 
@@ -395,9 +388,6 @@ func RunTracking(cfg TrackingConfig) (*Tracking, error) {
 		}
 	}
 
-	if got, want := led.Totals().Txs()-censusLedTxs, ledger.PendingCount()+ledger.FutureCount(); got != want {
-		return nil, fmt.Errorf("tracking: tick cost attribution drifted: ledger %d txs vs measurer %d", got, want)
-	}
 	out.TrackerTxs = baseTxs + ledger.PendingCount() + ledger.FutureCount()
 	out.TrackerEther = baseEther + core.Ether(ledger.WorstCaseWei())
 	out.ChurnEvents = churnSeen

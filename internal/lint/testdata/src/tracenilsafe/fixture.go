@@ -1,11 +1,12 @@
 // Package fixture exercises the trace-nilsafe and trace-spanname analyzers:
-// recorders are nil-safe (no guards, no dereferences) and span names must be
-// compile-time constants.
+// recorders — trace's and the obs logger and ledger — are nil-safe (no
+// guards, no dereferences) and span names must be compile-time constants.
 package fixture
 
 import (
 	"fmt"
 
+	"toposhot/internal/obs"
 	"toposhot/internal/trace"
 )
 
@@ -45,6 +46,36 @@ func sanctioned(tr *trace.Tracer, wire func(*trace.Tracer)) {
 		wire(tr)
 	}
 	if tr == nil {
+		return
+	}
+}
+
+// guardedObs wraps logging and cost recording in nil guards: the obs handles
+// are recorders under the same rule, alone or mixed with trace's.
+func guardedObs(lg *obs.Logger, led *obs.Ledger, sp trace.Span) {
+	if lg != nil {
+		lg.Info("tick")
+		sp.End()
+	}
+	if led != nil {
+		led.Record(obs.ProbeRecord{})
+	}
+}
+
+// derefObs copies through the pointer; a nil logger panics here.
+func derefObs(lg *obs.Logger) obs.Logger {
+	return *lg
+}
+
+// sanctionedObs: unconditional calls, guards around non-recording work, and
+// nil checks that skip construction stay legal for obs handles too.
+func sanctionedObs(lg *obs.Logger, led *obs.Ledger, wire func(*obs.Logger)) {
+	lg.Info("tick")
+	led.Record(obs.ProbeRecord{})
+	if lg != nil {
+		wire(lg)
+	}
+	if led == nil {
 		return
 	}
 }

@@ -70,8 +70,8 @@ func (d *Dash) serveEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("Connection", "keep-alive")
 
-	writeSSE := func(scopeName string, e Event) bool {
-		raw, err := json.Marshal(eventLine(scopeName, e))
+	writeSSE := func(scope int, scopeName string, r *trace.Record) bool {
+		raw, err := json.Marshal(eventLine(scope, scopeName, r))
 		if err != nil {
 			return false
 		}
@@ -95,9 +95,9 @@ func (d *Dash) serveEvents(w http.ResponseWriter, r *http.Request) {
 
 	// Replay the buffered history first, then follow the live stream.
 	snap := d.Logger.Snapshot()
-	for _, sc := range snap.Scopes {
-		for _, e := range sc.Events {
-			if !writeSSE(sc.Name, e) {
+	for _, sc := range snap.Lanes {
+		for i := range sc.Records {
+			if !writeSSE(sc.ID, sc.Name, &sc.Records[i]) {
 				return
 			}
 		}
@@ -108,7 +108,7 @@ func (d *Dash) serveEvents(w http.ResponseWriter, r *http.Request) {
 		case <-r.Context().Done():
 			return
 		case e := <-live:
-			if !writeSSE(d.Logger.ScopeName(e.Scope), e) {
+			if !writeSSE(e.Scope, d.Logger.ScopeName(e.Scope), &e.Record) {
 				return
 			}
 		}
@@ -172,7 +172,7 @@ func (d *Dash) serveMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 func (d *Dash) serveTrace(w http.ResponseWriter, r *http.Request) {
-	snap := d.Tracer.Snapshot()
+	snap := d.Tracer.Live()
 	if r.URL.Query().Get("format") == "jsonl" {
 		w.Header().Set("Content-Type", "application/jsonl")
 		if err := snap.WriteJSONL(w); err != nil {
@@ -190,7 +190,7 @@ func (d *Dash) serveProgress(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	_ = enc.Encode(d.Tracer.Snapshot().Progress())
+	_ = enc.Encode(d.Tracer.Live().Progress())
 }
 
 func (d *Dash) serveDashboard(w http.ResponseWriter, r *http.Request) {

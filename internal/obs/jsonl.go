@@ -7,58 +7,20 @@ import (
 	"io"
 	"strconv"
 	"strings"
+
+	"toposhot/internal/trace"
 )
 
-// The event-log JSONL format mirrors the trace wire format (trace/jsonl.go):
-// one JSON object per line — a header, then per scope a scope meta line
-// followed by that scope's events in sequence order. It round-trips
-// losslessly through ReadJSONL and, because Snapshot is deterministic, two
-// same-seed runs serialize byte-identical streams at any parallelism width.
+// The event-log JSONL format is the trace wire format's sibling
+// (trace/jsonl.go): one JSON object per line — a header, then per scope a
+// scope meta line followed by that scope's events in sequence order — with
+// the attribute encoding, lane bookkeeping and line scanner shared from
+// there. It round-trips losslessly through ReadJSONL and, because Snapshot is
+// deterministic, two same-seed runs serialize byte-identical streams at any
+// parallelism width.
 
 // jsonlVersion is bumped on incompatible line-schema changes.
 const jsonlVersion = 1
-
-// wireField is one field on the wire; exactly one payload field is set.
-type wireField struct {
-	K string   `json:"k"`
-	S *string  `json:"s,omitempty"`
-	I *int64   `json:"i,omitempty"`
-	F *float64 `json:"f,omitempty"`
-	B *bool    `json:"b,omitempty"`
-}
-
-func toWireField(f Field) wireField {
-	w := wireField{K: f.Key}
-	switch f.kind {
-	case fieldInt:
-		n := f.num
-		w.I = &n
-	case fieldFloat:
-		v := f.f
-		w.F = &v
-	case fieldBool:
-		b := f.num != 0
-		w.B = &b
-	default:
-		s := f.str
-		w.S = &s
-	}
-	return w
-}
-
-func fromWireField(w wireField) Field {
-	switch {
-	case w.I != nil:
-		return Int(w.K, *w.I)
-	case w.F != nil:
-		return Float(w.K, *w.F)
-	case w.B != nil:
-		return Bool(w.K, *w.B)
-	case w.S != nil:
-		return String(w.K, *w.S)
-	}
-	return String(w.K, "")
-}
 
 // jsonlLine is the union of all line kinds; Kind selects the shape.
 type jsonlLine struct {
@@ -70,30 +32,24 @@ type jsonlLine struct {
 	Name    string `json:"name,omitempty"`
 	Dropped uint64 `json:"dropped,omitempty"`
 	// event
-	Seq    uint64      `json:"seq,omitempty"`
-	T      float64     `json:"t"`
-	Level  string      `json:"level,omitempty"`
-	Msg    string      `json:"msg,omitempty"`
-	Fields []wireField `json:"fields,omitempty"`
+	Seq    uint64           `json:"seq,omitempty"`
+	T      float64          `json:"t"`
+	Level  string           `json:"level,omitempty"`
+	Msg    string           `json:"msg,omitempty"`
+	Fields []trace.WireAttr `json:"fields,omitempty"`
 }
 
-func eventLine(scopeName string, e Event) jsonlLine {
-	line := jsonlLine{
-		Kind:  "event",
-		Scope: e.Scope,
-		Name:  scopeName,
-		Seq:   e.Seq,
-		T:     e.Time,
-		Level: e.Level.String(),
-		Msg:   e.Msg,
+func eventLine(scope int, scopeName string, r *trace.Record) jsonlLine {
+	return jsonlLine{
+		Kind:   "event",
+		Scope:  scope,
+		Name:   scopeName,
+		Seq:    r.Seq,
+		T:      r.Start,
+		Level:  Level(r.Level).String(),
+		Msg:    r.Name,
+		Fields: trace.ToWire(r),
 	}
-	if e.NFields > 0 {
-		line.Fields = make([]wireField, e.NFields)
-		for i, f := range e.FieldList() {
-			line.Fields[i] = toWireField(f)
-		}
-	}
-	return line
 }
 
 // WriteJSONL writes the log as JSON Lines: a header, then per scope a scope
@@ -105,12 +61,12 @@ func (lg *Log) WriteJSONL(w io.Writer) error {
 	if err := enc.Encode(jsonlLine{Kind: "header", V: jsonlVersion}); err != nil {
 		return err
 	}
-	for _, sc := range lg.Scopes {
+	for _, sc := range lg.Lanes {
 		if err := enc.Encode(jsonlLine{Kind: "scope", Scope: sc.ID, Name: sc.Name, Dropped: sc.Dropped}); err != nil {
 			return err
 		}
-		for _, e := range sc.Events {
-			if err := enc.Encode(eventLine("", e)); err != nil {
+		for i := range sc.Records {
+			if err := enc.Encode(eventLine(sc.ID, "", &sc.Records[i])); err != nil {
 				return err
 			}
 		}
@@ -122,9 +78,9 @@ func (lg *Log) WriteJSONL(w io.Writer) error {
 // id order. The same renderer backs the live text sink.
 func (lg *Log) WriteText(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	for _, sc := range lg.Scopes {
-		for i := range sc.Events {
-			if err := writeEventText(bw, sc.Name, sc.Events[i]); err != nil {
+	for _, sc := range lg.Lanes {
+		for i := range sc.Records {
+			if err := writeEventText(bw, sc.Name, &sc.Records[i]); err != nil {
 				return err
 			}
 		}
@@ -137,58 +93,39 @@ func (lg *Log) WriteText(w io.Writer) error {
 // scope. Events for a scope with no preceding scope line get an implicit
 // unnamed scope. Unknown line kinds are an error, as is any malformed line.
 func ReadJSONL(r io.Reader) (*Log, error) {
-	out := &Log{}
-	scopeIdx := make(map[int]int)
-	getScope := func(id int) *ScopeSnapshot {
-		if i, ok := scopeIdx[id]; ok {
-			return &out.Scopes[i]
-		}
-		out.Scopes = append(out.Scopes, ScopeSnapshot{ID: id})
-		scopeIdx[id] = len(out.Scopes) - 1
-		return &out.Scopes[len(out.Scopes)-1]
-	}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	n := 0
-	for sc.Scan() {
-		n++
-		raw := sc.Bytes()
-		if len(raw) == 0 {
-			continue
-		}
-		var line jsonlLine
-		if err := json.Unmarshal(raw, &line); err != nil {
-			return nil, fmt.Errorf("obs: jsonl line %d: %w", n, err)
-		}
+	out := &trace.Trace{}
+	err := trace.ScanJSONL(r, "obs", func(line *jsonlLine) error {
 		switch line.Kind {
 		case "header":
 			// Version 1 has no header payload beyond v itself.
 		case "scope":
-			s := getScope(line.Scope)
+			s := out.Lane(line.Scope)
 			s.Name = line.Name
 			s.Dropped = line.Dropped
 		case "event":
-			if len(line.Fields) > maxFields {
-				return nil, fmt.Errorf("obs: jsonl line %d: %d fields exceeds the event limit %d", n, len(line.Fields), maxFields)
+			if len(line.Fields) > trace.MaxAttrs {
+				return fmt.Errorf("%d fields exceeds the event limit %d", len(line.Fields), trace.MaxAttrs)
 			}
 			lv, err := ParseLevel(line.Level)
 			if err != nil {
-				return nil, fmt.Errorf("obs: jsonl line %d: %w", n, err)
+				return err
 			}
-			ev := Event{Scope: line.Scope, Seq: line.Seq, Time: line.T, Level: lv, Msg: line.Msg}
+			ev := trace.Record{Kind: trace.KindEvent, Level: uint8(lv), Name: line.Msg,
+				Seq: line.Seq, Start: line.T, End: line.T}
 			for _, f := range line.Fields {
-				ev.NFields = setField(&ev.Fields, ev.NFields, fromWireField(f))
+				ev.Set(f.Attr())
 			}
-			s := getScope(line.Scope)
-			s.Events = append(s.Events, ev)
+			s := out.Lane(line.Scope)
+			s.Records = append(s.Records, ev)
 		default:
-			return nil, fmt.Errorf("obs: jsonl line %d: unknown kind %q", n, line.Kind)
+			return fmt.Errorf("unknown kind %q", line.Kind)
 		}
-	}
-	if err := sc.Err(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	return (*Log)(out), nil
 }
 
 // needsQuote reports whether a logfmt value must be quoted.
@@ -209,37 +146,39 @@ func appendValue(b []byte, s string) []byte {
 // appendText renders one event as a logfmt-style line (no trailing newline):
 //
 //	level=info t=12.345 scope=census msg=campaign-started nodes=30 k=5
-func appendText(b []byte, scopeName string, e Event) []byte {
+func appendText(b []byte, scopeName string, r *trace.Record) []byte {
 	b = append(b, "level="...)
-	b = append(b, e.Level.String()...)
+	b = append(b, Level(r.Level).String()...)
 	b = append(b, " t="...)
-	b = strconv.AppendFloat(b, e.Time, 'f', 3, 64)
+	b = strconv.AppendFloat(b, r.Start, 'f', 3, 64)
 	if scopeName != "" {
 		b = append(b, " scope="...)
 		b = appendValue(b, scopeName)
 	}
 	b = append(b, " msg="...)
-	b = appendValue(b, e.Msg)
-	for i := 0; i < e.NFields; i++ {
-		b = appendField(b, &e.Fields[i])
+	b = appendValue(b, r.Name)
+	for _, f := range r.AttrList() {
+		b = appendField(b, f)
 	}
 	return b
 }
 
 // appendField renders " key=value" with the logfmt quoting rules.
-func appendField(b []byte, f *Field) []byte {
+func appendField(b []byte, f Field) []byte {
 	b = append(b, ' ')
 	b = append(b, f.Key...)
 	b = append(b, '=')
-	switch f.kind {
-	case fieldInt:
-		return strconv.AppendInt(b, f.num, 10)
-	case fieldFloat:
-		return strconv.AppendFloat(b, f.f, 'g', -1, 64)
-	case fieldBool:
-		return strconv.AppendBool(b, f.num != 0)
+	switch v := f.Value().(type) {
+	case int64:
+		b = strconv.AppendInt(b, v, 10)
+	case float64:
+		b = strconv.AppendFloat(b, v, 'g', -1, 64)
+	case bool:
+		b = strconv.AppendBool(b, v)
+	case string:
+		b = appendValue(b, v)
 	}
-	return appendValue(b, f.str)
+	return b
 }
 
 // FormatLine renders "msg key=value ..." without the level/time prefix — the
@@ -247,24 +186,24 @@ func appendField(b []byte, f *Field) []byte {
 // logging is off (fatal errors under -log-level off).
 func FormatLine(msg string, fields ...Field) string {
 	b := appendValue(make([]byte, 0, 128), msg)
-	for i := range fields {
-		b = appendField(b, &fields[i])
+	for _, f := range fields {
+		b = appendField(b, f)
 	}
 	return string(b)
 }
 
 // writeEventText writes one logfmt line to w (live text sink).
-func writeEventText(w io.Writer, scopeName string, e Event) error {
-	b := appendText(make([]byte, 0, 128), scopeName, e)
+func writeEventText(w io.Writer, scopeName string, r *trace.Record) error {
+	b := appendText(make([]byte, 0, 128), scopeName, r)
 	b = append(b, '\n')
 	_, err := w.Write(b)
 	return err
 }
 
 // writeEventJSON writes one event as a single JSON line to w (live JSONL
-// sink and the SSE stream payload).
-func writeEventJSON(w io.Writer, scopeName string, e Event) error {
-	raw, err := json.Marshal(eventLine(scopeName, e))
+// sink).
+func writeEventJSON(w io.Writer, scopeName string, e *Event) error {
+	raw, err := json.Marshal(eventLine(e.Scope, scopeName, &e.Record))
 	if err != nil {
 		return err
 	}

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"toposhot/internal/trace"
 )
 
 // failWriter fails after n successful writes.
@@ -63,7 +65,7 @@ func TestJSONLReadErrors(t *testing.T) {
 		"unknown":   `{"kind":"mystery"}` + "\n",
 		"badlevel":  `{"kind":"event","scope":0,"t":1,"level":"loud","msg":"x"}` + "\n",
 		"overflow": `{"kind":"event","scope":0,"t":1,"level":"info","msg":"x","fields":[` +
-			strings.Repeat(`{"k":"a","i":1},`, maxFields) + `{"k":"z","i":1}]}` + "\n",
+			strings.Repeat(`{"k":"a","i":1},`, trace.MaxAttrs) + `{"k":"z","i":1}]}` + "\n",
 	}
 	for name, in := range cases {
 		if _, err := ReadJSONL(strings.NewReader(in)); err == nil {
@@ -78,7 +80,7 @@ func TestJSONLReadImplicitScopeAndBlankLines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(lg.Scopes) != 1 || lg.Scopes[0].ID != 3 || len(lg.Scopes[0].Events) != 1 {
+	if len(lg.Lanes) != 1 || lg.Lanes[0].ID != 3 || len(lg.Lanes[0].Records) != 1 {
 		t.Fatalf("log = %+v", lg)
 	}
 }
@@ -115,7 +117,7 @@ func TestWriteTextRendersAllKinds(t *testing.T) {
 func TestLiveSinkWriteFailureDoesNotPanic(t *testing.T) {
 	lg := New(Options{Level: LevelInfo, Live: &failWriter{n: 0}, LiveFormat: FormatText})
 	lg.Info("still recorded")
-	if got := len(lg.Snapshot().Scopes[0].Events); got != 1 {
+	if got := len(lg.Snapshot().Lanes[0].Records); got != 1 {
 		t.Fatalf("event not recorded past a dead live sink: %d", got)
 	}
 }

@@ -3,10 +3,10 @@ package obs
 import (
 	"bufio"
 	"encoding/json"
-	"fmt"
 	"io"
 	"sync"
 
+	"toposhot/internal/trace"
 	"toposhot/internal/types"
 )
 
@@ -94,24 +94,12 @@ type PhaseCost struct {
 // value is NOT usable; construct with NewLedger. All methods are no-ops on a
 // nil *Ledger, so instrumentation points never guard.
 type Ledger struct {
-	mu       sync.Mutex
-	recs     []ProbeRecord
-	observer func(ProbeRecord)
+	mu   sync.Mutex
+	recs []ProbeRecord
 }
 
 // NewLedger returns an empty ledger.
 func NewLedger() *Ledger { return &Ledger{} }
-
-// SetObserver registers a callback invoked (synchronously, outside the
-// ledger lock) for every subsequent record — the watchdog's feed.
-func (l *Ledger) SetObserver(fn func(ProbeRecord)) {
-	if l == nil {
-		return
-	}
-	l.mu.Lock()
-	l.observer = fn
-	l.mu.Unlock()
-}
 
 // Record appends one entry.
 func (l *Ledger) Record(r ProbeRecord) {
@@ -120,11 +108,7 @@ func (l *Ledger) Record(r ProbeRecord) {
 	}
 	l.mu.Lock()
 	l.recs = append(l.recs, r)
-	fn := l.observer
 	l.mu.Unlock()
-	if fn != nil {
-		fn(r)
-	}
 }
 
 // Len returns the number of records.
@@ -204,22 +188,11 @@ func (l *Ledger) WriteJSONL(w io.Writer) error {
 // ReadLedgerJSONL parses a WriteJSONL stream back into a ledger.
 func ReadLedgerJSONL(r io.Reader) (*Ledger, error) {
 	out := NewLedger()
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	n := 0
-	for sc.Scan() {
-		n++
-		raw := sc.Bytes()
-		if len(raw) == 0 {
-			continue
-		}
-		var rec ProbeRecord
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			return nil, fmt.Errorf("obs: ledger line %d: %w", n, err)
-		}
-		out.recs = append(out.recs, rec)
-	}
-	if err := sc.Err(); err != nil {
+	err := trace.ScanJSONL(r, "obs: ledger", func(rec *ProbeRecord) error {
+		out.recs = append(out.recs, *rec)
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	return out, nil

@@ -9,7 +9,6 @@ import (
 func TestNilLedgerNoops(t *testing.T) {
 	var l *Ledger
 	l.Record(ProbeRecord{Kind: KindPair, Pending: 3})
-	l.SetObserver(func(ProbeRecord) {})
 	if l.Len() != 0 || l.Records() != nil || l.ByPhase() != nil {
 		t.Fatal("nil ledger should be empty")
 	}
@@ -56,17 +55,6 @@ func TestLedgerTotalsAndByPhase(t *testing.T) {
 	}
 	if phases[1].Pairs != 1 || phases[1].Pending != 3 || phases[1].FeeWei != 21e9 {
 		t.Fatalf("tick-1 phase = %+v", phases[1])
-	}
-}
-
-func TestLedgerObserver(t *testing.T) {
-	l := NewLedger()
-	var seen []ProbeRecord
-	l.SetObserver(func(r ProbeRecord) { seen = append(seen, r) })
-	l.Record(ProbeRecord{Kind: KindPair, A: 5, B: 6})
-	l.Record(ProbeRecord{Kind: KindRound})
-	if len(seen) != 2 || seen[0].A != 5 || seen[1].Kind != KindRound {
-		t.Fatalf("observer saw %+v", seen)
 	}
 }
 

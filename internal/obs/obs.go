@@ -1,9 +1,12 @@
-// Package obs is the repository's campaign observability subsystem: a
-// deterministic structured event log, a probe cost-attribution ledger, a
-// stream-consuming watchdog, and the live HTTP dashboard that serves all of
-// them — unifying what internal/metrics ("how many"), internal/trace ("where
-// did the time go"), and core.Ledger ("what would it cost") record under one
-// campaign-scoped stream an operator can watch mid-run.
+// Package obs is the operator surface over the repository's telemetry:
+// internal/metrics counts, internal/trace owns the one virtual-clock record
+// (attribute, record, lane ring, sink, snapshot, wire codec), and obs adds
+// what an operator watching a campaign needs on top — a leveled event log
+// with a live sink and taps, a probe cost-attribution ledger, a stall
+// watchdog, the HTTP dashboard that serves all of them, and the shared CLI
+// flags. The event log is not a second recorder: it is a private trace sink
+// whose records carry a severity, a scope is a lane of it, and a Field is a
+// trace.Attr.
 //
 // Design constraints, in order (the same contract as internal/trace):
 //
@@ -15,8 +18,8 @@
 //     created before any parallel fan-out (the sweepLanes convention). The
 //     optional live sink is arrival-ordered and operator-facing only.
 //   - Nil safety. A nil *Logger and a nil *Ledger no-op every method behind a
-//     single branch, so call sites never guard — the same convention the
-//     metrics-nilsafe and trace-nilsafe lint rules enforce for their packages.
+//     single branch, so call sites never guard — the trace-nilsafe lint rule
+//     holds both to that, next to trace's own recorders.
 //   - Zero dependencies. Standard library only, plus the repository's own
 //     metrics/trace/types leaves, so every layer can import it.
 //
@@ -31,10 +34,11 @@ package obs
 
 import (
 	"fmt"
-	"hash/fnv"
 	"io"
 	"sync"
 	"sync/atomic"
+
+	"toposhot/internal/trace"
 )
 
 // Level orders event severities; events below a logger's level are dropped.
@@ -106,43 +110,22 @@ func ParseFormat(s string) (Format, error) {
 	return FormatText, fmt.Errorf("obs: unknown format %q (want text|jsonl)", s)
 }
 
-// fieldKind discriminates Field payloads.
-type fieldKind uint8
-
-const (
-	fieldString fieldKind = iota
-	fieldInt
-	fieldFloat
-	fieldBool
-)
-
-// Field is one typed event attribute. Construct with String, Int, Float,
-// Bool, or Err; the zero value is an empty string field.
-type Field struct {
-	Key  string
-	kind fieldKind
-	str  string
-	num  int64
-	f    float64
-}
+// Field is one typed event attribute: the trace attribute, under the name
+// the logging call sites use. Construct with String, Int, Float, Bool, or
+// Err; the zero value is an empty string field.
+type Field = trace.Attr
 
 // String returns a string-valued field.
-func String(key, v string) Field { return Field{Key: key, kind: fieldString, str: v} }
+func String(key, v string) Field { return trace.String(key, v) }
 
 // Int returns an integer-valued field.
-func Int(key string, v int64) Field { return Field{Key: key, kind: fieldInt, num: v} }
+func Int(key string, v int64) Field { return trace.Int(key, v) }
 
 // Float returns a float-valued field.
-func Float(key string, v float64) Field { return Field{Key: key, kind: fieldFloat, f: v} }
+func Float(key string, v float64) Field { return trace.Float(key, v) }
 
 // Bool returns a boolean field.
-func Bool(key string, v bool) Field {
-	var n int64
-	if v {
-		n = 1
-	}
-	return Field{Key: key, kind: fieldBool, num: n}
-}
+func Bool(key string, v bool) Field { return trace.Bool(key, v) }
 
 // Err returns the conventional "err" field for an error value.
 func Err(err error) Field {
@@ -152,69 +135,24 @@ func Err(err error) Field {
 	return String("err", err.Error())
 }
 
-// Value returns the field's payload as an interface value (for export).
-func (f Field) Value() interface{} {
-	switch f.kind {
-	case fieldInt:
-		return f.num
-	case fieldFloat:
-		return f.f
-	case fieldBool:
-		return f.num != 0
-	}
-	return f.str
-}
-
-// maxFields bounds the fields carried per event; extras are dropped silently.
-const maxFields = 8
-
-// setField inserts or overwrites a field in a fixed field array.
-func setField(fields *[maxFields]Field, n int, f Field) int {
-	for i := 0; i < n; i++ {
-		if fields[i].Key == f.Key {
-			fields[i] = f
-			return n
-		}
-	}
-	if n < maxFields {
-		fields[n] = f
-		return n + 1
-	}
-	return n
-}
-
-// Event is one structured log record as it sits in a scope's ring and in
-// snapshots. Time is virtual-clock seconds; Seq is the scope-local monotonic
-// sequence number — together they give events a strict, replayable total
-// order within a scope.
+// Event is one log record as taps and the live sink see it: the trace record
+// the scope's lane stored — Name is the message, Start the virtual-clock
+// time, Level the severity, Seq the scope-local sequence number that gives
+// events a strict, replayable order — plus the id of the scope it was
+// recorded on.
 type Event struct {
-	Scope   int
-	Seq     uint64
-	Time    float64
-	Level   Level
-	Msg     string
-	NFields int
-	Fields  [maxFields]Field
-}
-
-// FieldList returns the event's fields as a slice view.
-func (e *Event) FieldList() []Field { return e.Fields[:e.NFields] }
-
-// Field returns the field with the given key, or false.
-func (e *Event) Field(key string) (Field, bool) {
-	for i := 0; i < e.NFields; i++ {
-		if e.Fields[i].Key == key {
-			return e.Fields[i], true
-		}
-	}
-	return Field{}, false
+	Scope int
+	trace.Record
 }
 
 // Options configures a logger.
 type Options struct {
 	// Level is the minimum severity recorded; LevelOff yields a nil logger.
 	Level Level
-	// Capacity is the per-scope ring size in events; 0 means DefaultCapacity.
+	// Capacity is the per-scope ring size in events; 0 means
+	// trace.DefaultCapacity. Long campaigns wrap and keep the most recent
+	// window, counted in Dropped — deterministically, since each scope wraps
+	// on its own stream.
 	Capacity int
 	// Live, when non-nil, receives every event as it happens, in arrival
 	// order (non-deterministic under parallelism; operator-facing only).
@@ -223,47 +161,28 @@ type Options struct {
 	LiveFormat Format
 }
 
-// DefaultCapacity is the per-scope ring size (events) when Options.Capacity
-// is zero. Long campaigns wrap and keep the most recent window, counted in
-// Dropped — deterministically, since each scope wraps on its own stream.
-const DefaultCapacity = 8192
-
-// sink is the shared state behind a logger's scope views.
-type sink struct {
+// live is the operator side every scope view of one logger shares: the level
+// filter, the arrival-ordered live writer and the taps.
+type live struct {
 	level Level
-	cap   int
 
 	mu     sync.Mutex
-	scopes []*scope
-	nextID int
-
-	liveMu     sync.Mutex
-	live       io.Writer
-	liveFormat Format
-	taps       []func(Event)
+	w      io.Writer
+	format Format
+	// taps is replaced, never written in place, by Tap and its cancel, so
+	// emit can range over the slice it read after dropping the lock.
+	taps []*func(Event)
 }
 
-// scope is one recording track. All mutation happens under mu so live HTTP
-// snapshots can read a scope another goroutine is writing.
-type scope struct {
-	mu    sync.Mutex
-	id    int
-	name  string
-	clock func() float64
-
-	ring    []Event
-	n       uint64 // events ever written; slot = (n-1) % cap
-	dropped uint64
-	seq     uint64
-}
-
-// Logger is a scope view over a shared event-log sink, optionally carrying
-// bound context fields (With). The zero of its pointer type is the disabled
+// Logger is a scope view over the event log. The log itself is a private,
+// deterministic trace sink — a scope is a lane of it, an event a trace record
+// with a severity — and the Logger adds what only logging has: the level
+// filter and the live side. The zero of its pointer type is the disabled
 // logger: every method on a nil *Logger is a no-op behind one branch.
 type Logger struct {
-	s     *sink
-	sc    *scope
-	bound []Field
+	lane *trace.Tracer
+	name string
+	live *live
 }
 
 // New returns a logger recording at the given level, viewing a fresh sink's
@@ -273,11 +192,11 @@ func New(o Options) *Logger {
 	if o.Level >= LevelOff {
 		return nil
 	}
-	if o.Capacity <= 0 {
-		o.Capacity = DefaultCapacity
+	return &Logger{
+		lane: trace.New(trace.Options{Level: trace.LevelMeasure, Deterministic: true, Capacity: o.Capacity}),
+		name: "main",
+		live: &live{level: o.Level, w: o.Live, format: o.LiveFormat},
 	}
-	s := &sink{level: o.Level, cap: o.Capacity, live: o.Live, liveFormat: o.LiveFormat}
-	return s.newScope("main", nil)
 }
 
 // NewCLI builds a logger from the shared -log-level/-log-format CLI flag
@@ -295,20 +214,6 @@ func NewCLI(level, format string, w io.Writer) (*Logger, error) {
 	return New(Options{Level: lv, Live: w, LiveFormat: fm}), nil
 }
 
-func (s *sink) newScope(name string, clock func() float64) *Logger {
-	s.mu.Lock()
-	sc := &scope{
-		id:    s.nextID,
-		name:  name,
-		clock: clock,
-		ring:  make([]Event, s.cap),
-	}
-	s.nextID++
-	s.scopes = append(s.scopes, sc)
-	s.mu.Unlock()
-	return &Logger{s: s, sc: sc}
-}
-
 // Scope creates a new recording track on the logger's sink and returns a
 // view of it. Scope ids are assigned in creation order; create scopes before
 // a parallel fan-out to keep ids (and therefore snapshot order)
@@ -318,19 +223,7 @@ func (l *Logger) Scope(name string, clock func() float64) *Logger {
 	if l == nil {
 		return nil
 	}
-	return l.s.newScope(name, clock)
-}
-
-// With returns a logger view carrying additional bound fields, prepended to
-// every event it records. The view shares the receiver's scope.
-func (l *Logger) With(fields ...Field) *Logger {
-	if l == nil {
-		return nil
-	}
-	bound := make([]Field, 0, len(l.bound)+len(fields))
-	bound = append(bound, l.bound...)
-	bound = append(bound, fields...)
-	return &Logger{s: l.s, sc: l.sc, bound: bound}
+	return &Logger{lane: l.lane.Lane(name, clock), name: name, live: l.live}
 }
 
 // SetClock binds the scope to a virtual clock (typically Network.Now). It
@@ -340,9 +233,7 @@ func (l *Logger) SetClock(clock func() float64) {
 	if l == nil {
 		return
 	}
-	l.sc.mu.Lock()
-	l.sc.clock = clock
-	l.sc.mu.Unlock()
+	l.lane.SetClock(clock)
 }
 
 // Level returns the minimum recorded severity; LevelOff on a nil logger.
@@ -350,12 +241,7 @@ func (l *Logger) Level() Level {
 	if l == nil {
 		return LevelOff
 	}
-	return l.s.level
-}
-
-// LogsAt reports whether events at the given level are kept.
-func (l *Logger) LogsAt(lv Level) bool {
-	return l != nil && lv != LevelOff && lv >= l.s.level
+	return l.live.level
 }
 
 // ScopeName returns the name of the scope with the given id, or "".
@@ -363,14 +249,7 @@ func (l *Logger) ScopeName(id int) string {
 	if l == nil {
 		return ""
 	}
-	l.s.mu.Lock()
-	defer l.s.mu.Unlock()
-	for _, sc := range l.s.scopes {
-		if sc.id == id {
-			return sc.name
-		}
-	}
-	return ""
+	return l.lane.LaneName(id)
 }
 
 // Tap registers a live-event callback (watchdogs, SSE hubs) and returns its
@@ -381,33 +260,20 @@ func (l *Logger) Tap(fn func(Event)) (cancel func()) {
 	if l == nil || fn == nil {
 		return func() {}
 	}
-	s := l.s
-	s.liveMu.Lock()
-	s.taps = append(s.taps, fn)
-	idx := len(s.taps) - 1
-	s.liveMu.Unlock()
+	lv := l.live
+	lv.mu.Lock()
+	lv.taps = append(lv.taps[:len(lv.taps):len(lv.taps)], &fn) // capped: always a copy
+	lv.mu.Unlock()
 	return func() {
-		s.liveMu.Lock()
-		s.taps[idx] = nil
-		s.liveMu.Unlock()
+		lv.mu.Lock()
+		defer lv.mu.Unlock()
+		for i, t := range lv.taps {
+			if t == &fn {
+				lv.taps = append(lv.taps[:i:i], lv.taps[i+1:]...)
+				return
+			}
+		}
 	}
-}
-
-func (sc *scope) now() float64 {
-	if sc.clock == nil {
-		return 0
-	}
-	return sc.clock()
-}
-
-// push appends an event to the ring, dropping the oldest on wrap.
-func (sc *scope) push(e Event) {
-	slot := sc.n % uint64(len(sc.ring))
-	if sc.n >= uint64(len(sc.ring)) {
-		sc.dropped++
-	}
-	sc.ring[slot] = e
-	sc.n++
 }
 
 // Debug records an event at LevelDebug.
@@ -423,114 +289,45 @@ func (l *Logger) Warn(msg string, fields ...Field) { l.log(LevelWarn, msg, field
 func (l *Logger) Error(msg string, fields ...Field) { l.log(LevelError, msg, fields) }
 
 func (l *Logger) log(lv Level, msg string, fields []Field) {
-	if l == nil || lv < l.s.level {
+	if l == nil || lv < l.live.level {
 		return
 	}
-	sc := l.sc
-	sc.mu.Lock()
-	sc.seq++
-	ev := Event{Scope: sc.id, Seq: sc.seq, Time: sc.now(), Level: lv, Msg: msg}
-	for _, f := range l.bound {
-		ev.NFields = setField(&ev.Fields, ev.NFields, f)
-	}
-	for _, f := range fields {
-		ev.NFields = setField(&ev.Fields, ev.NFields, f)
-	}
-	sc.push(ev)
-	name := sc.name
-	sc.mu.Unlock()
-	l.s.emit(name, ev)
+	l.live.emit(l.name, Event{Scope: l.lane.ID(), Record: l.lane.Log(uint8(lv), msg, fields)})
 }
 
 // emit fans one event out to the live sink and the registered taps, in
 // arrival order under one lock (operator path; never part of the
 // deterministic artifact).
-func (s *sink) emit(scopeName string, ev Event) {
-	s.liveMu.Lock()
-	if s.live != nil {
-		if s.liveFormat == FormatJSONL {
-			writeEventJSON(s.live, scopeName, ev)
+func (lv *live) emit(scopeName string, ev Event) {
+	lv.mu.Lock()
+	if lv.w != nil {
+		if lv.format == FormatJSONL {
+			writeEventJSON(lv.w, scopeName, &ev)
 		} else {
-			writeEventText(s.live, scopeName, ev)
+			writeEventText(lv.w, scopeName, &ev.Record)
 		}
 	}
-	taps := s.taps
-	s.liveMu.Unlock()
+	taps := lv.taps
+	lv.mu.Unlock()
 	for _, fn := range taps {
-		if fn != nil {
-			fn(ev)
-		}
+		(*fn)(ev)
 	}
 }
 
-// ScopeSnapshot is one scope's events in a Log snapshot.
-type ScopeSnapshot struct {
-	ID      int
-	Name    string
-	Dropped uint64
-	Events  []Event
-}
-
-// Log is a copied, exportable snapshot of the event log: scopes in id order,
-// events in sequence order. Two same-seed runs produce identical Logs at any
-// parallelism width when scopes were created before the fan-out.
-type Log struct {
-	Scopes []ScopeSnapshot
-}
+// Log is a copied, exportable snapshot of the event log: scopes (lanes) in
+// id order, events (records) in sequence order. Two same-seed runs produce
+// identical Logs at any parallelism width when scopes were created before
+// the fan-out.
+type Log trace.Trace
 
 // Snapshot copies the sink's current state. Safe to call while scopes are
 // recording. Scopes with no events are omitted, so pre-created-but-unused
 // scopes never perturb exports. A nil logger snapshots to an empty log.
 func (l *Logger) Snapshot() *Log {
-	out := &Log{}
 	if l == nil {
-		return out
+		return &Log{}
 	}
-	l.s.mu.Lock()
-	scopes := append([]*scope(nil), l.s.scopes...)
-	l.s.mu.Unlock()
-	for _, sc := range scopes {
-		sc.mu.Lock()
-		ss := ScopeSnapshot{ID: sc.id, Name: sc.name, Dropped: sc.dropped}
-		k := sc.n
-		if k > uint64(len(sc.ring)) {
-			k = uint64(len(sc.ring))
-		}
-		if k > 0 {
-			ss.Events = make([]Event, 0, k)
-			start := sc.n - k
-			for i := uint64(0); i < k; i++ {
-				ss.Events = append(ss.Events, sc.ring[(start+i)%uint64(len(sc.ring))])
-			}
-		}
-		sc.mu.Unlock()
-		if len(ss.Events) == 0 {
-			continue
-		}
-		out.Scopes = append(out.Scopes, ss)
-	}
-	// Scopes were collected in creation (= id) order; no sort needed, but a
-	// snapshot must never depend on that invariant silently breaking.
-	for i := 1; i < len(out.Scopes); i++ {
-		if out.Scopes[i].ID < out.Scopes[i-1].ID {
-			out.Scopes[i], out.Scopes[i-1] = out.Scopes[i-1], out.Scopes[i]
-		}
-	}
-	return out
-}
-
-// CampaignID derives the deterministic campaign correlation id events and
-// ledger records carry: a stable function of the campaign's name and seed,
-// never of wall time or process identity.
-func CampaignID(name string, seed int64) string {
-	h := fnv.New64a()
-	_, _ = io.WriteString(h, name)
-	var buf [8]byte
-	for i := 0; i < 8; i++ {
-		buf[i] = byte(uint64(seed) >> (8 * i))
-	}
-	_, _ = h.Write(buf[:])
-	return fmt.Sprintf("c-%016x", h.Sum64())
+	return (*Log)(l.lane.Live())
 }
 
 // enabled is the process-wide default logger consulted by subsystem

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"toposhot/internal/trace"
 )
 
 func TestNilLoggerNoops(t *testing.T) {
@@ -16,20 +18,17 @@ func TestNilLoggerNoops(t *testing.T) {
 	if got := lg.Scope("child", nil); got != nil {
 		t.Fatalf("nil.Scope = %v, want nil", got)
 	}
-	if got := lg.With(Int("x", 1)); got != nil {
-		t.Fatalf("nil.With = %v, want nil", got)
-	}
 	if lg.Level() != LevelOff {
 		t.Fatalf("nil.Level = %v, want off", lg.Level())
 	}
-	if lg.LogsAt(LevelError) {
-		t.Fatal("nil.LogsAt(error) = true")
+	if lg.ScopeName(0) != "" {
+		t.Fatal("nil.ScopeName should be empty")
 	}
 	cancel := lg.Tap(func(Event) {})
 	cancel()
 	snap := lg.Snapshot()
-	if len(snap.Scopes) != 0 {
-		t.Fatalf("nil snapshot has %d scopes", len(snap.Scopes))
+	if len(snap.Lanes) != 0 {
+		t.Fatalf("nil snapshot has %d scopes", len(snap.Lanes))
 	}
 	var buf bytes.Buffer
 	if err := snap.WriteJSONL(&buf); err != nil {
@@ -71,14 +70,14 @@ func TestLevelFiltering(t *testing.T) {
 	lg.Warn("w")
 	lg.Error("e")
 	snap := lg.Snapshot()
-	if len(snap.Scopes) != 1 || len(snap.Scopes[0].Events) != 2 {
+	if len(snap.Lanes) != 1 || len(snap.Lanes[0].Records) != 2 {
 		t.Fatalf("snapshot = %+v, want 2 events in 1 scope", snap)
 	}
-	if snap.Scopes[0].Events[0].Msg != "w" || snap.Scopes[0].Events[1].Msg != "e" {
-		t.Fatalf("events = %+v", snap.Scopes[0].Events)
+	if snap.Lanes[0].Records[0].Name != "w" || snap.Lanes[0].Records[1].Name != "e" {
+		t.Fatalf("events = %+v", snap.Lanes[0].Records)
 	}
-	if !lg.LogsAt(LevelError) || lg.LogsAt(LevelInfo) {
-		t.Fatal("LogsAt disagrees with filtering")
+	if lg.Level() != LevelWarn {
+		t.Fatalf("Level = %v, want warn", lg.Level())
 	}
 }
 
@@ -90,50 +89,34 @@ func TestClockSeqAndFields(t *testing.T) {
 	lg.Info("first", Int("n", 7), String("s", "x"), Bool("ok", true), Float("f", 0.5))
 	now = 2.5
 	lg.Info("second", Int("n", 8), Int("n", 9)) // duplicate key overwrites
-	ev := lg.Snapshot().Scopes[0].Events
+	ev := lg.Snapshot().Lanes[0].Records
 	if ev[0].Seq != 1 || ev[1].Seq != 2 {
 		t.Fatalf("seqs = %d, %d", ev[0].Seq, ev[1].Seq)
 	}
-	if ev[0].Time != 1.5 || ev[1].Time != 2.5 {
-		t.Fatalf("times = %g, %g", ev[0].Time, ev[1].Time)
+	if ev[0].Start != 1.5 || ev[1].Start != 2.5 {
+		t.Fatalf("times = %g, %g", ev[0].Start, ev[1].Start)
 	}
-	if f, ok := ev[0].Field("n"); !ok || f.Value() != int64(7) {
+	if f, ok := ev[0].Attr("n"); !ok || f.Value() != int64(7) {
 		t.Fatalf("field n = %+v, %v", f, ok)
 	}
-	if len(ev[0].FieldList()) != 4 {
-		t.Fatalf("got %d fields", len(ev[0].FieldList()))
+	if len(ev[0].AttrList()) != 4 {
+		t.Fatalf("got %d fields", len(ev[0].AttrList()))
 	}
-	if f, _ := ev[1].Field("n"); f.Value() != int64(9) {
+	if f, _ := ev[1].Attr("n"); f.Value() != int64(9) {
 		t.Fatalf("duplicate key kept %v, want 9", f.Value())
-	}
-}
-
-func TestWithBoundFields(t *testing.T) {
-	lg := New(Options{Level: LevelInfo})
-	cl := lg.With(String("campaign", "c-1")).With(Int("phase", 2))
-	cl.Info("probe", Bool("ok", true))
-	ev := lg.Snapshot().Scopes[0].Events[0]
-	if f, ok := ev.Field("campaign"); !ok || f.Value() != "c-1" {
-		t.Fatalf("campaign = %+v, %v", f, ok)
-	}
-	if f, ok := ev.Field("phase"); !ok || f.Value() != int64(2) {
-		t.Fatalf("phase = %+v, %v", f, ok)
-	}
-	if f, ok := ev.Field("ok"); !ok || f.Value() != true {
-		t.Fatalf("ok = %+v, %v", f, ok)
 	}
 }
 
 func TestFieldOverflowDropsExtras(t *testing.T) {
 	lg := New(Options{Level: LevelInfo})
-	fields := make([]Field, 0, maxFields+3)
-	for i := 0; i < maxFields+3; i++ {
+	fields := make([]Field, 0, trace.MaxAttrs+3)
+	for i := 0; i < trace.MaxAttrs+3; i++ {
 		fields = append(fields, Int(fmt.Sprintf("k%d", i), int64(i)))
 	}
 	lg.Info("full", fields...)
-	ev := lg.Snapshot().Scopes[0].Events[0]
-	if ev.NFields != maxFields {
-		t.Fatalf("NFields = %d, want %d", ev.NFields, maxFields)
+	ev := lg.Snapshot().Lanes[0].Records[0]
+	if ev.NAttrs != trace.MaxAttrs {
+		t.Fatalf("NFields = %d, want %d", ev.NAttrs, trace.MaxAttrs)
 	}
 }
 
@@ -142,12 +125,12 @@ func TestRingWrapCountsDropped(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		lg.Info(fmt.Sprintf("e%d", i))
 	}
-	sc := lg.Snapshot().Scopes[0]
+	sc := lg.Snapshot().Lanes[0]
 	if sc.Dropped != 6 {
 		t.Fatalf("dropped = %d, want 6", sc.Dropped)
 	}
-	if len(sc.Events) != 4 || sc.Events[0].Msg != "e6" || sc.Events[3].Msg != "e9" {
-		t.Fatalf("ring window = %+v", sc.Events)
+	if len(sc.Records) != 4 || sc.Records[0].Name != "e6" || sc.Records[3].Name != "e9" {
+		t.Fatalf("ring window = %+v", sc.Records)
 	}
 }
 
@@ -160,14 +143,14 @@ func TestScopesSnapshotInIDOrderEmptyOmitted(t *testing.T) {
 	a.Info("on-a")
 	lg.Info("on-main")
 	snap := lg.Snapshot()
-	if len(snap.Scopes) != 3 {
-		t.Fatalf("got %d scopes, want 3 (empty omitted)", len(snap.Scopes))
+	if len(snap.Lanes) != 3 {
+		t.Fatalf("got %d scopes, want 3 (empty omitted)", len(snap.Lanes))
 	}
-	names := []string{snap.Scopes[0].Name, snap.Scopes[1].Name, snap.Scopes[2].Name}
+	names := []string{snap.Lanes[0].Name, snap.Lanes[1].Name, snap.Lanes[2].Name}
 	if names[0] != "main" || names[1] != "a" || names[2] != "b" {
 		t.Fatalf("scope order = %v", names)
 	}
-	if lg.ScopeName(a.sc.id) != "a" || lg.ScopeName(99) != "" {
+	if lg.ScopeName(a.lane.ID()) != "a" || lg.ScopeName(99) != "" {
 		t.Fatal("ScopeName lookup broken")
 	}
 }
@@ -246,12 +229,53 @@ func TestLiveSinkJSONLFormat(t *testing.T) {
 func TestTapAndCancel(t *testing.T) {
 	lg := New(Options{Level: LevelInfo})
 	var got []string
-	cancel := lg.Tap(func(e Event) { got = append(got, e.Msg) })
+	cancel := lg.Tap(func(e Event) { got = append(got, e.Name) })
 	lg.Info("one")
 	cancel()
 	lg.Info("two")
 	if len(got) != 1 || got[0] != "one" {
 		t.Fatalf("tap saw %v, want [one]", got)
+	}
+}
+
+// TestTapCancelRacesEmit is the /events client that disconnects mid-campaign:
+// taps come and go while another goroutine logs. Under -race it fails on an
+// in-place cancel (emitters read the slice after dropping the lock), and
+// every cancelled tap must give its slot back.
+func TestTapCancelRacesEmit(t *testing.T) {
+	lg := New(Options{Level: LevelInfo, Capacity: 16})
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				lg.Info("spin")
+			}
+		}
+	}()
+	for i := 0; i < 5000; i++ {
+		lg.Tap(func(Event) {})()
+	}
+	close(stop)
+	<-done
+	if n := len(lg.live.taps); n != 0 {
+		t.Fatalf("%d tap slots left after every tap was cancelled", n)
+	}
+	// Cancelling one of several removes that one only, and twice is harmless.
+	var got []string
+	cancelA := lg.Tap(func(Event) { got = append(got, "a") })
+	cancelB := lg.Tap(func(Event) { got = append(got, "b") })
+	cancelA()
+	cancelA()
+	lg.Info("one")
+	cancelB()
+	lg.Info("two")
+	if len(got) != 1 || got[0] != "b" || len(lg.live.taps) != 0 {
+		t.Fatalf("taps saw %v with %d slots left, want [b] and 0", got, len(lg.live.taps))
 	}
 }
 
@@ -271,25 +295,18 @@ func TestEnableEnabled(t *testing.T) {
 	}
 }
 
-func TestCampaignIDStable(t *testing.T) {
-	a := CampaignID("census", 7)
-	if a != CampaignID("census", 7) {
-		t.Fatal("CampaignID not stable")
-	}
-	if a == CampaignID("census", 8) || a == CampaignID("track", 7) {
-		t.Fatal("CampaignID should depend on name and seed")
-	}
-	if !strings.HasPrefix(a, "c-") || len(a) != 18 {
-		t.Fatalf("CampaignID format = %q", a)
-	}
-}
-
+// TestSnapshotDuringConcurrentWrites snapshots from one goroutine while
+// another logs against a clock only it may touch (an engine's virtual time):
+// under -race, a Snapshot that called scope clocks would fail here.
 func TestSnapshotDuringConcurrentWrites(t *testing.T) {
 	lg := New(Options{Level: LevelInfo, Capacity: 64})
+	now := 0.0
+	lg.SetClock(func() float64 { return now })
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		for i := 0; i < 500; i++ {
+			now++
 			lg.Info("spin", Int("i", int64(i)))
 		}
 	}()

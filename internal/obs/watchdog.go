@@ -2,35 +2,23 @@ package obs
 
 import "sync"
 
-// Watchdog consumes the live event stream and the ledger record stream and
-// promotes operational anomalies to first-class warn events on its own
-// scope: phases that stop emitting (stall), campaigns that blow through
-// their transaction budget (overrun), and probe streams whose detection
-// rate collapses below a floor (recall-proxy anomaly — on a graph whose
-// density the operator roughly knows, a near-zero detect rate over a long
-// window usually means the probe machinery, not the graph, went wrong).
+// Watchdog consumes the live event stream and promotes one operational
+// anomaly to a first-class warn event on its own scope: a phase that stops
+// emitting while the rest of the stream moves on (stall).
 //
-// All judgements use the timestamps the events themselves carry (virtual
+// The judgement uses the timestamps the events themselves carry (virtual
 // seconds under the engine, wall seconds under toposhotd's clock) — the
 // watchdog itself never reads a clock, keeping it legal inside the
 // nodeterminism lint scope.
 
-// WatchdogConfig tunes the anomaly detectors; zero values disable each.
+// WatchdogConfig tunes the stall detector; the zero value disables it.
 type WatchdogConfig struct {
 	// StallAfter flags a scope once another scope's events show its clock
 	// advanced this many seconds past the quiet scope's last event.
 	StallAfter float64
-	// BudgetTxs flags the campaign once cumulative ledger transactions
-	// (pending + futures) exceed this count. Fires once.
-	BudgetTxs int
-	// RecallWindow and MinDetectRate flag the probe stream when the detect
-	// rate over the last RecallWindow completed pair probes drops below
-	// MinDetectRate. Fires once.
-	RecallWindow  int
-	MinDetectRate float64
 }
 
-// Watchdog state. One watchdog per campaign; attach with Watch/WatchLedger.
+// Watchdog state. One watchdog per campaign; attach with Watch.
 type Watchdog struct {
 	mu  sync.Mutex
 	cfg WatchdogConfig
@@ -40,36 +28,21 @@ type Watchdog struct {
 	lastSeen     []float64 // last event time per scope id
 	seen         []bool
 	stallFlagged []bool
-
-	spentTxs    int
-	budgetFired bool
-
-	window      []bool // detection outcomes of the last RecallWindow pairs
-	wi, wn      int
-	recallFired bool
 }
 
-// Messages the watchdog emits.
-const (
-	MsgPhaseStalled  = "phase-stalled"
-	MsgBudgetOverrun = "budget-overrun"
-	MsgRecallAnomaly = "recall-anomaly"
-)
+// MsgPhaseStalled is the message the watchdog emits.
+const MsgPhaseStalled = "phase-stalled"
 
 // NewWatchdog builds a watchdog reporting on a fresh "watchdog" scope of
-// lg's sink. lg may be nil (anomalies are then detected but unreported —
-// useful only in tests).
+// lg's sink. lg may be nil (stalls are then detected but unreported — useful
+// only in tests).
 func NewWatchdog(cfg WatchdogConfig, lg *Logger) *Watchdog {
 	w := &Watchdog{cfg: cfg, own: -1}
-	if cfg.RecallWindow > 0 {
-		w.window = make([]bool, cfg.RecallWindow)
-	}
 	if lg != nil {
-		w.lg = lg.Scope("watchdog", nil)
-		w.own = w.lg.sc.id
-		// The watchdog's scope clock follows the stream it judges: stamp
-		// its events with the latest time seen on any watched scope.
-		w.lg.SetClock(w.lastTime)
+		// The watchdog's scope clock follows the stream it judges: stamp its
+		// events with the latest time seen on any watched scope.
+		w.lg = lg.Scope("watchdog", w.lastTime)
+		w.own = w.lg.lane.ID()
 	}
 	return w
 }
@@ -77,11 +50,6 @@ func NewWatchdog(cfg WatchdogConfig, lg *Logger) *Watchdog {
 // Watch taps the logger's live stream; returns the tap's cancel.
 func (w *Watchdog) Watch(lg *Logger) (cancel func()) {
 	return lg.Tap(w.onEvent)
-}
-
-// WatchLedger observes a ledger's record stream.
-func (w *Watchdog) WatchLedger(l *Ledger) {
-	l.SetObserver(w.onRecord)
 }
 
 // lastTime returns the max event time seen across watched scopes.
@@ -119,7 +87,7 @@ func (w *Watchdog) onEvent(e Event) {
 	var stalls []stall
 	w.mu.Lock()
 	w.grow(e.Scope)
-	w.lastSeen[e.Scope] = e.Time
+	w.lastSeen[e.Scope] = e.Start
 	w.seen[e.Scope] = true
 	w.stallFlagged[e.Scope] = false
 	if w.cfg.StallAfter > 0 {
@@ -127,7 +95,7 @@ func (w *Watchdog) onEvent(e Event) {
 			if id == e.Scope || id == w.own || !w.seen[id] || w.stallFlagged[id] {
 				continue
 			}
-			if idle := e.Time - w.lastSeen[id]; idle > w.cfg.StallAfter {
+			if idle := e.Start - w.lastSeen[id]; idle > w.cfg.StallAfter {
 				w.stallFlagged[id] = true
 				stalls = append(stalls, stall{id: id, idle: idle})
 			}
@@ -139,48 +107,5 @@ func (w *Watchdog) onEvent(e Event) {
 			String("stalled_scope", w.lg.ScopeName(s.id)),
 			Int("scope_id", int64(s.id)),
 			Float("idle_s", s.idle))
-	}
-}
-
-// onRecord advances the budget and recall detectors.
-func (w *Watchdog) onRecord(r ProbeRecord) {
-	var overrun, anomaly bool
-	var spent, detected int
-	w.mu.Lock()
-	w.spentTxs += r.Pending + r.Futures
-	if w.cfg.BudgetTxs > 0 && !w.budgetFired && w.spentTxs > w.cfg.BudgetTxs {
-		w.budgetFired = true
-		overrun = true
-		spent = w.spentTxs
-	}
-	if w.window != nil && r.Kind == KindPair && r.Verdict != VerdictSetupFailed {
-		w.window[w.wi] = r.Detected
-		w.wi = (w.wi + 1) % len(w.window)
-		if w.wn < len(w.window) {
-			w.wn++
-		}
-		if w.wn == len(w.window) && !w.recallFired {
-			for _, d := range w.window {
-				if d {
-					detected++
-				}
-			}
-			if rate := float64(detected) / float64(w.wn); rate < w.cfg.MinDetectRate {
-				w.recallFired = true
-				anomaly = true
-			}
-		}
-	}
-	w.mu.Unlock()
-	if overrun {
-		w.lg.Warn(MsgBudgetOverrun,
-			Int("budget_txs", int64(w.cfg.BudgetTxs)),
-			Int("spent_txs", int64(spent)))
-	}
-	if anomaly {
-		w.lg.Warn(MsgRecallAnomaly,
-			Int("window", int64(len(w.window))),
-			Int("detected", int64(detected)),
-			Float("min_rate", w.cfg.MinDetectRate))
 	}
 }

@@ -258,9 +258,9 @@ func TestAccountSpacesDisjoint(t *testing.T) {
 
 // TestRunPairsLedgerAttribution checks the cost-exactness invariant on every
 // built-in method: the campaign ledger's aggregation equals the strategy's
-// own cost counters (RunPairs enforces it; this pins it stays enforced), one
-// pair record per verdict, and an event log that carries the campaign
-// lifecycle.
+// own cost counters (records are deltas of those counters, so the sum
+// telescopes; this is where the identity is checked), one pair record per
+// verdict, and an event log that carries the campaign lifecycle.
 func TestRunPairsLedgerAttribution(t *testing.T) {
 	for _, m := range Methods() {
 		lg := obs.New(obs.Options{Level: obs.LevelDebug})
@@ -273,7 +273,8 @@ func TestRunPairsLedgerAttribution(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", m, err)
 		}
-		if got := out.LedgerCost(); got != out.Cost {
+		tot := out.Ledger.Totals()
+		if got := (Cost{PendingTxs: tot.Pending, FutureTxs: tot.Futures}); got != out.Cost {
 			t.Fatalf("%s: ledger aggregation %+v != cost counters %+v", m, got, out.Cost)
 		}
 		pairRecords := 0
@@ -290,11 +291,11 @@ func TestRunPairsLedgerAttribution(t *testing.T) {
 			t.Fatalf("%s: %d pair records for %d verdicts", m, pairRecords, len(out.Verdicts))
 		}
 		snap := lg.Snapshot()
-		if len(snap.Scopes) != 1 {
-			t.Fatalf("%s: %d scopes in event log, want 1", m, len(snap.Scopes))
+		if len(snap.Lanes) != 1 {
+			t.Fatalf("%s: %d scopes in event log, want 1", m, len(snap.Lanes))
 		}
-		evs := snap.Scopes[0].Events
-		if len(evs) < 2 || evs[0].Msg != core.MsgCampaignStarted || evs[len(evs)-1].Msg != core.MsgCampaignDone {
+		evs := snap.Lanes[0].Records
+		if len(evs) < 2 || evs[0].Name != core.MsgCampaignStarted || evs[len(evs)-1].Name != core.MsgCampaignDone {
 			t.Fatalf("%s: campaign lifecycle events missing: %d events", m, len(evs))
 		}
 	}

@@ -12,11 +12,17 @@ import (
 // order. Unlike the Chrome export it round-trips losslessly through
 // ReadJSONL, which is what the FuzzTraceJSONL target pins down.
 
+// The obs event log is written in a sibling format — same attribute
+// encoding, same line framing, other line kinds and key names — so the parts
+// both codecs share are exported from here: WireAttr/ToWire, Trace.Lane and
+// ScanJSONL. The line structs themselves stay one per format, because their
+// key names and omitempty sets differ and the bytes are contract.
+
 // jsonlVersion is bumped on incompatible line-schema changes.
 const jsonlVersion = 1
 
-// wireAttr is one attribute on the wire; exactly one payload field is set.
-type wireAttr struct {
+// WireAttr is one attribute on the wire; exactly one payload field is set.
+type WireAttr struct {
 	K string   `json:"k"`
 	S *string  `json:"s,omitempty"`
 	I *int64   `json:"i,omitempty"`
@@ -24,8 +30,20 @@ type wireAttr struct {
 	B *bool    `json:"b,omitempty"`
 }
 
-func toWireAttr(a Attr) wireAttr {
-	w := wireAttr{K: a.Key}
+// ToWire returns the record's attributes in wire form, nil when it has none.
+func ToWire(r *Record) []WireAttr {
+	if r.NAttrs == 0 {
+		return nil
+	}
+	out := make([]WireAttr, r.NAttrs)
+	for i, a := range r.AttrList() {
+		out[i] = toWireAttr(a)
+	}
+	return out
+}
+
+func toWireAttr(a Attr) WireAttr {
+	w := WireAttr{K: a.Key}
 	switch a.kind {
 	case attrInt:
 		n := a.num
@@ -43,7 +61,9 @@ func toWireAttr(a Attr) wireAttr {
 	return w
 }
 
-func fromWireAttr(w wireAttr) Attr {
+// Attr decodes the wire form; with no payload field set it is an empty
+// string attribute.
+func (w WireAttr) Attr() Attr {
 	switch {
 	case w.I != nil:
 		return Int(w.K, *w.I)
@@ -76,7 +96,7 @@ type jsonlLine struct {
 	End    float64    `json:"end"`
 	WallNs int64      `json:"wall_ns,omitempty"`
 	Open   bool       `json:"open,omitempty"`
-	Attrs  []wireAttr `json:"attrs,omitempty"`
+	Attrs  []WireAttr `json:"attrs,omitempty"`
 }
 
 // WriteJSONL writes the trace as JSON Lines: a header, then per lane a lane
@@ -96,6 +116,7 @@ func (t *Trace) WriteJSONL(w io.Writer) error {
 		for i := range l.Records {
 			r := &l.Records[i]
 			line := jsonlLine{
+				Kind:   "span",
 				Lane:   l.ID,
 				Name:   r.Name,
 				ID:     r.ID,
@@ -105,17 +126,10 @@ func (t *Trace) WriteJSONL(w io.Writer) error {
 				End:    r.End,
 				WallNs: r.WallNs,
 				Open:   r.Open,
+				Attrs:  ToWire(r),
 			}
 			if r.Kind == KindEvent {
 				line.Kind = "event"
-			} else {
-				line.Kind = "span"
-			}
-			if r.NAttrs > 0 {
-				line.Attrs = make([]wireAttr, r.NAttrs)
-				for j, a := range r.AttrList() {
-					line.Attrs[j] = toWireAttr(a)
-				}
 			}
 			if err := enc.Encode(line); err != nil {
 				return err
@@ -125,46 +139,58 @@ func (t *Trace) WriteJSONL(w io.Writer) error {
 	return bw.Flush()
 }
 
+// Lane returns the lane with the given id, appending an unnamed one when the
+// trace has none — how both readers keep lanes in first-seen order.
+func (t *Trace) Lane(id int) *LaneSnapshot {
+	// Records arrive grouped by lane, so the match is almost always the last.
+	for i := len(t.Lanes) - 1; i >= 0; i-- {
+		if t.Lanes[i].ID == id {
+			return &t.Lanes[i]
+		}
+	}
+	t.Lanes = append(t.Lanes, LaneSnapshot{ID: id})
+	return &t.Lanes[len(t.Lanes)-1]
+}
+
+// ScanJSONL decodes a JSON Lines stream one line at a time into a fresh T and
+// hands it to each. Blank lines are skipped; a malformed line or an error
+// from each ends the scan, reported with its 1-based line number as
+// "<pkg>: jsonl line N: ...".
+func ScanJSONL[T any](r io.Reader, pkg string, each func(line *T) error) error {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	for n := 1; sc.Scan(); n++ {
+		if len(sc.Bytes()) == 0 {
+			continue
+		}
+		var line T
+		err := json.Unmarshal(sc.Bytes(), &line)
+		if err == nil {
+			err = each(&line)
+		}
+		if err != nil {
+			return fmt.Errorf("%s: jsonl line %d: %w", pkg, n, err)
+		}
+	}
+	return sc.Err()
+}
+
 // ReadJSONL parses a JSONL trace stream back into a Trace. Lanes keep their
 // first-seen order and metadata; records keep file order within their lane.
 // Records for a lane with no preceding lane line get an implicit unnamed
 // lane. Unknown line kinds are an error, as is any malformed line.
 func ReadJSONL(r io.Reader) (*Trace, error) {
 	out := &Trace{}
-	laneIdx := make(map[int]int)
-	getLane := func(id int) *LaneSnapshot {
-		if i, ok := laneIdx[id]; ok {
-			return &out.Lanes[i]
-		}
-		out.Lanes = append(out.Lanes, LaneSnapshot{ID: id})
-		laneIdx[id] = len(out.Lanes) - 1
-		return &out.Lanes[len(out.Lanes)-1]
-	}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	n := 0
-	for sc.Scan() {
-		n++
-		raw := sc.Bytes()
-		if len(raw) == 0 {
-			continue
-		}
-		var line jsonlLine
-		if err := json.Unmarshal(raw, &line); err != nil {
-			return nil, fmt.Errorf("trace: jsonl line %d: %w", n, err)
-		}
+	err := ScanJSONL(r, "trace", func(line *jsonlLine) error {
 		switch line.Kind {
 		case "header":
 			out.Deterministic = line.Deterministic
 		case "lane":
-			l := getLane(line.Lane)
+			l := out.Lane(line.Lane)
 			l.Name = line.Name
 			l.Dropped = line.Dropped
 			l.Now = line.Now
 		case "span", "event":
-			if len(line.Attrs) > maxAttrs {
-				return nil, fmt.Errorf("trace: jsonl line %d: %d attrs exceeds the record limit %d", n, len(line.Attrs), maxAttrs)
-			}
 			rec := Record{
 				Name:   line.Name,
 				ID:     line.ID,
@@ -178,16 +204,20 @@ func ReadJSONL(r io.Reader) (*Trace, error) {
 			if line.Kind == "event" {
 				rec.Kind = KindEvent
 			}
-			for _, a := range line.Attrs {
-				rec.NAttrs = setAttr(&rec.Attrs, rec.NAttrs, fromWireAttr(a))
+			if len(line.Attrs) > MaxAttrs {
+				return fmt.Errorf("%d attrs exceeds the record limit %d", len(line.Attrs), MaxAttrs)
 			}
-			l := getLane(line.Lane)
+			for _, a := range line.Attrs {
+				rec.Set(a.Attr())
+			}
+			l := out.Lane(line.Lane)
 			l.Records = append(l.Records, rec)
 		default:
-			return nil, fmt.Errorf("trace: jsonl line %d: unknown kind %q", n, line.Kind)
+			return fmt.Errorf("unknown kind %q", line.Kind)
 		}
-	}
-	if err := sc.Err(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	return out, nil

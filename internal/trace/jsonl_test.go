@@ -108,7 +108,7 @@ func TestReadJSONLErrors(t *testing.T) {
 	cases := map[string]string{
 		"malformed":     "{not json}\n",
 		"unknown kind":  `{"kind":"mystery","lane":0}` + "\n",
-		"attr overflow": `{"kind":"event","lane":0,"name":"e","attrs":[` + strings.Repeat(`{"k":"a","i":1},`, maxAttrs) + `{"k":"z","i":1}]}` + "\n",
+		"attr overflow": `{"kind":"event","lane":0,"name":"e","attrs":[` + strings.Repeat(`{"k":"a","i":1},`, MaxAttrs) + `{"k":"z","i":1}]}` + "\n",
 	}
 	for name, in := range cases {
 		if _, err := ReadJSONL(strings.NewReader(in)); err == nil {
@@ -157,4 +157,46 @@ func TestJSONLSnapshotDuringRecording(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestLiveCallsNoClock: an engine's virtual clock is a plain field of the
+// goroutine that runs it, so a reader on another goroutine (the dashboard's
+// /trace/snapshot and /progress mid-census) must take Live, which never calls
+// a lane clock. Under -race, Snapshot in Live's place fails here.
+func TestLiveCallsNoClock(t *testing.T) {
+	tr := New(Options{Level: LevelMeasure, Deterministic: true})
+	now := 0.0 // owned by the recording goroutine, like sim.Engine's
+	tr.SetClock(func() float64 { return now })
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 2000; i++ {
+			now++
+			sp := tr.StartSpan(tsFiller)
+			now++
+			sp.End()
+		}
+		now++
+		tr.StartSpan(tsOuter) // left open
+		now++
+	}()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		l := tr.Live().Lanes
+		if len(l) == 1 && l[0].Now < l[0].Records[len(l[0].Records)-1].Start {
+			t.Fatalf("lane now %v is behind its newest record", l[0].Now)
+		}
+	}
+	// Recording has stopped: Live still reports the open span's start, the
+	// clock-reading Snapshot the time after it.
+	if got := tr.Live().Lanes[0].Now; got != 4001 {
+		t.Errorf("Live now = %v, want the latest record's reading 4001", got)
+	}
+	if got := tr.Snapshot().Lanes[0].Now; got != 4002 {
+		t.Errorf("Snapshot now = %v, want the clock's 4002", got)
+	}
 }

@@ -17,16 +17,24 @@
 //     produce byte-identical trace files.
 //   - Hot-path safety. A nil *Tracer no-ops every method behind a single
 //     branch — the disabled path allocates nothing. The enabled path writes
-//     into a per-lane ring buffer pre-allocated at lane creation, with attrs
-//     copied into fixed-size arrays; steady-state recording does not grow the
-//     heap. The ring is a flight recorder: when a campaign outgrows it, the
-//     oldest records drop (counted in Dropped) — deterministically, because
-//     each lane wraps on its own stream.
+//     into a per-lane ring buffer with attrs copied into fixed-size arrays.
+//     The ring grows by append up to Options.Capacity and wraps from there
+//     (lanes are pre-created one per region or sweep row and most stay short
+//     or empty, so none is paid for up front); once full, recording does not
+//     grow the heap. The ring is a flight recorder: when a campaign outgrows
+//     it, the oldest records drop (counted in Dropped) — deterministically,
+//     because each lane wraps on its own stream.
 //   - Concurrent lanes. A Tracer is a lane view over a shared sink. Each lane
 //     is confined to one goroutine (the engine-per-goroutine model of
 //     DESIGN.md §7) but guarded by a mutex so live HTTP snapshots can read a
-//     lane mid-run. Lanes created before a parallel fan-out get deterministic
-//     ids regardless of scheduling.
+//     lane mid-run (through Live, which calls no clock: the clock is the
+//     engine's and unsynchronized). Lanes created before a parallel fan-out
+//     get deterministic ids regardless of scheduling.
+//
+// The record defined here is the repository's one virtual-clock record. The
+// obs event log is a second, private sink of this package: its scopes are
+// lanes, its events records written by Log with a severity in Record.Level,
+// and its JSONL codec is built from the pieces jsonl.go exports.
 //
 // Typical wiring:
 //
@@ -137,9 +145,10 @@ func (a Attr) Value() interface{} {
 	return a.str
 }
 
-// maxAttrs bounds the attributes carried per record; extras are dropped
-// silently. Six covers every call site in the repository.
-const maxAttrs = 6
+// MaxAttrs bounds the attributes carried per record; extras are dropped
+// silently. Eight covers every call site in the repository (the tracking
+// tick-done log event carries seven).
+const MaxAttrs = 8
 
 // RecordKind discriminates ring records.
 type RecordKind uint8
@@ -156,9 +165,11 @@ const (
 // sequence number assigned when the span/event started — together they give
 // recorded timestamps a strict, replayable total order. WallNs is the span's
 // wall-clock duration (perf attribution only; zero in deterministic mode and
-// excluded from exports there).
+// excluded from exports there). Level is the severity of a record made by
+// Log (internal/obs owns the scale); spans and plain events carry 0.
 type Record struct {
 	Kind   RecordKind
+	Level  uint8
 	Name   string
 	ID     uint64 // span id, lane-local, 1-based; events share the space
 	Parent uint64 // enclosing span id, 0 = lane root
@@ -168,7 +179,7 @@ type Record struct {
 	WallNs int64
 	Open   bool // true in snapshots for spans not yet ended
 	NAttrs int
-	Attrs  [maxAttrs]Attr
+	Attrs  [MaxAttrs]Attr
 }
 
 // AttrList returns the record's attributes as a slice view.
@@ -184,19 +195,19 @@ func (r *Record) Attr(key string) (Attr, bool) {
 	return Attr{}, false
 }
 
-// setAttr inserts or overwrites an attribute in a fixed attr array.
-func setAttr(attrs *[maxAttrs]Attr, n int, a Attr) int {
-	for i := 0; i < n; i++ {
-		if attrs[i].Key == a.Key {
-			attrs[i] = a
-			return n
+// Set inserts the attribute, overwriting one with the same key; past
+// MaxAttrs distinct keys it is dropped.
+func (r *Record) Set(a Attr) {
+	for i := 0; i < r.NAttrs; i++ {
+		if r.Attrs[i].Key == a.Key {
+			r.Attrs[i] = a
+			return
 		}
 	}
-	if n < maxAttrs {
-		attrs[n] = a
-		return n + 1
+	if r.NAttrs < MaxAttrs {
+		r.Attrs[r.NAttrs] = a
+		r.NAttrs++
 	}
-	return n
 }
 
 // Options configures a tracer.
@@ -221,9 +232,8 @@ type sink struct {
 	det   bool
 	cap   int
 
-	mu     sync.Mutex
-	lanes  []*lane
-	nextID int
+	mu    sync.Mutex
+	lanes []*lane // a lane's id is its index
 }
 
 // lane is one recording track. All mutation happens under mu so live
@@ -233,29 +243,24 @@ type lane struct {
 	id    int
 	name  string
 	clock func() float64
+	last  float64 // the clock's latest reading, for Live
 
-	ring    []Record
-	n       uint64 // records ever written; slot = (n-1) % cap
-	dropped uint64
+	ring    []Record // grows by append to cap records, then wraps
+	cap     int
+	dropped uint64 // records overwritten since the ring filled
 
-	seq    uint64
-	nextID uint64
-	open   []openSpan
-	free   []int32
-	stack  []int32 // open-span slots, innermost last
+	seq   uint64 // records ever started; a record's Seq and its ID
+	open  []openSpan
+	free  []int32
+	stack []int32 // open-span slots, innermost last
 }
 
-// openSpan is a started, not-yet-ended span in a lane's slab.
+// openSpan is a started, not-yet-ended span in a lane's slab: the record as
+// far as it is known, with End and WallNs filled in when the span closes.
 type openSpan struct {
-	name      string
-	id        uint64
-	parent    uint64
-	seq       uint64
-	start     float64
+	rec       Record
 	wallStart int64
 	gen       uint32
-	nattrs    int
-	attrs     [maxAttrs]Attr
 }
 
 // Tracer is a lane view over a shared trace sink. The zero of its pointer
@@ -283,13 +288,7 @@ func New(o Options) *Tracer {
 
 func (s *sink) newLane(name string, clock func() float64) *Tracer {
 	s.mu.Lock()
-	l := &lane{
-		id:    s.nextID,
-		name:  name,
-		clock: clock,
-		ring:  make([]Record, s.cap),
-	}
-	s.nextID++
+	l := &lane{id: len(s.lanes), name: name, clock: clock, cap: s.cap}
 	s.lanes = append(s.lanes, l)
 	s.mu.Unlock()
 	return &Tracer{s: s, l: l}
@@ -336,21 +335,26 @@ func (t *Tracer) Deterministic() bool {
 	return t != nil && t.s.det
 }
 
+// now reads the lane's clock. The clock belongs to the recording goroutine —
+// an engine's virtual time is not synchronized — so only that goroutine, or
+// one that knows recording has stopped, may get here.
 func (l *lane) now() float64 {
-	if l.clock == nil {
-		return 0
+	l.last = 0
+	if l.clock != nil {
+		l.last = l.clock()
 	}
-	return l.clock()
+	return l.last
 }
 
-// push appends a record to the ring, dropping the oldest on wrap.
-func (l *lane) push(r Record) {
-	slot := l.n % uint64(len(l.ring))
-	if l.n >= uint64(len(l.ring)) {
-		l.dropped++
+// push returns the ring slot for the next record: a fresh one while the ring
+// is below capacity, the oldest record's once it is full.
+func (l *lane) push() *Record {
+	if len(l.ring) < l.cap {
+		l.ring = append(l.ring, Record{})
+		return &l.ring[len(l.ring)-1]
 	}
-	l.ring[slot] = r
-	l.n++
+	l.dropped++
+	return &l.ring[(l.dropped-1)%uint64(l.cap)]
 }
 
 // Span is a handle to a started span. The zero value (returned by a nil or
@@ -374,12 +378,6 @@ func (t *Tracer) StartSpan(name string, attrs ...Attr) Span {
 	}
 	l := t.l
 	l.mu.Lock()
-	l.seq++
-	l.nextID++
-	var parent uint64
-	if k := len(l.stack); k > 0 {
-		parent = l.open[l.stack[k-1]].id
-	}
 	var slot int32
 	if k := len(l.free); k > 0 {
 		slot = l.free[k-1]
@@ -390,23 +388,36 @@ func (t *Tracer) StartSpan(name string, attrs ...Attr) Span {
 	}
 	o := &l.open[slot]
 	gen := o.gen + 1
-	*o = openSpan{
-		name:   name,
-		id:     l.nextID,
-		parent: parent,
-		seq:    l.seq,
-		start:  l.now(),
-		gen:    gen,
-	}
+	*o = openSpan{gen: gen}
+	l.begin(&o.rec, KindSpan, name, attrs)
 	if !t.s.det {
 		o.wallStart = time.Now().UnixNano()
-	}
-	for _, a := range attrs {
-		o.nattrs = setAttr(&o.attrs, o.nattrs, a)
 	}
 	l.stack = append(l.stack, slot)
 	l.mu.Unlock()
 	return Span{l: l, det: t.s.det, slot: slot, gen: gen}
+}
+
+// begin fills a zeroed record's identity: the next sequence number and id,
+// the innermost open span as parent, the lane clock's now, the attributes.
+func (l *lane) begin(r *Record, kind RecordKind, name string, attrs []Attr) {
+	l.seq++
+	r.Kind, r.Name, r.ID, r.Seq, r.Start = kind, name, l.seq, l.seq, l.now()
+	if k := len(l.stack); k > 0 {
+		r.Parent = l.open[l.stack[k-1]].rec.ID
+	}
+	for _, a := range attrs {
+		r.Set(a)
+	}
+}
+
+// live returns the span's slab entry while the span is open, else nil. The
+// caller holds the lane lock.
+func (s Span) live() *openSpan {
+	if o := &s.l.open[s.slot]; o.gen == s.gen && o.rec.Name != "" {
+		return o
+	}
+	return nil
 }
 
 // ID returns the span's lane-scoped record id — the cross-link key other
@@ -419,8 +430,8 @@ func (s Span) ID() uint64 {
 	}
 	var id uint64
 	s.l.mu.Lock()
-	if o := &s.l.open[s.slot]; o.gen == s.gen && o.name != "" {
-		id = o.id
+	if o := s.live(); o != nil {
+		id = o.rec.ID
 	}
 	s.l.mu.Unlock()
 	return id
@@ -433,8 +444,8 @@ func (s Span) SetAttr(a Attr) {
 		return
 	}
 	s.l.mu.Lock()
-	if o := &s.l.open[s.slot]; o.gen == s.gen && o.name != "" {
-		o.nattrs = setAttr(&o.attrs, o.nattrs, a)
+	if o := s.live(); o != nil {
+		o.rec.Set(a)
 	}
 	s.l.mu.Unlock()
 }
@@ -448,8 +459,7 @@ func (s Span) End() {
 	}
 	l := s.l
 	l.mu.Lock()
-	o := &l.open[s.slot]
-	if o.gen != s.gen || o.name == "" {
+	if s.live() == nil {
 		l.mu.Unlock()
 		return
 	}
@@ -469,22 +479,13 @@ func (s Span) End() {
 // closeSlot finalizes one open slot into a ring record and recycles it.
 func (l *lane) closeSlot(slot int32, det bool) {
 	o := &l.open[slot]
-	r := Record{
-		Kind:   KindSpan,
-		Name:   o.name,
-		ID:     o.id,
-		Parent: o.parent,
-		Seq:    o.seq,
-		Start:  o.start,
-		End:    l.now(),
-		NAttrs: o.nattrs,
-		Attrs:  o.attrs,
-	}
+	r := l.push()
+	*r = o.rec
+	r.End = l.now()
 	if !det && o.wallStart != 0 {
 		r.WallNs = time.Now().UnixNano() - o.wallStart
 	}
-	l.push(r)
-	o.name = ""
+	o.rec.Name = ""
 	l.free = append(l.free, slot)
 }
 
@@ -494,34 +495,69 @@ func (t *Tracer) Event(name string, attrs ...Attr) {
 	if t == nil {
 		return
 	}
-	l := t.l
-	l.mu.Lock()
-	l.seq++
-	l.nextID++
-	r := Record{
-		Kind:  KindEvent,
-		Name:  name,
-		ID:    l.nextID,
-		Seq:   l.seq,
-		Start: l.now(),
+	t.l.mu.Lock()
+	t.l.event(0, name, attrs)
+	t.l.mu.Unlock()
+}
+
+// Log records a point event that carries a severity and returns a copy of it
+// — the one write path of the obs event log, whose scopes are lanes of a
+// private sink. Unlike Event names, log messages may be built at run time.
+func (t *Tracer) Log(level uint8, name string, attrs []Attr) Record {
+	if t == nil {
+		return Record{}
 	}
+	t.l.mu.Lock()
+	r := *t.l.event(level, name, attrs)
+	t.l.mu.Unlock()
+	return r
+}
+
+// event writes one point event straight into its ring slot.
+func (l *lane) event(level uint8, name string, attrs []Attr) *Record {
+	r := l.push()
+	*r = Record{Level: level}
+	l.begin(r, KindEvent, name, attrs)
 	r.End = r.Start
-	if k := len(l.stack); k > 0 {
-		r.Parent = l.open[l.stack[k-1]].id
+	return r
+}
+
+// ID returns the lane's id on its sink; -1 on a nil tracer.
+func (t *Tracer) ID() int {
+	if t == nil {
+		return -1
 	}
-	for _, a := range attrs {
-		r.NAttrs = setAttr(&r.Attrs, r.NAttrs, a)
+	return t.l.id
+}
+
+// LaneName returns the name of the sink's lane with the given id, or "".
+func (t *Tracer) LaneName(id int) string {
+	if t == nil {
+		return ""
 	}
-	l.push(r)
-	l.mu.Unlock()
+	t.s.mu.Lock()
+	defer t.s.mu.Unlock()
+	if id < 0 || id >= len(t.s.lanes) {
+		return ""
+	}
+	return t.s.lanes[id].name
 }
 
 // Snapshot copies the sink's current state — completed records plus every
 // still-open span (marked Open, End = the lane clock's now) — into an
-// exportable Trace. Safe to call while lanes are recording. Lanes with no
-// records are omitted, so pre-created-but-unused lanes never perturb
-// exports. A nil tracer snapshots to an empty trace.
-func (t *Tracer) Snapshot() *Trace {
+// exportable Trace. It reads every lane's clock, so it is for the goroutine
+// that drives those clocks or for after they have stopped (the end-of-run
+// export); anyone else takes Live. Lanes with no records are omitted, so
+// pre-created-but-unused lanes never perturb exports. A nil tracer snapshots
+// to an empty trace.
+func (t *Tracer) Snapshot() *Trace { return t.snapshot(true) }
+
+// Live is Snapshot for a goroutine other than the recording ones (an HTTP
+// handler mid-run): it calls no clock and takes each lane's now to be the
+// reading its latest record made. Safe to call while lanes are recording.
+func (t *Tracer) Live() *Trace { return t.snapshot(false) }
+
+func (t *Tracer) snapshot(readClocks bool) *Trace {
 	out := &Trace{}
 	if t == nil {
 		return out
@@ -532,26 +568,17 @@ func (t *Tracer) Snapshot() *Trace {
 	t.s.mu.Unlock()
 	for _, l := range lanes {
 		l.mu.Lock()
-		ls := LaneSnapshot{ID: l.id, Name: l.name, Dropped: l.dropped, Now: l.now()}
-		k := l.n
-		if k > uint64(len(l.ring)) {
-			k = uint64(len(l.ring))
+		ls := LaneSnapshot{ID: l.id, Name: l.name, Dropped: l.dropped, Now: l.last}
+		if readClocks {
+			ls.Now = l.now()
 		}
-		if k > 0 {
-			ls.Records = make([]Record, 0, k+uint64(len(l.stack)))
-			// Oldest-first ring walk; records land in completion order.
-			start := l.n - k
-			for i := uint64(0); i < k; i++ {
-				ls.Records = append(ls.Records, l.ring[(start+i)%uint64(len(l.ring))])
-			}
+		if k := len(l.ring) + len(l.stack); k > 0 {
+			// Ring order is irrelevant: sortRecords puts the copy in Seq order.
+			ls.Records = append(make([]Record, 0, k), l.ring...)
 		}
 		for _, slot := range l.stack {
-			o := &l.open[slot]
-			r := Record{
-				Kind: KindSpan, Name: o.name, ID: o.id, Parent: o.parent,
-				Seq: o.seq, Start: o.start, End: ls.Now, Open: true,
-				NAttrs: o.nattrs, Attrs: o.attrs,
-			}
+			r := l.open[slot].rec
+			r.End, r.Open = ls.Now, true
 			ls.Records = append(ls.Records, r)
 		}
 		l.mu.Unlock()

@@ -167,16 +167,75 @@ func TestRingWrapCountsDropped(t *testing.T) {
 	}
 }
 
+// TestRingGrowsToCapacity: a lane pays for the records it holds, not for its
+// capacity — lanes are pre-created one per region or sweep row and most stay
+// short or empty — and the window is right at every length on the way up to
+// the capacity, at it, and past it.
+func TestRingGrowsToCapacity(t *testing.T) {
+	tr, _ := newTestTracer(t, Options{Level: LevelMeasure, Deterministic: true, Capacity: 5})
+	idle := tr.Lane(tsSolo, nil)
+	for i := 1; i <= 12; i++ {
+		tr.Event(tsTick, Int("i", int64(i)))
+		l := tr.Snapshot().Lanes[0]
+		want, dropped := i, 0
+		if i > 5 {
+			want, dropped = 5, i-5
+		}
+		if len(l.Records) != want || l.Dropped != uint64(dropped) || len(tr.l.ring) != want {
+			t.Fatalf("after %d events: %d records, %d dropped, ring of %d; want %d, %d, %d",
+				i, len(l.Records), l.Dropped, len(tr.l.ring), want, dropped, want)
+		}
+		for j, r := range l.Records {
+			if a, _ := r.Attr("i"); a.Value() != int64(i-want+1+j) {
+				t.Fatalf("after %d events: record %d holds i=%v, want %d", i, j, a.Value(), i-want+1+j)
+			}
+		}
+	}
+	if idle.l.ring != nil {
+		t.Errorf("an unused lane holds a ring of %d", cap(idle.l.ring))
+	}
+}
+
+// TestLogCarriesLevelAndReturnsTheRecord: Log is Event with a severity, and
+// hands back exactly what it stored (the obs live sink renders that copy).
+func TestLogCarriesLevelAndReturnsTheRecord(t *testing.T) {
+	tr, c := newTestTracer(t, Options{Level: LevelMeasure, Deterministic: true})
+	lane := tr.Lane(tsSolo, c.now)
+	c.t = 2.5
+	sp := lane.StartSpan(tsOuter)
+	got := lane.Log(3, "built at run time", []Attr{Int("n", 7), Int("n", 8)})
+	lane.Event(tsTick)
+	sp.End()
+	recs := tr.Snapshot().Lanes[0].Records
+	if len(recs) != 3 || recs[1] != got {
+		t.Fatalf("stored %+v, returned %+v", recs, got)
+	}
+	if got.Kind != KindEvent || got.Level != 3 || got.Seq != 2 || got.Parent != recs[0].ID ||
+		got.Start != 2.5 || got.End != 2.5 || got.NAttrs != 1 {
+		t.Errorf("log record = %+v", got)
+	}
+	if recs[2].Level != 0 || recs[0].Level != 0 {
+		t.Errorf("spans and plain events must carry level 0: %+v", recs)
+	}
+	if lane.ID() != 1 || tr.ID() != 0 || tr.LaneName(1) != tsSolo || tr.LaneName(2) != "" || tr.LaneName(-1) != "" {
+		t.Errorf("lane ids/names: %d %d %q", lane.ID(), tr.ID(), tr.LaneName(1))
+	}
+	var off *Tracer
+	if off.Log(1, "x", nil) != (Record{}) || off.ID() != -1 || off.LaneName(0) != "" {
+		t.Error("nil tracer Log/ID/LaneName must no-op")
+	}
+}
+
 func TestMaxAttrsDropsExtras(t *testing.T) {
 	tr, _ := newTestTracer(t, Options{Level: LevelMeasure, Deterministic: true})
-	attrs := make([]Attr, maxAttrs+3)
+	attrs := make([]Attr, MaxAttrs+3)
 	for i := range attrs {
 		attrs[i] = Int(strings.Repeat("k", i+1), int64(i))
 	}
 	tr.Event(tsTick, attrs...)
 	r := tr.Snapshot().Lanes[0].Records[0]
-	if r.NAttrs != maxAttrs {
-		t.Errorf("NAttrs = %d, want %d", r.NAttrs, maxAttrs)
+	if r.NAttrs != MaxAttrs {
+		t.Errorf("NAttrs = %d, want %d", r.NAttrs, MaxAttrs)
 	}
 }
 

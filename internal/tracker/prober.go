@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"toposhot/internal/core"
-	"toposhot/internal/strategy"
 	"toposhot/internal/types"
 )
 
@@ -103,36 +102,6 @@ func (p *GroupedProber) ProbePairs(pairs [][2]types.NodeID) ([]ProbeResult, erro
 			results[verdict[pairKey(e.Source, e.Sink)]].Failed = true
 		}
 		remaining = append([][2]types.NodeID(nil), deferred...)
-	}
-	return results, nil
-}
-
-// StrategyProber adapts any strategy.Strategy (dethna, txprobe, ethna, or
-// toposhot itself in per-pair mode) to the tracker's Prober interface: one
-// Prepare over the planned pairs, then per-pair claims. It lets the tracker
-// ride the cheaper-but-noisier probe methods unchanged.
-type StrategyProber struct {
-	s strategy.Strategy
-}
-
-// NewStrategyProber wraps a strategy.
-func NewStrategyProber(s strategy.Strategy) *StrategyProber { return &StrategyProber{s: s} }
-
-// Strategy returns the wrapped strategy (name, cost).
-func (p *StrategyProber) Strategy() strategy.Strategy { return p.s }
-
-// ProbePairs implements Prober.
-func (p *StrategyProber) ProbePairs(pairs [][2]types.NodeID) ([]ProbeResult, error) {
-	if err := p.s.Prepare(pairs); err != nil {
-		return nil, err
-	}
-	results := make([]ProbeResult, len(pairs))
-	for i, pr := range pairs {
-		c, err := p.s.MeasurePair(pr[0], pr[1])
-		if err != nil {
-			return nil, err
-		}
-		results[i] = ProbeResult{A: pr[0], B: pr[1], Present: c.Detected}
 	}
 	return results, nil
 }

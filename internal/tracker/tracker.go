@@ -81,8 +81,7 @@ type ProbeResult struct {
 }
 
 // Prober measures a batch of candidate pairs. Implementations: the grouped
-// core.MeasurePar prober (production), any strategy.Strategy via
-// StrategyProber, or a test oracle.
+// core.MeasurePar prober (production) or a test oracle.
 type Prober interface {
 	ProbePairs(pairs [][2]types.NodeID) ([]ProbeResult, error)
 }
