@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet lint lint-sarif test race check bench bench-smoke bench-compare fuzz
+.PHONY: build vet lint lint-sarif test race check bench bench-smoke bench-compare fuzz loc
 
 build:
 	$(GO) build ./...
@@ -8,11 +8,12 @@ build:
 vet:
 	$(GO) vet ./...
 
-# lint runs the project-specific analyzers (see internal/lint and DESIGN.md
-# §6/§11): determinism, lock discipline, wire-error hygiene, big.Int aliasing,
-# nil-safe handles (metrics instruments; trace recorders and the obs logger
-# and ledger), constant span names, plus the interprocedural lock-order,
-# goroutine-leak, and hot-path-allocation rules. Non-zero exit on any finding.
+# lint runs the seven project-specific analyzers (see internal/lint and
+# DESIGN.md §6/§11): determinism, lock discipline (no blocking call and no
+# second mutex under a lock), wire-error hygiene, nil-safe handles (metrics
+# instruments; trace recorders and the obs logger and ledger), constant span
+# names, and the map-iteration and allocation bans inside every function
+# marked //toposhot:hotpath. Non-zero exit on any finding.
 lint:
 	$(GO) run ./cmd/toposhotlint ./...
 
@@ -51,8 +52,8 @@ bench-smoke:
 bench-compare:
 	$(GO) run ./cmd/benchcompare $(OLD) $(NEW)
 
-# fuzz gives the protocol decoders a short native-fuzz shake (CI runs the
-# same targets in a non-blocking job).
+# fuzz gives the protocol decoders a short native-fuzz shake; this is the one
+# list of targets (CI's non-blocking fuzz job runs `make fuzz`).
 fuzz:
 	$(GO) test -fuzz=FuzzRLPDecode -fuzztime=30s ./internal/rlp/
 	$(GO) test -fuzz=FuzzFrameParse -fuzztime=30s ./internal/wire/
@@ -61,3 +62,12 @@ fuzz:
 	$(GO) test -fuzz=FuzzTraceJSONL -fuzztime=30s ./internal/trace/
 	$(GO) test -fuzz=FuzzObsJSONL -fuzztime=30s ./internal/obs/
 	$(GO) test -fuzz=FuzzDynamicGraph -fuzztime=30s ./internal/graph/
+
+# loc prints the non-test, non-fixture Go lines per package and in total: the
+# number "small" is measured by.
+LOC_FIND = -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*'
+loc:
+	@for d in internal/* cmd/*; do \
+		printf '%6d %s\n' "$$(find $$d $(LOC_FIND) | xargs cat | wc -l)" $$d; \
+	done
+	@printf '%6d total\n' "$$(find internal cmd $(LOC_FIND) | xargs cat | wc -l)"

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	toposhotlint [-rules rule1,rule2] [-list] [-json] [-sarif file]
-//	             [-github] [-no-tests] [-parallel n] [packages...]
+//	             [-github] [-no-tests] [packages...]
 //
 // Packages default to ./... . Findings print one per line as
 // "file:line: [rule] message"; -json switches stdout to a JSON array, -sarif
@@ -17,6 +17,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -27,7 +28,7 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(args []string, stdout, stderr *os.File) int {
+func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("toposhotlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	rules := fs.String("rules", "", "comma-separated subset of rules to run (default: all)")
@@ -36,9 +37,8 @@ func run(args []string, stdout, stderr *os.File) int {
 	sarifPath := fs.String("sarif", "", "also write a SARIF 2.1.0 log to this file")
 	github := fs.Bool("github", false, "emit GitHub Actions ::error annotations for findings")
 	noTests := fs.Bool("no-tests", false, "exclude _test.go files from analysis")
-	parallel := fs.Int("parallel", 0, "analysis pool width (0 = number of CPUs); output is identical at any width")
 	fs.Usage = func() {
-		fmt.Fprintln(stderr, "usage: toposhotlint [-rules rule1,rule2] [-list] [-json] [-sarif file] [-github] [-no-tests] [-parallel n] [packages...]")
+		fmt.Fprintln(stderr, "usage: toposhotlint [-rules rule1,rule2] [-list] [-json] [-sarif file] [-github] [-no-tests] [packages...]")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -53,7 +53,6 @@ func run(args []string, stdout, stderr *os.File) int {
 	opts := lint.Options{
 		Patterns: fs.Args(),
 		NoTests:  *noTests,
-		Parallel: *parallel,
 	}
 	if *rules != "" {
 		for _, r := range strings.Split(*rules, ",") {

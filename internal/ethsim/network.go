@@ -401,9 +401,6 @@ func (n *Network) Nodes() []*Node {
 	return append([]*Node(nil), n.nodes...)
 }
 
-// NumNodes returns the node count.
-func (n *Network) NumNodes() int { return len(n.nodes) }
-
 // Connect establishes a bidirectional active link between two nodes. It is
 // idempotent and refuses self-links.
 func (n *Network) Connect(a, b types.NodeID) error {
@@ -496,6 +493,8 @@ func (n *Network) freeMsg(i int32) {
 
 // takeBatch returns the index of a pooled flush batch holding one reference,
 // the caller's, which it gives up with releaseBatch.
+//
+//toposhot:hotpath
 func (n *Network) takeBatch() int32 {
 	var bi int32
 	if k := len(n.batchFree); k > 0 {
@@ -511,6 +510,8 @@ func (n *Network) takeBatch() int32 {
 
 // releaseBatch drops one reference to a flush batch — a delivered or dropped
 // message's, or the flush's own — and recycles the batch when it was the last.
+//
+//toposhot:hotpath
 func (n *Network) releaseBatch(bi int32) {
 	b := &n.batches[bi]
 	if b.refs--; b.refs == 0 {
@@ -522,6 +523,8 @@ func (n *Network) releaseBatch(bi int32) {
 // link up in the sender's adjacency segment. Requests, replies and
 // injections come this way; a flush already holds the slot and calls
 // routeVia directly.
+//
+//toposhot:hotpath
 func (n *Network) route(i int32) {
 	m := &n.msgs[i]
 	slot := -1
@@ -540,6 +543,8 @@ func (n *Network) route(i int32) {
 // float per live directed link — falling back to the overflow map (slot < 0)
 // only for links outside the arena. Scheduling is allocation-free: the event
 // carries the network as handler and the arena index as argument.
+//
+//toposhot:hotpath
 func (n *Network) routeVia(i int32, slot int) {
 	m := &n.msgs[i]
 	lat := n.eng.Jitter(n.cfg.LatencyBase, n.cfg.LatencyTail, n.cfg.LatencyMax)
@@ -571,6 +576,8 @@ func (n *Network) routeVia(i int32, slot int) {
 // HandleEvent implements sim.Handler: it dispatches the network's typed
 // engine events on the kind tag in the argument's top byte — message
 // firings, coalesced gossip flushes, janitor ticks, and workload arrivals.
+//
+//toposhot:hotpath
 func (n *Network) HandleEvent(arg uint64) {
 	switch arg >> argKindShift {
 	case argKindMsg:
@@ -591,6 +598,8 @@ func (n *Network) HandleEvent(arg uint64) {
 // event into a routed delivery, or delivering the payload to its destination
 // node. Messages to unresponsive nodes are dropped at delivery time, exactly
 // like the packet loss of a dead peer.
+//
+//toposhot:hotpath
 func (n *Network) handleMsg(i int32) {
 	if n.msgs[i].kind == msgInject {
 		// The batch leaves the supernode now; sample its link latency and
@@ -642,10 +651,6 @@ func (n *Network) handleMsg(i int32) {
 	n.freeMsg(i)
 }
 
-// Run advances the simulation until the event queue drains or the budget is
-// exhausted.
-func (n *Network) Run(budget int) { n.eng.Run(budget) }
-
 // RunFor advances virtual time by d seconds.
 func (n *Network) RunFor(d float64) { n.eng.RunUntil(n.eng.Now() + d) }
 
@@ -653,6 +658,8 @@ func (n *Network) RunFor(d float64) { n.eng.RunUntil(n.eng.Now() + d) }
 // and prunes expired announcement locks. The lock sweep is incremental:
 // each node pops the expired prefix of its expiry-ordered lock ring instead
 // of scanning its whole lock map per tick.
+//
+//toposhot:hotpath
 func (n *Network) TickPools() {
 	now := n.eng.Now()
 	for _, nd := range n.nodes {

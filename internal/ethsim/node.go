@@ -135,12 +135,16 @@ func (nd *Node) Pool() *txpool.Pool { return nd.pool }
 // peersSeg returns the node's live adjacency segment: peer ids sorted
 // ascending. The slice aliases the shared arena — valid until the next
 // addPeer anywhere on the network.
+//
+//toposhot:hotpath
 func (nd *Node) peersSeg() []types.NodeID {
 	return nd.net.adjIDs[nd.peerOff : nd.peerOff+nd.peerCnt]
 }
 
 // marksSeg returns the node's per-directed-link FIFO watermarks, parallel to
 // peersSeg.
+//
+//toposhot:hotpath
 func (nd *Node) marksSeg() []float64 {
 	return nd.net.adjMark[nd.peerOff : nd.peerOff+nd.peerCnt]
 }
@@ -161,6 +165,8 @@ func (nd *Node) AtCapacity() bool { return int(nd.peerCnt) >= nd.cfg.MaxPeers }
 // peerPos returns the position of id within the node's sorted segment, or
 // -1. The binary search is hand-rolled (no sort.Search closure) because it
 // runs per routed message.
+//
+//toposhot:hotpath
 func (nd *Node) peerPos(id types.NodeID) int {
 	ids := nd.net.adjIDs
 	lo, hi := int(nd.peerOff), int(nd.peerOff+nd.peerCnt)
@@ -269,6 +275,8 @@ func (nd *Node) SubmitLocal(tx *types.Transaction) txpool.Result {
 // deliverTxs handles a Transactions message from peer `from`. Transactions
 // arriving in one message propagate onward as one batched message per peer,
 // matching devp2p's batched Transactions frames.
+//
+//toposhot:hotpath
 func (nd *Node) deliverTxs(from types.NodeID, txs []*types.Transaction) {
 	out := nd.scratchOut[:0]
 	for _, tx := range txs {
@@ -279,6 +287,8 @@ func (nd *Node) deliverTxs(from types.NodeID, txs []*types.Transaction) {
 
 // deliverBatch is deliverTxs for a message whose payload is a flush's shared
 // batch: the items the sender excluded for this node are not part of it.
+//
+//toposhot:hotpath
 func (nd *Node) deliverBatch(from types.NodeID, items []outItem) {
 	out := nd.scratchOut[:0]
 	for i := range items {
@@ -291,6 +301,8 @@ func (nd *Node) deliverBatch(from types.NodeID, items []outItem) {
 
 // receiveTx offers one delivered transaction to the pool, fires the
 // observation hooks, and appends what the admission made propagatable.
+//
+//toposhot:hotpath
 func (nd *Node) receiveTx(from types.NodeID, tx *types.Transaction, out []*types.Transaction) []*types.Transaction {
 	rcpt := TxReceipt{From: from, Tx: tx, At: nd.net.Now()}
 	if nd.OnTxDelivered != nil {
@@ -311,6 +323,8 @@ func (nd *Node) receiveTx(from types.NodeID, tx *types.Transaction, out []*types
 
 // relay queues what one delivery made propagatable and hands the scratch
 // buffer back.
+//
+//toposhot:hotpath
 func (nd *Node) relay(from types.NodeID, out []*types.Transaction) {
 	if len(out) > 0 && !nd.cfg.NoForward {
 		nd.propagate(from, out)
@@ -335,6 +349,8 @@ func (nd *Node) traceOffer(res txpool.Result) {
 }
 
 // appendPropagatable appends what an admission makes eligible for gossip.
+//
+//toposhot:hotpath
 func (nd *Node) appendPropagatable(out []*types.Transaction, tx *types.Transaction, res txpool.Result) []*types.Transaction {
 	switch res.Status {
 	case txpool.StatusPending:
@@ -365,6 +381,8 @@ type outItem struct {
 // schedules exactly one flush; everything arriving before it fires rides the
 // same batch. The flush is a kind-tagged handler event carrying the dense
 // node index (checkpoint-serializable, no closure).
+//
+//toposhot:hotpath
 func (nd *Node) propagate(exclude types.NodeID, txs []*types.Transaction) {
 	if len(txs) == 0 {
 		return
@@ -388,6 +406,8 @@ func (nd *Node) propagate(exclude types.NodeID, txs []*types.Transaction) {
 // reference-counted flushBatch that every message of the flush points at;
 // each receiver skips the items excluded for it — so a flush copies nothing
 // per peer and a steady gossip flood allocates nothing here.
+//
+//toposhot:hotpath
 func (nd *Node) flush() {
 	nd.flushScheduled = false
 	q := nd.outQ
@@ -442,6 +462,8 @@ func (nd *Node) flush() {
 
 // addressedTo counts the items of a flush batch that go to peer: all but
 // those that arrived from it. (Only the engine trace needs the number.)
+//
+//toposhot:hotpath
 func addressedTo(items []outItem, peer types.NodeID) int {
 	n := 0
 	for i := range items {
@@ -458,6 +480,8 @@ func addressedTo(items []outItem, peer types.NodeID) int {
 // When the announcement rides a flush's shared batch, items is the batch
 // (parallel to hashes) and the hashes excluded for this node are skipped;
 // items is nil for a private payload.
+//
+//toposhot:hotpath
 func (nd *Node) deliverAnnounce(from types.NodeID, hashes []types.Hash, items []outItem) {
 	net := nd.net
 	now := net.Now()
@@ -512,6 +536,8 @@ func (nd *Node) armAnnounceLock(h types.Hash, until float64) {
 // deliverRequest answers a GetPooledTransactions request with whatever of
 // the asked hashes is still buffered, assembling the reply in a pooled
 // message buffer.
+//
+//toposhot:hotpath
 func (nd *Node) deliverRequest(from types.NodeID, hashes []types.Hash) {
 	net := nd.net
 	mi := net.msgTo(msgTxs, nd.id, from)
@@ -538,6 +564,8 @@ func (nd *Node) deliverRequest(from types.NodeID, hashes []types.Hash) {
 // A hash re-armed after expiry leaves its stale entry behind; the map holds
 // the authoritative deadline, so stale entries whose hash was re-armed are
 // skipped (lazy deletion) and collected by the later entry.
+//
+//toposhot:hotpath
 func (nd *Node) sweepAnnounceLocks(now float64) {
 	q := nd.lockQ
 	head := nd.lockQHead

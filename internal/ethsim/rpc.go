@@ -58,12 +58,3 @@ func (r RPC) TxpoolStatus() (pending, future int, err error) {
 	}
 	return r.n.pool.PendingCount(), r.n.pool.FutureCount(), nil
 }
-
-// PendingPrices returns the gas prices of the node's pending transactions,
-// feeding the median-price estimator for Y (§5.2.1).
-func (r RPC) PendingPrices() ([]uint64, error) {
-	if r.n.cfg.Unresponsive {
-		return nil, ErrUnresponsive
-	}
-	return r.n.pool.PendingPrices(), nil
-}

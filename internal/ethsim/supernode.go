@@ -322,9 +322,3 @@ func (s *Supernode) PossessedBy(peer types.NodeID, h types.Hash, t float64) bool
 	}
 	return false
 }
-
-// ResetObservations clears recorded receipts (between measurement rounds).
-func (s *Supernode) ResetObservations() {
-	s.byHash = make(map[types.Hash][]TxReceipt)
-	s.announced = make(map[types.Hash][]TxReceipt)
-}

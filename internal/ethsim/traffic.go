@@ -69,12 +69,6 @@ func NewWorkload(net *Network, rate float64, priceLo, priceHi uint64) *Workload 
 	return w
 }
 
-// Workloads returns the workloads attached to the network, in creation
-// order.
-func (n *Network) Workloads() []*Workload {
-	return append([]*Workload(nil), n.workloads...)
-}
-
 // account returns the i-th sender account of this workload.
 func (w *Workload) account(i int) types.Address {
 	return types.AddressFromUint64(w.accountBase | uint64(i))

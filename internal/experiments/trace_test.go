@@ -17,7 +17,12 @@ type offerEv struct {
 	tx         *types.Transaction
 }
 
-func TestTraceFalsePositive(t *testing.T) {
+// fpCensus builds the seeded N=200 world and runs the K=20 census over it.
+// A non-nil trail installs the offer hook, recording up to 3 000 offers per
+// transaction hash; the hook only observes, so the census is the same run
+// either way.
+func fpCensus(t *testing.T, trail map[types.Hash][]offerEv) (*core.ScheduleResult, *core.EdgeSet, types.NodeID) {
+	t.Helper()
 	cfg := RopstenCensus(42)
 	cfg.Grow.N = 200
 	cfg.Het = netgen.Uniform()
@@ -36,11 +41,12 @@ func TestTraceFalsePositive(t *testing.T) {
 	super.ConnectAll()
 	super.SetEstimatorPolicy(txpool.Geth.WithCapacity(512).WithExpiry(censusExpiry))
 	net.StartJanitor(30)
-	trace := make(map[types.Hash][]offerEv)
-	net.OnOffer = func(node, from types.NodeID, tx *types.Transaction, status string) {
-		h := tx.Hash()
-		if len(trace[h]) < 3000 {
-			trace[h] = append(trace[h], offerEv{node, from, status, net.Now(), tx})
+	if trail != nil {
+		net.OnOffer = func(node, from types.NodeID, tx *types.Transaction, status string) {
+			h := tx.Hash()
+			if len(trail[h]) < 3000 {
+				trail[h] = append(trail[h], offerEv{node, from, status, net.Now(), tx})
+			}
 		}
 	}
 	w := ethsim.NewWorkload(net, 0.2, types.Gwei/10, 2*types.Gwei)
@@ -53,7 +59,35 @@ func TestTraceFalsePositive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	truth := core.EdgeSetOf(net.Edges())
+	return res, core.EdgeSetOf(net.Edges()), super.ID()
+}
+
+// TestTraceFalsePositive is the regression guard for the drain-rate fix:
+// isolation must hold at this scale and schedule (K=20, n=200). The offer
+// trail that explains a false positive costs more than the census itself to
+// record, so it is recorded only when there is one to explain: the same
+// seeded world is rebuilt with the hook on and the first few trails printed.
+func TestTraceFalsePositive(t *testing.T) {
+	res, truth, superID := fpCensus(t, nil)
+	sc := core.ScoreAgainst(res.Detected, truth, func(id types.NodeID) bool { return id != superID })
+	t.Logf("score %v", sc)
+	if sc.FalsePositives > 0 {
+		trail := make(map[types.Hash][]offerEv)
+		res, truth, _ = fpCensus(t, trail)
+		logFalsePositiveTrails(t, res, truth, trail)
+	}
+	if sc.Precision() < 0.99 {
+		t.Errorf("precision regressed: %v", sc)
+	}
+	if sc.Recall() < 0.95 {
+		t.Errorf("recall regressed: %v", sc)
+	}
+}
+
+// logFalsePositiveTrails prints, for up to three falsely detected edges, where
+// txA was admitted (the leak path) and what its sender's sibling transactions
+// did on those nodes.
+func logFalsePositiveTrails(t *testing.T, res *core.ScheduleResult, truth *core.EdgeSet, trace map[types.Hash][]offerEv) {
 	shown := 0
 	for _, e := range res.Detected.Edges() {
 		if truth.Has(e[0], e[1]) || shown >= 3 {
@@ -87,16 +121,5 @@ func TestTraceFalsePositive(t *testing.T) {
 				}
 			}
 		}
-	}
-	superID := super.ID()
-	sc := core.ScoreAgainst(res.Detected, truth, func(id types.NodeID) bool { return id != superID })
-	t.Logf("score %v", sc)
-	// Regression guard for the drain-rate fix: isolation must hold at this
-	// scale and schedule (K=20, n=200).
-	if sc.Precision() < 0.99 {
-		t.Errorf("precision regressed: %v", sc)
-	}
-	if sc.Recall() < 0.95 {
-		t.Errorf("recall regressed: %v", sc)
 	}
 }

@@ -6,9 +6,6 @@ package graph
 // counts, which can be very large on dense graphs; budget > 0 stops the
 // enumeration early and returns the budget as a lower bound. budget ≤ 0
 // means unlimited.
-func CountMaximalCliques(g *Graph, budget int) int { return g.CountMaximalCliques(budget) }
-
-// CountMaximalCliques counts maximal cliques with an optional budget.
 func (g *Graph) CountMaximalCliques(budget int) int {
 	count := 0
 	g.enumerateCliques(budget, func([]int) bool {

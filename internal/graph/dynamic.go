@@ -287,6 +287,8 @@ func (d *Dynamic) Snapshot() *Graph {
 // dynAdjPos returns the position of sv in su's sorted neighbor slice, or -1.
 // Hand-rolled binary search: it runs per probed pair on the tracker's tick
 // path, where a sort.Search closure would allocate.
+//
+//toposhot:hotpath
 func (d *Dynamic) dynAdjPos(su, sv int32) int {
 	nbrs := d.adj[su]
 	lo, hi := 0, len(nbrs)
@@ -305,6 +307,8 @@ func (d *Dynamic) dynAdjPos(su, sv int32) int {
 }
 
 // dynAdjInsert inserts sv into su's sorted neighbor slice.
+//
+//toposhot:hotpath
 func (d *Dynamic) dynAdjInsert(su, sv int32) {
 	nbrs := d.adj[su]
 	lo, hi := 0, len(nbrs)
@@ -323,6 +327,8 @@ func (d *Dynamic) dynAdjInsert(su, sv int32) {
 }
 
 // dynAdjRemove deletes sv from su's sorted neighbor slice (it must exist).
+//
+//toposhot:hotpath
 func (d *Dynamic) dynAdjRemove(su, sv int32) {
 	i := d.dynAdjPos(su, sv)
 	nbrs := d.adj[su]
@@ -331,6 +337,8 @@ func (d *Dynamic) dynAdjRemove(su, sv int32) {
 }
 
 // dynNbrDegSum returns Σ degree(w) over su's neighbors.
+//
+//toposhot:hotpath
 func (d *Dynamic) dynNbrDegSum(su int32) int64 {
 	var sum int64
 	for _, w := range d.adj[su] {
@@ -342,6 +350,8 @@ func (d *Dynamic) dynNbrDegSum(su int32) int64 {
 // dynCommonAdjust walks the two sorted neighbor slices, shifts the triangle
 // count of every common neighbor by delta, and returns the number of common
 // neighbors — the triangles the edge {su,sv} closes or opens.
+//
+//toposhot:hotpath
 func (d *Dynamic) dynCommonAdjust(su, sv int32, delta int64) int64 {
 	a, b := d.adj[su], d.adj[sv]
 	var count int64
@@ -364,6 +374,8 @@ func (d *Dynamic) dynCommonAdjust(su, sv int32, delta int64) int64 {
 
 // dynDegShift moves one vertex's degree-histogram count from degree `from`
 // to degree `to` (-1 skips the decrement, for brand-new vertices).
+//
+//toposhot:hotpath
 func (d *Dynamic) dynDegShift(from, to int) {
 	for len(d.degCnt) <= to {
 		d.degCnt = append(d.degCnt, 0)
@@ -378,6 +390,8 @@ func (d *Dynamic) dynDegShift(from, to int) {
 // The moment deltas use pre-insertion degrees du, dv: every existing
 // directed pair touching su or sv sees one endpoint degree rise by one, and
 // the new edge contributes its own (du+1)·(dv+1) product.
+//
+//toposhot:hotpath
 func (d *Dynamic) dynApplyAdd(su, sv int32) {
 	du := int64(len(d.adj[su]))
 	dv := int64(len(d.adj[sv]))
@@ -407,6 +421,8 @@ func (d *Dynamic) dynApplyAdd(su, sv int32) {
 // union-find, which cannot split, is kept only if su still reaches sv
 // afterwards and rebuilt from scratch otherwise (the rebuild-on-delete
 // fallback — deletes that disconnect are the rare case).
+//
+//toposhot:hotpath
 func (d *Dynamic) dynApplyRemove(su, sv int32) {
 	c := d.dynCommonAdjust(su, sv, -1)
 	d.tri[su] -= c
@@ -431,6 +447,8 @@ func (d *Dynamic) dynApplyRemove(su, sv int32) {
 }
 
 // dynFind returns su's union-find root, with path halving.
+//
+//toposhot:hotpath
 func (d *Dynamic) dynFind(su int32) int32 {
 	for d.parent[su] != su {
 		d.parent[su] = d.parent[d.parent[su]]
@@ -440,6 +458,8 @@ func (d *Dynamic) dynFind(su int32) int32 {
 }
 
 // dynUnion links two distinct roots by size and updates the component count.
+//
+//toposhot:hotpath
 func (d *Dynamic) dynUnion(ra, rb int32) {
 	if d.usize[ra] < d.usize[rb] {
 		ra, rb = rb, ra
@@ -452,6 +472,8 @@ func (d *Dynamic) dynUnion(ra, rb int32) {
 // dynReach reports whether `to` is reachable from `from` by BFS over the
 // post-deletion adjacency. The queue and the epoch-stamped visited array are
 // pooled on the struct, so the walk allocates nothing in steady state.
+//
+//toposhot:hotpath
 func (d *Dynamic) dynReach(from, to int32) bool {
 	d.epoch++
 	if d.epoch == 0 { // stamp wrap: invalidate all marks once per 2³² walks

@@ -34,16 +34,6 @@ func (p *Partition) Communities() map[int][]int {
 	return out
 }
 
-// CommunitySizes returns community sizes, largest first.
-func (p *Partition) CommunitySizes() []int {
-	var sizes []int
-	for _, members := range p.Communities() {
-		sizes = append(sizes, len(members))
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(sizes)))
-	return sizes
-}
-
 // Modularity computes Newman modularity Q of the partition on g:
 // Q = Σ_c [ e_c/m − (d_c/2m)² ] with e_c intra-community edges and d_c the
 // community degree sum.

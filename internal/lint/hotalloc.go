@@ -11,60 +11,17 @@ var analyzerHotAlloc = &Analyzer{
 	Run:  runHotAlloc,
 }
 
-// simHotFuncs names the engine functions on the per-event scheduling path:
-// the schedule and step entry points, the time wheel's filing, refill and
-// far-heap functions (DESIGN.md §8), and the sorts refill runs — a closure
-// comparator there would be one allocation per bucket. PermInto is the
-// buffer-reusing permutation gossip draws once per flush; Perm, which
-// allocates its result, is left out and has no per-event caller. The
-// sampling helpers (Jitter, Poisson, Uniform) run per event too but allocate
-// nothing by construction.
-var simHotFuncs = map[string]bool{
-	"AtHandler": true, "AfterHandler": true, "AtHandlerLane": true,
-	"schedule": true, "file": true, "insertFront": true,
-	"moveWindow": true, "setCur": true, "nextOccupied": true,
-	"refill": true, "insertionSort": true, "compareItems": true, "before": true,
-	"pushFar": true, "popFar": true,
-	"Step": true, "stepUntil": true, "Run": true, "RunUntil": true, "Pending": true,
-	"PermInto": true,
-}
-
-// hotAllocFunc reports whether a function is on the allocation-free hot
-// path: the engine scheduling functions plus the ethsim delivery-path set
-// shared with nodeterminism's map-iteration ban.
-func hotAllocFunc(name string) bool {
-	return simHotFuncs[name] || deliveryPathFuncs[name]
-}
-
-// runHotAlloc enforces the allocation bans inside hot-path function bodies
-// in the sim/ethsim packages and inside the O(Δ) tick-path functions of the
-// graph and tracker packages. The bans mirror what the hot-path overhaul
-// (DESIGN.md §8) bought — and what keeps the incremental tracker's tick cost
-// proportional to the delta (DESIGN.md §13): every closure, map/slice
-// literal, growing append on a fresh local, or interface boxing of a
-// non-pointer value is one allocation per event, per message, or per
+// runHotAlloc enforces the allocation bans inside every function carrying
+// //toposhot:hotpath: the engine's schedule/step path and ethsim's delivery
+// path (DESIGN.md §8), txpool's admission path (§15), and the O(Δ) tick path
+// of graph.Dynamic and the tracker (§13). Every closure, map/slice literal,
+// growing append on a fresh local, or interface boxing of a non-pointer value
+// there is one allocation per event, per message, per admission, or per
 // tracked change.
 func runHotAlloc(pkg *Package) []Finding {
-	hotScope := pathIn(pkg.ScopePath(), modulePrefix+"/internal/sim", modulePrefix+"/internal/ethsim")
-	tickScope := pathIn(pkg.ScopePath(), tickPathScope...)
-	if !hotScope && !tickScope {
-		return nil
-	}
 	var findings []Finding
-	for _, file := range pkg.Files {
-		if pkg.IsTestFile(file) {
-			continue
-		}
-		for _, decl := range file.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil {
-				continue
-			}
-			name := fn.Name.Name
-			if (hotScope && hotAllocFunc(name)) || (tickScope && tickPathFuncs[name]) {
-				findings = append(findings, hotAllocScan(pkg, fn)...)
-			}
-		}
+	for _, fn := range hotPathFuncs(pkg, false) {
+		findings = append(findings, hotAllocScan(pkg, fn)...)
 	}
 	return findings
 }

@@ -4,34 +4,34 @@
 //
 //   - nodeterminism: simulation packages must be reproducible — no wall
 //     clock, no global math/rand, no results that depend on map iteration
-//     order (same seed ⇒ same topology inference).
+//     order (same seed ⇒ same topology inference) — and no function marked
+//     //toposhot:hotpath may range over a map at all.
 //   - locksafe: no channel send, network write, or callback invocation while
 //     a sync.Mutex/RWMutex is held — the head-of-line-blocking shape that
-//     stalled live-node peers before PR 1.
-//   - lockorder: the module-wide mutex acquisition-order graph must be
-//     acyclic — a lock-order cycle spanning packages is a deadlock -race
-//     can only catch if both threads actually collide during a run.
-//   - goroleak: goroutines spawned in the live-node, runner, and daemon
-//     packages must have a reachable exit path (return, channel/select
-//     signal) — a leaked goroutine is unbounded memory under daemon traffic.
-//   - hotalloc: the scheduling/gossip hot paths must stay allocation-free —
+//     stalled live-node peers before PR 1 — and no second mutex taken while
+//     one is held.
+//   - hotalloc: functions marked //toposhot:hotpath stay allocation-free —
 //     no closure creation, map/slice literals, unpreallocated append growth,
 //     or interface boxing where PR 4 fought allocations down to 455/op.
 //   - errcheck-wire: results of internal/rlp and internal/wire
 //     encode/decode calls and net.Conn deadline/write calls must not be
 //     discarded; a swallowed wire error silently breaks §5.2 isolation.
-//   - bigint-alias: caller-provided *big.Int values must not be stored or
-//     mutated; an aliased gas price corrupts the replacement predicate
-//     (1+R)·Y.
-//   - metrics-nilsafe: internal/metrics instruments are nil-safe by design
-//     and must be used through their methods, never nil-compared or
-//     dereferenced after registry lookup.
+//   - metrics-nilsafe, trace-nilsafe: internal/metrics instruments and
+//     internal/trace / internal/obs handles are nil-safe by design and must
+//     be used through their methods, never nil-compared or dereferenced.
+//   - trace-spanname: span names are compile-time constants.
+//
+// A function puts itself on the hot path with
+//
+//	//toposhot:hotpath
+//
+// as the last line of its own doc comment (hotpath.go); a //toposhot: comment
+// anywhere else, or spelled any other way, is an error.
 //
 // The driver is dependency-free: all module packages are loaded into one
 // Program with go/parser, type-checked with go/types against a go/importer
-// "source" importer (test files included unless opted out), and analyzed in
-// parallel over internal/runner's worker pool with byte-identical ordered
-// output. Findings render as
+// "source" importer (test files included unless opted out), and analyzed one
+// package at a time. Findings render as
 //
 //	file:line: [rule-id] message
 //
@@ -66,10 +66,7 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d: [%s] %s", f.Pos.Filename, f.Pos.Line, f.Rule, f.Msg)
 }
 
-// Analyzer is one named rule. Exactly one of Run and RunProgram is set:
-// Run is a per-package rule applied independently (and concurrently) to each
-// package; RunProgram is an interprocedural rule that sees the whole loaded
-// module at once (call graph, cross-package lock orders).
+// Analyzer is one named rule, applied independently to each package.
 type Analyzer struct {
 	// Name is the rule id used in reports and ignore directives.
 	Name string
@@ -77,8 +74,6 @@ type Analyzer struct {
 	Doc string
 	// Run reports the rule's findings for one package.
 	Run func(p *Package) []Finding
-	// RunProgram reports the rule's findings for the whole program.
-	RunProgram func(prog *Program) []Finding
 }
 
 // Analyzers returns the full suite in reporting order.
@@ -87,12 +82,9 @@ func Analyzers() []*Analyzer {
 		analyzerNoDeterminism,
 		analyzerLockSafe,
 		analyzerErrcheckWire,
-		analyzerBigintAlias,
 		analyzerMetricsNilsafe,
 		analyzerTraceNilsafe,
 		analyzerTraceSpanname,
-		analyzerLockOrder,
-		analyzerGoroLeak,
 		analyzerHotAlloc,
 	}
 }
@@ -134,9 +126,6 @@ type Options struct {
 	// map-order golden construction) corrupt goldens as surely as bugs in
 	// the code under test.
 	NoTests bool
-	// Parallel is the analysis pool width; ≤ 0 means the process default
-	// (runner.Parallelism()). Output is byte-identical at any width.
-	Parallel int
 }
 
 // TypecheckRule is the pseudo-rule under which loader and type-check errors
@@ -163,7 +152,7 @@ func Run(opts Options) ([]Finding, error) {
 	if err != nil {
 		return nil, err
 	}
-	return CheckProgram(prog, analyzers, opts.Parallel), nil
+	return CheckProgram(prog, analyzers), nil
 }
 
 // selectAnalyzers resolves a -rules subset (empty means the full suite).
@@ -188,7 +177,7 @@ func selectAnalyzers(rules []string) ([]*Analyzer, error) {
 // findings pass through the package's ignore directives, and malformed,
 // unknown-rule, or stale directives are reported. Fixture tests use this.
 func CheckPackage(pkg *Package, analyzers []*Analyzer) []Finding {
-	return CheckProgram(NewProgram(pkg), analyzers, 1)
+	return CheckProgram(NewProgram(pkg), analyzers)
 }
 
 // Format renders findings one per line — the golden-file format.

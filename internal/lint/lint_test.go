@@ -26,7 +26,7 @@ func checkFixture(t *testing.T, name, importPath string) string {
 	if ext != nil {
 		pkgs = append(pkgs, ext)
 	}
-	return Format(CheckProgram(NewProgram(pkgs...), Analyzers(), 1))
+	return Format(CheckProgram(NewProgram(pkgs...), Analyzers()))
 }
 
 // golden compares got against testdata/<name>.golden, rewriting it under
@@ -54,18 +54,18 @@ func TestNoDeterminismGolden(t *testing.T) {
 }
 
 // TestHotPathGolden loads one fixture under both hot-path scopes: under the
-// ethsim path only delivery-path functions reject map iteration; under the
-// sim path the whole package is hot and every map range is flagged. The
-// container/heap import is flagged in both.
+// ethsim path only functions carrying //toposhot:hotpath reject map
+// iteration; under the sim path the whole package is hot and every map range
+// is flagged. The container/heap import is flagged in both.
 func TestHotPathGolden(t *testing.T) {
 	golden(t, "hotpath_ethsim", checkFixture(t, "hotpath", "toposhot/internal/ethsim/fixture"))
 	golden(t, "hotpath_sim", checkFixture(t, "hotpath", "toposhot/internal/sim/fixture"))
 }
 
 // TestPoolPathGolden loads the pre-rewrite mempool shape under the txpool
-// scope: the container/heap import and the map ranges inside SetStateNonce
-// and the repartition* functions are flagged; the collect-then-sort range in
-// a function off the admission path and the slice walk in offer stay silent.
+// scope: the container/heap import and the map ranges inside the marked
+// SetStateNonce and repartition* functions are flagged; the collect-then-sort
+// range in an unmarked function and the slice walk in offer stay silent.
 func TestPoolPathGolden(t *testing.T) {
 	golden(t, "poolpath", checkFixture(t, "poolpath", "toposhot/internal/txpool/poolfixture"))
 }
@@ -78,10 +78,6 @@ func TestErrcheckWireGolden(t *testing.T) {
 	golden(t, "errcheckwire", checkFixture(t, "errcheckwire", "toposhot/internal/node/wirefixture"))
 }
 
-func TestBigintAliasGolden(t *testing.T) {
-	golden(t, "bigintalias", checkFixture(t, "bigintalias", "toposhot/internal/txpool/fixture"))
-}
-
 func TestMetricsNilsafeGolden(t *testing.T) {
 	golden(t, "metricsnilsafe", checkFixture(t, "metricsnilsafe", "toposhot/internal/node/metricsfixture"))
 }
@@ -92,36 +88,26 @@ func TestTraceLintGolden(t *testing.T) {
 	golden(t, "tracenilsafe", checkFixture(t, "tracenilsafe", "toposhot/internal/experiments/tracefixture"))
 }
 
-// TestLockOrderGolden: reversed acquisition orders — direct and through a
-// call chain — are reported as cycles; a consistent order and hand-over-hand
-// locking over one type stay silent.
-func TestLockOrderGolden(t *testing.T) {
-	golden(t, "lockorder", checkFixture(t, "lockorder", "toposhot/internal/lockfixture"))
-}
-
-// TestGoroLeakGolden: goroutines with no reachable exit fire under the
-// live-node scope; done-channel, close-signal, and run-to-completion
-// goroutines stay silent.
-func TestGoroLeakGolden(t *testing.T) {
-	golden(t, "goroleak", checkFixture(t, "goroleak", "toposhot/internal/node/gorofixture"))
-}
-
 // TestHotAllocGolden: closures, map/slice literals, growing appends, and
-// interface boxing fire inside delivery-path functions; pooled idioms and
-// non-hot functions stay silent.
+// interface boxing fire inside marked functions; pooled idioms, unmarked
+// functions and the //lint:ignore'd result-slice append stay silent.
 func TestHotAllocGolden(t *testing.T) {
 	golden(t, "hotalloc", checkFixture(t, "hotalloc", "toposhot/internal/ethsim/allocfixture"))
 }
 
-// TestTickPathGolden loads one fixture under both tick-path scopes. Under
-// the graph path only the tick-path rules fire (map iteration and
-// allocations inside the named dyn*/trk* functions); under the tracker path
-// the package is also in the nodeterminism simulation scope, so the
-// order-dependent float accumulation inside the map range fires as well.
-// The pooled reslice and the dynRebuild fallback stay silent in both.
+// TestTickPathGolden: outside every package-scoped rule the directive alone
+// puts a function under both bans — map iteration and allocations inside the
+// marked dyn*/trk* functions fire; the pooled reslice and the unmarked
+// dynRebuild fallback stay silent.
 func TestTickPathGolden(t *testing.T) {
 	golden(t, "tickpath_graph", checkFixture(t, "tickpath", "toposhot/internal/graph/fixture"))
-	golden(t, "tickpath_tracker", checkFixture(t, "tickpath", "toposhot/internal/tracker/fixture"))
+}
+
+// TestDirectiveGolden: the gofmt-shaped and bare directives are in force; a
+// misspelt, trailing-text, detached, type-, var-, body- or test-file-placed
+// one is reported under typecheck and guards nothing.
+func TestDirectiveGolden(t *testing.T) {
+	golden(t, "directive", checkFixture(t, "directive", "toposhot/internal/graph/directivefixture"))
 }
 
 // TestHotAllocRegression: seeding a closure-per-message send into a gossip
@@ -144,40 +130,6 @@ func TestStaleIgnore(t *testing.T) {
 	}
 	if strings.Contains(got, "[nodeterminism]") {
 		t.Errorf("used directive failed to suppress:\n%s", got)
-	}
-}
-
-// TestParallelEquivalence: the driver's output is byte-identical at any pool
-// width. The program combines every firing fixture so the equivalence is
-// exercised on a finding-heavy merge, not an empty one.
-func TestParallelEquivalence(t *testing.T) {
-	fixtures := []struct{ name, path string }{
-		{"nodeterminism", "toposhot/internal/core/fixture"},
-		{"lockorder", "toposhot/internal/lockfixture"},
-		{"goroleak", "toposhot/internal/node/gorofixture"},
-		{"hotalloc", "toposhot/internal/ethsim/allocfixture"},
-	}
-	var pkgs []*Package
-	for _, f := range fixtures {
-		pkg, ext, err := LoadPackage(filepath.Join("testdata", "src", f.name), f.path)
-		if err != nil {
-			t.Fatalf("load %s: %v", f.name, err)
-		}
-		pkgs = append(pkgs, pkg)
-		if ext != nil {
-			pkgs = append(pkgs, ext)
-		}
-	}
-	serial := Format(CheckProgram(NewProgram(pkgs...), Analyzers(), 1))
-	if serial == "" {
-		t.Fatal("equivalence corpus produced no findings; the test is vacuous")
-	}
-	for _, width := range []int{2, 4, 8, 16} {
-		got := Format(CheckProgram(NewProgram(pkgs...), Analyzers(), width))
-		if got != serial {
-			t.Errorf("width %d differs from serial:\n--- serial ---\n%s--- width %d ---\n%s",
-				width, serial, width, got)
-		}
 	}
 }
 

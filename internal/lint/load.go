@@ -58,11 +58,6 @@ func (p *Package) IsTestFile(f *ast.File) bool {
 	return strings.HasSuffix(p.Fset.Position(f.Pos()).Filename, "_test.go")
 }
 
-// IsTestPos reports whether the position falls in a _test.go source.
-func (p *Package) IsTestPos(pos token.Pos) bool {
-	return strings.HasSuffix(p.Fset.Position(pos).Filename, "_test.go")
-}
-
 // loader resolves and type-checks module packages, delegating everything
 // outside the module to a go/importer "source" importer so the suite works
 // with nothing but a GOROOT source tree.

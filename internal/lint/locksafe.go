@@ -33,7 +33,11 @@ func runLockSafe(pkg *Package) []Finding {
 // lockScan walks one function body linearly, tracking which mutexes are held.
 // Nested blocks receive a copy of the held set, so an early unlock+return
 // branch does not leak its release into the fallthrough path. deferred
-// unlocks keep the lock held to function end by design.
+// unlocks keep the lock held to function end by design. Acquiring a mutex
+// while a different one is held is itself a finding: no function in the tree
+// nests locks, which is why there is no acquisition order to police. The scan
+// is per function — a callee that locks under its caller's lock is not seen
+// (go test -race is the dynamic check; DESIGN.md §6).
 type lockScan struct {
 	pkg      *Package
 	findings []Finding
@@ -60,6 +64,11 @@ func (ls *lockScan) stmt(stmt ast.Stmt, held map[string]bool) {
 		if call, ok := s.X.(*ast.CallExpr); ok {
 			if key, isLock, locks := ls.lockOp(call); isLock {
 				if locks {
+					delete(held, key)
+					if other := anyKey(held); other != "" {
+						ls.findings = append(ls.findings, report(ls.pkg, call, "locksafe",
+							key+" acquired while "+other+" is held; take one mutex at a time, so there is no lock order to get wrong"))
+					}
 					held[key] = true
 				} else {
 					delete(held, key)

@@ -57,90 +57,6 @@ var heapBanScope = []string{
 	modulePrefix + "/internal/txpool",
 }
 
-// deliveryPathFuncs names the ethsim functions on the per-message delivery
-// path, where any map iteration is banned outright — not merely the
-// order-leaking writes mapOrderFindings catches. The hot path iterates only
-// slices held in deterministic order (peersSorted, lockQ, outQ, pooled
-// buffers). pruneDeliveryHorizon and Edges legitimately range over maps and
-// are deliberately not listed.
-var deliveryPathFuncs = map[string]bool{
-	"flush":              true,
-	"deliverTxs":         true,
-	"deliverBatch":       true,
-	"receiveTx":          true,
-	"relay":              true,
-	"deliverAnnounce":    true,
-	"deliverRequest":     true,
-	"propagate":          true,
-	"sweepAnnounceLocks": true,
-	"HandleEvent":        true,
-	"handleMsg":          true,
-	"route":              true,
-	"routeVia":           true,
-	"TickPools":          true,
-	// The flush's shared payload (DESIGN.md §8): taken once per flush,
-	// released once per delivered message.
-	"takeBatch":    true,
-	"releaseBatch": true,
-	"addressedTo":  true,
-	// SoA accessors (DESIGN.md §12): per-message adjacency-arena lookups.
-	"peersSeg":           true,
-	"marksSeg":           true,
-	"peerPos":            true,
-	"appendPropagatable": true,
-}
-
-// poolPathFuncs names the txpool functions on the per-admission path, under
-// the same outright map-iteration ban: a sender's entries live in a
-// nonce-ordered slice precisely so that stale drops and demotions happen in
-// ascending nonce order, not Go's map order (which used to leak into heap
-// layouts and checkpoint bytes). Every repartition* function is covered by
-// prefix. Pending, Content, Snapshot and RemoveConfirmed legitimately range
-// over maps (collect, then sort) and are deliberately not listed.
-var poolPathFuncs = map[string]bool{
-	"offer": true, "insert": true, "remove": true,
-	"link": true, "unlink": true, "insertAt": true, "removeAt": true,
-	"SetTime": true, "SetStateNonce": true,
-}
-
-// hotPathFunc reports whether the named function of a heapBanScope package
-// is on its hot path: everything in internal/sim, the delivery path in
-// ethsim, the admission path in txpool.
-func hotPathFunc(scopePath, name string) bool {
-	switch {
-	case pathIn(scopePath, modulePrefix+"/internal/sim"):
-		return true
-	case pathIn(scopePath, modulePrefix+"/internal/txpool"):
-		return poolPathFuncs[name] || strings.HasPrefix(name, "repartition")
-	default:
-		return deliveryPathFuncs[name]
-	}
-}
-
-// tickPathScope are the packages owning the O(Δ) incremental tick path:
-// graph.Dynamic's apply/maintenance helpers and the tracker's planner. The
-// named tickPathFuncs run once per tracked change on every tracker tick, so
-// they carry the same map-iteration and allocation bans as the engine's
-// delivery path (DESIGN.md §13).
-var tickPathScope = []string{
-	modulePrefix + "/internal/graph",
-	modulePrefix + "/internal/tracker",
-}
-
-// tickPathFuncs names the graph.Dynamic and tracker methods on the per-tick
-// incremental path. dynRebuild is deliberately not listed: it is the
-// O(V+E) fallback taken only when an edge removal disconnects a component,
-// and it trades allocations for not running on the steady-state path.
-var tickPathFuncs = map[string]bool{
-	// graph.Dynamic maintenance.
-	"dynAdjPos": true, "dynAdjInsert": true, "dynAdjRemove": true,
-	"dynNbrDegSum": true, "dynCommonAdjust": true, "dynDegShift": true,
-	"dynApplyAdd": true, "dynApplyRemove": true,
-	"dynFind": true, "dynUnion": true, "dynReach": true,
-	// tracker planning and verdict application.
-	"trkPlan": true, "trkMarkUrgent": true, "trkApply": true,
-}
-
 var analyzerNoDeterminism = &Analyzer{
 	Name: "nodeterminism",
 	Doc:  "simulation packages must be seed-reproducible: no wall clock, no global math/rand, no map-iteration-order-dependent results, no container/heap or map iteration on the scheduling/delivery/admission hot path",
@@ -148,8 +64,7 @@ var analyzerNoDeterminism = &Analyzer{
 }
 
 func runNoDeterminism(pkg *Package) []Finding {
-	var findings []Finding
-	findings = append(findings, tickPathFindings(pkg)...)
+	findings := hotPathFindings(pkg)
 	if !pathIn(pkg.ScopePath(), nodeterminismScope...) {
 		return findings
 	}
@@ -179,112 +94,62 @@ func runNoDeterminism(pkg *Package) []Finding {
 			return true
 		})
 	}
-	findings = append(findings, mapOrderFindings(pkg)...)
-	findings = append(findings, hotPathFindings(pkg)...)
-	return findings
+	return append(findings, mapOrderFindings(pkg)...)
 }
 
-// hotPathFindings enforces the hot-path rules in heapBanScope packages:
-// no container/heap anywhere, and no map iteration inside internal/sim
-// (the whole package is scheduler hot path), inside the named ethsim
-// delivery-path functions, or inside the named txpool admission-path
-// functions. Test files are exempt — test code never runs on the hot path,
-// and the fuzzers deliberately pin heap behaviour against a container/heap
-// reference.
+// hotPathFindings enforces the hot-path rules, in any package: no
+// container/heap import in a heapBanScope package, and no map iteration
+// inside a function carrying //toposhot:hotpath or anywhere in internal/sim
+// (the whole package is scheduler hot path, so new engine code is covered
+// before anyone marks it). Unlike mapOrderFindings — which only flags
+// order-dependent writes — any map range here is banned outright: hot paths
+// iterate slices held in deterministic order, and a map walk both leaks
+// iteration order and costs a hash-table scan per event. Test files are
+// exempt — the fuzzers deliberately pin heap behaviour against a
+// container/heap reference.
 func hotPathFindings(pkg *Package) []Finding {
-	if !pathIn(pkg.ScopePath(), heapBanScope...) {
-		return nil
-	}
-	heapAdvice := "use the engine's time wheel and inline-key far heap (DESIGN.md §8)"
-	rangeAdvice := "scheduling/delivery code iterates slices in deterministic order"
-	if pathIn(pkg.ScopePath(), modulePrefix+"/internal/txpool") {
-		heapAdvice = "use the pool's typed entry heap (DESIGN.md §15)"
-		rangeAdvice = "admission code walks the sender's nonce-ordered slice (DESIGN.md §15)"
-	}
 	var findings []Finding
-	for _, file := range pkg.Files {
-		if pkg.IsTestFile(file) {
-			continue
+	if pathIn(pkg.ScopePath(), heapBanScope...) {
+		heapAdvice := "use the engine's time wheel and inline-key far heap (DESIGN.md §8)"
+		if pathIn(pkg.ScopePath(), modulePrefix+"/internal/txpool") {
+			heapAdvice = "use the pool's typed entry heap (DESIGN.md §15)"
 		}
-		for _, imp := range file.Imports {
-			if strings.Trim(imp.Path.Value, `"`) == "container/heap" {
-				findings = append(findings, report(pkg, imp, "nodeterminism",
-					"container/heap in a hot-path package; "+heapAdvice))
+		for _, file := range pkg.Files {
+			if pkg.IsTestFile(file) {
+				continue
+			}
+			for _, imp := range file.Imports {
+				if strings.Trim(imp.Path.Value, `"`) == "container/heap" {
+					findings = append(findings, report(pkg, imp, "nodeterminism",
+						"container/heap in a hot-path package; "+heapAdvice))
+				}
 			}
 		}
 	}
-	for _, file := range pkg.Files {
-		if pkg.IsTestFile(file) {
-			continue
-		}
-		for _, decl := range file.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil {
-				continue
+	for _, fn := range hotPathFuncs(pkg, pathIn(pkg.ScopePath(), modulePrefix+"/internal/sim")) {
+		ast.Inspect(fn.Body, func(n ast.Node) bool {
+			if rng := mapRange(pkg.Info, n); rng != nil {
+				findings = append(findings, report(pkg, rng, "nodeterminism",
+					"map iteration in hot-path function "+fn.Name.Name+"; iterate a slice held in deterministic order"))
 			}
-			if !hotPathFunc(pkg.ScopePath(), fn.Name.Name) {
-				continue
-			}
-			ast.Inspect(fn.Body, func(n ast.Node) bool {
-				rng, ok := n.(*ast.RangeStmt)
-				if !ok {
-					return true
-				}
-				tv, ok := pkg.Info.Types[rng.X]
-				if !ok {
-					return true
-				}
-				if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
-					findings = append(findings, report(pkg, rng, "nodeterminism",
-						"map iteration in hot-path function "+fn.Name.Name+"; "+rangeAdvice))
-				}
-				return true
-			})
-		}
+			return true
+		})
 	}
 	return findings
 }
 
-// tickPathFindings enforces the map-iteration ban inside the named O(Δ)
-// tick-path functions of the graph and tracker packages. Unlike
-// mapOrderFindings — which only flags order-dependent writes — any map range
-// here is banned outright: the incremental maintenance path iterates sorted
-// adjacency slices and staleness buckets, and a map walk both leaks iteration
-// order into the belief schedule and defeats the O(Δ) bound. Test files are
-// exempt; batch/fallback helpers (dynRebuild, Snapshot) are deliberately
-// outside tickPathFuncs.
-func tickPathFindings(pkg *Package) []Finding {
-	if !pathIn(pkg.ScopePath(), tickPathScope...) {
+// mapRange returns n as a range statement over a map, or nil.
+func mapRange(info *types.Info, n ast.Node) *ast.RangeStmt {
+	rng, ok := n.(*ast.RangeStmt)
+	if !ok {
 		return nil
 	}
-	var findings []Finding
-	for _, file := range pkg.Files {
-		if pkg.IsTestFile(file) {
-			continue
-		}
-		for _, decl := range file.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil || !tickPathFuncs[fn.Name.Name] {
-				continue
-			}
-			ast.Inspect(fn.Body, func(n ast.Node) bool {
-				rng, ok := n.(*ast.RangeStmt)
-				if !ok {
-					return true
-				}
-				tv, ok := pkg.Info.Types[rng.X]
-				if !ok {
-					return true
-				}
-				if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
-					findings = append(findings, report(pkg, rng, "nodeterminism",
-						"map iteration in tick-path function "+fn.Name.Name+"; O(Δ) maintenance iterates adjacency slices and staleness buckets in deterministic order (DESIGN.md §13)"))
-				}
-				return true
-			})
+	if tv, ok := info.Types[rng.X]; ok {
+		if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
+			return rng
 		}
 	}
-	return findings
+	return nil
 }
 
 // mapOrderFindings flags loops whose results depend on map iteration order:
@@ -300,18 +165,9 @@ func mapOrderFindings(pkg *Package) []Finding {
 			if _, isLit := n.(*ast.FuncLit); isLit {
 				return false // visited standalone by forEachFunc
 			}
-			rng, ok := n.(*ast.RangeStmt)
-			if !ok {
-				return true
+			if rng := mapRange(pkg.Info, n); rng != nil {
+				findings = append(findings, checkMapRangeBody(pkg, rng, sorted)...)
 			}
-			tv, ok := pkg.Info.Types[rng.X]
-			if !ok {
-				return true
-			}
-			if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
-				return true
-			}
-			findings = append(findings, checkMapRangeBody(pkg, rng, sorted)...)
 			return true
 		})
 	})

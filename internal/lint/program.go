@@ -1,57 +1,21 @@
-// Whole-module analysis: Program loads and type-checks every requested
-// package once, then the driver fans per-package analyzers out across
-// internal/runner's worker pool (byte-identical to a serial run — findings
-// land in per-package slots and are merged in package order) and runs the
-// interprocedural analyzers over the shared call graph. See DESIGN.md §11.
+// Program loads and type-checks every requested package once, over one
+// FileSet; CheckProgram applies the per-package analyzers to each in turn.
+// See DESIGN.md §11.
 
 package lint
-
-import (
-	"sync"
-
-	"toposhot/internal/runner"
-)
 
 // Program is a whole module loaded and type-checked once: every requested
 // package (plus, transitively, everything they import inside the module),
 // sharing one FileSet so positions — and therefore findings and golden files
-// — are globally consistent. Interprocedural analyzers receive the Program;
-// per-package analyzers receive one Package at a time.
+// — are globally consistent. Analyzers receive one Package at a time.
 type Program struct {
-	ModRoot  string
-	ModPath  string
 	Packages []*Package // sorted by Path; external test packages follow their subject
-
-	cgOnce sync.Once
-	cg     *CallGraph
 }
 
 // NewProgram wraps already-loaded packages (fixture tests build single-
 // package programs this way). Packages must share a FileSet.
 func NewProgram(pkgs ...*Package) *Program {
-	p := &Program{Packages: pkgs}
-	if len(pkgs) > 0 {
-		p.ModRoot = pkgs[0].ModRoot
-	}
-	return p
-}
-
-// Package returns the loaded package with the given path, or nil.
-func (p *Program) Package(path string) *Package {
-	for _, pkg := range p.Packages {
-		if pkg.Path == path {
-			return pkg
-		}
-	}
-	return nil
-}
-
-// CallGraph returns the program's static call graph, built once on first
-// use (construction walks every function body and resolves interface calls
-// to concrete module methods, so only analyzers that need it pay for it).
-func (p *Program) CallGraph() *CallGraph {
-	p.cgOnce.Do(func() { p.cg = BuildCallGraph(p) })
-	return p.cg
+	return &Program{Packages: pkgs}
 }
 
 // LoadProgram expands the patterns and loads every matched package — and,
@@ -72,7 +36,7 @@ func LoadProgram(opts Options) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	prog := &Program{ModRoot: ld.modRoot, ModPath: ld.modPath}
+	prog := &Program{}
 	for _, path := range paths {
 		pkg, err := ld.loadModulePackage(path)
 		if err != nil {
@@ -91,66 +55,31 @@ func LoadProgram(opts Options) (*Program, error) {
 }
 
 // CheckProgram applies the selected analyzers to every package of the
-// program: type errors become typecheck findings, per-package analyzers fan
-// out over the worker pool, interprocedural analyzers run over the whole
-// program, suppressions are honored module-wide, and ignore directives that
-// suppressed nothing are themselves reported. parallel ≤ 0 means the
-// process-default pool width; any width produces byte-identical output.
-func CheckProgram(prog *Program, analyzers []*Analyzer, parallel int) []Finding {
-	// Ignore directives are collected up front, single-threaded, so the
-	// suppression table (and its malformed-directive findings) is identical
-	// no matter how the analysis fans out.
+// program, in package order: type errors, malformed //lint:ignore and
+// misplaced //toposhot: directives become typecheck findings, suppressions
+// are honored module-wide, and ignore directives that suppressed nothing are
+// themselves reported.
+func CheckProgram(prog *Program, analyzers []*Analyzer) []Finding {
 	table := newIgnoreTable()
 	var findings []Finding
 	for _, pkg := range prog.Packages {
 		findings = append(findings, table.collect(pkg)...)
-	}
-
-	// Per-package analyzers: each package writes findings into its own slot,
-	// so merge order is package order regardless of completion order.
-	perPkg := runner.MapN(parallel, len(prog.Packages), func(i int) []Finding {
-		pkg := prog.Packages[i]
-		var fs []Finding
+		findings = append(findings, directiveFindings(pkg)...)
 		for _, te := range pkg.TypeErrors {
-			fs = append(fs, Finding{
+			findings = append(findings, Finding{
 				Pos:  relPosition(pkg, te.Pos),
 				Rule: TypecheckRule,
 				Msg:  te.Msg,
 			})
 		}
 		for _, a := range analyzers {
-			if a.Run != nil {
-				fs = append(fs, a.Run(pkg)...)
-			}
-		}
-		return fs
-	})
-	for _, fs := range perPkg {
-		findings = append(findings, fs...)
-	}
-
-	// Interprocedural analyzers see the whole program at once. The call
-	// graph is built before the fan-out so the lazily-built shared structure
-	// is not constructed concurrently.
-	var progAnalyzers []*Analyzer
-	for _, a := range analyzers {
-		if a.RunProgram != nil {
-			progAnalyzers = append(progAnalyzers, a)
-		}
-	}
-	if len(progAnalyzers) > 0 {
-		prog.CallGraph()
-		perAnalyzer := runner.MapN(parallel, len(progAnalyzers), func(i int) []Finding {
-			return progAnalyzers[i].RunProgram(prog)
-		})
-		for _, fs := range perAnalyzer {
-			findings = append(findings, fs...)
+			findings = append(findings, a.Run(pkg)...)
 		}
 	}
 
-	// Suppression and stale-directive audit run after the merge, serially:
-	// matching marks directives used, and a directive left unused by the
-	// full set of rules it names has outlived the code it excused.
+	// Suppression and the stale-directive audit run after every package has
+	// reported: matching marks directives used, and a directive left unused
+	// by the full set of rules it names has outlived the code it excused.
 	kept := findings[:0]
 	for _, f := range findings {
 		if f.Rule != TypecheckRule && table.matches(f) {

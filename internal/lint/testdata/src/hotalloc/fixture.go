@@ -1,7 +1,7 @@
-// Package fixture exercises the hotalloc analyzer under an ethsim-claimed
-// import path: every banned allocation in a delivery-path function fires,
-// the pooled idioms stay silent, and the same constructs in a non-hot
-// function are out of scope.
+// Package fixture exercises the hotalloc analyzer: every banned allocation
+// in a function carrying //toposhot:hotpath fires, the pooled idioms stay
+// silent, a result-slice append excused by //lint:ignore is suppressed, and
+// the same constructs in an unmarked function are out of scope.
 package fixture
 
 import (
@@ -32,6 +32,8 @@ func deliver(*network) {}
 func box(v interface{}) { _ = v }
 
 // propagate is on the delivery path; each banned construct fires.
+//
+//toposhot:hotpath
 func (n *network) propagate(m message) {
 	n.eng.After(0.1, func() { deliver(n) }) // want: closure
 	tags := []uint64{m.id}                  // want: slice literal
@@ -45,6 +47,8 @@ func (n *network) propagate(m message) {
 }
 
 // flush is on the delivery path but uses only the pooled idioms: clean.
+//
+//toposhot:hotpath
 func (n *network) flush() {
 	out := n.scratch[:0]
 	for i := range n.outQ {
@@ -63,6 +67,8 @@ func (n *network) flush() {
 // refill is on the engine's per-event path: a closure comparator is one
 // allocation per sorted bucket (and sort.Slice boxes the slice); a named
 // comparator captures nothing.
+//
+//toposhot:hotpath
 func (n *network) refill() {
 	sort.Slice(n.scratch, func(i, j int) bool { return n.scratch[i] < n.scratch[j] }) // want: closure, boxed slice
 	slices.SortFunc(n.scratch, compareIDs)                                            // clean
@@ -76,6 +82,21 @@ func compareIDs(a, b uint64) int {
 		return 1
 	}
 	return 0
+}
+
+// offer is pool-shaped: the admission path hands its caller a result slice
+// that is empty on the common path, so the one growing append is excused in
+// place — the shape of the two ignores in internal/txpool/pool.go. Were the
+// suppression dead, stale-ignore would fire here.
+//
+//toposhot:hotpath
+func (n *network) offer(id uint64, full bool) []uint64 {
+	var evicted []uint64
+	if full {
+		//lint:ignore hotalloc result slice handed to the caller; empty unless the pool is full
+		evicted = append(evicted, id)
+	}
+	return evicted
 }
 
 // setup is not a hot-path function: the same constructs stay silent.

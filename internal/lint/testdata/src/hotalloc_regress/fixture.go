@@ -18,6 +18,8 @@ func (n *network) deliverTxs(m msg) { _ = m }
 
 // route schedules delivery with a closure per message — one allocation per
 // gossip hop that the Handler+arg API avoids.
+//
+//toposhot:hotpath
 func (n *network) route(m msg) {
 	n.eng.After(0.05, func() { n.deliverTxs(m) }) // want: closure per message
 }

@@ -1,8 +1,8 @@
 // Package fixture exercises the nodeterminism hot-path rules. The test loads
 // it twice: as toposhot/internal/ethsim/fixture, where container/heap is
-// banned and map iteration is flagged only inside delivery-path functions,
-// and as toposhot/internal/sim/fixture, where map iteration is banned in
-// every function.
+// banned and map iteration is flagged only inside functions carrying
+// //toposhot:hotpath, and as toposhot/internal/sim/fixture, where map
+// iteration is banned in every function.
 package fixture
 
 import (
@@ -27,7 +27,9 @@ func (h *intHeap) Pop() interface{} {
 // useHeap exists so the banned import is also used.
 func useHeap(h *intHeap) { heap.Init(h) }
 
-// flush is a delivery-path name: any map iteration inside it is flagged.
+// flush is on the hot path: any map iteration inside it is flagged.
+//
+//toposhot:hotpath
 func flush(pending map[int]int) int {
 	total := 0
 	for _, v := range pending {
@@ -36,7 +38,7 @@ func flush(pending map[int]int) int {
 	return total
 }
 
-// snapshot is not on the delivery path: under the ethsim scope its
+// snapshot carries no directive: under the ethsim scope its
 // collect-then-sort map range stays sanctioned; under the sim scope the
 // whole package is hot path and it is flagged anyway.
 func snapshot(m map[int]int) []int {
@@ -48,7 +50,9 @@ func snapshot(m map[int]int) []int {
 	return out
 }
 
-// route ranges over a slice: delivery-path functions may iterate slices.
+// route ranges over a slice: hot-path functions may iterate slices.
+//
+//toposhot:hotpath
 func route(order []int) int {
 	total := 0
 	for _, v := range order {

@@ -54,3 +54,46 @@ func (h *hub) earlyUnlock(v int, empty bool) {
 	h.ch <- v
 	h.mu.Unlock()
 }
+
+type pair struct {
+	a, b sync.Mutex
+	rw   sync.RWMutex
+}
+
+// nested takes a second mutex while the first is held: flagged.
+func (p *pair) nested() {
+	p.a.Lock()
+	p.b.Lock()
+	p.b.Unlock()
+	p.a.Unlock()
+}
+
+// readUnderWrite takes a read lock under a different write lock: flagged.
+func (p *pair) readUnderWrite() {
+	p.a.Lock()
+	defer p.a.Unlock()
+	p.rw.RLock()
+	p.rw.RUnlock()
+}
+
+// sequential re-locks after unlocking; one mutex at a time is the discipline.
+func (p *pair) sequential() {
+	p.a.Lock()
+	p.a.Unlock()
+	p.b.Lock()
+	p.b.Unlock()
+	p.a.Lock()
+	p.a.Unlock()
+}
+
+// branchUnlock releases on a branch before taking the second mutex there.
+func (p *pair) branchUnlock(done bool) {
+	p.a.Lock()
+	if done {
+		p.a.Unlock()
+		p.b.Lock()
+		p.b.Unlock()
+		return
+	}
+	p.a.Unlock()
+}

@@ -1,6 +1,6 @@
 // Package fixture exercises the nodeterminism hot-path rules under the
-// txpool scope: container/heap is banned, and the named admission-path
-// functions (plus every repartition* function) may not range over a map. The
+// txpool scope: container/heap is banned, and the admission-path functions
+// (each carrying //toposhot:hotpath) may not range over a map. The
 // pool below is the mempool as it stood before its hot-path rewrite — a
 // nonce→entry map per sender, container/heap indexes — so SetStateNonce and
 // repartition are the two loops whose removal and push order used to follow
@@ -39,6 +39,7 @@ type pool struct {
 	futures    futureHeap
 }
 
+//toposhot:hotpath
 func (p *pool) remove(sender uint64, e *entry) {
 	delete(p.bySender[sender], e.nonce)
 	if e.futIdx >= 0 {
@@ -47,6 +48,8 @@ func (p *pool) remove(sender uint64, e *entry) {
 }
 
 // SetStateNonce drops stale entries in map order: flagged.
+//
+//toposhot:hotpath
 func (p *pool) SetStateNonce(sender, nonce uint64) {
 	p.stateNonce[sender] = nonce
 	for n, e := range p.bySender[sender] {
@@ -58,6 +61,8 @@ func (p *pool) SetStateNonce(sender, nonce uint64) {
 }
 
 // repartition demotes stranded entries in map order: flagged.
+//
+//toposhot:hotpath
 func (p *pool) repartition(sender uint64) {
 	m := p.bySender[sender]
 	n := p.stateNonce[sender]
@@ -72,7 +77,9 @@ func (p *pool) repartition(sender uint64) {
 	}
 }
 
-// repartitionAfterRemove is covered by the repartition prefix: flagged.
+// repartitionAfterRemove counts live entries in map order: flagged.
+//
+//toposhot:hotpath
 func (p *pool) repartitionAfterRemove(sender uint64) int {
 	live := 0
 	for range p.bySender[sender] {
@@ -98,6 +105,8 @@ func (p *pool) pendingPrices() []uint64 {
 
 // offer walks a nonce-ordered slice: admission-path functions may iterate
 // slices.
+//
+//toposhot:hotpath
 func (p *pool) offer(run []*entry) int {
 	pending := 0
 	for _, e := range run {

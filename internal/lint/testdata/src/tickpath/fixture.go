@@ -1,11 +1,11 @@
-// Package fixture exercises the O(Δ) tick-path bans. The named dyn*/trk*
-// functions run once per tracked change on every tracker tick: map iteration
-// and allocations inside them must fire; the pooled-reslice idiom and the
-// batch fallback (dynRebuild) must stay silent. Loaded under both owning
-// scopes: as toposhot/internal/graph/fixture only the tick-path rules apply;
-// as toposhot/internal/tracker/fixture the package is additionally in the
-// nodeterminism simulation scope, so the order-dependent float accumulation
-// is flagged too.
+// Package fixture exercises the O(Δ) tick-path bans. The dyn*/trk* functions
+// carrying //toposhot:hotpath run once per tracked change on every tracker
+// tick: map iteration and allocations inside them must fire; the
+// pooled-reslice idiom and the batch fallback (dynRebuild) must stay silent.
+// Loaded as toposhot/internal/graph/fixture, outside the nodeterminism
+// simulation scope: the directive alone puts a function under both bans, in
+// any package, so the order-dependent float accumulation stays silent here
+// (nodeterminism.golden pins that finding).
 package fixture
 
 type Dynamic struct {
@@ -18,6 +18,8 @@ func sink(v interface{}) {}
 
 // dynApplyAdd is on the tick path: every allocation and map walk below must
 // be flagged; the pooled reslice must not.
+//
+//toposhot:hotpath
 func (d *Dynamic) dynApplyAdd(su, sv int32) {
 	undo := func() {} // closure per change
 	undo()
@@ -39,7 +41,9 @@ func (d *Dynamic) dynApplyAdd(su, sv int32) {
 	_ = sum
 }
 
-// trkPlan is on the tick path under the tracker package.
+// trkPlan is on the tick path too.
+//
+//toposhot:hotpath
 func (d *Dynamic) trkPlan() []int32 {
 	var plan []int32
 	plan = append(plan, 0) // growing append on a fresh local

@@ -68,16 +68,6 @@ func recvNamed(t types.Type) *types.Named {
 	return n
 }
 
-// namedFrom reports whether t (possibly behind a pointer) is the named type
-// pkgPath.name.
-func namedFrom(t types.Type, pkgPath, name string) bool {
-	n := recvNamed(t)
-	if n == nil || n.Obj().Pkg() == nil {
-		return false
-	}
-	return n.Obj().Pkg().Path() == pkgPath && n.Obj().Name() == name
-}
-
 // errorReturning reports whether the call's callee has an error as its final
 // result.
 func errorReturning(info *types.Info, call *ast.CallExpr) bool {

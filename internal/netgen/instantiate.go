@@ -128,8 +128,3 @@ func InstantiateScaled(net *ethsim.Network, g *graph.Graph, het Heterogeneity, s
 	}
 	return inst
 }
-
-// GroundTruth returns the instantiated network's edge list in simulator ids.
-func (in *Instantiated) GroundTruth() [][2]types.NodeID {
-	return in.Net.Edges()
-}

@@ -586,18 +586,6 @@ func (n *Node) PoolStats() (int, int, int) {
 	return n.pool.Len(), n.pool.PendingCount(), n.pool.FutureCount()
 }
 
-// PeerAddrs returns the connected peers' remote addresses, sorted.
-func (n *Node) PeerAddrs() []string {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	out := make([]string, 0, len(n.peers))
-	for addr := range n.peers {
-		out = append(out, addr)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // PeerCount returns the number of connected peers.
 func (n *Node) PeerCount() int {
 	n.mu.Lock()
@@ -638,6 +626,3 @@ func (n *Node) PeerStats() []PeerStat {
 	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
 	return out
 }
-
-// ClientVersion returns the node's advertised version.
-func (n *Node) ClientVersion() string { return n.cfg.ClientVersion }

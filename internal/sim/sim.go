@@ -62,6 +62,8 @@ type item struct {
 
 // before orders two items by (at, seq) — a strict total order because seq is
 // unique.
+//
+//toposhot:hotpath
 func (a item) before(b item) bool {
 	if a.at != b.at {
 		return a.at < b.at
@@ -227,14 +229,20 @@ func (e *Engine) SetLanes(n int) {
 // Scheduling in the past runs the event at the current time instead (never
 // backwards). It captures nothing, so steady-state scheduling through a
 // reused Handler is allocation-free.
+//
+//toposhot:hotpath
 func (e *Engine) AtHandler(t float64, h Handler, arg uint64) { e.schedule(t, h, arg, 0) }
 
 // AfterHandler schedules h.HandleEvent(arg) d seconds from now.
+//
+//toposhot:hotpath
 func (e *Engine) AfterHandler(d float64, h Handler, arg uint64) { e.schedule(e.now+d, h, arg, 0) }
 
 // AtHandlerLane schedules h.HandleEvent(arg) at absolute time t, tagged with
 // the given lane (taken modulo the lane count). The tag is recorded, nothing
 // more: it never affects the event's position in the pop order.
+//
+//toposhot:hotpath
 func (e *Engine) AtHandlerLane(t float64, h Handler, arg uint64, lane int) {
 	e.schedule(t, h, arg, lane)
 }
@@ -242,6 +250,8 @@ func (e *Engine) AtHandlerLane(t float64, h Handler, arg uint64, lane int) {
 // schedule stores the event in a recycled arena slot and files it. The
 // (at, seq) key is unique per event, so where it is filed cannot influence
 // pop order.
+//
+//toposhot:hotpath
 func (e *Engine) schedule(t float64, h Handler, arg uint64, lane int) {
 	if t < e.now {
 		t = e.now
@@ -266,6 +276,8 @@ func (e *Engine) schedule(t float64, h Handler, arg uint64, lane int) {
 // file puts the filled arena slot idx in the holder its time selects. The
 // comparison against winEnd comes first and is made on the float: +Inf, NaN
 // and times past wheelHorizon must never reach the integer conversion.
+//
+//toposhot:hotpath
 func (e *Engine) file(idx int32) {
 	ev := &e.arena[idx]
 	e.pending++
@@ -295,6 +307,8 @@ func (e *Engine) file(idx int32) {
 // less than a bucket width ahead), and — defensively — any whose bucket is
 // already behind cur. The consumed prefix is dropped once it outweighs the
 // live run, so a chain of same-instant events cannot grow the slice.
+//
+//toposhot:hotpath
 func (e *Engine) insertFront(it item) {
 	if e.head > len(e.front)/2 {
 		n := copy(e.front, e.front[e.head:])
@@ -317,6 +331,8 @@ func (e *Engine) insertFront(it item) {
 // moveWindow moves the window forward so that t's bucket is the first one
 // the ring files: cur becomes the bucket before it. Callers guarantee that
 // front is empty and that no event on the wheel is earlier than t's bucket.
+//
+//toposhot:hotpath
 func (e *Engine) moveWindow(t float64) {
 	if !(t < wheelHorizon) {
 		return
@@ -328,6 +344,8 @@ func (e *Engine) moveWindow(t float64) {
 
 // setCur makes b the active bucket. winEnd is capped at wheelHorizon so that
 // every time below it converts exactly.
+//
+//toposhot:hotpath
 func (e *Engine) setCur(b int64) {
 	e.cur = b
 	e.winEnd = math.Min(float64(b+wheelSize)/wheelScale, wheelHorizon)
@@ -337,6 +355,8 @@ func (e *Engine) setCur(b int64) {
 // The bitmap is scanned a word (64 buckets) at a time starting at cur+1's
 // bit; the ring's slots map onto buckets cur+1 … cur+wheelSize in that scan
 // order. inWheel must be non-zero.
+//
+//toposhot:hotpath
 func (e *Engine) nextOccupied() int64 {
 	s := uint64(e.cur+1) & wheelMask
 	w := s >> 6
@@ -360,6 +380,8 @@ func (e *Engine) nextOccupied() int64 {
 // bucket of whatever pops next means an event scheduled from that pop's
 // handler files into the ring, never into a long sorted run. The mapping
 // from time to bucket is monotone, so comparing bucket numbers is enough.
+//
+//toposhot:hotpath
 func (e *Engine) refill(limit float64) {
 	b := e.nextOccupied()
 	if len(e.far) > 0 && e.far[0].at < limit {
@@ -436,6 +458,8 @@ const (
 // insertionSort orders s by (at, seq). Hand-written: on the few events the
 // counting sort leaves out of order, the generic sort's call per comparison
 // cost more than the rest of the wheel.
+//
+//toposhot:hotpath
 func insertionSort(s []item) {
 	for i := 1; i < len(s); i++ {
 		it := s[i]
@@ -449,6 +473,8 @@ func insertionSort(s []item) {
 
 // compareItems is the comparator of refill's fallback sort: a named
 // function, not a closure, so the sort allocates nothing.
+//
+//toposhot:hotpath
 func compareItems(a, b item) int {
 	switch {
 	case a.before(b):
@@ -460,6 +486,8 @@ func compareItems(a, b item) int {
 }
 
 // pushFar adds an item to the far heap, a 4-ary heap with the keys inline.
+//
+//toposhot:hotpath
 func (e *Engine) pushFar(it item) {
 	e.far = append(e.far, it)
 	h := e.far
@@ -475,6 +503,8 @@ func (e *Engine) pushFar(it item) {
 }
 
 // popFar removes the far heap's head.
+//
+//toposhot:hotpath
 func (e *Engine) popFar() {
 	h := e.far
 	n := len(h) - 1
@@ -506,9 +536,13 @@ func (e *Engine) popFar() {
 }
 
 // Step executes the next pending event and reports whether one existed.
+//
+//toposhot:hotpath
 func (e *Engine) Step() bool { return e.stepUntil(math.Inf(1)) }
 
 // stepUntil executes the next pending event if its time is not after limit.
+//
+//toposhot:hotpath
 func (e *Engine) stepUntil(limit float64) bool {
 	if e.head == len(e.front) && e.inWheel > 0 {
 		e.refill(limit)
@@ -547,11 +581,15 @@ func (e *Engine) stepUntil(limit float64) bool {
 }
 
 // Pending returns the number of scheduled events.
+//
+//toposhot:hotpath
 func (e *Engine) Pending() int { return e.pending }
 
 // Run executes events until the queue drains or the event budget is
 // exhausted. The budget guards against runaway self-rescheduling loops; a
 // budget ≤ 0 means unlimited.
+//
+//toposhot:hotpath
 func (e *Engine) Run(budget int) {
 	if budget <= 0 {
 		budget = -1
@@ -565,6 +603,8 @@ func (e *Engine) Run(budget int) {
 
 // RunUntil executes events with timestamps ≤ t and then advances the clock
 // to exactly t. Events scheduled beyond t remain pending.
+//
+//toposhot:hotpath
 func (e *Engine) RunUntil(t float64) {
 	for e.stepUntil(t) {
 	}
@@ -706,6 +746,8 @@ func (e *Engine) Perm(n int) []int { return e.rng.Perm(n) }
 // same permutation from the same draws as rand.Perm — including its useless
 // draw for i = 0 — without the slice per call. It returns buf[:n], grown if
 // its capacity was short.
+//
+//toposhot:hotpath
 func (e *Engine) PermInto(buf []int, n int) []int {
 	if cap(buf) < n {
 		buf = make([]int, n)

@@ -139,21 +139,5 @@ func (d *DEthna) MeasurePair(a, b types.NodeID) (Claim, error) {
 	return Claim{Verdict: "unmarked"}, nil
 }
 
-// Neighbors returns the claimed one-hop set for a probed target, in
-// ascending id order (nil when the target was never probed).
-func (d *DEthna) Neighbors(a types.NodeID) []types.NodeID {
-	set := d.neighbors[a]
-	if set == nil {
-		return nil
-	}
-	out := make([]types.NodeID, 0, len(set))
-	for _, nd := range d.net.Nodes() {
-		if set[nd.ID()] {
-			out = append(out, nd.ID())
-		}
-	}
-	return out
-}
-
 // Cost implements Strategy: Repeats pending transactions per probed target.
 func (d *DEthna) Cost() Cost { return Cost{PendingTxs: d.pending} }

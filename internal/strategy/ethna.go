@@ -152,13 +152,6 @@ func (e *Ethna) MeasurePair(a, b types.NodeID) (Claim, error) {
 	return Claim{Verdict: "degree-unlikely"}, nil
 }
 
-// DegreeEstimate returns the fitted degree for a node (supernode link
-// excluded) and whether the sweep produced evidence for it.
-func (e *Ethna) DegreeEstimate(id types.NodeID) (int, bool) {
-	d, ok := e.est[id]
-	return d, ok
-}
-
 // MeanAbsDegreeError scores the fitted degrees against the network's ground
 // truth, excluding each node's supernode link; it returns the mean absolute
 // error over estimated nodes, and 0 when nothing was estimated.

@@ -20,9 +20,6 @@ func NewTopoShot(m *core.Measurer) *TopoShot { return &TopoShot{m: m} }
 // Name implements Strategy.
 func (s *TopoShot) Name() string { return "toposhot" }
 
-// Measurer returns the underlying core measurer (parameter tuning, ledger).
-func (s *TopoShot) Measurer() *core.Measurer { return s.m }
-
 // Prepare implements Strategy; TopoShot probes per pair, so there is no
 // campaign-level phase.
 func (s *TopoShot) Prepare(pairs [][2]types.NodeID) error { return nil }

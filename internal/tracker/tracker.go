@@ -296,6 +296,8 @@ func (t *Tracker) Tick() (TickReport, error) {
 // last-verified order, stopping at the confidence cutoff. Amortized
 // O(budget): every popped entry is either planned, or a lazy-deletion
 // artifact paid for by the re-verification that created it.
+//
+//toposhot:hotpath
 func (t *Tracker) trkPlan(rep *TickReport) []int32 {
 	plan := t.planScratch[:0]
 	for t.urgentHead < len(t.urgent) && len(plan) < t.cfg.Budget {
@@ -338,6 +340,8 @@ func (t *Tracker) trkPlan(rep *TickReport) []int32 {
 
 // trkMarkUrgent queues a pair for the next plan, deduplicating repeat
 // observations of the same pair.
+//
+//toposhot:hotpath
 func (t *Tracker) trkMarkUrgent(i int32) {
 	if t.urgentMark[i] {
 		return
@@ -348,6 +352,8 @@ func (t *Tracker) trkMarkUrgent(i int32) {
 
 // trkApply folds one probe result into the pair table, the belief graph,
 // and the staleness buckets.
+//
+//toposhot:hotpath
 func (t *Tracker) trkApply(i int32, r ProbeResult, rep *TickReport) {
 	p := &t.pairs[i]
 	if r.Failed {

@@ -60,6 +60,8 @@ func (h *entryHeap) push(e *entry) {
 }
 
 // remove is heap.Remove at e's slot; a no-op when e is not in the heap.
+//
+//toposhot:hotpath
 func (h *entryHeap) remove(e *entry) {
 	i := e.idx[h.kind]
 	if i < 0 {

@@ -138,6 +138,8 @@ func (s *sender) search(nonce uint64) (int, bool) {
 }
 
 // insertAt places e at position i of the nonce order.
+//
+//toposhot:hotpath
 func (s *sender) insertAt(i int, e *entry) {
 	s.txs = append(s.txs, e)
 	if i < len(s.txs)-1 {
@@ -147,6 +149,8 @@ func (s *sender) insertAt(i int, e *entry) {
 }
 
 // removeAt drops position i of the nonce order.
+//
+//toposhot:hotpath
 func (s *sender) removeAt(i int) {
 	if i == 0 {
 		s.txs[0] = nil
@@ -219,6 +223,8 @@ func (p *Pool) SetMetrics(m *Metrics) { p.metrics = m }
 // SetTime advances the pool clock (virtual seconds) and expires transactions
 // older than the policy expiry. The admission list is age-ordered, so expiry
 // is O(expired).
+//
+//toposhot:hotpath
 func (p *Pool) SetTime(now float64) {
 	p.now = now
 	if p.policy.Expiry <= 0 {
@@ -242,9 +248,6 @@ func (p *Pool) PendingCount() int { return p.pendingCount }
 
 // FutureCount returns the number of nonce-gapped transactions.
 func (p *Pool) FutureCount() int { return p.futureCount }
-
-// Full reports whether the pool is at capacity.
-func (p *Pool) Full() bool { return len(p.all) >= p.policy.Capacity }
 
 // Has reports whether the pool holds the transaction with the given hash.
 func (p *Pool) Has(h types.Hash) bool { _, ok := p.all[h]; return ok }
@@ -284,6 +287,8 @@ func (p *Pool) StateNonce(sender types.Address) uint64 {
 // SetStateNonce records sender's chain nonce. It re-evaluates the sender's
 // buffered transactions: stale ones are dropped (in ascending nonce order)
 // and newly executable ones promoted. It returns the promoted transactions.
+//
+//toposhot:hotpath
 func (p *Pool) SetStateNonce(addr types.Address, nonce uint64) []*types.Transaction {
 	s := p.senders[addr]
 	if s == nil {
@@ -354,6 +359,7 @@ func (p *Pool) Offer(tx *types.Transaction) Result {
 	return res
 }
 
+//toposhot:hotpath
 func (p *Pool) offer(tx *types.Transaction) Result {
 	h := tx.Hash()
 	if _, ok := p.all[h]; ok {
@@ -432,6 +438,7 @@ func (p *Pool) offer(tx *types.Transaction) Result {
 			s = p.senders[tx.From]
 			i, _ = s.search(tx.Nonce)
 		}
+		//lint:ignore hotalloc result slice handed to the caller; empty unless the pool is full
 		evicted = append(evicted, vtx)
 		if p.DropObserver != nil {
 			p.DropObserver(vtx, "evicted")
@@ -454,6 +461,8 @@ func (p *Pool) offer(tx *types.Transaction) Result {
 
 // link creates the entry for tx and adds it to every index except its
 // sender's nonce order, which the caller maintains.
+//
+//toposhot:hotpath
 func (p *Pool) link(tx *types.Transaction, h types.Hash, s *sender, pending bool) *entry {
 	e := p.free
 	if e != nil {
@@ -491,6 +500,8 @@ func (p *Pool) enlist(e *entry) {
 // unlink is link's inverse: it takes e out of every index except its
 // sender's nonce order and recycles it. e's fields are dead afterwards —
 // callers read e.tx (and anything else they need) first.
+//
+//toposhot:hotpath
 func (p *Pool) unlink(e *entry) {
 	delete(p.all, e.tx.Hash())
 	p.price.remove(e)
@@ -518,6 +529,8 @@ func (p *Pool) unlink(e *entry) {
 
 // remove deletes an entry from all indexes and recycles it; read e.tx before
 // calling. A sender left with nothing to remember is forgotten.
+//
+//toposhot:hotpath
 func (p *Pool) remove(e *entry) {
 	s, addr := e.snd, e.tx.From
 	i := 0
@@ -531,6 +544,8 @@ func (p *Pool) remove(e *entry) {
 
 // repartitionAfterRemove removes e and re-derives its sender's pending/future
 // split around the hole.
+//
+//toposhot:hotpath
 func (p *Pool) repartitionAfterRemove(e *entry) {
 	s := e.snd
 	p.remove(e)
@@ -551,6 +566,8 @@ func (p *Pool) cheapestFuture() *entry { return p.futures.top() }
 // repartition re-derives the pending/future flags for one sender's
 // transactions after an insertion or nonce change, returning transactions
 // that transitioned future → pending, in ascending nonce order.
+//
+//toposhot:hotpath
 func (p *Pool) repartition(s *sender) []*types.Transaction {
 	var promoted []*types.Transaction
 	// The executable run is the prefix whose nonces count up from the state
@@ -561,6 +578,7 @@ func (p *Pool) repartition(s *sender) []*types.Transaction {
 		if !e.pending {
 			p.markPending(e, true)
 			p.futures.remove(e)
+			//lint:ignore hotalloc result slice handed to the caller; empty unless a nonce gap closed
 			promoted = append(promoted, e.tx)
 		}
 		run++

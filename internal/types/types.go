@@ -129,9 +129,6 @@ func (h Hash) String() string {
 // IsZero reports whether the hash is all zeroes.
 func (h Hash) IsZero() bool { return h == Hash{} }
 
-// Bytes returns the hash as a byte slice.
-func (h Hash) Bytes() []byte { return h[:] }
-
 // Transaction is an account-model transaction. Gas prices are in Wei.
 //
 // A transaction is immutable after creation; Hash() memoizes the digest on
