@@ -378,7 +378,7 @@ func (m *Measurer) MeasureOneLink(a, b types.NodeID) (bool, error) {
 	if m.params.VerifyEviction {
 		vs := m.tracer.StartSpan(spanVerifyRPC)
 		for _, id := range []types.NodeID{a, b} {
-			if tx, err := m.net.Node(id).RPC().GetTransactionByHash(txC.Hash()); err == nil && tx != nil {
+			if held, err := m.net.Node(id).RPC().HasTransaction(txC); err == nil && held {
 				m.tracer.Event(evTxCBuffered, trace.Int(attrNode, int64(id)))
 			}
 		}
@@ -482,7 +482,7 @@ func (m *Measurer) CalibrateX(probes, trials int) float64 {
 			m.net.RunFor(0.5)
 			allHave := true
 			for _, o := range obs {
-				if !o.Pool().Has(tx.Hash()) {
+				if !o.Pool().Contains(tx) {
 					allHave = false
 					break
 				}

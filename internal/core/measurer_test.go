@@ -135,6 +135,44 @@ func TestMeasureNetworkRecoversRing(t *testing.T) {
 	}
 }
 
+// TestCensusNeverHashesUnrelayedTransactions: a transaction no pool ever held
+// as pending — every offer of it ended future, pool-full or over-account-cap,
+// which is nearly every transaction a census mints — is never gossiped, so
+// nobody can ask for it by hash, and nothing on the way through the pool, the
+// delivery functions or the measurer's own checks may compute its digest.
+// One by-hash pool call on a freshly filled target (the p2 check, a request
+// answered through Get) hashes all Z futures there and fails this.
+func TestCensusNeverHashesUnrelayedTransactions(t *testing.T) {
+	net, m, ids := buildRing(t, 12, 5)
+	unrelayed := make(map[*types.Transaction]bool)
+	net.OnOffer = func(_, _ types.NodeID, tx *types.Transaction, status string) {
+		quiet := status == "future" || status == "pool-full" || status == "over-account-cap"
+		if was, seen := unrelayed[tx]; seen {
+			quiet = quiet && was
+		}
+		unrelayed[tx] = quiet
+	}
+	if _, err := m.MeasureNetwork(ids, 3, 2000); err != nil {
+		t.Fatalf("measureNetwork: %v", err)
+	}
+	quiet, hashed := 0, 0
+	for tx, q := range unrelayed {
+		if !q {
+			continue
+		}
+		quiet++
+		if tx.Hashed() {
+			hashed++
+		}
+	}
+	if quiet < m.Params().Z {
+		t.Fatalf("only %d of %d offered transactions were never pending; the census should be mostly futures", quiet, len(unrelayed))
+	}
+	if hashed != 0 {
+		t.Fatalf("%d of %d never-pending transactions were hashed", hashed, quiet)
+	}
+}
+
 func TestMeasureSmallWorldNetwork(t *testing.T) {
 	cfg := ethsim.DefaultConfig(7)
 	net := ethsim.NewNetwork(cfg)

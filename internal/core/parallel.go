@@ -159,8 +159,8 @@ func (m *Measurer) MeasurePar(edges []Edge) (*ParResult, error) {
 	// source before trusting the iteration's negatives.
 	vs := m.tracer.StartSpan(spanVerifyRPC)
 	for i, e := range edges {
-		tx, err := m.net.Node(e.Source).RPC().GetTransactionByHash(txA[i].Hash())
-		if err != nil || tx == nil {
+		held, err := m.net.Node(e.Source).RPC().HasTransaction(txA[i])
+		if err != nil || !held {
 			res.SetupFailed = append(res.SetupFailed, e)
 			m.tracer.Event(evSetupFailed,
 				trace.Int(attrNodeA, int64(e.Source)), trace.Int(attrNodeB, int64(e.Sink)))

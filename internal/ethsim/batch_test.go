@@ -186,6 +186,66 @@ func TestCheckpointWithSharedBatchesInFlight(t *testing.T) {
 	}
 }
 
+// TestCheckpointWithHintedRequestInFlight: a request sent in answer to a
+// shared-batch announcement carries the asked objects beside its hashes — a
+// run-time hint that is no part of the message. A checkpoint taken with such
+// requests in flight is byte for byte what the parent commit (f70b0d4), whose
+// requests carried hashes only, wrote for the same seed (its SHA-256 was
+// recorded there); the restored requests have lost the hint and answer by
+// hash, and the continuation still equals the uninterrupted run.
+func TestCheckpointWithHintedRequestInFlight(t *testing.T) {
+	net, _ := buildCheckpointNet(1)
+	net.RunFor(12)
+	hinted := func(net *Network) (requests, withHint int) {
+		for i := range net.msgs {
+			m := &net.msgs[i]
+			if m.dst == nil || m.kind != msgRequest {
+				continue
+			}
+			requests++
+			if len(m.txs) > 0 {
+				withHint++
+				for j, tx := range m.txs {
+					if len(m.txs) != len(m.hashes) || tx.Hash() != m.hashes[j] {
+						t.Fatalf("request in slot %d: asked objects are not parallel to its %d hashes", i, len(m.hashes))
+					}
+				}
+			}
+		}
+		return requests, withHint
+	}
+	requests, withHint := hinted(net)
+	if requests == 0 || withHint != requests {
+		t.Fatalf("checkpoint point has %d live requests, %d carrying the asked objects; the test needs all of several", requests, withHint)
+	}
+
+	blob, err := net.Checkpoint()
+	if err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	const parent = "556da473e4a71800609f33097d18c16a0b88e0d31ada7518a27e63770143c828"
+	if got := fmt.Sprintf("%x", sha256.Sum256(blob)); got != parent {
+		t.Fatalf("checkpoint bytes moved: sha256 %s (%d bytes), parent %s", got, len(blob), parent)
+	}
+
+	want := observeRun(net, 15)
+	restored, err := RestoreNetwork(blob)
+	if err != nil {
+		t.Fatalf("RestoreNetwork: %v", err)
+	}
+	if r, h := hinted(restored); r != requests || h != 0 {
+		t.Fatalf("restored network has %d live requests (want %d), %d with a hint (want none)", r, requests, h)
+	}
+	if got := observeRun(restored, 15); !reflect.DeepEqual(want, got) {
+		for i := range want {
+			if i >= len(got) || want[i] != got[i] {
+				t.Fatalf("resumed run diverged at line %d:\n  orig: %q\n  rest: %q", i, want[i], got[i])
+			}
+		}
+		t.Fatalf("resumed run diverged (lengths %d vs %d)", len(want), len(got))
+	}
+}
+
 // TestWarmFloodAllocatesNothing: once its buffers have grown, a whole gossip
 // round over known transactions — queueing, the flush with its permutation,
 // batch and message slots, routing, and every delivery — allocates nothing.

@@ -256,7 +256,9 @@ func encodeOverflow(m map[uint64]float64) rlp.Item {
 // survive), and every live slot's payload. A message riding a flush's shared
 // batch is written as the payload it stands for — the batch minus the items
 // excluded for its destination — so the image does not know batches exist
-// and a restored message owns a private payload.
+// and a restored message owns a private payload. A request's asked objects
+// (netMsg.txs) are a run-time hint beside its hashes and are not written: a
+// restored request answers by hash.
 func encodeMsgs(n *Network, tt *txTable) rlp.Item {
 	free := make([]rlp.Item, len(n.msgFree))
 	for i, f := range n.msgFree {
@@ -281,8 +283,10 @@ func encodeMsgs(n *Network, tt *txTable) rlp.Item {
 				}
 			}
 		}
-		for _, tx := range m.txs {
-			txRefs = append(txRefs, rlp.Uint(tt.ref(tx)))
+		if m.kind != msgRequest {
+			for _, tx := range m.txs {
+				txRefs = append(txRefs, rlp.Uint(tt.ref(tx)))
+			}
 		}
 		for j := range m.hashes {
 			hashes = append(hashes, rlp.Bytes(m.hashes[j][:]))
@@ -699,6 +703,9 @@ func RestoreNetworkLanes(data []byte, lanes int) (*Network, error) {
 		m.sent = d.f64(lf[4], "msg sent")
 		for _, t := range d.list(lf[5], -1, "msg txs") {
 			m.txs = append(m.txs, d.txRef(t, table, "msg tx"))
+		}
+		if m.kind == msgRequest {
+			m.txs = m.txs[:0] // on a request txs is the run-time hint, which no file supplies
 		}
 		for _, hh := range d.list(lf[6], -1, "msg hashes") {
 			m.hashes = append(m.hashes, d.hash(hh, "msg hash"))

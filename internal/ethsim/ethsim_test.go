@@ -201,6 +201,18 @@ func TestRPCQueries(t *testing.T) {
 	if err != nil || got == nil {
 		t.Fatal("getTransactionByHash failed")
 	}
+	// Asked by object: the same answer for the held object and for another of
+	// equal content, no for a transaction that differs in its payload only.
+	other := tx.Copy()
+	other.Value++
+	for _, c := range []struct {
+		tx   *types.Transaction
+		want bool
+	}{{tx, true}, {tx.Copy(), true}, {other, false}} {
+		if held, err := nd.RPC().HasTransaction(c.tx); err != nil || held != c.want {
+			t.Fatalf("hasTransaction(%v) = %v, %v; want %v", c.tx, held, err, c.want)
+		}
+	}
 	peers, err := nd.RPC().PeerList()
 	if err != nil || len(peers) != 1 || peers[0] != ids[1] {
 		t.Fatalf("peerList = %v", peers)

@@ -168,7 +168,11 @@ type netMsg struct {
 	// batch: the message is what the batch holds minus the items whose
 	// exclude is dst. 0 means the payload is private, in txs or hashes.
 	batch int32
-	// txs carries full transactions (msgTxs, msgInject).
+	// txs carries full transactions (msgTxs, msgInject). On a msgRequest it
+	// is a run-time hint: the asked objects, parallel to hashes, for a
+	// requester that held them (deliverAnnounce). The hint is not part of the
+	// message — it is never serialized, traced or counted, and a request
+	// without it is answered by hash.
 	txs []*types.Transaction
 	// hashes carries announcement/request hash lists (msgAnnounce, msgRequest).
 	hashes []types.Hash
@@ -625,8 +629,11 @@ func (n *Network) handleMsg(i int32) {
 		n.metrics.deliveryLatency.Observe(n.eng.Now() - m.sent) // effective one-hop delay
 		if n.traceEngine {
 			size := len(m.txs) + len(m.hashes)
-			if m.batch != 0 {
+			switch {
+			case m.batch != 0:
 				size = addressedTo(items, m.dst.id)
+			case m.kind == msgRequest:
+				size = len(m.hashes) // txs is the hint, not payload
 			}
 			n.tracer.Event(evMsgDeliver, trace.String(attrKind, m.kind.String()),
 				trace.Int(attrFrom, int64(m.from)), trace.Int(attrTo, int64(m.dst.id)),
@@ -642,7 +649,7 @@ func (n *Network) handleMsg(i int32) {
 		case msgAnnounce:
 			m.dst.deliverAnnounce(m.from, m.hashes, items)
 		case msgRequest:
-			m.dst.deliverRequest(m.from, m.hashes)
+			m.dst.deliverRequest(m.from, m.hashes, m.txs)
 		}
 	}
 	if m.batch != 0 {

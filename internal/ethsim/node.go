@@ -358,7 +358,7 @@ func (nd *Node) appendPropagatable(out []*types.Transaction, tx *types.Transacti
 	case txpool.StatusReplaced:
 		// A replacement of a pending slot re-propagates (the "speed-up"
 		// application in §1 relies on this).
-		if nd.pool.IsPending(tx.Hash()) {
+		if nd.pool.ContainsPending(tx) {
 			out = append(out, tx)
 		}
 	case txpool.StatusFuture:
@@ -479,7 +479,10 @@ func addressedTo(items []outItem, peer types.NodeID) int {
 // The request's hash list is built directly into a pooled message buffer.
 // When the announcement rides a flush's shared batch, items is the batch
 // (parallel to hashes) and the hashes excluded for this node are skipped;
-// items is nil for a private payload.
+// items is nil for a private payload. The batch puts the announced objects in
+// this node's hands, so it asks its pool by object and sends them along with
+// the request as a hint (netMsg.txs); only a private payload — a message
+// restored from a checkpoint — is looked up by hash.
 //
 //toposhot:hotpath
 func (nd *Node) deliverAnnounce(from types.NodeID, hashes []types.Hash, items []outItem) {
@@ -487,8 +490,9 @@ func (nd *Node) deliverAnnounce(from types.NodeID, hashes []types.Hash, items []
 	now := net.Now()
 	mi := net.msgTo(msgRequest, nd.id, from)
 	var want []types.Hash
+	var asked []*types.Transaction
 	if mi >= 0 {
-		want = net.msgs[mi].hashes[:0]
+		want, asked = net.msgs[mi].hashes[:0], net.msgs[mi].txs[:0]
 	}
 	for i, h := range hashes {
 		if items != nil && items[i].exclude == nd.id {
@@ -497,7 +501,11 @@ func (nd *Node) deliverAnnounce(from types.NodeID, hashes []types.Hash, items []
 		if nd.OnHashAnnounced != nil {
 			nd.OnHashAnnounced(from, h, now)
 		}
-		if nd.pool.Has(h) {
+		if items != nil {
+			if nd.pool.Contains(items[i].tx) {
+				continue
+			}
+		} else if nd.pool.Has(h) {
 			continue
 		}
 		if until, ok := nd.announceLock[h]; ok && now < until {
@@ -508,12 +516,15 @@ func (nd *Node) deliverAnnounce(from types.NodeID, hashes []types.Hash, items []
 		nd.armAnnounceLock(h, until)
 		if mi >= 0 {
 			want = append(want, h)
+			if items != nil {
+				asked = append(asked, items[i].tx)
+			}
 		}
 	}
 	if mi < 0 {
 		return
 	}
-	net.msgs[mi].hashes = want
+	net.msgs[mi].hashes, net.msgs[mi].txs = want, asked
 	if len(want) == 0 {
 		net.freeMsg(mi)
 		return
@@ -535,19 +546,29 @@ func (nd *Node) armAnnounceLock(h types.Hash, until float64) {
 
 // deliverRequest answers a GetPooledTransactions request with whatever of
 // the asked hashes is still buffered, assembling the reply in a pooled
-// message buffer.
+// message buffer. asked, when the request carries it, holds the requested
+// objects parallel to hashes and the pool is asked by object; a request
+// restored from a checkpoint has hashes only and is answered by hash.
 //
 //toposhot:hotpath
-func (nd *Node) deliverRequest(from types.NodeID, hashes []types.Hash) {
+func (nd *Node) deliverRequest(from types.NodeID, hashes []types.Hash, asked []*types.Transaction) {
 	net := nd.net
 	mi := net.msgTo(msgTxs, nd.id, from)
 	if mi < 0 {
 		return
 	}
 	reply := net.msgs[mi].txs[:0]
-	for _, h := range hashes {
-		if tx := nd.pool.Get(h); tx != nil {
-			reply = append(reply, tx)
+	if len(asked) == len(hashes) {
+		for _, tx := range asked {
+			if nd.pool.Contains(tx) {
+				reply = append(reply, tx)
+			}
+		}
+	} else {
+		for _, h := range hashes {
+			if tx := nd.pool.Get(h); tx != nil {
+				reply = append(reply, tx)
+			}
 		}
 	}
 	net.msgs[mi].txs = reply

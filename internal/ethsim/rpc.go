@@ -10,6 +10,12 @@ import (
 // a target node: the reproduction's analogue of eth_getTransactionByHash,
 // admin_peers, txpool_content and web3_clientVersion. Unresponsive nodes
 // error on every call.
+//
+// A caller that minted the transaction it asks about uses HasTransaction,
+// which compares content and computes no hash; GetTransactionByHash is for a
+// caller that holds only the hash, and makes the target's pool index
+// everything it buffers by hash first (txpool.Pool's on-demand index) — on a
+// pool just filled with Z futures that is Z digests.
 type RPC struct {
 	n *Node
 }
@@ -39,6 +45,15 @@ func (r RPC) GetTransactionByHash(h types.Hash) (*types.Transaction, error) {
 		return nil, ErrUnresponsive
 	}
 	return r.n.pool.Get(h), nil
+}
+
+// HasTransaction reports whether the node buffers tx: the same question as
+// GetTransactionByHash(tx.Hash()) != nil, asked by object.
+func (r RPC) HasTransaction(tx *types.Transaction) (bool, error) {
+	if r.n.cfg.Unresponsive {
+		return false, ErrUnresponsive
+	}
+	return r.n.pool.Contains(tx), nil
 }
 
 // PeerList returns the node's active neighbors (admin_peers). TopoShot only

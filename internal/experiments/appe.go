@@ -185,7 +185,7 @@ func FloodExploit(policy txpool.Policy, seed int64) FloodResult {
 		v := types.NewTransaction(attacker, types.AddressFromUint64(1), 0, price, uint64(i+2))
 		super.Inject(ids[0], v)
 		net.RunFor(1.5)
-		if net.Node(ids[0]).Pool().Has(v.Hash()) {
+		if net.Node(ids[0]).Pool().Contains(v) {
 			replaced++
 		}
 	}

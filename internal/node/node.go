@@ -446,7 +446,7 @@ func (n *Node) handleTxs(p *peer, txs []*types.Transaction) {
 			out = append(out, tx)
 		case txpool.StatusReplaced:
 			accepted++
-			if n.pool.IsPending(tx.Hash()) {
+			if n.pool.ContainsPending(tx) {
 				out = append(out, tx)
 			}
 		case txpool.StatusUnderpriced:
@@ -547,7 +547,7 @@ func (n *Node) SubmitLocal(tx *types.Transaction) txpool.Status {
 	n.mu.Lock()
 	res := n.pool.Offer(tx)
 	var out []*types.Transaction
-	if res.Status == txpool.StatusPending || (res.Status == txpool.StatusReplaced && n.pool.IsPending(tx.Hash())) {
+	if res.Status == txpool.StatusPending || (res.Status == txpool.StatusReplaced && n.pool.ContainsPending(tx)) {
 		out = append(out, tx)
 	}
 	out = append(out, res.Promoted...)

@@ -40,7 +40,7 @@ func (p *Pool) SetBaseFee(baseFee uint64) []*types.Transaction {
 		return string(hi[:]) < string(hj[:])
 	})
 	for _, tx := range drop {
-		p.repartitionAfterRemove(p.all[tx.Hash()])
+		p.repartitionAfterRemove(p.find(tx))
 		if p.DropObserver != nil {
 			p.DropObserver(tx, "base-fee-underpriced")
 		}

@@ -167,10 +167,22 @@ func (s *sender) removeAt(i int) {
 type Pool struct {
 	policy Policy
 
-	all map[types.Hash]*entry
+	// A transaction can only sit in its sender's slot for its nonce, so the
+	// pool needs no hash to tell whether it holds one (find). live answers the
+	// common case before the slot is consulted: it indexes the pending entries
+	// — the only ones gossip ever offers or announces a second time — by
+	// transaction object.
+	live map[*types.Transaction]*entry
 	// senders holds one record per account with buffered entries or a
 	// non-zero state nonce; idle zero-nonce accounts have none.
 	senders map[types.Address]*sender
+	// byHash serves the callers that hold nothing but a hash (lookup). It is
+	// filled on demand: it indexes exactly the entries admitted up to
+	// indexedSeq (the admission list ascends in seq, so that is a prefix of
+	// it), and a by-hash call first indexes the younger tail. A pool nobody
+	// asks by hash never computes one.
+	byHash     map[types.Hash]*entry
+	indexedSeq uint64
 
 	price entryHeap // min-heap over gas price for eviction victims
 	// futures is a second index over future entries only, so the full-pool
@@ -206,7 +218,7 @@ type Pool struct {
 func New(policy Policy) *Pool {
 	return &Pool{
 		policy:  policy,
-		all:     make(map[types.Hash]*entry),
+		live:    make(map[*types.Transaction]*entry),
 		senders: make(map[types.Address]*sender),
 		price:   entryHeap{kind: priceHeap},
 		futures: entryHeap{kind: futureHeap},
@@ -241,7 +253,7 @@ func (p *Pool) SetTime(now float64) {
 }
 
 // Len returns the number of buffered transactions.
-func (p *Pool) Len() int { return len(p.all) }
+func (p *Pool) Len() int { return p.pendingCount + p.futureCount }
 
 // PendingCount returns the number of executable transactions.
 func (p *Pool) PendingCount() int { return p.pendingCount }
@@ -249,12 +261,64 @@ func (p *Pool) PendingCount() int { return p.pendingCount }
 // FutureCount returns the number of nonce-gapped transactions.
 func (p *Pool) FutureCount() int { return p.futureCount }
 
+// find returns the entry holding tx — the same object or one of equal
+// content — or nil. No hash is computed: a pending entry is found by object
+// in live, anything else through the one slot it could occupy.
+//
+//toposhot:hotpath
+func (p *Pool) find(tx *types.Transaction) *entry {
+	if e := p.live[tx]; e != nil {
+		return e
+	}
+	s := p.senders[tx.From]
+	if i, ok := s.search(tx.Nonce); ok {
+		if e := s.txs[i]; e.tx.Equal(tx) {
+			return e
+		}
+	}
+	return nil
+}
+
+// Contains reports whether the pool holds tx (by content, as Has would for
+// its hash). Callers that hold the transaction ask this way; Has, Get,
+// IsPending and Drop are for callers that hold only a hash.
+//
+//toposhot:hotpath
+func (p *Pool) Contains(tx *types.Transaction) bool { return p.find(tx) != nil }
+
+// ContainsPending reports whether the pool holds tx as a pending transaction.
+//
+//toposhot:hotpath
+func (p *Pool) ContainsPending(tx *types.Transaction) bool {
+	e := p.find(tx)
+	return e != nil && e.pending
+}
+
+// lookup returns the entry with the given hash, or nil, after bringing the
+// by-hash index up to date with the admission list — so Has, Get and
+// IsPending write to the pool, and a caller sharing one between goroutines
+// holds its lock exclusively for them too. The first call sizes the map for
+// the whole pool: grown by doubling instead, a pool probed once at the end of
+// a run would carry the garbage of every smaller table it outgrew.
+func (p *Pool) lookup(h types.Hash) *entry {
+	if p.indexedSeq != p.admitSeq {
+		if p.byHash == nil {
+			p.byHash = make(map[types.Hash]*entry, p.Len())
+		}
+		for e := p.newest; e != nil && e.seq > p.indexedSeq; e = e.prev {
+			p.byHash[e.tx.Hash()] = e
+		}
+		p.indexedSeq = p.admitSeq
+	}
+	return p.byHash[h]
+}
+
 // Has reports whether the pool holds the transaction with the given hash.
-func (p *Pool) Has(h types.Hash) bool { _, ok := p.all[h]; return ok }
+func (p *Pool) Has(h types.Hash) bool { return p.lookup(h) != nil }
 
 // Get returns the buffered transaction with the given hash, or nil.
 func (p *Pool) Get(h types.Hash) *types.Transaction {
-	if e, ok := p.all[h]; ok {
+	if e := p.lookup(h); e != nil {
 		return e.tx
 	}
 	return nil
@@ -272,8 +336,8 @@ func (p *Pool) GetBySenderNonce(sender types.Address, nonce uint64) *types.Trans
 
 // IsPending reports whether the hash is buffered as a pending transaction.
 func (p *Pool) IsPending(h types.Hash) bool {
-	e, ok := p.all[h]
-	return ok && e.pending
+	e := p.lookup(h)
+	return e != nil && e.pending
 }
 
 // StateNonce returns the chain nonce recorded for sender.
@@ -325,18 +389,20 @@ func (p *Pool) releaseIfIdle(addr types.Address, s *sender) {
 }
 
 // markPending flips an entry's pending flag, keeping the global and
-// per-sender tallies in sync.
+// per-sender tallies and the pending-only live index in sync.
 func (p *Pool) markPending(e *entry, pending bool) {
 	if e.pending == pending {
 		return
 	}
 	e.pending = pending
 	if pending {
+		p.live[e.tx] = e
 		p.pendingCount++
 		p.futureCount--
 		e.snd.pending++
 		e.snd.future--
 	} else {
+		delete(p.live, e.tx)
 		p.pendingCount--
 		p.futureCount++
 		e.snd.pending--
@@ -347,7 +413,8 @@ func (p *Pool) markPending(e *entry, pending bool) {
 // Offer submits a transaction to the pool and returns what happened. This is
 // the single admission path; it implements, in order:
 //
-//  1. duplicate and stale-nonce filtering;
+//  1. duplicate and stale-nonce filtering (a duplicate is the same object,
+//     or equal content in the same sender slot — never a hash);
 //  2. same-sender/nonce replacement under the R price-bump rule;
 //  3. the per-account future cap U;
 //  4. capacity-pressure eviction under the L/P rules, evicting the
@@ -361,8 +428,7 @@ func (p *Pool) Offer(tx *types.Transaction) Result {
 
 //toposhot:hotpath
 func (p *Pool) offer(tx *types.Transaction) Result {
-	h := tx.Hash()
-	if _, ok := p.all[h]; ok {
+	if p.live[tx] != nil {
 		return Result{Status: StatusKnown}
 	}
 	s := p.senders[tx.From] // nil for an account the pool holds nothing of
@@ -380,12 +446,15 @@ func (p *Pool) offer(tx *types.Transaction) Result {
 	i, found := s.search(tx.Nonce)
 	if found {
 		old := s.txs[i]
+		if old.tx.Equal(tx) {
+			return Result{Status: StatusKnown}
+		}
 		if tx.GasPrice < p.policy.ReplaceThreshold(old.price) {
 			return Result{Status: StatusUnderpriced}
 		}
 		replaced, wasPending := old.tx, old.pending
 		p.unlink(old)
-		s.txs[i] = p.link(tx, h, s, wasPending)
+		s.txs[i] = p.link(tx, s, wasPending)
 		return Result{Status: StatusReplaced, Replaced: replaced}
 	}
 
@@ -400,7 +469,7 @@ func (p *Pool) offer(tx *types.Transaction) Result {
 
 	// Capacity pressure: evict until there is room, or reject.
 	var evicted []*types.Transaction
-	for len(p.all) >= p.policy.Capacity {
+	for p.Len() >= p.policy.Capacity {
 		var victim *entry
 		if executable {
 			// Executable transactions are first-class: they displace the
@@ -448,7 +517,7 @@ func (p *Pool) offer(tx *types.Transaction) Result {
 	if s == nil {
 		s = p.newSender(tx.From)
 	}
-	s.insertAt(i, p.link(tx, h, s, executable))
+	s.insertAt(i, p.link(tx, s, executable))
 	status := StatusFuture
 	var promoted []*types.Transaction
 	if executable {
@@ -463,7 +532,7 @@ func (p *Pool) offer(tx *types.Transaction) Result {
 // sender's nonce order, which the caller maintains.
 //
 //toposhot:hotpath
-func (p *Pool) link(tx *types.Transaction, h types.Hash, s *sender, pending bool) *entry {
+func (p *Pool) link(tx *types.Transaction, s *sender, pending bool) *entry {
 	e := p.free
 	if e != nil {
 		p.free = e.next
@@ -473,9 +542,9 @@ func (p *Pool) link(tx *types.Transaction, h types.Hash, s *sender, pending bool
 	p.admitSeq++
 	*e = entry{tx: tx, snd: s, price: tx.GasPrice, added: p.now, seq: p.admitSeq, pending: pending, idx: [2]int{-1, -1}}
 	p.enlist(e)
-	p.all[h] = e
 	p.price.push(e)
 	if pending {
+		p.live[tx] = e
 		p.pendingCount++
 		s.pending++
 	} else {
@@ -503,10 +572,13 @@ func (p *Pool) enlist(e *entry) {
 //
 //toposhot:hotpath
 func (p *Pool) unlink(e *entry) {
-	delete(p.all, e.tx.Hash())
+	if e.seq <= p.indexedSeq {
+		delete(p.byHash, e.tx.Hash()) // memoized when e was indexed
+	}
 	p.price.remove(e)
 	p.futures.remove(e)
 	if e.pending {
+		delete(p.live, e.tx)
 		p.pendingCount--
 		e.snd.pending--
 	} else {
@@ -604,7 +676,7 @@ func (p *Pool) repartition(s *sender) []*types.Transaction {
 func (p *Pool) RemoveConfirmed(txs []*types.Transaction) []*types.Transaction {
 	touched := make(map[types.Address]uint64)
 	for _, tx := range txs {
-		if e, ok := p.all[tx.Hash()]; ok {
+		if e := p.find(tx); e != nil {
 			p.remove(e)
 		}
 		if next := tx.Nonce + 1; next > touched[tx.From] {
@@ -632,8 +704,8 @@ func (p *Pool) RemoveConfirmed(txs []*types.Transaction) []*types.Transaction {
 // Drop removes a specific transaction (used by tests and by the chain layer
 // for invalidated transactions). It reports whether the hash was present.
 func (p *Pool) Drop(h types.Hash) bool {
-	e, ok := p.all[h]
-	if !ok {
+	e := p.lookup(h)
+	if e == nil {
 		return false
 	}
 	p.repartitionAfterRemove(e)
@@ -664,7 +736,7 @@ func (p *Pool) Pending() []*types.Transaction {
 // Content returns every buffered transaction, ordered by hash so the
 // txpool_content RPC view is stable across runs.
 func (p *Pool) Content() []*types.Transaction {
-	out := make([]*types.Transaction, 0, len(p.all))
+	out := make([]*types.Transaction, 0, p.Len())
 	for e := p.oldest; e != nil; e = e.next {
 		out = append(out, e.tx)
 	}

@@ -339,10 +339,35 @@ func invariantCheck(t *testing.T, p *Pool) {
 		t.Fatalf("future heap holds %d entries, future count is %d",
 			len(p.futures.a), p.FutureCount())
 	}
+	// The two identity indexes, read before anything below asks by hash (which
+	// would move the watermark): live holds exactly the pending entries, under
+	// their own transaction object; byHash exactly the entries admitted up to
+	// the watermark, under a hash that indexing them memoized.
+	if p.indexedSeq > p.admitSeq {
+		t.Fatalf("by-hash watermark %d is ahead of admission seq %d", p.indexedSeq, p.admitSeq)
+	}
+	indexed := 0
+	for e := p.oldest; e != nil; e = e.next {
+		if (p.live[e.tx] == e) != e.pending {
+			t.Fatalf("entry seq=%d pending=%v: live holds %p, entry is %p", e.seq, e.pending, p.live[e.tx], e)
+		}
+		if e.seq > p.indexedSeq {
+			continue
+		}
+		indexed++
+		if !e.tx.Hashed() || p.byHash[e.tx.Hash()] != e {
+			t.Fatalf("entry seq=%d is below the watermark %d and not indexed by hash", e.seq, p.indexedSeq)
+		}
+	}
+	if len(p.live) != p.PendingCount() || len(p.byHash) != indexed {
+		t.Fatalf("live holds %d of %d pending entries, byHash %d of %d indexed ones",
+			len(p.live), p.PendingCount(), len(p.byHash), indexed)
+	}
 	var ref *entry
-	for h, e := range p.all {
-		if e.tx.Hash() != h || e.price != e.tx.GasPrice {
-			t.Fatalf("entry %v filed under %v with price %d", e.tx, h, e.price)
+	for e := p.oldest; e != nil; e = e.next {
+		h := e.tx.Hash()
+		if e.price != e.tx.GasPrice {
+			t.Fatalf("entry %v carries price %d", e.tx, e.price)
 		}
 		if i := e.idx[priceHeap]; i < 0 || p.price.a[i] != e {
 			t.Fatalf("entry %v mis-indexed in price heap (idx=%d)", h, i)
@@ -375,7 +400,7 @@ func invariantCheck(t *testing.T, p *Pool) {
 		}
 		pending, future := 0, 0
 		for i, e := range live {
-			if e.snd != s || e.tx.From != addr || p.all[e.tx.Hash()] != e {
+			if e.snd != s || e.tx.From != addr || p.find(e.tx) != e {
 				t.Fatalf("sender %v slot %d holds a foreign or dead entry", addr, i)
 			}
 			if e.tx.Nonce < s.stateNonce || (i > 0 && live[i-1].tx.Nonce >= e.tx.Nonce) {
@@ -399,7 +424,7 @@ func invariantCheck(t *testing.T, p *Pool) {
 	visited := 0
 	var prev *entry
 	for e := p.oldest; e != nil; prev, e = e, e.next {
-		if p.all[e.tx.Hash()] != e {
+		if p.find(e.tx) != e {
 			t.Fatalf("admission list visits dead entry seq=%d", e.seq)
 		}
 		if e.prev != prev || (prev != nil && prev.seq >= e.seq) {

@@ -48,7 +48,7 @@ type Snapshot struct {
 // — it is configuration, carried separately by the caller.
 func (p *Pool) Snapshot() Snapshot {
 	var s Snapshot
-	s.Entries = make([]EntrySnapshot, 0, len(p.all))
+	s.Entries = make([]EntrySnapshot, 0, p.Len())
 	for e := p.oldest; e != nil; e = e.next {
 		e.mark = int32(len(s.Entries))
 		s.Entries = append(s.Entries, EntrySnapshot{Tx: e.tx, Added: e.added, Seq: e.seq, Pending: e.pending})
@@ -86,14 +86,16 @@ func RestorePool(policy Policy, s Snapshot) (*Pool, error) {
 		p.SetStateNonce(ns.Addr, ns.Nonce)
 	}
 	ents := make([]*entry, len(s.Entries))
+	lastSeq := uint64(0)
 	for i, es := range s.Entries {
 		if es.Tx == nil {
 			return nil, fmt.Errorf("txpool: snapshot entry %d has no transaction", i)
 		}
-		h := es.Tx.Hash()
-		if _, dup := p.all[h]; dup {
-			return nil, fmt.Errorf("txpool: duplicate transaction %v in snapshot", h)
+		// The by-hash index tells indexed entries from the rest by seq alone.
+		if es.Seq <= lastSeq || es.Seq > s.AdmitSeq {
+			return nil, fmt.Errorf("txpool: snapshot entry %d has admission seq %d out of order", i, es.Seq)
 		}
+		lastSeq = es.Seq
 		snd := p.senders[es.Tx.From]
 		if snd == nil {
 			snd = p.newSender(es.Tx.From)
@@ -107,10 +109,10 @@ func RestorePool(policy Policy, s Snapshot) (*Pool, error) {
 		}
 		e := &entry{tx: es.Tx, snd: snd, price: es.Tx.GasPrice, added: es.Added, seq: es.Seq, pending: es.Pending, idx: [2]int{-1, -1}}
 		ents[i] = e
-		p.all[h] = e
 		snd.insertAt(at, e)
 		p.enlist(e)
 		if es.Pending {
+			p.live[es.Tx] = e
 			p.pendingCount++
 			snd.pending++
 		} else {

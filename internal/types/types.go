@@ -11,6 +11,7 @@
 package types
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -132,7 +133,9 @@ func (h Hash) IsZero() bool { return h == Hash{} }
 // Transaction is an account-model transaction. Gas prices are in Wei.
 //
 // A transaction is immutable after creation; Hash() memoizes the digest on
-// first use, so a *Transaction must not be mutated once shared.
+// first use, so a *Transaction must not be mutated once shared. Every field
+// except the memo is part of the hash preimage and of Equal, and nothing else
+// is: TestEqualMatchesHash fails by field name when the two drift.
 type Transaction struct {
 	From     Address // sender account (explicit; no signature recovery)
 	To       Address // receiver account
@@ -188,6 +191,20 @@ func (tx *Transaction) Hash() Hash {
 // txHashFixed is the length of a transaction's hash preimage before Data.
 const txHashFixed = 2*AddressLength + 6*8
 
+// Hashed reports whether the digest has been computed: it reads the memo and
+// nothing else. Tests use it to prove that a path never asked for a hash.
+func (tx *Transaction) Hashed() bool { return !tx.hash.IsZero() }
+
+// Equal reports whether o is tx or has the same content — field for field the
+// preimage Hash digests, so two transactions are Equal exactly when their
+// hashes are. It is what a holder of both objects compares instead of
+// computing either digest.
+func (tx *Transaction) Equal(o *Transaction) bool {
+	return tx == o || tx.Nonce == o.Nonce && tx.GasPrice == o.GasPrice && tx.From == o.From &&
+		tx.To == o.To && tx.Gas == o.Gas && tx.Value == o.Value &&
+		tx.Tip == o.Tip && tx.DynamicFee == o.DynamicFee && bytes.Equal(tx.Data, o.Data)
+}
+
 // Fee returns the maximum fee the transaction can pay (Gas × GasPrice).
 func (tx *Transaction) Fee() uint64 { return tx.Gas * tx.GasPrice }
 
@@ -224,11 +241,12 @@ func (tx *Transaction) String() string {
 	return fmt.Sprintf("tx{%v#%d @%dwei %v}", tx.From, tx.Nonce, tx.GasPrice, tx.Hash())
 }
 
-// Copy returns a deep copy of the transaction (fresh hash memo included, so
-// the copy is safe to mutate before first Hash call).
+// Copy returns a deep copy of the transaction with a fresh hash memo, so the
+// copy is safe to mutate before its first Hash call.
 func (tx *Transaction) Copy() *Transaction {
 	cp := *tx
 	cp.Data = append([]byte(nil), tx.Data...)
+	cp.hash = Hash{}
 	return &cp
 }
 

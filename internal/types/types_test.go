@@ -1,6 +1,7 @@
 package types
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -94,6 +95,68 @@ func TestTransactionCopyIndependent(t *testing.T) {
 	cp.Data[0] = 9
 	if tx.Data[0] == 9 {
 		t.Fatal("copy shares data slice")
+	}
+	// A copy of an already hashed transaction starts with a fresh memo: once
+	// mutated it must not keep reporting the original's digest.
+	h := tx.Hash()
+	cp = tx.Copy()
+	if cp.Hashed() {
+		t.Fatal("copy carries the original's hash memo")
+	}
+	cp.Nonce++
+	if cp.Hash() == h {
+		t.Fatal("mutated copy of a hashed transaction reports the original's digest")
+	}
+}
+
+// TestEqualMatchesHash: Equal compares exactly the fields Hash digests. Every
+// exported field of Transaction, changed alone, must flip both, so a field
+// added to the struct and to only one of the two (or to neither) fails here
+// by name.
+func TestEqualMatchesHash(t *testing.T) {
+	base := func() *Transaction {
+		tx := NewDynamicFeeTransaction(AddressFromUint64(1), AddressFromUint64(2), 3, 400, 50, 6)
+		tx.Data = []byte{1, 2, 3}
+		return tx
+	}
+	ref := base()
+	if !ref.Equal(base()) || !ref.Equal(ref) || ref.Hash() != base().Hash() {
+		t.Fatal("two transactions of identical content differ")
+	}
+	check := func(field string, tx *Transaction) {
+		t.Helper()
+		if ref.Equal(tx) || tx.Equal(ref) {
+			t.Errorf("Equal ignores %s", field)
+		}
+		if ref.Hash() == tx.Hash() {
+			t.Errorf("Hash ignores %s", field)
+		}
+	}
+	typ := reflect.TypeOf(Transaction{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if !f.IsExported() {
+			continue
+		}
+		tx := base()
+		v := reflect.ValueOf(tx).Elem().Field(i)
+		switch v.Kind() {
+		case reflect.Uint64:
+			v.SetUint(v.Uint() + 1)
+		case reflect.Bool:
+			v.SetBool(!v.Bool())
+		case reflect.Array: // Address
+			v.Index(0).SetUint(v.Index(0).Uint() ^ 1)
+		case reflect.Slice: // Data: content here, length below
+			v.Index(0).SetUint(v.Index(0).Uint() ^ 1)
+			longer := base()
+			lv := reflect.ValueOf(longer).Elem().Field(i)
+			lv.Set(reflect.Append(lv, reflect.Zero(lv.Type().Elem())))
+			check(f.Name+" (length)", longer)
+		default:
+			t.Fatalf("field %s has kind %v: teach this test how to change it", f.Name, v.Kind())
+		}
+		check(f.Name, tx)
 	}
 }
 
