@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet lint lint-sarif test race check bench bench-smoke bench-compare fuzz loc
+.PHONY: build vet lint lint-sarif test race check fuzz loc
 
 build:
 	$(GO) build ./...
@@ -30,27 +30,6 @@ race:
 
 # check is what CI runs: build, vet, lint, and the race-enabled test suite.
 check: build vet lint race
-
-# BENCH_PKGS covers the paper-scale benchmarks (root) plus the engine,
-# gossip, mempool and transaction-hash microbenchmarks the hot-path work is
-# tuned against.
-BENCH_PKGS = . ./internal/sim ./internal/ethsim ./internal/txpool ./internal/types
-bench:
-	$(GO) test -bench . -benchtime 1x -run '^$$' -timeout 0 $(BENCH_PKGS)
-
-# bench-smoke is the quarter-scale (-short) single-iteration pass CI runs in
-# a non-blocking job. The -json event stream lands in BENCH_<id>.json so runs
-# can be diffed across revisions; BENCH_ID defaults to the git short hash.
-# -timeout 0: the full pass can exceed go test's 10-minute default, and a
-# killed run truncates the JSON stream mid-benchmark.
-BENCH_ID ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo dev)
-bench-smoke:
-	$(GO) test -short -bench . -benchtime 1x -run '^$$' -timeout 0 -json $(BENCH_PKGS) | tee BENCH_$(BENCH_ID).json
-
-# bench-compare diffs two bench-smoke event streams. With OLD/NEW unset it
-# picks the two newest BENCH_*.json here (older = baseline).
-bench-compare:
-	$(GO) run ./cmd/benchcompare $(OLD) $(NEW)
 
 # fuzz gives the protocol decoders a short native-fuzz shake; this is the one
 # list of targets (CI's non-blocking fuzz job runs `make fuzz`).

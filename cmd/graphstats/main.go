@@ -9,6 +9,7 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -19,19 +20,30 @@ import (
 )
 
 func main() {
-	in := flag.String("in", "", "edge-list file (default stdin)")
-	communities := flag.Bool("communities", false, "also print Louvain communities")
-	baselines := flag.Int("baselines", 0, "average this many ER/CM/BA baseline instances")
-	cliqueBudget := flag.Int("clique-budget", 300000, "maximal-clique enumeration cap (0 = unlimited)")
-	seed := flag.Int64("seed", 42, "baseline generator seed")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("graphstats", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	in := fs.String("in", "", "edge-list file (default stdin)")
+	communities := fs.Bool("communities", false, "also print Louvain communities")
+	baselines := fs.Int("baselines", 0, "average this many ER/CM/BA baseline instances")
+	cliqueBudget := fs.Int("clique-budget", 300000, "maximal-clique enumeration cap (0 = unlimited)")
+	seed := fs.Int64("seed", 42, "baseline generator seed")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	var r io.Reader = os.Stdin
 	if *in != "" {
 		f, err := os.Open(*in)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "open %s: %v\n", *in, err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "open %s: %v\n", *in, err)
+			return 1
 		}
 		defer f.Close()
 		r = f
@@ -45,47 +57,48 @@ func main() {
 		}
 	}
 	if err := sc.Err(); err != nil {
-		fmt.Fprintf(os.Stderr, "read: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "read: %v\n", err)
+		return 1
 	}
 	if g.NumNodes() == 0 {
-		fmt.Fprintln(os.Stderr, "empty graph")
-		os.Exit(1)
+		fmt.Fprintln(stderr, "empty graph")
+		return 1
 	}
 
 	p := graph.ComputeProperties(g.LargestComponent(), *cliqueBudget)
-	fmt.Printf("nodes                 %d\n", p.Nodes)
-	fmt.Printf("edges                 %d\n", p.Edges)
-	fmt.Printf("average degree        %.2f\n", p.AvgDegree)
-	fmt.Printf("diameter              %d\n", p.DistanceStats.Diameter)
-	fmt.Printf("radius                %d\n", p.DistanceStats.Radius)
-	fmt.Printf("center size           %d\n", p.DistanceStats.CenterSize)
-	fmt.Printf("periphery size        %d\n", p.DistanceStats.PeripherySize)
-	fmt.Printf("mean eccentricity     %.3f\n", p.DistanceStats.MeanEcc)
-	fmt.Printf("clustering coeff      %.4f\n", p.Clustering)
-	fmt.Printf("transitivity          %.4f\n", p.Transitivity)
-	fmt.Printf("degree assortativity  %.4f\n", p.Assortativity)
-	fmt.Printf("maximal cliques       %d\n", p.MaximalCliques)
-	fmt.Printf("modularity            %.4f\n", p.Modularity)
-	fmt.Printf("communities           %d\n", p.Communities)
+	fmt.Fprintf(stdout, "nodes                 %d\n", p.Nodes)
+	fmt.Fprintf(stdout, "edges                 %d\n", p.Edges)
+	fmt.Fprintf(stdout, "average degree        %.2f\n", p.AvgDegree)
+	fmt.Fprintf(stdout, "diameter              %d\n", p.DistanceStats.Diameter)
+	fmt.Fprintf(stdout, "radius                %d\n", p.DistanceStats.Radius)
+	fmt.Fprintf(stdout, "center size           %d\n", p.DistanceStats.CenterSize)
+	fmt.Fprintf(stdout, "periphery size        %d\n", p.DistanceStats.PeripherySize)
+	fmt.Fprintf(stdout, "mean eccentricity     %.3f\n", p.DistanceStats.MeanEcc)
+	fmt.Fprintf(stdout, "clustering coeff      %.4f\n", p.Clustering)
+	fmt.Fprintf(stdout, "transitivity          %.4f\n", p.Transitivity)
+	fmt.Fprintf(stdout, "degree assortativity  %.4f\n", p.Assortativity)
+	fmt.Fprintf(stdout, "maximal cliques       %d\n", p.MaximalCliques)
+	fmt.Fprintf(stdout, "modularity            %.4f\n", p.Modularity)
+	fmt.Fprintf(stdout, "communities           %d\n", p.Communities)
 
 	if *baselines > 0 {
 		b := netgen.Baselines(g.LargestComponent(), *baselines, *seed, *cliqueBudget)
-		fmt.Printf("\nbaselines (avg of %d runs):\n", *baselines)
-		fmt.Printf("  %-14s %10s %10s %10s\n", "property", "ER", "CM", "BA")
-		fmt.Printf("  %-14s %10.1f %10.1f %10.1f\n", "diameter",
+		fmt.Fprintf(stdout, "\nbaselines (avg of %d runs):\n", *baselines)
+		fmt.Fprintf(stdout, "  %-14s %10s %10s %10s\n", "property", "ER", "CM", "BA")
+		fmt.Fprintf(stdout, "  %-14s %10.1f %10.1f %10.1f\n", "diameter",
 			float64(b.ER.DistanceStats.Diameter), float64(b.CM.DistanceStats.Diameter), float64(b.BA.DistanceStats.Diameter))
-		fmt.Printf("  %-14s %10.4f %10.4f %10.4f\n", "clustering", b.ER.Clustering, b.CM.Clustering, b.BA.Clustering)
-		fmt.Printf("  %-14s %10.4f %10.4f %10.4f\n", "assortativity", b.ER.Assortativity, b.CM.Assortativity, b.BA.Assortativity)
-		fmt.Printf("  %-14s %10.4f %10.4f %10.4f\n", "modularity", b.ER.Modularity, b.CM.Modularity, b.BA.Modularity)
+		fmt.Fprintf(stdout, "  %-14s %10.4f %10.4f %10.4f\n", "clustering", b.ER.Clustering, b.CM.Clustering, b.BA.Clustering)
+		fmt.Fprintf(stdout, "  %-14s %10.4f %10.4f %10.4f\n", "assortativity", b.ER.Assortativity, b.CM.Assortativity, b.BA.Assortativity)
+		fmt.Fprintf(stdout, "  %-14s %10.4f %10.4f %10.4f\n", "modularity", b.ER.Modularity, b.CM.Modularity, b.BA.Modularity)
 	}
 
 	if *communities {
 		part := graph.Louvain(g.LargestComponent(), 1)
-		fmt.Printf("\ncommunities (Louvain):\n")
+		fmt.Fprintf(stdout, "\ncommunities (Louvain):\n")
 		for _, c := range graph.CommunityTable(g.LargestComponent(), part) {
-			fmt.Printf("  #%d: %d nodes, %d intra (%.1f%%), %d inter, avg deg %.1f\n",
+			fmt.Fprintf(stdout, "  #%d: %d nodes, %d intra (%.1f%%), %d inter, avg deg %.1f\n",
 				c.Index+1, c.Size, c.IntraEdges, 100*c.Density, c.InterEdges, c.AvgDegree)
 		}
 	}
+	return 0
 }

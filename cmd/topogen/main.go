@@ -11,8 +11,10 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"toposhot/internal/graph"
@@ -20,14 +22,25 @@ import (
 )
 
 func main() {
-	model := flag.String("model", "ethereum", "ethereum|er|cm|ba")
-	preset := flag.String("preset", "ropsten", "ethereum preset: ropsten|rinkeby|goerli")
-	n := flag.Int("n", 588, "node count")
-	m := flag.Int("m", 7496, "edge count (er)")
-	avgdeg := flag.Int("avgdeg", 26, "average degree (ba)")
-	degreesOf := flag.String("degrees", "", "edge-list file whose degree sequence to replicate (cm)")
-	seed := flag.Int64("seed", 42, "generator seed")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("topogen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	model := fs.String("model", "ethereum", "ethereum|er|cm|ba")
+	preset := fs.String("preset", "ropsten", "ethereum preset: ropsten|rinkeby|goerli")
+	n := fs.Int("n", 588, "node count")
+	m := fs.Int("m", 7496, "edge count (er)")
+	avgdeg := fs.Int("avgdeg", 26, "average degree (ba)")
+	degreesOf := fs.String("degrees", "", "edge-list file whose degree sequence to replicate (cm)")
+	seed := fs.Int64("seed", 42, "generator seed")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	var g *graph.Graph
 	switch *model {
@@ -40,8 +53,8 @@ func main() {
 		case "goerli":
 			cfg = netgen.GoerliConfig
 		default:
-			fmt.Fprintf(os.Stderr, "unknown preset %q\n", *preset)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "unknown preset %q\n", *preset)
+			return 2
 		}
 		g = netgen.Grow(cfg.WithSeed(*seed))
 	case "er":
@@ -50,27 +63,31 @@ func main() {
 		g = netgen.BarabasiAlbert(*n, *avgdeg/2, *seed)
 	case "cm":
 		if *degreesOf == "" {
-			fmt.Fprintln(os.Stderr, "cm requires -degrees <edge-list>")
-			os.Exit(2)
+			fmt.Fprintln(stderr, "cm requires -degrees <edge-list>")
+			return 2
 		}
 		base, err := readEdgeList(*degreesOf)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "read %s: %v\n", *degreesOf, err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "read %s: %v\n", *degreesOf, err)
+			return 1
 		}
 		g = netgen.Configuration(netgen.DegreeSequence(base), *seed)
 	default:
-		fmt.Fprintf(os.Stderr, "unknown model %q\n", *model)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "unknown model %q\n", *model)
+		return 2
 	}
 
-	fmt.Fprintf(os.Stderr, "generated %s: n=%d m=%d avgdeg=%.1f\n",
+	fmt.Fprintf(stderr, "generated %s: n=%d m=%d avgdeg=%.1f\n",
 		*model, g.NumNodes(), g.NumEdges(), g.AverageDegree())
-	bw := bufio.NewWriter(os.Stdout)
-	defer bw.Flush()
+	bw := bufio.NewWriter(stdout)
 	for _, e := range g.Edges() {
 		fmt.Fprintf(bw, "%d %d\n", e[0], e[1])
 	}
+	if err := bw.Flush(); err != nil {
+		fmt.Fprintf(stderr, "write: %v\n", err)
+		return 1
+	}
+	return 0
 }
 
 func readEdgeList(path string) (*graph.Graph, error) {

@@ -12,8 +12,10 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 
@@ -29,45 +31,56 @@ import (
 )
 
 func main() {
-	n := flag.Int("n", 120, "nodes in the generated network")
-	k := flag.Int("k", 20, "parallel schedule group size K")
-	seed := flag.Int64("seed", 42, "simulation seed")
-	preset := flag.String("preset", "", "network preset: ropsten|rinkeby|goerli|mainnet (overrides -n)")
-	lanes := flag.Int("lanes", 0, "engine event-lane count: a tag recorded on events and in checkpoints; never changes results")
-	regions := flag.Int("regions", 0, "shard the census into this many regions, each censused in its own engine (mainnet-scale mode; only intra-region links are measurable, reported honestly)")
-	checkpoint := flag.String("checkpoint", "", "write a resumable campaign checkpoint to this file at batch boundaries")
-	checkpointEvery := flag.Int("checkpoint-every", 25, "batches between checkpoint writes under -checkpoint")
-	resumeFrom := flag.String("resume", "", "resume a campaign from a checkpoint file written by -checkpoint (skips network build and pre-processing)")
-	strat := flag.String("strategy", "toposhot", "measurement method: toposhot|dethna|txprobe|ethna (non-toposhot methods probe all eligible pairs)")
-	track := flag.Bool("track", false, "after the seeding census, follow the churning network with budgeted delta campaigns instead of re-censusing")
-	trackTicks := flag.Int("track-ticks", 12, "delta campaigns to run under -track")
-	trackBudget := flag.Int("track-budget", 72, "pairs re-probed per delta campaign under -track")
-	trackChurn := flag.Float64("track-churn", 20, "mean virtual seconds between peer-churn events under -track")
-	out := flag.String("out", "", "output file (default stdout)")
-	uniform := flag.Bool("uniform", false, "all-default nodes (no heterogeneity)")
-	parallel := flag.Int("parallel", 0, "worker-pool width for independent simulations (0 = GOMAXPROCS, 1 = serial); results are identical at any width")
-	telemetry := obs.RegisterCLIFlags(flag.CommandLine)
-	events := flag.String("events", "", "serve the live campaign dashboard (/, /events, /log, /ledger, /metrics, /trace/snapshot, /progress) on this address while the run is active")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	cli := telemetry.Open()
-	lg, tracer := cli.Logger, cli.Tracer
-	defer func() {
-		if err := cli.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, obs.FormatLine("log-write-failed", obs.Err(err)))
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("toposhot", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	n := fs.Int("n", 120, "nodes in the generated network")
+	k := fs.Int("k", 20, "parallel schedule group size K")
+	seed := fs.Int64("seed", 42, "simulation seed")
+	preset := fs.String("preset", "", "network preset: ropsten|rinkeby|goerli|mainnet (overrides -n)")
+	lanes := fs.Int("lanes", 0, "engine event-lane count: a tag recorded on events and in checkpoints; never changes results")
+	regions := fs.Int("regions", 0, "shard the census into this many regions, each censused in its own engine (mainnet-scale mode; only intra-region links are measurable, reported honestly)")
+	checkpoint := fs.String("checkpoint", "", "write a resumable campaign checkpoint to this file at batch boundaries")
+	checkpointEvery := fs.Int("checkpoint-every", 25, "batches between checkpoint writes under -checkpoint")
+	resumeFrom := fs.String("resume", "", "resume a campaign from a checkpoint file written by -checkpoint (skips network build and pre-processing)")
+	strat := fs.String("strategy", "toposhot", "measurement method: toposhot|dethna|txprobe|ethna (non-toposhot methods probe all eligible pairs)")
+	track := fs.Bool("track", false, "after the seeding census, follow the churning network with budgeted delta campaigns instead of re-censusing")
+	trackTicks := fs.Int("track-ticks", 12, "delta campaigns to run under -track")
+	trackBudget := fs.Int("track-budget", 72, "pairs re-probed per delta campaign under -track")
+	trackChurn := fs.Float64("track-churn", 20, "mean virtual seconds between peer-churn events under -track")
+	out := fs.String("out", "", "output file (default stdout)")
+	uniform := fs.Bool("uniform", false, "all-default nodes (no heterogeneity)")
+	parallel := fs.Int("parallel", 0, "worker-pool width for independent simulations (0 = GOMAXPROCS, 1 = serial); results are identical at any width")
+	telemetry := obs.RegisterCLIFlags(fs)
+	events := fs.String("events", "", "serve the live campaign dashboard (/, /events, /log, /ledger, /metrics, /trace/snapshot, /progress) on this address while the run is active")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
 		}
-	}()
+		return 2
+	}
+
+	cli, code := telemetry.Open(stderr)
+	if cli == nil {
+		return code
+	}
+	defer cli.Close()
+	lg, tracer := cli.Logger, cli.Tracer
 
 	// One campaign is one serial engine, so this knob matters only for the
 	// pool-backed helpers underneath (and keeps the flag uniform with
-	// cmd/experiments and the benchmark harness).
+	// cmd/experiments).
+	defer runner.SetParallelism(runner.Parallelism())
 	runner.SetParallelism(*parallel)
 
 	// The dashboard's /metrics needs a registry even without -metrics.
 	reg := cli.Metrics
 	if reg == nil && *events != "" {
 		reg = metrics.NewRegistry()
-		metrics.Enable(reg) // the network, pools, and measurer self-wire
+		metrics.Enable(reg) // the network, pools, and measurer self-wire; cli.Close puts the old default back
 	}
 
 	// The live dashboard serves the campaign's observability surfaces for the
@@ -76,11 +89,13 @@ func main() {
 	led := obs.NewLedger()
 	if *events != "" {
 		dash := &obs.Dash{Logger: lg, Ledger: led, Metrics: reg, Tracer: tracer}
+		srv := &http.Server{Addr: *events, Handler: dash.Handler()}
 		go func() {
-			if err := http.ListenAndServe(*events, dash.Handler()); err != nil {
+			if err := srv.ListenAndServe(); err != http.ErrServerClosed {
 				lg.Error("dashboard-failed", obs.Err(err))
 			}
 		}()
+		defer srv.Close()
 		lg.Info("dashboard-listening", obs.String("addr", *events))
 	}
 
@@ -96,12 +111,12 @@ func main() {
 		grow = netgen.MainnetConfig.WithSeed(*seed)
 	case "":
 	default:
-		cli.Fatal(2, "unknown-preset", obs.String("preset", *preset))
+		return cli.Fatal(2, "unknown-preset", obs.String("preset", *preset))
 	}
 	// An explicit -n rescales a preset (downsized smoke runs keep the
-	// preset's degree/leaf/monitor shape, like the bench harness).
+	// preset's degree/leaf/monitor shape).
 	if *preset != "" {
-		flag.Visit(func(f *flag.Flag) {
+		fs.Visit(func(f *flag.Flag) {
 			if f.Name == "n" {
 				grow = grow.WithN(*n)
 			}
@@ -127,7 +142,7 @@ func main() {
 	// apply here.
 	if *regions > 0 {
 		if *strat != string(strategy.MethodTopoShot) || *checkpoint != "" || *resumeFrom != "" {
-			cli.Fatal(2, "bad-flags",
+			return cli.Fatal(2, "bad-flags",
 				obs.String("why", "-regions supports only the toposhot strategy and no -checkpoint/-resume"))
 		}
 		sc, err := experiments.RunScaleCensus(experiments.ScaleCensusConfig{
@@ -136,16 +151,10 @@ func main() {
 			PoolScale: census.PoolScale, GroupK: census.GroupK, EdgeBudget: census.EdgeBudget, Prefill: census.Prefill,
 		})
 		if err != nil {
-			cli.Fatal(1, "census-failed", obs.Err(err))
+			return cli.Fatal(1, "census-failed", obs.Err(err))
 		}
-		fmt.Fprint(os.Stderr, experiments.FormatScaleCensus(sc))
-		cli.FlushTrace()
-		bw, closeOut := openOutput(cli, *out)
-		defer closeOut()
-		for _, e := range sc.Measured.Edges() {
-			fmt.Fprintf(bw, "%d %d\n", e[0], e[1])
-		}
-		return
+		fmt.Fprint(stderr, experiments.FormatScaleCensus(sc))
+		return writeResult(cli, *out, stdout, sc.Measured.Edges())
 	}
 
 	// Tracking mode: one seeding census, then per-tick delta campaigns over
@@ -153,15 +162,14 @@ func main() {
 	// included) plus the tracker snapshot, so -resume continues mid-campaign.
 	if *track {
 		if *strat != string(strategy.MethodTopoShot) {
-			cli.Fatal(2, "bad-flags", obs.String("why", "-track supports only the toposhot strategy"))
+			return cli.Fatal(2, "bad-flags", obs.String("why", "-track supports only the toposhot strategy"))
 		}
-		runTracking(trackingFlags{
+		return runTracking(trackingFlags{
 			census: census, lanes: *lanes,
 			ticks: *trackTicks, budget: *trackBudget, churn: *trackChurn,
 			checkpoint: *checkpoint, checkpointEvery: *checkpointEvery, resumeFrom: *resumeFrom,
-			out: *out, cli: cli, ledger: led,
+			out: *out, stdout: stdout, stderr: stderr, cli: cli, ledger: led,
 		})
-		return
 	}
 
 	// Monolithic mode: one engine hosts the whole network. Either build it
@@ -178,19 +186,19 @@ func main() {
 	if *resumeFrom != "" {
 		blob, meta, err := readCheckpoint(*resumeFrom)
 		if err != nil {
-			cli.Fatal(1, "checkpoint-read-failed", obs.Err(err))
+			return cli.Fatal(1, "checkpoint-read-failed", obs.Err(err))
 		}
 		if meta.Campaign == nil {
-			cli.Fatal(2, "bad-flags", obs.String("file", *resumeFrom),
+			return cli.Fatal(2, "bad-flags", obs.String("file", *resumeFrom),
 				obs.String("why", "a tracking checkpoint; resume it with -track"))
 		}
 		net, err = ethsim.RestoreNetworkLanes(blob, *lanes)
 		if err != nil {
-			cli.Fatal(1, "restore-failed", obs.String("file", *resumeFrom), obs.Err(err))
+			return cli.Fatal(1, "restore-failed", obs.String("file", *resumeFrom), obs.Err(err))
 		}
 		supers := net.Supernodes()
 		if meta.Super < 0 || meta.Super >= len(supers) {
-			cli.Fatal(1, "restore-failed", obs.String("file", *resumeFrom),
+			return cli.Fatal(1, "restore-failed", obs.String("file", *resumeFrom),
 				obs.Int("super", int64(meta.Super)), obs.Int("have", int64(len(supers))),
 				obs.String("why", "supernode index out of range"))
 		}
@@ -251,7 +259,7 @@ func main() {
 		lg.Info("census-started", obs.Int("eligible", int64(len(targets))), obs.Int("k", int64(*k)))
 		res, err := m.MeasureNetworkResume(targets, *k, census.EdgeBudget, resume, onBatch)
 		if err != nil {
-			cli.Fatal(1, "measurement-failed", obs.Err(err))
+			return cli.Fatal(1, "measurement-failed", obs.Err(err))
 		}
 		detected = res.Detected
 		eligible := map[types.NodeID]bool{}
@@ -263,11 +271,11 @@ func main() {
 			obs.Int("calls", int64(res.Calls)), obs.String("score", sc.String()),
 			obs.Float("fee_eth", core.Ether(m.Ledger.WorstCaseWei())))
 	} else if *resumeFrom != "" || *checkpoint != "" {
-		cli.Fatal(2, "bad-flags", obs.String("why", "-checkpoint/-resume support only the toposhot strategy"))
+		return cli.Fatal(2, "bad-flags", obs.String("why", "-checkpoint/-resume support only the toposhot strategy"))
 	} else {
 		s, err := strategy.NewMethod(strategy.Method(*strat), net, super, strategy.Config{TopoShot: params})
 		if err != nil {
-			cli.Fatal(2, "bad-flags", obs.Err(err))
+			return cli.Fatal(2, "bad-flags", obs.Err(err))
 		}
 		var pairs [][2]types.NodeID
 		for i := range targets {
@@ -279,42 +287,57 @@ func main() {
 			obs.Int("eligible", int64(len(targets))), obs.String("method", s.Name()))
 		out, err := strategy.RunPairs(tracer, lg, net, s, pairs)
 		if err != nil {
-			cli.Fatal(1, "measurement-failed", obs.Err(err))
+			return cli.Fatal(1, "measurement-failed", obs.Err(err))
 		}
 		detected = out.Claimed
 		lg.Info("campaign-scored", obs.Float("virtual_h", out.VirtualSeconds/3600),
 			obs.String("score", out.Score(truth).String()),
 			obs.Int("probe_txs", int64(out.Cost.Total())))
 	}
-	cli.FlushTrace()
+	return writeResult(cli, *out, stdout, vertexEdges(detected, back))
+}
 
-	bw, closeOut := openOutput(cli, *out)
-	defer closeOut()
-	for _, e := range detected.Edges() {
+// vertexEdges maps measured NodeID pairs back to the generated graph's vertex
+// ids, the space the edge-list output is written in.
+func vertexEdges(set *core.EdgeSet, back map[types.NodeID]int) [][2]int {
+	var edges [][2]int
+	for _, e := range set.Edges() {
 		va, okA := back[e[0]]
 		vb, okB := back[e[1]]
 		if okA && okB {
-			fmt.Fprintf(bw, "%d %d\n", va, vb)
+			edges = append(edges, [2]int{va, vb})
 		}
 	}
+	return edges
 }
 
-// openOutput returns a buffered writer on the -out file (or stdout) and the
-// function that flushes and closes it.
-func openOutput(cli *obs.CLI, path string) (*bufio.Writer, func()) {
-	dst := os.Stdout
+// writeResult ends a successful campaign: it writes the -trace file, then the
+// edge list, one "u v" pair per line, to the -out file (or stdout).
+func writeResult(cli *obs.CLI, path string, stdout io.Writer, edges [][2]int) int {
+	if err := cli.FlushTrace(); err != nil {
+		return cli.Fatal(1, "trace-write-failed", obs.Err(err))
+	}
+	var f *os.File
+	dst := stdout
 	if path != "" {
-		f, err := os.Create(path)
-		if err != nil {
-			cli.Fatal(1, "output-create-failed", obs.String("file", path), obs.Err(err))
+		var err error
+		if f, err = os.Create(path); err != nil {
+			return cli.Fatal(1, "output-create-failed", obs.String("file", path), obs.Err(err))
 		}
 		dst = f
 	}
 	bw := bufio.NewWriter(dst)
-	return bw, func() {
-		bw.Flush()
-		if dst != os.Stdout {
-			dst.Close()
+	for _, e := range edges {
+		fmt.Fprintf(bw, "%d %d\n", e[0], e[1])
+	}
+	err := bw.Flush()
+	if f != nil {
+		if cerr := f.Close(); err == nil {
+			err = cerr
 		}
 	}
+	if err != nil {
+		return cli.Fatal(1, "output-write-failed", obs.Err(err))
+	}
+	return 0
 }

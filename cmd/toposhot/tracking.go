@@ -2,7 +2,7 @@ package main
 
 import (
 	"fmt"
-	"os"
+	"io"
 
 	"toposhot/internal/experiments"
 	"toposhot/internal/obs"
@@ -22,15 +22,17 @@ type trackingFlags struct {
 	checkpointEvery int
 	resumeFrom      string
 
-	out    string
+	out            string
+	stdout, stderr io.Writer
+
 	cli    *obs.CLI
 	ledger *obs.Ledger
 }
 
 // runTracking drives experiments.RunTracking from the CLI: seeding census,
 // churn, per-tick delta campaigns, optional per-tick resumable checkpoints,
-// and the final belief edge list on -out.
-func runTracking(f trackingFlags) {
+// and the final belief edge list on -out. It returns the exit code.
+func runTracking(f trackingFlags) int {
 	cfg := experiments.TrackingConfig{
 		Census:          f.census,
 		Ticks:           f.ticks,
@@ -46,10 +48,10 @@ func runTracking(f trackingFlags) {
 	if f.resumeFrom != "" {
 		blob, meta, err := readCheckpoint(f.resumeFrom)
 		if err != nil {
-			f.cli.Fatal(1, "checkpoint-read-failed", obs.Err(err))
+			return f.cli.Fatal(1, "checkpoint-read-failed", obs.Err(err))
 		}
 		if meta.Tracking == nil {
-			f.cli.Fatal(2, "bad-flags", obs.String("file", f.resumeFrom),
+			return f.cli.Fatal(2, "bad-flags", obs.String("file", f.resumeFrom),
 				obs.String("why", "a census-campaign checkpoint; resume it without -track"))
 		}
 		cfg.Resume = &experiments.TrackingResume{
@@ -108,19 +110,9 @@ func runTracking(f trackingFlags) {
 
 	tr, err := experiments.RunTracking(cfg)
 	if err != nil {
-		f.cli.Fatal(1, "tracking-failed", obs.Err(err))
+		return f.cli.Fatal(1, "tracking-failed", obs.Err(err))
 	}
-	fmt.Fprint(os.Stderr, experiments.FormatTracking(tr))
-	fmt.Fprint(os.Stderr, experiments.FormatTrackingCost(tr))
-	f.cli.FlushTrace()
-
-	bw, closeOut := openOutput(f.cli, f.out)
-	defer closeOut()
-	for _, e := range tr.Belief.Edges() {
-		va, okA := tr.Back[e[0]]
-		vb, okB := tr.Back[e[1]]
-		if okA && okB {
-			fmt.Fprintf(bw, "%d %d\n", va, vb)
-		}
-	}
+	fmt.Fprint(f.stderr, experiments.FormatTracking(tr))
+	fmt.Fprint(f.stderr, experiments.FormatTrackingCost(tr))
+	return writeResult(f.cli, f.out, f.stdout, vertexEdges(tr.Belief, tr.Back))
 }

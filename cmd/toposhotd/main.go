@@ -22,6 +22,7 @@ package main
 import (
 	"encoding/json"
 	"flag"
+	"fmt"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -38,6 +39,10 @@ import (
 )
 
 func main() {
+	os.Exit(run())
+}
+
+func run() int {
 	listen := flag.String("listen", "127.0.0.1:0", "listen address")
 	networkID := flag.Uint64("network", 1337, "network id")
 	peers := flag.String("peers", "", "comma-separated peer addresses to dial")
@@ -53,12 +58,17 @@ func main() {
 	logOut := flag.String("log", "", "write the event-log snapshot (JSONL) to this file on shutdown")
 	flag.Parse()
 
-	cli := obs.OpenCLI(*logLevel, *logFormat, *logOut)
+	cli, err := obs.OpenCLI(*logLevel, *logFormat, *logOut, os.Stderr)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 2
+	}
+	defer cli.Close() // last: the snapshot holds every shutdown event
 	lg := cli.Logger
 
 	lv, err := trace.ParseLevel(*traceLevel)
 	if err != nil {
-		cli.Fatal(2, "trace-setup-failed", obs.Err(err))
+		return cli.Fatal(2, "trace-setup-failed", obs.Err(err))
 	}
 	// The daemon is a live process, so its trace lane and event log run on
 	// wall seconds since startup rather than a simulation clock.
@@ -71,7 +81,7 @@ func main() {
 
 	pol, ok := txpool.ClientByName(*client)
 	if !ok {
-		cli.Fatal(2, "unknown-client", obs.String("client", *client))
+		return cli.Fatal(2, "unknown-client", obs.String("client", *client))
 	}
 	if *capacity > 0 {
 		pol = pol.WithCapacity(*capacity)
@@ -91,7 +101,7 @@ func main() {
 		Metrics:         reg,
 	}, *listen)
 	if err != nil {
-		cli.Fatal(1, "start-failed", obs.Err(err))
+		return cli.Fatal(1, "start-failed", obs.Err(err))
 	}
 	lg.Info("listening", obs.String("addr", n.Addr()),
 		obs.Int("network", int64(*networkID)), obs.String("client", *client),
@@ -154,10 +164,7 @@ func main() {
 		case <-sig:
 			lg.Info("shutting-down")
 			_ = n.Close()
-			if err := cli.Close(); err != nil {
-				lg.Error("log-write-failed", obs.Err(err))
-			}
-			return
+			return 0
 		case <-ticker.C:
 			total, pending, future := n.PoolStats()
 			s := reg.Snapshot()

@@ -1,8 +1,8 @@
 // Package experiments contains one driver per table and figure of the
 // paper's evaluation (§6 and the appendices). Each driver builds its own
 // workload, runs the measurement, and renders rows comparable to the
-// published ones. cmd/experiments and the repository-root benchmarks both
-// call into this package.
+// published ones. Figures (figures.go) is the registry cmd/experiments runs
+// them from.
 package experiments
 
 import (
@@ -172,8 +172,9 @@ func RunCensus(cfg CensusConfig) (*Census, error) {
 var censusCache runner.Cache[string, *Census]
 
 // censusKey identifies a census run for cache sharing. The network size is
-// part of the key because benchmarks rescale Grow.N on the same named
-// config; two scalings must not alias.
+// part of the key because callers rescale Grow.N on the same named config
+// (the figure ledger runs every testnet at an eighth); two scalings must not
+// alias.
 func censusKey(cfg CensusConfig) string {
 	return fmt.Sprintf("%s/%d/n%d", cfg.Name, cfg.Seed, cfg.Grow.N)
 }

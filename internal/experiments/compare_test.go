@@ -1,38 +1,11 @@
 package experiments
 
 import (
-	"bytes"
-	"flag"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"toposhot/internal/runner"
 	"toposhot/internal/strategy"
 )
-
-var updateCompareGolden = flag.Bool("update", false, "rewrite compare golden files")
-
-func checkCompareGolden(t *testing.T, name string, got []byte) {
-	t.Helper()
-	path := filepath.Join("testdata", name)
-	if *updateCompareGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden %s (run with -update): %v", name, err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("golden mismatch for %s\n--- want\n%s--- got\n%s", name, want, got)
-	}
-}
 
 // smallCompareConfig keeps the head-to-head affordable for the test suite
 // while preserving every claim the full run makes.
@@ -89,7 +62,7 @@ func TestCompareGoldenTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkCompareGolden(t, "compare_seed7.txt", []byte(FormatCompare(rows)))
+	checkGolden(t, "compare_seed7.txt", []byte(FormatCompare(rows)))
 }
 
 // TestCompareSerialParallelIdentity renders the table at runner width 1 and

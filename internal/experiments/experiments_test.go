@@ -48,13 +48,34 @@ func TestCachedCensusReuses(t *testing.T) {
 	}
 }
 
+// TestTable3MatchesPaper: the black-box profiler recovers the paper's Table 3
+// cell for cell (U = -1 renders as ∞).
 func TestTable3MatchesPaper(t *testing.T) {
+	paper := []struct {
+		client     string
+		r          float64
+		u, p, l    int
+		measurable bool
+	}{
+		{"geth", 0.10, 4096, 0, 5120, true},
+		{"parity", 0.125, 81, 2000, 8192, true},
+		{"nethermind", 0, 17, 0, 2048, false},
+		{"besu", 0.10, -1, 0, 4096, true},
+		{"aleth", 0, 1, 0, 2048, false},
+	}
 	rows := Table3()
-	if len(rows) != 5 {
-		t.Fatalf("rows = %d", len(rows))
+	if len(rows) != len(paper) {
+		t.Fatalf("rows = %d, want %d", len(rows), len(paper))
+	}
+	for i, want := range paper {
+		got := rows[i]
+		if got.Client != want.client || got.R != want.r || got.U != want.u || got.P != want.p ||
+			got.L != want.l || got.Measurable != want.measurable {
+			t.Errorf("row %d = %+v, the paper has %+v", i, got, want)
+		}
 	}
 	out := FormatTable3(rows)
-	for _, want := range []string{"geth", "parity", "nethermind", "besu", "aleth", "10.0%", "12.5%"} {
+	for _, want := range []string{"geth", "parity", "nethermind", "besu", "aleth", "10.0%", "12.5%", "∞"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("table missing %q", want)
 		}

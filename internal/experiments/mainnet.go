@@ -35,7 +35,13 @@ type Table6Result struct {
 // web3_clientVersion matching, measures every Table-6 service pair with the
 // non-interference-extended TopoShot, and verifies V1/V2 a posteriori.
 func Table6(seed int64) (*Table6Result, error) {
-	sc := mainnet.Build(mainnet.DefaultConfig(seed))
+	return table6(seed, mainnet.DefaultConfig(seed), mainnet.Table6Pairs)
+}
+
+// table6 is Table6 on a scenario of the given size, over the given service
+// pairs.
+func table6(seed int64, cfg mainnet.Config, servicePairs [][2]string) (*Table6Result, error) {
+	sc := mainnet.Build(cfg)
 	net := sc.Net
 	scale := 0.1
 	zScaled := int(float64(txpool.Geth.Capacity) * scale)
@@ -80,7 +86,7 @@ func Table6(seed int64) (*Table6Result, error) {
 	}
 
 	t1 := net.Now()
-	pairs, err := sc.MeasureCriticalPairs(m, mainnet.Table6Pairs, 2, seed)
+	pairs, err := sc.MeasureCriticalPairs(m, servicePairs, 2, seed)
 	if err != nil {
 		return nil, err
 	}

@@ -28,7 +28,8 @@ func scaleTestConfig(seed int64) ScaleCensusConfig {
 
 // TestScaleCensusParallelWidthInvariant pins the sharded census's core
 // contract: every region runs in its own engine, so the aggregate result is
-// byte-identical whether regions execute serially or across a worker pool.
+// byte-identical whether regions execute serially or across a worker pool of
+// width 2, 4 or 8.
 func TestScaleCensusParallelWidthInvariant(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sharded census is a multi-minute simulation")
@@ -41,20 +42,21 @@ func TestScaleCensusParallelWidthInvariant(t *testing.T) {
 	if err != nil {
 		t.Fatalf("serial sharded census: %v", err)
 	}
-	runner.SetParallelism(4)
-	wide, err := RunScaleCensus(scaleTestConfig(9))
-	if err != nil {
-		t.Fatalf("parallel sharded census: %v", err)
-	}
-
-	if !reflect.DeepEqual(serial.Regions, wide.Regions) {
-		t.Fatalf("region rows diverged across parallel widths:\nserial: %+v\nwide:   %+v", serial.Regions, wide.Regions)
-	}
-	if !reflect.DeepEqual(serial.Measured.Edges(), wide.Measured.Edges()) {
-		t.Fatal("measured edge sets diverged across parallel widths")
-	}
-	if FormatScaleCensus(serial) != FormatScaleCensus(wide) {
-		t.Fatalf("summaries diverged:\n%s\n%s", FormatScaleCensus(serial), FormatScaleCensus(wide))
+	for _, width := range []int{2, 4, 8} {
+		runner.SetParallelism(width)
+		wide, err := RunScaleCensus(scaleTestConfig(9))
+		if err != nil {
+			t.Fatalf("sharded census at width %d: %v", width, err)
+		}
+		if !reflect.DeepEqual(serial.Regions, wide.Regions) {
+			t.Fatalf("region rows diverged at width %d:\nserial: %+v\nwide:   %+v", width, serial.Regions, wide.Regions)
+		}
+		if !reflect.DeepEqual(serial.Measured.Edges(), wide.Measured.Edges()) {
+			t.Fatalf("measured edge sets diverged at width %d", width)
+		}
+		if FormatScaleCensus(serial) != FormatScaleCensus(wide) {
+			t.Fatalf("summaries diverged at width %d:\n%s\n%s", width, FormatScaleCensus(serial), FormatScaleCensus(wide))
+		}
 	}
 
 	// Coverage accounting must partition the ground truth exactly.

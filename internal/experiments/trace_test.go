@@ -68,6 +68,7 @@ func fpCensus(t *testing.T, trail map[types.Hash][]offerEv) (*core.ScheduleResul
 // record, so it is recorded only when there is one to explain: the same
 // seeded world is rebuilt with the hook on and the first few trails printed.
 func TestTraceFalsePositive(t *testing.T) {
+	t.Parallel() // one serial engine for 18 s; it shares the wait with the figure ledger
 	res, truth, superID := fpCensus(t, nil)
 	sc := core.ScoreAgainst(res.Detected, truth, func(id types.NodeID) bool { return id != superID })
 	t.Logf("score %v", sc)

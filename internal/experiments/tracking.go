@@ -180,8 +180,9 @@ func (t *Tracking) RecallLoss() float64 {
 	return t.CensusScore.Recall() - t.MeanRecall
 }
 
-// GoerliTracking returns the Goerli-shaped tracking campaign the benchmarks
-// and the CI smoke job run (rescaled via Census.Grow.WithN as usual).
+// GoerliTracking returns the Goerli-shaped tracking campaign bench/'s
+// tracking_churn workload and the tests run (rescaled via Census.Grow.WithN
+// as usual).
 func GoerliTracking(seed int64) TrackingConfig {
 	return TrackingConfig{
 		Census:          GoerliCensus(seed),

@@ -37,11 +37,15 @@ func TestRunTrackingSmall(t *testing.T) {
 	if tr.TrackerTxs <= 0 || tr.BaselineTxs <= 0 {
 		t.Fatalf("degenerate ledgers: baseline %d txs, tracker %d txs", tr.BaselineTxs, tr.TrackerTxs)
 	}
-	if x := tr.CostReductionX(); x <= 1 {
-		t.Fatalf("delta campaigns cost more than census-per-tick: %.2fx", x)
+	// The feature's acceptance bars: delta campaigns at least 5x cheaper than
+	// re-running the census every tick, for at most 2 percentage points of
+	// recall.
+	if x := tr.CostReductionX(); x < 5 {
+		t.Fatalf("delta campaigns only %.1fx cheaper than census-per-tick (floor 5x)", x)
 	}
-	if tr.MeanRecall < tr.CensusScore.Recall()-0.10 {
-		t.Fatalf("tracking recall collapsed: mean %.4f vs census %.4f", tr.MeanRecall, tr.CensusScore.Recall())
+	if loss := tr.RecallLoss(); loss > 0.02 {
+		t.Fatalf("tracking recall loss %.4f exceeds the 0.02 floor (census %.4f, mean %.4f)",
+			loss, tr.CensusScore.Recall(), tr.MeanRecall)
 	}
 	out := FormatTracking(tr)
 	for _, want := range []string{"incremental tracking:", "seeding census:", "vs census-per-tick:"} {

@@ -136,13 +136,17 @@ type Fig4aRow struct {
 // from the identical topology and mempool state instead of inheriting the
 // residue of lower-Z sweeps, and the sweep fans out across the runner pool.
 func Fig4a(seed int64) []Fig4aRow {
+	return fig4a(seed, []int{512, 576, 640, 704, 768, 832, 896, 960})
+}
+
+// fig4a is Fig4a over the given future counts.
+func fig4a(seed int64, zs []int) []Fig4aRow {
 	het := netgen.Heterogeneity{
 		CustomPoolFraction:  0.14,
 		CustomPoolFactorMin: 1.1,
 		CustomPoolFactorMax: 1.85,
 		NoForwardFraction:   0.03,
 	}
-	zs := []int{512, 576, 640, 704, 768, 832, 896, 960}
 	lanes := sweepLanes("fig4a", len(zs))
 	return runner.MapWorker(0, len(zs), func(w, i int) Fig4aRow {
 		v := buildValidationNet(seed, 150, het, 60, lanes[i])
@@ -196,13 +200,17 @@ type Fig4bRow struct {
 // validation net: each point starts from identical topology and pool state,
 // and the sweep runs concurrently on the runner pool.
 func Fig4b(seed int64) []Fig4bRow {
+	return fig4b(seed, []int{1, 5, 10, 20, 29, 40, 60, 80, 99})
+}
+
+// fig4b is Fig4b over the given source-group sizes.
+func fig4b(seed int64, ps []int) []Fig4bRow {
 	// Fixed pacing budget: the measurement node paces one whole iteration
 	// inside a near-constant window, so per-node slack shrinks as the
 	// group grows; once it drops under the straggler spread, setups of
 	// consecutive nodes interleave.
 	const pacingWindow = 38.0
 
-	ps := []int{1, 5, 10, 20, 29, 40, 60, 80, 99}
 	lanes := sweepLanes("fig4b", len(ps))
 	return runner.MapWorker(0, len(ps), func(w, i int) Fig4bRow {
 		p := ps[i]
@@ -291,8 +299,12 @@ type Fig5Row struct {
 // serial all-pairs baseline (K=1). The paper reports about an order of
 // magnitude at K=30.
 func Fig5(seed int64) []Fig5Row {
-	const groupN = 100
-	ks := []int{1, 5, 10, 20, 30, 45, 60}
+	return fig5(seed, 100, []int{1, 5, 10, 20, 30, 45, 60})
+}
+
+// fig5 is Fig5 over a groupN-node group and the given Ks (K=1, the serial
+// baseline, first).
+func fig5(seed int64, groupN int, ks []int) []Fig5Row {
 	// Each K already runs on its own net with a K-derived seed, so the
 	// sweep fans out directly; the speedup column needs the K=1 baseline
 	// from every row and is filled in serially afterwards.

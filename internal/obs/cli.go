@@ -3,6 +3,7 @@ package obs
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -15,6 +16,10 @@ import (
 // on stderr plus an optional deterministic JSONL snapshot written when the
 // run ends. The simulation binaries open theirs through CLIFlags, which adds
 // the tracer, the metrics registry and the runtime profiler.
+//
+// A CLI never exits the process: fatal paths hand their exit code back to the
+// binary's run function, and Close puts back the process defaults Open
+// replaced, so several runs can share one process (the in-process CLI tests).
 type CLI struct {
 	// Logger is the process logger (nil when -log-level off).
 	Logger *Logger
@@ -25,9 +30,15 @@ type CLI struct {
 	Tracer  *trace.Tracer
 	Metrics *metrics.Registry
 
+	stderr    io.Writer
 	tracePath string
 	prof      *Runtime
 	progress  *metrics.ProgressLogger
+
+	// The process defaults in force before this CLI installed its own.
+	prevLogger  *Logger
+	prevTracer  *trace.Tracer
+	prevMetrics *metrics.Registry
 }
 
 // CLIFlags holds the ten telemetry flags cmd/toposhot and cmd/experiments
@@ -58,14 +69,24 @@ func RegisterCLIFlags(fs *flag.FlagSet) *CLIFlags {
 
 // Open wires the parsed flags in a fixed order — logger, tracer, runtime
 // profiler, metrics — installing each as the process default, so networks,
-// pools, measurers and sweeps self-wire. A bad flag value exits 2 and a
-// profile that cannot start exits 1, like OpenCLI.
-func (f *CLIFlags) Open() *CLI {
-	c := OpenCLI(*f.logLevel, *f.logFormat, *f.logPath)
+// pools, measurers and sweeps self-wire. On failure it reports on stderr and
+// returns a nil CLI with the exit code: 2 for a bad flag value, 1 for a
+// profile that cannot start.
+func (f *CLIFlags) Open(stderr io.Writer) (*CLI, int) {
+	c, err := OpenCLI(*f.logLevel, *f.logFormat, *f.logPath, stderr)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return nil, 2
+	}
+	abort := func(code int, msg string, err error) (*CLI, int) {
+		c.Fatal(code, msg, Err(err))
+		c.Close()
+		return nil, code
+	}
 	if *f.traceOut != "" {
 		lv, err := trace.ParseLevel(*f.traceLevel)
 		if err != nil {
-			c.Fatal(2, "trace-setup-failed", Err(err))
+			return abort(2, "trace-setup-failed", err)
 		}
 		if tr := trace.New(trace.Options{Level: lv, Deterministic: *f.traceDet}); tr != nil {
 			trace.Enable(tr)
@@ -74,65 +95,70 @@ func (f *CLIFlags) Open() *CLI {
 	}
 	prof, err := StartRuntime(*f.cpuProfile, *f.memProfile)
 	if err != nil {
-		c.Fatal(1, "profile-setup-failed", Err(err))
+		return abort(1, "profile-setup-failed", err)
 	}
 	c.prof = prof
 	if *f.metrics {
 		c.Metrics = metrics.NewRegistry()
 		metrics.Enable(c.Metrics)
-		c.progress = metrics.StartProgress(c.Metrics, os.Stderr, *f.metricsEvery)
+		c.progress = metrics.StartProgress(c.Metrics, stderr, *f.metricsEvery)
 	}
-	return c
+	return c, 0
 }
 
-// OpenCLI builds the shared logging bundle from the flag values, installs the
-// logger as the process default (constructors self-wire, like metrics and
-// trace), and returns it. An unparseable level or format is reported on
-// stderr and exits 2 — flag validation, not a runtime failure.
-func OpenCLI(level, format, path string) *CLI {
-	lg, err := NewCLI(level, format, os.Stderr)
+// OpenCLI builds the shared logging bundle from the flag values, with live
+// lines on stderr, installs the logger as the process default (constructors
+// self-wire, like metrics and trace), and returns it. An unparseable level or
+// format is the error — flag validation, exit 2, not a runtime failure.
+func OpenCLI(level, format, path string, stderr io.Writer) (*CLI, error) {
+	lg, err := NewCLI(level, format, stderr)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return nil, err
 	}
+	c := &CLI{Logger: lg, Path: path, stderr: stderr,
+		prevLogger: Enabled(), prevTracer: trace.Enabled(), prevMetrics: metrics.Enabled()}
 	Enable(lg)
-	return &CLI{Logger: lg, Path: path}
+	return c, nil
 }
 
-// FlushTrace writes the -trace file (a no-op without -trace); a failed write
-// is fatal, exit 1.
-func (c *CLI) FlushTrace() {
+// FlushTrace writes the -trace file (a no-op without -trace).
+func (c *CLI) FlushTrace() error {
 	if c == nil || c.Tracer == nil {
-		return
+		return nil
 	}
-	if err := c.Tracer.Snapshot().WriteFile(c.tracePath); err != nil {
-		c.Fatal(1, "trace-write-failed", Err(err))
-	}
+	return c.Tracer.Snapshot().WriteFile(c.tracePath)
 }
 
 // Close ends the run's telemetry: under -metrics it announces and prints the
 // final snapshot and stops the progress lines, then it stops the runtime
-// profiler and writes the event-log snapshot, whose error it returns.
-func (c *CLI) Close() error {
+// profiler, writes the event-log snapshot (a failed write is reported on
+// stderr), and restores the process-default logger, tracer and registry that
+// were in force before Open.
+func (c *CLI) Close() {
 	if c == nil {
-		return nil
+		return
 	}
 	if c.progress != nil {
 		c.Logger.Info("final-metrics-snapshot")
-		_ = c.Metrics.WriteJSON(os.Stderr)
+		_ = c.Metrics.WriteJSON(c.stderr)
 		c.progress.Stop()
 		c.progress = nil
 	}
 	if err := c.prof.Stop(); err != nil {
 		c.Logger.Error("profile-write-failed", Err(err))
 	}
-	return c.writeLog()
+	if err := c.writeLog(); err != nil {
+		fmt.Fprintln(c.stderr, FormatLine("log-write-failed", Err(err)))
+	}
+	Enable(c.prevLogger)
+	trace.Enable(c.prevTracer)
+	metrics.Enable(c.prevMetrics)
 }
 
 // writeLog writes the deterministic event-log snapshot to Path, when one was
 // requested.
 func (c *CLI) writeLog() error {
-	if c == nil || c.Path == "" {
+	if c.Path == "" {
 		return nil
 	}
 	f, err := os.Create(c.Path)
@@ -147,16 +173,14 @@ func (c *CLI) writeLog() error {
 }
 
 // Fatal records msg at error level — rendered plainly on stderr when logging
-// is off, so fatal errors are never silent — then writes the event-log
-// snapshot and exits with code.
-func (c *CLI) Fatal(code int, msg string, fields ...Field) {
-	if c != nil && c.Logger != nil {
+// is off, so fatal errors are never silent — and returns code for the
+// binary's run function to return; the deferred Close writes the event-log
+// snapshot.
+func (c *CLI) Fatal(code int, msg string, fields ...Field) int {
+	if c.Logger != nil {
 		c.Logger.Error(msg, fields...)
 	} else {
-		fmt.Fprintln(os.Stderr, FormatLine(msg, fields...))
+		fmt.Fprintln(c.stderr, FormatLine(msg, fields...))
 	}
-	if err := c.writeLog(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-	}
-	os.Exit(code)
+	return code
 }
