@@ -18,15 +18,16 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"slices"
 
 	"toposhot/internal/core"
-	"toposhot/internal/ethsim"
 	"toposhot/internal/experiments"
 	"toposhot/internal/metrics"
 	"toposhot/internal/netgen"
 	"toposhot/internal/obs"
 	"toposhot/internal/runner"
 	"toposhot/internal/strategy"
+	"toposhot/internal/tracker"
 	"toposhot/internal/types"
 )
 
@@ -34,230 +35,321 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
+// run parses the flags, validates them, and runs the mode they select.
 func run(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("toposhot", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	n := fs.Int("n", 120, "nodes in the generated network")
-	k := fs.Int("k", 20, "parallel schedule group size K")
-	seed := fs.Int64("seed", 42, "simulation seed")
-	preset := fs.String("preset", "", "network preset: ropsten|rinkeby|goerli|mainnet (overrides -n)")
-	lanes := fs.Int("lanes", 0, "engine event-lane count: a tag recorded on events and in checkpoints; never changes results")
-	regions := fs.Int("regions", 0, "shard the census into this many regions, each censused in its own engine (mainnet-scale mode; only intra-region links are measurable, reported honestly)")
-	checkpoint := fs.String("checkpoint", "", "write a resumable campaign checkpoint to this file at batch boundaries")
-	checkpointEvery := fs.Int("checkpoint-every", 25, "batches between checkpoint writes under -checkpoint")
-	resumeFrom := fs.String("resume", "", "resume a campaign from a checkpoint file written by -checkpoint (skips network build and pre-processing)")
-	strat := fs.String("strategy", "toposhot", "measurement method: toposhot|dethna|txprobe|ethna (non-toposhot methods probe all eligible pairs)")
-	track := fs.Bool("track", false, "after the seeding census, follow the churning network with budgeted delta campaigns instead of re-censusing")
-	trackTicks := fs.Int("track-ticks", 12, "delta campaigns to run under -track")
-	trackBudget := fs.Int("track-budget", 72, "pairs re-probed per delta campaign under -track")
-	trackChurn := fs.Float64("track-churn", 20, "mean virtual seconds between peer-churn events under -track")
-	out := fs.String("out", "", "output file (default stdout)")
-	uniform := fs.Bool("uniform", false, "all-default nodes (no heterogeneity)")
-	parallel := fs.Int("parallel", 0, "worker-pool width for independent simulations (0 = GOMAXPROCS, 1 = serial); results are identical at any width")
-	telemetry := obs.RegisterCLIFlags(fs)
-	events := fs.String("events", "", "serve the live campaign dashboard (/, /events, /log, /ledger, /metrics, /trace/snapshot, /progress) on this address while the run is active")
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return 0
-		}
-		return 2
+	o, code := parse(args, stderr)
+	if o == nil {
+		return code
 	}
-
-	cli, code := telemetry.Open(stderr)
+	cli, code := o.telemetry.Open(stderr)
 	if cli == nil {
 		return code
 	}
 	defer cli.Close()
-	lg, tracer := cli.Logger, cli.Tracer
+	c, code := validate(o, cli, stdout, stderr)
+	if c == nil {
+		return code
+	}
+	if c.outFile != nil {
+		defer c.outFile.Close() // a failed run; finish closes it on success
+	}
 
 	// One campaign is one serial engine, so this knob matters only for the
 	// pool-backed helpers underneath (and keeps the flag uniform with
 	// cmd/experiments).
 	defer runner.SetParallelism(runner.Parallelism())
-	runner.SetParallelism(*parallel)
-
-	// The dashboard's /metrics needs a registry even without -metrics.
-	reg := cli.Metrics
-	if reg == nil && *events != "" {
-		reg = metrics.NewRegistry()
-		metrics.Enable(reg) // the network, pools, and measurer self-wire; cli.Close puts the old default back
-	}
+	runner.SetParallelism(o.parallel)
 
 	// The live dashboard serves the campaign's observability surfaces for the
-	// duration of the run; led is the probe cost-attribution ledger every mode
-	// below feeds.
-	led := obs.NewLedger()
-	if *events != "" {
-		dash := &obs.Dash{Logger: lg, Ledger: led, Metrics: reg, Tracer: tracer}
-		srv := &http.Server{Addr: *events, Handler: dash.Handler()}
+	// duration of the run; its /metrics needs a registry even without -metrics.
+	if o.events != "" {
+		reg := cli.Metrics
+		if reg == nil {
+			reg = metrics.NewRegistry()
+			metrics.Enable(reg) // the network, pools, and measurer self-wire; cli.Close puts the old default back
+		}
+		dash := &obs.Dash{Logger: cli.Logger, Ledger: c.ledger, Metrics: reg, Tracer: cli.Tracer}
+		srv := &http.Server{Addr: o.events, Handler: dash.Handler()}
 		go func() {
 			if err := srv.ListenAndServe(); err != http.ErrServerClosed {
-				lg.Error("dashboard-failed", obs.Err(err))
+				cli.Logger.Error("dashboard-failed", obs.Err(err))
 			}
 		}()
 		defer srv.Close()
-		lg.Info("dashboard-listening", obs.String("addr", *events))
+		cli.Logger.Info("dashboard-listening", obs.String("addr", o.events))
 	}
 
-	grow := netgen.RopstenConfig.WithSeed(*seed).WithN(*n)
-	switch *preset {
-	case "ropsten":
-		grow = netgen.RopstenConfig.WithSeed(*seed)
-	case "rinkeby":
-		grow = netgen.RinkebyConfig.WithSeed(*seed)
-	case "goerli":
-		grow = netgen.GoerliConfig.WithSeed(*seed)
-	case "mainnet":
-		grow = netgen.MainnetConfig.WithSeed(*seed)
-	case "":
-	default:
-		return cli.Fatal(2, "unknown-preset", obs.String("preset", *preset))
+	switch {
+	case o.regions > 0:
+		return c.sharded()
+	case o.track:
+		return c.tracking()
 	}
+	return c.measure()
+}
+
+// options is the parsed command line.
+type options struct {
+	n, k, lanes, regions, parallel           int
+	checkpointEvery, ticks, budget           int
+	seed                                     int64
+	churn                                    float64
+	track, nSet                              bool
+	preset, strategy, checkpoint, resumeFrom string
+	out, events                              string
+	telemetry                                *obs.CLIFlags
+}
+
+// parse reads the command line into options. A nil result ends the run with
+// the returned code: -h, or a flag that does not parse (reported in one line).
+func parse(args []string, stderr io.Writer) (*options, int) {
+	fs := flag.NewFlagSet("toposhot", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	o := &options{}
+	fs.IntVar(&o.n, "n", 120, "nodes in the generated network")
+	fs.IntVar(&o.k, "k", 20, "parallel schedule group size K")
+	fs.Int64Var(&o.seed, "seed", 42, "simulation seed")
+	fs.StringVar(&o.preset, "preset", "", "network preset: ropsten|rinkeby|goerli|mainnet (overrides -n)")
+	fs.IntVar(&o.lanes, "lanes", 0, "engine event-lane count: a tag recorded on events and in checkpoints; never changes results")
+	fs.IntVar(&o.regions, "regions", 0, "shard the census into this many regions, each censused in its own engine (mainnet-scale mode; only intra-region links are measurable, reported honestly)")
+	fs.StringVar(&o.checkpoint, "checkpoint", "", "write a resumable campaign checkpoint to this file at batch boundaries")
+	fs.IntVar(&o.checkpointEvery, "checkpoint-every", 25, "batches between checkpoint writes under -checkpoint")
+	fs.StringVar(&o.resumeFrom, "resume", "", "resume a campaign from a checkpoint file written by -checkpoint (skips network build and pre-processing; the checkpoint fixes the network, seed and K)")
+	fs.StringVar(&o.strategy, "strategy", "toposhot", "measurement method: toposhot|dethna|txprobe|ethna (non-toposhot methods probe all eligible pairs)")
+	fs.BoolVar(&o.track, "track", false, "after the seeding census, follow the churning network with budgeted delta campaigns instead of re-censusing")
+	fs.IntVar(&o.ticks, "track-ticks", 12, "delta campaigns to run under -track")
+	fs.IntVar(&o.budget, "track-budget", 72, "pairs re-probed per delta campaign under -track")
+	fs.Float64Var(&o.churn, "track-churn", 20, "mean virtual seconds between peer-churn events under -track")
+	fs.StringVar(&o.out, "out", "", "output file (default stdout)")
+	fs.IntVar(&o.parallel, "parallel", 0, "worker-pool width for independent simulations (0 = GOMAXPROCS, 1 = serial); results are identical at any width")
+	o.telemetry = obs.RegisterCLIFlags(fs)
+	fs.StringVar(&o.events, "events", "", "serve the live campaign dashboard (/, /events, /log, /ledger, /metrics, /trace/snapshot, /progress) on this address while the run is active")
+	fs.Usage = func() {} // a bad flag is its one error line; -h prints the defaults below
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			fmt.Fprintln(stderr, "Usage of toposhot:")
+			fs.PrintDefaults()
+			return nil, 0
+		}
+		return nil, 2
+	}
+	fs.Visit(func(f *flag.Flag) { o.nSet = o.nSet || f.Name == "n" })
+	return o, 0
+}
+
+// presets are the -preset worlds; "" is a Ropsten-shaped net of -n nodes.
+var presets = map[string]netgen.GrowConfig{
+	"": netgen.RopstenConfig, "ropsten": netgen.RopstenConfig, "rinkeby": netgen.RinkebyConfig,
+	"goerli": netgen.GoerliConfig, "mainnet": netgen.MainnetConfig,
+}
+
+// campaign is a validated run: the census world every mode measures, the
+// checkpoint it resumes (nil for a fresh run), and where its edges go.
+type campaign struct {
+	*options
+	cli     *obs.CLI
+	census  experiments.CensusConfig
+	resume  *experiments.Checkpoint
+	ledger  *obs.Ledger // probe cost attribution, fed by every mode and served by the dashboard
+	out     io.Writer
+	outFile *os.File
+	stderr  io.Writer
+}
+
+// validate refuses every flag combination the run cannot honour before any
+// world exists — exit 2 for a combination, 1 for a file it cannot read or
+// create — and settles the campaign. A resumed campaign is the checkpoint's:
+// its kind is checked here, before the blob is restored, and its seed, K,
+// edge budget and network size replace the flags'.
+func validate(o *options, cli *obs.CLI, stdout, stderr io.Writer) (*campaign, int) {
+	grow, ok := presets[o.preset]
+	if !ok {
+		return nil, cli.Fatal(2, "unknown-preset", obs.String("preset", o.preset))
+	}
+	if !slices.Contains(strategy.Methods(), strategy.Method(o.strategy)) {
+		return nil, cli.Fatal(2, "bad-flags", obs.String("strategy", o.strategy), obs.String("why", "unknown measurement method"))
+	}
+	rival := o.strategy != string(strategy.MethodTopoShot)
+	resumable := o.checkpoint != "" || o.resumeFrom != ""
+	var why string
+	switch {
+	case o.regions > 0 && (rival || resumable):
+		// Per-region results live in separate worlds, so monolithic campaign
+		// checkpointing does not apply.
+		why = "-regions supports only the toposhot strategy and no -checkpoint/-resume"
+	case o.track && rival:
+		why = "-track supports only the toposhot strategy"
+	case rival && resumable:
+		why = "-checkpoint/-resume support only the toposhot strategy"
+	}
+	if why != "" {
+		return nil, cli.Fatal(2, "bad-flags", obs.String("why", why))
+	}
+
 	// An explicit -n rescales a preset (downsized smoke runs keep the
 	// preset's degree/leaf/monitor shape).
-	if *preset != "" {
-		fs.Visit(func(f *flag.Flag) {
-			if f.Name == "n" {
-				grow = grow.WithN(*n)
-			}
-		})
+	if o.preset == "" || o.nSet {
+		grow = grow.WithN(o.n)
 	}
-	het := netgen.DefaultHeterogeneity()
-	if *uniform {
-		het = netgen.Uniform()
+	c := &campaign{options: o, cli: cli, ledger: obs.NewLedger(), out: stdout, stderr: stderr,
+		// Every mode measures the same census world: 1/10-scale pools, the
+		// scaled ≤2000-slot edge budget, 300 prefilled background transactions.
+		census: experiments.CensusConfig{
+			Name: o.preset, Grow: grow.WithSeed(o.seed), Het: netgen.DefaultHeterogeneity(), Seed: o.seed,
+			PoolScale: 0.1, GroupK: o.k, EdgeBudget: 144, Prefill: 300,
+		},
 	}
-	// Every mode measures the same census world: 1/10-scale pools, the
-	// scaled ≤2000-slot edge budget, 300 prefilled background transactions.
-	census := experiments.CensusConfig{
-		Name: *preset, Grow: grow, Het: het, Seed: *seed,
-		PoolScale: 0.1, GroupK: *k, EdgeBudget: 144, Prefill: 300,
+	if c.census.Name == "" {
+		c.census.Name = "custom"
 	}
-	if census.Name == "" {
-		census.Name = "custom"
-	}
-
-	// Region-sharded mode: one independent engine per region, runner-wide
-	// parallel, honest intra-region coverage accounting. Per-region results
-	// live in separate worlds, so monolithic campaign checkpointing does not
-	// apply here.
-	if *regions > 0 {
-		if *strat != string(strategy.MethodTopoShot) || *checkpoint != "" || *resumeFrom != "" {
-			return cli.Fatal(2, "bad-flags",
-				obs.String("why", "-regions supports only the toposhot strategy and no -checkpoint/-resume"))
-		}
-		sc, err := experiments.RunScaleCensus(experiments.ScaleCensusConfig{
-			Name: census.Name, Grow: grow, Het: het, Seed: *seed,
-			Regions: *regions, Lanes: *lanes,
-			PoolScale: census.PoolScale, GroupK: census.GroupK, EdgeBudget: census.EdgeBudget, Prefill: census.Prefill,
-		})
+	if o.resumeFrom != "" {
+		ck, err := experiments.ReadCheckpoint(o.resumeFrom)
 		if err != nil {
-			return cli.Fatal(1, "census-failed", obs.Err(err))
+			return nil, cli.Fatal(1, "checkpoint-read-failed", obs.Err(err))
 		}
-		fmt.Fprint(stderr, experiments.FormatScaleCensus(sc))
-		return writeResult(cli, *out, stdout, sc.Measured.Edges())
-	}
-
-	// Tracking mode: one seeding census, then per-tick delta campaigns over
-	// the churning network. Checkpoints carry the engine blob (churn registry
-	// included) plus the tracker snapshot, so -resume continues mid-campaign.
-	if *track {
-		if *strat != string(strategy.MethodTopoShot) {
-			return cli.Fatal(2, "bad-flags", obs.String("why", "-track supports only the toposhot strategy"))
+		switch {
+		case o.track && ck.Tracking == nil:
+			why = "a census-campaign checkpoint; resume it without -track"
+		case !o.track && ck.Campaign == nil:
+			why = "a tracking checkpoint; resume it with -track"
 		}
-		return runTracking(trackingFlags{
-			census: census, lanes: *lanes,
-			ticks: *trackTicks, budget: *trackBudget, churn: *trackChurn,
-			checkpoint: *checkpoint, checkpointEvery: *checkpointEvery, resumeFrom: *resumeFrom,
-			out: *out, stdout: stdout, stderr: stderr, cli: cli, ledger: led,
-		})
+		if why != "" {
+			return nil, cli.Fatal(2, "bad-flags", obs.String("file", o.resumeFrom), obs.String("why", why))
+		}
+		c.resume = ck
+		c.census.Seed, c.census.GroupK, c.census.EdgeBudget = ck.Seed, ck.K, ck.EdgeBudget
+		c.census.Grow = c.census.Grow.WithSeed(ck.Seed).WithN(len(ck.Back))
 	}
+	if o.out != "" {
+		f, err := os.Create(o.out)
+		if err != nil {
+			return nil, cli.Fatal(1, "output-create-failed", obs.String("file", o.out), obs.Err(err))
+		}
+		c.out, c.outFile = f, f
+	}
+	return c, 0
+}
 
-	// Monolithic mode: one engine hosts the whole network. Either build it
-	// fresh or restore world + campaign position from a checkpoint file.
+// sharded runs the region-sharded census: one independent engine per region,
+// runner-wide parallel, honest intra-region coverage accounting.
+func (c *campaign) sharded() int {
+	cc := c.census
+	sc, err := experiments.RunScaleCensus(experiments.ScaleCensusConfig{
+		Name: cc.Name, Grow: cc.Grow, Het: cc.Het, Seed: cc.Seed,
+		Regions: c.regions, Lanes: c.lanes,
+		PoolScale: cc.PoolScale, GroupK: cc.GroupK, EdgeBudget: cc.EdgeBudget, Prefill: cc.Prefill,
+	})
+	if err != nil {
+		return c.cli.Fatal(1, "census-failed", obs.Err(err))
+	}
+	fmt.Fprint(c.stderr, experiments.FormatScaleCensus(sc))
+	return c.finish(sc.Measured.Edges())
+}
+
+// tracking runs one seeding census, then per-tick delta campaigns over the
+// churning network. Checkpoints carry the engine blob (churn registry
+// included) plus the tracker snapshot, so -resume continues mid-campaign.
+func (c *campaign) tracking() int {
+	cfg := experiments.TrackingConfig{
+		Census:          c.census,
+		Ticks:           c.ticks,
+		TickSeconds:     120,
+		Tracker:         tracker.Config{Budget: c.budget, HalfLife: 6, MinConfidence: 0.25},
+		ChurnInterval:   c.churn,
+		ChurnRemoveFrac: 0.5,
+		HintEvery:       2,
+		Lanes:           c.lanes,
+		Ledger:          c.ledger,
+		Resume:          c.resume,
+	}
+	if r := c.resume; r != nil {
+		c.cli.Logger.Info("tracking-resumed", obs.String("file", c.resumeFrom),
+			obs.Int("ticks_done", int64(r.Tracking.TicksDone)), obs.Int("ticks", int64(c.ticks)),
+			obs.Int("tracked_pairs", int64(len(r.Tracking.Tracker.Pairs))),
+			obs.Int("probe_txs", int64(r.Tracking.TrackerTxs)))
+	}
+	if c.checkpoint != "" {
+		every := max(c.checkpointEvery, 1)
+		cfg.OnTick = func(tt *experiments.TrackingTick) error {
+			if tt.Tick%every != 0 && tt.Tick != c.ticks {
+				return nil
+			}
+			ck, err := tt.Checkpoint()
+			if err != nil {
+				return err
+			}
+			return ck.Write(c.checkpoint)
+		}
+	}
+	tr, err := experiments.RunTracking(cfg)
+	if err != nil {
+		return c.cli.Fatal(1, "tracking-failed", obs.Err(err))
+	}
+	fmt.Fprint(c.stderr, experiments.FormatTracking(tr))
+	fmt.Fprint(c.stderr, experiments.FormatTrackingCost(tr))
+	return c.finish(vertexEdges(tr.Belief, tr.Back))
+}
+
+// measure runs the monolithic census: one engine hosts the whole network,
+// built fresh or restored with the campaign position from the checkpoint,
+// measured by TopoShot or probed pair by pair by a rival method.
+func (c *campaign) measure() int {
+	cli, lg := c.cli, c.cli.Logger
+	params := c.census.MeasureParams()
 	var (
-		net     *ethsim.Network
-		super   *ethsim.Supernode
+		world   *experiments.CensusWorld
 		m       *core.Measurer
 		targets []types.NodeID
-		back    map[types.NodeID]int
 		resume  *core.CampaignState
 	)
-	params := census.MeasureParams()
-	if *resumeFrom != "" {
-		blob, meta, err := readCheckpoint(*resumeFrom)
-		if err != nil {
-			return cli.Fatal(1, "checkpoint-read-failed", obs.Err(err))
+	if c.resume != nil {
+		var err error
+		if world, err = experiments.RestoreCensusWorld(c.resume, c.lanes); err != nil {
+			return cli.Fatal(1, "restore-failed", obs.String("file", c.resumeFrom), obs.Err(err))
 		}
-		if meta.Campaign == nil {
-			return cli.Fatal(2, "bad-flags", obs.String("file", *resumeFrom),
-				obs.String("why", "a tracking checkpoint; resume it with -track"))
-		}
-		net, err = ethsim.RestoreNetworkLanes(blob, *lanes)
-		if err != nil {
-			return cli.Fatal(1, "restore-failed", obs.String("file", *resumeFrom), obs.Err(err))
-		}
-		supers := net.Supernodes()
-		if meta.Super < 0 || meta.Super >= len(supers) {
-			return cli.Fatal(1, "restore-failed", obs.String("file", *resumeFrom),
-				obs.Int("super", int64(meta.Super)), obs.Int("have", int64(len(supers))),
-				obs.String("why", "supernode index out of range"))
-		}
-		if tracer != nil {
-			net.SetTracer(tracer)
-			tracer.SetClock(net.Now)
-		}
-		super = supers[meta.Super]
-		m = core.NewMeasurer(net, super, params)
-		*seed, *k = meta.Seed, meta.K
-		targets, resume = meta.Targets, meta.Campaign
-		back = meta.backMap()
-		lg.Info("campaign-resumed", obs.String("file", *resumeFrom),
-			obs.Int("nodes", int64(len(net.Nodes()))), obs.Float("virtual_s", net.Now()),
+		m = core.NewMeasurer(world.Net, world.Super, params)
+		targets, resume = c.resume.Targets, c.resume.Campaign
+		lg.Info("campaign-resumed", obs.String("file", c.resumeFrom),
+			obs.Int("nodes", int64(len(world.Net.Nodes()))), obs.Float("virtual_s", world.Net.Now()),
 			obs.Int("batches_done", int64(resume.BatchesDone)),
 			obs.Int("edges", int64(len(resume.Detected))))
 	} else {
-		g := netgen.Grow(grow)
-		world := experiments.BuildCensusWorld(census, g, *seed, *lanes, nil)
+		g := netgen.Grow(c.census.Grow)
+		world = experiments.BuildCensusWorld(c.census, g, c.census.Seed, c.lanes, nil)
 		world.StartTraffic()
-		net, super = world.Net, world.Super
-		m = core.NewMeasurer(net, super, params)
-
+		m = core.NewMeasurer(world.Net, world.Super, params)
 		lg.Info("network-built", obs.Int("nodes", int64(g.NumNodes())),
 			obs.Int("edges", int64(g.NumEdges())))
 		pre := m.Preprocess(world.Inst.IDs)
 		targets = pre.EligibleNodes(world.Inst.IDs)
-		back = world.Inst.Back
 	}
+	net := world.Net
 	truth := core.EdgeSetOf(net.Edges())
 
 	// Every probe the campaign sends lands in the dashboard's attribution
 	// ledger under one census phase.
-	m.SetObs(m.Obs(), led)
+	m.SetObs(m.Obs(), c.ledger)
 	m.SetPhase("census")
 
 	var detected *core.EdgeSet
-	if *strat == string(strategy.MethodTopoShot) {
+	if c.strategy == string(strategy.MethodTopoShot) {
 		var onBatch func(*core.CampaignState) error
-		if *checkpoint != "" {
-			every := *checkpointEvery
-			if every < 1 {
-				every = 1
-			}
-			meta := &campaignMeta{Seed: *seed, K: *k, EdgeBudget: census.EdgeBudget, Targets: targets, Back: sortedBack(back)}
+		if c.checkpoint != "" {
+			every := max(c.checkpointEvery, 1)
 			onBatch = func(st *core.CampaignState) error {
 				if st.BatchesDone%every != 0 {
 					return nil
 				}
-				blob, err := net.Checkpoint()
+				ck, err := world.Checkpoint(c.census, targets)
 				if err != nil {
 					return err
 				}
-				meta.Campaign = st
-				return writeCheckpoint(*checkpoint, blob, meta)
+				ck.Campaign = st
+				return ck.Write(c.checkpoint)
 			}
 		}
-		lg.Info("census-started", obs.Int("eligible", int64(len(targets))), obs.Int("k", int64(*k)))
-		res, err := m.MeasureNetworkResume(targets, *k, census.EdgeBudget, resume, onBatch)
+		lg.Info("census-started", obs.Int("eligible", int64(len(targets))), obs.Int("k", int64(c.census.GroupK)))
+		res, err := m.MeasureNetworkResume(targets, c.census.GroupK, c.census.EdgeBudget, resume, onBatch)
 		if err != nil {
 			return cli.Fatal(1, "measurement-failed", obs.Err(err))
 		}
@@ -270,12 +362,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		lg.Info("census-scored", obs.Float("virtual_h", res.Duration/3600),
 			obs.Int("calls", int64(res.Calls)), obs.String("score", sc.String()),
 			obs.Float("fee_eth", core.Ether(m.Ledger.WorstCaseWei())))
-	} else if *resumeFrom != "" || *checkpoint != "" {
-		return cli.Fatal(2, "bad-flags", obs.String("why", "-checkpoint/-resume support only the toposhot strategy"))
 	} else {
-		s, err := strategy.NewMethod(strategy.Method(*strat), net, super, strategy.Config{TopoShot: params})
+		s, err := strategy.NewMethod(strategy.Method(c.strategy), net, world.Super, strategy.Config{TopoShot: params})
 		if err != nil {
-			return cli.Fatal(2, "bad-flags", obs.Err(err))
+			return cli.Fatal(1, "measurement-failed", obs.Err(err))
 		}
 		var pairs [][2]types.NodeID
 		for i := range targets {
@@ -285,7 +375,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		lg.Info("pairs-planned", obs.Int("pairs", int64(len(pairs))),
 			obs.Int("eligible", int64(len(targets))), obs.String("method", s.Name()))
-		out, err := strategy.RunPairs(tracer, lg, net, s, pairs)
+		out, err := strategy.RunPairs(cli.Tracer, lg, net, s, pairs)
 		if err != nil {
 			return cli.Fatal(1, "measurement-failed", obs.Err(err))
 		}
@@ -294,7 +384,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			obs.String("score", out.Score(truth).String()),
 			obs.Int("probe_txs", int64(out.Cost.Total())))
 	}
-	return writeResult(cli, *out, stdout, vertexEdges(detected, back))
+	return c.finish(vertexEdges(detected, world.Inst.Back))
 }
 
 // vertexEdges maps measured NodeID pairs back to the generated graph's vertex
@@ -311,33 +401,24 @@ func vertexEdges(set *core.EdgeSet, back map[types.NodeID]int) [][2]int {
 	return edges
 }
 
-// writeResult ends a successful campaign: it writes the -trace file, then the
-// edge list, one "u v" pair per line, to the -out file (or stdout).
-func writeResult(cli *obs.CLI, path string, stdout io.Writer, edges [][2]int) int {
-	if err := cli.FlushTrace(); err != nil {
-		return cli.Fatal(1, "trace-write-failed", obs.Err(err))
+// finish ends a successful campaign: it writes the -trace file, then the edge
+// list, one "u v" pair per line, to the -out file (or stdout).
+func (c *campaign) finish(edges [][2]int) int {
+	if err := c.cli.FlushTrace(); err != nil {
+		return c.cli.Fatal(1, "trace-write-failed", obs.Err(err))
 	}
-	var f *os.File
-	dst := stdout
-	if path != "" {
-		var err error
-		if f, err = os.Create(path); err != nil {
-			return cli.Fatal(1, "output-create-failed", obs.String("file", path), obs.Err(err))
-		}
-		dst = f
-	}
-	bw := bufio.NewWriter(dst)
+	bw := bufio.NewWriter(c.out)
 	for _, e := range edges {
 		fmt.Fprintf(bw, "%d %d\n", e[0], e[1])
 	}
 	err := bw.Flush()
-	if f != nil {
-		if cerr := f.Close(); err == nil {
+	if c.outFile != nil {
+		if cerr := c.outFile.Close(); err == nil {
 			err = cerr
 		}
 	}
 	if err != nil {
-		return cli.Fatal(1, "output-write-failed", obs.Err(err))
+		return c.cli.Fatal(1, "output-write-failed", obs.Err(err))
 	}
 	return 0
 }

@@ -11,10 +11,13 @@ import (
 	"strings"
 	"testing"
 
+	"toposhot/internal/core"
+	"toposhot/internal/experiments"
 	"toposhot/internal/metrics"
 	"toposhot/internal/obs"
 	"toposhot/internal/runner"
 	"toposhot/internal/trace"
+	"toposhot/internal/tracker"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files and the SHA-256 manifest under testdata/")
@@ -111,6 +114,12 @@ func readFile(t *testing.T, path string) []byte {
 	return data
 }
 
+// scrub replaces the test's temporary directory in an artifact that names a
+// file (a resumed run logs its checkpoint path) with a fixed token.
+func scrub(dir string, data []byte) []byte {
+	return bytes.ReplaceAll(data, []byte(dir), []byte("$DIR"))
+}
+
 func mustEqual(t *testing.T, what string, a, b []byte) {
 	t.Helper()
 	if !bytes.Equal(a, b) {
@@ -175,14 +184,19 @@ func TestWidthLaneAndResumeInvariance(t *testing.T) {
 	toposhot(t, append(append([]string{}, census...), "-checkpoint", ckpt, "-checkpoint-every", "3", "-out", filepath.Join(dir, "full"))...)
 	mustEqual(t, "edges, plain vs checkpointing run", base.edges, readFile(t, filepath.Join(dir, "full")))
 	checkManifest(t, "census_n60.ckpt", readFile(t, ckpt))
-	resumed, _ := toposhot(t, "-resume", ckpt)
+	resumed, _ := toposhot(t, "-resume", ckpt, "-log-level", "debug", "-log", filepath.Join(dir, "resumed.ev"),
+		"-trace", filepath.Join(dir, "resumed.tr.json"), "-trace-deterministic")
 	mustEqual(t, "edges, uninterrupted vs resumed", base.edges, resumed)
+	checkManifest(t, "census_n60_resumed.events.jsonl", scrub(dir, readFile(t, filepath.Join(dir, "resumed.ev"))))
+	checkManifest(t, "census_n60_resumed.trace.json", readFile(t, filepath.Join(dir, "resumed.tr.json")))
 }
 
 // TestTrackingArtifacts pins a 6-tick tracking run — belief edges and the
 // stderr report with its cost-attribution table, which is cut from the probe
 // ledger — and requires a 3-tick checkpoint resumed out to 6 ticks to end on
-// the same edges (CI's former tracking-smoke job).
+// the same edges (CI's former tracking-smoke job). The checkpoint fixes the
+// world: resuming it without world flags reports and records the same
+// campaign as resuming it with them.
 func TestTrackingArtifacts(t *testing.T) {
 	dir := t.TempDir()
 	track := []string{"-track", "-n", "40", "-k", "8", "-seed", "7"}
@@ -193,8 +207,21 @@ func TestTrackingArtifacts(t *testing.T) {
 	ckpt := filepath.Join(dir, "track.ckpt")
 	toposhot(t, append(track, "-track-ticks", "3", "-checkpoint", ckpt, "-out", filepath.Join(dir, "half"))...)
 	checkManifest(t, "track_n40_tick3.ckpt", readFile(t, ckpt))
-	resumed, _ := toposhot(t, append(track, "-track-ticks", "6", "-resume", ckpt)...)
+	resumed, stderr := toposhot(t, append(track, "-track-ticks", "6", "-resume", ckpt, "-log", filepath.Join(dir, "resumed.ev"))...)
 	mustEqual(t, "belief edges, uninterrupted vs resumed", edges, resumed)
+	checkManifest(t, "track_n40_resumed.stderr.txt", scrub(dir, stderr))
+	checkManifest(t, "track_n40_resumed.events.jsonl", scrub(dir, readFile(t, filepath.Join(dir, "resumed.ev"))))
+
+	again := filepath.Join(dir, "again.ckpt")
+	bare, bareStderr := toposhot(t, "-track", "-track-ticks", "6", "-resume", ckpt, "-checkpoint", again)
+	mustEqual(t, "belief edges, resumed with and without world flags", resumed, bare)
+	mustEqual(t, "reports, resumed with and without world flags", stderr, bareStderr)
+	if !bytes.Contains(bareStderr, []byte("custom n=40 seed=7 ")) {
+		t.Errorf("report header does not name the checkpoint's world:\n%s", bareStderr)
+	}
+	if ck, err := experiments.ReadCheckpoint(again); err != nil || ck.Seed != 7 || ck.K != 8 {
+		t.Errorf("checkpoint written by a resumed run records seed/K %v, %v", ck, err)
+	}
 }
 
 // TestShardedCensus pins the region-sharded mode's edges and coverage
@@ -216,16 +243,20 @@ func TestRivalStrategy(t *testing.T) {
 	checkGolden(t, "dethna_n24.stderr.txt", stderr)
 }
 
-// TestFlagValidation: a flag combination the binary cannot honour is exit 2
-// with the reason on stderr, before any simulation starts.
+// TestFlagValidation: a flag combination the binary cannot honour is exit 2,
+// and a file it cannot read or create exit 1, with the one reason line on
+// stderr and nothing else — no world is built or restored first. The
+// checkpoints here carry a dummy blob, so restoring one would fail loudly.
 func TestFlagValidation(t *testing.T) {
 	dir := t.TempDir()
 	trackCkpt, campCkpt := filepath.Join(dir, "track.ckpt"), filepath.Join(dir, "camp.ckpt")
-	if err := writeCheckpoint(trackCkpt, []byte("blob"), trackingCheckpoint()); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeCheckpoint(campCkpt, []byte("blob"), campaignCheckpoint()); err != nil {
-		t.Fatal(err)
+	for path, ck := range map[string]*experiments.Checkpoint{
+		trackCkpt: {Blob: []byte("blob"), Tracking: &experiments.TrackingResume{Tracker: &tracker.State{}}},
+		campCkpt:  {Blob: []byte("blob"), Campaign: &core.CampaignState{}},
+	} {
+		if err := ck.Write(path); err != nil {
+			t.Fatal(err)
+		}
 	}
 	cases := []struct {
 		name       string
@@ -240,6 +271,7 @@ func TestFlagValidation(t *testing.T) {
 		{"tracking checkpoint without -track", []string{"-resume", trackCkpt}, 2, "a tracking checkpoint; resume it with -track"},
 		{"census checkpoint with -track", []string{"-track", "-resume", campCkpt}, 2, "a census-campaign checkpoint; resume it without -track"},
 		{"rival strategy with checkpoint", []string{"-n", "12", "-strategy", "dethna", "-checkpoint", filepath.Join(dir, "f")}, 2, "-checkpoint/-resume support only the toposhot strategy"},
+		{"rival strategy resuming a census", []string{"-resume", campCkpt, "-strategy", "dethna"}, 2, "-checkpoint/-resume support only the toposhot strategy"},
 		{"unknown strategy", []string{"-n", "12", "-strategy", "nosuch"}, 2, "msg=bad-flags"},
 		{"unknown log level", []string{"-log-level", "nosuch"}, 2, "nosuch"},
 		{"unknown trace level", []string{"-trace", filepath.Join(dir, "t"), "-trace-level", "nosuch"}, 2, "msg=trace-setup-failed"},
@@ -256,6 +288,9 @@ func TestFlagValidation(t *testing.T) {
 			}
 			if !strings.Contains(stderr.String(), c.wantStderr) {
 				t.Errorf("stderr lacks %q:\n%s", c.wantStderr, stderr.String())
+			}
+			if c.wantExit != 0 && strings.Count(stderr.String(), "\n") != 1 {
+				t.Errorf("a refusal is one stderr line, got:\n%s", stderr.String())
 			}
 			if stdout.Len() != 0 {
 				t.Errorf("a refused run wrote to stdout: %q", stdout.String())

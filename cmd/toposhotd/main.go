@@ -21,8 +21,9 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
-	"fmt"
+	"io"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -39,29 +40,35 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
-	listen := flag.String("listen", "127.0.0.1:0", "listen address")
-	networkID := flag.Uint64("network", 1337, "network id")
-	peers := flag.String("peers", "", "comma-separated peer addresses to dial")
-	client := flag.String("client", "geth", "mempool policy: geth|parity|nethermind|besu|aleth")
-	capacity := flag.Int("capacity", 0, "override mempool capacity (0 = client default)")
-	version := flag.String("version", "", "client version override")
-	metricsHTTP := flag.String("metrics-http", "", "serve the observability endpoints (dashboard, /events, /metrics, /trace/snapshot, /peers, pprof) on this address (empty = off)")
-	readIdle := flag.Duration("read-idle", 0, "idle read deadline per peer (0 = default, negative = disabled)")
-	writeTimeout := flag.Duration("write-timeout", 0, "per-frame write deadline per peer (0 = default, negative = disabled)")
-	traceLevel := flag.String("trace-level", "measure", "in-memory trace verbosity: off|measure|engine (served at /trace/snapshot)")
-	logLevel := flag.String("log-level", "info", "structured event-log verbosity: debug|info|warn|error|off")
-	logFormat := flag.String("log-format", "text", "live log line format on stderr: text|jsonl")
-	logOut := flag.String("log", "", "write the event-log snapshot (JSONL) to this file on shutdown")
-	flag.Parse()
-
-	cli, err := obs.OpenCLI(*logLevel, *logFormat, *logOut, os.Stderr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+// run serves until SIGINT/SIGTERM and returns the exit code; every flag is
+// checked before the node starts.
+func run(args []string, _, stderr io.Writer) int {
+	fs := flag.NewFlagSet("toposhotd", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	listen := fs.String("listen", "127.0.0.1:0", "listen address")
+	networkID := fs.Uint64("network", 1337, "network id")
+	peers := fs.String("peers", "", "comma-separated peer addresses to dial")
+	client := fs.String("client", "geth", "mempool policy: geth|parity|nethermind|besu|aleth")
+	capacity := fs.Int("capacity", 0, "override mempool capacity (0 = client default)")
+	version := fs.String("version", "", "client version override")
+	metricsHTTP := fs.String("metrics-http", "", "serve the observability endpoints (dashboard, /events, /metrics, /trace/snapshot, /peers, pprof) on this address (empty = off)")
+	readIdle := fs.Duration("read-idle", 0, "idle read deadline per peer (0 = default, negative = disabled)")
+	writeTimeout := fs.Duration("write-timeout", 0, "per-frame write deadline per peer (0 = default, negative = disabled)")
+	traceLevel := fs.String("trace-level", "measure", "in-memory trace verbosity: off|measure|engine (served at /trace/snapshot)")
+	logging := obs.RegisterLogFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
 		return 2
+	}
+
+	cli, code := logging.Open(stderr)
+	if cli == nil {
+		return code
 	}
 	defer cli.Close() // last: the snapshot holds every shutdown event
 	lg := cli.Logger
@@ -70,19 +77,20 @@ func run() int {
 	if err != nil {
 		return cli.Fatal(2, "trace-setup-failed", obs.Err(err))
 	}
+	pol, ok := txpool.ClientByName(*client)
+	if !ok {
+		return cli.Fatal(2, "unknown-client", obs.String("client", *client))
+	}
+
 	// The daemon is a live process, so its trace lane and event log run on
 	// wall seconds since startup rather than a simulation clock.
 	start := time.Now()
 	wall := func() float64 { return time.Since(start).Seconds() }
 	tracer := trace.New(trace.Options{Level: lv})
 	tracer.SetClock(wall)
-	trace.Enable(tracer) // the node self-wires, like metrics
+	trace.Enable(tracer) // the node self-wires, like metrics; cli.Close puts the old default back
 	lg.SetClock(wall)
 
-	pol, ok := txpool.ClientByName(*client)
-	if !ok {
-		return cli.Fatal(2, "unknown-client", obs.String("client", *client))
-	}
 	if *capacity > 0 {
 		pol = pol.WithCapacity(*capacity)
 	}
@@ -157,6 +165,7 @@ func run() int {
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
+	defer signal.Stop(sig)
 	ticker := time.NewTicker(10 * time.Second)
 	defer ticker.Stop()
 	for {

@@ -57,30 +57,26 @@ type TrackingConfig struct {
 	// burn is visible mid-run. It must start empty (the census baseline is
 	// read from its totals).
 	Ledger *obs.Ledger
-	// OnTick, when set, observes each completed tick with checkpointing
-	// access to the live network and tracker (the CLI writes resumable
-	// checkpoints from it). An error aborts the run.
+	// OnTick, when set, observes each completed tick; TrackingTick.Checkpoint
+	// snapshots the run at that tick (the CLI writes resumable checkpoints
+	// from it). An error aborts the run.
 	OnTick func(t *TrackingTick) error
 	// Resume, when set, skips the network build and seeding census and
-	// continues a checkpointed run.
-	Resume *TrackingResume
+	// continues the checkpointed run; its Tracking tail must be set.
+	Resume *Checkpoint
 }
 
-// TrackingResume carries everything a checkpointed tracking run needs to
-// continue: the engine blob (ethsim checkpoint v2, churn registry included),
-// the tracker snapshot, and the seeding-census baselines that the summary
-// arithmetic needs but the continuation cannot re-measure.
+// TrackingResume is the -track checkpoint tail (Checkpoint.Tracking): what a
+// continuation needs beyond the census world — the tracker snapshot and the
+// seeding-census baselines and spend that the summary arithmetic needs but
+// the continuation cannot re-measure. Its JSON field names are the file
+// format.
 type TrackingResume struct {
-	Blob      []byte
-	Tracker   *tracker.State
+	Tracker   *tracker.State `json:"State"`
 	TicksDone int
-	// Super is the measurer supernode's index in Network.Supernodes().
-	Super int
 	// EventIndex continues the churn-hint parity across the restart (the
 	// restored churn log itself restarts empty).
 	EventIndex int
-	// Back is the NodeID→vertex mapping for edge output, carried verbatim.
-	Back map[types.NodeID]int
 	// Seeding-census baselines, carried verbatim.
 	BaselineTxs      int
 	BaselineEther    float64
@@ -108,18 +104,16 @@ type TrackingTick struct {
 	Ether         float64
 	TotalDuration float64
 
-	// Live handles for OnTick checkpointing; nil in the stored results. Run
-	// is the in-progress result — its seeding-census baselines are final.
-	Net     *ethsim.Network  `json:"-"`
-	Tracker *tracker.Tracker `json:"-"`
-	Run     *Tracking        `json:"-"`
-	// Checkpoint context for OnTick: the NodeID→vertex mapping, the measurer
-	// supernode's registry index, and the churn hint-parity cursor — exactly
-	// the TrackingResume fields a continuation needs.
-	Back       map[types.NodeID]int `json:"-"`
-	Super      int
-	EventIndex int
+	// Net is the live network, for OnTick; nil in the stored results.
+	Net *ethsim.Network `json:"-"`
+	// checkpoint backs Checkpoint during OnTick; nil in the stored results.
+	checkpoint func(*TrackingTick) (*Checkpoint, error)
 }
+
+// Checkpoint snapshots the run as it stands after this tick — the census
+// world and a TrackingResume tail a continuation starts from. It is valid
+// only inside OnTick and does its work only when called.
+func (t *TrackingTick) Checkpoint() (*Checkpoint, error) { return t.checkpoint(t) }
 
 // Tracking is a completed incremental-tracking run.
 type Tracking struct {
@@ -207,15 +201,14 @@ func RunTracking(cfg TrackingConfig) (*Tracking, error) {
 	}
 
 	var (
-		net       *ethsim.Network
-		super     *ethsim.Supernode
+		world     *CensusWorld
 		targets   []types.NodeID
 		trk       *tracker.Tracker
 		probe     *tracker.GroupedProber
-		back      map[types.NodeID]int
-		superIdx  int
 		startTick int
 		churnSeen int
+		// Tracker spend before this run's ledger (a resumed run's, carried).
+		baseTxs, baseEther = 0, 0.0
 	)
 	out := &Tracking{Config: cfg, CostLedger: cfg.Ledger}
 	if out.CostLedger == nil {
@@ -225,50 +218,35 @@ func RunTracking(cfg TrackingConfig) (*Tracking, error) {
 
 	params := cfg.Census.MeasureParams()
 
-	if cfg.Resume != nil {
+	if ck := cfg.Resume; ck != nil {
+		r := ck.Tracking
+		if r == nil {
+			return nil, fmt.Errorf("tracking: resume: not a tracking checkpoint")
+		}
 		var err error
-		net, err = ethsim.RestoreNetworkLanes(cfg.Resume.Blob, cfg.Lanes)
-		if err != nil {
-			return nil, fmt.Errorf("tracking: restore engine: %w", err)
+		if world, err = RestoreCensusWorld(ck, cfg.Lanes); err != nil {
+			return nil, fmt.Errorf("tracking: %w", err)
 		}
-		supers := net.Supernodes()
-		if cfg.Resume.Super < 0 || cfg.Resume.Super >= len(supers) {
-			return nil, fmt.Errorf("tracking: restore: supernode index %d out of range (have %d)",
-				cfg.Resume.Super, len(supers))
-		}
-		super = supers[cfg.Resume.Super]
-		if len(net.Churns()) == 0 {
+		if len(world.Net.Churns()) == 0 {
 			return nil, fmt.Errorf("tracking: restored engine has no churn process")
 		}
-		probe = tracker.NewGroupedProber(core.NewMeasurer(net, super, params))
+		probe = tracker.NewGroupedProber(core.NewMeasurer(world.Net, world.Super, params))
 		probe.MaxPairs = cfg.Census.EdgeBudget
-		trk, err = tracker.Restore(cfg.Resume.Tracker, cfg.Tracker, probe)
+		trk, err = tracker.Restore(r.Tracker, cfg.Tracker, probe)
 		if err != nil {
 			return nil, fmt.Errorf("tracking: restore tracker: %w", err)
 		}
 		targets = trk.Targets()
-		back = cfg.Resume.Back
-		superIdx = cfg.Resume.Super
-		startTick = cfg.Resume.TicksDone
-		churnSeen = cfg.Resume.EventIndex
-		out.BaselineTxs = cfg.Resume.BaselineTxs
-		out.BaselineEther = cfg.Resume.BaselineEther
-		out.BaselineDuration = cfg.Resume.BaselineDuration
-		out.CensusScore = cfg.Resume.CensusScore
+		startTick, churnSeen = r.TicksDone, r.EventIndex
+		out.BaselineTxs, out.BaselineEther, out.BaselineDuration = r.BaselineTxs, r.BaselineEther, r.BaselineDuration
+		out.CensusScore = r.CensusScore
+		baseTxs, baseEther, out.TrackerDuration = r.TrackerTxs, r.TrackerEther, r.TrackerDuration
 	} else {
 		// Fresh run: build RunCensus's world and seed the tracker with a full
 		// census — the per-tick baseline being beaten.
-		world := BuildCensusWorld(cfg.Census, netgen.Grow(cfg.Census.Grow), cfg.Census.Seed, cfg.Lanes, nil)
+		world = BuildCensusWorld(cfg.Census, netgen.Grow(cfg.Census.Grow), cfg.Census.Seed, cfg.Lanes, nil)
 		world.StartTraffic()
-		net, super = world.Net, world.Super
-		inst := world.Inst
-
-		back = inst.Back
-		for i, s := range net.Supernodes() {
-			if s == super {
-				superIdx = i
-			}
-		}
+		net, super, inst := world.Net, world.Super, world.Inst
 
 		m := core.NewMeasurer(net, super, params)
 		pre := m.Preprocess(inst.IDs)
@@ -308,6 +286,7 @@ func RunTracking(cfg TrackingConfig) (*Tracking, error) {
 		})
 	}
 	out.Targets = len(targets)
+	net := world.Net
 
 	// The tracker's measurer feeds the same run ledger, phase-labelled per tick.
 	pm := probe.Measurer()
@@ -318,11 +297,6 @@ func RunTracking(cfg TrackingConfig) (*Tracking, error) {
 	churn := net.Churns()[0]
 	ledger := probe.Measurer().Ledger
 	cursor := 0 // churn-log read position (resets with the log on restore)
-	baseTxs, baseEther := 0, 0.0
-	if cfg.Resume != nil {
-		baseTxs, baseEther = cfg.Resume.TrackerTxs, cfg.Resume.TrackerEther
-		out.TrackerDuration = cfg.Resume.TrackerDuration
-	}
 	recallSum, minRecall := 0.0, math.Inf(1)
 
 	// drainHints feeds every HintEvery-th unread churn event to the tracker
@@ -338,6 +312,22 @@ func RunTracking(cfg TrackingConfig) (*Tracking, error) {
 			churnSeen++
 		}
 		cursor = churn.NumEvents()
+	}
+
+	// checkpoint is TrackingTick.Checkpoint: the world plus the resume tail as
+	// they stand after tick tt.
+	checkpoint := func(tt *TrackingTick) (*Checkpoint, error) {
+		ck, err := world.Checkpoint(cfg.Census, trk.Targets())
+		if err != nil {
+			return nil, err
+		}
+		ck.Tracking = &TrackingResume{
+			Tracker: trk.State(), TicksDone: tt.Tick, EventIndex: churnSeen,
+			BaselineTxs: out.BaselineTxs, BaselineEther: out.BaselineEther,
+			BaselineDuration: out.BaselineDuration, CensusScore: out.CensusScore,
+			TrackerTxs: tt.Txs, TrackerEther: tt.Ether, TrackerDuration: tt.TotalDuration,
+		}
+		return ck, nil
 	}
 
 	for tick := startTick; tick < cfg.Ticks; tick++ {
@@ -362,11 +352,7 @@ func RunTracking(cfg TrackingConfig) (*Tracking, error) {
 			Ether:         baseEther + core.Ether(ledger.WorstCaseWei()),
 			TotalDuration: out.TrackerDuration,
 			Net:           net,
-			Tracker:       trk,
-			Run:           out,
-			Back:          back,
-			Super:         superIdx,
-			EventIndex:    churnSeen,
+			checkpoint:    checkpoint,
 		}
 		if err := verifyBeliefIncremental(trk.Belief()); err != nil {
 			return nil, fmt.Errorf("tracking: tick %d: %w", tick+1, err)
@@ -381,7 +367,7 @@ func RunTracking(cfg TrackingConfig) (*Tracking, error) {
 			obs.Int("urgent", int64(rep.Urgent)), obs.Int("changed", int64(rep.Changed)),
 			obs.Int("failed", int64(rep.Failed)), obs.Float("recall", tt.Score.Recall()),
 			obs.Int("cum_txs", int64(tt.Txs)))
-		tt.Net, tt.Tracker, tt.Run, tt.Back = nil, nil, nil, nil
+		tt.Net, tt.checkpoint = nil, nil
 		out.Ticks = append(out.Ticks, tt)
 		recallSum += tt.Score.Recall()
 		if r := tt.Score.Recall(); r < minRecall {
@@ -394,7 +380,7 @@ func RunTracking(cfg TrackingConfig) (*Tracking, error) {
 	out.ChurnEvents = churnSeen
 	out.Belief = trk.BeliefEdges()
 	out.FinalState = trk.State()
-	out.Back = back
+	out.Back = world.Inst.Back
 	if n := len(out.Ticks); n > 0 {
 		out.FinalScore = out.Ticks[n-1].Score
 		out.MeanRecall = recallSum / float64(n)

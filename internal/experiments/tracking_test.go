@@ -83,53 +83,39 @@ func TestRunTrackingResume(t *testing.T) {
 	}
 	const splitAt = 3
 	cfg := smallTracking(23)
-	var resume *TrackingResume
+	var ck *Checkpoint
 	cfg.OnTick = func(tt *TrackingTick) error {
 		if tt.Tick != splitAt {
 			return nil
 		}
-		blob, err := tt.Net.Checkpoint()
-		if err != nil {
-			return err
-		}
-		resume = &TrackingResume{
-			Blob:             blob,
-			Tracker:          tt.Tracker.State(),
-			TicksDone:        tt.Tick,
-			Super:            tt.Super,
-			EventIndex:       tt.EventIndex,
-			Back:             tt.Back,
-			BaselineTxs:      tt.Run.BaselineTxs,
-			BaselineEther:    tt.Run.BaselineEther,
-			BaselineDuration: tt.Run.BaselineDuration,
-			CensusScore:      tt.Run.CensusScore,
-			TrackerTxs:       tt.Txs,
-			TrackerEther:     tt.Ether,
-			TrackerDuration:  tt.TotalDuration,
-		}
-		return nil
+		var err error
+		ck, err = tt.Checkpoint()
+		return err
 	}
 	base, err := RunTracking(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resume == nil {
+	if ck == nil {
 		t.Fatal("OnTick never reached the checkpoint tick")
 	}
-	// The tracker state must survive a JSON round trip (the CLI stores it in
-	// the checkpoint container's JSON tail).
-	enc, err := json.Marshal(resume.Tracker)
+	// The whole resume tail must survive the JSON round trip: it is what the
+	// checkpoint file stores.
+	enc, err := json.Marshal(ck.Tracking)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var decoded tracker.State
+	var decoded TrackingResume
 	if err := json.Unmarshal(enc, &decoded); err != nil {
 		t.Fatal(err)
 	}
-	resume.Tracker = &decoded
+	if !reflect.DeepEqual(&decoded, ck.Tracking) {
+		t.Fatalf("resume tail changed in the JSON round trip:\n  sent: %+v\n  got:  %+v", ck.Tracking, &decoded)
+	}
+	ck.Tracking = &decoded
 
 	cfg2 := smallTracking(23)
-	cfg2.Resume = resume
+	cfg2.Resume = ck
 	cont, err := RunTracking(cfg2)
 	if err != nil {
 		t.Fatal(err)

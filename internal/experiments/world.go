@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"fmt"
+
 	"toposhot/internal/core"
 	"toposhot/internal/ethsim"
 	"toposhot/internal/graph"
@@ -77,6 +79,30 @@ func BuildCensusWorld(cfg CensusConfig, g *graph.Graph, seed int64, lanes int, t
 	super.SetEstimatorPolicy(txpool.Geth.WithCapacity(cfg.poolSlots()).WithExpiry(censusExpiry))
 	net.StartJanitor(30)
 	return &CensusWorld{Net: net, Super: super, Inst: inst, prefill: cfg.Prefill}
+}
+
+// RestoreCensusWorld rebuilds the world a checkpoint was taken of, on lanes
+// engine lanes: the network from the blob, the measurer supernode by its
+// index, the vertex mapping from Back. It is the one restore path of every
+// resumable campaign. Background traffic is engine state, so the restored
+// world is already running; StartTraffic is for fresh worlds only.
+func RestoreCensusWorld(ck *Checkpoint, lanes int) (*CensusWorld, error) {
+	net, err := ethsim.RestoreNetworkLanes(ck.Blob, lanes)
+	if err != nil {
+		return nil, fmt.Errorf("restore engine: %w", err)
+	}
+	supers := net.Supernodes()
+	if ck.Super < 0 || ck.Super >= len(supers) {
+		return nil, fmt.Errorf("restore: supernode index %d out of range (have %d)", ck.Super, len(supers))
+	}
+	inst := &netgen.Instantiated{Net: net, IDs: make([]types.NodeID, len(ck.Back)), Back: make(map[types.NodeID]int, len(ck.Back))}
+	for _, p := range ck.Back {
+		if p.V < 0 || p.V >= len(inst.IDs) {
+			return nil, fmt.Errorf("restore: vertex %d out of range (have %d)", p.V, len(inst.IDs))
+		}
+		inst.IDs[p.V], inst.Back[p.ID] = p.ID, p.V
+	}
+	return &CensusWorld{Net: net, Super: supers[ck.Super], Inst: inst}, nil
 }
 
 // StartTraffic seeds the pools with the configured prefill (the paper's

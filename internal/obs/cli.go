@@ -14,8 +14,9 @@ import (
 // CLI bundles the telemetry state a binary wires behind its flags. Every
 // binary has the logging part (-log-level, -log-format, -log): a live logger
 // on stderr plus an optional deterministic JSONL snapshot written when the
-// run ends. The simulation binaries open theirs through CLIFlags, which adds
-// the tracer, the metrics registry and the runtime profiler.
+// run ends; the daemon opens just that through LogFlags. The simulation
+// binaries open theirs through CLIFlags, which adds the tracer, the metrics
+// registry and the runtime profiler.
 //
 // A CLI never exits the process: fatal paths hand their exit code back to the
 // binary's run function, and Close puts back the process defaults Open
@@ -41,19 +42,53 @@ type CLI struct {
 	prevMetrics *metrics.Registry
 }
 
+// LogFlags holds the three logging flags every long-running binary shares
+// (-log-level, -log-format, -log), declared once so names, defaults and help
+// text cannot drift.
+type LogFlags struct {
+	level, format, path *string
+}
+
+// RegisterLogFlags declares the shared logging flags on fs.
+func RegisterLogFlags(fs *flag.FlagSet) *LogFlags {
+	return &LogFlags{
+		level:  fs.String("log-level", "info", "structured event-log verbosity: debug|info|warn|error|off"),
+		format: fs.String("log-format", "text", "live log line format on stderr: text|jsonl"),
+		path:   fs.String("log", "", "write the deterministic event-log snapshot (JSONL) to this file on exit"),
+	}
+}
+
+// Open builds the logging bundle from the parsed flags, with live lines on
+// stderr, and installs the logger as the process default (constructors
+// self-wire, like metrics and trace). An unparseable level or format is
+// reported on stderr and returns a nil CLI with exit code 2 — flag
+// validation, not a runtime failure.
+func (f *LogFlags) Open(stderr io.Writer) (*CLI, int) {
+	lg, err := NewCLI(*f.level, *f.format, stderr)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return nil, 2
+	}
+	c := &CLI{Logger: lg, Path: *f.path, stderr: stderr,
+		prevLogger: Enabled(), prevTracer: trace.Enabled(), prevMetrics: metrics.Enabled()}
+	Enable(lg)
+	return c, 0
+}
+
 // CLIFlags holds the ten telemetry flags cmd/toposhot and cmd/experiments
-// share, declared once so names, defaults and help text cannot drift.
+// share: the logging trio plus tracing, metrics and profiling.
 type CLIFlags struct {
-	metrics, traceDet            *bool
-	metricsEvery                 *time.Duration
-	cpuProfile, memProfile       *string
-	traceOut, traceLevel         *string
-	logLevel, logFormat, logPath *string
+	log                    *LogFlags
+	metrics, traceDet      *bool
+	metricsEvery           *time.Duration
+	cpuProfile, memProfile *string
+	traceOut, traceLevel   *string
 }
 
 // RegisterCLIFlags declares the shared telemetry flags on fs.
 func RegisterCLIFlags(fs *flag.FlagSet) *CLIFlags {
 	return &CLIFlags{
+		log:          RegisterLogFlags(fs),
 		metrics:      fs.Bool("metrics", false, "print periodic progress lines and a final metrics snapshot to stderr"),
 		metricsEvery: fs.Duration("metrics-interval", 10*time.Second, "progress line interval under -metrics"),
 		cpuProfile:   fs.String("cpuprofile", "", "write a CPU profile to this file"),
@@ -61,9 +96,6 @@ func RegisterCLIFlags(fs *flag.FlagSet) *CLIFlags {
 		traceOut:     fs.String("trace", "", "write a timeline trace to this file (.jsonl = JSONL, else Chrome/Perfetto JSON)"),
 		traceLevel:   fs.String("trace-level", "measure", "trace verbosity with -trace: off|measure|engine"),
 		traceDet:     fs.Bool("trace-deterministic", false, "suppress wall-clock fields so same-seed runs produce byte-identical traces"),
-		logLevel:     fs.String("log-level", "info", "structured event-log verbosity: debug|info|warn|error|off"),
-		logFormat:    fs.String("log-format", "text", "live log line format on stderr: text|jsonl"),
-		logPath:      fs.String("log", "", "write the deterministic event-log snapshot (JSONL) to this file on exit"),
 	}
 }
 
@@ -73,10 +105,9 @@ func RegisterCLIFlags(fs *flag.FlagSet) *CLIFlags {
 // returns a nil CLI with the exit code: 2 for a bad flag value, 1 for a
 // profile that cannot start.
 func (f *CLIFlags) Open(stderr io.Writer) (*CLI, int) {
-	c, err := OpenCLI(*f.logLevel, *f.logFormat, *f.logPath, stderr)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return nil, 2
+	c, code := f.log.Open(stderr)
+	if c == nil {
+		return nil, code
 	}
 	abort := func(code int, msg string, err error) (*CLI, int) {
 		c.Fatal(code, msg, Err(err))
@@ -104,21 +135,6 @@ func (f *CLIFlags) Open(stderr io.Writer) (*CLI, int) {
 		c.progress = metrics.StartProgress(c.Metrics, stderr, *f.metricsEvery)
 	}
 	return c, 0
-}
-
-// OpenCLI builds the shared logging bundle from the flag values, with live
-// lines on stderr, installs the logger as the process default (constructors
-// self-wire, like metrics and trace), and returns it. An unparseable level or
-// format is the error — flag validation, exit 2, not a runtime failure.
-func OpenCLI(level, format, path string, stderr io.Writer) (*CLI, error) {
-	lg, err := NewCLI(level, format, stderr)
-	if err != nil {
-		return nil, err
-	}
-	c := &CLI{Logger: lg, Path: path, stderr: stderr,
-		prevLogger: Enabled(), prevTracer: trace.Enabled(), prevMetrics: metrics.Enabled()}
-	Enable(lg)
-	return c, nil
 }
 
 // FlushTrace writes the -trace file (a no-op without -trace).
