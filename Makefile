@@ -39,6 +39,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzEventQueue -fuzztime=30s ./internal/sim/
 	$(GO) test -fuzz=FuzzPoolHeaps -fuzztime=30s ./internal/txpool/
 	$(GO) test -fuzz=FuzzPoolIdentity -fuzztime=30s ./internal/txpool/
+	$(GO) test -fuzz=FuzzIDSet -fuzztime=30s ./internal/txpool/
 	$(GO) test -fuzz=FuzzTraceJSONL -fuzztime=30s ./internal/trace/
 	$(GO) test -fuzz=FuzzObsJSONL -fuzztime=30s ./internal/obs/
 	$(GO) test -fuzz=FuzzDynamicGraph -fuzztime=30s ./internal/graph/

@@ -50,10 +50,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if c == nil {
 		return code
 	}
-	if c.outFile != nil {
-		defer c.outFile.Close() // a failed run; finish closes it on success
-	}
-
 	// One campaign is one serial engine, so this knob matters only for the
 	// pool-backed helpers underneath (and keeps the flag uniform with
 	// cmd/experiments).
@@ -144,16 +140,14 @@ var presets = map[string]netgen.GrowConfig{
 }
 
 // campaign is a validated run: the census world every mode measures, the
-// checkpoint it resumes (nil for a fresh run), and where its edges go.
+// checkpoint it resumes (nil for a fresh run), and where its output goes.
 type campaign struct {
 	*options
-	cli     *obs.CLI
-	census  experiments.CensusConfig
-	resume  *experiments.Checkpoint
-	ledger  *obs.Ledger // probe cost attribution, fed by every mode and served by the dashboard
-	out     io.Writer
-	outFile *os.File
-	stderr  io.Writer
+	cli            *obs.CLI
+	census         experiments.CensusConfig
+	resume         *experiments.Checkpoint
+	ledger         *obs.Ledger // probe cost attribution, fed by every mode and served by the dashboard
+	stdout, stderr io.Writer
 }
 
 // validate refuses every flag combination the run cannot honour before any
@@ -191,7 +185,7 @@ func validate(o *options, cli *obs.CLI, stdout, stderr io.Writer) (*campaign, in
 	if o.preset == "" || o.nSet {
 		grow = grow.WithN(o.n)
 	}
-	c := &campaign{options: o, cli: cli, ledger: obs.NewLedger(), out: stdout, stderr: stderr,
+	c := &campaign{options: o, cli: cli, ledger: obs.NewLedger(), stdout: stdout, stderr: stderr,
 		// Every mode measures the same census world: 1/10-scale pools, the
 		// scaled ≤2000-slot edge budget, 300 prefilled background transactions.
 		census: experiments.CensusConfig{
@@ -221,13 +215,28 @@ func validate(o *options, cli *obs.CLI, stdout, stderr io.Writer) (*campaign, in
 		c.census.Grow = c.census.Grow.WithSeed(ck.Seed).WithN(len(ck.Back))
 	}
 	if o.out != "" {
-		f, err := os.Create(o.out)
-		if err != nil {
+		if err := probeWritable(o.out); err != nil {
 			return nil, cli.Fatal(1, "output-create-failed", obs.String("file", o.out), obs.Err(err))
 		}
-		c.out, c.outFile = f, f
 	}
 	return c, 0
+}
+
+// probeWritable refuses a path the edge list could not be written to. It
+// opens the file without truncating it and removes it again if the probe
+// created it, so a run that fails later leaves -out as it found it; finish
+// creates the file for real.
+func probeWritable(path string) error {
+	_, statErr := os.Stat(path)
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE, 0o666)
+	if err != nil {
+		return err
+	}
+	f.Close()
+	if errors.Is(statErr, os.ErrNotExist) {
+		return os.Remove(path)
+	}
+	return nil
 }
 
 // sharded runs the region-sharded census: one independent engine per region,
@@ -407,13 +416,22 @@ func (c *campaign) finish(edges [][2]int) int {
 	if err := c.cli.FlushTrace(); err != nil {
 		return c.cli.Fatal(1, "trace-write-failed", obs.Err(err))
 	}
-	bw := bufio.NewWriter(c.out)
+	out := c.stdout
+	var f *os.File
+	if c.out != "" {
+		var err error
+		if f, err = os.Create(c.out); err != nil {
+			return c.cli.Fatal(1, "output-create-failed", obs.String("file", c.out), obs.Err(err))
+		}
+		out = f
+	}
+	bw := bufio.NewWriter(out)
 	for _, e := range edges {
 		fmt.Fprintf(bw, "%d %d\n", e[0], e[1])
 	}
 	err := bw.Flush()
-	if c.outFile != nil {
-		if cerr := c.outFile.Close(); err == nil {
+	if f != nil {
+		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
 	}

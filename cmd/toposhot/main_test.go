@@ -3,10 +3,12 @@ package main
 import (
 	"bytes"
 	"crypto/sha256"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -247,6 +249,8 @@ func TestRivalStrategy(t *testing.T) {
 // and a file it cannot read or create exit 1, with the one reason line on
 // stderr and nothing else — no world is built or restored first. The
 // checkpoints here carry a dummy blob, so restoring one would fail loudly.
+// The last case gets past validation and fails restoring a blob cut short
+// after its header. A run that exits non-zero leaves no -out file behind.
 func TestFlagValidation(t *testing.T) {
 	dir := t.TempDir()
 	trackCkpt, campCkpt := filepath.Join(dir, "track.ckpt"), filepath.Join(dir, "camp.ckpt")
@@ -257,6 +261,16 @@ func TestFlagValidation(t *testing.T) {
 		if err := ck.Write(path); err != nil {
 			t.Fatal(err)
 		}
+	}
+	truncCkpt := filepath.Join(dir, "trunc.ckpt")
+	toposhot(t, "-n", "12", "-k", "4", "-log-level", "off", "-checkpoint", truncCkpt, "-checkpoint-every", "1")
+	ck, err := experiments.ReadCheckpoint(truncCkpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck.Blob = ck.Blob[:len(ck.Blob)/2]
+	if err := ck.Write(truncCkpt); err != nil {
+		t.Fatal(err)
 	}
 	cases := []struct {
 		name       string
@@ -279,12 +293,18 @@ func TestFlagValidation(t *testing.T) {
 		{"help", []string{"-h"}, 0, "-trace-deterministic"},
 		{"missing checkpoint", []string{"-resume", filepath.Join(dir, "absent")}, 1, "msg=checkpoint-read-failed"},
 		{"unwritable output", []string{"-n", "12", "-k", "4", "-out", filepath.Join(dir, "no", "such", "dir", "e")}, 1, "msg=output-create-failed"},
+		{"truncated checkpoint blob", []string{"-resume", truncCkpt, "-out", filepath.Join(dir, "resumed.edges")}, 1, "msg=restore-failed"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer
 			if code := run(c.args, &stdout, &stderr); code != c.wantExit {
 				t.Errorf("exit %d, want %d\n%s", code, c.wantExit, stderr.String())
+			}
+			if i := slices.Index(c.args, "-out"); i >= 0 {
+				if _, err := os.Stat(c.args[i+1]); !errors.Is(err, os.ErrNotExist) {
+					t.Errorf("a failed run left its -out file behind (stat: %v)", err)
+				}
 			}
 			if !strings.Contains(stderr.String(), c.wantStderr) {
 				t.Errorf("stderr lacks %q:\n%s", c.wantStderr, stderr.String())

@@ -99,8 +99,7 @@ func TestLedgerIncrementalTotalMatchesFullSort(t *testing.T) {
 			all = append(all, tx)
 		}
 		l.RecordPending(all[rng.Intn(len(all))]) // recorded twice: priced once
-		dup := *all[0]
-		l.RecordPending(&dup) // equal content behind another pointer: the same transaction
+		l.RecordPending(all[0].Copy())           // equal content behind another pointer: the same transaction
 
 		ref := append([]*types.Transaction(nil), all...)
 		sort.Slice(ref, func(i, j int) bool {

@@ -27,9 +27,8 @@ func TestLedgerCut(t *testing.T) {
 	l.RecordPending(c)
 	l.RecordFutures(fut)
 	l.RecordPending(b)
-	l.RecordPending(c) // again: injected twice, attributed once
-	dup := *b
-	l.RecordPending(&dup) // equal content behind another pointer: the same transaction
+	l.RecordPending(c)        // again: injected twice, attributed once
+	l.RecordPending(b.Copy()) // equal content behind another pointer: the same transaction
 	l.RecordFutures(fut[:2])
 	l.RecordPending(a)
 	want := Spend{Pending: 3, Futures: 5}

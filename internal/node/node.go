@@ -511,34 +511,53 @@ func (n *Node) handleRequest(p *peer, hashes []types.Hash) {
 // propagate gossips executable transactions: push to ⌈√peers⌉, announce to
 // the rest (or push to all under PushAll), excluding the source peer.
 func (n *Node) propagate(excludeAddr string, txs []*types.Transaction) {
+	push, announce := n.fanout(excludeAddr)
+	if len(push) == 0 {
+		return
+	}
+	for _, p := range push {
+		_ = n.sendTo(p, wire.Msg{Code: wire.CodeTransactions, Txs: txs})
+	}
+	if len(announce) == 0 {
+		return
+	}
+	hashes := make([]types.Hash, len(txs))
+	for i, tx := range txs {
+		hashes[i] = tx.Hash()
+	}
+	for _, p := range announce {
+		_ = n.sendTo(p, wire.Msg{Code: wire.CodeNewPooledTransactionHashes, Hashes: hashes})
+	}
+}
+
+// fanout draws one propagation's split of the peers other than excludeAddr:
+// the ⌈√peers⌉ (all under PushAll) that get the full transactions, and the
+// rest, which get announcements. The candidates are put in address order
+// before the draw, so the split depends on the seeded RNG and the peer set
+// alone, never on map iteration order.
+func (n *Node) fanout(excludeAddr string) (push, announce []*peer) {
 	n.mu.Lock()
+	defer n.mu.Unlock()
 	targets := make([]*peer, 0, len(n.peers))
 	for addr, p := range n.peers {
 		if addr != excludeAddr {
 			targets = append(targets, p)
 		}
 	}
+	sort.Slice(targets, func(i, j int) bool { return targets[i].addr < targets[j].addr })
 	perm := n.rng.Perm(len(targets))
-	n.mu.Unlock()
-	if len(targets) == 0 {
-		return
-	}
 	pushCount := len(targets)
 	if !n.cfg.PushAll {
 		pushCount = int(math.Ceil(math.Sqrt(float64(len(targets)))))
 	}
-	hashes := make([]types.Hash, len(txs))
-	for i, tx := range txs {
-		hashes[i] = tx.Hash()
-	}
 	for i, pi := range perm {
-		p := targets[pi]
 		if i < pushCount {
-			_ = n.sendTo(p, wire.Msg{Code: wire.CodeTransactions, Txs: txs})
+			push = append(push, targets[pi])
 		} else {
-			_ = n.sendTo(p, wire.Msg{Code: wire.CodeNewPooledTransactionHashes, Hashes: hashes})
+			announce = append(announce, targets[pi])
 		}
 	}
+	return push, announce
 }
 
 // SubmitLocal offers a transaction as a local user would (RPC submission)

@@ -1,6 +1,9 @@
 package node
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -101,6 +104,40 @@ func TestFuturesNotGossiped(t *testing.T) {
 	time.Sleep(300 * time.Millisecond)
 	if b.HasTx(future.Hash()) {
 		t.Fatal("future transaction was gossiped")
+	}
+}
+
+// TestFanoutIndependentOfMapOrder: two nodes with one seed and one peer set
+// must split every propagation into the same push and announce sets. The
+// peers live in a map, so a split drawn over map order differs between the
+// two (Go randomizes each iteration) within a few rounds.
+func TestFanoutIndependentOfMapOrder(t *testing.T) {
+	newNode := func() *Node {
+		n := &Node{peers: make(map[string]*peer), rng: rand.New(rand.NewSource(11))}
+		for i := 0; i < 16; i++ {
+			addr := fmt.Sprintf("10.0.0.%d:30303", i)
+			n.peers[addr] = &peer{addr: addr}
+		}
+		return n
+	}
+	addrs := func(ps []*peer) []string {
+		out := make([]string, len(ps))
+		for i, p := range ps {
+			out[i] = p.addr
+		}
+		return out
+	}
+	a, b := newNode(), newNode()
+	for round := 0; round < 200; round++ {
+		exclude := fmt.Sprintf("10.0.0.%d:30303", round%16)
+		pushA, annA := a.fanout(exclude)
+		pushB, annB := b.fanout(exclude)
+		if len(pushA) != 4 || len(pushA)+len(annA) != 15 {
+			t.Fatalf("round %d: split %d/%d of 15 peers, want ⌈√15⌉ = 4 pushed", round, len(pushA), len(annA))
+		}
+		if !slices.Equal(addrs(pushA), addrs(pushB)) || !slices.Equal(addrs(annA), addrs(annB)) {
+			t.Fatalf("round %d: same seed and peers, different splits:\n push %v\n   vs %v", round, addrs(pushA), addrs(pushB))
+		}
 	}
 }
 

@@ -169,10 +169,12 @@ type Pool struct {
 
 	// A transaction can only sit in its sender's slot for its nonce, so the
 	// pool needs no hash to tell whether it holds one (find). live answers the
-	// common case before the slot is consulted: it indexes the pending entries
-	// — the only ones gossip ever offers or announces a second time — by
-	// transaction object.
-	live map[*types.Transaction]*entry
+	// common case before the slot is consulted: it holds the IDs of the
+	// pending entries' transaction objects — the only ones gossip ever offers
+	// or announces a second time. A bit set is exact membership (IDs are never
+	// reused, and a pending object cannot be collected); a clear bit only
+	// means "not this object", so content-equal copies still go to the slot.
+	live idSet
 	// senders holds one record per account with buffered entries or a
 	// non-zero state nonce; idle zero-nonce accounts have none.
 	senders map[types.Address]*sender
@@ -218,7 +220,6 @@ type Pool struct {
 func New(policy Policy) *Pool {
 	return &Pool{
 		policy:  policy,
-		live:    make(map[*types.Transaction]*entry),
 		senders: make(map[types.Address]*sender),
 		price:   entryHeap{kind: priceHeap},
 		futures: entryHeap{kind: futureHeap},
@@ -262,14 +263,11 @@ func (p *Pool) PendingCount() int { return p.pendingCount }
 func (p *Pool) FutureCount() int { return p.futureCount }
 
 // find returns the entry holding tx — the same object or one of equal
-// content — or nil. No hash is computed: a pending entry is found by object
-// in live, anything else through the one slot it could occupy.
+// content — or nil. No hash is computed: tx can only sit in the one slot its
+// sender and nonce name.
 //
 //toposhot:hotpath
 func (p *Pool) find(tx *types.Transaction) *entry {
-	if e := p.live[tx]; e != nil {
-		return e
-	}
 	s := p.senders[tx.From]
 	if i, ok := s.search(tx.Nonce); ok {
 		if e := s.txs[i]; e.tx.Equal(tx) {
@@ -284,12 +282,17 @@ func (p *Pool) find(tx *types.Transaction) *entry {
 // IsPending and Drop are for callers that hold only a hash.
 //
 //toposhot:hotpath
-func (p *Pool) Contains(tx *types.Transaction) bool { return p.find(tx) != nil }
+func (p *Pool) Contains(tx *types.Transaction) bool {
+	return p.live.has(tx.ID()) || p.find(tx) != nil
+}
 
 // ContainsPending reports whether the pool holds tx as a pending transaction.
 //
 //toposhot:hotpath
 func (p *Pool) ContainsPending(tx *types.Transaction) bool {
+	if p.live.has(tx.ID()) {
+		return true
+	}
 	e := p.find(tx)
 	return e != nil && e.pending
 }
@@ -396,13 +399,13 @@ func (p *Pool) markPending(e *entry, pending bool) {
 	}
 	e.pending = pending
 	if pending {
-		p.live[e.tx] = e
+		p.live.add(e.tx.ID())
 		p.pendingCount++
 		p.futureCount--
 		e.snd.pending++
 		e.snd.future--
 	} else {
-		delete(p.live, e.tx)
+		p.live.remove(e.tx.ID())
 		p.pendingCount--
 		p.futureCount++
 		e.snd.pending--
@@ -428,7 +431,7 @@ func (p *Pool) Offer(tx *types.Transaction) Result {
 
 //toposhot:hotpath
 func (p *Pool) offer(tx *types.Transaction) Result {
-	if p.live[tx] != nil {
+	if p.live.has(tx.ID()) {
 		return Result{Status: StatusKnown}
 	}
 	s := p.senders[tx.From] // nil for an account the pool holds nothing of
@@ -544,7 +547,7 @@ func (p *Pool) link(tx *types.Transaction, s *sender, pending bool) *entry {
 	p.enlist(e)
 	p.price.push(e)
 	if pending {
-		p.live[tx] = e
+		p.live.add(tx.ID())
 		p.pendingCount++
 		s.pending++
 	} else {
@@ -578,7 +581,7 @@ func (p *Pool) unlink(e *entry) {
 	p.price.remove(e)
 	p.futures.remove(e)
 	if e.pending {
-		delete(p.live, e.tx)
+		p.live.remove(e.tx.ID())
 		p.pendingCount--
 		e.snd.pending--
 	} else {

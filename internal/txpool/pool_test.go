@@ -2,7 +2,6 @@ package txpool
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -340,16 +339,16 @@ func invariantCheck(t *testing.T, p *Pool) {
 			len(p.futures.a), p.FutureCount())
 	}
 	// The two identity indexes, read before anything below asks by hash (which
-	// would move the watermark): live holds exactly the pending entries, under
-	// their own transaction object; byHash exactly the entries admitted up to
-	// the watermark, under a hash that indexing them memoized.
+	// would move the watermark): the live bitset holds exactly the pending
+	// entries' transaction IDs; byHash exactly the entries admitted up to the
+	// watermark, under a hash that indexing them memoized.
 	if p.indexedSeq > p.admitSeq {
 		t.Fatalf("by-hash watermark %d is ahead of admission seq %d", p.indexedSeq, p.admitSeq)
 	}
 	indexed := 0
 	for e := p.oldest; e != nil; e = e.next {
-		if (p.live[e.tx] == e) != e.pending {
-			t.Fatalf("entry seq=%d pending=%v: live holds %p, entry is %p", e.seq, e.pending, p.live[e.tx], e)
+		if p.live.has(e.tx.ID()) != e.pending {
+			t.Fatalf("entry seq=%d pending=%v: its ID %d is in live: %v", e.seq, e.pending, e.tx.ID(), !e.pending)
 		}
 		if e.seq > p.indexedSeq {
 			continue
@@ -359,9 +358,9 @@ func invariantCheck(t *testing.T, p *Pool) {
 			t.Fatalf("entry seq=%d is below the watermark %d and not indexed by hash", e.seq, p.indexedSeq)
 		}
 	}
-	if len(p.live) != p.PendingCount() || len(p.byHash) != indexed {
-		t.Fatalf("live holds %d of %d pending entries, byHash %d of %d indexed ones",
-			len(p.live), p.PendingCount(), len(p.byHash), indexed)
+	if bits := idSetLen(t, &p.live); bits != p.PendingCount() || len(p.byHash) != indexed {
+		t.Fatalf("live holds %d IDs for %d pending entries, byHash %d of %d indexed ones",
+			bits, p.PendingCount(), len(p.byHash), indexed)
 	}
 	var ref *entry
 	for e := p.oldest; e != nil; e = e.next {
@@ -473,13 +472,6 @@ func TestRandomizedInvariants(t *testing.T) {
 	invariantCheck(t, p)
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // TestPendingContiguity: every pending transaction's nonce range from the
 // state nonce must be fully present — the defining property of "pending".
 func TestPendingContiguity(t *testing.T) {
@@ -584,8 +576,10 @@ func TestConfirmDemoteDeterministic(t *testing.T) {
 	if len(want.FutureOrder) == 0 || len(want.StateNonces) != 2 {
 		t.Fatalf("sequence lost its shape: %d futures, %d state nonces", len(want.FutureOrder), len(want.StateNonces))
 	}
+	// Each run mints its own transaction objects, so the snapshots are
+	// compared by content: equal transactions, not the same ones.
 	for i := 1; i < 50; i++ {
-		if got := run(); !reflect.DeepEqual(got, want) {
+		if got := run(); snapshotText(got) != snapshotText(want) {
 			t.Fatalf("run %d snapshots differently from run 0: stale drops or demotions are order-dependent", i)
 		}
 	}

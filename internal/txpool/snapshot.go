@@ -112,7 +112,7 @@ func RestorePool(policy Policy, s Snapshot) (*Pool, error) {
 		snd.insertAt(at, e)
 		p.enlist(e)
 		if es.Pending {
-			p.live[es.Tx] = e
+			p.live.add(es.Tx.ID())
 			p.pendingCount++
 			snd.pending++
 		} else {

@@ -5,9 +5,12 @@
 // measurement logic depends on: an account-based transaction model where each
 // transaction carries a sender address, a per-sender monotonically increasing
 // nonce, a gas allowance and a gas price. Cryptographic signatures are out of
-// scope for topology measurement, so transactions are identified by a
-// collision-resistant hash of their contents (SHA-256 based) instead of a
-// secp256k1 signature; the sender address is carried explicitly.
+// scope for topology measurement, so a transaction's content is named on the
+// wire and in checkpoints by a collision-resistant hash (SHA-256 based)
+// instead of a secp256k1 signature; the sender address is carried explicitly.
+// Inside the process nothing needs that hash to tell transactions apart: a
+// pool knows an object by its 32-bit ID and its content by the one sender
+// slot (From, Nonce) it can occupy.
 package types
 
 import (
@@ -16,6 +19,8 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"math"
+	"sync/atomic"
 )
 
 // AddressLength is the length of an address in bytes, as in Ethereum.
@@ -133,10 +138,17 @@ func (h Hash) IsZero() bool { return h == Hash{} }
 // Transaction is an account-model transaction. Gas prices are in Wei.
 //
 // A transaction is immutable after creation; Hash() memoizes the digest on
-// first use, so a *Transaction must not be mutated once shared. Every field
-// except the memo is part of the hash preimage and of Equal, and nothing else
-// is: TestEqualMatchesHash fails by field name when the two drift.
+// first use, so a *Transaction must not be mutated once shared. Every exported
+// field is part of the hash preimage and of Equal, and nothing else is:
+// TestEqualMatchesHash fails by field name when the two drift.
+//
+// A Transaction is handled by pointer only. ID names the object, so a copy
+// made by value would share its original's ID — and a pool holding one would
+// report the other as already known. The noCopy field makes go vet reject
+// such a copy; Copy is the way to duplicate one.
 type Transaction struct {
+	_ noCopy
+
 	From     Address // sender account (explicit; no signature recovery)
 	To       Address // receiver account
 	Nonce    uint64  // per-sender sequence number
@@ -153,7 +165,54 @@ type Transaction struct {
 	// fee cap and Tip the priority fee.
 	DynamicFee bool
 
+	// id is the object's identity, zero until the first ID call. It sits in
+	// the padding after DynamicFee, so the struct stays 144 B (pinned by
+	// TestTransactionSize).
+	id   uint32
 	hash Hash // memoized digest; zero until first Hash() call
+}
+
+// noCopy is embedded in types that must not be copied by value: go vet's
+// copylocks check reports any copy of a struct with Lock and Unlock methods.
+type noCopy struct{}
+
+func (*noCopy) Lock()   {}
+func (*noCopy) Unlock() {}
+
+// lastTxID is the most recent ID handed out; IDs start at 1, so zero means
+// "not assigned yet".
+var lastTxID atomic.Uint32
+
+// ID returns the transaction object's identity: a process-wide unique
+// non-zero number assigned on first call. It names the object, not its
+// content — it is never hashed, compared by Equal, serialized or used to
+// order anything — so two Equal transactions have different IDs, and a Copy
+// gets its own. Concurrent first calls on one object agree on one value.
+//
+//toposhot:hotpath
+func (tx *Transaction) ID() uint32 {
+	if id := atomic.LoadUint32(&tx.id); id != 0 {
+		return id
+	}
+	return tx.assignID()
+}
+
+// assignID takes the next ID from the process counter and installs it unless
+// another goroutine installed one first. The counter never wraps: a reused
+// ID would alias two live objects, so exhausting it panics.
+func (tx *Transaction) assignID() uint32 {
+	for {
+		last := lastTxID.Load()
+		if last == math.MaxUint32 {
+			panic("types: transaction IDs exhausted")
+		}
+		if lastTxID.CompareAndSwap(last, last+1) {
+			if atomic.CompareAndSwapUint32(&tx.id, 0, last+1) {
+				return last + 1
+			}
+			return atomic.LoadUint32(&tx.id)
+		}
+	}
 }
 
 // TxGasTransfer is the intrinsic gas of a plain value transfer.
@@ -241,13 +300,14 @@ func (tx *Transaction) String() string {
 	return fmt.Sprintf("tx{%v#%d @%dwei %v}", tx.From, tx.Nonce, tx.GasPrice, tx.Hash())
 }
 
-// Copy returns a deep copy of the transaction with a fresh hash memo, so the
-// copy is safe to mutate before its first Hash call.
+// Copy returns a deep copy of the transaction's content: a distinct object
+// with its own ID and a fresh hash memo, so the copy is safe to mutate before
+// its first Hash call.
 func (tx *Transaction) Copy() *Transaction {
-	cp := *tx
-	cp.Data = append([]byte(nil), tx.Data...)
-	cp.hash = Hash{}
-	return &cp
+	return &Transaction{
+		From: tx.From, To: tx.To, Nonce: tx.Nonce, GasPrice: tx.GasPrice, Gas: tx.Gas,
+		Value: tx.Value, Data: append([]byte(nil), tx.Data...), Tip: tx.Tip, DynamicFee: tx.DynamicFee,
+	}
 }
 
 // Block is a mined block: an ordered list of included transactions under a

@@ -1,9 +1,12 @@
 package types
 
 import (
+	"math"
 	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestAddressRoundTrip(t *testing.T) {
@@ -237,9 +240,9 @@ func TestTransactionHashPinned(t *testing.T) {
 // TestTransactionHashAllocs: hashing must not touch the heap — every
 // transaction in a campaign is hashed once, on the flood path.
 func TestTransactionHashAllocs(t *testing.T) {
-	for i, base := range pinnedTxs() {
+	for i, tx := range pinnedTxs() {
 		allocs := testing.AllocsPerRun(100, func() {
-			tx := *base // fresh memo
+			tx.hash = Hash{} // fresh memo
 			if tx.Hash().IsZero() {
 				t.Fatal("zero hash")
 			}
@@ -253,13 +256,87 @@ func TestTransactionHashAllocs(t *testing.T) {
 // BenchmarkTransactionHash times a cold digest (the memo is reset each
 // iteration) of a plain transfer — what every flooded transaction pays once.
 func BenchmarkTransactionHash(b *testing.B) {
-	base := *NewTransaction(AddressFromUint64(1), AddressFromUint64(2), 3, 2*Gwei, 7)
+	tx := NewTransaction(AddressFromUint64(1), AddressFromUint64(2), 3, 2*Gwei, 7)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tx := base
-		tx.Nonce = uint64(i)
+		tx.Nonce, tx.hash = uint64(i), Hash{}
 		if tx.Hash().IsZero() {
 			b.Fatal("zero hash")
 		}
 	}
+}
+
+// TestTransactionSize: the ID lives in padding. One more word would move
+// every transaction — the simulator's most numerous object — from the 144-B
+// allocation size class into the 160-B one.
+func TestTransactionSize(t *testing.T) {
+	if got := unsafe.Sizeof(Transaction{}); got != 144 {
+		t.Fatalf("sizeof(Transaction) = %d B, want 144", got)
+	}
+}
+
+// TestTransactionIDIdentifiesTheObject: an ID is assigned once, differs
+// between objects of equal content — a Copy included — and plays no part in
+// Equal or Hash.
+func TestTransactionIDIdentifiesTheObject(t *testing.T) {
+	tx := NewTransaction(AddressFromUint64(1), AddressFromUint64(2), 3, 4, 5)
+	tx.Data = []byte{1, 2}
+	id := tx.ID()
+	if id == 0 || tx.ID() != id {
+		t.Fatalf("ID() = %d then %d: want one non-zero value", id, tx.ID())
+	}
+	cp := tx.Copy()
+	if !cp.Equal(tx) || cp.Hash() != tx.Hash() {
+		t.Fatal("copy's content differs from the original's")
+	}
+	if cp.ID() == id {
+		t.Fatalf("copy shares the original's ID %d", id)
+	}
+	if twin := NewTransaction(AddressFromUint64(1), AddressFromUint64(2), 3, 4, 5); twin.ID() == id || twin.ID() == cp.ID() {
+		t.Fatal("a freshly built transaction reuses an ID")
+	}
+}
+
+// TestTransactionIDConcurrent: goroutines racing on an object's first ID call
+// all get the value that was installed. Run under -race, it also checks the
+// accesses are synchronized.
+func TestTransactionIDConcurrent(t *testing.T) {
+	for round := 0; round < 50; round++ {
+		tx := NewTransaction(AddressFromUint64(1), AddressFromUint64(2), uint64(round), 4, 5)
+		ids := make([]uint32, 8)
+		var wg sync.WaitGroup
+		for g := range ids {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				ids[g] = tx.ID()
+			}(g)
+		}
+		wg.Wait()
+		for g, id := range ids {
+			if id != tx.ID() {
+				t.Fatalf("round %d: goroutine %d saw ID %d, the object has %d", round, g, id, tx.ID())
+			}
+		}
+	}
+}
+
+// TestTransactionIDExhaustion: the counter stops at its last value rather
+// than wrapping to IDs that live objects may still hold.
+func TestTransactionIDExhaustion(t *testing.T) {
+	saved := lastTxID.Load()
+	defer lastTxID.Store(saved)
+	lastTxID.Store(math.MaxUint32 - 1)
+	if id := NewTransaction(AddressFromUint64(1), AddressFromUint64(2), 0, 1, 0).ID(); id != math.MaxUint32 {
+		t.Fatalf("last ID = %d, want %d", id, uint32(math.MaxUint32))
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("ID() past the last value did not panic")
+		}
+		if got := lastTxID.Load(); got != math.MaxUint32 {
+			t.Fatalf("counter moved to %d after exhaustion", got)
+		}
+	}()
+	NewTransaction(AddressFromUint64(1), AddressFromUint64(2), 1, 1, 0).ID()
 }
