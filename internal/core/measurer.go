@@ -161,6 +161,7 @@ type Measurer struct {
 	// entryCandidates caches the flood-entry node scan for the duration of
 	// one MeasureNetwork run; nil means scan fresh on every MeasurePar call.
 	entryCandidates []types.NodeID
+	futureBuf       []*types.Transaction // mintFutures' scratch result
 
 	// Ledger accumulates cost accounting.
 	Ledger *Ledger
@@ -278,7 +279,8 @@ func (m *Measurer) zFor(id types.NodeID) int {
 
 // mintFutures builds z future transactions at the given price spread over
 // ⌈z/U⌉ accounts with U futures each (nonces 1..U leave the nonce-0 gap
-// open, so they can never turn pending).
+// open, so they can never turn pending). The slice is valid until the next
+// call: callers record and inject it at once, and Inject copies it.
 func (m *Measurer) mintFutures(z int, price uint64) []*types.Transaction {
 	if z <= 0 {
 		return nil
@@ -287,13 +289,14 @@ func (m *Measurer) mintFutures(z int, price uint64) []*types.Transaction {
 	if u < 1 {
 		u = 1
 	}
-	txs := make([]*types.Transaction, 0, z)
+	txs := m.futureBuf[:0]
 	for len(txs) < z {
 		acct := m.freshAccount()
 		for i := 0; i < u && len(txs) < z; i++ {
 			txs = append(txs, m.mintTx(acct, uint64(i+1), price))
 		}
 	}
+	m.futureBuf = txs
 	return txs
 }
 

@@ -141,7 +141,9 @@ func TestMeasureNetworkRecoversRing(t *testing.T) {
 // nobody can ask for it by hash, and nothing on the way through the pool, the
 // delivery functions or the measurer's own checks may compute its digest.
 // One by-hash pool call on a freshly filled target (the p2 check, a request
-// answered through Get) hashes all Z futures there and fails this.
+// answered through Get) hashes all Z futures there and fails this. Nor may it
+// draw an ID: only a pool holding an object pending asks for one, so a
+// duplicate check that draws (tx.ID() where AssignedID belongs) fails too.
 func TestCensusNeverHashesUnrelayedTransactions(t *testing.T) {
 	net, m, ids := buildRing(t, 12, 5)
 	unrelayed := make(map[*types.Transaction]bool)
@@ -155,7 +157,7 @@ func TestCensusNeverHashesUnrelayedTransactions(t *testing.T) {
 	if _, err := m.MeasureNetwork(ids, 3, 2000); err != nil {
 		t.Fatalf("measureNetwork: %v", err)
 	}
-	quiet, hashed := 0, 0
+	quiet, hashed, numbered := 0, 0, 0
 	for tx, q := range unrelayed {
 		if !q {
 			continue
@@ -164,12 +166,15 @@ func TestCensusNeverHashesUnrelayedTransactions(t *testing.T) {
 		if tx.Hashed() {
 			hashed++
 		}
+		if tx.AssignedID() != 0 {
+			numbered++
+		}
 	}
 	if quiet < m.Params().Z {
 		t.Fatalf("only %d of %d offered transactions were never pending; the census should be mostly futures", quiet, len(unrelayed))
 	}
-	if hashed != 0 {
-		t.Fatalf("%d of %d never-pending transactions were hashed", hashed, quiet)
+	if hashed != 0 || numbered != 0 {
+		t.Fatalf("of %d never-pending transactions, %d were hashed and %d drew an ID", quiet, hashed, numbered)
 	}
 }
 

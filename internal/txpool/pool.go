@@ -73,6 +73,8 @@ type Result struct {
 	// replacement, if Status == StatusReplaced.
 	Replaced *types.Transaction
 	// Evicted lists transactions dropped to make room for the offered one.
+	// It is the pool's own buffer, valid until the pool's next call, and
+	// capped at its length: an append to it reallocates.
 	Evicted []*types.Transaction
 	// Promoted lists previously-future transactions that became pending as a
 	// consequence of this admission (nonce gap closed). The offered
@@ -174,6 +176,8 @@ type Pool struct {
 	// or announces a second time. A bit set is exact membership (IDs are never
 	// reused, and a pending object cannot be collected); a clear bit only
 	// means "not this object", so content-equal copies still go to the slot.
+	// An object draws its ID as it becomes pending, so one without an ID is
+	// in no pool's set: futures never touch the process-wide counter.
 	live idSet
 	// senders holds one record per account with buffered entries or a
 	// non-zero state nonce; idle zero-nonce accounts have none.
@@ -194,6 +198,7 @@ type Pool struct {
 	// admitSeq numbers admissions; equal-price eviction ties break toward
 	// the oldest admission, a defined order the old linear scan lacked.
 	admitSeq uint64
+	evictBuf []*types.Transaction // backs Result.Evicted: evicting allocates no slice
 
 	// oldest/newest bound the admission-ordered list of live entries:
 	// SetTime expires from oldest, Snapshot walks it.
@@ -283,18 +288,25 @@ func (p *Pool) find(tx *types.Transaction) *entry {
 //
 //toposhot:hotpath
 func (p *Pool) Contains(tx *types.Transaction) bool {
-	return p.live.has(tx.ID()) || p.find(tx) != nil
+	return p.livePending(tx) || p.find(tx) != nil
 }
 
 // ContainsPending reports whether the pool holds tx as a pending transaction.
 //
 //toposhot:hotpath
 func (p *Pool) ContainsPending(tx *types.Transaction) bool {
-	if p.live.has(tx.ID()) {
+	if p.livePending(tx) {
 		return true
 	}
 	e := p.find(tx)
 	return e != nil && e.pending
+}
+
+// livePending reports whether the pool holds this very object pending. An
+// object that has not drawn an ID is in no live set, and asking draws none.
+func (p *Pool) livePending(tx *types.Transaction) bool {
+	id := tx.AssignedID()
+	return id != 0 && p.live.has(id)
 }
 
 // lookup returns the entry with the given hash, or nil, after bringing the
@@ -431,7 +443,7 @@ func (p *Pool) Offer(tx *types.Transaction) Result {
 
 //toposhot:hotpath
 func (p *Pool) offer(tx *types.Transaction) Result {
-	if p.live.has(tx.ID()) {
+	if p.livePending(tx) {
 		return Result{Status: StatusKnown}
 	}
 	s := p.senders[tx.From] // nil for an account the pool holds nothing of
@@ -471,7 +483,7 @@ func (p *Pool) offer(tx *types.Transaction) Result {
 	}
 
 	// Capacity pressure: evict until there is room, or reject.
-	var evicted []*types.Transaction
+	evicted := p.evictBuf[:0]
 	for p.Len() >= p.policy.Capacity {
 		var victim *entry
 		if executable {
@@ -510,12 +522,12 @@ func (p *Pool) offer(tx *types.Transaction) Result {
 			s = p.senders[tx.From]
 			i, _ = s.search(tx.Nonce)
 		}
-		//lint:ignore hotalloc result slice handed to the caller; empty unless the pool is full
 		evicted = append(evicted, vtx)
 		if p.DropObserver != nil {
 			p.DropObserver(vtx, "evicted")
 		}
 	}
+	p.evictBuf = evicted
 
 	if s == nil {
 		s = p.newSender(tx.From)
@@ -528,7 +540,7 @@ func (p *Pool) offer(tx *types.Transaction) Result {
 		// tx went in pending, so repartition never reports it as promoted.
 		promoted = p.repartition(s)
 	}
-	return Result{Status: status, Evicted: evicted, Promoted: promoted}
+	return Result{Status: status, Evicted: evicted[:len(evicted):len(evicted)], Promoted: promoted}
 }
 
 // link creates the entry for tx and adds it to every index except its

@@ -232,6 +232,103 @@ func TestEvictionSequencePinned(t *testing.T) {
 	}
 }
 
+// TestFuturesDrawNoID: a transaction draws its ID when a pool first holds it
+// pending, and not before — a future that is admitted, refused, re-offered,
+// asked about, evicted or expired never touches the process-wide counter. The
+// same object, once promoted, draws one and is then known by its bit.
+func TestFuturesDrawNoID(t *testing.T) {
+	pol := small(4)
+	pol.Expiry = 10
+	p := New(pol)
+	p.Offer(tx(1, 0, 1000))
+	p.Offer(tx(2, 0, 1000))
+	cheap, mid, rich, refused := tx(10, 1, 50), tx(11, 1, 100), tx(12, 1, 200), tx(13, 1, 10)
+	p.Offer(cheap)
+	p.Offer(mid)
+	if res := p.Offer(rich); res.Status != StatusFuture || len(res.Evicted) != 1 || res.Evicted[0] != cheap {
+		t.Fatalf("rich future: %v evicted=%v, want future evicting the cheapest", res.Status, res.Evicted)
+	}
+	if res := p.Offer(refused); res.Status != StatusPoolFull {
+		t.Fatalf("cheap future on a full pool: %v", res.Status)
+	}
+	if res := p.Offer(mid); res.Status != StatusKnown || !p.Contains(mid) || p.ContainsPending(mid) {
+		t.Fatalf("re-offered future: %v, Contains=%v ContainsPending=%v", res.Status, p.Contains(mid), p.ContainsPending(mid))
+	}
+	invariantCheck(t, p)
+	p.SetTime(11)
+	if p.Len() != 0 {
+		t.Fatalf("%d entries survived expiry", p.Len())
+	}
+	for _, f := range []*types.Transaction{cheap, mid, rich, refused} {
+		if id := f.AssignedID(); id != 0 {
+			t.Fatalf("future %v drew ID %d", f, id)
+		}
+	}
+
+	fut := tx(20, 1, 100)
+	if res := p.Offer(fut); res.Status != StatusFuture || fut.AssignedID() != 0 {
+		t.Fatalf("future: %v with ID %d", res.Status, fut.AssignedID())
+	}
+	if res := p.Offer(tx(20, 0, 100)); len(res.Promoted) != 1 || res.Promoted[0] != fut {
+		t.Fatalf("gap filler promoted %v, want the future", res.Promoted)
+	}
+	id := fut.AssignedID()
+	if id == 0 || !p.live.has(id) {
+		t.Fatalf("promoted future has ID %d, in live: %v", id, p.live.has(id))
+	}
+	if res := p.Offer(fut); res.Status != StatusKnown {
+		t.Fatalf("re-offered pending: %v, want known", res.Status)
+	}
+	invariantCheck(t, p)
+}
+
+// TestEvictedIsPoolBuffer: evicting admissions hand back slices over the
+// pool's one buffer, each capped at its length, so a caller's append
+// reallocates and neither it nor the pool's next offer sees the other's
+// writes.
+func TestEvictedIsPoolBuffer(t *testing.T) {
+	// Three futures restored under capacity 2: the first offer must evict two,
+	// which grows the buffer past what one eviction needs.
+	big := New(small(3))
+	for i := uint64(0); i < 3; i++ {
+		big.Offer(tx(10+i, 1, 10*(i+1)))
+	}
+	p, err := RestorePool(small(2), big.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var prices []uint64
+	offer := func(from, price uint64) []*types.Transaction {
+		t.Helper()
+		ev := p.Offer(tx(from, 1, price)).Evicted
+		if len(ev) == 0 || cap(ev) != len(ev) {
+			t.Fatalf("offer at %d: evicted len %d cap %d, want a non-empty slice with cap == len", price, len(ev), cap(ev))
+		}
+		prices = prices[:0]
+		for _, v := range ev {
+			prices = append(prices, v.GasPrice)
+		}
+		return ev
+	}
+	first := offer(20, 100)
+	if len(first) != 2 || prices[0] != 10 || prices[1] != 20 {
+		t.Fatalf("over-full pool evicted prices %v, want [10 20]", prices)
+	}
+	second := offer(21, 200)
+	if &second[0] != &first[0] {
+		t.Fatal("consecutive evicting offers returned different backing arrays")
+	}
+	victim := second[0]
+	grown := append(second, tx(99, 1, 1))
+	if &grown[0] == &second[0] {
+		t.Fatal("append to Evicted wrote into the pool's buffer")
+	}
+	third := offer(22, 300)
+	if len(third) != 1 || third[0].GasPrice != 100 || grown[0] != victim || grown[1].GasPrice != 1 {
+		t.Fatalf("next offer evicted %v, caller's slice %v: want [price 100] and an untouched append", third, grown)
+	}
+}
+
 func TestRemoveConfirmedAdvancesNonces(t *testing.T) {
 	p := New(small(100))
 	t0 := tx(1, 0, 100)
@@ -340,15 +437,20 @@ func invariantCheck(t *testing.T, p *Pool) {
 	}
 	// The two identity indexes, read before anything below asks by hash (which
 	// would move the watermark): the live bitset holds exactly the pending
-	// entries' transaction IDs; byHash exactly the entries admitted up to the
-	// watermark, under a hash that indexing them memoized.
+	// entries' transaction IDs, and every pending entry's object has drawn
+	// one; byHash exactly the entries admitted up to the watermark, under a
+	// hash that indexing them memoized. Nothing here draws an ID.
 	if p.indexedSeq > p.admitSeq {
 		t.Fatalf("by-hash watermark %d is ahead of admission seq %d", p.indexedSeq, p.admitSeq)
 	}
 	indexed := 0
 	for e := p.oldest; e != nil; e = e.next {
-		if p.live.has(e.tx.ID()) != e.pending {
-			t.Fatalf("entry seq=%d pending=%v: its ID %d is in live: %v", e.seq, e.pending, e.tx.ID(), !e.pending)
+		id := e.tx.AssignedID()
+		if e.pending && id == 0 {
+			t.Fatalf("pending entry seq=%d has drawn no ID", e.seq)
+		}
+		if (id != 0 && p.live.has(id)) != e.pending {
+			t.Fatalf("entry seq=%d pending=%v: its ID %d is in live: %v", e.seq, e.pending, id, !e.pending)
 		}
 		if e.seq > p.indexedSeq {
 			continue

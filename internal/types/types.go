@@ -9,8 +9,8 @@
 // wire and in checkpoints by a collision-resistant hash (SHA-256 based)
 // instead of a secp256k1 signature; the sender address is carried explicitly.
 // Inside the process nothing needs that hash to tell transactions apart: a
-// pool knows an object by its 32-bit ID and its content by the one sender
-// slot (From, Nonce) it can occupy.
+// pool knows a pending object by the 32-bit ID it drew on becoming pending,
+// and any content by the one sender slot (From, Nonce) it can occupy.
 package types
 
 import (
@@ -145,31 +145,32 @@ func (h Hash) IsZero() bool { return h == Hash{} }
 // A Transaction is handled by pointer only. ID names the object, so a copy
 // made by value would share its original's ID — and a pool holding one would
 // report the other as already known. The noCopy field makes go vet reject
-// such a copy; Copy is the way to duplicate one.
+// such a copy; Copy is the way to duplicate one. It is 120 B, the 128-B size
+// class (TestTransactionSize): the fields every offer reads fill the first 64
+// bytes, and only a transaction somebody hashes pays for the memo's 32.
 type Transaction struct {
 	_ noCopy
 
-	From     Address // sender account (explicit; no signature recovery)
-	To       Address // receiver account
-	Nonce    uint64  // per-sender sequence number
-	GasPrice uint64  // Wei per gas unit the sender bids (fee cap under EIP-1559)
-	Gas      uint64  // gas allowance (21000 for a plain transfer)
-	Value    uint64  // Wei transferred
-	Data     []byte  // optional payload
+	From Address // sender account (explicit; no signature recovery)
+	To   Address // receiver account
 
-	// Tip is the EIP-1559 priority fee (max tip to the miner). A zero Tip
-	// on a transaction with DynamicFee unset means a legacy transaction
-	// whose GasPrice is both cap and tip.
-	Tip uint64
+	// id is the object's identity, zero until the first ID call.
+	id uint32
 	// DynamicFee marks an EIP-1559 (type-2) transaction: GasPrice is the
 	// fee cap and Tip the priority fee.
 	DynamicFee bool
 
-	// id is the object's identity, zero until the first ID call. It sits in
-	// the padding after DynamicFee, so the struct stays 144 B (pinned by
-	// TestTransactionSize).
-	id   uint32
-	hash Hash // memoized digest; zero until first Hash() call
+	Nonce    uint64 // per-sender sequence number
+	GasPrice uint64 // Wei per gas unit the sender bids (fee cap under EIP-1559)
+	Gas      uint64 // gas allowance (21000 for a plain transfer)
+	Value    uint64 // Wei transferred
+	// Tip is the EIP-1559 priority fee (max tip to the miner). A zero Tip
+	// on a transaction with DynamicFee unset means a legacy transaction
+	// whose GasPrice is both cap and tip.
+	Tip  uint64
+	Data []byte // optional payload
+
+	hash *Hash // memoized digest; nil until the first Hash call
 }
 
 // noCopy is embedded in types that must not be copied by value: go vet's
@@ -188,6 +189,7 @@ var lastTxID atomic.Uint32
 // content — it is never hashed, compared by Equal, serialized or used to
 // order anything — so two Equal transactions have different IDs, and a Copy
 // gets its own. Concurrent first calls on one object agree on one value.
+// Pools call it when they first hold the object pending, AssignedID otherwise.
 //
 //toposhot:hotpath
 func (tx *Transaction) ID() uint32 {
@@ -196,6 +198,9 @@ func (tx *Transaction) ID() uint32 {
 	}
 	return tx.assignID()
 }
+
+// AssignedID returns the object's ID if it has drawn one, and 0 otherwise.
+func (tx *Transaction) AssignedID() uint32 { return atomic.LoadUint32(&tx.id) }
 
 // assignID takes the next ID from the process counter and installs it unless
 // another goroutine installed one first. The counter never wraps: a reused
@@ -224,10 +229,10 @@ func NewTransaction(from, to Address, nonce, gasPrice, value uint64) *Transactio
 }
 
 // Hash returns the content digest of the transaction, computing and
-// memoizing it on first call.
+// memoizing it on first call; the memo is the one allocation hashing makes.
 func (tx *Transaction) Hash() Hash {
-	if !tx.hash.IsZero() {
-		return tx.hash
+	if tx.hash != nil {
+		return *tx.hash
 	}
 	// One sha256.Sum256 over a stack buffer: no digest object, no per-field
 	// Write. The preimage is From ‖ To ‖ six big-endian words ‖ Data; only a
@@ -243,8 +248,9 @@ func (tx *Transaction) Hash() Hash {
 		b = binary.BigEndian.AppendUint64(b, v)
 	}
 	b = append(b, tx.Data...)
-	tx.hash = sha256.Sum256(b)
-	return tx.hash
+	h := Hash(sha256.Sum256(b))
+	tx.hash = &h
+	return h
 }
 
 // txHashFixed is the length of a transaction's hash preimage before Data.
@@ -252,7 +258,7 @@ const txHashFixed = 2*AddressLength + 6*8
 
 // Hashed reports whether the digest has been computed: it reads the memo and
 // nothing else. Tests use it to prove that a path never asked for a hash.
-func (tx *Transaction) Hashed() bool { return !tx.hash.IsZero() }
+func (tx *Transaction) Hashed() bool { return tx.hash != nil }
 
 // Equal reports whether o is tx or has the same content — field for field the
 // preimage Hash digests, so two transactions are Equal exactly when their
@@ -301,8 +307,8 @@ func (tx *Transaction) String() string {
 }
 
 // Copy returns a deep copy of the transaction's content: a distinct object
-// with its own ID and a fresh hash memo, so the copy is safe to mutate before
-// its first Hash call.
+// that draws its own ID and has no hash memo, so the copy is safe to mutate
+// before its first Hash call.
 func (tx *Transaction) Copy() *Transaction {
 	return &Transaction{
 		From: tx.From, To: tx.To, Nonce: tx.Nonce, GasPrice: tx.GasPrice, Gas: tx.Gas,
