@@ -212,18 +212,14 @@ func encodeNode(nd *Node, tt *txTable) rlp.Item {
 	for i := range peers {
 		peerItems[i] = rlp.List(rlp.Uint(uint64(peers[i])), f64Item(marks[i]))
 	}
-	// Announcement locks: the live suffix of the expiry-ordered ring, keeping
-	// only entries whose deadline matches the authoritative map (stale entries
-	// for re-armed hashes are lazy-deletion artifacts with no observable
-	// effect). Queue order is expiry order, so restore re-arms in sequence and
-	// rebuilds both map and ring.
+	// Announcement locks: the live suffix of the expiry-ordered ring (stale
+	// entries for re-armed hashes are lazy-deletion artifacts with no
+	// observable effect). Queue order is expiry order, so restore re-arms in
+	// sequence and rebuilds both map and ring.
 	var lockItems []rlp.Item
-	for _, ent := range nd.lockQ[nd.lockQHead:] {
-		if cur, ok := nd.announceLock[ent.h]; ok && cur == ent.until {
-			h := ent.h
-			lockItems = append(lockItems, rlp.List(rlp.Bytes(h[:]), f64Item(ent.until)))
-		}
-	}
+	nd.locks.Live(func(h types.Hash, until float64) {
+		lockItems = append(lockItems, rlp.List(rlp.Bytes(h[:]), f64Item(until)))
+	})
 	outItems := make([]rlp.Item, len(nd.outQ))
 	for i, it := range nd.outQ {
 		outItems[i] = rlp.List(rlp.Uint(tt.ref(it.tx)), rlp.Uint(uint64(it.exclude)))
@@ -649,7 +645,7 @@ func RestoreNetworkLanes(data []byte, lanes int) (*Network, error) {
 			if d.err != nil {
 				return nil, d.err
 			}
-			nd.armAnnounceLock(d.hash(lf[0], "lock hash"), d.f64(lf[1], "lock until"))
+			nd.locks.Arm(d.hash(lf[0], "lock hash"), d.f64(lf[1], "lock until"))
 		}
 		for _, p := range d.list(f[4], -1, "node outq") {
 			of := d.list(p, 2, "out item")

@@ -108,55 +108,8 @@ func TestPeersCachedSortedCopy(t *testing.T) {
 	}
 }
 
-// TestAnnounceLockSweepRing drives sweepAnnounceLocks through the
-// expiry-ordered ring directly: expired prefixes pop, a re-armed hash's
-// stale ring entry is skipped (the map deadline is authoritative), and the
-// dead prefix compacts away.
-func TestAnnounceLockSweepRing(t *testing.T) {
-	net := testNet(14)
-	nd := net.AddNode(DefaultNodeConfig())
-	arm := func(h types.Hash, until float64) {
-		nd.armAnnounceLock(h, until)
-	}
-	h1 := types.BytesToHash([]byte{1})
-	h2 := types.BytesToHash([]byte{2})
-	h3 := types.BytesToHash([]byte{3})
-	arm(h1, 5)
-	arm(h2, 6)
-	arm(h3, 7)
-
-	nd.sweepAnnounceLocks(5.5)
-	if _, ok := nd.announceLock[h1]; ok {
-		t.Fatal("expired lock h1 survived the sweep")
-	}
-	if _, ok := nd.announceLock[h2]; !ok {
-		t.Fatal("live lock h2 swept early")
-	}
-
-	// Re-arm h3 with a later deadline, as deliverAnnounce does after expiry:
-	// the old ring entry (until=7) goes stale but the map now says 12.
-	nd.announceLock[h3] = 12
-	nd.lockQ = append(nd.lockQ, lockEntry{h: h3, until: 12})
-
-	nd.sweepAnnounceLocks(8)
-	if until, ok := nd.announceLock[h3]; !ok || until != 12 {
-		t.Fatalf("re-armed lock h3 deleted by its stale ring entry (lock=%v,%v)", until, ok)
-	}
-	if _, ok := nd.announceLock[h2]; ok {
-		t.Fatal("expired lock h2 survived the sweep")
-	}
-
-	nd.sweepAnnounceLocks(12)
-	if len(nd.announceLock) != 0 {
-		t.Fatalf("locks remain after final sweep: %v", nd.announceLock)
-	}
-	if nd.lockQHead != 0 || len(nd.lockQ) != 0 {
-		t.Fatalf("drained ring not compacted: head=%d len=%d", nd.lockQHead, len(nd.lockQ))
-	}
-}
-
-// TestAnnounceLockStillFiltersDuplicates is the behavioral complement of the
-// ring test: within the lock window a second announcement of the same hash
+// TestAnnounceLockStillFiltersDuplicates is the behavioral complement of
+// gossip's TestLocksSweepRing: within the lock window a second announcement of the same hash
 // triggers no second request.
 func TestAnnounceLockStillFiltersDuplicates(t *testing.T) {
 	net := testNet(15)

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"sort"
 
+	"toposhot/internal/gossip"
 	"toposhot/internal/metrics"
 	"toposhot/internal/sim"
 	"toposhot/internal/trace"
@@ -62,9 +63,9 @@ type Config struct {
 	LatencyTail float64
 	// LatencyMax caps one-hop latency.
 	LatencyMax float64
-	// AnnounceLock is the announcement-response window (5 s in Geth): after
-	// requesting an announced transaction a node ignores further
-	// announcements of the same hash for this long.
+	// AnnounceLock is the announcement-response window (gossip.AnnounceLock,
+	// 5 s as in Geth): after requesting an announced transaction a node
+	// ignores further announcements of the same hash for this long.
 	AnnounceLock float64
 	// SendSpacing is the interval between consecutive messages injected by
 	// the supernode, modelling its uplink serialization. It makes parallel
@@ -95,7 +96,7 @@ func DefaultConfig(seed int64) Config {
 		LatencyBase:   0.05,
 		LatencyTail:   0.1,
 		LatencyMax:    3.0,
-		AnnounceLock:  5.0,
+		AnnounceLock:  gossip.AnnounceLock,
 		SendSpacing:   0.002,
 		FlushInterval: 0.08,
 	}
@@ -671,7 +672,7 @@ func (n *Network) TickPools() {
 	now := n.eng.Now()
 	for _, nd := range n.nodes {
 		nd.pool.SetTime(now)
-		nd.sweepAnnounceLocks(now)
+		nd.locks.Sweep(now)
 	}
 	for _, h := range n.janitorHooks {
 		h(now)

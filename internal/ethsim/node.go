@@ -1,8 +1,9 @@
 package ethsim
 
 import (
-	"math"
+	"slices"
 
+	"toposhot/internal/gossip"
 	"toposhot/internal/trace"
 	"toposhot/internal/txpool"
 	"toposhot/internal/types"
@@ -48,12 +49,6 @@ type TxReceipt struct {
 	At   float64
 }
 
-// lockEntry is one armed announcement lock in expiry order.
-type lockEntry struct {
-	h     types.Hash
-	until float64
-}
-
 // Node is one simulated Ethereum peer. Its peer set lives as a sorted
 // segment of the network's shared adjacency arena (struct-of-arrays,
 // DESIGN.md §12): the node carries only the segment's offset/length/capacity,
@@ -73,16 +68,9 @@ type Node struct {
 	peerCnt int32
 	peerCap int32
 
-	// announceLock maps a tx hash to the time until which further
-	// announcements of that hash are ignored (the 5 s window). The map is
-	// allocated lazily on first arm, so idle nodes at mainnet scale carry no
-	// empty map header. lockQ holds the same locks in arming order; the
-	// window is a network constant, so arming order is expiry order and the
-	// janitor sweep pops an expired prefix instead of scanning the map (see
-	// sweepAnnounceLocks).
-	announceLock map[types.Hash]float64
-	lockQ        []lockEntry
-	lockQHead    int
+	// locks is the announce-lock table; the window is a network constant,
+	// so the janitor's sweep pops an expired prefix (gossip.Locks).
+	locks gossip.Locks
 
 	// outQ buffers transactions awaiting the coalesced gossip flush, with
 	// the peer each one arrived from (never sent back there). A flush hands
@@ -184,29 +172,14 @@ func (nd *Node) peerPos(id types.NodeID) int {
 	return -1
 }
 
-// peerInsertPos returns the sorted insertion position for id within the
-// segment (relative to peerOff).
-func (nd *Node) peerInsertPos(id types.NodeID) int {
-	ids := nd.net.adjIDs
-	lo, hi := int(nd.peerOff), int(nd.peerOff+nd.peerCnt)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if ids[mid] < id {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo - int(nd.peerOff)
-}
-
 // addPeer inserts id into the node's sorted adjacency segment, relocating
 // the segment to the arena's end with doubled capacity when full. A FIFO
 // watermark retained in the overflow map from an earlier teardown of the
 // same directed link migrates back into the dense slot, preserving the
 // TCP-ordering clamp across reconnects.
 func (nd *Node) addPeer(id types.NodeID) {
-	if nd.peerPos(id) >= 0 {
+	i, found := slices.BinarySearch(nd.peersSeg(), id)
+	if found {
 		return
 	}
 	net := nd.net
@@ -222,7 +195,6 @@ func (nd *Node) addPeer(id types.NodeID) {
 		copy(net.adjMark[off:], net.adjMark[nd.peerOff:nd.peerOff+nd.peerCnt])
 		nd.peerOff, nd.peerCap = off, newCap
 	}
-	i := nd.peerInsertPos(id)
 	ids := net.adjIDs[nd.peerOff : nd.peerOff+nd.peerCnt+1]
 	marks := net.adjMark[nd.peerOff : nd.peerOff+nd.peerCnt+1]
 	copy(ids[i+1:], ids[i:])
@@ -266,9 +238,7 @@ func (nd *Node) removePeer(id types.NodeID) {
 // corrupt an in-flight batch.
 func (nd *Node) SubmitLocal(tx *types.Transaction) txpool.Result {
 	res := nd.pool.Offer(tx)
-	if out := nd.appendPropagatable(nil, tx, res); len(out) > 0 && !nd.cfg.NoForward {
-		nd.propagate(nd.id, out)
-	}
+	nd.propagate(nd.id, gossip.Propagatable(nil, tx, res, nd.pool, nd.cfg.ForwardFutures))
 	return res
 }
 
@@ -318,7 +288,7 @@ func (nd *Node) receiveTx(from types.NodeID, tx *types.Transaction, out []*types
 	if nd.OnTxAdmitted != nil && res.Status.Admitted() {
 		nd.OnTxAdmitted(rcpt, res)
 	}
-	return nd.appendPropagatable(out, tx, res)
+	return gossip.Propagatable(out, tx, res, nd.pool, nd.cfg.ForwardFutures)
 }
 
 // relay queues what one delivery made propagatable and hands the scratch
@@ -326,9 +296,7 @@ func (nd *Node) receiveTx(from types.NodeID, tx *types.Transaction, out []*types
 //
 //toposhot:hotpath
 func (nd *Node) relay(from types.NodeID, out []*types.Transaction) {
-	if len(out) > 0 && !nd.cfg.NoForward {
-		nd.propagate(from, out)
-	}
+	nd.propagate(from, out)
 	nd.scratchOut = out[:0] // keep the grown capacity for the next delivery
 }
 
@@ -348,27 +316,6 @@ func (nd *Node) traceOffer(res txpool.Result) {
 	}
 }
 
-// appendPropagatable appends what an admission makes eligible for gossip.
-//
-//toposhot:hotpath
-func (nd *Node) appendPropagatable(out []*types.Transaction, tx *types.Transaction, res txpool.Result) []*types.Transaction {
-	switch res.Status {
-	case txpool.StatusPending:
-		out = append(out, tx)
-	case txpool.StatusReplaced:
-		// A replacement of a pending slot re-propagates (the "speed-up"
-		// application in §1 relies on this).
-		if nd.pool.ContainsPending(tx) {
-			out = append(out, tx)
-		}
-	case txpool.StatusFuture:
-		if nd.cfg.ForwardFutures {
-			out = append(out, tx)
-		}
-	}
-	return append(out, res.Promoted...)
-}
-
 // outItem is one queued gossip transaction with its arrival peer.
 type outItem struct {
 	tx      *types.Transaction
@@ -377,14 +324,15 @@ type outItem struct {
 
 // propagate queues executable transactions for the coalesced gossip flush —
 // the analogue of Geth's broadcast loop, which batches transactions rather
-// than emitting one message per admission. The first enqueue of a window
-// schedules exactly one flush; everything arriving before it fires rides the
-// same batch. The flush is a kind-tagged handler event carrying the dense
-// node index (checkpoint-serializable, no closure).
+// than emitting one message per admission — unless the node is NoForward.
+// The first enqueue of a window schedules exactly one flush; everything
+// arriving before it fires rides the same batch. The flush is a kind-tagged
+// handler event carrying the dense node index (checkpoint-serializable, no
+// closure).
 //
 //toposhot:hotpath
 func (nd *Node) propagate(exclude types.NodeID, txs []*types.Transaction) {
-	if len(txs) == 0 {
+	if len(txs) == 0 || nd.cfg.NoForward {
 		return
 	}
 	for _, tx := range txs {
@@ -399,13 +347,12 @@ func (nd *Node) propagate(exclude types.NodeID, txs []*types.Transaction) {
 	net.eng.AtHandlerLane(net.eng.Now()+net.cfg.FlushInterval, net, arg, int(nd.id-1))
 }
 
-// flush drains the out-queue: direct push to ⌈√peers⌉ random peers and
-// announcement to the rest (Geth ≥ 1.9.11), or push to all under
-// LegacyPushAll, never sending a transaction back where it came from.
-// The drained queue itself becomes the payload — one pooled, immutable,
-// reference-counted flushBatch that every message of the flush points at;
-// each receiver skips the items excluded for it — so a flush copies nothing
-// per peer and a steady gossip flood allocates nothing here.
+// flush drains the out-queue: direct push to gossip.PushCount random peers
+// and announcement to the rest, never sending a transaction back where it
+// came from. The drained queue itself becomes the payload — one pooled,
+// immutable, reference-counted flushBatch that every message of the flush
+// points at; each receiver skips the items excluded for it — so a flush
+// copies nothing per peer and a steady gossip flood allocates nothing here.
 //
 //toposhot:hotpath
 func (nd *Node) flush() {
@@ -419,10 +366,7 @@ func (nd *Node) flush() {
 		nd.outQ = q[:0]
 		return
 	}
-	pushCount := len(peers)
-	if !nd.cfg.LegacyPushAll {
-		pushCount = int(math.Ceil(math.Sqrt(float64(len(peers)))))
-	}
+	pushCount := gossip.PushCount(len(peers), nd.cfg.LegacyPushAll)
 	net := nd.net
 	bi := net.takeBatch()
 	b := &net.batches[bi] // stable: nothing below takes another batch
@@ -508,12 +452,10 @@ func (nd *Node) deliverAnnounce(from types.NodeID, hashes []types.Hash, items []
 		} else if nd.pool.Has(h) {
 			continue
 		}
-		if until, ok := nd.announceLock[h]; ok && now < until {
+		if !nd.locks.Fetch(h, now, net.cfg.AnnounceLock) {
 			net.metrics.announceLockHits.Inc()
 			continue
 		}
-		until := now + net.cfg.AnnounceLock
-		nd.armAnnounceLock(h, until)
 		if mi >= 0 {
 			want = append(want, h)
 			if items != nil {
@@ -532,23 +474,9 @@ func (nd *Node) deliverAnnounce(from types.NodeID, hashes []types.Hash, items []
 	net.route(mi)
 }
 
-// armAnnounceLock records an announcement lock, allocating the node's lock
-// map on first use (lazy so mainnet-scale idle nodes carry none). Out of
-// line from deliverAnnounce so the map literal stays off the lint-scanned
-// delivery function.
-func (nd *Node) armAnnounceLock(h types.Hash, until float64) {
-	if nd.announceLock == nil {
-		nd.announceLock = make(map[types.Hash]float64)
-	}
-	nd.announceLock[h] = until
-	nd.lockQ = append(nd.lockQ, lockEntry{h: h, until: until})
-}
-
-// deliverRequest answers a GetPooledTransactions request with whatever of
-// the asked hashes is still buffered, assembling the reply in a pooled
-// message buffer. asked, when the request carries it, holds the requested
-// objects parallel to hashes and the pool is asked by object; a request
-// restored from a checkpoint has hashes only and is answered by hash.
+// deliverRequest answers a GetPooledTransactions request (gossip.Answer) in
+// a pooled message buffer. A request restored from a checkpoint carries no
+// asked objects and is answered by hash.
 //
 //toposhot:hotpath
 func (nd *Node) deliverRequest(from types.NodeID, hashes []types.Hash, asked []*types.Transaction) {
@@ -557,52 +485,10 @@ func (nd *Node) deliverRequest(from types.NodeID, hashes []types.Hash, asked []*
 	if mi < 0 {
 		return
 	}
-	reply := net.msgs[mi].txs[:0]
-	if len(asked) == len(hashes) {
-		for _, tx := range asked {
-			if nd.pool.Contains(tx) {
-				reply = append(reply, tx)
-			}
-		}
-	} else {
-		for _, h := range hashes {
-			if tx := nd.pool.Get(h); tx != nil {
-				reply = append(reply, tx)
-			}
-		}
-	}
-	net.msgs[mi].txs = reply
-	if len(reply) == 0 {
+	net.msgs[mi].txs = gossip.Answer(net.msgs[mi].txs[:0], nd.pool, hashes, asked)
+	if len(net.msgs[mi].txs) == 0 {
 		net.freeMsg(mi)
 		return
 	}
 	net.route(mi)
-}
-
-// sweepAnnounceLocks prunes expired announcement locks. The lock window is a
-// per-network constant, so lockQ is ordered by expiry and the sweep pops an
-// expired prefix — O(expired) per tick instead of O(armed) map scanning.
-// A hash re-armed after expiry leaves its stale entry behind; the map holds
-// the authoritative deadline, so stale entries whose hash was re-armed are
-// skipped (lazy deletion) and collected by the later entry.
-//
-//toposhot:hotpath
-func (nd *Node) sweepAnnounceLocks(now float64) {
-	q := nd.lockQ
-	head := nd.lockQHead
-	for head < len(q) && now >= q[head].until {
-		ent := q[head]
-		head++
-		if cur, ok := nd.announceLock[ent.h]; ok && now >= cur {
-			delete(nd.announceLock, ent.h)
-		}
-	}
-	nd.lockQHead = head
-	// Compact once the dead prefix dominates so the ring's memory tracks the
-	// live lock population, amortized O(1) per armed lock.
-	if head > 0 && head*2 >= len(q) {
-		n := copy(q, q[head:])
-		nd.lockQ = q[:n]
-		nd.lockQHead = 0
-	}
 }

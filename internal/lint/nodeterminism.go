@@ -11,9 +11,10 @@ import (
 // from a seed: the simulators, block production (a sim.Handler whose block
 // schedule is what the Appendix-C twin worlds compare), the measurement core,
 // the measurement strategies built on it, topology generation, the pool model
-// the simulator drives, the worker pool that runs independent simulations
-// concurrently, the topology tracker (whose probe schedule must replay
-// identically from a checkpoint), and the observability layer (whose
+// the simulator drives, the gossip rules the simulator shares with the live
+// node (whose clock is injected), the worker pool that runs independent
+// simulations concurrently, the topology tracker (whose probe schedule must
+// replay identically from a checkpoint), and the observability layer (whose
 // event-log snapshots and cost ledgers must byte-compare equal across
 // same-seed runs at any parallelism — timestamps come from injected virtual
 // clocks, never the wall).
@@ -25,6 +26,7 @@ var nodeterminismScope = []string{
 	modulePrefix + "/internal/strategy",
 	modulePrefix + "/internal/netgen",
 	modulePrefix + "/internal/txpool",
+	modulePrefix + "/internal/gossip",
 	modulePrefix + "/internal/runner",
 	modulePrefix + "/internal/tracker",
 	modulePrefix + "/internal/obs",

@@ -9,7 +9,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"net"
 	"sort"
@@ -17,6 +16,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"toposhot/internal/gossip"
 	"toposhot/internal/metrics"
 	"toposhot/internal/trace"
 	"toposhot/internal/txpool"
@@ -43,10 +43,6 @@ type Config struct {
 	Policy txpool.Policy
 	// MaxPeers bounds accepted connections (0 = 50).
 	MaxPeers int
-	// AnnounceLock is the announcement-response window (0 = 5 s).
-	AnnounceLock time.Duration
-	// PushAll disables announcements (legacy push-to-all propagation).
-	PushAll bool
 	// NoForward makes the node buffer without relaying (instrumented
 	// measurement client behaviour).
 	NoForward bool
@@ -82,12 +78,15 @@ type Node struct {
 	cfg Config
 	ln  net.Listener
 
-	mu           sync.Mutex
-	pool         *txpool.Pool
-	peers        map[string]*peer // keyed by remote address
-	announceLock map[types.Hash]time.Time
-	rng          *rand.Rand
-	closed       bool
+	mu     sync.Mutex
+	pool   *txpool.Pool
+	peers  map[string]*peer // keyed by remote address
+	locks  gossip.Locks
+	rng    *rand.Rand
+	closed bool
+
+	// now reads the announce-lock clock: wall seconds since Start.
+	now func() float64
 
 	wg sync.WaitGroup
 
@@ -151,32 +150,26 @@ func (p *peer) close() {
 	p.closeOnce.Do(func() { _ = p.conn.Close() })
 }
 
-// countingWriter tallies bytes written to a peer's connection.
-type countingWriter struct {
+// counting tallies the bytes read from and written to a peer's connection.
+type counting struct {
 	p *peer
 	n *Node
 }
 
-func (w countingWriter) Write(b []byte) (int, error) {
-	n, err := w.p.conn.Write(b)
+func (c counting) Write(b []byte) (int, error) {
+	n, err := c.p.conn.Write(b)
 	if n > 0 {
-		w.p.bytesOut.Add(int64(n))
-		w.n.metrics.bytesOut.Add(int64(n))
+		c.p.bytesOut.Add(int64(n))
+		c.n.metrics.bytesOut.Add(int64(n))
 	}
 	return n, err
 }
 
-// countingReader tallies bytes read from a peer's connection.
-type countingReader struct {
-	p *peer
-	n *Node
-}
-
-func (r countingReader) Read(b []byte) (int, error) {
-	n, err := r.p.conn.Read(b)
+func (c counting) Read(b []byte) (int, error) {
+	n, err := c.p.conn.Read(b)
 	if n > 0 {
-		r.p.bytesIn.Add(int64(n))
-		r.n.metrics.bytesIn.Add(int64(n))
+		c.p.bytesIn.Add(int64(n))
+		c.n.metrics.bytesIn.Add(int64(n))
 	}
 	return n, err
 }
@@ -202,9 +195,6 @@ func Start(cfg Config, addr string) (*Node, error) {
 	if cfg.MaxPeers == 0 {
 		cfg.MaxPeers = 50
 	}
-	if cfg.AnnounceLock == 0 {
-		cfg.AnnounceLock = 5 * time.Second
-	}
 	if cfg.Policy.Capacity == 0 {
 		cfg.Policy = txpool.Geth
 	}
@@ -227,15 +217,16 @@ func Start(cfg Config, addr string) (*Node, error) {
 	if seed == 0 {
 		seed = time.Now().UnixNano()
 	}
+	start := time.Now()
 	n := &Node{
-		cfg:          cfg,
-		ln:           ln,
-		pool:         txpool.New(cfg.Policy),
-		peers:        make(map[string]*peer),
-		announceLock: make(map[types.Hash]time.Time),
-		rng:          rand.New(rand.NewSource(seed)),
-		metrics:      newNodeMetrics(cfg.Metrics),
-		tracer:       trace.Enabled(),
+		cfg:     cfg,
+		ln:      ln,
+		pool:    txpool.New(cfg.Policy),
+		peers:   make(map[string]*peer),
+		rng:     rand.New(rand.NewSource(seed)),
+		now:     func() float64 { return time.Since(start).Seconds() },
+		metrics: newNodeMetrics(cfg.Metrics),
+		tracer:  trace.Enabled(),
 	}
 	n.traceEngine = n.tracer.Enabled(trace.LevelEngine)
 	if cfg.Metrics != nil {
@@ -257,10 +248,7 @@ func (n *Node) Close() error {
 		return nil
 	}
 	n.closed = true
-	peers := make([]*peer, 0, len(n.peers))
-	for _, p := range n.peers {
-		peers = append(peers, p)
-	}
+	peers := n.sortedPeers()
 	n.mu.Unlock()
 	err := n.ln.Close()
 	for _, p := range peers {
@@ -280,7 +268,7 @@ func (n *Node) acceptLoop() {
 		n.wg.Add(1)
 		go func() {
 			defer n.wg.Done()
-			if err := n.setupPeer(conn, false); err != nil {
+			if err := n.setupPeer(conn); err != nil {
 				_ = conn.Close()
 			}
 		}()
@@ -293,7 +281,7 @@ func (n *Node) Dial(addr string) error {
 	if err != nil {
 		return err
 	}
-	if err := n.setupPeer(conn, true); err != nil {
+	if err := n.setupPeer(conn); err != nil {
 		_ = conn.Close()
 		return err
 	}
@@ -301,7 +289,7 @@ func (n *Node) Dial(addr string) error {
 }
 
 // setupPeer performs the Status handshake and launches the read loop.
-func (n *Node) setupPeer(conn net.Conn, initiator bool) error {
+func (n *Node) setupPeer(conn net.Conn) error {
 	status := wire.Msg{Code: wire.CodeStatus, Status: wire.Status{
 		ProtocolVersion: wire.ProtocolVersion,
 		NetworkID:       n.cfg.NetworkID,
@@ -334,7 +322,7 @@ func (n *Node) setupPeer(conn net.Conn, initiator bool) error {
 		version:      remote.Status.ClientVersion,
 		writeTimeout: n.cfg.WriteTimeout,
 	}
-	p.w = countingWriter{p: p, n: n}
+	p.w = counting{p: p, n: n}
 
 	n.mu.Lock()
 	if n.closed {
@@ -402,7 +390,7 @@ func (n *Node) sendTo(p *peer, m wire.Msg) error {
 func (n *Node) readLoop(p *peer) {
 	defer n.wg.Done()
 	defer n.dropPeer(p)
-	r := countingReader{p: p, n: n}
+	r := counting{p: p, n: n}
 	idle := n.cfg.ReadIdleTimeout
 	for {
 		if idle > 0 {
@@ -441,18 +429,12 @@ func (n *Node) handleTxs(p *peer, txs []*types.Transaction) {
 	n.mu.Lock()
 	for _, tx := range txs {
 		res := n.pool.Offer(tx)
-		switch res.Status {
-		case txpool.StatusPending:
-			out = append(out, tx)
-		case txpool.StatusReplaced:
+		if res.Status == txpool.StatusReplaced {
 			accepted++
-			if n.pool.ContainsPending(tx) {
-				out = append(out, tx)
-			}
-		case txpool.StatusUnderpriced:
+		} else if res.Status == txpool.StatusUnderpriced {
 			rejected++
 		}
-		out = append(out, res.Promoted...)
+		out = gossip.Propagatable(out, tx, res, n.pool, false)
 	}
 	onTx := n.OnTx
 	n.mu.Unlock()
@@ -469,24 +451,22 @@ func (n *Node) handleTxs(p *peer, txs []*types.Transaction) {
 			onTx(p.addr, p.version, tx)
 		}
 	}
-	if len(out) > 0 && !n.cfg.NoForward {
-		n.propagate(p.addr, out)
-	}
+	n.propagate(p.addr, out)
 }
 
+// handleAnnounce requests the announced hashes the pool lacks and no live
+// lock covers. Expired locks are swept first, so the table stays bounded
+// without a timer of its own. Concurrent announcers may arm a few locks
+// slightly out of expiry order; the sweep then frees those late, never early.
 func (n *Node) handleAnnounce(p *peer, hashes []types.Hash) {
-	now := time.Now()
+	now := n.now()
 	var want []types.Hash
 	n.mu.Lock()
+	n.locks.Sweep(now)
 	for _, h := range hashes {
-		if n.pool.Has(h) {
-			continue
+		if !n.pool.Has(h) && n.locks.Fetch(h, now, gossip.AnnounceLock) {
+			want = append(want, h)
 		}
-		if until, ok := n.announceLock[h]; ok && now.Before(until) {
-			continue
-		}
-		n.announceLock[h] = now.Add(n.cfg.AnnounceLock)
-		want = append(want, h)
 	}
 	n.mu.Unlock()
 	if len(want) > 0 {
@@ -495,26 +475,22 @@ func (n *Node) handleAnnounce(p *peer, hashes []types.Hash) {
 }
 
 func (n *Node) handleRequest(p *peer, hashes []types.Hash) {
-	var txs []*types.Transaction
 	n.mu.Lock()
-	for _, h := range hashes {
-		if tx := n.pool.Get(h); tx != nil {
-			txs = append(txs, tx)
-		}
-	}
+	txs := gossip.Answer(nil, n.pool, hashes, nil)
 	n.mu.Unlock()
 	if len(txs) > 0 {
 		_ = n.sendTo(p, wire.Msg{Code: wire.CodePooledTransactions, Txs: txs})
 	}
 }
 
-// propagate gossips executable transactions: push to ⌈√peers⌉, announce to
-// the rest (or push to all under PushAll), excluding the source peer.
+// propagate gossips what an admission made propagatable: the full
+// transactions to the push slots, their hashes to the rest, nothing back to
+// the source peer. A NoForward node relays nothing.
 func (n *Node) propagate(excludeAddr string, txs []*types.Transaction) {
-	push, announce := n.fanout(excludeAddr)
-	if len(push) == 0 {
+	if len(txs) == 0 || n.cfg.NoForward {
 		return
 	}
+	push, announce := n.fanout(excludeAddr)
 	for _, p := range push {
 		_ = n.sendTo(p, wire.Msg{Code: wire.CodeTransactions, Txs: txs})
 	}
@@ -530,31 +506,26 @@ func (n *Node) propagate(excludeAddr string, txs []*types.Transaction) {
 	}
 }
 
-// fanout draws one propagation's split of the peers other than excludeAddr:
-// the ⌈√peers⌉ (all under PushAll) that get the full transactions, and the
-// rest, which get announcements. The candidates are put in address order
-// before the draw, so the split depends on the seeded RNG and the peer set
-// alone, never on map iteration order.
+// fanout draws one propagation's split of the peers: a permutation over all
+// of them in address order, whose first gossip.PushCount slots get the full
+// transactions and the rest announcements. The slot of excludeAddr (the
+// source) is skipped, not refilled — the simulator's rule. Sorting before the
+// draw makes the split depend on the seeded RNG and the peer set alone, never
+// on map iteration order.
 func (n *Node) fanout(excludeAddr string) (push, announce []*peer) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	targets := make([]*peer, 0, len(n.peers))
-	for addr, p := range n.peers {
-		if addr != excludeAddr {
-			targets = append(targets, p)
+	peers := n.sortedPeers()
+	pushCount := gossip.PushCount(len(peers), false)
+	for i, pi := range n.rng.Perm(len(peers)) {
+		p := peers[pi]
+		if p.addr == excludeAddr {
+			continue
 		}
-	}
-	sort.Slice(targets, func(i, j int) bool { return targets[i].addr < targets[j].addr })
-	perm := n.rng.Perm(len(targets))
-	pushCount := len(targets)
-	if !n.cfg.PushAll {
-		pushCount = int(math.Ceil(math.Sqrt(float64(len(targets)))))
-	}
-	for i, pi := range perm {
 		if i < pushCount {
-			push = append(push, targets[pi])
+			push = append(push, p)
 		} else {
-			announce = append(announce, targets[pi])
+			announce = append(announce, p)
 		}
 	}
 	return push, announce
@@ -565,15 +536,9 @@ func (n *Node) fanout(excludeAddr string) (push, announce []*peer) {
 func (n *Node) SubmitLocal(tx *types.Transaction) txpool.Status {
 	n.mu.Lock()
 	res := n.pool.Offer(tx)
-	var out []*types.Transaction
-	if res.Status == txpool.StatusPending || (res.Status == txpool.StatusReplaced && n.pool.ContainsPending(tx)) {
-		out = append(out, tx)
-	}
-	out = append(out, res.Promoted...)
+	out := gossip.Propagatable(nil, tx, res, n.pool, false)
 	n.mu.Unlock()
-	if len(out) > 0 && !n.cfg.NoForward {
-		n.propagate("", out)
-	}
+	n.propagate("", out)
 	return res.Status
 }
 
@@ -626,10 +591,7 @@ type PeerStat struct {
 // per-peer message-flow view topology-measurement diagnosis needs.
 func (n *Node) PeerStats() []PeerStat {
 	n.mu.Lock()
-	peers := make([]*peer, 0, len(n.peers))
-	for _, p := range n.peers {
-		peers = append(peers, p)
-	}
+	peers := n.sortedPeers()
 	n.mu.Unlock()
 	out := make([]PeerStat, 0, len(peers))
 	for _, p := range peers {
@@ -642,6 +604,16 @@ func (n *Node) PeerStats() []PeerStat {
 			BytesOut:  p.bytesOut.Load(),
 		})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
 	return out
+}
+
+// sortedPeers returns the connected peers in address order; the caller holds
+// n.mu.
+func (n *Node) sortedPeers() []*peer {
+	peers := make([]*peer, 0, len(n.peers))
+	for _, p := range n.peers {
+		peers = append(peers, p)
+	}
+	sort.Slice(peers, func(i, j int) bool { return peers[i].addr < peers[j].addr })
+	return peers
 }

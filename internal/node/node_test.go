@@ -3,12 +3,15 @@ package node
 import (
 	"fmt"
 	"math/rand"
+	"net"
 	"slices"
 	"testing"
 	"time"
 
+	"toposhot/internal/gossip"
 	"toposhot/internal/txpool"
 	"toposhot/internal/types"
+	"toposhot/internal/wire"
 )
 
 const testNetID = 1337
@@ -110,16 +113,26 @@ func TestFuturesNotGossiped(t *testing.T) {
 // TestFanoutIndependentOfMapOrder: two nodes with one seed and one peer set
 // must split every propagation into the same push and announce sets. The
 // peers live in a map, so a split drawn over map order differs between the
-// two (Go randomizes each iteration) within a few rounds.
+// two (Go randomizes each iteration) within a few rounds. The split follows
+// the shared rule: ⌈√16⌉ = 4 push slots of a permutation over all 16 peers,
+// the source's slot skipped rather than refilled.
 func TestFanoutIndependentOfMapOrder(t *testing.T) {
+	const seed = 11
 	newNode := func() *Node {
-		n := &Node{peers: make(map[string]*peer), rng: rand.New(rand.NewSource(11))}
+		n := &Node{peers: make(map[string]*peer), rng: rand.New(rand.NewSource(seed))}
 		for i := 0; i < 16; i++ {
 			addr := fmt.Sprintf("10.0.0.%d:30303", i)
 			n.peers[addr] = &peer{addr: addr}
 		}
 		return n
 	}
+	a, b := newNode(), newNode()
+	var sorted []string
+	for addr := range a.peers {
+		sorted = append(sorted, addr)
+	}
+	slices.Sort(sorted)
+	ref := rand.New(rand.NewSource(seed)) // replays the draws to find the source's slot
 	addrs := func(ps []*peer) []string {
 		out := make([]string, len(ps))
 		for i, p := range ps {
@@ -127,17 +140,88 @@ func TestFanoutIndependentOfMapOrder(t *testing.T) {
 		}
 		return out
 	}
-	a, b := newNode(), newNode()
+	sourcePushSlots := 0
 	for round := 0; round < 200; round++ {
 		exclude := fmt.Sprintf("10.0.0.%d:30303", round%16)
+		wantPush := 4
+		if slot := slices.IndexFunc(ref.Perm(16), func(pi int) bool { return sorted[pi] == exclude }); slot < 4 {
+			wantPush, sourcePushSlots = 3, sourcePushSlots+1
+		}
 		pushA, annA := a.fanout(exclude)
 		pushB, annB := b.fanout(exclude)
-		if len(pushA) != 4 || len(pushA)+len(annA) != 15 {
-			t.Fatalf("round %d: split %d/%d of 15 peers, want ⌈√15⌉ = 4 pushed", round, len(pushA), len(annA))
+		if len(pushA) != wantPush || len(pushA)+len(annA) != 15 {
+			t.Fatalf("round %d: split %d/%d of the 15 non-source peers, want %d pushed", round, len(pushA), len(annA), wantPush)
+		}
+		if slices.Contains(addrs(pushA), exclude) || slices.Contains(addrs(annA), exclude) {
+			t.Fatalf("round %d: the source %s was sent its own transactions", round, exclude)
 		}
 		if !slices.Equal(addrs(pushA), addrs(pushB)) || !slices.Equal(addrs(annA), addrs(annB)) {
 			t.Fatalf("round %d: same seed and peers, different splits:\n push %v\n   vs %v", round, addrs(pushA), addrs(pushB))
 		}
+	}
+	if sourcePushSlots == 0 {
+		t.Fatal("the source never drew a push slot in 200 rounds; the skip rule went untested")
+	}
+}
+
+// TestLiveAnnounceLocksExpire: an announced hash is requested once per
+// gossip.AnnounceLock window, requested again once the window has passed,
+// and the lock table drains back to empty when a later announcement sweeps
+// it — no lock outlives its window on a long-running node.
+func TestLiveAnnounceLocksExpire(t *testing.T) {
+	local, remote := net.Pipe()
+	defer local.Close()
+	defer remote.Close()
+	clock := 0.0
+	n := &Node{pool: txpool.New(txpool.Geth.WithCapacity(16)), now: func() float64 { return clock }}
+	p := &peer{conn: local, addr: "announcer", w: local}
+	requests := make(chan []types.Hash)
+	go func() {
+		for {
+			m, err := wire.ReadMsg(remote)
+			if err != nil {
+				return
+			}
+			if m.Code == wire.CodeGetPooledTransactions {
+				requests <- m.Hashes
+			}
+		}
+	}()
+	expect := func(step string, want bool) {
+		t.Helper()
+		select {
+		case hs := <-requests:
+			if !want {
+				t.Fatalf("%s: unexpected request for %d hashes", step, len(hs))
+			}
+		case <-time.After(200 * time.Millisecond):
+			if want {
+				t.Fatalf("%s: no request", step)
+			}
+		}
+	}
+	locks := func() int {
+		live := 0
+		n.locks.Live(func(types.Hash, float64) { live++ })
+		return live
+	}
+	h := types.BytesToHash([]byte{0xaa})
+
+	n.handleAnnounce(p, []types.Hash{h})
+	expect("first announcement", true)
+	clock = 1
+	n.handleAnnounce(p, []types.Hash{h})
+	expect("announcement inside the window", false)
+	clock = gossip.AnnounceLock + 0.5
+	n.handleAnnounce(p, []types.Hash{h})
+	expect("announcement after the window", true)
+	if got := locks(); got != 1 {
+		t.Fatalf("lock table holds %d locks after re-arming one hash, want 1", got)
+	}
+	clock = 3 * gossip.AnnounceLock
+	n.handleAnnounce(p, nil)
+	if got := locks(); got != 0 {
+		t.Fatalf("lock table holds %d locks after the sweep, want 0", got)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"toposhot/internal/core"
 	"toposhot/internal/txpool"
 	"toposhot/internal/types"
 )
@@ -109,9 +110,7 @@ func (p *Prober) observedFrom(addr string, h types.Hash, t time.Time) bool {
 
 // mintFutures builds z futures at the given price over ⌈z/U⌉ accounts.
 func (p *Prober) mintFutures(z int, price uint64, u int) []*types.Transaction {
-	if u < 1 {
-		u = 1
-	}
+	u = max(u, 1)
 	txs := make([]*types.Transaction, 0, z)
 	for len(txs) < z {
 		acct := p.freshAccount()
@@ -126,10 +125,7 @@ func (p *Prober) mintFutures(z int, price uint64, u int) []*types.Transaction {
 func (p *Prober) sendChunked(addr string, txs []*types.Transaction) error {
 	const chunk = 256
 	for len(txs) > 0 {
-		n := chunk
-		if n > len(txs) {
-			n = len(txs)
-		}
+		n := min(chunk, len(txs))
 		if err := p.node.SendTo(addr, txs[:n]); err != nil {
 			return err
 		}
@@ -142,12 +138,12 @@ func (p *Prober) sendChunked(addr string, txs []*types.Transaction) error {
 // the peers at addresses a and b (the prober must already be dialed into
 // both) and reports whether the active link was detected.
 func (p *Prober) MeasureOneLink(a, b string, params ProbeParams) (bool, error) {
-	bump := func(y uint64) uint64 { return y*(1000+params.BumpMil)/1000 + 1 }
+	price := core.Params{BumpMil: params.BumpMil} // the simulator measurer's (1+R) prices
 	acct := p.freshAccount()
 	dest := p.freshAccount()
-	txC := types.NewTransaction(acct, dest, 0, params.Y, 0)
-	txB := types.NewTransaction(acct, dest, 0, params.Y*(1000-params.BumpMil/2)/1000, 0)
-	txA := types.NewTransaction(acct, dest, 0, params.Y*(1000+params.BumpMil/2)/1000, 0)
+	txC := types.NewTransaction(acct, dest, 0, price.PriceTxC(params.Y), 0)
+	txB := types.NewTransaction(acct, dest, 0, price.PriceTxB(params.Y), 0)
+	txA := types.NewTransaction(acct, dest, 0, price.PriceTxA(params.Y), 0)
 
 	// Step 1: plant txC on A, wait X for the flood.
 	if err := p.node.SendTo(a, []*types.Transaction{txC}); err != nil {
@@ -156,7 +152,7 @@ func (p *Prober) MeasureOneLink(a, b string, params ProbeParams) (bool, error) {
 	time.Sleep(params.X)
 
 	// Step 2: fill B with futures, plant txB.
-	if err := p.sendChunked(b, p.mintFutures(params.Z, bump(params.Y), params.U)); err != nil {
+	if err := p.sendChunked(b, p.mintFutures(params.Z, price.PriceFuture(params.Y), params.U)); err != nil {
 		return false, fmt.Errorf("step2: %w", err)
 	}
 	if err := p.node.SendTo(b, []*types.Transaction{txB}); err != nil {
@@ -165,7 +161,7 @@ func (p *Prober) MeasureOneLink(a, b string, params ProbeParams) (bool, error) {
 	time.Sleep(params.X / 2)
 
 	// Step 3: fill A with futures, plant txA.
-	if err := p.sendChunked(a, p.mintFutures(params.Z, bump(params.Y), params.U)); err != nil {
+	if err := p.sendChunked(a, p.mintFutures(params.Z, price.PriceFuture(params.Y), params.U)); err != nil {
 		return false, fmt.Errorf("step3: %w", err)
 	}
 	mark := time.Now()

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"toposhot/internal/ethsim"
+	"toposhot/internal/gossip"
 	"toposhot/internal/types"
 )
 
@@ -126,7 +127,7 @@ func (e *Ethna) sweep() {
 func invertPushRatio(r float64, max int) int {
 	best, bestDiff := 1, math.Inf(1)
 	for d := 1; d <= max; d++ {
-		share := math.Ceil(math.Sqrt(float64(d))) / float64(d)
+		share := float64(gossip.PushCount(d, false)) / float64(d)
 		if diff := math.Abs(share - r); diff < bestDiff {
 			best, bestDiff = d, diff
 		}
