@@ -36,6 +36,7 @@ check: build vet lint race
 fuzz:
 	$(GO) test -fuzz=FuzzRLPDecode -fuzztime=30s ./internal/rlp/
 	$(GO) test -fuzz=FuzzFrameParse -fuzztime=30s ./internal/wire/
+	$(GO) test -fuzz=FuzzRestoreNetwork -fuzztime=30s -fuzzminimizetime=5s ./internal/ethsim/
 	$(GO) test -fuzz=FuzzEventQueue -fuzztime=30s ./internal/sim/
 	$(GO) test -fuzz=FuzzPoolHeaps -fuzztime=30s ./internal/txpool/
 	$(GO) test -fuzz=FuzzPoolIdentity -fuzztime=30s ./internal/txpool/

@@ -2,6 +2,7 @@ package ethsim
 
 import (
 	"math/rand"
+	"slices"
 
 	"toposhot/internal/sim"
 	"toposhot/internal/types"
@@ -91,7 +92,7 @@ func (n *Network) addChurn(cfg ChurnConfig) *Churn {
 		}
 	} else {
 		c.pop = append(c.pop, cfg.Population...)
-		sortNodeIDs(c.pop)
+		slices.Sort(c.pop)
 	}
 	c.member = make([]bool, len(n.nodes)+1)
 	for _, id := range c.pop {
@@ -226,15 +227,5 @@ func (c *Churn) record(ev ChurnEvent) {
 	c.events = append(c.events, ev)
 	if c.OnEvent != nil {
 		c.OnEvent(ev)
-	}
-}
-
-// sortNodeIDs sorts ids ascending (insertion sort: populations are built
-// once at churn start; no need for sort.Slice's closure).
-func sortNodeIDs(ids []types.NodeID) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
 	}
 }

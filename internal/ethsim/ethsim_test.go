@@ -343,3 +343,20 @@ func TestDeterministicReplay(t *testing.T) {
 		t.Fatalf("seeded replay diverged: %d vs %d", a, b)
 	}
 }
+
+// liveDeliveryMarks counts FIFO watermarks still able to clamp a future
+// send: dense in-arena marks at or past the horizon plus every overflow
+// entry. It is the boundedness observable the lastDelivery regression test
+// asserts on.
+func (n *Network) liveDeliveryMarks() int {
+	horizon := n.eng.Now() - (n.cfg.LatencyMax + n.cfg.SpikeMax)
+	live := len(n.overflowMark)
+	for _, nd := range n.nodes {
+		for _, mark := range nd.marksSeg() {
+			if mark >= horizon && mark > 0 {
+				live++
+			}
+		}
+	}
+	return live
+}

@@ -698,23 +698,6 @@ func (n *Network) pruneDeliveryHorizon(now float64) {
 	}
 }
 
-// liveDeliveryMarks counts FIFO watermarks still able to clamp a future
-// send: dense in-arena marks at or past the horizon plus every overflow
-// entry. It is the boundedness observable the lastDelivery regression test
-// asserts on.
-func (n *Network) liveDeliveryMarks() int {
-	horizon := n.eng.Now() - (n.cfg.LatencyMax + n.cfg.SpikeMax)
-	live := len(n.overflowMark)
-	for _, nd := range n.nodes {
-		for _, mark := range nd.marksSeg() {
-			if mark >= horizon && mark > 0 {
-				live++
-			}
-		}
-	}
-	return live
-}
-
 // AddJanitorHook registers a callback run on every janitor tick (the
 // supernode uses it to age its estimation pool).
 func (n *Network) AddJanitorHook(h func(now float64)) {

@@ -39,30 +39,31 @@ func NewSupernode(net *Network) *Supernode {
 		NoForward: true,
 		Label:     "supernode",
 	}
-	s := &Supernode{
-		net:       net,
-		byHash:    make(map[types.Hash][]TxReceipt),
-		announced: make(map[types.Hash][]TxReceipt),
-		shadow:    txpool.New(txpool.Geth),
-	}
-	s.node = net.AddNode(cfg)
-	s.bindHooks()
-	net.AddJanitorHook(func(now float64) { s.shadow.SetTime(now) })
-	net.supers = append(net.supers, s)
-	return s
+	return net.addSupernode(net.AddNode(cfg), txpool.New(txpool.Geth))
 }
 
-// bindHooks installs the observation callbacks on the supernode's node —
-// shared between construction and checkpoint restore.
-func (s *Supernode) bindHooks() {
-	s.node.OnTxDelivered = func(r TxReceipt) {
+// addSupernode makes node a supernode with the given shadow pool: it binds
+// the observation hooks and registers the supernode — shared between
+// construction and checkpoint restore.
+func (n *Network) addSupernode(node *Node, shadow *txpool.Pool) *Supernode {
+	s := &Supernode{
+		node:      node,
+		net:       n,
+		byHash:    make(map[types.Hash][]TxReceipt),
+		announced: make(map[types.Hash][]TxReceipt),
+		shadow:    shadow,
+	}
+	node.OnTxDelivered = func(r TxReceipt) {
 		h := r.Tx.Hash()
 		s.byHash[h] = append(s.byHash[h], r)
 		s.shadow.Offer(r.Tx)
 	}
-	s.node.OnHashAnnounced = func(from types.NodeID, h types.Hash, at float64) {
+	node.OnHashAnnounced = func(from types.NodeID, h types.Hash, at float64) {
 		s.announced[h] = append(s.announced[h], TxReceipt{From: from, At: at})
 	}
+	n.AddJanitorHook(func(now float64) { s.shadow.SetTime(now) })
+	n.supers = append(n.supers, s)
+	return s
 }
 
 // Supernodes returns the supernodes attached to the network, in creation

@@ -82,10 +82,7 @@ func (w *Workload) account(i int) types.Address {
 // expire or are dropped — real users resubmit, which amounts to the same.
 func (w *Workload) next() (*types.Transaction, types.NodeID) {
 	rng := w.rng
-	price := w.PriceLo
-	if w.PriceHi > w.PriceLo {
-		price += uint64(rng.Int63n(int64(w.PriceHi - w.PriceLo)))
-	}
+	price := w.price()
 	w.seedIdx++
 	to := types.AddressFromUint64(w.accountBase | 0xffff0000 | w.seedIdx)
 	if rng.Float64() < 0.9 {
@@ -99,6 +96,14 @@ func (w *Workload) next() (*types.Transaction, types.NodeID) {
 	w.nonces[from] = nonce + 1
 	tx := types.NewTransaction(from, to, nonce, price, 1)
 	return tx, w.sinks[acctIdx%len(w.sinks)]
+}
+
+// price draws a gas price uniformly from [PriceLo, PriceHi).
+func (w *Workload) price() uint64 {
+	if w.PriceHi > w.PriceLo {
+		return w.PriceLo + uint64(w.rng.Int63n(int64(w.PriceHi-w.PriceLo)))
+	}
+	return w.PriceLo
 }
 
 // Start begins Poisson arrivals and keeps them going until Stop or until
@@ -146,11 +151,7 @@ func (w *Workload) Prefill(count int, settle float64) {
 	for i := 0; i < count; i++ {
 		w.seedIdx++
 		from := types.AddressFromUint64(w.accountBase | 0xeeee0000_00000000 | w.seedIdx)
-		price := w.PriceLo
-		if w.PriceHi > w.PriceLo {
-			price += uint64(rng.Int63n(int64(w.PriceHi - w.PriceLo)))
-		}
-		tx := types.NewTransaction(from, types.AddressFromUint64(w.seedIdx), 0, price, 1)
+		tx := types.NewTransaction(from, types.AddressFromUint64(w.seedIdx), 0, w.price(), 1)
 		sink := w.sinks[rng.Intn(len(w.sinks))]
 		if nd := w.net.Node(sink); nd != nil {
 			nd.SubmitLocal(tx)

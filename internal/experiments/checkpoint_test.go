@@ -49,9 +49,11 @@ func trackingCheckpoint() *Checkpoint {
 				Urgent: [][2]types.NodeID{{2, 3}},
 			},
 			TicksDone: 3, EventIndex: 4,
-			BaselineTxs: 1000, BaselineEther: 0.5, BaselineDuration: 3600,
-			CensusScore: core.Score{TruePositives: 9, FalseNegatives: 1},
-			TrackerTxs:  70, TrackerEther: 0.01, TrackerDuration: 360,
+			TrackingTotals: TrackingTotals{
+				BaselineTxs: 1000, BaselineEther: 0.5, BaselineDuration: 3600,
+				CensusScore: core.Score{TruePositives: 9, FalseNegatives: 1},
+				TrackerTxs:  70, TrackerEther: 0.01, TrackerDuration: 360,
+			},
 		},
 	}
 }

@@ -77,16 +77,25 @@ type TrackingResume struct {
 	// EventIndex continues the churn-hint parity across the restart (the
 	// restored churn log itself restarts empty).
 	EventIndex int
-	// Seeding-census baselines, carried verbatim.
+	// TrackingTotals carries the seeding-census baselines verbatim and the
+	// tracker spend before the checkpoint, so the summary arithmetic stays
+	// cumulative across restarts (the continuation's ledger starts empty).
+	TrackingTotals
+}
+
+// TrackingTotals is a tracking run's spend record: the seeding census's
+// probe transactions, worst-case cost, virtual duration and score against
+// the pre-churn truth, then the tracker's totals across all ticks. Embedded
+// untagged, its fields are flattened into the JSON of both TrackingResume
+// and Tracking.
+type TrackingTotals struct {
 	BaselineTxs      int
 	BaselineEther    float64
 	BaselineDuration float64
 	CensusScore      core.Score
-	// Tracker spend before the checkpoint, so the summary arithmetic stays
-	// cumulative across restarts (the continuation's ledger starts empty).
-	TrackerTxs      int
-	TrackerEther    float64
-	TrackerDuration float64
+	TrackerTxs       int
+	TrackerEther     float64
+	TrackerDuration  float64
 }
 
 // TrackingTick is one completed delta campaign.
@@ -119,18 +128,9 @@ func (t *TrackingTick) Checkpoint() (*Checkpoint, error) { return t.checkpoint(t
 type Tracking struct {
 	Config  TrackingConfig
 	Targets int
-	// Seeding census baselines: probe transactions, worst-case cost, virtual
-	// duration, and score against the pre-churn truth.
-	BaselineTxs      int
-	BaselineEther    float64
-	BaselineDuration float64
-	CensusScore      core.Score
-	// Tracker totals across all ticks.
-	TrackerTxs      int
-	TrackerEther    float64
-	TrackerDuration float64
-	ChurnEvents     int
-	Ticks           []TrackingTick
+	TrackingTotals
+	ChurnEvents int
+	Ticks       []TrackingTick
 	// Belief is the final tracked edge set; FinalState its serialized form.
 	Belief     *core.EdgeSet
 	FinalState *tracker.State
@@ -238,9 +238,8 @@ func RunTracking(cfg TrackingConfig) (*Tracking, error) {
 		}
 		targets = trk.Targets()
 		startTick, churnSeen = r.TicksDone, r.EventIndex
-		out.BaselineTxs, out.BaselineEther, out.BaselineDuration = r.BaselineTxs, r.BaselineEther, r.BaselineDuration
-		out.CensusScore = r.CensusScore
-		baseTxs, baseEther, out.TrackerDuration = r.TrackerTxs, r.TrackerEther, r.TrackerDuration
+		out.TrackingTotals = r.TrackingTotals
+		baseTxs, baseEther = r.TrackerTxs, r.TrackerEther
 	} else {
 		// Fresh run: build RunCensus's world and seed the tracker with a full
 		// census — the per-tick baseline being beaten.
@@ -321,12 +320,9 @@ func RunTracking(cfg TrackingConfig) (*Tracking, error) {
 		if err != nil {
 			return nil, err
 		}
-		ck.Tracking = &TrackingResume{
-			Tracker: trk.State(), TicksDone: tt.Tick, EventIndex: churnSeen,
-			BaselineTxs: out.BaselineTxs, BaselineEther: out.BaselineEther,
-			BaselineDuration: out.BaselineDuration, CensusScore: out.CensusScore,
-			TrackerTxs: tt.Txs, TrackerEther: tt.Ether, TrackerDuration: tt.TotalDuration,
-		}
+		tot := out.TrackingTotals
+		tot.TrackerTxs, tot.TrackerEther, tot.TrackerDuration = tt.Txs, tt.Ether, tt.TotalDuration
+		ck.Tracking = &TrackingResume{Tracker: trk.State(), TicksDone: tt.Tick, EventIndex: churnSeen, TrackingTotals: tot}
 		return ck, nil
 	}
 

@@ -1,12 +1,21 @@
 // Package rlp implements Ethereum's Recursive Length Prefix serialization.
 //
-// RLP encodes two kinds of items: byte strings and lists of items. This
-// implementation provides an explicit item tree (no reflection), which keeps
-// the wire package's message codecs simple and allocation-predictable:
+// RLP encodes two kinds of items: byte strings and lists of items. The
+// package has two layers. The item tree builds and parses items explicitly:
 //
 //	payload := rlp.List(rlp.Uint(nonce), rlp.Bytes(addr[:]))
 //	enc := rlp.Encode(payload)
 //	item, err := rlp.Decode(enc)
+//
+// Marshal and Unmarshal sit on top of it and map Go values to items by type,
+// in go-ethereum's convention: a struct is the list of its exported fields in
+// declaration order, a slice or array is a list, integers, bools and floats
+// are byte strings. A layout declared as Go types is then written once, and
+// Unmarshal checks every arity, width and size it implies (the ethsim
+// checkpoint and the wire messages are such layouts):
+//
+//	var st Status
+//	err := rlp.Unmarshal(enc, &st)
 //
 // The encoding rules follow the yellow paper / devp2p spec:
 //
@@ -18,8 +27,10 @@
 package rlp
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // Kind discriminates the two RLP item kinds.
@@ -51,16 +62,8 @@ func Uint(v uint64) Item {
 		return Item{Kind: KindString}
 	}
 	var buf [8]byte
-	n := 0
-	for shift := 56; shift >= 0; shift -= 8 {
-		b := byte(v >> uint(shift))
-		if n == 0 && b == 0 {
-			continue
-		}
-		buf[n] = b
-		n++
-	}
-	return Item{Kind: KindString, Str: append([]byte(nil), buf[:n]...)}
+	binary.BigEndian.PutUint64(buf[:], v)
+	return Item{Kind: KindString, Str: append([]byte(nil), buf[8-bigEndianLen(v):]...)}
 }
 
 // List returns a list item of the given children.
@@ -124,17 +127,8 @@ func headerLen(n int) int {
 	return 1 + bigEndianLen(uint64(n))
 }
 
-func bigEndianLen(v uint64) int {
-	n := 0
-	for v > 0 {
-		n++
-		v >>= 8
-	}
-	if n == 0 {
-		n = 1
-	}
-	return n
-}
+// bigEndianLen is the byte length of v without leading zeros (1 for zero).
+func bigEndianLen(v uint64) int { return max(1, (bits.Len64(v)+7)/8) }
 
 // Encode serializes the item tree to RLP bytes.
 func Encode(it Item) []byte {
@@ -199,57 +193,42 @@ func decodeOne(data []byte) (Item, []byte, error) {
 		return Item{}, nil, errTruncated
 	}
 	b := data[0]
+	kind, n, body := KindString, 0, data[1:]
 	switch {
 	case b <= 0x7f:
 		return Item{Kind: KindString, Str: data[:1]}, data[1:], nil
 	case b <= 0xb7:
-		n := int(b - 0x80)
-		if len(data) < 1+n {
-			return Item{}, nil, errTruncated
+		n = int(b - 0x80)
+	case b >= 0xc0 && b <= 0xf7:
+		kind, n = KindList, int(b-0xc0)
+	default: // a long string (0xb8–0xbf) or list (0xf8–0xff)
+		base, what := byte(0xb7), "string"
+		if b >= 0xf8 {
+			kind, base, what = KindList, 0xf7, "list"
 		}
-		if n == 1 && data[1] <= 0x7f {
+		var err error
+		if n, body, err = longLength(data, b-base); err != nil {
+			return Item{}, nil, err
+		}
+		if n <= 55 {
+			return Item{}, nil, errors.New("rlp: non-canonical long " + what)
+		}
+	}
+	if len(body) < n {
+		return Item{}, nil, errTruncated
+	}
+	payload, rest := body[:n], body[n:]
+	if kind == KindString {
+		if n == 1 && payload[0] <= 0x7f {
 			return Item{}, nil, errors.New("rlp: non-canonical single byte")
 		}
-		return Item{Kind: KindString, Str: data[1 : 1+n]}, data[1+n:], nil
-	case b <= 0xbf:
-		n, rest, err := longLength(data, b-0xb7)
-		if err != nil {
-			return Item{}, nil, err
-		}
-		if n <= 55 {
-			return Item{}, nil, errors.New("rlp: non-canonical long string")
-		}
-		if len(rest) < n {
-			return Item{}, nil, errTruncated
-		}
-		return Item{Kind: KindString, Str: rest[:n]}, rest[n:], nil
-	case b <= 0xf7:
-		n := int(b - 0xc0)
-		if len(data) < 1+n {
-			return Item{}, nil, errTruncated
-		}
-		items, err := decodeList(data[1 : 1+n])
-		if err != nil {
-			return Item{}, nil, err
-		}
-		return Item{Kind: KindList, Items: items}, data[1+n:], nil
-	default:
-		n, rest, err := longLength(data, b-0xf7)
-		if err != nil {
-			return Item{}, nil, err
-		}
-		if n <= 55 {
-			return Item{}, nil, errors.New("rlp: non-canonical long list")
-		}
-		if len(rest) < n {
-			return Item{}, nil, errTruncated
-		}
-		items, err := decodeList(rest[:n])
-		if err != nil {
-			return Item{}, nil, err
-		}
-		return Item{Kind: KindList, Items: items}, rest[n:], nil
+		return Item{Kind: KindString, Str: payload}, rest, nil
 	}
+	items, err := decodeList(payload)
+	if err != nil {
+		return Item{}, nil, err
+	}
+	return Item{Kind: KindList, Items: items}, rest, nil
 }
 
 // longLength parses an ll-byte big-endian length following the header byte.

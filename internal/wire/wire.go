@@ -15,7 +15,6 @@ package wire
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 
@@ -39,7 +38,7 @@ const MaxFrameSize = 16 << 20
 // ProtocolVersion is the handshake protocol version.
 const ProtocolVersion = 66
 
-// Status is the handshake message.
+// Status is the handshake message; its field order is the payload layout.
 type Status struct {
 	ProtocolVersion uint64
 	NetworkID       uint64
@@ -61,167 +60,75 @@ type Msg struct {
 	Reason string
 }
 
-// txToRLP converts a transaction to its RLP item form
-// [from, to, nonce, gasPrice, gas, value, data].
-func txToRLP(tx *types.Transaction) rlp.Item {
-	return rlp.List(
-		rlp.Bytes(tx.From[:]),
-		rlp.Bytes(tx.To[:]),
-		rlp.Uint(tx.Nonce),
-		rlp.Uint(tx.GasPrice),
-		rlp.Uint(tx.Gas),
-		rlp.Uint(tx.Value),
-		rlp.Bytes(tx.Data),
-	)
+// txRecord is a transaction's wire form, [from, to, nonce, gasPrice, gas,
+// value, data]; the Transactions and PooledTransactions payloads are lists
+// of it.
+type txRecord struct {
+	From, To                    types.Address
+	Nonce, GasPrice, Gas, Value uint64
+	Data                        []byte
 }
 
-// txFromRLP parses a transaction item.
-func txFromRLP(it rlp.Item) (*types.Transaction, error) {
-	fields, err := it.AsList()
-	if err != nil {
-		return nil, err
-	}
-	if len(fields) != 7 {
-		return nil, fmt.Errorf("wire: transaction with %d fields", len(fields))
-	}
-	fromB, err := fields[0].AsBytes()
-	if err != nil {
-		return nil, err
-	}
-	toB, err := fields[1].AsBytes()
-	if err != nil {
-		return nil, err
-	}
-	if len(fromB) != types.AddressLength || len(toB) != types.AddressLength {
-		return nil, errors.New("wire: bad address length")
-	}
-	nonce, err := fields[2].AsUint()
-	if err != nil {
-		return nil, err
-	}
-	gasPrice, err := fields[3].AsUint()
-	if err != nil {
-		return nil, err
-	}
-	gas, err := fields[4].AsUint()
-	if err != nil {
-		return nil, err
-	}
-	value, err := fields[5].AsUint()
-	if err != nil {
-		return nil, err
-	}
-	data, err := fields[6].AsBytes()
-	if err != nil {
-		return nil, err
-	}
-	tx := &types.Transaction{
-		From:     types.BytesToAddress(fromB),
-		To:       types.BytesToAddress(toB),
-		Nonce:    nonce,
-		GasPrice: gasPrice,
-		Gas:      gas,
-		Value:    value,
-		Data:     append([]byte(nil), data...),
-	}
-	return tx, nil
-}
-
-// encodePayload builds the RLP payload for a message.
-func encodePayload(m Msg) (rlp.Item, error) {
+// encodePayload returns the RLP payload for a message.
+func encodePayload(m Msg) ([]byte, error) {
 	switch m.Code {
 	case CodeStatus:
-		return rlp.List(
-			rlp.Uint(m.Status.ProtocolVersion),
-			rlp.Uint(m.Status.NetworkID),
-			rlp.String(m.Status.ClientVersion),
-		), nil
+		return rlp.Marshal(m.Status)
 	case CodeTransactions, CodePooledTransactions:
-		items := make([]rlp.Item, len(m.Txs))
+		recs := make([]txRecord, len(m.Txs))
 		for i, tx := range m.Txs {
-			items[i] = txToRLP(tx)
+			recs[i] = txRecord{tx.From, tx.To, tx.Nonce, tx.GasPrice, tx.Gas, tx.Value, tx.Data}
 		}
-		return rlp.List(items...), nil
+		return rlp.Marshal(recs)
 	case CodeNewPooledTransactionHashes, CodeGetPooledTransactions:
-		items := make([]rlp.Item, len(m.Hashes))
-		for i, h := range m.Hashes {
-			items[i] = rlp.Bytes(h[:])
-		}
-		return rlp.List(items...), nil
+		return rlp.Marshal(m.Hashes)
 	case CodeDisconnect:
-		return rlp.List(rlp.String(m.Reason)), nil
+		return rlp.Marshal([]string{m.Reason})
 	default:
-		return rlp.Item{}, fmt.Errorf("wire: unknown code %d", m.Code)
+		return nil, fmt.Errorf("wire: unknown code %d", m.Code)
 	}
 }
 
 // decodePayload parses the RLP payload for a message code.
 func decodePayload(code byte, payload []byte) (Msg, error) {
 	m := Msg{Code: code}
-	it, err := rlp.Decode(payload)
-	if err != nil {
-		return m, err
-	}
-	fields, err := it.AsList()
-	if err != nil {
-		return m, err
-	}
+	var err error
 	switch code {
 	case CodeStatus:
-		if len(fields) != 3 {
-			return m, fmt.Errorf("wire: status with %d fields", len(fields))
-		}
-		if m.Status.ProtocolVersion, err = fields[0].AsUint(); err != nil {
-			return m, err
-		}
-		if m.Status.NetworkID, err = fields[1].AsUint(); err != nil {
-			return m, err
-		}
-		b, err := fields[2].AsBytes()
-		if err != nil {
-			return m, err
-		}
-		m.Status.ClientVersion = string(b)
+		err = rlp.Unmarshal(payload, &m.Status)
 	case CodeTransactions, CodePooledTransactions:
-		for _, f := range fields {
-			tx, err := txFromRLP(f)
-			if err != nil {
-				return m, err
+		var recs []txRecord
+		if err = rlp.Unmarshal(payload, &recs); err == nil {
+			for _, r := range recs {
+				m.Txs = append(m.Txs, &types.Transaction{From: r.From, To: r.To, Nonce: r.Nonce,
+					GasPrice: r.GasPrice, Gas: r.Gas, Value: r.Value, Data: r.Data})
 			}
-			m.Txs = append(m.Txs, tx)
 		}
 	case CodeNewPooledTransactionHashes, CodeGetPooledTransactions:
-		for _, f := range fields {
-			b, err := f.AsBytes()
-			if err != nil {
-				return m, err
-			}
-			if len(b) != types.HashLength {
-				return m, errors.New("wire: bad hash length")
-			}
-			m.Hashes = append(m.Hashes, types.BytesToHash(b))
-		}
+		err = rlp.Unmarshal(payload, &m.Hashes)
 	case CodeDisconnect:
-		if len(fields) > 0 {
-			b, err := fields[0].AsBytes()
-			if err != nil {
-				return m, err
+		// The reason is optional, and whatever follows it is ignored.
+		var it rlp.Item
+		var fields []rlp.Item
+		if it, err = rlp.Decode(payload); err == nil {
+			if fields, err = it.AsList(); err == nil && len(fields) > 0 {
+				var b []byte
+				b, err = fields[0].AsBytes()
+				m.Reason = string(b)
 			}
-			m.Reason = string(b)
 		}
 	default:
-		return m, fmt.Errorf("wire: unknown code %d", code)
+		err = fmt.Errorf("wire: unknown code %d", code)
 	}
-	return m, nil
+	return m, err
 }
 
 // WriteMsg frames and writes a message to w.
 func WriteMsg(w io.Writer, m Msg) error {
-	payloadItem, err := encodePayload(m)
+	payload, err := encodePayload(m)
 	if err != nil {
 		return err
 	}
-	payload := rlp.Encode(payloadItem)
 	if len(payload) > MaxFrameSize {
 		return fmt.Errorf("wire: frame too large (%d bytes)", len(payload))
 	}
