@@ -260,16 +260,13 @@ func (c *campaign) sharded() int {
 // included) plus the tracker snapshot, so -resume continues mid-campaign.
 func (c *campaign) tracking() int {
 	cfg := experiments.TrackingConfig{
-		Census:          c.census,
-		Ticks:           c.ticks,
-		TickSeconds:     120,
-		Tracker:         tracker.Config{Budget: c.budget, HalfLife: 6, MinConfidence: 0.25},
-		ChurnInterval:   c.churn,
-		ChurnRemoveFrac: 0.5,
-		HintEvery:       2,
-		Lanes:           c.lanes,
-		Ledger:          c.ledger,
-		Resume:          c.resume,
+		Census:        c.census,
+		Ticks:         c.ticks,
+		Tracker:       tracker.Config{Budget: c.budget, HalfLife: 6, MinConfidence: 0.25},
+		ChurnInterval: c.churn,
+		Lanes:         c.lanes,
+		Ledger:        c.ledger,
+		Resume:        c.resume,
 	}
 	if r := c.resume; r != nil {
 		c.cli.Logger.Info("tracking-resumed", obs.String("file", c.resumeFrom),

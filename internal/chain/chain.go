@@ -80,20 +80,12 @@ func (c *Chain) append(b *types.Block) {
 
 // MinerConfig parameterizes block production.
 type MinerConfig struct {
-	// Interval is the mean seconds between blocks (~13 s on mainnet).
+	// Interval is the seconds between blocks (~13 s on mainnet).
 	Interval float64
 	// GasLimit is the per-block gas limit.
 	GasLimit uint64
 	// BroadcastDelay is the time for a block to reach the whole network.
 	BroadcastDelay float64
-	// Jitter, when true, draws inter-block gaps from an exponential
-	// distribution (PoW-like); otherwise blocks land exactly every Interval.
-	Jitter bool
-}
-
-// DefaultMinerConfig resembles the 2021 mainnet: 13 s blocks, 12.5M gas.
-func DefaultMinerConfig() MinerConfig {
-	return MinerConfig{Interval: 13, GasLimit: types.DefaultBlockGasLimit, BroadcastDelay: 1.0, Jitter: false}
 }
 
 // Miner drives block production on a network. Each round, the next miner
@@ -148,11 +140,7 @@ func (m *Miner) HandleEvent(arg uint64) {
 		return
 	}
 	m.ProduceBlock()
-	gap := m.cfg.Interval
-	if m.cfg.Jitter {
-		gap = m.net.Engine().Rand().ExpFloat64() * m.cfg.Interval
-	}
-	m.net.Engine().AfterHandler(gap, m, 0)
+	m.net.Engine().AfterHandler(m.cfg.Interval, m, 0)
 }
 
 // ProduceBlock immediately mines one block on the next miner in rotation

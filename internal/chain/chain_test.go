@@ -100,7 +100,7 @@ func TestRunningMinerBlocksCheckpoint(t *testing.T) {
 	if _, err := net.Checkpoint(); err != nil {
 		t.Fatalf("Checkpoint before mining: %v", err)
 	}
-	NewMiner(net, DefaultMinerConfig(), ids[:1]).Start(0)
+	NewMiner(net, MinerConfig{Interval: 13, GasLimit: 10 * types.TxGasTransfer, BroadcastDelay: 1}, ids[:1]).Start(0)
 	if _, err := net.Checkpoint(); !errors.Is(err, sim.ErrForeignHandler) {
 		t.Fatalf("Checkpoint with a running miner: err = %v, want sim.ErrForeignHandler", err)
 	}

@@ -27,10 +27,8 @@ func minedWorld(seed int64) (*ethsim.Network, []types.NodeID) {
 // the same equal-time ordering of block application against traffic.
 func TestMinerScheduleGolden(t *testing.T) {
 	cfg := MinerConfig{Interval: 5, GasLimit: 40 * types.TxGasTransfer, BroadcastDelay: 0.5}
-	jittered := cfg
-	jittered.Jitter = true
 
-	plain := func(cfg MinerConfig, stopAt float64) string {
+	plain := func(stopAt float64) string {
 		net, ids := minedWorld(11)
 		m := NewMiner(net, cfg, ids[:2])
 		var applied []string
@@ -61,15 +59,11 @@ func TestMinerScheduleGolden(t *testing.T) {
 	}
 
 	for _, tc := range []struct{ name, got, want string }{
-		{"fixed", plain(cfg, 0),
+		{"fixed", plain(0),
 			"1@7.000000:40 2@12.000000:40 3@17.000000:22 4@22.000000:23 5@27.000000:13 6@32.000000:17 7@37.000000:21 8@42.000000:28 " +
 				"| applied 1@7.500000 2@12.500000 3@17.500000 4@22.500000 5@27.500000 6@32.500000 7@37.500000 8@42.500000"},
-		{"fixed-stopAt", plain(cfg, 22),
+		{"fixed-stopAt", plain(22),
 			"1@7.000000:40 2@12.000000:40 3@17.000000:22 | applied 1@7.500000 2@12.500000 3@17.500000"},
-		{"jitter", plain(jittered, 0),
-			"1@7.000000:40 2@11.505481:40 3@37.059391:40 4@38.336483:40 | applied 1@7.500000 2@12.005481 3@37.559391 4@38.836483"},
-		{"jitter-stopAt", plain(jittered, 22),
-			"1@7.000000:40 2@11.505481:40 | applied 1@7.500000 2@12.005481"},
 		{"1559", dynamic(0),
 			"h1/fee1125000000/pool1125000000 h2/fee1265625000/pool1265625000 h4/fee1297018432/pool1297018432 " +
 				"h5/fee1280805702/pool1280805702 h7/fee1225270768/pool1264795631 h8/fee1171665172/pool1171665172 " +

@@ -43,7 +43,6 @@ const (
 	spanSinkSetup   = "sink-setup"
 	spanSourceSetup = "source-setup"
 
-	evTxCBuffered = "txC-still-buffered"
 	evSetupFailed = "setup-failed"
 )
 
@@ -84,15 +83,6 @@ type Params struct {
 	U int
 	// SettleTime is the Step-4 wait for txA to cross A→B→M.
 	SettleTime float64
-	// VerifyEviction, when true, checks via RPC that txC actually left the
-	// target pools before planting txA/txB (the paper's validation does).
-	VerifyEviction bool
-	// YQuantile selects which quantile of M's pending prices prices txC;
-	// 0 means the paper's median. Campaigns on networks whose mempools run
-	// near capacity use a higher quantile so txC clears every pool's
-	// eviction floor (the "high enough to avoid eviction" condition of
-	// §5.2.1).
-	YQuantile float64
 	// DynamicFeeTip, when non-zero, makes every measurement transaction an
 	// EIP-1559 dynamic-fee transaction: the prices above become fee caps and
 	// this value the priority fee. A near-zero tip keeps miners away from
@@ -247,15 +237,7 @@ func (m *Measurer) EstimateY() uint64 {
 	if len(prices) == 0 {
 		return types.Gwei / 10
 	}
-	q := m.params.YQuantile
-	if q <= 0 {
-		return stats.MedianUint64(prices)
-	}
-	fs := make([]float64, len(prices))
-	for i, p := range prices {
-		fs[i] = float64(p)
-	}
-	return uint64(stats.Quantile(fs, q))
+	return stats.MedianUint64(prices)
 }
 
 // resolveY returns the configured or estimated txC price.
@@ -377,16 +359,6 @@ func (m *Measurer) MeasureOneLink(a, b types.NodeID) (bool, error) {
 	dr = m.tracer.StartSpan(spanDrain)
 	m.runUntilDrained()
 	dr.End()
-
-	if m.params.VerifyEviction {
-		vs := m.tracer.StartSpan(spanVerifyRPC)
-		for _, id := range []types.NodeID{a, b} {
-			if held, err := m.net.Node(id).RPC().HasTransaction(txC); err == nil && held {
-				m.tracer.Event(evTxCBuffered, trace.Int(attrNode, int64(id)))
-			}
-		}
-		vs.End()
-	}
 
 	// Step 4: does M receive txA from B — and only from B? Receiving txA
 	// from any other peer means isolation broke; the observation is

@@ -224,9 +224,11 @@ func (n *Network) image() (*image, error) {
 	return img, nil
 }
 
-// flags lists NodeConfig's switches in nodeConfigImage.Flags bit order.
+// flags lists NodeConfig's switches in nodeConfigImage.Flags bit order. Bit 4
+// belonged to a miner switch nothing read; no writer ever set it, and check
+// rejects it with every other bit past the list.
 func (cfg *NodeConfig) flags() []*bool {
-	return []*bool{&cfg.LegacyPushAll, &cfg.NoForward, &cfg.ForwardFutures, &cfg.Unresponsive, &cfg.Miner}
+	return []*bool{&cfg.LegacyPushAll, &cfg.NoForward, &cfg.ForwardFutures, &cfg.Unresponsive}
 }
 
 // image captures the node. The out-queue takes its transaction-table refs
@@ -370,6 +372,9 @@ func (img *image) check() error {
 		id := uint64(i + 1)
 		if !pooled(&nd.Pool) || slices.ContainsFunc(nd.OutQ, func(o outImage) bool { return outside(o.Tx) }) {
 			return fmt.Errorf("node %d: transaction ref out of table (%d)", id, table)
+		}
+		if nd.Config.Flags>>len(new(NodeConfig).flags()) != 0 {
+			return fmt.Errorf("node %d: config flags %#x set a switch that does not exist", id, nd.Config.Flags)
 		}
 		for j, p := range nd.Peers {
 			if p.Key == 0 || p.Key > uint64(len(img.Nodes)) || p.Key == id || j > 0 && p.Key <= nd.Peers[j-1].Key {

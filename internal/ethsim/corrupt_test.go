@@ -3,6 +3,7 @@ package ethsim
 import (
 	"testing"
 
+	"toposhot/internal/rlp"
 	"toposhot/internal/txpool"
 	"toposhot/internal/types"
 )
@@ -93,6 +94,34 @@ func TestRestoreRejectsCorruptBlob(t *testing.T) {
 		copy(buf, blob)
 		buf[off] ^= 1 << (off % 8)
 		survives(t, buf, "bit flip", off)
+	}
+}
+
+// TestRestoreRejectsUnknownConfigFlag: a node-config flag bit with no switch
+// behind it (bit 4 held a miner switch nothing read) is a damaged blob, not a
+// silently dropped setting; the highest real switch still restores.
+func TestRestoreRejectsUnknownConfigFlag(t *testing.T) {
+	net, _ := buildCheckpointNet(1)
+	for _, tc := range []struct {
+		flags uint64
+		ok    bool
+	}{{1 << 3, true}, {1 << 4, false}, {1 << 63, false}} {
+		img, err := net.image()
+		if err != nil {
+			t.Fatal(err)
+		}
+		img.Nodes[0].Config.Flags |= tc.flags
+		blob, err := rlp.Marshal(img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		restored, err := RestoreNetwork(blob)
+		if (err == nil) != tc.ok {
+			t.Fatalf("flags %#x: err = %v, want accepted %v", tc.flags, err, tc.ok)
+		}
+		if tc.ok && !restored.Node(1).Config().Unresponsive {
+			t.Fatalf("flags %#x: Unresponsive not restored", tc.flags)
+		}
 	}
 }
 

@@ -28,8 +28,6 @@ type NodeConfig struct {
 	ForwardFutures bool
 	// Unresponsive marks a node that drops every incoming message.
 	Unresponsive bool
-	// Miner enables block production on this node (see chain wiring).
-	Miner bool
 	// Label tags the node with a service name (for the mainnet scenario).
 	Label string
 	// VersionTag, when set, is appended to the client-version string — the

@@ -53,14 +53,15 @@ func AppA(seed int64) (*AppAResult, error) {
 	// share the pools, so the interleaved order is part of the result.
 	txProbe, topoShot, measuredTruth := core.NewEdgeSet(), core.NewEdgeSet(), core.NewEdgeSet()
 	for _, pr := range pairs {
-		got, err := probe.MeasureOneLink(pr[0], pr[1])
+		c, err := probe.MeasurePair(pr[0], pr[1])
 		if err != nil {
 			return nil, err
 		}
-		if got {
+		if c.Detected {
 			txProbe.Add(pr[0], pr[1])
 		}
-		if got, err = v.m.MeasureOneLink(pr[0], pr[1]); err != nil {
+		got, err := v.m.MeasureOneLink(pr[0], pr[1])
+		if err != nil {
 			return nil, err
 		}
 		if got {

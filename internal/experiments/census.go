@@ -13,6 +13,7 @@ import (
 	"toposhot/internal/core"
 	"toposhot/internal/graph"
 	"toposhot/internal/netgen"
+	"toposhot/internal/obs"
 	"toposhot/internal/runner"
 	"toposhot/internal/trace"
 	"toposhot/internal/types"
@@ -115,6 +116,8 @@ func RunCensus(cfg CensusConfig) (*Census, error) {
 
 	m := core.NewMeasurer(net, world.Super, cfg.MeasureParams())
 	m.SetTracer(tr)
+	// Its events go to a scope named like the lane, on the census's clock.
+	m.SetObs(obs.Enabled().Scope("census:"+censusKey(cfg), nil), nil)
 
 	pp := tr.StartSpan(spanPreprocess)
 	pre := m.Preprocess(inst.IDs)

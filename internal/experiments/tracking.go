@@ -26,6 +26,19 @@ const (
 	msgTickDone = "tick-done"
 )
 
+// The churning world every tracking run follows.
+const (
+	// tickSeconds is the virtual idle time between campaigns (the network
+	// churns during it).
+	tickSeconds = 120
+	// churnRemoveFrac is churn's teardown share (0.5 = steady density).
+	churnRemoveFrac = 0.5
+	// hintEvery feeds every k-th churn event to Tracker.Observe, modelling a
+	// session crawler (à la Ethna) that tips the tracker off about *some*
+	// churn; the rest must be found by the staleness sweep.
+	hintEvery = 2
+)
+
 // TrackingConfig sizes an incremental-tracking experiment: one seeding
 // census, then a churning network followed tick-by-tick with budgeted delta
 // campaigns instead of full recomputes.
@@ -35,21 +48,12 @@ type TrackingConfig struct {
 	Census CensusConfig
 	// Ticks is the number of delta campaigns after the seeding census.
 	Ticks int
-	// TickSeconds is the virtual idle time between campaigns (the network
-	// churns during it).
-	TickSeconds float64
 	// Tracker is the delta-campaign planner configuration (budget in pairs
 	// per tick, confidence half-life in ticks, staleness cutoff).
 	Tracker tracker.Config
 	// ChurnInterval is the mean virtual seconds between single-link churn
-	// events; ChurnRemoveFrac the teardown share (0.5 = steady density).
-	ChurnInterval   float64
-	ChurnRemoveFrac float64
-	// HintEvery feeds every k-th churn event to Tracker.Observe, modelling a
-	// session crawler (à la Ethna) that tips the tracker off about *some*
-	// churn; the rest must be found by the staleness sweep. 0 disables hints,
-	// 1 hints everything.
-	HintEvery int
+	// events.
+	ChurnInterval float64
 	// Lanes is the engine lane count (wall-clock only, never results).
 	Lanes int
 	// Ledger, when set, receives the run's cost attribution in place of a
@@ -179,13 +183,10 @@ func (t *Tracking) RecallLoss() float64 {
 // as usual).
 func GoerliTracking(seed int64) TrackingConfig {
 	return TrackingConfig{
-		Census:          GoerliCensus(seed),
-		Ticks:           12,
-		TickSeconds:     120,
-		Tracker:         tracker.Config{Budget: 72, HalfLife: 6, MinConfidence: 0.25},
-		ChurnInterval:   20,
-		ChurnRemoveFrac: 0.5,
-		HintEvery:       2,
+		Census:        GoerliCensus(seed),
+		Ticks:         12,
+		Tracker:       tracker.Config{Budget: 72, HalfLife: 6, MinConfidence: 0.25},
+		ChurnInterval: 20,
 	}
 }
 
@@ -280,7 +281,7 @@ func RunTracking(cfg TrackingConfig) (*Tracking, error) {
 		// Churn starts only now: the census seeded a stable graph.
 		net.StartChurn(ethsim.ChurnConfig{
 			Interval:   cfg.ChurnInterval,
-			RemoveFrac: cfg.ChurnRemoveFrac,
+			RemoveFrac: churnRemoveFrac,
 			Population: targets,
 		})
 	}
@@ -298,14 +299,14 @@ func RunTracking(cfg TrackingConfig) (*Tracking, error) {
 	cursor := 0 // churn-log read position (resets with the log on restore)
 	recallSum, minRecall := 0.0, math.Inf(1)
 
-	// drainHints feeds every HintEvery-th unread churn event to the tracker
+	// drainHints feeds every hintEvery-th unread churn event to the tracker
 	// (parity continues across checkpoints via churnSeen). It runs both
 	// before a tick — the idle-window churn — and after it — churn raised
 	// while the probes themselves ran — so at checkpoint time no event is
 	// pending outside the tracker's (serialized) state.
 	drainHints := func() {
 		for _, ev := range churn.Events(cursor) {
-			if cfg.HintEvery > 0 && churnSeen%cfg.HintEvery == 0 {
+			if churnSeen%hintEvery == 0 {
 				trk.Observe(ev.A, ev.B)
 			}
 			churnSeen++
@@ -327,7 +328,7 @@ func RunTracking(cfg TrackingConfig) (*Tracking, error) {
 	}
 
 	for tick := startTick; tick < cfg.Ticks; tick++ {
-		net.RunFor(cfg.TickSeconds)
+		net.RunFor(tickSeconds)
 		drainHints()
 
 		t0 := net.Now()

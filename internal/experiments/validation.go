@@ -313,10 +313,11 @@ func fig5(seed int64, groupN int, ks []int) []Fig5Row {
 		detected int
 		ok       bool
 	}
-	lanes := sweepLanes("fig5", len(ks))
+	lanes, scopes := sweepLanes("fig5", len(ks)), obsScopes("fig5", len(ks))
 	res := runner.MapWorker(0, len(ks), func(w, i int) measured {
 		k := ks[i]
 		v := buildValidationNet(seed+int64(k), groupN+40, netgen.Uniform(), 10, lanes[i])
+		v.m.SetObs(scopes[i], nil)
 		sp := rowSpan(lanes[i], i, w, int64(k))
 		defer sp.End()
 		nodes := v.inst.IDs[:groupN]

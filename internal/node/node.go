@@ -97,9 +97,10 @@ type Node struct {
 	tracer      *trace.Tracer
 	traceEngine bool
 
-	// OnTx, when set, fires for every transaction received from a peer
-	// (admitted or not), with the peer's remote address.
-	OnTx func(fromAddr string, fromVersion string, tx *types.Transaction)
+	// onSeen, when set, receives the hash of every transaction a peer
+	// delivers (admitted or not) and every hash it announces, with the peer's
+	// remote address. The prober sets it before any peer connects.
+	onSeen func(fromAddr string, hashes []types.Hash)
 }
 
 // nodeMetrics pre-resolves the node's instruments; the zero value (nil
@@ -436,7 +437,15 @@ func (n *Node) handleTxs(p *peer, txs []*types.Transaction) {
 		}
 		out = gossip.Propagatable(out, tx, res, n.pool, false)
 	}
-	onTx := n.OnTx
+	onSeen := n.onSeen
+	var seen []types.Hash
+	if onSeen != nil {
+		// Hashed under the lock: a pooled transaction's digest memo is
+		// written by whoever hashes it first.
+		for _, tx := range txs {
+			seen = append(seen, tx.Hash())
+		}
+	}
 	n.mu.Unlock()
 	if n.traceEngine {
 		if accepted > 0 {
@@ -446,18 +455,17 @@ func (n *Node) handleTxs(p *peer, txs []*types.Transaction) {
 			n.tracer.Event(evReplaceReject, trace.String(attrAddr, p.addr), trace.Int("n", rejected))
 		}
 	}
-	if onTx != nil {
-		for _, tx := range txs {
-			onTx(p.addr, p.version, tx)
-		}
+	if onSeen != nil {
+		onSeen(p.addr, seen)
 	}
 	n.propagate(p.addr, out)
 }
 
 // handleAnnounce requests the announced hashes the pool lacks and no live
-// lock covers. Expired locks are swept first, so the table stays bounded
-// without a timer of its own. Concurrent announcers may arm a few locks
-// slightly out of expiry order; the sweep then frees those late, never early.
+// lock covers, and reports all of them to onSeen. Expired locks are swept
+// first, so the table stays bounded without a timer of its own. Concurrent
+// announcers may arm a few locks slightly out of expiry order; the sweep then
+// frees those late, never early.
 func (n *Node) handleAnnounce(p *peer, hashes []types.Hash) {
 	now := n.now()
 	var want []types.Hash
@@ -468,7 +476,11 @@ func (n *Node) handleAnnounce(p *peer, hashes []types.Hash) {
 			want = append(want, h)
 		}
 	}
+	onSeen := n.onSeen
 	n.mu.Unlock()
+	if onSeen != nil {
+		onSeen(p.addr, hashes)
+	}
 	if len(want) > 0 {
 		_ = n.sendTo(p, wire.Msg{Code: wire.CodeGetPooledTransactions, Hashes: want})
 	}

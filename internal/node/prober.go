@@ -10,35 +10,12 @@ import (
 	"toposhot/internal/types"
 )
 
-// ProbeParams configures a live-TCP TopoShot measurement. Times are real
-// durations; on a LAN or localhost they can be far below the paper's
-// internet-scale X=10 s.
-type ProbeParams struct {
-	// Y is txC's gas price in Wei.
-	Y uint64
-	// Z is the number of future transactions per fill.
-	Z int
-	// BumpMil is the target client's replacement threshold (Geth: 100).
-	BumpMil uint64
-	// U is the per-account future allowance.
-	U int
-	// X is the txC propagation wait.
-	X time.Duration
-	// Settle is the Step-4 detection wait.
-	Settle time.Duration
-}
-
-// DefaultProbeParams returns localhost-friendly parameters matched to a
-// pool of the given capacity.
-func DefaultProbeParams(capacity int) ProbeParams {
-	return ProbeParams{
-		Y:       types.Gwei,
-		Z:       capacity,
-		BumpMil: 100,
-		U:       4096,
-		X:       750 * time.Millisecond,
-		Settle:  750 * time.Millisecond,
-	}
+// DefaultProbeParams returns the measurement parameters for live nodes on
+// localhost whose pools hold capacity transactions: Z fills one such pool, and
+// X and SettleTime (seconds) are far below the paper's internet-scale X=10 s.
+// Y must be set: the live prober does not estimate it.
+func DefaultProbeParams(capacity int) core.Params {
+	return core.Params{Y: types.Gwei, Z: capacity, BumpMil: 100, U: 4096, X: 0.75, SettleTime: 0.75}
 }
 
 // Prober is the live measurement node M: a NoForward node that records
@@ -47,18 +24,20 @@ type Prober struct {
 	node *Node
 
 	mu      sync.Mutex
-	obs     map[types.Hash][]obs
+	seen    map[types.Hash][]sighting
 	acctSeq uint64
 }
 
-type obs struct {
+// sighting is one peer's evidence of holding a transaction: a delivery or a
+// hash announcement.
+type sighting struct {
 	fromAddr string
 	at       time.Time
 }
 
 // NewProber starts a prober listening on an ephemeral port.
 func NewProber(networkID uint64, seed int64) (*Prober, error) {
-	p := &Prober{obs: make(map[types.Hash][]obs)}
+	p := &Prober{seen: make(map[types.Hash][]sighting)}
 	n, err := Start(Config{
 		ClientVersion: "toposhot-prober/v1.0",
 		NetworkID:     networkID,
@@ -70,13 +49,22 @@ func NewProber(networkID uint64, seed int64) (*Prober, error) {
 	if err != nil {
 		return nil, err
 	}
-	n.OnTx = func(fromAddr, fromVersion string, tx *types.Transaction) {
+	p.watch(n)
+	return p, nil
+}
+
+// watch records every delivery and every announcement n receives, with the
+// peer it came from.
+func (p *Prober) watch(n *Node) {
+	p.node = n
+	n.onSeen = func(fromAddr string, hashes []types.Hash) {
+		at := time.Now()
 		p.mu.Lock()
-		p.obs[tx.Hash()] = append(p.obs[tx.Hash()], obs{fromAddr: fromAddr, at: time.Now()})
+		for _, h := range hashes {
+			p.seen[h] = append(p.seen[h], sighting{fromAddr: fromAddr, at: at})
+		}
 		p.mu.Unlock()
 	}
-	p.node = n
-	return p, nil
 }
 
 // Node returns the underlying node.
@@ -96,16 +84,24 @@ func (p *Prober) freshAccount() types.Address {
 	return types.AddressFromUint64(0xcafe<<40 | seq)
 }
 
-// observedFrom reports whether tx h arrived from the given peer after t.
-func (p *Prober) observedFrom(addr string, h types.Hash, t time.Time) bool {
+// detected is the Step-4 decision: since t, the sink delivered or announced h
+// and no other peer did. Evidence from anyone else means isolation broke, and
+// the observation is discarded, as ethsim.Supernode.VerdictFor does: that
+// filter is what keeps precision at 100%.
+func (p *Prober) detected(sink string, h types.Hash, t time.Time) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for _, o := range p.obs[h] {
-		if o.fromAddr == addr && !o.at.Before(t) {
-			return true
+	fromSink := false
+	for _, s := range p.seen[h] {
+		if s.at.Before(t) {
+			continue
 		}
+		if s.fromAddr != sink {
+			return false
+		}
+		fromSink = true
 	}
-	return false
+	return fromSink
 }
 
 // mintFutures builds z futures at the given price over ⌈z/U⌉ accounts.
@@ -136,32 +132,33 @@ func (p *Prober) sendChunked(addr string, txs []*types.Transaction) error {
 
 // MeasureOneLink runs the four-step primitive of §5.2 over live TCP against
 // the peers at addresses a and b (the prober must already be dialed into
-// both) and reports whether the active link was detected.
-func (p *Prober) MeasureOneLink(a, b string, params ProbeParams) (bool, error) {
-	price := core.Params{BumpMil: params.BumpMil} // the simulator measurer's (1+R) prices
+// both) and reports whether the active link was detected. It reads Y, Z,
+// BumpMil, U, X and SettleTime from params; times are seconds.
+func (p *Prober) MeasureOneLink(a, b string, params core.Params) (bool, error) {
 	acct := p.freshAccount()
 	dest := p.freshAccount()
-	txC := types.NewTransaction(acct, dest, 0, price.PriceTxC(params.Y), 0)
-	txB := types.NewTransaction(acct, dest, 0, price.PriceTxB(params.Y), 0)
-	txA := types.NewTransaction(acct, dest, 0, price.PriceTxA(params.Y), 0)
+	txC := types.NewTransaction(acct, dest, 0, params.PriceTxC(params.Y), 0)
+	txB := types.NewTransaction(acct, dest, 0, params.PriceTxB(params.Y), 0)
+	txA := types.NewTransaction(acct, dest, 0, params.PriceTxA(params.Y), 0)
+	x := time.Duration(params.X * float64(time.Second))
 
 	// Step 1: plant txC on A, wait X for the flood.
 	if err := p.node.SendTo(a, []*types.Transaction{txC}); err != nil {
 		return false, fmt.Errorf("step1: %w", err)
 	}
-	time.Sleep(params.X)
+	time.Sleep(x)
 
 	// Step 2: fill B with futures, plant txB.
-	if err := p.sendChunked(b, p.mintFutures(params.Z, price.PriceFuture(params.Y), params.U)); err != nil {
+	if err := p.sendChunked(b, p.mintFutures(params.Z, params.PriceFuture(params.Y), params.U)); err != nil {
 		return false, fmt.Errorf("step2: %w", err)
 	}
 	if err := p.node.SendTo(b, []*types.Transaction{txB}); err != nil {
 		return false, fmt.Errorf("step2: %w", err)
 	}
-	time.Sleep(params.X / 2)
+	time.Sleep(x / 2)
 
 	// Step 3: fill A with futures, plant txA.
-	if err := p.sendChunked(a, p.mintFutures(params.Z, price.PriceFuture(params.Y), params.U)); err != nil {
+	if err := p.sendChunked(a, p.mintFutures(params.Z, params.PriceFuture(params.Y), params.U)); err != nil {
 		return false, fmt.Errorf("step3: %w", err)
 	}
 	mark := time.Now()
@@ -169,13 +166,7 @@ func (p *Prober) MeasureOneLink(a, b string, params ProbeParams) (bool, error) {
 		return false, fmt.Errorf("step3: %w", err)
 	}
 
-	// Step 4: watch for txA arriving from B.
-	deadline := time.Now().Add(params.Settle)
-	for time.Now().Before(deadline) {
-		if p.observedFrom(b, txA.Hash(), mark) {
-			return true, nil
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	return p.observedFrom(b, txA.Hash(), mark), nil
+	// Step 4: wait out the settle window, then look for txA from B alone.
+	time.Sleep(time.Duration(params.SettleTime * float64(time.Second)))
+	return p.detected(b, txA.Hash(), mark), nil
 }

@@ -40,14 +40,8 @@ func Methods() []Method {
 type Config struct {
 	// TopoShot is the measurer's parameter set (zero X → core defaults).
 	TopoShot core.Params
-	// TxProbeX / TxProbeSettle override TxProbe's waits.
-	TxProbeX, TxProbeSettle float64
-	// DEthnaRepeats / DEthnaSettle override DEthna's mark schedule.
-	DEthnaRepeats int
-	DEthnaSettle  float64
-	// EthnaSamples / EthnaSettle override Ethna's redundancy sweep.
+	// EthnaSamples overrides the number of Ethna's flooded samples.
 	EthnaSamples int
-	EthnaSettle  float64
 }
 
 // NewMethod builds one strategy on a network and supernode. Strategies built
@@ -58,30 +52,13 @@ func NewMethod(m Method, net *ethsim.Network, super *ethsim.Supernode, cfg Confi
 	case MethodTopoShot:
 		return NewTopoShot(core.NewMeasurer(net, super, cfg.TopoShot)), nil
 	case MethodTxProbe:
-		p := NewTxProbe(net, super)
-		if cfg.TxProbeX > 0 {
-			p.X = cfg.TxProbeX
-		}
-		if cfg.TxProbeSettle > 0 {
-			p.Settle = cfg.TxProbeSettle
-		}
-		return p, nil
+		return NewTxProbe(net, super), nil
 	case MethodDEthna:
-		d := NewDEthna(net, super)
-		if cfg.DEthnaRepeats > 0 {
-			d.Repeats = cfg.DEthnaRepeats
-		}
-		if cfg.DEthnaSettle > 0 {
-			d.Settle = cfg.DEthnaSettle
-		}
-		return d, nil
+		return NewDEthna(net, super), nil
 	case MethodEthna:
 		e := NewEthna(net, super)
 		if cfg.EthnaSamples > 0 {
 			e.Samples = cfg.EthnaSamples
-		}
-		if cfg.EthnaSettle > 0 {
-			e.Settle = cfg.EthnaSettle
 		}
 		return e, nil
 	}

@@ -5,6 +5,13 @@ import (
 	"toposhot/internal/types"
 )
 
+// DEthna's mark schedule: dethnaRepeats OR-ed marks per target, each watched
+// for dethnaSettle virtual seconds.
+const (
+	dethnaRepeats = 2
+	dethnaSettle  = 2.5
+)
+
 // DEthna implements DEthna-style marked-transaction inference
 // (arXiv:2402.03881): inject a unique, freshly-sendered "mark" transaction
 // directly at a target node a and watch, at the supernode, *when* every other
@@ -18,22 +25,12 @@ import (
 // The window cannot be exact: a one-hop neighbor that drew the announce path
 // (announce → request → reply, three extra link latencies) can evidence later
 // than a fast two-hop chain, so DEthna trades TopoShot's guaranteed precision
-// for a per-node cost of Repeats pending transactions — no futures, no
-// eviction. Repeats re-randomize the push/announce draw and are OR-ed, the
+// for a per-node cost of dethnaRepeats pending transactions — no futures, no
+// eviction. Repeated marks re-randomize the push/announce draw and are OR-ed, the
 // same passive recall heuristic as §5.2.3.
 type DEthna struct {
 	net   *ethsim.Network
 	super *ethsim.Supernode
-
-	// Price is the mark's gas price (must clear target admission floors).
-	Price uint64
-	// Settle is the per-mark observation wait.
-	Settle float64
-	// HopWindow is the one-hop attribution window after the earliest
-	// evidence; 0 derives it from the network's latency profile.
-	HopWindow float64
-	// Repeats is the number of OR-ed marks per target.
-	Repeats int
 
 	mint    accountMinter
 	pending int
@@ -47,7 +44,6 @@ type DEthna struct {
 func NewDEthna(net *ethsim.Network, super *ethsim.Supernode) *DEthna {
 	return &DEthna{
 		net: net, super: super,
-		Price: types.Gwei, Settle: 2.5, Repeats: 2,
 		mint:      minter(types.SpaceDEthna),
 		neighbors: make(map[types.NodeID]map[types.NodeID]bool),
 		probed:    make(map[types.NodeID]bool),
@@ -64,9 +60,6 @@ func (d *DEthna) Name() string { return "dethna" }
 // least another flush interval plus a hop. Half a flush interval plus one
 // typical hop splits those populations as well as timing alone can.
 func (d *DEthna) hopWindow() float64 {
-	if d.HopWindow > 0 {
-		return d.HopWindow
-	}
 	cfg := d.net.Config()
 	return cfg.FlushInterval/2 + cfg.LatencyBase + cfg.LatencyTail
 }
@@ -84,7 +77,8 @@ func (d *DEthna) Prepare(pairs [][2]types.NodeID) error {
 	return nil
 }
 
-// probeTarget runs the Repeats-marked inference for one target, memoizing.
+// probeTarget runs the dethnaRepeats-marked inference for one target,
+// memoizing.
 func (d *DEthna) probeTarget(a types.NodeID) error {
 	if d.probed[a] {
 		return nil
@@ -95,18 +89,14 @@ func (d *DEthna) probeTarget(a types.NodeID) error {
 	d.probed[a] = true
 	set := make(map[types.NodeID]bool)
 	d.neighbors[a] = set
-	reps := d.Repeats
-	if reps < 1 {
-		reps = 1
-	}
 	window := d.hopWindow()
-	for r := 0; r < reps; r++ {
+	for r := 0; r < dethnaRepeats; r++ {
 		sender := d.mint.fresh()
-		mark := types.NewTransaction(sender, d.mint.fresh(), 0, d.Price, 0)
+		mark := types.NewTransaction(sender, d.mint.fresh(), 0, probePrice, 0)
 		checkFrom := d.net.Now()
 		d.super.Inject(a, mark)
 		d.pending++
-		d.net.RunFor(d.Settle)
+		d.net.RunFor(dethnaSettle)
 		times := d.super.PossessionTimes(mark.Hash(), checkFrom)
 		if len(times) == 0 {
 			continue
@@ -139,5 +129,6 @@ func (d *DEthna) MeasurePair(a, b types.NodeID) (Claim, error) {
 	return Claim{Verdict: "unmarked"}, nil
 }
 
-// Cost implements Strategy: Repeats pending transactions per probed target.
+// Cost implements Strategy: dethnaRepeats pending transactions per probed
+// target.
 func (d *DEthna) Cost() Cost { return Cost{PendingTxs: d.pending} }

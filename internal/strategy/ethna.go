@@ -8,6 +8,14 @@ import (
 	"toposhot/internal/types"
 )
 
+// Ethna's sweep: each sample is watched for ethnaSettle virtual seconds, the
+// time its flood takes to reach every node, and degree inversion searches
+// peer counts up to ethnaMaxDegree.
+const (
+	ethnaSettle    = 2.5
+	ethnaMaxDegree = 256
+)
+
 // Ethna implements Ethna-style degree inference (arXiv:2010.01373) from the
 // message redundancy a supernode observes. A relaying node with d peers
 // pushes each transaction whole to ⌈√d⌉ of them and announces only the hash
@@ -25,14 +33,8 @@ type Ethna struct {
 	net   *ethsim.Network
 	super *ethsim.Supernode
 
-	// Price is the sample transactions' gas price.
-	Price uint64
 	// Samples is the number of flooded sample transactions.
 	Samples int
-	// Settle is the per-sample wait for the flood to reach every node.
-	Settle float64
-	// MaxDegree bounds the inversion search.
-	MaxDegree int
 
 	mint    accountMinter
 	pending int
@@ -48,9 +50,9 @@ type Ethna struct {
 func NewEthna(net *ethsim.Network, super *ethsim.Supernode) *Ethna {
 	return &Ethna{
 		net: net, super: super,
-		Price: types.Gwei, Samples: 24, Settle: 2.5, MaxDegree: 256,
-		mint: minter(types.SpaceEthna),
-		est:  make(map[types.NodeID]int),
+		Samples: 24,
+		mint:    minter(types.SpaceEthna),
+		est:     make(map[types.NodeID]int),
 	}
 }
 
@@ -92,14 +94,14 @@ func (e *Ethna) sweep() {
 	seen := make(map[types.NodeID]int)
 	for s := 0; s < e.Samples; s++ {
 		sender := e.mint.fresh()
-		tx := types.NewTransaction(sender, e.mint.fresh(), 0, e.Price, 0)
+		tx := types.NewTransaction(sender, e.mint.fresh(), 0, probePrice, 0)
 		checkFrom := e.net.Now()
 		// Rotate the entry node so no peer is systematically the silent
 		// origin (a node never relays back to the peer it received from, so
 		// the entry contributes no evidence for its own sample).
 		e.super.Inject(entries[s%len(entries)], tx)
 		e.pending++
-		e.net.RunFor(e.Settle)
+		e.net.RunFor(ethnaSettle)
 		for _, pt := range e.super.PossessionTimes(tx.Hash(), checkFrom) {
 			seen[pt.Peer]++
 			if pt.Pushed {
@@ -116,7 +118,7 @@ func (e *Ethna) sweep() {
 		r := float64(pushes[id]) / float64(seen[id])
 		// invert r ≈ ⌈√d⌉/d over the peer count d (supernode link included),
 		// then drop the supernode link from the reported degree.
-		d := invertPushRatio(r, e.MaxDegree)
+		d := invertPushRatio(r, ethnaMaxDegree)
 		e.est[id] = d - 1
 		e.estTotal += d - 1
 	}

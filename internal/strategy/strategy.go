@@ -102,6 +102,10 @@ func (e UnknownNodeError) Error() string {
 	return fmt.Sprintf("strategy: unknown node %v", e.ID)
 }
 
+// probePrice is the gas price of the rival methods' probe transactions (marks,
+// samples, conflicts): high enough to clear every target's admission floor.
+const probePrice = types.Gwei
+
 // accountMinter mints fresh probe accounts inside one strategy's namespace.
 type accountMinter struct {
 	space uint64

@@ -69,12 +69,7 @@ func testConfig() Config {
 	params.Z = 256
 	params.X = 3
 	params.SettleTime = 4
-	return Config{
-		TopoShot:      params,
-		TxProbeX:      3,
-		TxProbeSettle: 3,
-		EthnaSamples:  48,
-	}
+	return Config{TopoShot: params, EthnaSamples: 48}
 }
 
 // runOnRing builds a fresh same-seed ring and runs one method's campaign.
@@ -305,7 +300,7 @@ func TestRunPairsLedgerAttribution(t *testing.T) {
 // validation) refuses a target the network has never seen.
 func TestTxProbeUnknownNode(t *testing.T) {
 	net, super, ids := buildRing(t, 2, 3)
-	if _, err := NewTxProbe(net, super).MeasureOneLink(ids[0], 999); err == nil {
+	if _, err := NewTxProbe(net, super).MeasurePair(ids[0], 999); err == nil {
 		t.Fatal("unknown target accepted")
 	}
 }

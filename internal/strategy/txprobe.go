@@ -5,6 +5,13 @@ import (
 	"toposhot/internal/types"
 )
 
+// TxProbe's waits, in virtual seconds: txProbeX lets the conflicting pair
+// propagate, txProbeSettle lets the marker reach B.
+const (
+	txProbeX      = 10
+	txProbeSettle = 6
+)
+
 // TxProbe ports TxProbe's Bitcoin topology-inference protocol onto an
 // Ethereum network: to test the link A–B it sends conflicting ("double
 // spend" — same sender and nonce) transactions tx1 to A and tx1' to B, then
@@ -18,23 +25,13 @@ type TxProbe struct {
 	net   *ethsim.Network
 	super *ethsim.Supernode
 
-	// X is the conflict-propagation wait; Settle the detection wait.
-	X, Settle float64
-	// Price is the probe transactions' gas price.
-	Price uint64
-
 	mint    accountMinter
 	pending int
 }
 
-// NewTxProbe wires the baseline to a network and supernode with the
-// historical defaults (X=10, Settle=6, 1 Gwei probes).
+// NewTxProbe wires the baseline to a network and supernode.
 func NewTxProbe(net *ethsim.Network, super *ethsim.Supernode) *TxProbe {
-	return &TxProbe{
-		net: net, super: super,
-		X: 10, Settle: 6, Price: types.Gwei,
-		mint: minter(types.SpaceTxProbe),
-	}
+	return &TxProbe{net: net, super: super, mint: minter(types.SpaceTxProbe)}
 }
 
 // Name implements Strategy.
@@ -53,30 +50,23 @@ func (p *TxProbe) MeasurePair(a, b types.NodeID) (Claim, error) {
 	}
 	sender := p.mint.fresh()
 	// The "double spend": same sender+nonce, different receivers.
-	tx1 := types.NewTransaction(sender, p.mint.fresh(), 0, p.Price, 0)
-	tx1p := types.NewTransaction(sender, p.mint.fresh(), 0, p.Price, 0)
+	tx1 := types.NewTransaction(sender, p.mint.fresh(), 0, probePrice, 0)
+	tx1p := types.NewTransaction(sender, p.mint.fresh(), 0, probePrice, 0)
 	p.super.Inject(a, tx1)
 	p.super.Inject(b, tx1p)
 	p.pending += 2
-	p.net.RunFor(p.X)
+	p.net.RunFor(txProbeX)
 
 	// The marker transaction: child of tx1, sent to A only.
-	txA := types.NewTransaction(sender, p.mint.fresh(), 1, p.Price, 0)
+	txA := types.NewTransaction(sender, p.mint.fresh(), 1, probePrice, 0)
 	checkFrom := p.net.Now()
 	p.super.Inject(a, txA)
 	p.pending++
-	p.net.RunFor(p.Settle)
+	p.net.RunFor(txProbeSettle)
 	if p.super.PossessedBy(b, txA.Hash(), checkFrom) {
 		return Claim{Detected: true, Verdict: "marker-possessed"}, nil
 	}
 	return Claim{Verdict: "marker-absent"}, nil
-}
-
-// MeasureOneLink is the historical boolean API, kept for callers predating
-// the strategy framework.
-func (p *TxProbe) MeasureOneLink(a, b types.NodeID) (bool, error) {
-	c, err := p.MeasurePair(a, b)
-	return c.Detected, err
 }
 
 // Cost implements Strategy: three pending-class transactions per pair.

@@ -16,15 +16,18 @@ import (
 type GroupedProber struct {
 	m *core.Measurer
 	// MaxPairs caps pairs per MeasurePar call (default 144, the census
-	// edge-budget discipline); MaxNodes caps participants per call (default
-	// 24 ≈ 2√144, bounding the recall erosion of §5.3.1's group effect).
-	MaxPairs, MaxNodes int
+	// edge-budget discipline).
+	MaxPairs int
 }
+
+// maxBatchNodes caps participants per MeasurePar call (24 ≈ 2√144, bounding
+// the recall erosion of §5.3.1's group effect).
+const maxBatchNodes = 24
 
 // NewGroupedProber wraps a measurer. The measurer keeps its own params,
 // tracer, and cost ledger.
 func NewGroupedProber(m *core.Measurer) *GroupedProber {
-	return &GroupedProber{m: m, MaxPairs: 144, MaxNodes: 24}
+	return &GroupedProber{m: m, MaxPairs: 144}
 }
 
 // Measurer returns the underlying measurer (for ledger and tuning access).
@@ -58,7 +61,7 @@ func (p *GroupedProber) ProbePairs(pairs [][2]types.NodeID) ([]ProbeResult, erro
 	remaining := pairs
 	deferred := make([][2]types.NodeID, 0, len(pairs))
 	for len(remaining) > 0 {
-		role := make(map[types.NodeID]int, 2*p.MaxNodes)
+		role := make(map[types.NodeID]int, 2*maxBatchNodes)
 		batch := make([]core.Edge, 0, p.MaxPairs)
 		deferred = deferred[:0]
 		for _, pr := range remaining {
@@ -72,7 +75,7 @@ func (p *GroupedProber) ProbePairs(pairs [][2]types.NodeID) ([]ProbeResult, erro
 				newNodes++
 			}
 			switch {
-			case len(batch) >= p.MaxPairs || len(role)+newNodes > p.MaxNodes:
+			case len(batch) >= p.MaxPairs || len(role)+newNodes > maxBatchNodes:
 				deferred = append(deferred, pr)
 			case ra != roleSink && rb != roleSource:
 				role[a], role[b] = roleSource, roleSink

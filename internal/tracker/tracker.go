@@ -86,6 +86,12 @@ type Prober interface {
 	ProbePairs(pairs [][2]types.NodeID) ([]ProbeResult, error)
 }
 
+// bucket is one staleness bucket: pairs verified at tick.
+type bucket struct {
+	tick int32
+	idx  []int32
+}
+
 // pairRec is one tracked pair: endpoints, last verdict, and the tick the
 // verdict was established (the confidence clock).
 type pairRec struct {
@@ -117,12 +123,14 @@ type Tracker struct {
 	pairs []pairRec      // one record per unordered target pair
 	index map[uint64]int32
 
-	// byTick[t] holds (lazily-validated) indices of pairs last verified at
-	// tick t; oldest is the sweep cursor. An entry is live iff the record's
-	// lastTick still equals its bucket — re-verified pairs leave stale
-	// entries behind, skipped on pop.
-	byTick [][]int32
-	oldest int32
+	// buckets holds, oldest first, the (lazily-validated) indices of pairs
+	// last verified at each bucket's tick; head is the sweep cursor. An entry
+	// is live iff the record's lastTick still equals its bucket's tick —
+	// re-verified pairs leave stale entries behind, skipped on pop. Only a
+	// tick that verified some pair opens a bucket, so memory follows the
+	// verdicts, never the tick counter.
+	buckets []bucket
+	head    int
 
 	urgent     []int32
 	urgentHead int
@@ -185,7 +193,7 @@ func New(cfg Config, targets []types.NodeID, initial *core.EdgeSet, p Prober) (*
 	for i := range bucket0 {
 		bucket0[i] = int32(i)
 	}
-	t.byTick = [][]int32{bucket0}
+	t.buckets = []bucket{{tick: 0, idx: bucket0}}
 	// Self-wire to the process registry, like the engines and the measurer
 	// (Restore inherits this through its New call).
 	t.SetMetrics(metrics.Enabled())
@@ -257,6 +265,9 @@ func (t *Tracker) Observe(a, b types.NodeID) {
 // pairs are re-queued urgent and the error is returned — the tracker's
 // state stays consistent for a retry.
 func (t *Tracker) Tick() (TickReport, error) {
+	if t.tick == math.MaxInt32 {
+		return TickReport{Tick: int(t.tick)}, fmt.Errorf("tracker: tick counter exhausted at %d", t.tick)
+	}
 	t.tick++
 	rep := TickReport{Tick: int(t.tick)}
 	defer t.observeTick(&rep)
@@ -317,21 +328,20 @@ func (t *Tracker) trkPlan(rep *TickReport) []int32 {
 	}
 
 	cutoff := t.tick - t.staleAfter
-	for t.oldest < int32(len(t.byTick)) && t.oldest <= cutoff && len(plan) < t.cfg.Budget {
-		bucket := t.byTick[t.oldest]
-		for len(bucket) > 0 && len(plan) < t.cfg.Budget {
-			i := bucket[len(bucket)-1]
-			bucket = bucket[:len(bucket)-1]
-			if t.pairs[i].lastTick != t.oldest || t.urgentMark[i] || t.plannedAt[i] == t.tick {
+	for t.head < len(t.buckets) && t.buckets[t.head].tick <= cutoff && len(plan) < t.cfg.Budget {
+		b := &t.buckets[t.head]
+		for len(b.idx) > 0 && len(plan) < t.cfg.Budget {
+			i := b.idx[len(b.idx)-1]
+			b.idx = b.idx[:len(b.idx)-1]
+			if t.pairs[i].lastTick != b.tick || t.urgentMark[i] || t.plannedAt[i] == t.tick {
 				continue
 			}
 			t.plannedAt[i] = t.tick
 			plan = append(plan, i)
 		}
-		t.byTick[t.oldest] = bucket
-		if len(bucket) == 0 {
-			t.byTick[t.oldest] = nil
-			t.oldest++
+		if len(b.idx) == 0 {
+			*b = bucket{}
+			t.head++
 		}
 	}
 	t.planScratch = plan
@@ -372,10 +382,18 @@ func (t *Tracker) trkApply(i int32, r ProbeResult, rep *TickReport) {
 		p.present = r.Present
 	}
 	p.lastTick = t.tick
-	for int32(len(t.byTick)) <= t.tick {
-		t.byTick = append(t.byTick, nil)
+	t.bucketAppend(i)
+}
+
+// bucketAppend files pair i in the bucket of its lastTick, which is at or
+// past every bucket's tick: the newest bucket, or a new one after it.
+func (t *Tracker) bucketAppend(i int32) {
+	tick := t.pairs[i].lastTick
+	if n := len(t.buckets); n == 0 || t.buckets[n-1].tick != tick {
+		t.buckets = append(t.buckets, bucket{tick: tick})
 	}
-	t.byTick[t.tick] = append(t.byTick[t.tick], i)
+	b := &t.buckets[len(t.buckets)-1]
+	b.idx = append(b.idx, i)
 }
 
 // ---------------------------------------------------------------------------
@@ -414,9 +432,9 @@ func (t *Tracker) State() *State {
 		Pairs:   make([]PairState, 0, len(t.pairs)),
 	}
 	emitted := make([]bool, len(t.pairs))
-	for tick := int(t.oldest); tick < len(t.byTick); tick++ {
-		for _, i := range t.byTick[tick] {
-			if t.pairs[i].lastTick != int32(tick) || emitted[i] {
+	for _, b := range t.buckets[t.head:] {
+		for _, i := range b.idx {
+			if t.pairs[i].lastTick != b.tick || emitted[i] {
 				continue // lazy-deletion artifact
 			}
 			emitted[i] = true
@@ -453,8 +471,11 @@ func Restore(st *State, cfg Config, p Prober) (*Tracker, error) {
 		return nil, fmt.Errorf("tracker: restore: %d pair records for %d targets (want %d)",
 			len(st.Pairs), len(st.Targets), len(t.pairs))
 	}
+	if st.Tick < 0 || st.Tick > math.MaxInt32 {
+		return nil, fmt.Errorf("tracker: restore: tick %d outside [0, %d]", st.Tick, math.MaxInt32)
+	}
 	t.tick = int32(st.Tick)
-	t.byTick = make([][]int32, st.Tick+1)
+	t.buckets = t.buckets[:0]
 	seen := make([]bool, len(t.pairs))
 	for _, ps := range st.Pairs {
 		i, ok := t.index[pairKey(ps.A, ps.B)]
@@ -476,7 +497,11 @@ func Restore(st *State, cfg Config, p Prober) (*Tracker, error) {
 			t.belief.AddEdge(int(ps.A), int(ps.B))
 		}
 		if !ps.Unbucketed {
-			t.byTick[ps.LastTick] = append(t.byTick[ps.LastTick], i)
+			if n := len(t.buckets); n > 0 && ps.LastTick < t.buckets[n-1].tick {
+				return nil, fmt.Errorf("tracker: restore: pair %v-%v (last tick %d) out of bucket order",
+					ps.A, ps.B, ps.LastTick)
+			}
+			t.bucketAppend(i)
 		}
 	}
 	for _, pr := range st.Urgent {

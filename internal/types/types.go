@@ -327,10 +327,6 @@ type Block struct {
 	Txs      []*Transaction
 }
 
-// DefaultBlockGasLimit approximates the mainnet gas limit of the paper's
-// measurement period (~12.5M).
-const DefaultBlockGasLimit = 12_500_000
-
 // Full reports whether the block is "full" in the V1 sense of Appendix C:
 // the residual gas cannot fit one more plain transfer.
 func (b *Block) Full() bool { return b.GasLimit-b.GasUsed < TxGasTransfer }
