@@ -1,16 +1,19 @@
 // Live TCP: run TopoShot against real nodes over real sockets. The example
 // starts five Ethereum-lite nodes (internal/node) in a path topology on
-// localhost, attaches a prober that peers with all of them, and measures an
-// adjacent and a non-adjacent pair with the four-step primitive — the same
-// code path cmd/toposhotd targets.
+// localhost, attaches a live vantage that peers with all of them, and
+// measures an adjacent and a non-adjacent pair with core.Measurer's
+// four-step primitive — the code that probes the simulator, here over the
+// sockets cmd/toposhotd nodes also listen on.
 package main
 
 import (
 	"fmt"
 	"log"
 
+	"toposhot/internal/core"
 	"toposhot/internal/node"
 	"toposhot/internal/txpool"
+	"toposhot/internal/types"
 )
 
 const networkID = 1337
@@ -42,25 +45,26 @@ func main() {
 		fmt.Printf("  node %d @ %s\n", i, nd.Addr())
 	}
 
-	prober, err := node.NewProber(networkID, 42)
+	vantage, err := node.NewVantage(networkID, 42)
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer prober.Close()
-	for _, nd := range nodes {
-		if err := prober.Dial(nd.Addr()); err != nil {
+	defer vantage.Close()
+	ids := make([]types.NodeID, n)
+	for i, nd := range nodes {
+		if ids[i], err = vantage.Dial(nd.Addr()); err != nil {
 			log.Fatal(err)
 		}
 	}
 
-	params := node.DefaultProbeParams(256)
-	linked, err := prober.MeasureOneLink(nodes[1].Addr(), nodes[2].Addr(), params)
+	m := core.NewMeasurerAt(vantage, node.DefaultProbeParams(256))
+	linked, err := m.MeasureOneLink(ids[1], ids[2])
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nlink node1–node2 detected: %v (truth: true)\n", linked)
 
-	linked, err = prober.MeasureOneLink(nodes[0].Addr(), nodes[4].Addr(), params)
+	linked, err = m.MeasureOneLink(ids[0], ids[4])
 	if err != nil {
 		log.Fatal(err)
 	}

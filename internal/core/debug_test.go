@@ -24,7 +24,7 @@ func TestDebugPrimitiveTrace(t *testing.T) {
 	m.super.Inject(b, futB...)
 	txB := types.NewTransaction(acctC, dest, 0, m.params.PriceTxB(y), 0)
 	m.super.Inject(b, txB)
-	m.runUntilDrained()
+	m.v.WaitDrained(-1)
 	nb := net.Node(b)
 	t.Logf("after step2 B: hasTxC=%v hasTxB=%v len=%d pending=%d future=%d",
 		nb.Pool().Has(txC.Hash()), nb.Pool().Has(txB.Hash()), nb.Pool().Len(), nb.Pool().PendingCount(), nb.Pool().FutureCount())
@@ -33,15 +33,15 @@ func TestDebugPrimitiveTrace(t *testing.T) {
 	txA := types.NewTransaction(acctC, dest, 0, m.params.PriceTxA(y), 0)
 	checkFrom := net.Now()
 	m.super.Inject(a, txA)
-	m.runUntilDrained()
+	m.v.WaitDrained(-1)
 	na := net.Node(a)
 	t.Logf("after step3 A: hasTxC=%v hasTxA=%v len=%d pending=%d future=%d",
 		na.Pool().Has(txC.Hash()), na.Pool().Has(txA.Hash()), na.Pool().Len(), na.Pool().PendingCount(), na.Pool().FutureCount())
 	net.RunFor(m.params.SettleTime)
 	t.Logf("B hasTxA=%v hasTxB=%v", nb.Pool().Has(txA.Hash()), nb.Pool().Has(txB.Hash()))
-	t.Logf("observedFrom(b)=%v observations=%d", m.super.ObservedFrom(b, txA.Hash(), checkFrom), len(m.super.Observations(txA.Hash())))
-	for _, r := range m.super.Observations(txA.Hash()) {
-		t.Logf("  obs from=%v at=%.3f", r.From, r.At)
+	t.Logf("verdict=%v sightings=%d", VerdictOf(b, m.v.Sightings(txA.Hash(), checkFrom)), len(m.v.Sightings(txA.Hash(), 0)))
+	for _, s := range m.v.Sightings(txA.Hash(), 0) {
+		t.Logf("  sighting from=%v at=%.3f pushed=%v", s.Peer, s.At, s.Pushed)
 	}
 	t.Logf("prices: txC=%d txB=%d txA=%d fut=%d", txC.GasPrice, txB.GasPrice, txA.GasPrice, m.params.PriceFuture(y))
 }
@@ -96,7 +96,7 @@ func TestDebugMeasurePar(t *testing.T) {
 		}
 		m.super.Inject(b, stream...)
 	}
-	m.runUntilDrained()
+	m.v.WaitDrained(-1)
 	for _, id := range sortedIDs(sinks) {
 		nd := net.Node(id)
 		nb, nc := 0, 0
@@ -124,7 +124,7 @@ func TestDebugMeasurePar(t *testing.T) {
 		m.super.Inject(a, others...)
 		m.super.Inject(a, own...)
 	}
-	m.runUntilDrained()
+	m.v.WaitDrained(-1)
 	for _, id := range sortedIDs(sources) {
 		nd := net.Node(id)
 		na, nc := 0, 0
@@ -140,7 +140,7 @@ func TestDebugMeasurePar(t *testing.T) {
 	}
 	net.RunFor(m.params.SettleTime)
 	for i, e := range edges {
-		t.Logf("edge %v->%v: sinkHasTxA=%v detected=%v", e.Source, e.Sink, net.Node(e.Sink).Pool().Has(txA[i].Hash()), m.super.ObservedFrom(e.Sink, txA[i].Hash(), 0))
+		t.Logf("edge %v->%v: sinkHasTxA=%v detected=%v", e.Source, e.Sink, net.Node(e.Sink).Pool().Has(txA[i].Hash()), VerdictOf(e.Sink, m.v.Sightings(txA[i].Hash(), 0)))
 	}
 }
 
@@ -236,7 +236,7 @@ func TestDebugRound2Call(t *testing.T) {
 		}
 		m.super.Inject(b, stream...)
 	}
-	m.runUntilDrained()
+	m.v.WaitDrained(-1)
 	for _, id := range sortedIDs(sinks) {
 		nd := net.Node(id)
 		var hasB, hasC []int
@@ -265,7 +265,7 @@ func TestDebugRound2Call(t *testing.T) {
 		m.super.Inject(a, own...)
 	}
 	checkFrom := net.Now()
-	m.runUntilDrained()
+	m.v.WaitDrained(-1)
 	for _, a := range sortedIDs(sources) {
 		nd := net.Node(a)
 		var hasA []int
@@ -280,6 +280,6 @@ func TestDebugRound2Call(t *testing.T) {
 	for i, e := range edges {
 		t.Logf("edge %d %v->%v: sinkHasA=%v sinkHasB=%v det=%v", i, e.Source, e.Sink,
 			net.Node(e.Sink).Pool().Has(txA[i].Hash()), net.Node(e.Sink).Pool().Has(txB[i].Hash()),
-			m.super.ObservedFrom(e.Sink, txA[i].Hash(), checkFrom))
+			VerdictOf(e.Sink, m.v.Sightings(txA[i].Hash(), checkFrom)))
 	}
 }

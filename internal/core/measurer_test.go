@@ -1,9 +1,12 @@
 package core
 
 import (
+	"slices"
 	"testing"
+	"unsafe"
 
 	"toposhot/internal/ethsim"
+	"toposhot/internal/gossip"
 	"toposhot/internal/netgen"
 	"toposhot/internal/trace"
 	"toposhot/internal/txpool"
@@ -273,57 +276,87 @@ func TestMeasureOneLinkTraceSpans(t *testing.T) {
 	}
 }
 
-// TestVerdictReasons drives all four Step-4 classifications through
-// VerdictFor by feeding the supernode crafted receipts, and pins the
-// trace-attribute spellings the measurement spans record.
+// TestVerdictReasons pins the Step-4 decision over sightings (since the
+// plant) and the trace-attribute spellings the measurement spans record.
+// node's TestVantageIsolationRule feeds the same cases through the live
+// node's handlers.
 func TestVerdictReasons(t *testing.T) {
-	_, m, ids := buildRing(t, 4, 6)
-	super := m.Supernode()
-	now := m.Network().Now()
-	sink, other := ids[0], ids[1]
-
-	mk := func(seed uint64) *types.Transaction {
-		return types.NewTransaction(types.AddressFromUint64(seed), types.AddressFromUint64(seed+1), 0, 1, 0)
+	const sink, other = types.NodeID(1), types.NodeID(2)
+	deliver := func(p types.NodeID) gossip.Sighting { return gossip.Sighting{At: 1, Peer: p, Pushed: true} }
+	announce := func(p types.NodeID) gossip.Sighting { return gossip.Sighting{At: 1, Peer: p} }
+	for _, tc := range []struct {
+		name string
+		ss   []gossip.Sighting
+		want Verdict
+	}{
+		{"nothing", nil, VerdictTimeout},
+		{"sink delivers alone", []gossip.Sighting{deliver(sink)}, VerdictDetected},
+		{"sink announces alone", []gossip.Sighting{announce(sink)}, VerdictTimeout},
+		{"sink announces, then delivers", []gossip.Sighting{announce(sink), deliver(sink)}, VerdictDetected},
+		{"another peer delivers too", []gossip.Sighting{deliver(sink), deliver(other)}, VerdictIsolationViolated},
+		{"another peer announces too", []gossip.Sighting{deliver(sink), announce(other)}, VerdictIsolationViolated},
+		{"only another peer delivers", []gossip.Sighting{deliver(other)}, VerdictReplacedElsewhere},
+		{"only another peer announces", []gossip.Sighting{announce(other)}, VerdictReplacedElsewhere},
+		{"sink announces, another delivers", []gossip.Sighting{announce(sink), deliver(other)}, VerdictReplacedElsewhere},
+	} {
+		if got := VerdictOf(sink, tc.ss); got != tc.want {
+			t.Errorf("%s: verdict = %v, want %v", tc.name, got, tc.want)
+		}
 	}
-	deliver := func(from types.NodeID, tx *types.Transaction) {
-		super.Node().OnTxDelivered(ethsim.TxReceipt{From: from, Tx: tx, At: now + 1})
-	}
-
-	txTimeout := mk(100)
-	if v := super.VerdictFor(sink, txTimeout.Hash(), now); v != ethsim.VerdictTimeout {
-		t.Errorf("unseen tx verdict = %v, want timeout", v)
-	}
-	txDet := mk(200)
-	deliver(sink, txDet)
-	if v := super.VerdictFor(sink, txDet.Hash(), now); v != ethsim.VerdictDetected {
-		t.Errorf("sink-only verdict = %v, want detected", v)
-	}
-	txElse := mk(300)
-	deliver(other, txElse)
-	if v := super.VerdictFor(sink, txElse.Hash(), now); v != ethsim.VerdictReplacedElsewhere {
-		t.Errorf("other-only verdict = %v, want replaced-elsewhere", v)
-	}
-	txIso := mk(400)
-	deliver(sink, txIso)
-	deliver(other, txIso)
-	if v := super.VerdictFor(sink, txIso.Hash(), now); v != ethsim.VerdictIsolationViolated {
-		t.Errorf("both verdict = %v, want isolation-violated", v)
-	}
-	// An announcement from another peer alone also breaks isolation evidence.
-	txAnn := mk(500)
-	deliver(sink, txAnn)
-	super.Node().OnHashAnnounced(other, txAnn.Hash(), now+2)
-	if v := super.VerdictFor(sink, txAnn.Hash(), now); v != ethsim.VerdictIsolationViolated {
-		t.Errorf("announce verdict = %v, want isolation-violated", v)
-	}
-
-	if ethsim.VerdictTimeout.String() != "timeout" ||
-		ethsim.VerdictIsolationViolated.String() != "isolation-violated" ||
-		ethsim.VerdictReplacedElsewhere.String() != "replaced-elsewhere" ||
-		ethsim.VerdictDetected.String() != "detected" {
+	if VerdictTimeout.String() != "timeout" ||
+		VerdictIsolationViolated.String() != "isolation-violated" ||
+		VerdictReplacedElsewhere.String() != "replaced-elsewhere" ||
+		VerdictDetected.String() != "detected" {
 		t.Error("verdict strings drifted from the trace-attribute spellings")
 	}
-	if !ethsim.VerdictDetected.Detected() || ethsim.VerdictTimeout.Detected() {
+	if !VerdictDetected.Detected() || VerdictTimeout.Detected() {
 		t.Error("Detected() classification wrong")
+	}
+}
+
+// TestFirstEvidence pins the per-peer reduction DEthna and Ethna read: the
+// earliest sighting per peer, a delivery beating an announcement at an equal
+// time, sorted by (time, peer).
+func TestFirstEvidence(t *testing.T) {
+	got := FirstEvidence([]gossip.Sighting{
+		{At: 3, Peer: 7},
+		{At: 2, Peer: 9},
+		{At: 2, Peer: 9, Pushed: true}, // same time: the delivery wins
+		{At: 2, Peer: 4},
+		{At: 1, Peer: 7, Pushed: true},
+		{At: 4, Peer: 4, Pushed: true}, // later than peer 4's announcement
+	})
+	want := []gossip.Sighting{
+		{At: 1, Peer: 7, Pushed: true},
+		{At: 2, Peer: 4},
+		{At: 2, Peer: 9, Pushed: true},
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("FirstEvidence = %v, want %v", got, want)
+	}
+	if FirstEvidence(nil) == nil || len(FirstEvidence(nil)) != 0 {
+		t.Fatal("no sightings must give an empty, non-nil list")
+	}
+}
+
+// TestSightingsSince: the supernode's log answers Sightings from its
+// arrival-ordered suffix — everything before since is dropped — with the
+// delivery flag intact.
+func TestSightingsSince(t *testing.T) {
+	_, m, ids := buildRing(t, 4, 6)
+	super := m.Supernode()
+	tx := types.NewTransaction(types.AddressFromUint64(100), types.AddressFromUint64(101), 0, 1, 0)
+	super.Node().OnTxDelivered(ids[0], tx, 1)
+	super.Node().OnHashAnnounced(ids[1], tx.Hash(), 2)
+	super.Node().OnTxDelivered(ids[1], tx, 3)
+	want := []gossip.Sighting{{At: 2, Peer: ids[1]}, {At: 3, Peer: ids[1], Pushed: true}}
+	if got := super.Sightings(tx.Hash(), 1.5); !slices.Equal(got, want) {
+		t.Fatalf("Sightings since 1.5 = %v, want %v", got, want)
+	}
+	if got := super.Sightings(tx.Hash(), 4); len(got) != 0 {
+		t.Fatalf("Sightings after the last one = %v, want none", got)
+	}
+	if size := unsafe.Sizeof(gossip.Sighting{}); size != 16 {
+		t.Fatalf("a sighting takes %d bytes, want 16", size)
 	}
 }

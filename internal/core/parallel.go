@@ -39,7 +39,7 @@ type ParResult struct {
 // every isolation argument of §5.3.1 (a not-yet-set-up node holds txC and
 // rejects both txA — bump below R — and txB — priced below txC).
 func (m *Measurer) MeasurePar(edges []Edge) (*ParResult, error) {
-	start := m.net.Now()
+	start := m.v.Now()
 	res := &ParResult{Detected: NewEdgeSet(), DetectedVia: make(map[[2]types.NodeID]types.Hash)}
 	if len(edges) == 0 {
 		res.Duration = 0
@@ -53,12 +53,12 @@ func (m *Measurer) MeasurePar(edges []Edge) (*ParResult, error) {
 		}
 	}
 	for id := range sources {
-		if m.net.Node(id) == nil {
+		if !m.v.Reaches(id) {
 			return nil, fmt.Errorf("core: unknown source %v", id)
 		}
 	}
 	for id := range sinks {
-		if m.net.Node(id) == nil {
+		if !m.v.Reaches(id) {
 			return nil, fmt.Errorf("core: unknown sink %v", id)
 		}
 	}
@@ -102,11 +102,11 @@ func (m *Measurer) MeasurePar(edges []Edge) (*ParResult, error) {
 	sc := m.tracer.StartSpan(spanSendTxC)
 	entries := m.entryNodes(sources, sinks)
 	for i, tx := range txC {
-		m.super.Inject(entries[i%len(entries)], tx)
+		m.inject(entries[i%len(entries)], tx)
 	}
 	sc.End()
 	wx := m.tracer.StartSpan(spanWaitX)
-	m.net.RunFor(m.params.X)
+	m.v.Wait(m.params.X)
 	wx.End()
 
 	// Sink setup (paper's p3): Z futures evict the txCs, then the r-slot
@@ -116,7 +116,7 @@ func (m *Measurer) MeasurePar(edges []Edge) (*ParResult, error) {
 	for _, b := range sinkOrder {
 		fut := m.mintFutures(m.zFor(b), m.params.PriceFuture(y))
 		m.Ledger.RecordFutures(fut)
-		m.super.Inject(b, fut...)
+		m.inject(b, fut...)
 		stream := make([]*types.Transaction, len(edges))
 		for i, e := range edges {
 			if e.Sink == b {
@@ -125,20 +125,20 @@ func (m *Measurer) MeasurePar(edges []Edge) (*ParResult, error) {
 				stream[i] = txC[i]
 			}
 		}
-		m.super.Inject(b, stream...)
-		m.interNodeWait()
+		m.inject(b, stream...)
+		m.v.WaitDrained(m.params.InterNodeWait)
 	}
-	m.runUntilDrained()
+	m.v.WaitDrained(-1)
 	ss.End()
 
 	// Source setup (paper's p2): Z futures, other-edge txCs, own txAs.
 	sp := m.tracer.StartSpan(spanSourceSetup, trace.Int(attrNodes, int64(len(sources))))
-	checkFrom := m.net.Now()
+	checkFrom := m.v.Now()
 	srcOrder := sortedIDs(sources)
 	for _, a := range srcOrder {
 		fut := m.mintFutures(m.zFor(a), m.params.PriceFuture(y))
 		m.Ledger.RecordFutures(fut)
-		m.super.Inject(a, fut...)
+		m.inject(a, fut...)
 		var others, own []*types.Transaction
 		for i, e := range edges {
 			if e.Source == a {
@@ -147,11 +147,11 @@ func (m *Measurer) MeasurePar(edges []Edge) (*ParResult, error) {
 				others = append(others, txC[i])
 			}
 		}
-		m.super.Inject(a, others...)
-		m.super.Inject(a, own...)
-		m.interNodeWait()
+		m.inject(a, others...)
+		m.inject(a, own...)
+		m.v.WaitDrained(m.params.InterNodeWait)
 	}
-	m.runUntilDrained()
+	m.v.WaitDrained(-1)
 	sp.End()
 	roundSpend := m.Ledger.Cut() // the two set-up phases' mempool fills
 
@@ -159,8 +159,7 @@ func (m *Measurer) MeasurePar(edges []Edge) (*ParResult, error) {
 	// source before trusting the iteration's negatives.
 	vs := m.tracer.StartSpan(spanVerifyRPC)
 	for i, e := range edges {
-		held, err := m.net.Node(e.Source).RPC().HasTransaction(txA[i])
-		if err != nil || !held {
+		if !m.v.Holds(e.Source, txA[i]) {
 			res.SetupFailed = append(res.SetupFailed, e)
 			m.tracer.Event(evSetupFailed,
 				trace.Int(attrNodeA, int64(e.Source)), trace.Int(attrNodeB, int64(e.Sink)))
@@ -172,9 +171,9 @@ func (m *Measurer) MeasurePar(edges []Edge) (*ParResult, error) {
 	// and from sink_i alone; a txA observed from anyone else has escaped
 	// isolation and is discarded (precision over recall).
 	dc := m.tracer.StartSpan(spanDecide)
-	m.net.RunFor(m.params.SettleTime)
+	m.v.Wait(m.params.SettleTime)
 	for i, e := range edges {
-		if m.super.ObservedOnlyFrom(e.Sink, txA[i].Hash(), checkFrom) {
+		if VerdictOf(e.Sink, m.v.Sightings(txA[i].Hash(), checkFrom)).Detected() {
 			res.Detected.Add(e.Source, e.Sink)
 			res.DetectedVia[norm(e.Source, e.Sink)] = txA[i].Hash()
 		}
@@ -182,7 +181,7 @@ func (m *Measurer) MeasurePar(edges []Edge) (*ParResult, error) {
 	dc.End()
 	span.SetAttr(trace.Int(attrDetected, int64(res.Detected.Len())))
 	span.SetAttr(trace.Int(attrFailed, int64(len(res.SetupFailed))))
-	res.Duration = m.net.Now() - start
+	res.Duration = m.v.Now() - start
 
 	// Cost attribution: each edge owns its cut and its verdict; the
 	// per-participant mempool fills are shared batch cost and land on one
@@ -211,6 +210,9 @@ func (m *Measurer) MeasurePar(edges []Edge) (*ParResult, error) {
 	m.metrics.edgesDetected.Add(int64(res.Detected.Len()))
 	m.metrics.setupFailed.Add(int64(len(res.SetupFailed)))
 	m.metrics.roundDuration.Observe(res.Duration)
+	if err := m.injectErr(); err != nil {
+		return nil, err
+	}
 	return res, nil
 }
 
@@ -234,16 +236,16 @@ func sortedIDs(set map[types.NodeID]struct{}) []types.NodeID {
 	return out
 }
 
-// entryNodes picks nodes to seed txC floods through: preferably
-// non-participants (plain C nodes), falling back to sinks — whose state is
-// rebuilt during setup anyway. Within a MeasureNetwork run the candidate
-// scan is computed once and reused across every MeasurePar batch; the node
-// set is static for the duration of a campaign, so the cached view filters
-// to exactly what a fresh scan would return.
+// entryNodes picks nodes to seed txC floods through among M's peers:
+// preferably non-participants (plain C nodes), falling back to sinks — whose
+// state is rebuilt during setup anyway. Within a MeasureNetwork run the peer
+// list is read once and reused across every MeasurePar batch; the node set is
+// static for the duration of a campaign, so the cached view filters to
+// exactly what a fresh read would return.
 func (m *Measurer) entryNodes(sources, sinks map[types.NodeID]struct{}) []types.NodeID {
 	candidates := m.entryCandidates
 	if candidates == nil {
-		candidates = m.scanEntryCandidates()
+		candidates = m.v.Peers()
 	}
 	var entries []types.NodeID
 	for _, id := range candidates {
@@ -262,19 +264,6 @@ func (m *Measurer) entryNodes(sources, sinks map[types.NodeID]struct{}) []types.
 		entries = sortedIDs(sinks)
 	}
 	return entries
-}
-
-// scanEntryCandidates walks the network once for flood entry candidates:
-// every responsive node except the supernode, in creation order.
-func (m *Measurer) scanEntryCandidates() []types.NodeID {
-	var out []types.NodeID
-	for _, nd := range m.net.Nodes() {
-		if nd.ID() == m.super.ID() || nd.Config().Unresponsive {
-			continue
-		}
-		out = append(out, nd.ID())
-	}
-	return out
 }
 
 // ScheduleResult reports a whole-network measurement.
@@ -429,15 +418,15 @@ func (m *Measurer) MeasureNetworkResume(nodes []types.NodeID, k, edgeBudget int,
 	if edgeBudget < 1 {
 		edgeBudget = 2000
 	}
-	// Cache the flood-entry candidate scan for the whole campaign; no nodes
+	// Cache the flood-entry candidates for the whole campaign; no nodes
 	// join or leave mid-run. Cleared on exit so direct MeasurePar callers
-	// (which may add nodes between calls) keep the fresh-scan behaviour.
-	m.entryCandidates = m.scanEntryCandidates()
+	// (which may add nodes between calls) keep the fresh-read behaviour.
+	m.entryCandidates = m.v.Peers()
 	defer func() { m.entryCandidates = nil }()
 
 	plan := planNetworkBatches(nodes, k, edgeBudget)
 	out := &ScheduleResult{Detected: NewEdgeSet(), DetectedVia: make(map[[2]types.NodeID]types.Hash)}
-	start := m.net.Now()
+	start := m.v.Now()
 	done := 0
 	if resume != nil {
 		if err := m.applyCampaignState(resume, len(plan), out); err != nil {
@@ -490,7 +479,7 @@ func (m *Measurer) MeasureNetworkResume(nodes []types.NodeID, k, edgeBudget int,
 		}
 	}
 
-	out.Duration = m.net.Now() - start
+	out.Duration = m.v.Now() - start
 	m.olog.Info(MsgCampaignDone,
 		obs.Int("pairs", int64(out.PairsMeasured)), obs.Int("detected", int64(out.Detected.Len())),
 		obs.Int("calls", int64(out.Calls)), obs.Int("setup_fails", int64(out.SetupFails)),
@@ -517,7 +506,7 @@ func minInt(a, b int) int {
 // MeasureAllPairsSerial measures every pair with the one-link primitive —
 // the serial baseline Figure 5's speedup is computed against.
 func (m *Measurer) MeasureAllPairsSerial(nodes []types.NodeID) (*ScheduleResult, error) {
-	start := m.net.Now()
+	start := m.v.Now()
 	out := &ScheduleResult{Detected: NewEdgeSet()}
 	totalPairs := len(nodes) * (len(nodes) - 1) / 2
 	span := m.tracer.StartSpan(SpanSerial,
@@ -538,6 +527,6 @@ func (m *Measurer) MeasureAllPairsSerial(nodes []types.NodeID) (*ScheduleResult,
 			}
 		}
 	}
-	out.Duration = m.net.Now() - start
+	out.Duration = m.v.Now() - start
 	return out, nil
 }

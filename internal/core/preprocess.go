@@ -1,9 +1,11 @@
 package core
 
 import (
+	"slices"
 	"strings"
 
 	"toposhot/internal/ethsim"
+	"toposhot/internal/gossip"
 	"toposhot/internal/txpool"
 	"toposhot/internal/types"
 )
@@ -84,10 +86,13 @@ func (m *Measurer) Preprocess(nodes []types.NodeID) *PreprocessReport {
 		probes[id] = probe.Hash()
 		m.super.Inject(id, probe)
 	}
-	m.runUntilDrained()
+	m.super.WaitDrained(-1)
 	m.net.RunFor(3)
+	pushed := func(s gossip.Sighting) bool { return s.Pushed }
 	for id, h := range probes {
-		if monitor.ObservedFrom(id, h, checkFrom) || m.super.Observed(h, checkFrom) {
+		fromID := func(s gossip.Sighting) bool { return s.Pushed && s.Peer == id }
+		if slices.ContainsFunc(monitor.Sightings(h, checkFrom), fromID) ||
+			slices.ContainsFunc(m.super.Sightings(h, checkFrom), pushed) {
 			rep.Excluded[id] = "forwards-futures"
 		}
 	}

@@ -31,7 +31,7 @@ func TestFlushSkipsFullyExcludedPeer(t *testing.T) {
 	received := make(map[types.NodeID]int)
 	for _, id := range ids {
 		id := id
-		net.Node(id).OnTxDelivered = func(TxReceipt) { received[id]++ }
+		net.Node(id).OnTxDelivered = func(types.NodeID, *types.Transaction, float64) { received[id]++ }
 		net.Node(id).OnHashAnnounced = func(types.NodeID, types.Hash, float64) { received[id]++ }
 	}
 	net.RunFor(10)

@@ -153,11 +153,11 @@ type (
 // returns an error wrapping sim.ErrForeignHandler.
 // Function-valued hooks are not part of the image: supernode observation
 // hooks are re-bound automatically on restore, but custom OnOffer /
-// OnTxAdmitted / AddJanitorHook callbacks must be re-registered by the
-// caller. Supernode receipt logs (byHash/announced) are deliberately
-// dropped: every verdict read filters receipts to At >= t for a measurement
-// start t, and any measurement started after a resume has t at or past the
-// checkpoint time, so pre-checkpoint receipts are unreachable.
+// AddJanitorHook callbacks must be re-registered by the caller. Supernode
+// sighting logs are deliberately dropped: every verdict read filters
+// sightings to At >= t for a measurement start t, and any measurement started
+// after a resume has t at or past the checkpoint time, so pre-checkpoint
+// sightings are unreachable.
 func (n *Network) Checkpoint() ([]byte, error) {
 	img, err := n.image()
 	if err != nil {

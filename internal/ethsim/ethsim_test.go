@@ -2,8 +2,10 @@ package ethsim
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
+	"toposhot/internal/gossip"
 	"toposhot/internal/txpool"
 	"toposhot/internal/types"
 )
@@ -158,10 +160,11 @@ func TestSupernodeObservesSources(t *testing.T) {
 	if !net.Node(ids[2]).Pool().Has(tx.Hash()) {
 		t.Fatal("injection did not propagate")
 	}
-	if !super.Observed(tx.Hash(), 0) {
-		t.Fatal("supernode observed nothing")
+	seen := super.Sightings(tx.Hash(), 0)
+	if !slices.ContainsFunc(seen, func(s gossip.Sighting) bool { return s.Pushed }) {
+		t.Fatal("supernode observed no delivery")
 	}
-	if super.ObservedFrom(super.ID(), tx.Hash(), 0) {
+	if slices.ContainsFunc(seen, func(s gossip.Sighting) bool { return s.Peer == super.ID() }) {
 		t.Fatal("supernode observed itself")
 	}
 }

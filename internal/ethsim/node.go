@@ -40,13 +40,6 @@ func DefaultNodeConfig() NodeConfig {
 	return NodeConfig{Policy: txpool.Geth, MaxPeers: 50}
 }
 
-// TxReceipt records one transaction delivery observed by a node hook.
-type TxReceipt struct {
-	From types.NodeID
-	Tx   *types.Transaction
-	At   float64
-}
-
 // Node is one simulated Ethereum peer. Its peer set lives as a sorted
 // segment of the network's shared adjacency arena (struct-of-arrays,
 // DESIGN.md §12): the node carries only the segment's offset/length/capacity,
@@ -83,11 +76,9 @@ type Node struct {
 	// and its contents are copied into outQ before reuse.
 	scratchOut []*types.Transaction
 
-	// OnTxAdmitted, when set, fires after a transaction enters the pool.
-	OnTxAdmitted func(rcpt TxReceipt, res txpool.Result)
 	// OnTxDelivered, when set, fires for every transaction delivery,
 	// admitted or not (the supernode's observation hook).
-	OnTxDelivered func(rcpt TxReceipt)
+	OnTxDelivered func(from types.NodeID, tx *types.Transaction, at float64)
 	// OnHashAnnounced, when set, fires for every announced hash, before the
 	// lock/known filtering (the supernode records who advertises what).
 	OnHashAnnounced func(from types.NodeID, h types.Hash, at float64)
@@ -272,9 +263,8 @@ func (nd *Node) deliverBatch(from types.NodeID, items []outItem) {
 //
 //toposhot:hotpath
 func (nd *Node) receiveTx(from types.NodeID, tx *types.Transaction, out []*types.Transaction) []*types.Transaction {
-	rcpt := TxReceipt{From: from, Tx: tx, At: nd.net.Now()}
 	if nd.OnTxDelivered != nil {
-		nd.OnTxDelivered(rcpt)
+		nd.OnTxDelivered(from, tx, nd.net.Now())
 	}
 	res := nd.pool.Offer(tx)
 	if nd.net.OnOffer != nil {
@@ -282,9 +272,6 @@ func (nd *Node) receiveTx(from types.NodeID, tx *types.Transaction, out []*types
 	}
 	if nd.net.traceEngine {
 		nd.traceOffer(res)
-	}
-	if nd.OnTxAdmitted != nil && res.Status.Admitted() {
-		nd.OnTxAdmitted(rcpt, res)
 	}
 	return gossip.Propagatable(out, tx, res, nd.pool, nd.cfg.ForwardFutures)
 }

@@ -16,6 +16,16 @@ import (
 // a node ignores re-announcements of a hash it requested for this long.
 const AnnounceLock = 5.0
 
+// Sighting is one peer's evidence, as a measurement node receives it, that the
+// peer holds a transaction: a full delivery (Pushed) or a hash announcement,
+// at At seconds on the measurement node's clock. The field order keeps it at
+// 16 bytes.
+type Sighting struct {
+	At     float64
+	Peer   types.NodeID
+	Pushed bool
+}
+
 // PushCount returns how many slots of a propagation's peer permutation get the
 // full transactions: ⌈√peers⌉ (Geth ≥ 1.9.11), or all under pushAll (legacy
 // push-to-all). Slot i is a push iff i < PushCount, else an announcement; the

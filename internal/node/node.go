@@ -98,9 +98,9 @@ type Node struct {
 	traceEngine bool
 
 	// onSeen, when set, receives the hash of every transaction a peer
-	// delivers (admitted or not) and every hash it announces, with the peer's
-	// remote address. The prober sets it before any peer connects.
-	onSeen func(fromAddr string, hashes []types.Hash)
+	// delivers (pushed; admitted or not) and every hash it announces, with the
+	// peer's remote address. A Vantage sets it before any peer connects.
+	onSeen func(fromAddr string, hashes []types.Hash, pushed bool)
 }
 
 // nodeMetrics pre-resolves the node's instruments; the zero value (nil
@@ -139,6 +139,13 @@ type peer struct {
 	writeTimeout time.Duration
 	w            io.Writer // byte-counting writer over conn
 
+	// asked holds one entry per GetPooledTransactions sent to the peer,
+	// oldest first: the channel awaiting a query's answer, or nil for an
+	// announce fetch, whose answer goes through handleTxs. A peer answers
+	// every request once and in order, so each answer pops the front.
+	// Guarded by writeMu, which also orders the requests on the wire.
+	asked []chan []*types.Transaction
+
 	closeOnce sync.Once
 
 	// Per-peer traffic accounting (DEthna-style per-peer message flow).
@@ -176,10 +183,14 @@ func (c counting) Read(b []byte) (int, error) {
 }
 
 // send writes one frame to the peer under its write deadline. It reports
-// wire/IO errors verbatim; the caller decides whether to drop the peer.
-func (p *peer) send(m wire.Msg) error {
+// wire/IO errors verbatim; the caller decides whether to drop the peer. A
+// request queues reply (see asked) under the lock that orders the writes.
+func (p *peer) send(m wire.Msg, reply chan []*types.Transaction) error {
 	p.writeMu.Lock()
 	defer p.writeMu.Unlock()
+	if m.Code == wire.CodeGetPooledTransactions {
+		p.asked = append(p.asked, reply)
+	}
 	if p.writeTimeout > 0 {
 		//lint:ignore locksafe writeMu exists to serialize whole frames; the deadline set here bounds how long it is held
 		if err := p.conn.SetWriteDeadline(time.Now().Add(p.writeTimeout)); err != nil {
@@ -188,6 +199,19 @@ func (p *peer) send(m wire.Msg) error {
 	}
 	//lint:ignore locksafe frame serialization is writeMu's purpose; the write deadline above caps the hold time
 	return wire.WriteMsg(p.w, m)
+}
+
+// answered pops the channel awaiting the oldest outstanding request's answer:
+// nil for an announce fetch, or for an answer nobody asked for.
+func (p *peer) answered() chan []*types.Transaction {
+	p.writeMu.Lock()
+	defer p.writeMu.Unlock()
+	if len(p.asked) == 0 {
+		return nil
+	}
+	reply := p.asked[0]
+	p.asked = p.asked[1:]
+	return reply
 }
 
 // Start launches a node listening on addr (use "127.0.0.1:0" for an
@@ -278,15 +302,21 @@ func (n *Node) acceptLoop() {
 
 // Dial connects to a remote node and registers it as a peer.
 func (n *Node) Dial(addr string) error {
+	_, err := n.dial(addr)
+	return err
+}
+
+// dial is Dial returning the address the peer is registered under.
+func (n *Node) dial(addr string) (string, error) {
 	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
 	if err != nil {
-		return err
+		return "", err
 	}
 	if err := n.setupPeer(conn); err != nil {
 		_ = conn.Close()
-		return err
+		return "", err
 	}
-	return nil
+	return conn.RemoteAddr().String(), nil
 }
 
 // setupPeer performs the Status handshake and launches the read loop.
@@ -368,13 +398,26 @@ func (n *Node) dropPeer(p *peer) {
 		n.tracer.Event(evPeerDisconnect, trace.String(attrAddr, p.addr))
 	}
 	p.close()
+	// Queries still waiting for an answer get none.
+	p.writeMu.Lock()
+	asked := p.asked
+	p.asked = nil
+	p.writeMu.Unlock()
+	for _, reply := range asked {
+		if reply != nil {
+			close(reply)
+		}
+	}
 }
 
 // sendTo writes one frame to a peer and handles failure: a write error —
 // including a deadline expiry on a stalled connection — drops the peer so
 // it cannot block future broadcasts.
-func (n *Node) sendTo(p *peer, m wire.Msg) error {
-	err := p.send(m)
+func (n *Node) sendTo(p *peer, m wire.Msg) error { return n.ask(p, m, nil) }
+
+// ask is sendTo for a frame whose answer, if it is a request, goes to reply.
+func (n *Node) ask(p *peer, m wire.Msg, reply chan []*types.Transaction) error {
+	err := p.send(m, reply)
 	if err != nil {
 		var ne net.Error
 		if errors.As(err, &ne) && ne.Timeout() {
@@ -412,8 +455,14 @@ func (n *Node) readLoop(p *peer) {
 		p.framesIn.Add(1)
 		n.metrics.framesIn.Inc()
 		switch m.Code {
-		case wire.CodeTransactions, wire.CodePooledTransactions:
+		case wire.CodeTransactions:
 			n.handleTxs(p, m.Txs)
+		case wire.CodePooledTransactions:
+			if reply := p.answered(); reply != nil {
+				reply <- m.Txs // buffered: a query waits for exactly one answer
+			} else {
+				n.handleTxs(p, m.Txs)
+			}
 		case wire.CodeNewPooledTransactionHashes:
 			n.handleAnnounce(p, m.Hashes)
 		case wire.CodeGetPooledTransactions:
@@ -456,7 +505,7 @@ func (n *Node) handleTxs(p *peer, txs []*types.Transaction) {
 		}
 	}
 	if onSeen != nil {
-		onSeen(p.addr, seen)
+		onSeen(p.addr, seen, true)
 	}
 	n.propagate(p.addr, out)
 }
@@ -479,20 +528,42 @@ func (n *Node) handleAnnounce(p *peer, hashes []types.Hash) {
 	onSeen := n.onSeen
 	n.mu.Unlock()
 	if onSeen != nil {
-		onSeen(p.addr, hashes)
+		onSeen(p.addr, hashes, false)
 	}
 	if len(want) > 0 {
 		_ = n.sendTo(p, wire.Msg{Code: wire.CodeGetPooledTransactions, Hashes: want})
 	}
 }
 
+// handleRequest answers every request, with an empty list when the pool
+// holds none of the hashes, as devp2p peers do: the asker pairs answers with
+// requests by order.
 func (n *Node) handleRequest(p *peer, hashes []types.Hash) {
 	n.mu.Lock()
 	txs := gossip.Answer(nil, n.pool, hashes, nil)
 	n.mu.Unlock()
-	if len(txs) > 0 {
-		_ = n.sendTo(p, wire.Msg{Code: wire.CodePooledTransactions, Txs: txs})
+	_ = n.sendTo(p, wire.Msg{Code: wire.CodePooledTransactions, Txs: txs})
+}
+
+// query asks the peer at addr for the pooled transactions with the given
+// hashes and returns its answer, the ones it holds. The answer bypasses the
+// pool and onSeen.
+func (n *Node) query(addr string, hashes []types.Hash) ([]*types.Transaction, error) {
+	n.mu.Lock()
+	p := n.peers[addr]
+	n.mu.Unlock()
+	if p == nil {
+		return nil, fmt.Errorf("node: no peer %s", addr)
 	}
+	reply := make(chan []*types.Transaction, 1)
+	if err := n.ask(p, wire.Msg{Code: wire.CodeGetPooledTransactions, Hashes: hashes}, reply); err != nil {
+		return nil, err
+	}
+	txs, ok := <-reply
+	if !ok {
+		return nil, fmt.Errorf("node: peer %s dropped before answering", addr)
+	}
+	return txs, nil
 }
 
 // propagate gossips what an admission made propagatable: the full
@@ -510,9 +581,13 @@ func (n *Node) propagate(excludeAddr string, txs []*types.Transaction) {
 		return
 	}
 	hashes := make([]types.Hash, len(txs))
+	// Hashed under the lock: a pooled transaction's digest memo is written by
+	// whoever hashes it first, and a request's answer hashes under the lock.
+	n.mu.Lock()
 	for i, tx := range txs {
 		hashes[i] = tx.Hash()
 	}
+	n.mu.Unlock()
 	for _, p := range announce {
 		_ = n.sendTo(p, wire.Msg{Code: wire.CodeNewPooledTransactionHashes, Hashes: hashes})
 	}

@@ -8,6 +8,8 @@ import (
 	"testing"
 	"time"
 
+	"toposhot/internal/core"
+	"toposhot/internal/ethsim"
 	"toposhot/internal/gossip"
 	"toposhot/internal/txpool"
 	"toposhot/internal/types"
@@ -225,44 +227,133 @@ func TestLiveAnnounceLocksExpire(t *testing.T) {
 	}
 }
 
-// TestLiveTopoShot runs the full four-step primitive over real TCP sockets:
-// a 5-node path topology; adjacent pair detected, non-adjacent pair not.
-func TestLiveTopoShot(t *testing.T) {
-	const n = 5
+// startVantage starts a live vantage dialed into every node, returning the
+// ids the probe addresses them by, in node order.
+func startVantage(t *testing.T, nodes []*Node) (*Vantage, []types.NodeID) {
+	t.Helper()
+	v, err := NewVantage(testNetID, 99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = v.Close() })
+	ids := make([]types.NodeID, len(nodes))
+	for i, nd := range nodes {
+		if ids[i], err = v.Dial(nd.Addr()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return v, ids
+}
+
+// startTopology starts n live nodes linked along edges (index pairs).
+func startTopology(t *testing.T, n int, edges [][2]int) []*Node {
+	t.Helper()
 	nodes := make([]*Node, n)
 	for i := range nodes {
 		nodes[i] = startTestNode(t, int64(10+i))
 	}
-	for i := 0; i+1 < n; i++ {
-		if err := nodes[i].Dial(nodes[i+1].Addr()); err != nil {
+	for _, e := range edges {
+		if err := nodes[e[0]].Dial(nodes[e[1]].Addr()); err != nil {
 			t.Fatal(err)
 		}
 	}
-	prober, err := NewProber(testNetID, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer prober.Close()
-	for _, nd := range nodes {
-		if err := prober.Dial(nd.Addr()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	waitFor(t, 2*time.Second, func() bool { return prober.Node().PeerCount() == n })
-	params := DefaultProbeParams(256)
+	return nodes
+}
 
-	got, err := prober.MeasureOneLink(nodes[1].Addr(), nodes[2].Addr(), params)
+// pathEdges links 0 — 1 — … — n-1.
+func pathEdges(n int) [][2]int {
+	var out [][2]int
+	for i := 0; i+1 < n; i++ {
+		out = append(out, [2]int{i, i + 1})
+	}
+	return out
+}
+
+// TestLiveTopoShot runs core.Measurer's four-step primitive over real TCP
+// sockets: a 5-node path topology; adjacent pair detected, non-adjacent pair
+// not.
+func TestLiveTopoShot(t *testing.T) {
+	v, ids := startVantage(t, startTopology(t, 5, pathEdges(5)))
+	m := core.NewMeasurerAt(v, DefaultProbeParams(256))
+	got, err := m.MeasureOneLink(ids[1], ids[2])
 	if err != nil {
 		t.Fatalf("measure adjacent: %v", err)
 	}
 	if !got {
 		t.Error("adjacent pair 1-2 not detected over TCP")
 	}
-	got, err = prober.MeasureOneLink(nodes[0].Addr(), nodes[4].Addr(), params)
+	got, err = m.MeasureOneLink(ids[0], ids[4])
 	if err != nil {
 		t.Fatalf("measure non-adjacent: %v", err)
 	}
 	if got {
 		t.Error("false positive on non-adjacent pair 0-4 over TCP")
+	}
+}
+
+// TestLiveMeasurePar drives the parallel primitive over TCP on a two-edge
+// batch of the 5-node path: one linked pair, one not, both set up (the p2
+// GetPooledTransactions check passes) and judged correctly.
+func TestLiveMeasurePar(t *testing.T) {
+	v, ids := startVantage(t, startTopology(t, 5, pathEdges(5)))
+	m := core.NewMeasurerAt(v, DefaultProbeParams(256))
+	res, err := m.MeasurePar([]core.Edge{{Source: ids[1], Sink: ids[2]}, {Source: ids[0], Sink: ids[4]}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.SetupFailed) != 0 {
+		t.Errorf("setup failed on %v", res.SetupFailed)
+	}
+	if !res.Detected.Has(ids[1], ids[2]) || res.Detected.Len() != 1 {
+		t.Errorf("detected %v, want exactly 1-2", res.Detected.Edges())
+	}
+}
+
+// TestLiveCensus runs the two-round schedule over TCP on a fixed 8-node
+// topology and over the simulator on the same graph: both must return the
+// true edge set.
+func TestLiveCensus(t *testing.T) {
+	const n = 8
+	edges := append(pathEdges(n), [2]int{7, 0}, [2]int{0, 4}, [2]int{2, 6})
+	edgeSet := func(ids []types.NodeID) *core.EdgeSet {
+		s := core.NewEdgeSet()
+		for _, e := range edges {
+			s.Add(ids[e[0]], ids[e[1]])
+		}
+		return s
+	}
+	started := time.Now()
+	v, ids := startVantage(t, startTopology(t, n, edges))
+	live, err := core.NewMeasurerAt(v, DefaultProbeParams(256)).MeasureNetwork(ids, 4, 2000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if elapsed := time.Since(started); elapsed > 15*time.Second {
+		t.Errorf("loopback census took %v, want under 15 s", elapsed)
+	}
+
+	net := ethsim.NewNetwork(ethsim.DefaultConfig(1))
+	simIDs := make([]types.NodeID, n)
+	for i := range simIDs {
+		simIDs[i] = net.AddNode(ethsim.NodeConfig{Policy: txpool.Geth.WithCapacity(256)}).ID()
+	}
+	for _, e := range edges {
+		if err := net.Connect(simIDs[e[0]], simIDs[e[1]]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	super := ethsim.NewSupernode(net)
+	super.ConnectAll()
+	params := core.DefaultParams()
+	params.Y, params.Z = types.Gwei, 256
+	sim, err := core.NewMeasurer(net, super, params).MeasureNetwork(simIDs, 4, 2000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := live.Detected.Edges(), edgeSet(ids).Edges(); !slices.Equal(got, want) {
+		t.Errorf("live census found %v, want %v", got, want)
+	}
+	if got, want := sim.Detected.Edges(), edgeSet(simIDs).Edges(); !slices.Equal(got, want) {
+		t.Errorf("simulated census found %v, want %v", got, want)
 	}
 }

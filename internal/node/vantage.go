@@ -1,0 +1,179 @@
+package node
+
+import (
+	"fmt"
+	"slices"
+	"sync"
+	"time"
+
+	"toposhot/internal/core"
+	"toposhot/internal/gossip"
+	"toposhot/internal/txpool"
+	"toposhot/internal/types"
+)
+
+// DefaultProbeParams returns the measurement parameters for live nodes on
+// localhost whose pools hold capacity transactions: Z fills one such pool, and
+// X and SettleTime (seconds) are far below the paper's internet-scale X=10 s.
+// Y is set because a live vantage keeps no pool to estimate it from.
+func DefaultProbeParams(capacity int) core.Params {
+	return core.Params{Y: types.Gwei, Z: capacity, BumpMil: 100, U: 4096, X: 0.75, SettleTime: 0.75, InterNodeWait: -1}
+}
+
+// drainBound is the localhost delivery bound in seconds: a frame written to a
+// loopback peer has been read, admitted and relayed well within it.
+const drainBound = 0.2
+
+// Vantage is the live measurement node M, core.Vantage on wall time: a
+// NoForward node that logs every delivery and announcement its peers send it,
+// so core.NewMeasurerAt probes TCP peers with the code that probes the
+// simulator. A peer's id is its index in order of first contact.
+type Vantage struct {
+	node  *Node
+	start time.Time
+
+	mu    sync.Mutex
+	addrs []string // id → peer address
+	seen  map[types.Hash][]gossip.Sighting
+}
+
+var _ core.Vantage = (*Vantage)(nil)
+
+// NewVantage starts a vantage listening on an ephemeral localhost port.
+func NewVantage(networkID uint64, seed int64) (*Vantage, error) {
+	n, err := Start(Config{
+		ClientVersion: "toposhot-vantage/v1.0",
+		NetworkID:     networkID,
+		Policy:        txpool.Geth.WithCapacity(1 << 20),
+		MaxPeers:      1 << 16,
+		NoForward:     true,
+		Seed:          seed,
+	}, "127.0.0.1:0")
+	if err != nil {
+		return nil, err
+	}
+	return watch(n), nil
+}
+
+// watch makes n a vantage's node.
+func watch(n *Node) *Vantage {
+	v := &Vantage{node: n, start: time.Now(), seen: make(map[types.Hash][]gossip.Sighting)}
+	n.mu.Lock()
+	n.onSeen = v.record
+	n.mu.Unlock()
+	return v
+}
+
+// record logs hashes delivered (pushed) or announced by the peer at addr.
+func (v *Vantage) record(addr string, hashes []types.Hash, pushed bool) {
+	at := v.Now()
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	id := v.id(addr)
+	for _, h := range hashes {
+		v.seen[h] = append(v.seen[h], gossip.Sighting{At: at, Peer: id, Pushed: pushed})
+	}
+}
+
+// id returns the id of the peer at addr, the next one on first contact; the
+// caller holds v.mu.
+func (v *Vantage) id(addr string) types.NodeID {
+	i := slices.Index(v.addrs, addr)
+	if i < 0 {
+		i = len(v.addrs)
+		v.addrs = append(v.addrs, addr)
+	}
+	return types.NodeID(i)
+}
+
+// Dial connects M to the node listening at addr (one started by Start, or a
+// cmd/toposhotd) and returns its id.
+func (v *Vantage) Dial(addr string) (types.NodeID, error) {
+	registered, err := v.node.dial(addr)
+	if err != nil {
+		return 0, err
+	}
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return v.id(registered), nil
+}
+
+// Close shuts the vantage's node down.
+func (v *Vantage) Close() error { return v.node.Close() }
+
+// Now returns the wall seconds since the vantage started.
+func (v *Vantage) Now() float64 { return time.Since(v.start).Seconds() }
+
+// Wait sleeps d seconds.
+func (v *Vantage) Wait(d float64) { time.Sleep(time.Duration(d * float64(time.Second))) }
+
+// WaitDrained sleeps d seconds, or drainBound for a negative d: nothing
+// queues at M, since Inject returns once its frame is written.
+func (v *Vantage) WaitDrained(d float64) {
+	if d < 0 {
+		d = drainBound
+	}
+	v.Wait(d)
+}
+
+// Inject writes txs to peer `to` in one Transactions frame.
+func (v *Vantage) Inject(to types.NodeID, txs ...*types.Transaction) error {
+	addr, err := v.addr(to)
+	if err != nil {
+		return err
+	}
+	return v.node.SendTo(addr, txs)
+}
+
+// Sightings returns a copy of h's sightings at or after since.
+func (v *Vantage) Sightings(h types.Hash, since float64) []gossip.Sighting {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	var out []gossip.Sighting
+	for _, s := range v.seen[h] {
+		if s.At >= since {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// Peers returns every peer M has dialed or heard from, in id order.
+func (v *Vantage) Peers() []types.NodeID {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	ids := make([]types.NodeID, len(v.addrs))
+	for i := range ids {
+		ids[i] = types.NodeID(i)
+	}
+	return ids
+}
+
+// Holds asks peer id for tx with a GetPooledTransactions round trip. The
+// answer is the query's alone: it never reaches the sighting log, where the
+// source's copy of txA would read as a broken isolation.
+func (v *Vantage) Holds(id types.NodeID, tx *types.Transaction) bool {
+	addr, err := v.addr(id)
+	if err != nil {
+		return false
+	}
+	h := tx.Hash()
+	txs, err := v.node.query(addr, []types.Hash{h})
+	return err == nil && slices.ContainsFunc(txs, func(got *types.Transaction) bool { return got.Hash() == h })
+}
+
+// Reaches reports whether id is one of Peers.
+func (v *Vantage) Reaches(id types.NodeID) bool {
+	_, err := v.addr(id)
+	return err == nil
+}
+
+// addr returns peer id's address.
+func (v *Vantage) addr(id types.NodeID) (string, error) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if int(id) >= len(v.addrs) {
+		return "", fmt.Errorf("node: no peer %v", id)
+	}
+	return v.addrs[id], nil
+}

@@ -1,6 +1,7 @@
 package strategy
 
 import (
+	"toposhot/internal/core"
 	"toposhot/internal/ethsim"
 	"toposhot/internal/types"
 )
@@ -97,7 +98,7 @@ func (d *DEthna) probeTarget(a types.NodeID) error {
 		d.super.Inject(a, mark)
 		d.pending++
 		d.net.RunFor(dethnaSettle)
-		times := d.super.PossessionTimes(mark.Hash(), checkFrom)
+		times := core.FirstEvidence(d.super.Sightings(mark.Hash(), checkFrom))
 		if len(times) == 0 {
 			continue
 		}

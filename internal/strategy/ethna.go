@@ -3,6 +3,7 @@ package strategy
 import (
 	"math"
 
+	"toposhot/internal/core"
 	"toposhot/internal/ethsim"
 	"toposhot/internal/gossip"
 	"toposhot/internal/types"
@@ -102,7 +103,7 @@ func (e *Ethna) sweep() {
 		e.super.Inject(entries[s%len(entries)], tx)
 		e.pending++
 		e.net.RunFor(ethnaSettle)
-		for _, pt := range e.super.PossessionTimes(tx.Hash(), checkFrom) {
+		for _, pt := range core.FirstEvidence(e.super.Sightings(tx.Hash(), checkFrom)) {
 			seen[pt.Peer]++
 			if pt.Pushed {
 				pushes[pt.Peer]++

@@ -63,8 +63,10 @@ func (p *TxProbe) MeasurePair(a, b types.NodeID) (Claim, error) {
 	p.super.Inject(a, txA)
 	p.pending++
 	p.net.RunFor(txProbeSettle)
-	if p.super.PossessedBy(b, txA.Hash(), checkFrom) {
-		return Claim{Detected: true, Verdict: "marker-possessed"}, nil
+	for _, s := range p.super.Sightings(txA.Hash(), checkFrom) {
+		if s.Peer == b {
+			return Claim{Detected: true, Verdict: "marker-possessed"}, nil
+		}
 	}
 	return Claim{Verdict: "marker-absent"}, nil
 }
