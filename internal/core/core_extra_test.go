@@ -242,6 +242,27 @@ func TestPreprocessExcludesMisbehavers(t *testing.T) {
 	}
 }
 
+// TestEntryNodesAreLinkedPeers: Preprocess leaves its monitor supernode in
+// the world with every link retired. A batch that leaves only a few
+// non-participants must seed its txC floods through M's linked peers, never
+// through that isolated node, whose txCs would never flood.
+func TestEntryNodesAreLinkedPeers(t *testing.T) {
+	net, m, ids := buildRing(t, 8, 7)
+	m.Preprocess(ids)
+	var edges []Edge
+	for _, a := range ids[:3] {
+		for _, b := range ids[3:6] {
+			edges = append(edges, Edge{Source: a, Sink: b})
+		}
+	}
+	sources, sinks := participantSets(edges)
+	for _, e := range m.entryNodes(sources, sinks) {
+		if !net.Connected(m.Supernode().ID(), e) {
+			t.Errorf("flood entry %v is not linked to M", e)
+		}
+	}
+}
+
 func TestProbeZDiscoversEnlargedPool(t *testing.T) {
 	_, m, ids := buildRing(t, 6, 31)
 	// Enlarge one node's pool beyond the default Z.
