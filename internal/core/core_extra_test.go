@@ -61,7 +61,7 @@ func TestLedgerAccounting(t *testing.T) {
 	tx2 := types.NewTransaction(types.AddressFromUint64(3), types.AddressFromUint64(4), 0, 200, 0)
 	l.RecordPending(tx1)
 	l.RecordPending(tx2)
-	l.RecordFutures([]*types.Transaction{tx1}) // count only
+	l.RecordFutures([]*types.Run{{From: tx1.From, Nonce: 1, Count: 1, Price: 100}}) // count only
 	if l.PendingCount() != 2 || l.FutureCount() != 1 {
 		t.Fatalf("counts wrong: %d/%d", l.PendingCount(), l.FutureCount())
 	}

@@ -22,7 +22,10 @@ func TestLedgerCut(t *testing.T) {
 		return types.NewTransaction(types.AddressFromUint64(i), types.AddressFromUint64(2), 0, price, 0)
 	}
 	c, b, a := tx(1, 7e12+1), tx(2, 6e12+3), tx(3, 8e12+7)
-	fut := []*types.Transaction{tx(4, 9e12+1), tx(5, 9e12+3), tx(6, 9e12+5)}
+	run := func(i, price uint64, n int) *types.Run {
+		return &types.Run{From: types.AddressFromUint64(i), Nonce: 1, Count: n, Price: price, ToSeq: 10 * i}
+	}
+	fut := []*types.Run{run(4, 9e12+1, 2), run(5, 9e12+3, 1), run(6, 9e12+5, 1)}
 
 	l.RecordPending(c)
 	l.RecordFutures(fut)
@@ -31,11 +34,11 @@ func TestLedgerCut(t *testing.T) {
 	l.RecordPending(b.Copy()) // equal content behind another pointer: the same transaction
 	l.RecordFutures(fut[:2])
 	l.RecordPending(a)
-	want := Spend{Pending: 3, Futures: 5}
+	want := Spend{Pending: 3, Futures: 7}
 	want.FeeWei = float64(c.Fee())
-	want.FeeWei += feeWei(fut)
+	want.FeeWei += memberFees(fut)
 	want.FeeWei += float64(b.Fee())
-	want.FeeWei += feeWei(fut[:2])
+	want.FeeWei += memberFees(fut[:2])
 	want.FeeWei += float64(a.Fee())
 	if got := l.Cut(); got != want {
 		t.Fatalf("cut = %+v, want %+v", got, want)
@@ -47,9 +50,47 @@ func TestLedgerCut(t *testing.T) {
 	if got := l.Cut(); got != (Spend{}) {
 		t.Fatalf("re-recorded transaction attributed again: %+v", got)
 	}
-	if l.PendingCount() != 7+3 || l.FutureCount() != 900+5 || l.InjectedMsgs != 907+11 {
+	if l.PendingCount() != 7+3 || l.FutureCount() != 900+7 || l.InjectedMsgs != 907+13 {
 		t.Fatalf("campaign totals moved: pending %d futures %d injected %d",
 			l.PendingCount(), l.FutureCount(), l.InjectedMsgs)
+	}
+}
+
+// memberFees sums the fees of runs' members one transaction at a time, in
+// order: what recording every member as an object summed.
+func memberFees(runs []*types.Run) float64 {
+	var sum float64
+	for _, r := range runs {
+		for k := 0; k < r.Count; k++ {
+			sum += float64(r.Tx(k).Fee())
+		}
+	}
+	return sum
+}
+
+// TestLedgerRecordsRunFeesMemberByMember: a fill recorded as runs costs, bit
+// for bit, the sum of its members' fees added one at a time. At Z = 5120 and
+// Y = 1 Gwei each future may pay 23 100 000 021 000 Wei, and the partial sums
+// pass 2^53 Wei, where count × fee rounds differently: a ledger that
+// multiplies fails here.
+func TestLedgerRecordsRunFeesMemberByMember(t *testing.T) {
+	m := &Measurer{params: DefaultParams()}
+	runs := m.futureRuns(5120, m.params.PriceFuture(types.Gwei))
+	if len(runs) != 2 || runs[0].Count != 4096 || runs[1].Count != 1024 || runs[0].Fee() != 23_100_000_021_000 {
+		t.Fatalf("fill minted as %d runs: %+v", len(runs), runs)
+	}
+	want := memberFees(runs)
+	var product float64
+	for _, r := range runs {
+		product += float64(r.Count) * float64(r.Fee())
+	}
+	if product == want || 5120*float64(runs[0].Fee()) == want {
+		t.Fatalf("count × fee equals the member sum %v: the test cannot tell them apart", want)
+	}
+	l := NewLedger()
+	l.RecordFutures(runs)
+	if got := l.Cut(); got.FeeWei != want || got.Futures != 5120 || l.InjectedMsgs != 5120 {
+		t.Fatalf("recorded %+v and %d messages, want %v Wei over 5120 futures", got, l.InjectedMsgs, want)
 	}
 }
 

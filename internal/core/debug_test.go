@@ -20,16 +20,14 @@ func TestDebugPrimitiveTrace(t *testing.T) {
 		nd := net.Node(id)
 		t.Logf("after step1 node %v: has txC=%v poolLen=%d pending=%d", id, nd.Pool().Has(txC.Hash()), nd.Pool().Len(), nd.Pool().PendingCount())
 	}
-	futB := m.mintFutures(m.zFor(b), m.params.PriceFuture(y))
-	m.super.Inject(b, futB...)
+	m.super.InjectRuns(b, m.futureRuns(m.zFor(b), m.params.PriceFuture(y))...)
 	txB := types.NewTransaction(acctC, dest, 0, m.params.PriceTxB(y), 0)
 	m.super.Inject(b, txB)
 	m.v.WaitDrained(-1)
 	nb := net.Node(b)
 	t.Logf("after step2 B: hasTxC=%v hasTxB=%v len=%d pending=%d future=%d",
 		nb.Pool().Has(txC.Hash()), nb.Pool().Has(txB.Hash()), nb.Pool().Len(), nb.Pool().PendingCount(), nb.Pool().FutureCount())
-	futA := m.mintFutures(m.zFor(a), m.params.PriceFuture(y))
-	m.super.Inject(a, futA...)
+	m.super.InjectRuns(a, m.futureRuns(m.zFor(a), m.params.PriceFuture(y))...)
 	txA := types.NewTransaction(acctC, dest, 0, m.params.PriceTxA(y), 0)
 	checkFrom := net.Now()
 	m.super.Inject(a, txA)
@@ -84,8 +82,7 @@ func TestDebugMeasurePar(t *testing.T) {
 		t.Logf("after p1 node %v: txCs=%d/9 len=%d", id, n, nd.Pool().Len())
 	}
 	for _, b := range sortedIDs(sinks) {
-		fut := m.mintFutures(m.zFor(b), m.params.PriceFuture(y))
-		m.super.Inject(b, fut...)
+		m.super.InjectRuns(b, m.futureRuns(m.zFor(b), m.params.PriceFuture(y))...)
 		stream := make([]*types.Transaction, len(edges))
 		for i, e := range edges {
 			if e.Sink == b {
@@ -111,8 +108,7 @@ func TestDebugMeasurePar(t *testing.T) {
 		t.Logf("after sinks node %v: txBs=%d txCs=%d len=%d pend=%d fut=%d", id, nb, nc, nd.Pool().Len(), nd.Pool().PendingCount(), nd.Pool().FutureCount())
 	}
 	for _, a := range sortedIDs(sources) {
-		fut := m.mintFutures(m.zFor(a), m.params.PriceFuture(y))
-		m.super.Inject(a, fut...)
+		m.super.InjectRuns(a, m.futureRuns(m.zFor(a), m.params.PriceFuture(y))...)
 		var others, own []*types.Transaction
 		for i, e := range edges {
 			if e.Source == a {
@@ -224,8 +220,7 @@ func TestDebugRound2Call(t *testing.T) {
 		t.Logf("after p1 %v: txCs=%v len=%d pend=%d", id, have, nd.Pool().Len(), nd.Pool().PendingCount())
 	}
 	for _, b := range sortedIDs(sinks) {
-		fut := m.mintFutures(m.zFor(b), m.params.PriceFuture(y))
-		m.super.Inject(b, fut...)
+		m.super.InjectRuns(b, m.futureRuns(m.zFor(b), m.params.PriceFuture(y))...)
 		stream := make([]*types.Transaction, len(edges))
 		for i, e := range edges {
 			if e.Sink == b {
@@ -251,8 +246,7 @@ func TestDebugRound2Call(t *testing.T) {
 		t.Logf("after sinks %v: txB=%v txC=%v len=%d pend=%d fut=%d", id, hasB, hasC, nd.Pool().Len(), nd.Pool().PendingCount(), nd.Pool().FutureCount())
 	}
 	for _, a := range sortedIDs(sources) {
-		fut := m.mintFutures(m.zFor(a), m.params.PriceFuture(y))
-		m.super.Inject(a, fut...)
+		m.super.InjectRuns(a, m.futureRuns(m.zFor(a), m.params.PriceFuture(y))...)
 		var others, own []*types.Transaction
 		for i, e := range edges {
 			if e.Source == a {

@@ -62,12 +62,23 @@ func (l *Ledger) RecordPending(tx *types.Transaction) {
 	l.InjectedMsgs++
 }
 
-// RecordFutures notes a batch of emitted future transactions.
-func (l *Ledger) RecordFutures(txs []*types.Transaction) {
-	l.futures += len(txs)
-	l.InjectedMsgs += len(txs)
-	l.open.Futures += len(txs)
-	l.open.FeeWei += feeWei(txs)
+// RecordFutures notes the emitted future transactions of a fill. Their fees
+// are summed member by member, in order, as they would be one transaction at
+// a time: past 2^53 Wei a float64 product count×fee is not that sum.
+func (l *Ledger) RecordFutures(runs []*types.Run) {
+	var n int
+	var sum float64
+	for _, r := range runs {
+		fee := float64(r.Fee())
+		for k := 0; k < r.Count; k++ {
+			sum += fee
+		}
+		n += r.Count
+	}
+	l.futures += n
+	l.InjectedMsgs += n
+	l.open.Futures += n
+	l.open.FeeWei += sum
 }
 
 // Cut returns everything recorded since the previous cut and starts the next
@@ -78,16 +89,6 @@ func (l *Ledger) Cut() Spend {
 	s := l.open
 	l.open = Spend{}
 	return s
-}
-
-// feeWei sums the worst-case fees of a transaction slice in slice order
-// (deterministic: callers pass slices built in deterministic order).
-func feeWei(txs []*types.Transaction) float64 {
-	var sum float64
-	for _, tx := range txs {
-		sum += float64(tx.Fee())
-	}
-	return sum
 }
 
 // PendingCount returns the number of pending-class transactions emitted

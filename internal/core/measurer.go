@@ -155,8 +155,7 @@ type Measurer struct {
 	// entryCandidates caches the vantage's Peers for the duration of one
 	// MeasureNetwork run; nil means read them fresh on every MeasurePar call.
 	entryCandidates []types.NodeID
-	futureBuf       []*types.Transaction // mintFutures' scratch result
-	failed          error                // first injection failure; see inject
+	failed          error // first injection failure; see inject
 
 	// Ledger accumulates cost accounting.
 	Ledger *Ledger
@@ -276,27 +275,21 @@ func (m *Measurer) zFor(id types.NodeID) int {
 	return m.params.Z
 }
 
-// mintFutures builds z future transactions at the given price spread over
-// ⌈z/U⌉ accounts with U futures each (nonces 1..U leave the nonce-0 gap
-// open, so they can never turn pending). The slice is valid until the next
-// call: callers record and inject it at once, and Inject copies it.
-func (m *Measurer) mintFutures(z int, price uint64) []*types.Transaction {
-	if z <= 0 {
-		return nil
+// futureRuns mints a fill: z future transactions at the given price as
+// ⌈z/U⌉ runs, one per fresh account, of nonces 1..U (the nonce-0 gap stays
+// open, so they can never turn pending). Each member pays a fresh recipient:
+// the account counter moves as if mintTx had built every member, and every
+// later account is the one it always was.
+func (m *Measurer) futureRuns(z int, price uint64) []*types.Run {
+	u := max(m.params.U, 1)
+	var runs []*types.Run
+	for ; z > 0; z -= u {
+		r := &types.Run{From: m.freshAccount(), Nonce: 1, Count: min(z, u), Price: price,
+			Tip: m.params.DynamicFeeTip, ToSpace: types.SpaceTopoShot, ToSeq: m.acctSeq + 1}
+		m.acctSeq += uint64(r.Count)
+		runs = append(runs, r)
 	}
-	u := m.params.U
-	if u < 1 {
-		u = 1
-	}
-	txs := m.futureBuf[:0]
-	for len(txs) < z {
-		acct := m.freshAccount()
-		for i := 0; i < u && len(txs) < z; i++ {
-			txs = append(txs, m.mintTx(acct, uint64(i+1), price))
-		}
-	}
-	m.futureBuf = txs
-	return txs
+	return runs
 }
 
 // mintTx builds one measurement transaction at the given fee level,
@@ -345,9 +338,7 @@ func (m *Measurer) MeasureOneLink(a, b types.NodeID) (bool, error) {
 	// Step 2: fill B with futures (evicting txC there), then plant txB.
 	ev := m.tracer.StartSpan(spanEvictZ,
 		trace.Int(attrNode, int64(b)), trace.Int(attrZ, int64(m.zFor(b))))
-	futB := m.mintFutures(m.zFor(b), m.params.PriceFuture(y))
-	m.Ledger.RecordFutures(futB)
-	m.inject(b, futB...)
+	m.fill(b, y)
 	ev.End()
 	pb := m.tracer.StartSpan(spanPlantTxB)
 	txB := m.mintTx(acctC, 0, m.params.PriceTxB(y))
@@ -362,9 +353,7 @@ func (m *Measurer) MeasureOneLink(a, b types.NodeID) (bool, error) {
 	// Step 3: same on A, planting txA.
 	ev = m.tracer.StartSpan(spanEvictZ,
 		trace.Int(attrNode, int64(a)), trace.Int(attrZ, int64(m.zFor(a))))
-	futA := m.mintFutures(m.zFor(a), m.params.PriceFuture(y))
-	m.Ledger.RecordFutures(futA)
-	m.inject(a, futA...)
+	m.fill(a, y)
 	ev.End()
 	pa := m.tracer.StartSpan(spanPlantTxA)
 	txA := m.mintTx(acctC, 0, m.params.PriceTxA(y))
@@ -424,7 +413,20 @@ func (m *Measurer) MeasureLinkRepeated(a, b types.NodeID, repeats int) (bool, er
 // inject sends txs through the vantage, keeping the first failure for
 // injectErr: a probe runs to its end, then reports it instead of a verdict.
 func (m *Measurer) inject(to types.NodeID, txs ...*types.Transaction) {
-	if err := m.v.Inject(to, txs...); err != nil && m.failed == nil {
+	m.keepErr(m.v.Inject(to, txs...))
+}
+
+// fill mints, records and injects target's mempool fill at txC price y,
+// keeping a failure as inject does.
+func (m *Measurer) fill(target types.NodeID, y uint64) {
+	runs := m.futureRuns(m.zFor(target), m.params.PriceFuture(y))
+	m.Ledger.RecordFutures(runs)
+	m.keepErr(m.v.InjectRuns(target, runs...))
+}
+
+// keepErr keeps err if it is the first injection failure since injectErr.
+func (m *Measurer) keepErr(err error) {
+	if err != nil && m.failed == nil {
 		m.failed = err
 	}
 }

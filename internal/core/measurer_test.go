@@ -147,10 +147,16 @@ func TestMeasureNetworkRecoversRing(t *testing.T) {
 // answered through Get) hashes all Z futures there and fails this. Nor may it
 // draw an ID: only a pool holding an object pending asks for one, so a
 // duplicate check that draws (tx.ID() where AssignedID belongs) fails too.
+// The futures reach the pools as runs; the hook is handed the object the pool
+// keeps for an admitted member, so what this test watches is what the pool
+// holds.
 func TestCensusNeverHashesUnrelayedTransactions(t *testing.T) {
 	net, m, ids := buildRing(t, 12, 5)
 	unrelayed := make(map[*types.Transaction]bool)
-	net.OnOffer = func(_, _ types.NodeID, tx *types.Transaction, status string) {
+	net.OnOffer = func(node, _ types.NodeID, tx *types.Transaction, status string) {
+		if status == "future" && net.Node(node).Pool().GetBySenderNonce(tx.From, tx.Nonce) != tx {
+			t.Fatalf("node %v admitted %v but keeps another object for it", node, tx)
+		}
 		quiet := status == "future" || status == "pool-full" || status == "over-account-cap"
 		if was, seen := unrelayed[tx]; seen {
 			quiet = quiet && was
@@ -179,6 +185,43 @@ func TestCensusNeverHashesUnrelayedTransactions(t *testing.T) {
 	if hashed != 0 || numbered != 0 {
 		t.Fatalf("of %d never-pending transactions, %d were hashed and %d drew an ID", quiet, hashed, numbered)
 	}
+}
+
+// TestFillAllocations: a Z = 512 fill — minted, recorded, injected in eight
+// messages and admitted whole into one 512-slot pool — allocates a few dozen
+// objects (its run, the sender record's growth, the engine's events), not one
+// per future: minted as objects, every fill allocated at least its 512
+// transactions. A by-hash call on the filled target, or a hook building what
+// nobody asked for, would build all 512 members and fail here too.
+func TestFillAllocations(t *testing.T) {
+	net := ethsim.NewNetwork(ethsim.DefaultConfig(3))
+	target := net.AddNode(ethsim.NodeConfig{Policy: txpool.Geth.WithCapacity(512), MaxPeers: 50})
+	super := ethsim.NewSupernode(net)
+	super.ConnectAll()
+	params := DefaultParams()
+	params.Z, params.Y = 512, types.Gwei
+	m := NewMeasurer(net, super, params)
+	pool := target.Pool()
+	var from types.Address // the last fill's account
+	fill := func() {
+		if pool.Len() > 0 {
+			pool.SetStateNonce(from, 1+uint64(params.Z)) // clear the last fill, recycling its entries
+		}
+		m.fill(target.ID(), params.Y)
+		m.v.WaitDrained(-1)
+		from = types.NamespacedAddress(types.SpaceTopoShot, m.acctSeq-uint64(params.Z))
+		if pool.FutureCount() != params.Z {
+			t.Fatalf("the target holds %d futures, want the fill's %d", pool.FutureCount(), params.Z)
+		}
+	}
+	allocs := testing.AllocsPerRun(20, fill)
+	if allocs >= 64 {
+		t.Fatalf("a %d-future fill allocates %v objects, want fewer than 64", params.Z, allocs)
+	}
+	if pool.GetBySenderNonce(from, uint64(params.Z)) == nil {
+		t.Fatal("the futures the target holds are not the last fill's")
+	}
+	t.Logf("a %d-future fill allocates %v objects", params.Z, allocs)
 }
 
 func TestMeasureSmallWorldNetwork(t *testing.T) {

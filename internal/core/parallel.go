@@ -114,9 +114,7 @@ func (m *Measurer) MeasurePar(edges []Edge) (*ParResult, error) {
 	ss := m.tracer.StartSpan(spanSinkSetup, trace.Int(attrNodes, int64(len(sinks))))
 	sinkOrder := sortedIDs(sinks)
 	for _, b := range sinkOrder {
-		fut := m.mintFutures(m.zFor(b), m.params.PriceFuture(y))
-		m.Ledger.RecordFutures(fut)
-		m.inject(b, fut...)
+		m.fill(b, y)
 		stream := make([]*types.Transaction, len(edges))
 		for i, e := range edges {
 			if e.Sink == b {
@@ -136,9 +134,7 @@ func (m *Measurer) MeasurePar(edges []Edge) (*ParResult, error) {
 	checkFrom := m.v.Now()
 	srcOrder := sortedIDs(sources)
 	for _, a := range srcOrder {
-		fut := m.mintFutures(m.zFor(a), m.params.PriceFuture(y))
-		m.Ledger.RecordFutures(fut)
-		m.inject(a, fut...)
+		m.fill(a, y)
 		var others, own []*types.Transaction
 		for i, e := range edges {
 			if e.Source == a {

@@ -23,6 +23,10 @@ type Vantage interface {
 	// Inject sends txs to peer `to` as they are, bypassing M's own pool, so
 	// futures go out too.
 	Inject(to types.NodeID, txs ...*types.Transaction) error
+	// InjectRuns is Inject for the members of runs, in order. The simulator
+	// carries them as runs, so a target's pool builds no member it is not
+	// asked for.
+	InjectRuns(to types.NodeID, runs ...*types.Run) error
 	// Sightings returns every sighting of h at or after since, in arrival
 	// order, for reading only.
 	Sightings(h types.Hash, since float64) []gossip.Sighting

@@ -274,9 +274,11 @@ func poolImageOf(s txpool.Snapshot, tt *txTable) poolImage {
 // arenaImage captures the message arena. A message riding a flush's shared
 // batch is written as the payload it stands for — the batch minus the items
 // excluded for its destination — so the image does not know batches exist
-// and a restored message owns a private payload. A request's asked objects
-// (netMsg.txs) are a run-time hint beside its hashes and are not written: a
-// restored request answers by hash.
+// and a restored message owns a private payload. A message of run members is
+// written as their objects, built for the table, so the image does not know
+// runs exist either; restored, it carries those objects. A request's asked
+// objects (netMsg.txs) are a run-time hint beside its hashes and are not
+// written: a restored request answers by hash.
 func (n *Network) arenaImage(tt *txTable) arenaImage {
 	img := arenaImage{Len: uint64(len(n.msgs)), Free: n.msgFree}
 	for i := range n.msgs {
@@ -300,6 +302,11 @@ func (n *Network) arenaImage(tt *txTable) arenaImage {
 		if m.kind != msgRequest {
 			for _, tx := range m.txs {
 				mi.Txs = append(mi.Txs, tt.ref(tx))
+			}
+		}
+		for _, p := range n.runs[m.runs] {
+			for k := p.lo; k < p.hi; k++ {
+				mi.Txs = append(mi.Txs, tt.ref(p.run.Tx(k)))
 			}
 		}
 		mi.Hashes = append(mi.Hashes, m.hashes...)

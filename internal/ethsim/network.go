@@ -167,8 +167,10 @@ type netMsg struct {
 	sent float64
 	// batch indexes Network.batches when the payload is a flush's shared
 	// batch: the message is what the batch holds minus the items whose
-	// exclude is dst. 0 means the payload is private, in txs or hashes.
-	batch int32
+	// exclude is dst. runs indexes Network.runs when the payload is run
+	// members (Supernode.InjectRuns). 0 in both means the payload is private,
+	// in txs or hashes. The two share a word, so netMsg stays 80 B.
+	batch, runs int32
 	// txs carries full transactions (msgTxs, msgInject). On a msgRequest it
 	// is a run-time hint: the asked objects, parallel to hashes, for a
 	// requester that held them (deliverAnnounce). The hint is not part of the
@@ -177,6 +179,13 @@ type netMsg struct {
 	txs []*types.Transaction
 	// hashes carries announcement/request hash lists (msgAnnounce, msgRequest).
 	hashes []types.Hash
+}
+
+// runPart is the stretch [lo, hi) of a run's members that one injected
+// message carries (Network.runs).
+type runPart struct {
+	run    *types.Run
+	lo, hi int
 }
 
 // flushBatch is the payload of one gossip flush, shared by every message the
@@ -224,6 +233,11 @@ type Network struct {
 	// Messages are addressed by arena index through sim.Handler events.
 	msgs    []netMsg
 	msgFree []int32
+	// runs is the pooled run-payload arena, recycled through runsFree with
+	// its buffers' capacity: the members each injected fill message carries,
+	// in order. Slot 0 is never handed out.
+	runs     [][]runPart
+	runsFree []int32
 
 	// batches is the pooled flush-payload arena, recycled through batchFree;
 	// slot 0 is never handed out, so a zero netMsg.batch means "none".
@@ -345,6 +359,7 @@ func NewNetwork(cfg Config) *Network {
 		eng:          eng,
 		overflowMark: make(map[uint64]float64),
 		batches:      make([]flushBatch, 1),
+		runs:         make([][]runPart, 1),
 	}
 	if r := metrics.Enabled(); r != nil {
 		n.SetMetrics(r)
@@ -491,9 +506,26 @@ func (n *Network) freeMsg(i int32) {
 	m := &n.msgs[i]
 	m.dst = nil
 	m.batch = 0
+	if m.runs != 0 {
+		n.runs[m.runs] = n.runs[m.runs][:0]
+		n.runsFree = append(n.runsFree, m.runs)
+		m.runs = 0
+	}
 	m.txs = m.txs[:0]
 	m.hashes = m.hashes[:0]
 	n.msgFree = append(n.msgFree, i)
+}
+
+// takeRuns returns the index of a pooled, empty run payload; the message it
+// is given to returns it on release (freeMsg).
+func (n *Network) takeRuns() int32 {
+	if k := len(n.runsFree); k > 0 {
+		ri := n.runsFree[k-1]
+		n.runsFree = n.runsFree[:k-1]
+		return ri
+	}
+	n.runs = append(n.runs, nil)
+	return int32(len(n.runs) - 1)
 }
 
 // takeBatch returns the index of a pooled flush batch holding one reference,
@@ -621,8 +653,11 @@ func (n *Network) handleMsg(i int32) {
 	// message holds a reference.
 	m := n.msgs[i]
 	var items []outItem
+	var parts []runPart
 	if m.batch != 0 {
 		items, m.hashes = n.batches[m.batch].items, n.batches[m.batch].hashes
+	} else if m.runs != 0 {
+		parts = n.runs[m.runs]
 	}
 	if !m.dst.cfg.Unresponsive {
 		n.msgTally[m.kind]++
@@ -635,6 +670,8 @@ func (n *Network) handleMsg(i int32) {
 				size = addressedTo(items, m.dst.id)
 			case m.kind == msgRequest:
 				size = len(m.hashes) // txs is the hint, not payload
+			case m.runs != 0:
+				size = members(parts)
 			}
 			n.tracer.Event(evMsgDeliver, trace.String(attrKind, m.kind.String()),
 				trace.Int(attrFrom, int64(m.from)), trace.Int(attrTo, int64(m.dst.id)),
@@ -642,9 +679,12 @@ func (n *Network) handleMsg(i int32) {
 		}
 		switch m.kind {
 		case msgTxs:
-			if m.batch != 0 {
+			switch {
+			case m.batch != 0:
 				m.dst.deliverBatch(m.from, items)
-			} else {
+			case m.runs != 0:
+				m.dst.deliverRuns(m.from, parts)
+			default:
 				m.dst.deliverTxs(m.from, m.txs)
 			}
 		case msgAnnounce:
@@ -657,6 +697,15 @@ func (n *Network) handleMsg(i int32) {
 		n.releaseBatch(m.batch)
 	}
 	n.freeMsg(i)
+}
+
+// members counts the run members a message carries.
+func members(parts []runPart) int {
+	n := 0
+	for _, p := range parts {
+		n += p.hi - p.lo
+	}
+	return n
 }
 
 // RunFor advances virtual time by d seconds.

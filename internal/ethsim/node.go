@@ -276,6 +276,47 @@ func (nd *Node) receiveTx(from types.NodeID, tx *types.Transaction, out []*types
 	return gossip.Propagatable(out, tx, res, nd.pool, nd.cfg.ForwardFutures)
 }
 
+// deliverRuns is deliverTxs for a message of run members: they are offered
+// in order, each as its run's member.
+//
+//toposhot:hotpath
+func (nd *Node) deliverRuns(from types.NodeID, parts []runPart) {
+	out := nd.scratchOut[:0]
+	for _, p := range parts {
+		for k := p.lo; k < p.hi; k++ {
+			out = nd.receiveMember(from, p.run, k, out)
+		}
+	}
+	nd.relay(from, out)
+}
+
+// receiveMember is receiveTx for member k of r. The pool keeps the member
+// unbuilt; only the hooks and a relay of it ask for the object, which is the
+// pool's own when it admitted the member.
+//
+//toposhot:hotpath
+func (nd *Node) receiveMember(from types.NodeID, r *types.Run, k int, out []*types.Transaction) []*types.Transaction {
+	if nd.OnTxDelivered != nil {
+		return nd.receiveTx(from, r.Tx(k), out)
+	}
+	res := nd.pool.OfferRun(r, k)
+	var tx *types.Transaction // built only for the hook or a relay
+	if nd.net.OnOffer != nil || res.Status.Admitted() && (res.Status != txpool.StatusFuture || nd.cfg.ForwardFutures) {
+		if res.Status.Admitted() {
+			tx = nd.pool.GetBySenderNonce(r.From, r.Nonce+uint64(k))
+		} else {
+			tx = r.Tx(k)
+		}
+	}
+	if nd.net.OnOffer != nil {
+		nd.net.OnOffer(nd.id, from, tx, res.Status.String())
+	}
+	if nd.net.traceEngine {
+		nd.traceOffer(res)
+	}
+	return gossip.Propagatable(out, tx, res, nd.pool, nd.cfg.ForwardFutures)
+}
+
 // relay queues what one delivery made propagatable and hands the scratch
 // buffer back.
 //

@@ -120,31 +120,65 @@ const InjectBatchSize = 64
 // proportional virtual time — the uplink serialization that makes large
 // parallel groups slower to set up (Figures 4b and 5). It never fails.
 func (s *Supernode) Inject(to types.NodeID, txs ...*types.Transaction) error {
-	spacing := s.net.cfg.SendSpacing
-	src := s.node.ID()
 	for len(txs) > 0 {
-		n := InjectBatchSize
-		if n > len(txs) {
-			n = len(txs)
-		}
-		at := s.net.Now()
-		if s.sendCursor > at {
-			at = s.sendCursor
-		}
-		at += spacing
-		s.sendCursor = at
-		// The batch rides a pooled msgInject slot: when the uplink-pacing
-		// event fires, the network turns it into a routed msgTxs with
-		// freshly sampled latency — the same two-stage timing as before,
-		// without a closure or batch copy per message.
-		if mi := s.net.msgTo(msgInject, src, to); mi >= 0 {
+		n := min(InjectBatchSize, len(txs))
+		if mi := s.send(to); mi >= 0 {
 			m := &s.net.msgs[mi]
 			m.txs = append(m.txs[:0], txs[:n]...)
-			s.net.eng.AtHandler(at, s.net, uint64(mi))
 		}
 		txs = txs[n:]
 	}
 	return nil
+}
+
+// InjectRuns is Inject for the members of runs, in order: the same messages
+// at the same times as Inject of every member's object, but each message
+// carries stretches of runs, and the receiving pool builds no member it is
+// not asked for.
+func (s *Supernode) InjectRuns(to types.NodeID, runs ...*types.Run) error {
+	k := 0 // the next member of runs[0]
+	next := func() {
+		for len(runs) > 0 && k >= runs[0].Count {
+			runs, k = runs[1:], 0
+		}
+	}
+	for next(); len(runs) > 0; {
+		mi := s.send(to)
+		var ri int32
+		var parts []runPart
+		if mi >= 0 {
+			ri = s.net.takeRuns()
+			parts = s.net.runs[ri]
+		}
+		for n := 0; n < InjectBatchSize && len(runs) > 0; next() {
+			take := min(InjectBatchSize-n, runs[0].Count-k)
+			parts = append(parts, runPart{run: runs[0], lo: k, hi: k + take})
+			n, k = n+take, k+take
+		}
+		if mi >= 0 {
+			s.net.runs[ri] = parts
+			s.net.msgs[mi].runs = ri
+		}
+	}
+	return nil
+}
+
+// send takes the uplink's next send slot for a message to `to` and returns
+// the pooled msgInject slot the caller fills, or -1 for an unknown peer,
+// whose slot passes unused. When the uplink-pacing event fires, the network
+// turns the message into a routed msgTxs with freshly sampled latency.
+func (s *Supernode) send(to types.NodeID) int32 {
+	at := s.net.Now()
+	if s.sendCursor > at {
+		at = s.sendCursor
+	}
+	at += s.net.cfg.SendSpacing
+	s.sendCursor = at
+	mi := s.net.msgTo(msgInject, s.node.ID(), to)
+	if mi >= 0 {
+		s.net.eng.AtHandler(at, s.net, uint64(mi))
+	}
+	return mi
 }
 
 // DrainTime returns the virtual time at which the injection queue empties.

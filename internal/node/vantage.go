@@ -125,6 +125,18 @@ func (v *Vantage) Inject(to types.NodeID, txs ...*types.Transaction) error {
 	return v.node.SendTo(addr, txs)
 }
 
+// InjectRuns builds the members of runs and writes them in one Transactions
+// frame: the wire carries objects.
+func (v *Vantage) InjectRuns(to types.NodeID, runs ...*types.Run) error {
+	var txs []*types.Transaction
+	for _, r := range runs {
+		for k := 0; k < r.Count; k++ {
+			txs = append(txs, r.Tx(k))
+		}
+	}
+	return v.Inject(to, txs...)
+}
+
 // Sightings returns a copy of h's sightings at or after since.
 func (v *Vantage) Sightings(h types.Hash, since float64) []gossip.Sighting {
 	v.mu.Lock()

@@ -29,8 +29,8 @@ func (p *Pool) SetBaseFee(baseFee uint64) []*types.Transaction {
 	}
 	var drop []*types.Transaction
 	for e := p.oldest; e != nil; e = e.next {
-		if e.tx.FeeCap() < baseFee {
-			drop = append(drop, e.tx)
+		if e.price < baseFee { // the fee cap
+			drop = append(drop, e.object())
 		}
 	}
 	// Drop in hash order: the removal sequence feeds DropObserver and the

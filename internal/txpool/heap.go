@@ -40,8 +40,8 @@ func (h *entryHeap) less(x, y *entry) bool {
 func (h *entryHeap) swap(i, j int) {
 	a := h.a
 	a[i], a[j] = a[j], a[i]
-	a[i].idx[h.kind] = i
-	a[j].idx[h.kind] = j
+	a[i].idx[h.kind] = int32(i)
+	a[j].idx[h.kind] = int32(j)
 }
 
 // top returns the minimum entry, or nil when the heap is empty.
@@ -54,7 +54,7 @@ func (h *entryHeap) top() *entry {
 
 // push is heap.Push.
 func (h *entryHeap) push(e *entry) {
-	e.idx[h.kind] = len(h.a)
+	e.idx[h.kind] = int32(len(h.a))
 	h.a = append(h.a, e)
 	h.up(len(h.a) - 1)
 }
@@ -63,7 +63,7 @@ func (h *entryHeap) push(e *entry) {
 //
 //toposhot:hotpath
 func (h *entryHeap) remove(e *entry) {
-	i := e.idx[h.kind]
+	i := int(e.idx[h.kind])
 	if i < 0 {
 		return
 	}

@@ -66,7 +66,7 @@ func FuzzPoolHeaps(f *testing.F) {
 			switch k := rng.Intn(10); {
 			case k < 6 || len(members) == 0:
 				seq++
-				e := &entry{price: uint64(1 + rng.Intn(4)), seq: seq, pending: rng.Intn(2) == 0, idx: [2]int{-1, -1}}
+				e := &entry{price: uint64(1 + rng.Intn(4)), seq: seq, pending: rng.Intn(2) == 0, idx: [2]int32{-1, -1}}
 				members = append(members, e)
 				h.push(e)
 				heap.Push(ref, e)
@@ -89,7 +89,7 @@ func FuzzPoolHeaps(f *testing.F) {
 				t.Fatalf("step %d: typed heap holds %d entries, reference %d", step, len(h.a), len(ref.a))
 			}
 			for i, e := range ref.a {
-				if h.a[i] != e || e.idx[kind] != i {
+				if h.a[i] != e || int(e.idx[kind]) != i {
 					t.Fatalf("step %d: slot %d diverged from container/heap (seq %d vs %d, idx %d)",
 						step, i, h.a[i].seq, e.seq, e.idx[kind])
 				}

@@ -82,20 +82,78 @@ type Result struct {
 	Promoted []*types.Transaction
 }
 
+// entry is one buffered transaction. At 80 B it allocates from the 80-B size
+// class (TestEntrySize): a pool holds thousands.
 type entry struct {
+	// tx is the entry's transaction. An entry admitted as a run member
+	// (OfferRun) starts without one — it is the member at nonce of its
+	// sender's run — and object builds it on first demand and keeps it here,
+	// so every caller that is handed the member gets the same object.
 	tx      *types.Transaction
 	snd     *sender // the sender record holding this entry
-	price   uint64  // tx.GasPrice, kept here so heap sifts stay off the tx
+	nonce   uint64
+	price   uint64  // the gas price, kept here so heap sifts stay off the tx
 	added   float64 // pool time at admission, for expiry
 	seq     uint64  // admission sequence, tie-break for equal-price eviction
 	pending bool
 	mark    int32 // scratch: the entry's index in Entries while Snapshot runs
 	// idx holds the entry's slot in the price heap and in the future-only
 	// heap (indexed by heap kind); -1 when not in that heap.
-	idx [2]int
+	idx [2]int32
 	// prev/next link the admission-ordered list; next also chains the free
 	// list once the entry is removed.
 	prev, next *entry
+}
+
+// object returns the entry's transaction, building a run member's on first
+// demand.
+func (e *entry) object() *types.Transaction {
+	if e.tx == nil {
+		r := e.snd.run
+		e.tx = r.Tx(int(e.nonce - r.Nonce))
+	}
+	return e.tx
+}
+
+// from returns the entry's sender without building its transaction.
+func (e *entry) from() types.Address {
+	if e.tx != nil {
+		return e.tx.From
+	}
+	return e.snd.run.From
+}
+
+// offered is the transaction one offer submits: the object tx, or, with tx
+// nil, the run member at nonce, which the pool keeps unbuilt.
+type offered struct {
+	tx           *types.Transaction
+	run          *types.Run
+	nonce, price uint64
+}
+
+func (o *offered) from() *types.Address {
+	if o.tx != nil {
+		return &o.tx.From
+	}
+	return &o.run.From
+}
+
+// holds reports whether e has o's content. The caller found e in the slot o
+// names, so sender and nonce agree already; two members of one run at one
+// nonce are one member.
+//
+//toposhot:hotpath
+func (e *entry) holds(o *offered) bool {
+	switch {
+	case o.tx == nil && e.tx == nil && e.snd.run == o.run:
+		return true
+	case o.tx == nil:
+		return o.run.Equal(int(o.nonce-o.run.Nonce), e.object())
+	case e.tx != nil:
+		return e.tx.Equal(o.tx)
+	}
+	r := e.snd.run
+	return r.Equal(int(e.nonce-r.Nonce), o.tx)
 }
 
 // sender is everything the pool knows about one account, behind a single
@@ -106,12 +164,26 @@ type sender struct {
 	stateNonce uint64
 	// pending/future tally the account's entries, so the per-account cap
 	// check and repartition's demotion test are O(1).
-	pending, future int
+	pending, future int32
 	// txs holds the account's entries in ascending nonce order, all at or
 	// above stateNonce. Nonces arrive in order and evictions, expiries and
 	// confirmations take the oldest, so the common edits are an append at
 	// the tail and a reslice at the head that moves nothing.
 	txs []*entry
+	// run is the run whose members this account's unbuilt entries are
+	// (entry.object): a fill's members share a sender, so the run is
+	// remembered once here rather than per entry. A member of another run
+	// has the earlier run's members built first (adopt).
+	run *types.Run
+}
+
+// adopt makes r the sender's run, building every member of the one before
+// that is still unbuilt.
+func (s *sender) adopt(r *types.Run) {
+	for _, e := range s.txs {
+		e.object()
+	}
+	s.run = r
 }
 
 // search returns the position of nonce in s's nonce order and whether an
@@ -121,22 +193,22 @@ func (s *sender) search(nonce uint64) (int, bool) {
 		return 0, false
 	}
 	n := len(s.txs)
-	if n == 0 || s.txs[n-1].tx.Nonce < nonce {
+	if n == 0 || s.txs[n-1].nonce < nonce {
 		return n, false
 	}
-	if s.txs[0].tx.Nonce >= nonce {
-		return 0, s.txs[0].tx.Nonce == nonce
+	if s.txs[0].nonce >= nonce {
+		return 0, s.txs[0].nonce == nonce
 	}
 	lo, hi := 1, n-1 // txs[lo-1] < nonce <= txs[hi]
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if s.txs[mid].tx.Nonce < nonce {
+		if s.txs[mid].nonce < nonce {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	return lo, s.txs[lo].tx.Nonce == nonce
+	return lo, s.txs[lo].nonce == nonce
 }
 
 // insertAt places e at position i of the nonce order.
@@ -249,7 +321,10 @@ func (p *Pool) SetTime(now float64) {
 		return
 	}
 	for e := p.oldest; e != nil && now-e.added > p.policy.Expiry; e = p.oldest {
-		tx := e.tx
+		var tx *types.Transaction
+		if p.DropObserver != nil {
+			tx = e.object()
+		}
 		p.repartitionAfterRemove(e)
 		p.metrics.observeExpired()
 		if p.DropObserver != nil {
@@ -275,7 +350,7 @@ func (p *Pool) FutureCount() int { return p.futureCount }
 func (p *Pool) find(tx *types.Transaction) *entry {
 	s := p.senders[tx.From]
 	if i, ok := s.search(tx.Nonce); ok {
-		if e := s.txs[i]; e.tx.Equal(tx) {
+		if e := s.txs[i]; e.holds(&offered{tx: tx}) {
 			return e
 		}
 	}
@@ -321,7 +396,7 @@ func (p *Pool) lookup(h types.Hash) *entry {
 			p.byHash = make(map[types.Hash]*entry, p.Len())
 		}
 		for e := p.newest; e != nil && e.seq > p.indexedSeq; e = e.prev {
-			p.byHash[e.tx.Hash()] = e
+			p.byHash[e.object().Hash()] = e
 		}
 		p.indexedSeq = p.admitSeq
 	}
@@ -334,7 +409,7 @@ func (p *Pool) Has(h types.Hash) bool { return p.lookup(h) != nil }
 // Get returns the buffered transaction with the given hash, or nil.
 func (p *Pool) Get(h types.Hash) *types.Transaction {
 	if e := p.lookup(h); e != nil {
-		return e.tx
+		return e.object()
 	}
 	return nil
 }
@@ -344,7 +419,7 @@ func (p *Pool) Get(h types.Hash) *types.Transaction {
 func (p *Pool) GetBySenderNonce(sender types.Address, nonce uint64) *types.Transaction {
 	s := p.senders[sender]
 	if i, ok := s.search(nonce); ok {
-		return s.txs[i].tx
+		return s.txs[i].object()
 	}
 	return nil
 }
@@ -377,7 +452,7 @@ func (p *Pool) SetStateNonce(addr types.Address, nonce uint64) []*types.Transact
 		return nil
 	}
 	s.stateNonce = nonce
-	for len(s.txs) > 0 && s.txs[0].tx.Nonce < nonce {
+	for len(s.txs) > 0 && s.txs[0].nonce < nonce {
 		p.remove(s.txs[0])
 	}
 	if len(s.txs) == 0 {
@@ -411,7 +486,7 @@ func (p *Pool) markPending(e *entry, pending bool) {
 	}
 	e.pending = pending
 	if pending {
-		p.live.add(e.tx.ID())
+		p.live.add(e.object().ID())
 		p.pendingCount++
 		p.futureCount--
 		e.snd.pending++
@@ -436,46 +511,59 @@ func (p *Pool) markPending(e *entry, pending bool) {
 //     lowest-priced transaction while the pool is over capacity;
 //  5. pending/future classification and promotion of unblocked futures.
 func (p *Pool) Offer(tx *types.Transaction) Result {
-	res := p.offer(tx)
+	res := p.offer(offered{tx: tx, nonce: tx.Nonce, price: tx.GasPrice})
+	p.metrics.observeOffer(res)
+	return res
+}
+
+// OfferRun offers member k of r. It decides and returns what Offer(r.Tx(k))
+// would, but the pool keeps the member unbuilt until something asks for its
+// object: a Result, a hook, a by-hash call, a snapshot, or its becoming
+// pending.
+func (p *Pool) OfferRun(r *types.Run, k int) Result {
+	res := p.offer(offered{run: r, nonce: r.Nonce + uint64(k), price: r.Price})
 	p.metrics.observeOffer(res)
 	return res
 }
 
 //toposhot:hotpath
-func (p *Pool) offer(tx *types.Transaction) Result {
-	if p.livePending(tx) {
+func (p *Pool) offer(o offered) Result {
+	if o.tx != nil && p.livePending(o.tx) {
 		return Result{Status: StatusKnown}
 	}
-	s := p.senders[tx.From] // nil for an account the pool holds nothing of
+	s := p.senders[*o.from()] // nil for an account the pool holds nothing of
 	var state uint64
 	var futures int
 	if s != nil {
-		state, futures = s.stateNonce, s.future
+		state, futures = s.stateNonce, int(s.future)
+		if o.run != nil && s.run != o.run {
+			s.adopt(o.run)
+		}
 	}
-	if tx.Nonce < state {
+	if o.nonce < state {
 		return Result{Status: StatusStaleNonce}
 	}
 
 	// Replacement path: same sender and nonce as a buffered transaction.
 	// The new entry takes the old one's slot in the nonce order.
-	i, found := s.search(tx.Nonce)
+	i, found := s.search(o.nonce)
 	if found {
 		old := s.txs[i]
-		if old.tx.Equal(tx) {
+		if old.holds(&o) {
 			return Result{Status: StatusKnown}
 		}
-		if tx.GasPrice < p.policy.ReplaceThreshold(old.price) {
+		if o.price < p.policy.ReplaceThreshold(old.price) {
 			return Result{Status: StatusUnderpriced}
 		}
-		replaced, wasPending := old.tx, old.pending
+		replaced, wasPending := old.object(), old.pending
 		p.unlink(old)
-		s.txs[i] = p.link(tx, s, wasPending)
+		s.txs[i] = p.link(&o, s, wasPending)
 		return Result{Status: StatusReplaced, Replaced: replaced}
 	}
 
 	// Entries are distinct nonces at or above the state nonce, so every
-	// nonce below tx's is buffered exactly when i of them are.
-	executable := uint64(i) == tx.Nonce-state
+	// nonce below the offered one is buffered exactly when i of them are.
+	executable := uint64(i) == o.nonce-state
 
 	// Per-account future cap (U) applies to future admissions.
 	if !executable && futures >= p.policy.MaxFuturePerAccount {
@@ -494,7 +582,7 @@ func (p *Pool) offer(tx *types.Transaction) Result {
 			victim = p.cheapestFuture()
 			if victim == nil {
 				victim = p.cheapest()
-				if victim == nil || tx.GasPrice <= victim.price {
+				if victim == nil || o.price <= victim.price {
 					return Result{Status: StatusPoolFull}
 				}
 			}
@@ -506,21 +594,21 @@ func (p *Pool) offer(tx *types.Transaction) Result {
 			// The incoming future must outbid the victim, and may evict a
 			// pending transaction only while the pending population exceeds
 			// P (Table 2's eviction conditions).
-			if tx.GasPrice <= victim.price {
+			if o.price <= victim.price {
 				return Result{Status: StatusPoolFull}
 			}
 			if victim.pending && p.pendingCount <= p.policy.MinPendingForEviction {
 				return Result{Status: StatusPoolFull}
 			}
 		}
-		vtx, own := victim.tx, victim.snd == s
+		vtx, own := victim.object(), victim.snd == s
 		p.remove(victim)
 		if own {
-			// The victim was one of tx's own sender's entries: the record
-			// may be gone and the slot has moved. The classification above
-			// stands (repartition below corrects it), as it always has.
-			s = p.senders[tx.From]
-			i, _ = s.search(tx.Nonce)
+			// The victim was one of the offer's own sender's entries: the
+			// record may be gone and the slot has moved. The classification
+			// above stands (repartition below corrects it), as it always has.
+			s = p.senders[*o.from()]
+			i, _ = s.search(o.nonce)
 		}
 		evicted = append(evicted, vtx)
 		if p.DropObserver != nil {
@@ -530,24 +618,26 @@ func (p *Pool) offer(tx *types.Transaction) Result {
 	p.evictBuf = evicted
 
 	if s == nil {
-		s = p.newSender(tx.From)
+		s = p.newSender(*o.from())
 	}
-	s.insertAt(i, p.link(tx, s, executable))
+	s.insertAt(i, p.link(&o, s, executable))
 	status := StatusFuture
 	var promoted []*types.Transaction
 	if executable {
 		status = StatusPending
-		// tx went in pending, so repartition never reports it as promoted.
+		// The offer went in pending, so repartition never reports it as
+		// promoted.
 		promoted = p.repartition(s)
 	}
 	return Result{Status: status, Evicted: evicted[:len(evicted):len(evicted)], Promoted: promoted}
 }
 
-// link creates the entry for tx and adds it to every index except its
-// sender's nonce order, which the caller maintains.
+// link creates the entry for o and adds it to every index except its
+// sender's nonce order, which the caller maintains. A pending entry draws its
+// object's ID, so a pending run member is built here.
 //
 //toposhot:hotpath
-func (p *Pool) link(tx *types.Transaction, s *sender, pending bool) *entry {
+func (p *Pool) link(o *offered, s *sender, pending bool) *entry {
 	e := p.free
 	if e != nil {
 		p.free = e.next
@@ -555,11 +645,15 @@ func (p *Pool) link(tx *types.Transaction, s *sender, pending bool) *entry {
 		e = new(entry)
 	}
 	p.admitSeq++
-	*e = entry{tx: tx, snd: s, price: tx.GasPrice, added: p.now, seq: p.admitSeq, pending: pending, idx: [2]int{-1, -1}}
+	if o.run != nil {
+		s.run = o.run // a new record's; offer adopted it into an existing one
+	}
+	*e = entry{tx: o.tx, snd: s, nonce: o.nonce, price: o.price, added: p.now, seq: p.admitSeq,
+		pending: pending, idx: [2]int32{-1, -1}}
 	p.enlist(e)
 	p.price.push(e)
 	if pending {
-		p.live.add(tx.ID())
+		p.live.add(e.object().ID())
 		p.pendingCount++
 		s.pending++
 	} else {
@@ -583,7 +677,8 @@ func (p *Pool) enlist(e *entry) {
 
 // unlink is link's inverse: it takes e out of every index except its
 // sender's nonce order and recycles it. e's fields are dead afterwards —
-// callers read e.tx (and anything else they need) first.
+// callers take e.object() (and anything else they need) first. An indexed or
+// pending entry has its object: lookup or link built it.
 //
 //toposhot:hotpath
 func (p *Pool) unlink(e *entry) {
@@ -614,15 +709,15 @@ func (p *Pool) unlink(e *entry) {
 	p.free = e
 }
 
-// remove deletes an entry from all indexes and recycles it; read e.tx before
-// calling. A sender left with nothing to remember is forgotten.
+// remove deletes an entry from all indexes and recycles it; take e.object()
+// before calling. A sender left with nothing to remember is forgotten.
 //
 //toposhot:hotpath
 func (p *Pool) remove(e *entry) {
-	s, addr := e.snd, e.tx.From
+	s, addr := e.snd, e.from()
 	i := 0
 	if s.txs[0] != e {
-		i, _ = s.search(e.tx.Nonce)
+		i, _ = s.search(e.nonce)
 	}
 	s.removeAt(i)
 	p.unlink(e)
@@ -660,7 +755,7 @@ func (p *Pool) repartition(s *sender) []*types.Transaction {
 	// The executable run is the prefix whose nonces count up from the state
 	// nonce without a gap.
 	run := 0
-	for run < len(s.txs) && s.txs[run].tx.Nonce == s.stateNonce+uint64(run) {
+	for run < len(s.txs) && s.txs[run].nonce == s.stateNonce+uint64(run) {
 		e := s.txs[run]
 		if !e.pending {
 			p.markPending(e, true)
@@ -675,7 +770,7 @@ func (p *Pool) repartition(s *sender) []*types.Transaction {
 	// above left the whole run pending, so when the sender's pending tally
 	// equals the run's length no stale pending entry can exist and the scan
 	// is skipped — without the check every future admission pays O(entries).
-	if s.pending != run {
+	if int(s.pending) != run {
 		for _, e := range s.txs[run:] {
 			if e.pending {
 				p.markPending(e, false)
@@ -733,7 +828,7 @@ func (p *Pool) Pending() []*types.Transaction {
 	out := make([]*types.Transaction, 0, p.pendingCount)
 	for e := p.oldest; e != nil; e = e.next {
 		if e.pending {
-			out = append(out, e.tx)
+			out = append(out, e.object())
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -753,7 +848,7 @@ func (p *Pool) Pending() []*types.Transaction {
 func (p *Pool) Content() []*types.Transaction {
 	out := make([]*types.Transaction, 0, p.Len())
 	for e := p.oldest; e != nil; e = e.next {
-		out = append(out, e.tx)
+		out = append(out, e.object())
 	}
 	sort.Slice(out, func(i, j int) bool {
 		hi, hj := out[i].Hash(), out[j].Hash()

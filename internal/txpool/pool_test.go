@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"toposhot/internal/types"
 )
@@ -416,6 +417,16 @@ func TestDropRemoves(t *testing.T) {
 }
 
 // invariantCheck verifies internal consistency of the pool's indexes.
+// findEntry returns the entry in e's sender slot if it holds e's content —
+// find for an entry whose object may not have been built, building none.
+func (p *Pool) findEntry(e *entry) *entry {
+	s := p.senders[e.from()]
+	if i, ok := s.search(e.nonce); ok && (s.txs[i] == e || e.tx != nil && s.txs[i].holds(&offered{tx: e.tx})) {
+		return s.txs[i]
+	}
+	return nil
+}
+
 func invariantCheck(t *testing.T, p *Pool) {
 	t.Helper()
 	if p.PendingCount()+p.FutureCount() != p.Len() {
@@ -445,6 +456,18 @@ func invariantCheck(t *testing.T, p *Pool) {
 	}
 	indexed := 0
 	for e := p.oldest; e != nil; e = e.next {
+		if r := e.snd.run; e.tx == nil && (e.pending || r == nil || e.nonce < r.Nonce || e.nonce-r.Nonce >= uint64(r.Count)) {
+			t.Fatalf("entry seq=%d pending=%v has neither an object nor a run member", e.seq, e.pending)
+		}
+		if e.tx != nil && e.tx.Nonce != e.nonce {
+			t.Fatalf("entry seq=%d holds %v at nonce %d", e.seq, e.tx, e.nonce)
+		}
+		if e.tx == nil {
+			if e.seq <= p.indexedSeq {
+				t.Fatalf("unbuilt member seq=%d is below the by-hash watermark %d", e.seq, p.indexedSeq)
+			}
+			continue // nothing built it, so it has no ID and no hash
+		}
 		id := e.tx.AssignedID()
 		if e.pending && id == 0 {
 			t.Fatalf("pending entry seq=%d has drawn no ID", e.seq)
@@ -466,21 +489,21 @@ func invariantCheck(t *testing.T, p *Pool) {
 	}
 	var ref *entry
 	for e := p.oldest; e != nil; e = e.next {
-		h := e.tx.Hash()
-		if e.price != e.tx.GasPrice {
-			t.Fatalf("entry %v carries price %d", e.tx, e.price)
+		h := e.seq
+		if e.tx != nil && e.price != e.tx.GasPrice || e.tx == nil && e.price != e.snd.run.Price {
+			t.Fatalf("entry seq=%d carries price %d", h, e.price)
 		}
 		if i := e.idx[priceHeap]; i < 0 || p.price.a[i] != e {
-			t.Fatalf("entry %v mis-indexed in price heap (idx=%d)", h, i)
+			t.Fatalf("entry seq=%d mis-indexed in price heap (idx=%d)", h, i)
 		}
 		if e.pending {
 			if e.idx[futureHeap] >= 0 {
-				t.Fatalf("pending %v indexed in future heap", h)
+				t.Fatalf("pending seq=%d indexed in future heap", h)
 			}
 			continue
 		}
 		if i := e.idx[futureHeap]; i < 0 || p.futures.a[i] != e {
-			t.Fatalf("future %v mis-indexed (idx=%d)", h, i)
+			t.Fatalf("future seq=%d mis-indexed (idx=%d)", h, i)
 		}
 		if ref == nil || e.price < ref.price || (e.price == ref.price && e.seq < ref.seq) {
 			ref = e
@@ -501,10 +524,10 @@ func invariantCheck(t *testing.T, p *Pool) {
 		}
 		pending, future := 0, 0
 		for i, e := range live {
-			if e.snd != s || e.tx.From != addr || p.find(e.tx) != e {
+			if e.snd != s || e.from() != addr || p.findEntry(e) != e {
 				t.Fatalf("sender %v slot %d holds a foreign or dead entry", addr, i)
 			}
-			if e.tx.Nonce < s.stateNonce || (i > 0 && live[i-1].tx.Nonce >= e.tx.Nonce) {
+			if e.nonce < s.stateNonce || (i > 0 && live[i-1].nonce >= e.nonce) {
 				t.Fatalf("sender %v nonce order broken at slot %d", addr, i)
 			}
 			if e.pending {
@@ -513,7 +536,7 @@ func invariantCheck(t *testing.T, p *Pool) {
 				future++
 			}
 		}
-		if s.pending != pending || s.future != future {
+		if int(s.pending) != pending || int(s.future) != future {
 			t.Fatalf("sender %v tallies drifted: have %d/%d want %d/%d", addr, s.pending, s.future, pending, future)
 		}
 		filed += len(live)
@@ -525,7 +548,7 @@ func invariantCheck(t *testing.T, p *Pool) {
 	visited := 0
 	var prev *entry
 	for e := p.oldest; e != nil; prev, e = e, e.next {
-		if p.find(e.tx) != e {
+		if p.findEntry(e) != e {
 			t.Fatalf("admission list visits dead entry seq=%d", e.seq)
 		}
 		if e.prev != prev || (prev != nil && prev.seq >= e.seq) {
@@ -684,5 +707,19 @@ func TestConfirmDemoteDeterministic(t *testing.T) {
 		if got := run(); snapshotText(got) != snapshotText(want) {
 			t.Fatalf("run %d snapshots differently from run 0: stale drops or demotions are order-dependent", i)
 		}
+	}
+}
+
+// TestEntrySize: a pool's entries and sender records are its most numerous
+// objects, so their size classes are its memory. An entry is 80 B (the 80-B
+// class) and a sender record 48 B (the 48-B class); one more word moves
+// either into the next class, which a full-pool gossip flood pays for every
+// buffered transaction.
+func TestEntrySize(t *testing.T) {
+	if got := unsafe.Sizeof(entry{}); got != 80 {
+		t.Errorf("sizeof(entry) = %d B, want 80", got)
+	}
+	if got := unsafe.Sizeof(sender{}); got != 48 {
+		t.Errorf("sizeof(sender) = %d B, want 48", got)
 	}
 }

@@ -51,7 +51,7 @@ func (p *Pool) Snapshot() Snapshot {
 	s.Entries = make([]EntrySnapshot, 0, p.Len())
 	for e := p.oldest; e != nil; e = e.next {
 		e.mark = int32(len(s.Entries))
-		s.Entries = append(s.Entries, EntrySnapshot{Tx: e.tx, Added: e.added, Seq: e.seq, Pending: e.pending})
+		s.Entries = append(s.Entries, EntrySnapshot{Tx: e.object(), Added: e.added, Seq: e.seq, Pending: e.pending})
 	}
 	s.PriceOrder = make([]int32, len(p.price.a))
 	for i, e := range p.price.a {
@@ -107,7 +107,7 @@ func RestorePool(policy Policy, s Snapshot) (*Pool, error) {
 		if dup {
 			return nil, fmt.Errorf("txpool: snapshot holds two transactions for %v nonce %d", es.Tx.From, es.Tx.Nonce)
 		}
-		e := &entry{tx: es.Tx, snd: snd, price: es.Tx.GasPrice, added: es.Added, seq: es.Seq, pending: es.Pending, idx: [2]int{-1, -1}}
+		e := &entry{tx: es.Tx, snd: snd, nonce: es.Tx.Nonce, price: es.Tx.GasPrice, added: es.Added, seq: es.Seq, pending: es.Pending, idx: [2]int32{-1, -1}}
 		ents[i] = e
 		snd.insertAt(at, e)
 		p.enlist(e)
@@ -129,7 +129,7 @@ func RestorePool(policy Policy, s Snapshot) (*Pool, error) {
 			return nil, fmt.Errorf("txpool: invalid price-heap slot %d → %d", i, idx)
 		}
 		p.price.a[i] = ents[idx]
-		ents[idx].idx[priceHeap] = i
+		ents[idx].idx[priceHeap] = int32(i)
 	}
 	p.futures.a = make([]*entry, len(s.FutureOrder))
 	for i, idx := range s.FutureOrder {
@@ -137,7 +137,7 @@ func RestorePool(policy Policy, s Snapshot) (*Pool, error) {
 			return nil, fmt.Errorf("txpool: invalid future-heap slot %d → %d", i, idx)
 		}
 		p.futures.a[i] = ents[idx]
-		ents[idx].idx[futureHeap] = i
+		ents[idx].idx[futureHeap] = int32(i)
 	}
 	if len(p.futures.a) != p.futureCount {
 		return nil, fmt.Errorf("txpool: future heap holds %d of %d futures", len(p.futures.a), p.futureCount)

@@ -316,6 +316,43 @@ func (tx *Transaction) Copy() *Transaction {
 	}
 }
 
+// Run is a sequence of Count plain transfers of no value from one sender at
+// consecutive nonces and one price — a measurement node's mempool fill, whose
+// futures nobody needs as objects until something asks for one. Member k
+// (0 ≤ k < Count) has nonce Nonce+k and pays the namespaced recipient
+// NamespacedAddress(ToSpace, ToSeq+k); a non-zero Tip makes every member an
+// EIP-1559 transaction with fee cap Price. Like a Transaction, a Run is shared
+// by pointer and immutable once shared.
+type Run struct {
+	From           Address
+	Nonce          uint64 // member 0's nonce
+	Count          int
+	Price          uint64 // gas price (fee cap under EIP-1559)
+	Tip            uint64
+	ToSpace, ToSeq uint64 // member 0's recipient account
+}
+
+// Tx builds member k as a new object: NewTransaction, or
+// NewDynamicFeeTransaction when the run carries a tip.
+func (r *Run) Tx(k int) *Transaction {
+	to := NamespacedAddress(r.ToSpace, r.ToSeq+uint64(k))
+	if r.Tip > 0 {
+		return NewDynamicFeeTransaction(r.From, to, r.Nonce+uint64(k), r.Price, r.Tip, 0)
+	}
+	return NewTransaction(r.From, to, r.Nonce+uint64(k), r.Price, 0)
+}
+
+// Equal reports whether tx has member k's content — r.Tx(k).Equal(tx),
+// without building the member.
+func (r *Run) Equal(k int, tx *Transaction) bool {
+	return tx.Nonce == r.Nonce+uint64(k) && tx.GasPrice == r.Price && tx.From == r.From &&
+		tx.To == NamespacedAddress(r.ToSpace, r.ToSeq+uint64(k)) && tx.Gas == TxGasTransfer &&
+		tx.Value == 0 && tx.Tip == r.Tip && tx.DynamicFee == (r.Tip > 0) && len(tx.Data) == 0
+}
+
+// Fee returns what each member can pay at most, as Transaction.Fee does.
+func (r *Run) Fee() uint64 { return TxGasTransfer * r.Price }
+
 // Block is a mined block: an ordered list of included transactions under a
 // gas limit. Headers carry only the fields the reproduction needs.
 type Block struct {

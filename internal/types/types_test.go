@@ -163,6 +163,57 @@ func TestEqualMatchesHash(t *testing.T) {
 	}
 }
 
+// TestRunMembers: member k of a run is the transfer a measurement node mints
+// one at a time (nonce Nonce+k, recipient ToSeq+k, legacy unless the run
+// carries a tip), and Run.Equal agrees with Transaction.Equal on it and on
+// every single-field change of it — TestEqualMatchesHash's walk, by name.
+func TestRunMembers(t *testing.T) {
+	from := NamespacedAddress(SpaceTopoShot, 7)
+	for _, tip := range []uint64{0, 3} {
+		r := &Run{From: from, Nonce: 1, Count: 5, Price: 400, Tip: tip, ToSpace: SpaceTopoShot, ToSeq: 8}
+		for k := 0; k < r.Count; k++ {
+			to := NamespacedAddress(SpaceTopoShot, 8+uint64(k))
+			want := NewTransaction(from, to, 1+uint64(k), 400, 0)
+			if tip > 0 {
+				want = NewDynamicFeeTransaction(from, to, 1+uint64(k), 400, tip, 0)
+			}
+			if got := r.Tx(k); !got.Equal(want) || got.Hash() != want.Hash() || got.Fee() != r.Fee() {
+				t.Fatalf("tip %d member %d = %v, want %v", tip, k, got, want)
+			}
+			if !r.Equal(k, want) || (k > 0 && r.Equal(k-1, want)) || (k+1 < r.Count && r.Equal(k+1, want)) {
+				t.Fatalf("tip %d: Run.Equal does not single out member %d", tip, k)
+			}
+		}
+		typ := reflect.TypeOf(Transaction{})
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			if !f.IsExported() {
+				continue
+			}
+			tx := r.Tx(2)
+			v := reflect.ValueOf(tx).Elem().Field(i)
+			switch v.Kind() {
+			case reflect.Uint64:
+				v.SetUint(v.Uint() + 1)
+			case reflect.Bool:
+				v.SetBool(!v.Bool())
+			case reflect.Array:
+				v.Index(0).SetUint(v.Index(0).Uint() ^ 1)
+			case reflect.Slice:
+				v.Set(reflect.ValueOf([]byte{0}))
+			default:
+				t.Fatalf("field %s has kind %v: teach this test how to change it", f.Name, v.Kind())
+			}
+			if r.Equal(2, tx) || r.Tx(2).Equal(tx) {
+				t.Errorf("tip %d: a member differing in %s still compares equal", tip, f.Name)
+			}
+		}
+		if allocs := testing.AllocsPerRun(100, func() { r.Equal(2, r.Tx(2)) }); allocs != 1 {
+			t.Errorf("comparing against a member allocates %v objects beside the member itself", allocs-1)
+		}
+	}
+}
+
 func TestTransactionFee(t *testing.T) {
 	tx := NewTransaction(AddressFromUint64(1), AddressFromUint64(2), 0, 3, 0)
 	if tx.Fee() != 3*TxGasTransfer {
