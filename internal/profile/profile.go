@@ -227,8 +227,8 @@ func evictionWorks(policy txpool.Policy, capacity, l int) bool {
 	if !res.Status.Admitted() {
 		return false
 	}
-	for _, ev := range res.Evicted {
-		if pool.StateNonce(ev.From) == ev.Nonce && ev.GasPrice == basePrice {
+	for _, v := range res.Evicted {
+		if ev := v.Tx(); pool.StateNonce(ev.From) == ev.Nonce && ev.GasPrice == basePrice {
 			return true // a pending fell victim
 		}
 	}

@@ -133,7 +133,7 @@ func (g *goldenRun) submit(tx *types.Transaction) bool {
 	if res.Replaced != nil {
 		g.logTxs("replaced", []*types.Transaction{res.Replaced})
 	}
-	g.logTxs("evicted", res.Evicted)
+	g.logTxs("evicted", victimTxs(res.Evicted))
 	g.logTxs("promoted", res.Promoted)
 	io.WriteString(g.h, "\n")
 	g.counts["offers"]++

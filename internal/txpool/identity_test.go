@@ -134,7 +134,7 @@ func FuzzPoolIdentity(f *testing.F) {
 					}
 					minted = append(minted, tx)
 				}
-				both(step, "offer "+tx.String(), func(ip *identityPool) string { return fmt.Sprintf("%+v", ip.p.Offer(ip.arg(tx))) })
+				both(step, "offer "+tx.String(), func(ip *identityPool) string { return resultText(ip.p.Offer(ip.arg(tx))) })
 			case k < 70:
 				now += rng.Float64()
 				both(step, "SetTime", func(ip *identityPool) string { ip.p.SetTime(now); return "" })

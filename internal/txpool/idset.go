@@ -68,7 +68,9 @@ func (s *idSet) add(id uint32) {
 }
 
 // remove takes id out of the set; a page it empties leaves the window, and so
-// does every empty page that then bounds it.
+// does every empty page that then bounds it. The back is trimmed first, so a
+// set that empties keeps its slice for the next add: a pool whose one pending
+// transaction comes and goes allocates nothing here.
 //
 //toposhot:hotpath
 func (s *idSet) remove(id uint32) {
@@ -89,11 +91,11 @@ func (s *idSet) remove(id uint32) {
 		return
 	}
 	s.pages[i], s.spare = nil, pg
+	for n := len(s.pages); n > 0 && s.pages[n-1] == nil; n-- {
+		s.pages = s.pages[:n-1]
+	}
 	for len(s.pages) > 0 && s.pages[0] == nil {
 		s.pages = s.pages[1:]
 		s.base++
-	}
-	for n := len(s.pages); n > 0 && s.pages[n-1] == nil; n-- {
-		s.pages = s.pages[:n-1]
 	}
 }

@@ -36,7 +36,7 @@ func driveFurther(p *Pool) []string {
 		res := p.Offer(tx)
 		log = append(log, res.Status.String())
 		for _, ev := range res.Evicted {
-			log = append(log, "evict:"+ev.Hash().String())
+			log = append(log, "evict:"+ev.Tx().Hash().String())
 		}
 		for _, pr := range res.Promoted {
 			log = append(log, "promote:"+pr.Hash().String())
