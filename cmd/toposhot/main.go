@@ -301,9 +301,9 @@ func (c *campaign) tracking() int {
 // measured by TopoShot or probed pair by pair by a rival method.
 func (c *campaign) measure() int {
 	cli, lg := c.cli, c.cli.Logger
-	params := c.census.MeasureParams()
+	params := c.census.World(nil).Params()
 	var (
-		world   *experiments.CensusWorld
+		world   *experiments.Built
 		m       *core.Measurer
 		targets []types.NodeID
 		resume  *core.CampaignState
@@ -313,7 +313,7 @@ func (c *campaign) measure() int {
 		if world, err = experiments.RestoreCensusWorld(c.resume, c.lanes); err != nil {
 			return cli.Fatal(1, "restore-failed", obs.String("file", c.resumeFrom), obs.Err(err))
 		}
-		m = core.NewMeasurer(world.Net, world.Super, params)
+		m = world.Measurer(params)
 		targets, resume = c.resume.Targets, c.resume.Campaign
 		lg.Info("campaign-resumed", obs.String("file", c.resumeFrom),
 			obs.Int("nodes", int64(len(world.Net.Nodes()))), obs.Float("virtual_s", world.Net.Now()),
@@ -321,9 +321,11 @@ func (c *campaign) measure() int {
 			obs.Int("edges", int64(len(resume.Detected))))
 	} else {
 		g := netgen.Grow(c.census.Grow)
-		world = experiments.BuildCensusWorld(c.census, g, c.census.Seed, c.lanes, nil)
+		w := c.census.World(g)
+		w.Lanes = c.lanes
+		world = w.Build()
 		world.StartTraffic()
-		m = core.NewMeasurer(world.Net, world.Super, params)
+		m = world.Measurer(params)
 		lg.Info("network-built", obs.Int("nodes", int64(g.NumNodes())),
 			obs.Int("edges", int64(g.NumEdges())))
 		pre := m.Preprocess(world.Inst.IDs)

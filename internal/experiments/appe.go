@@ -32,23 +32,9 @@ type AppEResult struct {
 // the experiment validates exactly that: precision and recall match the
 // legacy-fee runs.
 func AppE(seed int64) (*AppEResult, error) {
-	netCfg := ethsim.DefaultConfig(seed)
-	netCfg.LatencyTail = 0.05
-	netCfg.LatencyMax = 1.0
-	net := ethsim.NewNetwork(netCfg)
-	g := netgen.ErdosRenyiNM(60, 180, seed)
-	het := netgen.Uniform()
-	het.Expiry = censusExpiry
-	inst := netgen.InstantiateScaled(net, g, het, seed, 0.1)
-	super := ethsim.NewSupernode(net)
-	super.ConnectAll()
-	super.SetEstimatorPolicy(txpool.Geth.WithCapacity(scaledZ).WithExpiry(censusExpiry))
-	net.StartJanitor(30)
-
-	// Dynamic-fee background traffic: fee caps 1–4 Gwei, modest tips.
-	w := ethsim.NewWorkload(net, 2.5, types.Gwei, 4*types.Gwei)
-	w.Prefill(300, 5)
-	w.Start(0)
+	built := appEWorld(seed).Build()
+	net, super, inst := built.Net, built.Super, built.Inst
+	w := built.StartTraffic()
 
 	dropSeen := false
 	for _, nd := range net.Nodes() {
@@ -68,13 +54,12 @@ func AppE(seed int64) (*AppEResult, error) {
 	miners.Start(0)
 	net.RunFor(40)
 
-	params := core.DefaultParams()
-	params.Z = scaledZ
+	params := built.World.Params()
 	// 1559-native measurement pricing: dynamic-fee transactions whose caps
 	// track well above the base fee (never dropped as underpriced) with a
 	// 1-wei priority fee (never attractive to miners).
 	params.DynamicFeeTip = 1
-	m := core.NewMeasurer(net, super, params)
+	m := built.Measurer(params)
 
 	truth := core.EdgeSetOf(net.Edges())
 	rng := net.Engine().Rand()
@@ -124,6 +109,14 @@ func AppE(seed int64) (*AppEResult, error) {
 	}, nil
 }
 
+// appEWorld is the EIP-1559 testnet: a 60-node random graph under
+// dynamic-fee background traffic — fee caps 1–4 Gwei, modest tips.
+func appEWorld(seed int64) World {
+	w := testnet(seed, netgen.ErdosRenyiNM(60, 180, seed), netgen.Uniform(), poolScale, 300)
+	w.Traffic.Rate, w.Traffic.PriceLo, w.Traffic.PriceHi = 2.5, types.Gwei, 4*types.Gwei
+	return w
+}
+
 // FormatAppE renders the EIP-1559 outcome.
 func FormatAppE(r *AppEResult) string {
 	var b strings.Builder
@@ -153,22 +146,8 @@ type FloodResult struct {
 // measurable client (R > 0) rejects every one; a zero-R client accepts and
 // re-gossips them all.
 func FloodExploit(policy txpool.Policy, seed int64) FloodResult {
-	netCfg := ethsim.DefaultConfig(seed)
-	netCfg.LatencyTail = 0.02
-	netCfg.LatencyMax = 0.5
-	net := ethsim.NewNetwork(netCfg)
-	var ids []types.NodeID
-	for i := 0; i < 10; i++ {
-		ids = append(ids, net.AddNode(ethsim.NodeConfig{
-			Policy: policy.WithCapacity(256), MaxPeers: 16,
-		}).ID())
-	}
-	for i := range ids {
-		_ = net.Connect(ids[i], ids[(i+1)%len(ids)])
-		_ = net.Connect(ids[i], ids[(i+3)%len(ids)])
-	}
-	super := ethsim.NewSupernode(net)
-	super.ConnectAll()
+	world := floodWorld(policy, seed).Build()
+	net, super, ids := world.Net, world.Super, world.Inst.IDs
 
 	attacker := types.AddressFromUint64(0xbad)
 	price := types.Gwei
@@ -197,6 +176,17 @@ func FloodExploit(policy txpool.Policy, seed int64) FloodResult {
 		PropagationMessages: after["txs"] + after["announce"] - before,
 		CommittedWei:        base.Fee(),
 	}
+}
+
+// floodWorld is the exploit's network: ten local nodes of one client with
+// 256-slot pools, each linked to the next and the third next around a ring.
+func floodWorld(policy txpool.Policy, seed int64) World {
+	w := World{Seed: seed, Latency: localLatency}
+	for i := 0; i < 10; i++ {
+		w.Nodes = append(w.Nodes, ethsim.NodeConfig{Policy: policy.WithCapacity(256), MaxPeers: 16})
+		w.Links = append(w.Links, [2]int{i, (i + 1) % 10}, [2]int{i, (i + 3) % 10})
+	}
+	return w
 }
 
 // FormatFlood renders flood results for a set of clients.

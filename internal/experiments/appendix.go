@@ -12,7 +12,6 @@ import (
 	"toposhot/internal/runner"
 	"toposhot/internal/strategy"
 	"toposhot/internal/trace"
-	"toposhot/internal/txpool"
 	"toposhot/internal/types"
 )
 
@@ -29,22 +28,22 @@ type AppAResult struct {
 // everywhere and floods, so TxProbe claims links that do not exist, while
 // TopoShot's replacement-based isolation holds.
 func AppA(seed int64) (*AppAResult, error) {
-	v := buildValidationNet(seed, 60, netgen.Uniform(), 10, nil)
-	probe := strategy.NewTxProbe(v.net, v.super)
-	truth := core.EdgeSetOf(v.net.Edges())
-	rng := v.net.Engine().Rand()
+	v := newValidationNet(seed, 60, netgen.Uniform(), publicLatency, 10, nil)
+	probe := strategy.NewTxProbe(v.Net, v.Super)
+	truth := core.EdgeSetOf(v.Net.Edges())
+	rng := v.Net.Engine().Rand()
 	var pairs [][2]types.NodeID
 	// Sample a mix of true edges and non-edges.
 	edges := truth.Edges()
 	for i := 0; i < 10 && i < len(edges); i++ {
 		e := edges[rng.Intn(len(edges))]
-		if e[0] != v.super.ID() && e[1] != v.super.ID() {
+		if e[0] != v.Super.ID() && e[1] != v.Super.ID() {
 			pairs = append(pairs, e)
 		}
 	}
 	for len(pairs) < 20 {
-		a := v.inst.IDs[rng.Intn(len(v.inst.IDs))]
-		b := v.inst.IDs[rng.Intn(len(v.inst.IDs))]
+		a := v.Inst.IDs[rng.Intn(len(v.Inst.IDs))]
+		b := v.Inst.IDs[rng.Intn(len(v.Inst.IDs))]
 		if a != b && !truth.Has(a, b) {
 			pairs = append(pairs, [2]types.NodeID{a, b})
 		}
@@ -110,26 +109,9 @@ type AppCResult struct {
 // transactions excluded from the comparison, since Y0 keeps them unmined).
 func AppC(seed int64) (*AppCResult, error) {
 	build := func(measure bool) (*chain.Chain, []core.Violation, *core.Ledger, error) {
-		// Deterministic substrate: constant latency and push-all gossip, so
-		// the hypothetical world replays the measured world exactly except
-		// for the measurement itself (Definition C.1's ceteris paribus).
-		netCfg := ethsim.DefaultConfig(seed)
-		netCfg.LatencyBase = 0.05
-		netCfg.LatencyTail = 0
-		netCfg.LatencyMax = 0.05
-		net := ethsim.NewNetwork(netCfg)
-		g := netgen.ErdosRenyiNM(24, 80, seed)
-		het := netgen.Uniform()
-		het.LegacyPushFraction = 1.0
-		inst := netgen.InstantiateScaled(net, g, het, seed, 0.1)
-		super := ethsim.NewSupernode(net)
-		super.ConnectAll()
-		super.SetEstimatorPolicy(txpool.Geth.WithCapacity(scaledZ))
-
-		// High-priced, block-filling workload (V1's precondition).
-		w := ethsim.NewWorkload(net, 3.0, types.Gwei, 4*types.Gwei)
-		w.Prefill(600, 5)
-		w.Start(0)
+		built := appCWorld(seed).Build()
+		net, inst := built.Net, built.Inst
+		w := built.StartTraffic()
 		miners := chain.NewMiner(net, chain.MinerConfig{
 			Interval:       13,
 			GasLimit:       21000 * 20,
@@ -138,10 +120,9 @@ func AppC(seed int64) (*AppCResult, error) {
 		miners.Start(0)
 		net.RunFor(40)
 
-		params := core.DefaultParams()
-		params.Z = scaledZ
+		params := built.World.Params()
 		params.Y = types.Gwei / 2 // below the Gwei..4Gwei workload floor
-		m := core.NewMeasurer(net, super, params)
+		m := built.Measurer(params)
 
 		t1 := net.Now()
 		var violations []core.Violation
@@ -192,6 +173,19 @@ func AppC(seed int64) (*AppCResult, error) {
 	}, nil
 }
 
+// appCWorld is a twin world of Appendix C: a deterministic substrate —
+// constant latency and push-all gossip, so the hypothetical world replays
+// the measured one exactly except for the measurement itself (Definition
+// C.1's ceteris paribus) — under a high-priced, block-filling workload (V1's
+// precondition).
+func appCWorld(seed int64) World {
+	het := netgen.Uniform()
+	het.LegacyPushFraction = 1.0
+	return World{Seed: seed, Latency: lockstepLatency, Graph: netgen.ErdosRenyiNM(24, 80, seed), Het: het,
+		PoolScale: poolScale,
+		Traffic:   Traffic{Rate: 3.0, PriceLo: types.Gwei, PriceHi: 4 * types.Gwei, Prefill: 600, Settle: 5}}
+}
+
 // FormatAppC renders the twin-world outcome.
 func FormatAppC(r *AppCResult) string {
 	var b strings.Builder
@@ -212,8 +206,8 @@ type W2Result struct {
 // graph against the active topology — quantifying why W2-class methods
 // cannot recover what TopoShot measures.
 func W2Crawl(seed int64) *W2Result {
-	v := buildValidationNet(seed, 150, netgen.Uniform(), 10, nil)
-	return &W2Result{Report: crawlInactive(v.net, 4, seed)}
+	v := newValidationNet(seed, 150, netgen.Uniform(), publicLatency, 10, nil)
+	return &W2Result{Report: crawlInactive(v.Net, 4, seed)}
 }
 
 // InactiveEdgeReport contrasts a W2 FIND_NODE crawl with the active-edge
@@ -317,9 +311,9 @@ type AblationRow struct {
 func Ablations(seed int64) []AblationRow {
 	// 1. Push-all vs push+announce propagation.
 	propagation := func(lane *trace.Tracer, name string, het netgen.Heterogeneity) AblationRow {
-		v := buildValidationNet(seed, 80, het, 20, lane)
+		v := newValidationNet(seed, 80, het, publicLatency, 20, lane)
 		targets := v.measurableNeighbors()
-		truth := core.EdgeSetOf(v.net.Edges())
+		truth := core.EdgeSetOf(v.Net.Edges())
 		measured := core.NewEdgeSet()
 		for _, a := range targets {
 			if ok, err := v.m.MeasureOneLink(a, v.bPrime.ID()); err == nil && ok {
@@ -340,16 +334,16 @@ func Ablations(seed int64) []AblationRow {
 	// 2. X too small vs calibrated: a short flood wait leaves txC missing
 	// on distant nodes, breaking isolation (false positives appear).
 	floodWait := func(lane *trace.Tracer, x float64) AblationRow {
-		v := buildValidationNet(seed+7, 120, netgen.Uniform(), 0, lane)
+		v := newValidationNet(seed+7, 120, netgen.Uniform(), publicLatency, 0, lane)
 		params := v.m.Params()
 		params.X = x
 		v.m.SetParams(params)
-		truth := core.EdgeSetOf(v.net.Edges())
-		rng := v.net.Engine().Rand()
+		truth := core.EdgeSetOf(v.Net.Edges())
+		rng := v.Net.Engine().Rand()
 		measured, mt := core.NewEdgeSet(), core.NewEdgeSet()
 		for i := 0; i < 24; i++ {
-			a := v.inst.IDs[rng.Intn(len(v.inst.IDs))]
-			b := v.inst.IDs[rng.Intn(len(v.inst.IDs))]
+			a := v.Inst.IDs[rng.Intn(len(v.Inst.IDs))]
+			b := v.Inst.IDs[rng.Intn(len(v.Inst.IDs))]
 			if a == b {
 				continue
 			}
@@ -371,17 +365,17 @@ func Ablations(seed int64) []AblationRow {
 	preprocessing := func(lane *trace.Tracer, pre bool) AblationRow {
 		het := netgen.Uniform()
 		het.ForwardFuturesFraction = 0.15
-		v := buildValidationNet(seed+13, 100, het, 25, lane)
+		v := newValidationNet(seed+13, 100, het, publicLatency, 25, lane)
 		targets := v.neighbors
 		note := "pre-processing off"
 		if pre {
 			targets = v.measurableNeighbors()
 			note = "pre-processing on"
 		}
-		truth := core.EdgeSetOf(v.net.Edges())
+		truth := core.EdgeSetOf(v.Net.Edges())
 		measured, mt := core.NewEdgeSet(), core.NewEdgeSet()
 		for _, a := range targets {
-			if a == v.super.ID() {
+			if a == v.Super.ID() {
 				continue
 			}
 			if ok, err := v.m.MeasureOneLink(a, v.bPrime.ID()); err == nil && ok {

@@ -47,7 +47,7 @@ func RopstenCensus(seed int64) CensusConfig {
 		Grow:       netgen.RopstenConfig.WithSeed(seed),
 		Het:        netgen.DefaultHeterogeneity(),
 		Seed:       seed,
-		PoolScale:  0.1,
+		PoolScale:  poolScale,
 		GroupK:     60,
 		EdgeBudget: 144,
 		Prefill:    300,
@@ -104,7 +104,9 @@ func RunCensus(cfg CensusConfig) (*Census, error) {
 
 	bs := tr.StartSpan(spanCensusBuild)
 	g := netgen.Grow(cfg.Grow)
-	world := BuildCensusWorld(cfg, g, cfg.Seed, 0, tr)
+	wv := cfg.World(g)
+	wv.Lane = tr
+	world := wv.Build()
 	net, inst := world.Net, world.Inst
 	// The prefill span ends before a measurer exists to bind the lane's clock.
 	tr.SetClock(net.Now)
@@ -114,8 +116,7 @@ func RunCensus(cfg CensusConfig) (*Census, error) {
 	w := world.StartTraffic()
 	ps.End()
 
-	m := core.NewMeasurer(net, world.Super, cfg.MeasureParams())
-	m.SetTracer(tr)
+	m := world.Measurer(wv.Params())
 	// Its events go to a scope named like the lane, on the census's clock.
 	m.SetObs(obs.Enabled().Scope("census:"+censusKey(cfg), nil), nil)
 

@@ -50,7 +50,7 @@ type backPair struct {
 // cfg and targets describe; the caller sets Campaign or Tracking. Back is
 // listed in ascending NodeID order, so the same campaign state always
 // serializes to the same bytes.
-func (w *CensusWorld) Checkpoint(cfg CensusConfig, targets []types.NodeID) (*Checkpoint, error) {
+func (w *Built) Checkpoint(cfg CensusConfig, targets []types.NodeID) (*Checkpoint, error) {
 	blob, err := w.Net.Checkpoint()
 	if err != nil {
 		return nil, err

@@ -82,7 +82,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 func TestCheckpointBytesDeterministic(t *testing.T) {
 	cfg := GoerliCensus(3)
 	cfg.Grow = cfg.Grow.WithN(16)
-	w := BuildCensusWorld(cfg, netgen.Grow(cfg.Grow), cfg.Seed, 0, nil)
+	w := cfg.World(netgen.Grow(cfg.Grow)).Build()
 	w.StartTraffic()
 	path := filepath.Join(t.TempDir(), "c.ckpt")
 	var files [2][]byte

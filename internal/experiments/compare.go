@@ -6,11 +6,9 @@ import (
 	"strings"
 
 	"toposhot/internal/core"
-	"toposhot/internal/ethsim"
 	"toposhot/internal/netgen"
 	"toposhot/internal/runner"
 	"toposhot/internal/strategy"
-	"toposhot/internal/trace"
 	"toposhot/internal/types"
 )
 
@@ -26,14 +24,12 @@ type CompareConfig struct {
 
 // DefaultCompareConfig is the cmd/experiments entry's configuration.
 func DefaultCompareConfig() CompareConfig {
-	params := core.DefaultParams()
-	params.Z = scaledZ
 	return CompareConfig{
 		Nodes: 48, EdgePairs: 10, NonEdgePairs: 10,
 		// Ethna's push-ratio inversion flattens as degree grows (⌈√d⌉/d ≈
 		// 1/√d), so the goerli-preset replica gets a larger sample budget
 		// than Ethna's small-network default.
-		Strategy: strategy.Config{TopoShot: params, EthnaSamples: 64},
+		Strategy: strategy.Config{TopoShot: World{PoolScale: poolScale}.Params(), EthnaSamples: 64},
 	}
 }
 
@@ -45,17 +41,6 @@ type CompareRow struct {
 	Cost           strategy.Cost
 	VirtualSeconds float64
 	Note           string
-}
-
-// compareNet builds one goerli-preset replica: every method gets its own
-// same-seed network, so the four campaigns probe identical topologies,
-// identical workloads, and identical virtual clocks without sharing pools.
-func compareNet(seed int64, n int, lane *trace.Tracer) (*ethsim.Network, *ethsim.Supernode, *netgen.Instantiated) {
-	cc := CensusConfig{Het: netgen.Uniform(), PoolScale: 0.1, Prefill: 350}
-	g := netgen.Grow(netgen.GoerliConfig.WithSeed(seed).WithN(n))
-	world := BuildCensusWorld(cc, g, seed, 0, lane)
-	world.StartTraffic()
-	return world.Net, world.Super, world.Inst
 }
 
 // comparePairs picks the shared probe list — EdgePairs true links and
@@ -109,7 +94,15 @@ func Compare(seed int64, cfg CompareConfig) ([]CompareRow, error) {
 	results := runner.MapWorker(0, len(ms), func(w, i int) res {
 		sp := rowSpan(lanes[i], i, w, int64(i))
 		defer sp.End()
-		net, super, inst := compareNet(seed, cfg.Nodes, lanes[i])
+		// Every method gets its own same-seed goerli-preset replica, so the four
+		// campaigns probe identical topologies, identical workloads, and
+		// identical virtual clocks without sharing pools.
+		g := netgen.Grow(netgen.GoerliConfig.WithSeed(seed).WithN(cfg.Nodes))
+		replica := testnet(seed, g, netgen.Uniform(), poolScale, 350)
+		replica.Lane = lanes[i]
+		world := replica.Build()
+		world.StartTraffic()
+		net, super, inst := world.Net, world.Super, world.Inst
 		truth := core.EdgeSetOf(net.Edges())
 		pairs := comparePairs(cfg, seed, truth, inst, super.ID())
 		s, err := strategy.NewMethod(ms[i], net, super, cfg.Strategy)

@@ -83,7 +83,7 @@ var reduced = map[string]func(seed int64, census CensusSource) (string, error){
 	// critical services keep the paper's exact counts (their full mesh is
 	// what the run costs).
 	"Table6": func(seed int64, _ CensusSource) (string, error) {
-		r, err := table6(seed, mainnet.Config{RegularNodes: 40, Seed: seed, PoolScale: 0.1},
+		r, err := table6(seed, mainnet.Config{RegularNodes: 40, Seed: seed},
 			[][2]string{{mainnet.SrvR2, mainnet.SrvM6}, {mainnet.SrvM6, mainnet.SrvM5}, {mainnet.SrvM1, mainnet.SrvM1}})
 		if err != nil {
 			return "", err

@@ -6,9 +6,7 @@ import (
 
 	"toposhot/internal/chain"
 	"toposhot/internal/core"
-	"toposhot/internal/ethsim"
 	"toposhot/internal/mainnet"
-	"toposhot/internal/txpool"
 	"toposhot/internal/types"
 )
 
@@ -41,19 +39,10 @@ func Table6(seed int64) (*Table6Result, error) {
 // table6 is Table6 on a scenario of the given size, over the given service
 // pairs.
 func table6(seed int64, cfg mainnet.Config, servicePairs [][2]string) (*Table6Result, error) {
-	sc := mainnet.Build(cfg)
-	net := sc.Net
-	scale := 0.1
-	zScaled := int(float64(txpool.Geth.Capacity) * scale)
-	sc.Super.SetEstimatorPolicy(txpool.Geth.WithCapacity(zScaled))
-	net.StartJanitor(20)
-
-	// Mainnet-grade workload: high-priced traffic heavy enough that every
-	// block fills (V1) with transactions priced above the measurement floor
-	// (V2). The miner consumes ~blockTxs/interval; supply exceeds that.
-	w := ethsim.NewWorkload(net, 5.5, types.Gwei, 4*types.Gwei)
-	w.Prefill(400, 5)
-	w.Start(0)
+	built := table6World(cfg).Build()
+	net := built.Net
+	sc := mainnet.NewScenario(net)
+	w := built.StartTraffic()
 
 	// Miners on three regular nodes. The supply above the 1-Gwei floor
 	// exceeds the drain, so blocks stay full of >1-Gwei transactions (V1)
@@ -68,8 +57,7 @@ func table6(seed int64, cfg mainnet.Config, servicePairs [][2]string) (*Table6Re
 	miners.Start(0)
 	net.RunFor(60) // let some blocks land before measuring
 
-	params := core.DefaultParams()
-	params.Z = zScaled
+	params := built.World.Params()
 	// Workload-adaptive Y0: strictly below everything recent blocks
 	// included, so V2 holds by construction (Appendix C's design).
 	y0 := core.SafeY0(miners.Chain(), 4, 0)
@@ -77,7 +65,7 @@ func table6(seed int64, cfg mainnet.Config, servicePairs [][2]string) (*Table6Re
 		y0 = types.Gwei / 10
 	}
 	params.Y = y0
-	m := core.NewMeasurer(net, sc.Super, params)
+	m := built.Measurer(params)
 
 	discovered := sc.DiscoverCriticalNodes()
 	res := &Table6Result{Discovered: make(map[string]int)}
@@ -115,6 +103,18 @@ func table6(seed int64, cfg mainnet.Config, servicePairs [][2]string) (*Table6Re
 	res.Violations = v.Check()
 	res.NonInterferenceOK = len(res.Violations) == 0
 	return res, nil
+}
+
+// table6World is the mainnet scenario laid out by cfg at the scaled pool
+// size, its janitor ticking every 20 s, under a mainnet-grade workload:
+// high-priced traffic heavy enough that every block fills (V1) with
+// transactions priced above the measurement floor (V2). The miner consumes
+// ~blockTxs/interval; supply exceeds that.
+func table6World(cfg mainnet.Config) World {
+	nodes, links := mainnet.Topology(cfg)
+	return World{Seed: cfg.Seed, Latency: testnetLatency, Nodes: nodes, Links: links,
+		PoolScale: poolScale, Janitor: 20,
+		Traffic: Traffic{Rate: 5.5, PriceLo: types.Gwei, PriceHi: 4 * types.Gwei, Prefill: 400, Settle: 5}}
 }
 
 // expectedConnected encodes the paper's Table-6 narrative: SrvR1 and the

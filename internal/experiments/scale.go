@@ -63,7 +63,7 @@ func MainnetScaleCensus(seed int64) ScaleCensusConfig {
 		Seed:       seed,
 		Regions:    500,
 		Lanes:      4,
-		PoolScale:  0.1,
+		PoolScale:  poolScale,
 		GroupK:     60,
 		EdgeBudget: 144,
 		Prefill:    300,
@@ -144,14 +144,13 @@ func runScaleRegion(cfg ScaleCensusConfig, g *graph.Graph, region int, lg *obs.L
 
 	// Per-region seed salt: replica networks must not mirror each other's
 	// latency draws and account keys.
-	seed := cfg.Seed ^ int64(region+1)<<24
-	cc := CensusConfig{Het: cfg.Het, PoolScale: cfg.PoolScale, Prefill: cfg.Prefill}
-	world := BuildCensusWorld(cc, sub, seed, cfg.Lanes, tr)
+	wv := testnet(cfg.Seed^int64(region+1)<<24, sub, cfg.Het, cfg.PoolScale, cfg.Prefill)
+	wv.Lanes, wv.Lane = cfg.Lanes, tr
+	world := wv.Build()
 	inst := world.Inst
 	w := world.StartTraffic()
 
-	m := core.NewMeasurer(world.Net, world.Super, cc.MeasureParams())
-	m.SetTracer(tr)
+	m := world.Measurer(wv.Params())
 	// The region's events go to its own pre-created scope (never the shared
 	// root scope: concurrent regions interleaving there would break snapshot
 	// byte-identity). No ledger — scale cost accounting reads m.Ledger.
@@ -256,17 +255,10 @@ func FormatScaleCensus(sc *ScaleCensus) string {
 		cfg.Name, sc.Truth.NumNodes(), sc.Truth.NumEdges(), cfg.Regions, cfg.Lanes)
 	fmt.Fprintf(&b, "  coverage: %d/%d links intra-region (%.1f%%); %d cross-region links out of scope for this pass\n",
 		sc.CoveredEdges, sc.Truth.NumEdges(),
-		100*float64(sc.CoveredEdges)/float64(maxInt(1, sc.Truth.NumEdges())), sc.CrossEdges)
+		100*float64(sc.CoveredEdges)/float64(max(1, sc.Truth.NumEdges())), sc.CrossEdges)
 	fmt.Fprintf(&b, "  detected: %d links  TP=%d FP=%d  precision=%.3f  recall(covered)=%.3f  recall(overall)=%.3f\n",
 		sc.TP+sc.FP, sc.TP, sc.FP, sc.Precision, sc.RecallCovered, sc.RecallOverall)
 	fmt.Fprintf(&b, "  virtual time: %.2f h total across regions, %.2f h critical path; cost=%.4f ETH\n",
 		sc.SumDurationHours, sc.MaxDurationHours, sc.CostEther)
 	return b.String()
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -202,7 +202,7 @@ func RunTracking(cfg TrackingConfig) (*Tracking, error) {
 	}
 
 	var (
-		world     *CensusWorld
+		world     *Built
 		targets   []types.NodeID
 		trk       *tracker.Tracker
 		probe     *tracker.GroupedProber
@@ -217,7 +217,7 @@ func RunTracking(cfg TrackingConfig) (*Tracking, error) {
 	}
 	led := out.CostLedger
 
-	params := cfg.Census.MeasureParams()
+	params := cfg.Census.World(nil).Params()
 
 	if ck := cfg.Resume; ck != nil {
 		r := ck.Tracking
@@ -231,7 +231,7 @@ func RunTracking(cfg TrackingConfig) (*Tracking, error) {
 		if len(world.Net.Churns()) == 0 {
 			return nil, fmt.Errorf("tracking: restored engine has no churn process")
 		}
-		probe = tracker.NewGroupedProber(core.NewMeasurer(world.Net, world.Super, params))
+		probe = tracker.NewGroupedProber(world.Measurer(params))
 		probe.MaxPairs = cfg.Census.EdgeBudget
 		trk, err = tracker.Restore(r.Tracker, cfg.Tracker, probe)
 		if err != nil {
@@ -244,11 +244,13 @@ func RunTracking(cfg TrackingConfig) (*Tracking, error) {
 	} else {
 		// Fresh run: build RunCensus's world and seed the tracker with a full
 		// census — the per-tick baseline being beaten.
-		world = BuildCensusWorld(cfg.Census, netgen.Grow(cfg.Census.Grow), cfg.Census.Seed, cfg.Lanes, nil)
+		wv := cfg.Census.World(netgen.Grow(cfg.Census.Grow))
+		wv.Lanes = cfg.Lanes
+		world = wv.Build()
 		world.StartTraffic()
-		net, super, inst := world.Net, world.Super, world.Inst
+		net, inst := world.Net, world.Inst
 
-		m := core.NewMeasurer(net, super, params)
+		m := world.Measurer(params)
 		pre := m.Preprocess(inst.IDs)
 		targets = pre.EligibleNodes(inst.IDs)
 		if len(targets) < 2 {
@@ -271,7 +273,7 @@ func RunTracking(cfg TrackingConfig) (*Tracking, error) {
 
 		// The tracker probes on its own measurer so the delta-campaign ledger
 		// is cleanly separable from the seeding census's.
-		probe = tracker.NewGroupedProber(core.NewMeasurer(net, super, params))
+		probe = tracker.NewGroupedProber(world.Measurer(params))
 		probe.MaxPairs = cfg.Census.EdgeBudget
 		trk, err = tracker.New(cfg.Tracker, targets, res.Detected, probe)
 		if err != nil {

@@ -13,76 +13,43 @@ import (
 	"toposhot/internal/types"
 )
 
-// validationNet builds the §6.1 validation environment: a Ropsten-like
-// network with heterogeneous nodes, a freshly-joined observation node B′
-// peered with many nodes, and a measurer with scaled pools.
+// validationNet is the §6.1 validation environment: a Ropsten-like testnet
+// world with a freshly-joined observation node B′ peered with many nodes, and
+// a measurer matched to its scaled pools.
 type validationNet struct {
-	net    *ethsim.Network
-	super  *ethsim.Supernode
+	*Built
 	m      *core.Measurer
 	bPrime *ethsim.Node
 	// neighbors are B′'s true peers (the measurable population).
 	neighbors []types.NodeID
-	inst      *netgen.Instantiated
 }
 
-// scaledZ is the default future count for 1/10-scale pools.
-const scaledZ = 512
-
-func buildValidationNet(seed int64, n int, het netgen.Heterogeneity, bPrimePeers int, lane *trace.Tracer) *validationNet {
-	netCfg := ethsim.DefaultConfig(seed)
-	netCfg.LatencyTail = 0.05
-	netCfg.LatencyMax = 1.0
-	return buildValidationNetCfg(netCfg, seed, n, het, bPrimePeers, lane)
-}
-
-// buildValidationNetCfg is buildValidationNet with an explicit network
-// latency profile. lane, when non-nil, is the sweep row's trace lane; the
-// network and measurer bind to it instead of the process-default tracer's
-// root lane, so parallel rows record onto disjoint, deterministic tracks.
-func buildValidationNetCfg(netCfg ethsim.Config, seed int64, n int, het netgen.Heterogeneity, bPrimePeers int, lane *trace.Tracer) *validationNet {
-	g := netgen.Grow(netgen.RopstenConfig.WithSeed(seed).WithN(n))
-	net := ethsim.NewNetwork(netCfg)
-	if lane != nil {
-		net.SetTracer(lane)
-	}
-	het.Expiry = censusExpiry
-	inst := netgen.InstantiateScaled(net, g, het, seed, 0.1)
-
-	// B′: a local node under our control, joined to bPrimePeers peers.
-	bp := net.AddNode(ethsim.NodeConfig{
-		Policy:   txpool.Geth.WithCapacity(scaledZ).WithExpiry(censusExpiry),
-		MaxPeers: 1 << 16,
-	})
-	rng := net.Engine().Rand()
-	for bp.Degree() < bPrimePeers && bp.Degree() < len(inst.IDs) {
-		id := inst.IDs[rng.Intn(len(inst.IDs))]
-		if id != bp.ID() {
-			_ = net.Connect(bp.ID(), id)
-		}
-	}
-
-	super := ethsim.NewSupernode(net)
-	super.ConnectAll()
-	super.SetEstimatorPolicy(txpool.Geth.WithCapacity(scaledZ).WithExpiry(censusExpiry))
-	net.StartJanitor(30)
-
+// newValidationNet builds the validation environment over an n-node Ropsten
+// graph on the lat profile, with B′ joined to bPrimePeers peers. lane, when
+// non-nil, is the sweep row's trace lane, so parallel rows record onto
+// disjoint, deterministic tracks.
+func newValidationNet(seed int64, n int, het netgen.Heterogeneity, lat Latency, bPrimePeers int, lane *trace.Tracer) *validationNet {
+	v := &validationNet{}
 	// Prefill stays below pool capacity so the estimated Y is genuinely
 	// mid-market ("low enough not to be included next block", §5.2.1).
-	w := ethsim.NewWorkload(net, 0.2, types.Gwei/10, 2*types.Gwei)
-	w.Prefill(350, 5)
-	w.Start(0)
-
-	params := core.DefaultParams()
-	params.Z = scaledZ
-	m := core.NewMeasurer(net, super, params)
-	if lane != nil {
-		m.SetTracer(lane)
+	w := testnet(seed, netgen.Grow(netgen.RopstenConfig.WithSeed(seed).WithN(n)), het, poolScale, 350)
+	w.Latency, w.Lane = lat, lane
+	// B′: a local node under our control, joined to bPrimePeers peers.
+	w.Join = func(b *Built) {
+		v.bPrime = b.Net.AddNode(ethsim.NodeConfig{Policy: b.World.policy(txpool.Geth), MaxPeers: 1 << 16})
+		rng := b.Net.Engine().Rand()
+		for v.bPrime.Degree() < bPrimePeers && v.bPrime.Degree() < len(b.Inst.IDs) {
+			id := b.Inst.IDs[rng.Intn(len(b.Inst.IDs))]
+			if id != v.bPrime.ID() {
+				_ = b.Net.Connect(v.bPrime.ID(), id)
+			}
+		}
 	}
-	return &validationNet{
-		net: net, super: super, m: m, bPrime: bp,
-		neighbors: bp.Peers(), inst: inst,
-	}
+	v.Built = w.Build()
+	v.StartTraffic()
+	v.m = v.Measurer(w.Params())
+	v.neighbors = v.bPrime.Peers()
+	return v
 }
 
 // measurableNeighbors filters B′'s peers to spec-conforming Geth nodes, the
@@ -91,31 +58,12 @@ func (v *validationNet) measurableNeighbors() []types.NodeID {
 	pre := v.m.Preprocess(v.neighbors)
 	var out []types.NodeID
 	for _, id := range pre.EligibleNodes(v.neighbors) {
-		if id == v.super.ID() {
+		if id == v.Super.ID() {
 			continue
 		}
 		out = append(out, id)
 	}
 	return out
-}
-
-// buildValidationNet4b is buildValidationNet plus mining on an underloaded
-// testnet: the miner outpaces the background workload, so it digs down the
-// price ladder and includes planted measurement transactions after roughly
-// a minute. A parallel iteration whose duration exceeds that inclusion lag
-// loses its late sources — their accounts' nonces are consumed on-chain and
-// the txA plants go stale. That is the interference that caps Figure 4b's
-// recall for large groups, while precision is untouched.
-func buildValidationNet4b(seed int64, n, bPrimePeers int, lane *trace.Tracer) *validationNet {
-	netCfg := ethsim.DefaultConfig(seed)
-	// Public-internet profile: heavier straggler tail plus congestion
-	// spikes. Straggling deliveries from one node's setup landing inside a
-	// later node's setup hole are the §6.1 "interference among nodes {A}".
-	netCfg.LatencyTail = 0.15
-	netCfg.LatencyMax = 3.0
-	netCfg.SpikeProb = 0.30
-	netCfg.SpikeMax = 5.0
-	return buildValidationNetCfg(netCfg, seed, n, netgen.Uniform(), bPrimePeers, lane)
 }
 
 // Fig4aRow is one point of the recall-vs-futures curve.
@@ -149,7 +97,7 @@ func fig4a(seed int64, zs []int) []Fig4aRow {
 	}
 	lanes := sweepLanes("fig4a", len(zs))
 	return runner.MapWorker(0, len(zs), func(w, i int) Fig4aRow {
-		v := buildValidationNet(seed, 150, het, 60, lanes[i])
+		v := newValidationNet(seed, 150, het, publicLatency, 60, lanes[i])
 		sp := rowSpan(lanes[i], i, w, int64(zs[i]))
 		defer sp.End()
 		targets := v.measurableNeighbors()
@@ -162,7 +110,7 @@ func fig4a(seed int64, zs []int) []Fig4aRow {
 			// the mempool drain so the second run sees fresh pool state.
 			ok, err := v.m.MeasureOneLink(a, v.bPrime.ID())
 			if err == nil && !ok {
-				v.net.RunFor(censusExpiry + 10)
+				v.Net.RunFor(censusExpiry + 10)
 				ok, err = v.m.MeasureOneLink(a, v.bPrime.ID())
 			}
 			if err == nil && ok {
@@ -214,11 +162,13 @@ func fig4b(seed int64, ps []int) []Fig4bRow {
 	lanes := sweepLanes("fig4b", len(ps))
 	return runner.MapWorker(0, len(ps), func(w, i int) Fig4bRow {
 		p := ps[i]
-		v := buildValidationNet4b(seed, 170, 40, lanes[i])
+		// No miner runs: what caps large groups' recall is straggler
+		// interference on the internet profile, never inclusion.
+		v := newValidationNet(seed, 170, netgen.Uniform(), internetLatency, 40, lanes[i])
 		sp := rowSpan(lanes[i], i, w, int64(p))
 		defer sp.End()
 		targets := v.measurableNeighbors()
-		truth := core.EdgeSetOf(v.net.Edges())
+		truth := core.EdgeSetOf(v.Net.Edges())
 
 		sources := make([]types.NodeID, 0, p)
 		// True neighbors first (recall targets), then fillers.
@@ -227,7 +177,7 @@ func fig4b(seed int64, ps []int) []Fig4bRow {
 				sources = append(sources, id)
 			}
 		}
-		for _, id := range v.inst.IDs {
+		for _, id := range v.Inst.IDs {
 			if len(sources) >= p {
 				break
 			}
@@ -262,7 +212,7 @@ func fig4b(seed int64, ps []int) []Fig4bRow {
 			best.Union(res.Detected)
 			// Let the previous run's future transactions drain before the
 			// next, as the live tool's spaced repetitions do.
-			v.net.RunFor(censusExpiry + 10)
+			v.Net.RunFor(censusExpiry + 10)
 		}
 		measuredTruth := core.NewEdgeSet()
 		for _, e := range edges {
@@ -316,11 +266,11 @@ func fig5(seed int64, groupN int, ks []int) []Fig5Row {
 	lanes, scopes := sweepLanes("fig5", len(ks)), obsScopes("fig5", len(ks))
 	res := runner.MapWorker(0, len(ks), func(w, i int) measured {
 		k := ks[i]
-		v := buildValidationNet(seed+int64(k), groupN+40, netgen.Uniform(), 10, lanes[i])
+		v := newValidationNet(seed+int64(k), groupN+40, netgen.Uniform(), publicLatency, 10, lanes[i])
 		v.m.SetObs(scopes[i], nil)
 		sp := rowSpan(lanes[i], i, w, int64(k))
 		defer sp.End()
-		nodes := v.inst.IDs[:groupN]
+		nodes := v.Inst.IDs[:groupN]
 		if k == 1 {
 			r, err := v.m.MeasureAllPairsSerial(nodes)
 			if err != nil {
@@ -397,36 +347,28 @@ func Fig7(seed int64) []Fig7Row {
 	})
 }
 
+// fig7World is one local trial's world: A with a capacity-slot pool peered
+// with a full-size B, holding pending prefilled transactions. The paper's
+// txO population outprices txC, so once the futures fill the pool the very
+// first eviction removes txC.
+func fig7World(seed int64, capacity, pending int, lane *trace.Tracer) World {
+	return World{Seed: seed, Latency: localLatency, Lane: lane,
+		Nodes: []ethsim.NodeConfig{
+			{Policy: txpool.Geth.WithCapacity(capacity), MaxPeers: 16},
+			{Policy: txpool.Geth, MaxPeers: 16},
+		},
+		Links:   [][2]int{{0, 1}},
+		Traffic: Traffic{PriceLo: types.Gwei, PriceHi: 2 * types.Gwei, Prefill: pending, Settle: 3}}
+}
+
 // fig7Once runs one local trial: were A(B) measurable at this pool size?
 func fig7Once(seed int64, capacity, pending int, lane *trace.Tracer) bool {
-	netCfg := ethsim.DefaultConfig(seed)
-	netCfg.LatencyTail = 0.02
-	netCfg.LatencyMax = 0.5
-	net := ethsim.NewNetwork(netCfg)
-	if lane != nil {
-		net.SetTracer(lane)
-	}
-	polA := txpool.Geth.WithCapacity(capacity)
-	polB := txpool.Geth
-	a := net.AddNode(ethsim.NodeConfig{Policy: polA, MaxPeers: 16})
-	b := net.AddNode(ethsim.NodeConfig{Policy: polB, MaxPeers: 16})
-	_ = net.Connect(a.ID(), b.ID())
-	super := ethsim.NewSupernode(net)
-	super.ConnectAll()
-
-	// The paper's txO population outprices txC, so once the futures fill
-	// the pool the very first eviction removes txC.
-	w := ethsim.NewWorkload(net, 0, types.Gwei, 2*types.Gwei)
-	w.Prefill(pending, 3)
-
-	params := core.DefaultParams() // full-scale Z = 5120
+	built := fig7World(seed, capacity, pending, lane).Build()
+	built.StartTraffic()
+	params := built.World.Params() // full-scale Z = 5120
 	params.SettleTime = 4
 	params.Y = types.Gwei / 2 // below every txO
-	m := core.NewMeasurer(net, super, params)
-	if lane != nil {
-		m.SetTracer(lane)
-	}
-	ok, err := m.MeasureOneLink(a.ID(), b.ID())
+	ok, err := built.Measurer(params).MeasureOneLink(built.Inst.IDs[0], built.Inst.IDs[1])
 	return err == nil && ok
 }
 
@@ -475,36 +417,15 @@ func Table8(seed int64, reps int) []Table8Row {
 		c := cfgs[ci]
 		sp := rowSpan(lanes[ci], ci, w, int64(ci))
 		defer sp.End()
-		var tp, fp, fn int
+		var sc core.Score
 		for rep := 0; rep < reps; rep++ {
-			netCfg := ethsim.DefaultConfig(seed + int64(100*ci+rep))
-			netCfg.LatencyTail = 0.02
-			netCfg.LatencyMax = 0.5
-			net := ethsim.NewNetwork(netCfg)
-			if lanes[ci] != nil {
-				net.SetTracer(lanes[ci])
-			}
-			pol := txpool.Geth.WithCapacity(scaledZ)
-			var ids []types.NodeID
-			for i := 0; i < 3; i++ {
-				ids = append(ids, net.AddNode(ethsim.NodeConfig{Policy: pol, MaxPeers: 16}).ID())
-			}
-			for _, l := range c.links {
-				_ = net.Connect(ids[l[0]], ids[l[1]])
-			}
-			super := ethsim.NewSupernode(net)
-			super.ConnectAll()
-			w := ethsim.NewWorkload(net, 0, types.Gwei/10, 2*types.Gwei)
-			w.Prefill(120, 3)
-			params := core.DefaultParams()
-			params.Z = scaledZ
+			built := table8World(seed+int64(100*ci+rep), c.links, lanes[ci]).Build()
+			built.StartTraffic()
+			net, ids := built.Net, built.Inst.IDs
+			params := built.World.Params()
 			params.SettleTime = 4
-			m := core.NewMeasurer(net, super, params)
-			if lanes[ci] != nil {
-				m.SetTracer(lanes[ci])
-			}
 			// Parallel: sources A1, A2; sink B.
-			res, err := m.MeasurePar([]core.Edge{
+			res, err := built.Measurer(params).MeasurePar([]core.Edge{
 				{Source: ids[0], Sink: ids[2]},
 				{Source: ids[1], Sink: ids[2]},
 			})
@@ -517,23 +438,26 @@ func Table8(seed int64, reps int) []Table8Row {
 				got := res.Detected.Has(e[0], e[1])
 				switch {
 				case want && got:
-					tp++
+					sc.TruePositives++
 				case !want && got:
-					fp++
+					sc.FalsePositives++
 				case want && !got:
-					fn++
+					sc.FalseNegatives++
 				}
 			}
 		}
-		row := Table8Row{Links: c.name, Recall: 1, Precision: 1}
-		if tp+fn > 0 {
-			row.Recall = float64(tp) / float64(tp+fn)
-		}
-		if tp+fp > 0 {
-			row.Precision = float64(tp) / float64(tp+fp)
-		}
-		return row
+		return Table8Row{Links: c.name, Recall: sc.Recall(), Precision: sc.Precision()}
 	})
+}
+
+// table8World is one local trial's world: A1, A2 and B with scaled pools,
+// joined by links (index 0=A1, 1=A2, 2=B), holding 120 prefilled
+// transactions.
+func table8World(seed int64, links [][2]int, lane *trace.Tracer) World {
+	node := ethsim.NodeConfig{Policy: txpool.Geth, MaxPeers: 16}
+	return World{Seed: seed, Latency: localLatency, Lane: lane,
+		Nodes: []ethsim.NodeConfig{node, node, node}, Links: links, PoolScale: poolScale,
+		Traffic: Traffic{PriceLo: types.Gwei / 10, PriceHi: 2 * types.Gwei, Prefill: 120, Settle: 3}}
 }
 
 // FormatTable8 renders the local parallel validation.

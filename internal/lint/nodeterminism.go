@@ -14,10 +14,12 @@ import (
 // the simulator drives, the gossip rules the simulator shares with the live
 // node (whose clock is injected), the worker pool that runs independent
 // simulations concurrently, the topology tracker (whose probe schedule must
-// replay identically from a checkpoint), and the observability layer (whose
+// replay identically from a checkpoint), the observability layer (whose
 // event-log snapshots and cost ledgers must byte-compare equal across
 // same-seed runs at any parallelism — timestamps come from injected virtual
-// clocks, never the wall).
+// clocks, never the wall), and the experiment drivers with the mainnet
+// scenario they lay out (experiments.World's Build order is the engine's draw
+// order).
 var nodeterminismScope = []string{
 	modulePrefix + "/internal/sim",
 	modulePrefix + "/internal/ethsim",
@@ -30,6 +32,8 @@ var nodeterminismScope = []string{
 	modulePrefix + "/internal/runner",
 	modulePrefix + "/internal/tracker",
 	modulePrefix + "/internal/obs",
+	modulePrefix + "/internal/experiments",
+	modulePrefix + "/internal/mainnet",
 }
 
 // timeBanned are time-package functions that read the wall clock or real

@@ -1,4 +1,4 @@
-// Package mainnet builds and measures the §6.3 scenario: an Ethereum
+// Package mainnet lays out and measures the §6.3 scenario: an Ethereum
 // mainnet-like network whose critical services — mining pools and
 // transaction relays — run biased neighbor selection, and the measurement
 // campaign that discovers their backend nodes (via web3_clientVersion
@@ -38,10 +38,9 @@ var ServiceCounts = map[string]int{
 	SrvM1: 59, SrvM2: 8, SrvM3: 6, SrvM4: 2, SrvM5: 2, SrvM6: 1,
 }
 
-// Scenario is a constructed mainnet-like network with labelled services.
+// Scenario is a built mainnet-like network with labelled services.
 type Scenario struct {
-	Net   *ethsim.Network
-	Super *ethsim.Supernode
+	Net *ethsim.Network
 	// Members maps service name → backend node ids.
 	Members map[string][]types.NodeID
 	// Regular lists the unaffiliated nodes.
@@ -56,16 +55,17 @@ type Config struct {
 	RegularNodes int
 	// Seed drives topology sampling.
 	Seed int64
-	// PoolScale scales mempool capacities (1 = real 5120 slots).
-	PoolScale float64
 }
 
-// DefaultConfig returns a 400-regular-node scenario with 1/10-scale pools.
+// DefaultConfig returns a 400-regular-node scenario.
 func DefaultConfig(seed int64) Config {
-	return Config{RegularNodes: 400, Seed: seed, PoolScale: 0.1}
+	return Config{RegularNodes: 400, Seed: seed}
 }
 
-// Build constructs the scenario:
+// Topology lays the scenario out: every node's configuration (the critical
+// services' backends in service-name order, then the regular population)
+// and the links between them, by index into the nodes, in the order they
+// are to be connected.
 //
 //   - critical services (all but SrvR2) run supernode-style biased neighbor
 //     selection: every node of such a service connects to every node of the
@@ -77,38 +77,35 @@ func DefaultConfig(seed int64) Config {
 //     the paper's explanation (b) for its isolation in Table 6;
 //   - every node additionally keeps random links into the regular
 //     population, which itself forms an Ethereum-style random overlay.
-func Build(cfg Config) *Scenario {
+//
+// Every pool ages unconfirmed transactions out after 150 s, so the busy
+// mainnet pools stay in steady state at a simulable pool scale.
+func Topology(cfg Config) ([]ethsim.NodeConfig, [][2]int) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	net := ethsim.NewNetwork(ethsim.DefaultConfig(cfg.Seed))
-	sc := &Scenario{Net: net, Members: make(map[string][]types.NodeID)}
-
-	pol := txpool.Geth
-	if cfg.PoolScale > 0 && cfg.PoolScale != 1 {
-		pol = pol.WithCapacity(int(float64(pol.Capacity) * cfg.PoolScale))
-		// Scale the unconfirmed-transaction lifetime alongside capacity so
-		// the busy mainnet pools stay in steady state.
-		pol = pol.WithExpiry(150)
-	}
+	pol := txpool.Geth.WithExpiry(150)
 
 	services := make([]string, 0, len(ServiceCounts))
 	for s := range ServiceCounts {
 		services = append(services, s)
 	}
 	sort.Strings(services)
+	var nodes []ethsim.NodeConfig
+	members := make(map[string][]int, len(services))
 	for _, s := range services {
 		for i := 0; i < ServiceCounts[s]; i++ {
-			nd := net.AddNode(ethsim.NodeConfig{
+			members[s] = append(members[s], len(nodes))
+			nodes = append(nodes, ethsim.NodeConfig{
 				Policy:     pol,
 				MaxPeers:   1 << 16,
 				Label:      s,
 				VersionTag: fmt.Sprintf("%s-backend-%02d", s, i),
 			})
-			sc.Members[s] = append(sc.Members[s], nd.ID())
 		}
 	}
-	for i := 0; i < cfg.RegularNodes; i++ {
-		nd := net.AddNode(ethsim.NodeConfig{Policy: pol, MaxPeers: 50})
-		sc.Regular = append(sc.Regular, nd.ID())
+	regular := make([]int, cfg.RegularNodes)
+	for i := range regular {
+		regular[i] = len(nodes)
+		nodes = append(nodes, ethsim.NodeConfig{Policy: pol, MaxPeers: 50})
 	}
 
 	// Critical-to-critical links under the biased selection policy.
@@ -127,15 +124,16 @@ func Build(cfg Config) *Scenario {
 			return true // pool–pool and pool–relay are prioritized
 		}
 	}
+	var links [][2]int
 	for i, sa := range services {
 		for _, sb := range services[i:] {
 			if !prioritized(sa, sb) {
 				continue
 			}
-			for _, na := range sc.Members[sa] {
-				for _, nb := range sc.Members[sb] {
+			for _, na := range members[sa] {
+				for _, nb := range members[sb] {
 					if na != nb {
-						_ = net.Connect(na, nb)
+						links = append(links, [2]int{na, nb})
 					}
 				}
 			}
@@ -143,25 +141,38 @@ func Build(cfg Config) *Scenario {
 	}
 
 	// Random overlay among regulars and from criticals into regulars.
-	randomLinks := func(id types.NodeID, k int) {
+	randomLinks := func(v, k int) {
 		for j := 0; j < k; j++ {
-			other := sc.Regular[rng.Intn(len(sc.Regular))]
-			if other != id {
-				_ = net.Connect(id, other)
+			other := regular[rng.Intn(len(regular))]
+			if other != v {
+				links = append(links, [2]int{v, other})
 			}
 		}
 	}
-	for _, id := range sc.Regular {
-		randomLinks(id, 6+rng.Intn(10))
+	for _, v := range regular {
+		randomLinks(v, 6+rng.Intn(10))
 	}
 	for _, s := range services {
-		for _, id := range sc.Members[s] {
-			randomLinks(id, 8+rng.Intn(8))
+		for _, v := range members[s] {
+			randomLinks(v, 8+rng.Intn(8))
 		}
 	}
+	return nodes, links
+}
 
-	sc.Super = ethsim.NewSupernode(net)
-	sc.Super.ConnectAll()
+// NewScenario reads the services back from a network built from Topology:
+// a node's label names its service, and unlabelled nodes are the regular
+// population.
+func NewScenario(net *ethsim.Network) *Scenario {
+	sc := &Scenario{Net: net, Members: make(map[string][]types.NodeID)}
+	for _, nd := range net.Nodes() {
+		switch label := nd.Config().Label; {
+		case label == "":
+			sc.Regular = append(sc.Regular, nd.ID())
+		case ServiceCounts[label] > 0:
+			sc.Members[label] = append(sc.Members[label], nd.ID())
+		}
+	}
 	return sc
 }
 

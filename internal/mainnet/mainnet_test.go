@@ -3,15 +3,28 @@ package mainnet
 import (
 	"testing"
 
+	"toposhot/internal/ethsim"
 	"toposhot/internal/types"
 )
 
-func smallConfig(seed int64) Config {
-	return Config{RegularNodes: 60, Seed: seed, PoolScale: 0.1}
+// build connects a 60-regular-node Topology on a bare network.
+func build(seed int64) *Scenario {
+	net := ethsim.NewNetwork(ethsim.DefaultConfig(seed))
+	nodes, links := Topology(Config{RegularNodes: 60, Seed: seed})
+	ids := make([]types.NodeID, len(nodes))
+	for i, nc := range nodes {
+		ids[i] = net.AddNode(nc).ID()
+	}
+	for _, l := range links {
+		if err := net.Connect(ids[l[0]], ids[l[1]]); err != nil {
+			panic(err)
+		}
+	}
+	return NewScenario(net)
 }
 
 func TestBuildPopulation(t *testing.T) {
-	sc := Build(smallConfig(1))
+	sc := build(1)
 	for s, want := range ServiceCounts {
 		if got := len(sc.Members[s]); got != want {
 			t.Errorf("%s backends = %d, want %d", s, got, want)
@@ -23,7 +36,7 @@ func TestBuildPopulation(t *testing.T) {
 }
 
 func TestBuildBiasGroundTruth(t *testing.T) {
-	sc := Build(smallConfig(2))
+	sc := build(2)
 	conn := func(a, b types.NodeID) bool { return sc.Net.Connected(a, b) }
 
 	// SrvR1 fully meshed with pools and itself.
@@ -58,7 +71,7 @@ func TestBuildBiasGroundTruth(t *testing.T) {
 }
 
 func TestDiscoveryFindsAllBackends(t *testing.T) {
-	sc := Build(smallConfig(3))
+	sc := build(3)
 	found := sc.DiscoverCriticalNodes()
 	for s, want := range ServiceCounts {
 		if got := len(found[s]); got != want {
@@ -78,7 +91,7 @@ func TestDiscoveryFindsAllBackends(t *testing.T) {
 }
 
 func TestFrontendVersionsDistinct(t *testing.T) {
-	sc := Build(smallConfig(4))
+	sc := build(4)
 	seen := make(map[string]bool)
 	for s := range ServiceCounts {
 		for _, v := range sc.FrontendVersions(s) {
