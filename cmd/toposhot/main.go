@@ -371,7 +371,7 @@ func (c *campaign) measure() int {
 			obs.Int("calls", int64(res.Calls)), obs.String("score", sc.String()),
 			obs.Float("fee_eth", core.Ether(m.Ledger.WorstCaseWei())))
 	} else {
-		s, err := strategy.NewMethod(strategy.Method(c.strategy), net, world.Super, strategy.Config{TopoShot: params})
+		s, err := strategy.NewMethod(strategy.Method(c.strategy), net, world.Super, strategy.Config{Params: params})
 		if err != nil {
 			return cli.Fatal(1, "measurement-failed", obs.Err(err))
 		}

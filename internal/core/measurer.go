@@ -228,6 +228,9 @@ func (m *Measurer) Params() Params { return m.params }
 // SetParams replaces the configuration.
 func (m *Measurer) SetParams(p Params) { m.params = p }
 
+// Vantage returns the vantage the measurer probes through.
+func (m *Measurer) Vantage() Vantage { return m.v }
+
 // Supernode returns the simulated measurement node M (nil over a live vantage).
 func (m *Measurer) Supernode() *ethsim.Supernode { return m.super }
 

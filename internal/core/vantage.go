@@ -8,17 +8,20 @@ import (
 	"toposhot/internal/types"
 )
 
-// Vantage is the measurement node M as the probe sees it: a clock, an uplink
-// to its peers, and the log of what its peers showed it. The simulator's
-// supernode implements it on virtual time, node.Vantage on wall time.
+// Vantage is the measurement node M as a probe sees it: a clock, an uplink
+// to its peers, and the log of what its peers showed it. The measurer and
+// every strategy in internal/strategy see the network through it alone. The
+// simulator's supernode implements it on virtual time, node.Vantage on wall
+// time.
 type Vantage interface {
 	// Now returns M's clock in seconds.
 	Now() float64
 	// Wait lets d seconds pass.
 	Wait(d float64)
 	// WaitDrained waits until every queued injection has left M, then d
-	// seconds more. A negative d waits out the vantage's delivery bound
-	// instead, after which everything injected has landed.
+	// seconds more. A negative d instead waits until everything injected has
+	// landed in its target's pool: the supernode waits out its delivery
+	// bound, the live vantage makes a round trip to each peer injected into.
 	WaitDrained(d float64)
 	// Inject sends txs to peer `to` as they are, bypassing M's own pool, so
 	// futures go out too.
@@ -38,6 +41,10 @@ type Vantage interface {
 	Holds(id types.NodeID, tx *types.Transaction) bool
 	// Reaches reports whether M can inject into id at all.
 	Reaches(id types.NodeID) bool
+	// Hop returns the seconds one relay hop takes, a peer's forwarding
+	// delay plus one link: the window within which DEthna attributes a
+	// mark's first evidences to one hop.
+	Hop() float64
 }
 
 var _ Vantage = (*ethsim.Supernode)(nil)

@@ -243,3 +243,13 @@ func (s *Supernode) Holds(id types.NodeID, tx *types.Transaction) bool {
 // Reaches reports whether id is a node of the network: the supernode can
 // inject into any of them.
 func (s *Supernode) Reaches(id types.NodeID) bool { return s.net.node(id) != nil }
+
+// Hop returns half a flush interval plus one typical link latency. A mark's
+// earliest evidence comes from a push-path neighbor (the target's flush, a
+// hop, the neighbor's flush, a hop); a same-hop sibling trails it by
+// push/announce path choice and latency jitter, while the fastest two-hop
+// chain trails its relay by at least another flush interval plus a hop. This
+// window splits those populations as well as timing alone can.
+func (s *Supernode) Hop() float64 {
+	return s.net.cfg.FlushInterval/2 + s.net.cfg.LatencyBase + s.net.cfg.LatencyTail
+}

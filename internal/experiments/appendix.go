@@ -29,7 +29,7 @@ type AppAResult struct {
 // TopoShot's replacement-based isolation holds.
 func AppA(seed int64) (*AppAResult, error) {
 	v := newValidationNet(seed, 60, netgen.Uniform(), publicLatency, 10, nil)
-	probe := strategy.NewTxProbe(v.Net, v.Super)
+	probe := strategy.NewTxProbe(v.Super, v.m.Params())
 	truth := core.EdgeSetOf(v.Net.Edges())
 	rng := v.Net.Engine().Rand()
 	var pairs [][2]types.NodeID

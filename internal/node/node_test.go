@@ -5,12 +5,14 @@ import (
 	"math/rand"
 	"net"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
 	"toposhot/internal/core"
 	"toposhot/internal/ethsim"
 	"toposhot/internal/gossip"
+	"toposhot/internal/strategy"
 	"toposhot/internal/txpool"
 	"toposhot/internal/types"
 	"toposhot/internal/wire"
@@ -309,12 +311,45 @@ func TestLiveMeasurePar(t *testing.T) {
 	}
 }
 
+// censusGraph is the fixed 8-node topology the live census and comparison
+// run on: a ring with two chords.
+func censusGraph() (int, [][2]int) {
+	const n = 8
+	return n, append(pathEdges(n), [2]int{7, 0}, [2]int{0, 4}, [2]int{2, 6})
+}
+
+// simGraph builds the simulator's copy of a topology: capped-pool Geth nodes,
+// in node order, and a supernode linked to each.
+func simGraph(t *testing.T, n int, edges [][2]int) (*ethsim.Network, *ethsim.Supernode, []types.NodeID) {
+	t.Helper()
+	net := ethsim.NewNetwork(ethsim.DefaultConfig(1))
+	ids := make([]types.NodeID, n)
+	for i := range ids {
+		ids[i] = net.AddNode(ethsim.NodeConfig{Policy: txpool.Geth.WithCapacity(256)}).ID()
+	}
+	for _, e := range edges {
+		if err := net.Connect(ids[e[0]], ids[e[1]]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	super := ethsim.NewSupernode(net)
+	super.ConnectAll()
+	return net, super, ids
+}
+
+// simParams is the simulator's counterpart of DefaultProbeParams(256): the
+// same Y and Z at the paper's waits.
+func simParams() core.Params {
+	params := core.DefaultParams()
+	params.Y, params.Z = types.Gwei, 256
+	return params
+}
+
 // TestLiveCensus runs the two-round schedule over TCP on a fixed 8-node
 // topology and over the simulator on the same graph: both must return the
 // true edge set.
 func TestLiveCensus(t *testing.T) {
-	const n = 8
-	edges := append(pathEdges(n), [2]int{7, 0}, [2]int{0, 4}, [2]int{2, 6})
+	n, edges := censusGraph()
 	edgeSet := func(ids []types.NodeID) *core.EdgeSet {
 		s := core.NewEdgeSet()
 		for _, e := range edges {
@@ -332,21 +367,8 @@ func TestLiveCensus(t *testing.T) {
 		t.Errorf("loopback census took %v, want under 15 s", elapsed)
 	}
 
-	net := ethsim.NewNetwork(ethsim.DefaultConfig(1))
-	simIDs := make([]types.NodeID, n)
-	for i := range simIDs {
-		simIDs[i] = net.AddNode(ethsim.NodeConfig{Policy: txpool.Geth.WithCapacity(256)}).ID()
-	}
-	for _, e := range edges {
-		if err := net.Connect(simIDs[e[0]], simIDs[e[1]]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	super := ethsim.NewSupernode(net)
-	super.ConnectAll()
-	params := core.DefaultParams()
-	params.Y, params.Z = types.Gwei, 256
-	sim, err := core.NewMeasurer(net, super, params).MeasureNetwork(simIDs, 4, 2000)
+	net, super, simIDs := simGraph(t, n, edges)
+	sim, err := core.NewMeasurer(net, super, simParams()).MeasureNetwork(simIDs, 4, 2000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,5 +377,76 @@ func TestLiveCensus(t *testing.T) {
 	}
 	if got, want := sim.Detected.Edges(), edgeSet(simIDs).Edges(); !slices.Equal(got, want) {
 		t.Errorf("simulated census found %v, want %v", got, want)
+	}
+}
+
+// TestLiveCompare runs all four strategies over the census graph, each on
+// its own loopback copy and on its own simulated copy, over two links and two
+// non-links. The loopback campaigns run at once, since they mostly wait.
+// TopoShot must agree with the simulator and the truth on every pair. The
+// rivals read timing on wall time, so a verdict of theirs may differ from the
+// simulator's; every such pair is counted and logged. Every strategy must
+// spend exactly what it spends in the simulator.
+func TestLiveCompare(t *testing.T) {
+	n, edges := censusGraph()
+	pairs := [][2]int{{0, 1}, {2, 6}, {1, 5}, {3, 7}}
+	idPairs := func(ids []types.NodeID) [][2]types.NodeID {
+		out := make([][2]types.NodeID, len(pairs))
+		for i, pr := range pairs {
+			out[i] = [2]types.NodeID{ids[pr[0]], ids[pr[1]]}
+		}
+		return out
+	}
+	linked := func(pr [2]int) bool {
+		return slices.ContainsFunc(edges, func(e [2]int) bool { return e == pr || e == [2]int{pr[1], pr[0]} })
+	}
+	const samples = 16
+	methods := strategy.Methods()
+	lives := make([]*strategy.Outcome, len(methods))
+	errs := make([]error, len(methods))
+	var wg sync.WaitGroup
+	for i, m := range methods {
+		v, ids := startVantage(t, startTopology(t, n, edges))
+		s, err := strategy.NewMethodAt(m, v, strategy.Config{Params: DefaultProbeParams(256), EthnaSamples: samples})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			lives[i], errs[i] = strategy.RunPairs(nil, nil, v, s, idPairs(ids))
+		}()
+	}
+	wg.Wait()
+	for i, m := range methods {
+		t.Run(string(m), func(t *testing.T) {
+			if errs[i] != nil {
+				t.Fatal(errs[i])
+			}
+			net, super, simIDs := simGraph(t, n, edges)
+			s, err := strategy.NewMethod(m, net, super, strategy.Config{Params: simParams(), EthnaSamples: samples})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sim, err := strategy.RunPairs(nil, nil, net, s, idPairs(simIDs))
+			if err != nil {
+				t.Fatal(err)
+			}
+			live, differ := lives[i], 0
+			for j, pr := range pairs {
+				lc, sc := live.Verdicts[j].Claim, sim.Verdicts[j].Claim
+				if m == strategy.MethodTopoShot && (lc != sc || lc.Detected != linked(pr)) {
+					t.Errorf("pair %d-%d: live %q, simulated %q, linked %v", pr[0], pr[1], lc.Verdict, sc.Verdict, linked(pr))
+				}
+				if lc != sc {
+					differ++
+					t.Logf("pair %d-%d: live %q, simulated %q", pr[0], pr[1], lc.Verdict, sc.Verdict)
+				}
+			}
+			t.Logf("%d of %d verdicts differ from the simulator's", differ, len(pairs))
+			if live.Cost != sim.Cost {
+				t.Errorf("live cost %+v, simulated %+v", live.Cost, sim.Cost)
+			}
+		})
 	}
 }

@@ -20,9 +20,12 @@ func DefaultProbeParams(capacity int) core.Params {
 	return core.Params{Y: types.Gwei, Z: capacity, BumpMil: 100, U: 4096, X: 0.75, SettleTime: 0.75, InterNodeWait: -1}
 }
 
-// drainBound is the localhost delivery bound in seconds: a frame written to a
-// loopback peer has been read, admitted and relayed well within it.
-const drainBound = 0.2
+// loopbackHop is Hop on localhost in seconds. A live node relays as it
+// admits, with no flush interval, and a loopback link has no latency, so one
+// hop is a frame written, read and admitted: successive peers' first
+// evidences of a mark land 0.04–0.3 ms apart (8 nodes, 2-core Linux VM), and
+// a whole flood within a millisecond. Timing hardly separates hops here.
+const loopbackHop = 0.0001
 
 // Vantage is the live measurement node M, core.Vantage on wall time: a
 // NoForward node that logs every delivery and announcement its peers send it,
@@ -35,6 +38,8 @@ type Vantage struct {
 	mu    sync.Mutex
 	addrs []string // id → peer address
 	seen  map[types.Hash][]gossip.Sighting
+	// sent holds the addresses injected into since the last drain.
+	sent []string
 }
 
 var _ core.Vantage = (*Vantage)(nil)
@@ -107,13 +112,24 @@ func (v *Vantage) Now() float64 { return time.Since(v.start).Seconds() }
 // Wait sleeps d seconds.
 func (v *Vantage) Wait(d float64) { time.Sleep(time.Duration(d * float64(time.Second))) }
 
-// WaitDrained sleeps d seconds, or drainBound for a negative d: nothing
-// queues at M, since Inject returns once its frame is written.
+// WaitDrained sleeps d seconds: nothing queues at M, since Inject returns
+// once its frame is written. A negative d is a barrier instead: an empty
+// GetPooledTransactions round trip to every peer injected into since the
+// last drain. A peer reads its frames in order and admits a Transactions
+// frame before it reads the next, so its answer proves everything sent to it
+// has landed in its pool.
 func (v *Vantage) WaitDrained(d float64) {
-	if d < 0 {
-		d = drainBound
+	if d >= 0 {
+		v.Wait(d)
+		return
 	}
-	v.Wait(d)
+	v.mu.Lock()
+	sent := v.sent
+	v.sent = nil
+	v.mu.Unlock()
+	for _, addr := range sent {
+		_, _ = v.node.query(addr, nil) // a dropped peer has nothing left to land
+	}
 }
 
 // Inject writes txs to peer `to` in one Transactions frame.
@@ -122,6 +138,11 @@ func (v *Vantage) Inject(to types.NodeID, txs ...*types.Transaction) error {
 	if err != nil {
 		return err
 	}
+	v.mu.Lock()
+	if !slices.Contains(v.sent, addr) {
+		v.sent = append(v.sent, addr)
+	}
+	v.mu.Unlock()
 	return v.node.SendTo(addr, txs)
 }
 
@@ -173,6 +194,9 @@ func (v *Vantage) Holds(id types.NodeID, tx *types.Transaction) bool {
 	txs, err := v.node.query(addr, []types.Hash{h})
 	return err == nil && slices.ContainsFunc(txs, func(got *types.Transaction) bool { return got.Hash() == h })
 }
+
+// Hop returns loopbackHop.
+func (v *Vantage) Hop() float64 { return loopbackHop }
 
 // Reaches reports whether id is one of Peers.
 func (v *Vantage) Reaches(id types.NodeID) bool {

@@ -35,28 +35,44 @@ func Methods() []Method {
 	return []Method{MethodTopoShot, MethodDEthna, MethodTxProbe, MethodEthna}
 }
 
-// Config carries per-method tuning for NewMethod. The zero value of any
-// field keeps that method's default.
+// Config carries per-method tuning for NewMethod and NewMethodAt. The zero
+// value of any field keeps that method's default.
 type Config struct {
-	// TopoShot is the measurer's parameter set (zero X → core defaults).
-	TopoShot core.Params
+	// Params is the parameter set every method reads (zero X → core
+	// defaults): TopoShot measures with it, TxProbe waits X and then
+	// SettleTime, DEthna and Ethna watch each transaction X/4.
+	Params core.Params
 	// EthnaSamples overrides the number of Ethna's flooded samples.
 	EthnaSamples int
 }
 
-// NewMethod builds one strategy on a network and supernode. Strategies built
-// on the same network share its pools and virtual clock — run them
-// sequentially, or on independent same-seed networks for a clean comparison.
+// NewMethod builds one strategy on a simulated network, probing through its
+// supernode. TopoShot's measurer also holds the network, whose supernode's
+// shadow pool it estimates Y from. Strategies built on the same network share its pools and virtual clock —
+// run them sequentially, or on independent same-seed networks for a clean
+// comparison.
 func NewMethod(m Method, net *ethsim.Network, super *ethsim.Supernode, cfg Config) (Strategy, error) {
+	if m == MethodTopoShot {
+		return NewTopoShot(core.NewMeasurer(net, super, cfg.Params)), nil
+	}
+	return NewMethodAt(m, super, cfg)
+}
+
+// NewMethodAt builds one strategy probing through vantage v.
+func NewMethodAt(m Method, v core.Vantage, cfg Config) (Strategy, error) {
+	p := cfg.Params
+	if p.X == 0 {
+		p = core.DefaultParams()
+	}
 	switch m {
 	case MethodTopoShot:
-		return NewTopoShot(core.NewMeasurer(net, super, cfg.TopoShot)), nil
+		return NewTopoShot(core.NewMeasurerAt(v, p)), nil
 	case MethodTxProbe:
-		return NewTxProbe(net, super), nil
+		return NewTxProbe(v, p), nil
 	case MethodDEthna:
-		return NewDEthna(net, super), nil
+		return NewDEthna(v, p), nil
 	case MethodEthna:
-		e := NewEthna(net, super)
+		e := NewEthna(v, p)
 		if cfg.EthnaSamples > 0 {
 			e.Samples = cfg.EthnaSamples
 		}
@@ -84,30 +100,28 @@ type Outcome struct {
 	// verdict), plus round records for Prepare and any cost carried in from
 	// before the campaign. Its totals telescope back to exactly Cost.
 	Ledger *obs.Ledger
-	// VirtualSeconds is the simulated time the campaign consumed.
+	// VirtualSeconds is the time the campaign consumed on its clock:
+	// virtual on the simulator, wall time on a live vantage.
 	VirtualSeconds float64
 }
 
-// RunPairs drives one strategy over a pair list: validate, Prepare, then
-// MeasurePair each pair in order, recording a campaign span with one probe
-// span (and verdict attribute) per pair. Cost accounting is built by delta:
+// RunPairs drives one strategy over a pair list: refuse self-pairs, Prepare
+// (which refuses pairs the strategy's vantage cannot reach), then MeasurePair
+// each pair in order, recording a campaign span with one probe span (and
+// verdict attribute) per pair. clock, the vantage or the network, stamps the
+// event log and times the ledger. Cost accounting is built by delta:
 // s.Cost() is sampled around Prepare and around every probe, and each delta
 // lands as one ledger record, so the final ledger aggregation telescopes to
 // exactly the strategy's own tally. tr may be nil (tracing off) and lg may
 // be nil (event logging off); the ledger is always built. Campaigns that fan
 // out over workers pass each worker its own pre-created lg scope.
-func RunPairs(tr *trace.Tracer, lg *obs.Logger, net *ethsim.Network, s Strategy, pairs [][2]types.NodeID) (*Outcome, error) {
+func RunPairs(tr *trace.Tracer, lg *obs.Logger, clock interface{ Now() float64 }, s Strategy, pairs [][2]types.NodeID) (*Outcome, error) {
 	for _, pr := range pairs {
 		if pr[0] == pr[1] {
 			return nil, fmt.Errorf("strategy: self-pair %v", pr[0])
 		}
-		for _, id := range pr {
-			if net.Node(id) == nil {
-				return nil, UnknownNodeError{ID: id}
-			}
-		}
 	}
-	lg.SetClock(net.Now)
+	lg.SetClock(clock.Now)
 	span := tr.StartSpan(SpanCampaign,
 		trace.String(AttrMethod, s.Name()), trace.Int(attrPairs, int64(len(pairs))))
 	defer span.End()
@@ -115,7 +129,7 @@ func RunPairs(tr *trace.Tracer, lg *obs.Logger, net *ethsim.Network, s Strategy,
 		obs.String("method", s.Name()), obs.Int("pairs", int64(len(pairs))),
 		obs.Int("span", int64(span.ID())))
 	led := obs.NewLedger()
-	start := net.Now()
+	start := clock.Now()
 	prev := s.Cost()
 	if prev.Total() > 0 {
 		// Cost the strategy accrued before this campaign (a census already
@@ -130,7 +144,7 @@ func RunPairs(tr *trace.Tracer, lg *obs.Logger, net *ethsim.Network, s Strategy,
 	if c := s.Cost(); c != prev {
 		led.Record(obs.ProbeRecord{Phase: PhasePrepare, Kind: obs.KindRound,
 			Pending: c.PendingTxs - prev.PendingTxs, Futures: c.FutureTxs - prev.FutureTxs,
-			Start: start, End: net.Now()})
+			Start: start, End: clock.Now()})
 		prev = c
 	}
 	out := &Outcome{
@@ -142,7 +156,7 @@ func RunPairs(tr *trace.Tracer, lg *obs.Logger, net *ethsim.Network, s Strategy,
 		ps := tr.StartSpan(SpanProbe,
 			trace.String(AttrMethod, s.Name()),
 			trace.Int(attrNodeA, int64(pr[0])), trace.Int(attrNodeB, int64(pr[1])))
-		probeStart := net.Now()
+		probeStart := clock.Now()
 		c, err := s.MeasurePair(pr[0], pr[1])
 		if err != nil {
 			ps.End()
@@ -154,7 +168,7 @@ func RunPairs(tr *trace.Tracer, lg *obs.Logger, net *ethsim.Network, s Strategy,
 		led.Record(obs.ProbeRecord{Phase: PhaseProbe, Kind: obs.KindPair,
 			A: pr[0], B: pr[1],
 			Pending: cost.PendingTxs - prev.PendingTxs, Futures: cost.FutureTxs - prev.FutureTxs,
-			Start: probeStart, End: net.Now(), Verdict: c.Verdict, Detected: c.Detected})
+			Start: probeStart, End: clock.Now(), Verdict: c.Verdict, Detected: c.Detected})
 		prev = cost
 		if c.Detected {
 			out.Claimed.Add(pr[0], pr[1])
@@ -163,7 +177,7 @@ func RunPairs(tr *trace.Tracer, lg *obs.Logger, net *ethsim.Network, s Strategy,
 	}
 	out.Cost = s.Cost()
 	out.Ledger = led
-	out.VirtualSeconds = net.Now() - start
+	out.VirtualSeconds = clock.Now() - start
 	span.SetAttr(trace.Int(attrClaimed, int64(out.Claimed.Len())))
 	lg.Info(core.MsgCampaignDone,
 		obs.String("method", s.Name()), obs.Int("claimed", int64(out.Claimed.Len())),

@@ -2,26 +2,22 @@ package strategy
 
 import (
 	"toposhot/internal/core"
-	"toposhot/internal/ethsim"
 	"toposhot/internal/types"
 )
 
-// DEthna's mark schedule: dethnaRepeats OR-ed marks per target, each watched
-// for dethnaSettle virtual seconds.
-const (
-	dethnaRepeats = 2
-	dethnaSettle  = 2.5
-)
+// dethnaRepeats is the number of OR-ed marks per target.
+const dethnaRepeats = 2
 
 // DEthna implements DEthna-style marked-transaction inference
 // (arXiv:2402.03881): inject a unique, freshly-sendered "mark" transaction
-// directly at a target node a and watch, at the supernode, *when* every other
-// peer first evidences possession of the mark (push delivery or hash
-// announcement). The gossip relay never returns a transaction to the peer it
-// arrived from, so a itself stays silent and the earliest evidence always
-// comes from one of a's direct neighbors: it relayed the mark one flush
-// interval after a's broadcast. Peers whose first evidence lands within a
-// short window of that earliest arrival are claimed as a's neighbors.
+// directly at a target node a and watch, at M, *when* every other peer first
+// evidences possession of the mark (push delivery or hash announcement). The
+// gossip relay never returns a transaction to the peer it arrived from, so a
+// itself stays silent and the earliest evidence always comes from one of a's
+// direct neighbors: it relayed the mark one flush interval after a's
+// broadcast. Peers whose first evidence lands within one hop (the vantage's
+// Hop) of that earliest arrival are claimed as a's neighbors. Each mark is
+// watched for X/4, a quarter of TopoShot's flood wait.
 //
 // The window cannot be exact: a one-hop neighbor that drew the announce path
 // (announce → request → reply, three extra link latencies) can evidence later
@@ -30,8 +26,8 @@ const (
 // eviction. Repeated marks re-randomize the push/announce draw and are OR-ed, the
 // same passive recall heuristic as §5.2.3.
 type DEthna struct {
-	net   *ethsim.Network
-	super *ethsim.Supernode
+	v core.Vantage
+	p core.Params
 
 	mint    accountMinter
 	pending int
@@ -41,10 +37,10 @@ type DEthna struct {
 	probed    map[types.NodeID]bool
 }
 
-// NewDEthna wires the strategy to a network and supernode.
-func NewDEthna(net *ethsim.Network, super *ethsim.Supernode) *DEthna {
+// NewDEthna wires the strategy to a vantage, watching each mark p.X/4.
+func NewDEthna(v core.Vantage, p core.Params) *DEthna {
 	return &DEthna{
-		net: net, super: super,
+		v: v, p: p,
 		mint:      minter(types.SpaceDEthna),
 		neighbors: make(map[types.NodeID]map[types.NodeID]bool),
 		probed:    make(map[types.NodeID]bool),
@@ -54,20 +50,12 @@ func NewDEthna(net *ethsim.Network, super *ethsim.Supernode) *DEthna {
 // Name implements Strategy.
 func (d *DEthna) Name() string { return "dethna" }
 
-// hopWindow resolves the one-hop attribution window. The earliest evidence is
-// a push-path neighbor (a's flush + one hop + the neighbor's flush + one
-// hop); the slowest same-hop sibling differs by push/announce path choice and
-// latency jitter, while the fastest two-hop chain trails its relay by at
-// least another flush interval plus a hop. Half a flush interval plus one
-// typical hop splits those populations as well as timing alone can.
-func (d *DEthna) hopWindow() float64 {
-	cfg := d.net.Config()
-	return cfg.FlushInterval/2 + cfg.LatencyBase + cfg.LatencyTail
-}
-
 // Prepare probes every node referenced by the pair list once (marks are
 // per-target, so a node appearing in many pairs costs no extra probes).
 func (d *DEthna) Prepare(pairs [][2]types.NodeID) error {
+	if err := reachPairs(d.v, pairs); err != nil {
+		return err
+	}
 	for _, pr := range pairs {
 		for _, id := range pr {
 			if err := d.probeTarget(id); err != nil {
@@ -84,30 +72,29 @@ func (d *DEthna) probeTarget(a types.NodeID) error {
 	if d.probed[a] {
 		return nil
 	}
-	if d.net.Node(a) == nil {
-		return UnknownNodeError{ID: a}
+	if err := reach(d.v, a); err != nil {
+		return err
 	}
 	d.probed[a] = true
 	set := make(map[types.NodeID]bool)
 	d.neighbors[a] = set
-	window := d.hopWindow()
+	window := d.v.Hop()
 	for r := 0; r < dethnaRepeats; r++ {
 		sender := d.mint.fresh()
 		mark := types.NewTransaction(sender, d.mint.fresh(), 0, probePrice, 0)
-		checkFrom := d.net.Now()
-		d.super.Inject(a, mark)
+		checkFrom := d.v.Now()
 		d.pending++
-		d.net.RunFor(dethnaSettle)
-		times := core.FirstEvidence(d.super.Sightings(mark.Hash(), checkFrom))
+		if err := d.v.Inject(a, mark); err != nil {
+			return err
+		}
+		d.v.Wait(d.p.X / 4)
+		times := core.FirstEvidence(d.v.Sightings(mark.Hash(), checkFrom))
 		if len(times) == 0 {
 			continue
 		}
 		t1 := times[0].At
 		for _, pt := range times {
-			if pt.Peer == a || pt.Peer == d.super.ID() {
-				continue
-			}
-			if pt.At <= t1+window {
+			if pt.Peer != a && pt.At <= t1+window {
 				set[pt.Peer] = true
 			}
 		}

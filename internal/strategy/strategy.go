@@ -1,7 +1,7 @@
 // Package strategy frames topology inference as a pluggable measurement
 // pipeline — probe plan → inject → observe → verdict — so competing methods
-// run head-to-head on the same simulated network, the same supernode
-// observations, and the same ground truth.
+// run head-to-head through the same vantage (core.Vantage): the simulator's
+// supernode on virtual time, or a live node over loopback on wall time.
 //
 // Four built-in strategies cover the paper's comparison space:
 //
@@ -28,6 +28,7 @@ package strategy
 import (
 	"fmt"
 
+	"toposhot/internal/core"
 	"toposhot/internal/types"
 )
 
@@ -73,17 +74,19 @@ type Cost struct {
 // Total returns the total probe transactions emitted.
 func (c Cost) Total() int { return c.PendingTxs + c.FutureTxs }
 
-// Strategy is one topology-inference method bound to a network and its
-// instrumented supernode. Implementations are single-goroutine, like the
-// simulation engine they drive; run concurrent strategies on independent
-// same-seed networks (engine-per-goroutine, DESIGN.md §7).
+// Strategy is one topology-inference method bound to a vantage: it sees the
+// network only through the peers of the measurement node M. Implementations
+// are single-goroutine, like the simulation engine they drive; run concurrent
+// strategies on independent same-seed networks (engine-per-goroutine,
+// DESIGN.md §7).
 type Strategy interface {
 	// Name returns the method's stable identifier (table rows, trace attrs).
 	Name() string
 	// Prepare runs the whole-campaign probe phase over the pairs about to be
-	// measured. Per-node methods (dethna, ethna) do their injection and
-	// observation here and answer MeasurePair from the gathered evidence;
-	// per-pair methods no-op.
+	// measured, after refusing, with an UnknownNodeError and before any probe
+	// is sent, a pair the vantage cannot reach. Per-node methods (dethna,
+	// ethna) do their injection and observation here and answer MeasurePair
+	// from the gathered evidence; per-pair methods only validate.
 	Prepare(pairs [][2]types.NodeID) error
 	// MeasurePair returns the strategy's claim about the undirected link a–b.
 	MeasurePair(a, b types.NodeID) (Claim, error)
@@ -91,8 +94,8 @@ type Strategy interface {
 	Cost() Cost
 }
 
-// UnknownNodeError reports a probe pair referencing a node absent from the
-// network under measurement.
+// UnknownNodeError reports a probe pair referencing a node the vantage cannot
+// reach.
 type UnknownNodeError struct {
 	ID types.NodeID
 }
@@ -100,6 +103,26 @@ type UnknownNodeError struct {
 // Error implements error.
 func (e UnknownNodeError) Error() string {
 	return fmt.Sprintf("strategy: unknown node %v", e.ID)
+}
+
+// reach returns an UnknownNodeError for the first of ids v cannot reach.
+func reach(v core.Vantage, ids ...types.NodeID) error {
+	for _, id := range ids {
+		if !v.Reaches(id) {
+			return UnknownNodeError{ID: id}
+		}
+	}
+	return nil
+}
+
+// reachPairs is reach over every endpoint of pairs.
+func reachPairs(v core.Vantage, pairs [][2]types.NodeID) error {
+	for _, pr := range pairs {
+		if err := reach(v, pr[0], pr[1]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // probePrice is the gas price of the rival methods' probe transactions (marks,

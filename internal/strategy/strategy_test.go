@@ -3,6 +3,7 @@ package strategy
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -17,8 +18,9 @@ import (
 
 // buildRing wires a ring of n capped-pool Geth nodes with a supernode and a
 // prefilled background workload — the known topology every strategy is
-// scored against.
-func buildRing(t testing.TB, seed int64, n int) (*ethsim.Network, *ethsim.Supernode, []types.NodeID) {
+// scored against. The nodes at the indices in unresponsive drop every
+// message.
+func buildRing(t testing.TB, seed int64, n int, unresponsive ...int) (*ethsim.Network, *ethsim.Supernode, []types.NodeID) {
 	if t != nil {
 		t.Helper()
 	}
@@ -29,7 +31,8 @@ func buildRing(t testing.TB, seed int64, n int) (*ethsim.Network, *ethsim.Supern
 	pol := txpool.Geth.WithCapacity(256)
 	ids := make([]types.NodeID, n)
 	for i := range ids {
-		ids[i] = net.AddNode(ethsim.NodeConfig{Policy: pol, MaxPeers: 50}).ID()
+		ids[i] = net.AddNode(ethsim.NodeConfig{Policy: pol, MaxPeers: 50,
+			Unresponsive: slices.Contains(unresponsive, i)}).ID()
 	}
 	for i := range ids {
 		if err := net.Connect(ids[i], ids[(i+1)%n]); err != nil {
@@ -63,13 +66,26 @@ func ringPairs(ids []types.NodeID) [][2]types.NodeID {
 	return pairs
 }
 
-// testConfig sizes every method for the capped-pool ring.
+// testConfig sizes every method for the capped-pool ring, at the default
+// waits (X=10, SettleTime=6).
 func testConfig() Config {
 	params := core.DefaultParams()
 	params.Z = 256
-	params.X = 3
-	params.SettleTime = 4
-	return Config{TopoShot: params, EthnaSamples: 48}
+	return Config{Params: params, EthnaSamples: 48}
+}
+
+// ringDegreeError is the mean absolute error of Ethna's fitted degrees on a
+// ring, where every node has two peers besides M (0 when nothing was fitted).
+func ringDegreeError(e *Ethna) float64 {
+	sum, n := 0, 0
+	for _, d := range e.Degrees() {
+		sum += max(d-2, 2-d)
+		n++
+	}
+	if n == 0 {
+		return 0
+	}
+	return float64(sum) / float64(n)
 }
 
 // runOnRing builds a fresh same-seed ring and runs one method's campaign.
@@ -128,7 +144,7 @@ func TestConformanceScoring(t *testing.T) {
 				}
 			case MethodEthna:
 				e := s.(*Ethna)
-				if err := e.MeanAbsDegreeError(); err > 1.0 {
+				if err := ringDegreeError(e); err > 1.0 {
 					t.Errorf("Ethna mean degree error = %v, want ≤ 1 on the ring", err)
 				}
 				if sc.FalsePositives != 0 {
@@ -152,7 +168,7 @@ func renderOutcome(s Strategy, out *Outcome, truth *core.EdgeSet) string {
 		fmt.Fprintf(&b, "%v-%v %v %s\n", v.A, v.B, v.Claim.Detected, v.Claim.Verdict)
 	}
 	if e, ok := s.(*Ethna); ok {
-		fmt.Fprintf(&b, "degree-err=%.6f\n", e.MeanAbsDegreeError())
+		fmt.Fprintf(&b, "degree-err=%.6f\n", ringDegreeError(e))
 	}
 	return b.String()
 }
@@ -239,14 +255,15 @@ func TestAccountSpacesDisjoint(t *testing.T) {
 		}
 	}
 	// Each built-in strategy mints from its designated space.
-	net, super, _ := buildRing(t, 9, 4)
-	if got := NewTxProbe(net, super).mint.space; got != types.SpaceTxProbe {
+	_, super, _ := buildRing(t, 9, 4)
+	p := core.DefaultParams()
+	if got := NewTxProbe(super, p).mint.space; got != types.SpaceTxProbe {
 		t.Errorf("TxProbe space %#x", got)
 	}
-	if got := NewDEthna(net, super).mint.space; got != types.SpaceDEthna {
+	if got := NewDEthna(super, p).mint.space; got != types.SpaceDEthna {
 		t.Errorf("DEthna space %#x", got)
 	}
-	if got := NewEthna(net, super).mint.space; got != types.SpaceEthna {
+	if got := NewEthna(super, p).mint.space; got != types.SpaceEthna {
 		t.Errorf("Ethna space %#x", got)
 	}
 }
@@ -299,8 +316,8 @@ func TestRunPairsLedgerAttribution(t *testing.T) {
 // TestTxProbeUnknownNode: the probe itself (not only RunPairs' up-front
 // validation) refuses a target the network has never seen.
 func TestTxProbeUnknownNode(t *testing.T) {
-	net, super, ids := buildRing(t, 2, 3)
-	if _, err := NewTxProbe(net, super).MeasurePair(ids[0], 999); err == nil {
+	_, super, ids := buildRing(t, 2, 3)
+	if _, err := NewTxProbe(super, core.DefaultParams()).MeasurePair(ids[0], 999); err == nil {
 		t.Fatal("unknown target accepted")
 	}
 }
@@ -323,5 +340,39 @@ func TestRunPairsValidates(t *testing.T) {
 	}
 	if c := s.Cost(); c.Total() != 0 {
 		t.Fatalf("validation emitted probes: %+v", c)
+	}
+}
+
+// injections is a supernode that records every transaction injected through
+// it.
+type injections struct {
+	*ethsim.Supernode
+	txs []*types.Transaction
+}
+
+func (v *injections) Inject(to types.NodeID, txs ...*types.Transaction) error {
+	v.txs = append(v.txs, txs...)
+	return v.Supernode.Inject(to, txs...)
+}
+
+// TestEthnaSamplesFlood: Ethna seeds its samples only through M's peers, so
+// every sample it pays for floods and M sees it. An unresponsive ring node is
+// a node of the network but no peer; a sample rotated onto it would flood
+// nowhere.
+func TestEthnaSamplesFlood(t *testing.T) {
+	_, super, ids := buildRing(t, 4, 6, 2)
+	v := &injections{Supernode: super}
+	e := NewEthna(v, core.DefaultParams())
+	e.Samples = 2 * len(ids)
+	if err := e.Prepare(nil); err != nil {
+		t.Fatal(err)
+	}
+	if len(v.txs) != e.Samples {
+		t.Fatalf("%d samples injected, want %d", len(v.txs), e.Samples)
+	}
+	for i, tx := range v.txs {
+		if len(super.Sightings(tx.Hash(), 0)) == 0 {
+			t.Errorf("sample %d reached M from no peer", i)
+		}
 	}
 }

@@ -20,9 +20,11 @@ func NewTopoShot(m *core.Measurer) *TopoShot { return &TopoShot{m: m} }
 // Name implements Strategy.
 func (s *TopoShot) Name() string { return "toposhot" }
 
-// Prepare implements Strategy; TopoShot probes per pair, so there is no
-// campaign-level phase.
-func (s *TopoShot) Prepare(pairs [][2]types.NodeID) error { return nil }
+// Prepare implements Strategy; TopoShot probes per pair, so it only
+// validates.
+func (s *TopoShot) Prepare(pairs [][2]types.NodeID) error {
+	return reachPairs(s.m.Vantage(), pairs)
+}
 
 // MeasurePair runs the four-step primitive of §5.2 on the pair.
 func (s *TopoShot) MeasurePair(a, b types.NodeID) (Claim, error) {

@@ -1,15 +1,8 @@
 package strategy
 
 import (
-	"toposhot/internal/ethsim"
+	"toposhot/internal/core"
 	"toposhot/internal/types"
-)
-
-// TxProbe's waits, in virtual seconds: txProbeX lets the conflicting pair
-// propagate, txProbeSettle lets the marker reach B.
-const (
-	txProbeX      = 10
-	txProbeSettle = 6
 )
 
 // TxProbe ports TxProbe's Bitcoin topology-inference protocol onto an
@@ -21,49 +14,55 @@ const (
 // perfectly valid pending transaction everywhere — nonce 1 is executable on
 // top of *either* conflicting nonce-0 transaction — so it floods the whole
 // network and the method reports links that do not exist (Appendix A).
+//
+// It waits as TopoShot does: X for the conflicting pair to propagate, then
+// SettleTime for the marker to reach B.
 type TxProbe struct {
-	net   *ethsim.Network
-	super *ethsim.Supernode
+	v core.Vantage
+	p core.Params
 
 	mint    accountMinter
 	pending int
 }
 
-// NewTxProbe wires the baseline to a network and supernode.
-func NewTxProbe(net *ethsim.Network, super *ethsim.Supernode) *TxProbe {
-	return &TxProbe{net: net, super: super, mint: minter(types.SpaceTxProbe)}
+// NewTxProbe wires the baseline to a vantage, waiting p.X and p.SettleTime.
+func NewTxProbe(v core.Vantage, p core.Params) *TxProbe {
+	return &TxProbe{v: v, p: p, mint: minter(types.SpaceTxProbe)}
 }
 
 // Name implements Strategy.
 func (p *TxProbe) Name() string { return "txprobe" }
 
-// Prepare implements Strategy; TxProbe probes per pair.
-func (p *TxProbe) Prepare(pairs [][2]types.NodeID) error { return nil }
+// Prepare implements Strategy; TxProbe probes per pair, so it only validates.
+func (p *TxProbe) Prepare(pairs [][2]types.NodeID) error { return reachPairs(p.v, pairs) }
 
 // MeasurePair runs the TxProbe protocol against nodes a and b.
 func (p *TxProbe) MeasurePair(a, b types.NodeID) (Claim, error) {
-	if p.net.Node(a) == nil {
-		return Claim{}, UnknownNodeError{ID: a}
-	}
-	if p.net.Node(b) == nil {
-		return Claim{}, UnknownNodeError{ID: b}
+	if err := reach(p.v, a, b); err != nil {
+		return Claim{}, err
 	}
 	sender := p.mint.fresh()
 	// The "double spend": same sender+nonce, different receivers.
 	tx1 := types.NewTransaction(sender, p.mint.fresh(), 0, probePrice, 0)
 	tx1p := types.NewTransaction(sender, p.mint.fresh(), 0, probePrice, 0)
-	p.super.Inject(a, tx1)
-	p.super.Inject(b, tx1p)
 	p.pending += 2
-	p.net.RunFor(txProbeX)
+	if err := p.v.Inject(a, tx1); err != nil {
+		return Claim{}, err
+	}
+	if err := p.v.Inject(b, tx1p); err != nil {
+		return Claim{}, err
+	}
+	p.v.Wait(p.p.X)
 
 	// The marker transaction: child of tx1, sent to A only.
 	txA := types.NewTransaction(sender, p.mint.fresh(), 1, probePrice, 0)
-	checkFrom := p.net.Now()
-	p.super.Inject(a, txA)
+	checkFrom := p.v.Now()
 	p.pending++
-	p.net.RunFor(txProbeSettle)
-	for _, s := range p.super.Sightings(txA.Hash(), checkFrom) {
+	if err := p.v.Inject(a, txA); err != nil {
+		return Claim{}, err
+	}
+	p.v.Wait(p.p.SettleTime)
+	for _, s := range p.v.Sightings(txA.Hash(), checkFrom) {
 		if s.Peer == b {
 			return Claim{Detected: true, Verdict: "marker-possessed"}, nil
 		}
