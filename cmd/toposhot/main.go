@@ -12,6 +12,7 @@ package main
 
 import (
 	"bufio"
+	"cmp"
 	"errors"
 	"flag"
 	"fmt"
@@ -185,17 +186,11 @@ func validate(o *options, cli *obs.CLI, stdout, stderr io.Writer) (*campaign, in
 	if o.preset == "" || o.nSet {
 		grow = grow.WithN(o.n)
 	}
-	c := &campaign{options: o, cli: cli, ledger: obs.NewLedger(), stdout: stdout, stderr: stderr,
-		// Every mode measures the same census world: 1/10-scale pools, the
-		// scaled ≤2000-slot edge budget, 300 prefilled background transactions.
-		census: experiments.CensusConfig{
-			Name: o.preset, Grow: grow.WithSeed(o.seed), Het: netgen.DefaultHeterogeneity(), Seed: o.seed,
-			PoolScale: 0.1, GroupK: o.k, EdgeBudget: 144, Prefill: 300,
-		},
-	}
-	if c.census.Name == "" {
-		c.census.Name = "custom"
-	}
+	// Every mode measures the same census world, Ropsten's campaign on the
+	// chosen network with the flags' K.
+	census := experiments.RopstenCensus(o.seed)
+	census.Name, census.Grow, census.GroupK = cmp.Or(o.preset, "custom"), grow.WithSeed(o.seed), o.k
+	c := &campaign{options: o, cli: cli, census: census, ledger: obs.NewLedger(), stdout: stdout, stderr: stderr}
 	if o.resumeFrom != "" {
 		ck, err := experiments.ReadCheckpoint(o.resumeFrom)
 		if err != nil {
@@ -242,12 +237,7 @@ func probeWritable(path string) error {
 // sharded runs the region-sharded census: one independent engine per region,
 // runner-wide parallel, honest intra-region coverage accounting.
 func (c *campaign) sharded() int {
-	cc := c.census
-	sc, err := experiments.RunScaleCensus(experiments.ScaleCensusConfig{
-		Name: cc.Name, Grow: cc.Grow, Het: cc.Het, Seed: cc.Seed,
-		Regions: c.regions, Lanes: c.lanes,
-		PoolScale: cc.PoolScale, GroupK: cc.GroupK, EdgeBudget: cc.EdgeBudget, Prefill: cc.Prefill,
-	})
+	sc, err := experiments.RunScaleCensus(experiments.ScaleCensusConfig{CensusConfig: c.census, Regions: c.regions, Lanes: c.lanes})
 	if err != nil {
 		return c.cli.Fatal(1, "census-failed", obs.Err(err))
 	}
@@ -328,11 +318,8 @@ func (c *campaign) measure() int {
 		m = world.Measurer(params)
 		lg.Info("network-built", obs.Int("nodes", int64(g.NumNodes())),
 			obs.Int("edges", int64(g.NumEdges())))
-		pre := m.Preprocess(world.Inst.IDs)
-		targets = pre.EligibleNodes(world.Inst.IDs)
+		targets = world.Eligible(m)
 	}
-	net := world.Net
-	truth := core.EdgeSetOf(net.Edges())
 
 	// Every probe the campaign sends lands in the dashboard's attribution
 	// ledger under one census phase.
@@ -357,20 +344,17 @@ func (c *campaign) measure() int {
 			}
 		}
 		lg.Info("census-started", obs.Int("eligible", int64(len(targets))), obs.Int("k", int64(c.census.GroupK)))
-		res, err := m.MeasureNetworkResume(targets, c.census.GroupK, c.census.EdgeBudget, resume, onBatch)
+		res, sc, err := world.Census(m, c.census, targets, resume, onBatch)
 		if err != nil {
 			return cli.Fatal(1, "measurement-failed", obs.Err(err))
 		}
 		detected = res.Detected
-		eligible := map[types.NodeID]bool{}
-		for _, id := range targets {
-			eligible[id] = true
-		}
-		sc := core.ScoreAgainst(detected, truth, func(id types.NodeID) bool { return eligible[id] })
 		lg.Info("census-scored", obs.Float("virtual_h", res.Duration/3600),
 			obs.Int("calls", int64(res.Calls)), obs.String("score", sc.String()),
 			obs.Float("fee_eth", core.Ether(m.Ledger.WorstCaseWei())))
 	} else {
+		net := world.Net
+		truth := core.EdgeSetOf(net.Edges())
 		s, err := strategy.NewMethod(strategy.Method(c.strategy), net, world.Super, strategy.Config{Params: params})
 		if err != nil {
 			return cli.Fatal(1, "measurement-failed", obs.Err(err))

@@ -11,6 +11,7 @@ import (
 	"strings"
 
 	"toposhot/internal/core"
+	"toposhot/internal/ethsim"
 	"toposhot/internal/graph"
 	"toposhot/internal/netgen"
 	"toposhot/internal/obs"
@@ -94,22 +95,30 @@ type Census struct {
 // RunCensus builds the testnet, pre-processes, measures every pair with the
 // parallel schedule, and scores the result.
 func RunCensus(cfg CensusConfig) (*Census, error) {
-	// Each census records on its own lane so concurrent campaigns
-	// (PrewarmCensuses) never share a clock or interleave records.
-	tr := trace.Enabled().Lane("census:"+censusKey(cfg), nil)
+	// Each census records on its own lane, and logs to a scope named like it,
+	// so concurrent campaigns (PrewarmCensuses) never share a clock or
+	// interleave records.
+	key := "census:" + censusKey(cfg)
+	tr := trace.Enabled().Lane(key, nil)
 	span := tr.StartSpan(spanCensus,
 		trace.String(attrName, cfg.Name), trace.Int(attrSeed, cfg.Seed),
 		trace.Int(attrNodes, int64(cfg.Grow.N)), trace.Int(attrK, int64(cfg.GroupK)))
 	defer span.End()
+	return runCensus(cfg, netgen.Grow(cfg.Grow), 0, tr, obs.Enabled().Scope(key, nil))
+}
 
+// runCensus is the census body (§5.3, §6.2): it builds cfg's world over g on
+// lanes engine lanes, prefills it, pre-processes every node, measures every
+// eligible pair and scores the detections. It records the census's phases as
+// child spans on tr, which the caller has opened a census span on, and the
+// campaign's events on lg. RunCensus and every region of RunScaleCensus run it.
+func runCensus(cfg CensusConfig, g *graph.Graph, lanes int, tr *trace.Tracer, lg *obs.Logger) (*Census, error) {
 	bs := tr.StartSpan(spanCensusBuild)
-	g := netgen.Grow(cfg.Grow)
 	wv := cfg.World(g)
-	wv.Lane = tr
+	wv.Lanes, wv.Lane = lanes, tr
 	world := wv.Build()
-	net, inst := world.Net, world.Inst
 	// The prefill span ends before a measurer exists to bind the lane's clock.
-	tr.SetClock(net.Now)
+	tr.SetClock(world.Net.Now)
 	bs.End()
 
 	ps := tr.StartSpan(spanCensusPrefill)
@@ -117,42 +126,28 @@ func RunCensus(cfg CensusConfig) (*Census, error) {
 	ps.End()
 
 	m := world.Measurer(wv.Params())
-	// Its events go to a scope named like the lane, on the census's clock.
-	m.SetObs(obs.Enabled().Scope("census:"+censusKey(cfg), nil), nil)
+	m.SetObs(lg, nil)
 
 	pp := tr.StartSpan(spanPreprocess)
-	pre := m.Preprocess(inst.IDs)
-	targets := pre.EligibleNodes(inst.IDs)
+	targets := world.Eligible(m)
 	pp.End()
 
-	res, err := m.MeasureNetwork(targets, cfg.GroupK, cfg.EdgeBudget)
+	res, score, err := world.Census(m, cfg, targets, nil, nil)
 	if err != nil {
 		return nil, err
 	}
 	w.Stop()
 
-	// Score over eligible nodes only (excluded nodes are out of scope, as
-	// in the paper's validation).
 	sc := tr.StartSpan(spanCensusScore)
 	defer sc.End()
-	truthSet := core.EdgeSetOf(net.Edges())
-	eligible := make(map[types.NodeID]bool, len(targets))
-	for _, id := range targets {
-		eligible[id] = true
-	}
-	score := core.ScoreAgainst(res.Detected, truthSet, func(id types.NodeID) bool { return eligible[id] })
-
-	// Graph of the measured topology, back in vertex space.
+	// Graph of the measured topology, back in g's vertex space.
+	back := world.Inst.Back
 	mg := graph.New()
 	for _, id := range targets {
-		mg.AddNode(inst.Back[id])
+		mg.AddNode(back[id])
 	}
 	for _, e := range res.Detected.Edges() {
-		va, okA := inst.Back[e[0]]
-		vb, okB := inst.Back[e[1]]
-		if okA && okB {
-			mg.AddEdge(va, vb)
-		}
+		mg.AddEdge(back[e[0]], back[e[1]])
 	}
 
 	return &Census{
@@ -165,8 +160,38 @@ func RunCensus(cfg CensusConfig) (*Census, error) {
 		CostEther:     core.Ether(m.Ledger.WorstCaseWei()),
 		Iterations:    res.Iterations,
 		Calls:         res.Calls,
-		MsgCount:      net.MsgCounts(),
+		MsgCount:      world.Net.MsgCounts(),
 	}, nil
+}
+
+// Eligible pre-processes every node of the world with m (§6.2.1) and returns
+// the nodes that survive: a census's targets.
+func (b *Built) Eligible(m *core.Measurer) []types.NodeID {
+	return m.Preprocess(b.Inst.IDs).EligibleNodes(b.Inst.IDs)
+}
+
+// Census measures every pair of targets with cfg's two-round parallel
+// schedule, continuing from resume when it is set and calling onBatch after
+// every batch, and scores the detections over targets against the world's own
+// links.
+func (b *Built) Census(m *core.Measurer, cfg CensusConfig, targets []types.NodeID,
+	resume *core.CampaignState, onBatch func(*core.CampaignState) error) (*core.ScheduleResult, core.Score, error) {
+	res, err := m.MeasureNetworkResume(targets, cfg.GroupK, cfg.EdgeBudget, resume, onBatch)
+	if err != nil {
+		return nil, core.Score{}, err
+	}
+	return res, scoreEligible(res.Detected, b.Net, targets), nil
+}
+
+// scoreEligible scores a measured edge set against the network's live ground
+// truth over the pairs with both endpoints in targets (nodes pre-processing
+// excluded are out of scope, as in the paper's validation).
+func scoreEligible(measured *core.EdgeSet, net *ethsim.Network, targets []types.NodeID) core.Score {
+	in := make(map[types.NodeID]bool, len(targets))
+	for _, id := range targets {
+		in[id] = true
+	}
+	return core.ScoreAgainst(measured, core.EdgeSetOf(net.Edges()), func(id types.NodeID) bool { return in[id] })
 }
 
 // censusCache shares one census run across the experiments that analyze the
@@ -198,13 +223,13 @@ func CachedCensus(cfg CensusConfig) (*Census, error) {
 // CachedCensus calls join the in-flight builds. No-op (and free) when the
 // runner is serial; errors surface on the eventual CachedCensus call.
 func PrewarmCensuses(cfgs ...CensusConfig) {
-	if runner.Parallelism() <= 1 {
-		return
-	}
+	byKey := make(map[string]CensusConfig, len(cfgs))
+	keys := make([]string, 0, len(cfgs))
 	for _, cfg := range cfgs {
-		cfg := cfg
-		go func() { _, _ = CachedCensus(cfg) }()
+		byKey[censusKey(cfg)] = cfg
+		keys = append(keys, censusKey(cfg))
 	}
+	censusCache.Prewarm(keys, func(key string) (*Census, error) { return RunCensus(byKey[key]) })
 }
 
 // FormatDegreeDistribution renders a Figure-6-style degree histogram with

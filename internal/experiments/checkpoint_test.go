@@ -162,3 +162,43 @@ func TestReadCheckpointRejectsDamage(t *testing.T) {
 		t.Error("missing file accepted")
 	}
 }
+
+// TestRestoreRejectsNonBijectiveBack: a Back list that maps two nodes to one
+// vertex, or one node to two vertices, is an error on restore; it used to
+// restore a world whose vertex list held a NodeID of 0, which is no node.
+func TestRestoreRejectsNonBijectiveBack(t *testing.T) {
+	cfg := GoerliCensus(3)
+	cfg.Grow = cfg.Grow.WithN(8)
+	w := cfg.World(netgen.Grow(cfg.Grow)).Build()
+	w.StartTraffic()
+	path := filepath.Join(t.TempDir(), "c.ckpt")
+	restore := func(corrupt func([]backPair)) error {
+		t.Helper()
+		ck, err := w.Checkpoint(cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ck.Campaign = &core.CampaignState{}
+		corrupt(ck.Back)
+		if err := ck.Write(path); err != nil {
+			t.Fatal(err)
+		}
+		if ck, err = ReadCheckpoint(path); err != nil {
+			t.Fatal(err)
+		}
+		_, err = RestoreCensusWorld(ck, 0)
+		return err
+	}
+	if err := restore(func([]backPair) {}); err != nil {
+		t.Fatalf("intact checkpoint: %v", err)
+	}
+	for what, corrupt := range map[string]func([]backPair){
+		"repeated vertex":     func(b []backPair) { b[1].V = b[0].V },
+		"repeated node":       func(b []backPair) { b[1].ID = b[0].ID },
+		"node 0 (not a node)": func(b []backPair) { b[0].ID = 0 },
+	} {
+		if err := restore(corrupt); err == nil {
+			t.Errorf("%s: restored", what)
+		}
+	}
+}

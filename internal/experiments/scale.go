@@ -4,13 +4,11 @@ import (
 	"fmt"
 	"strings"
 
-	"toposhot/internal/core"
 	"toposhot/internal/graph"
 	"toposhot/internal/netgen"
 	"toposhot/internal/obs"
 	"toposhot/internal/runner"
 	"toposhot/internal/trace"
-	"toposhot/internal/types"
 )
 
 // ScaleCensusConfig sizes a region-sharded census of a mainnet-scale graph.
@@ -29,10 +27,9 @@ import (
 // frontier would be needed to close them) and counted separately rather than
 // folded into recall.
 type ScaleCensusConfig struct {
-	Name string
-	Grow netgen.GrowConfig
-	Het  netgen.Heterogeneity
-	Seed int64
+	// CensusConfig is every region's census, its seed salted and its name
+	// suffixed per region.
+	CensusConfig
 	// Regions is the number of contiguous vertex shards; each is censused in
 	// an independent replica network. More regions → smaller engines and more
 	// parallelism, but less pair coverage.
@@ -40,12 +37,6 @@ type ScaleCensusConfig struct {
 	// Lanes is the per-region engine's event-lane count (a recorded tag).
 	// Lane count never changes results, only wall-clock (DESIGN.md §12).
 	Lanes int
-	// PoolScale, GroupK, EdgeBudget, Prefill mirror CensusConfig, applied
-	// per region.
-	PoolScale  float64
-	GroupK     int
-	EdgeBudget int
-	Prefill    int
 }
 
 // MainnetScaleCensus returns the 50k-node mainnet-sized sharded campaign.
@@ -56,18 +47,10 @@ type ScaleCensusConfig struct {
 // Complementary passes with a rotated partition would grow coverage; one
 // pass is a scalability demonstration, not a full link census.
 func MainnetScaleCensus(seed int64) ScaleCensusConfig {
-	return ScaleCensusConfig{
-		Name:       "mainnet",
-		Grow:       netgen.MainnetConfig.WithSeed(seed),
-		Het:        netgen.DefaultHeterogeneity(),
-		Seed:       seed,
-		Regions:    500,
-		Lanes:      4,
-		PoolScale:  poolScale,
-		GroupK:     60,
-		EdgeBudget: 144,
-		Prefill:    300,
-	}
+	cfg := RopstenCensus(seed)
+	cfg.Name = "mainnet"
+	cfg.Grow = netgen.MainnetConfig.WithSeed(seed)
+	return ScaleCensusConfig{CensusConfig: cfg, Regions: 500, Lanes: 4}
 }
 
 // ScaleRegion summarizes one region's census.
@@ -122,8 +105,10 @@ func regionBounds(r, k, n int) (int, int) {
 
 // runScaleRegion censuses one region's induced subgraph in a fresh replica
 // network. Everything about the region run is a pure function of (cfg, g,
-// region index), so regions may execute in any order on any worker.
-func runScaleRegion(cfg ScaleCensusConfig, g *graph.Graph, region int, lg *obs.Logger) (*ScaleRegion, *core.EdgeSet, map[types.NodeID]int, error) {
+// region index), so regions may execute in any order on any worker. The
+// subgraph keeps g's vertex ids, so the census's measured graph is in g's
+// vertex space.
+func runScaleRegion(cfg ScaleCensusConfig, g *graph.Graph, region int, lg *obs.Logger) (*Census, error) {
 	lo, hi := regionBounds(region, cfg.Regions, cfg.Grow.N)
 	sub := graph.New()
 	for v := lo; v < hi; v++ {
@@ -135,54 +120,23 @@ func runScaleRegion(cfg ScaleCensusConfig, g *graph.Graph, region int, lg *obs.L
 		}
 	}
 
-	tr := trace.Enabled().Lane(fmt.Sprintf("scale:%s/%d/r%d", cfg.Name, cfg.Seed, region), nil)
-	span := tr.StartSpan(spanCensus,
-		trace.String(attrName, fmt.Sprintf("%s-r%d", cfg.Name, region)),
-		trace.Int(attrSeed, cfg.Seed),
-		trace.Int(attrNodes, int64(sub.NumNodes())), trace.Int(attrK, int64(cfg.GroupK)))
-	defer span.End()
-
 	// Per-region seed salt: replica networks must not mirror each other's
 	// latency draws and account keys.
-	wv := testnet(cfg.Seed^int64(region+1)<<24, sub, cfg.Het, cfg.PoolScale, cfg.Prefill)
-	wv.Lanes, wv.Lane = cfg.Lanes, tr
-	world := wv.Build()
-	inst := world.Inst
-	w := world.StartTraffic()
-
-	m := world.Measurer(wv.Params())
+	rc := cfg.CensusConfig
+	rc.Name, rc.Seed = fmt.Sprintf("%s-r%d", cfg.Name, region), cfg.Seed^int64(region+1)<<24
+	tr := trace.Enabled().Lane(fmt.Sprintf("scale:%s/%d/r%d", cfg.Name, cfg.Seed, region), nil)
+	span := tr.StartSpan(spanCensus,
+		trace.String(attrName, rc.Name), trace.Int(attrSeed, cfg.Seed),
+		trace.Int(attrNodes, int64(sub.NumNodes())), trace.Int(attrK, int64(cfg.GroupK)))
+	defer span.End()
 	// The region's events go to its own pre-created scope (never the shared
 	// root scope: concurrent regions interleaving there would break snapshot
-	// byte-identity). No ledger — scale cost accounting reads m.Ledger.
-	m.SetObs(lg, nil)
-
-	pre := m.Preprocess(inst.IDs)
-	targets := pre.EligibleNodes(inst.IDs)
-
-	res, err := m.MeasureNetwork(targets, cfg.GroupK, cfg.EdgeBudget)
+	// byte-identity).
+	c, err := runCensus(rc, sub, cfg.Lanes, tr, lg)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("region %d: %w", region, err)
+		return nil, fmt.Errorf("region %d: %w", region, err)
 	}
-	w.Stop()
-
-	tp := 0
-	for _, e := range res.Detected.Edges() {
-		if g.HasEdge(inst.Back[e[0]], inst.Back[e[1]]) {
-			tp++
-		}
-	}
-	rr := &ScaleRegion{
-		Index:         region,
-		Nodes:         sub.NumNodes(),
-		Edges:         sub.NumEdges(),
-		Eligible:      len(targets),
-		Detected:      len(res.Detected.Edges()),
-		TP:            tp,
-		Calls:         res.Calls,
-		DurationHours: res.Duration / 3600,
-		CostEther:     core.Ether(m.Ledger.WorstCaseWei()),
-	}
-	return rr, res.Detected, inst.Back, nil
+	return c, nil
 }
 
 // RunScaleCensus grows the graph, shards it into regions, censuses every
@@ -198,17 +152,11 @@ func RunScaleCensus(cfg ScaleCensusConfig) (*ScaleCensus, error) {
 	}
 	g := netgen.Grow(cfg.Grow)
 
-	type regionOut struct {
-		row      *ScaleRegion
-		detected *core.EdgeSet
-		back     map[types.NodeID]int
-	}
 	// One event-log scope per region, pre-created serially so scope ids are
 	// deterministic at any worker-pool width (the obsScopes convention).
 	scopes := obsScopes(fmt.Sprintf("scale:%s/%d", cfg.Name, cfg.Seed), cfg.Regions)
-	outs, err := runner.MapErr(0, cfg.Regions, func(r int) (regionOut, error) {
-		row, det, back, rerr := runScaleRegion(cfg, g, r, scopes[r])
-		return regionOut{row, det, back}, rerr
+	censuses, err := runner.MapErr(0, cfg.Regions, func(r int) (*Census, error) {
+		return runScaleRegion(cfg, g, r, scopes[r])
 	})
 	if err != nil {
 		return nil, err
@@ -218,18 +166,27 @@ func RunScaleCensus(cfg ScaleCensusConfig) (*ScaleCensus, error) {
 	for v := 0; v < cfg.Grow.N; v++ {
 		sc.Measured.AddNode(v)
 	}
-	for _, o := range outs {
-		sc.Regions = append(sc.Regions, *o.row)
-		sc.CoveredEdges += o.row.Edges
-		sc.TP += o.row.TP
-		sc.FP += o.row.Detected - o.row.TP
-		sc.SumDurationHours += o.row.DurationHours
-		if o.row.DurationHours > sc.MaxDurationHours {
-			sc.MaxDurationHours = o.row.DurationHours
+	for r, c := range censuses {
+		row := ScaleRegion{
+			Index:         r,
+			Nodes:         c.Truth.NumNodes(),
+			Edges:         c.Truth.NumEdges(),
+			Eligible:      c.Eligible,
+			Detected:      c.Measured.NumEdges(),
+			TP:            c.Score.TruePositives,
+			Calls:         c.Calls,
+			DurationHours: c.DurationHours,
+			CostEther:     c.CostEther,
 		}
-		sc.CostEther += o.row.CostEther
-		for _, e := range o.detected.Edges() {
-			sc.Measured.AddEdge(o.back[e[0]], o.back[e[1]])
+		sc.Regions = append(sc.Regions, row)
+		sc.CoveredEdges += row.Edges
+		sc.TP += row.TP
+		sc.FP += row.Detected - row.TP
+		sc.SumDurationHours += row.DurationHours
+		sc.MaxDurationHours = max(sc.MaxDurationHours, row.DurationHours)
+		sc.CostEther += row.CostEther
+		for _, e := range c.Measured.Edges() {
+			sc.Measured.AddEdge(e[0], e[1])
 		}
 	}
 	sc.CrossEdges = g.NumEdges() - sc.CoveredEdges

@@ -13,16 +13,18 @@ import (
 // exercising multi-region aggregation and multi-lane engines.
 func scaleTestConfig(seed int64) ScaleCensusConfig {
 	return ScaleCensusConfig{
-		Name:       "scaletest",
-		Grow:       netgen.RopstenConfig.WithSeed(seed).WithN(180),
-		Het:        netgen.DefaultHeterogeneity(),
-		Seed:       seed,
-		Regions:    4,
-		Lanes:      2,
-		PoolScale:  0.1,
-		GroupK:     30,
-		EdgeBudget: 100,
-		Prefill:    120,
+		CensusConfig: CensusConfig{
+			Name:       "scaletest",
+			Grow:       netgen.RopstenConfig.WithSeed(seed).WithN(180),
+			Het:        netgen.DefaultHeterogeneity(),
+			Seed:       seed,
+			PoolScale:  0.1,
+			GroupK:     30,
+			EdgeBudget: 100,
+			Prefill:    120,
+		},
+		Regions: 4,
+		Lanes:   2,
 	}
 }
 

@@ -1,12 +1,12 @@
 package experiments
 
 import (
+	"slices"
 	"testing"
 
 	"toposhot/internal/core"
-	"toposhot/internal/ethsim"
 	"toposhot/internal/netgen"
-	"toposhot/internal/txpool"
+	"toposhot/internal/trace"
 	"toposhot/internal/types"
 )
 
@@ -29,18 +29,8 @@ func fpCensus(t *testing.T, trail map[types.Hash][]offerEv) (*core.ScheduleResul
 	cfg.GroupK = 20
 	cfg.Prefill = 300
 
-	g := netgen.Grow(cfg.Grow)
-	netCfg := ethsim.DefaultConfig(cfg.Seed)
-	netCfg.LatencyTail = 0.05
-	netCfg.LatencyMax = 1.0
-	net := ethsim.NewNetwork(netCfg)
-	het := cfg.Het
-	het.Expiry = censusExpiry
-	inst := netgen.InstantiateScaled(net, g, het, cfg.Seed, cfg.PoolScale)
-	super := ethsim.NewSupernode(net)
-	super.ConnectAll()
-	super.SetEstimatorPolicy(txpool.Geth.WithCapacity(512).WithExpiry(censusExpiry))
-	net.StartJanitor(30)
+	world := cfg.World(netgen.Grow(cfg.Grow)).Build()
+	net := world.Net
 	if trail != nil {
 		net.OnOffer = func(node, from types.NodeID, tx *types.Transaction, status string) {
 			h := tx.Hash()
@@ -49,17 +39,13 @@ func fpCensus(t *testing.T, trail map[types.Hash][]offerEv) (*core.ScheduleResul
 			}
 		}
 	}
-	w := ethsim.NewWorkload(net, 0.2, types.Gwei/10, 2*types.Gwei)
-	w.Prefill(300, 5)
-	w.Start(0)
-	params := core.DefaultParams()
-	params.Z = 512
-	m := core.NewMeasurer(net, super, params)
-	res, err := m.MeasureNetwork(inst.IDs, cfg.GroupK, cfg.EdgeBudget)
+	world.StartTraffic()
+	m := world.Measurer(cfg.World(nil).Params())
+	res, err := m.MeasureNetwork(world.Inst.IDs, cfg.GroupK, cfg.EdgeBudget)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res, core.EdgeSetOf(net.Edges()), super.ID()
+	return res, core.EdgeSetOf(net.Edges()), world.Super.ID()
 }
 
 // TestTraceFalsePositive is the regression guard for the drain-rate fix:
@@ -82,6 +68,55 @@ func TestTraceFalsePositive(t *testing.T) {
 	}
 	if sc.Recall() < 0.95 {
 		t.Errorf("recall regressed: %v", sc)
+	}
+}
+
+// TestCensusSpanTree: RunCensus and every region of RunScaleCensus run the
+// one census body, so each of their lanes carries the same span tree: a
+// census span whose children are the build, the prefill, pre-processing,
+// core's network campaign and the scoring, in that order.
+func TestCensusSpanTree(t *testing.T) {
+	prev := trace.Enabled()
+	tr := trace.New(trace.Options{Level: trace.LevelMeasure, Deterministic: true, Capacity: 1 << 16})
+	trace.Enable(tr)
+	defer trace.Enable(prev)
+
+	cfg := GoerliCensus(7)
+	cfg.Grow = cfg.Grow.WithN(16)
+	if _, err := RunCensus(cfg); err != nil {
+		t.Fatal(err)
+	}
+	scfg := scaleTestConfig(7)
+	scfg.Grow, scfg.Regions = scfg.Grow.WithN(40), 2
+	if _, err := RunScaleCensus(scfg); err != nil {
+		t.Fatal(err)
+	}
+
+	want := []string{spanCensusBuild, spanCensusPrefill, spanPreprocess, core.SpanNetwork, spanCensusScore}
+	lanes := map[string]bool{"census:" + censusKey(cfg): true, "scale:scaletest/7/r0": true, "scale:scaletest/7/r1": true}
+	for _, lane := range tr.Snapshot().Lanes {
+		if !lanes[lane.Name] {
+			continue
+		}
+		delete(lanes, lane.Name)
+		var census uint64
+		var children []string
+		for _, r := range lane.Records {
+			switch {
+			case r.Kind != trace.KindSpan:
+			case r.Name == spanCensus && r.Parent == 0:
+				census = r.ID
+			case census != 0 && r.Parent == census:
+				children = append(children, r.Name)
+			}
+		}
+		if census == 0 || lane.Dropped > 0 || !slices.Equal(children, want) {
+			t.Errorf("lane %s: census span %d (%d records dropped) with children %v, want %v",
+				lane.Name, census, lane.Dropped, children, want)
+		}
+	}
+	if len(lanes) > 0 {
+		t.Errorf("lanes missing from the trace: %v", lanes)
 	}
 }
 

@@ -248,11 +248,9 @@ func RunTracking(cfg TrackingConfig) (*Tracking, error) {
 		wv.Lanes = cfg.Lanes
 		world = wv.Build()
 		world.StartTraffic()
-		net, inst := world.Net, world.Inst
 
 		m := world.Measurer(params)
-		pre := m.Preprocess(inst.IDs)
-		targets = pre.EligibleNodes(inst.IDs)
+		targets = world.Eligible(m)
 		if len(targets) < 2 {
 			return nil, fmt.Errorf("tracking: only %d eligible nodes", len(targets))
 		}
@@ -262,14 +260,14 @@ func RunTracking(cfg TrackingConfig) (*Tracking, error) {
 		// above stay out of the per-tick baseline.
 		m.SetObs(m.Obs(), led)
 		m.SetPhase(phaseCensusCost)
-		res, err := m.MeasureNetwork(targets, cfg.Census.GroupK, cfg.Census.EdgeBudget)
+		res, score, err := world.Census(m, cfg.Census, targets, nil, nil)
 		if err != nil {
 			return nil, fmt.Errorf("tracking: seeding census: %w", err)
 		}
 		out.BaselineTxs = led.Totals().Txs()
 		out.BaselineEther = core.Ether(m.Ledger.WorstCaseWei())
 		out.BaselineDuration = res.Duration
-		out.CensusScore = scoreTracked(res.Detected, net, targets)
+		out.CensusScore = score
 
 		// The tracker probes on its own measurer so the delta-campaign ledger
 		// is cleanly separable from the seeding census's.
@@ -281,7 +279,7 @@ func RunTracking(cfg TrackingConfig) (*Tracking, error) {
 		}
 
 		// Churn starts only now: the census seeded a stable graph.
-		net.StartChurn(ethsim.ChurnConfig{
+		world.Net.StartChurn(ethsim.ChurnConfig{
 			Interval:   cfg.ChurnInterval,
 			RemoveFrac: churnRemoveFrac,
 			Population: targets,
@@ -345,7 +343,7 @@ func RunTracking(cfg TrackingConfig) (*Tracking, error) {
 		tt := TrackingTick{
 			Tick:          tick + 1,
 			Report:        rep,
-			Score:         scoreTracked(trk.BeliefEdges(), net, targets),
+			Score:         scoreEligible(trk.BeliefEdges(), net, targets),
 			Txs:           baseTxs + ledger.PendingCount() + ledger.FutureCount(),
 			Duration:      net.Now() - t0,
 			Ether:         baseEther + core.Ether(ledger.WorstCaseWei()),
@@ -386,17 +384,6 @@ func RunTracking(cfg TrackingConfig) (*Tracking, error) {
 		out.MinRecall = minRecall
 	}
 	return out, nil
-}
-
-// scoreTracked scores a measured edge set against the network's live ground
-// truth, restricted to pairs with both endpoints tracked.
-func scoreTracked(measured *core.EdgeSet, net *ethsim.Network, targets []types.NodeID) core.Score {
-	truth := core.EdgeSetOf(net.Edges())
-	in := make(map[types.NodeID]bool, len(targets))
-	for _, id := range targets {
-		in[id] = true
-	}
-	return core.ScoreAgainst(measured, truth, func(id types.NodeID) bool { return in[id] })
 }
 
 // verifyBeliefIncremental cross-checks the belief Dynamic's incrementally

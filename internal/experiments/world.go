@@ -207,9 +207,14 @@ func RestoreCensusWorld(ck *Checkpoint, lanes int) (*Built, error) {
 		return nil, fmt.Errorf("restore: supernode index %d out of range (have %d)", ck.Super, len(supers))
 	}
 	inst := &netgen.Instantiated{Net: net, IDs: make([]types.NodeID, len(ck.Back)), Back: make(map[types.NodeID]int, len(ck.Back))}
+	// Back must map the network's nodes one to one onto vertices 0..n-1: a
+	// file is outside input, and a repeat would leave a vertex without a node.
 	for _, p := range ck.Back {
-		if p.V < 0 || p.V >= len(inst.IDs) {
+		switch _, dup := inst.Back[p.ID]; {
+		case p.V < 0 || p.V >= len(inst.IDs):
 			return nil, fmt.Errorf("restore: vertex %d out of range (have %d)", p.V, len(inst.IDs))
+		case net.Node(p.ID) == nil || dup || inst.IDs[p.V] != 0:
+			return nil, fmt.Errorf("restore: entry %v→%d is not a node or repeats one", p.ID, p.V)
 		}
 		inst.IDs[p.V], inst.Back[p.ID] = p.ID, p.V
 	}
