@@ -134,9 +134,9 @@ func (p Params) PriceTxB(y uint64) uint64 {
 
 // Measurer runs TopoShot measurements. Every probe step of MeasureOneLink,
 // MeasurePar and the schedules built on them goes through M's Vantage, so one
-// probe runs over the simulator and over live TCP alike. Preprocess, ProbeZ,
-// CalibrateX and EstimateY add nodes or read simulator state: they need the
-// simulator handles only NewMeasurer keeps.
+// probe runs over the simulator and over live TCP alike. Preprocess, ProbeZ
+// and CalibrateX add nodes or read simulator state: they need the simulator
+// handles only NewMeasurer keeps.
 type Measurer struct {
 	v      Vantage
 	net    *ethsim.Network
@@ -246,12 +246,14 @@ func (m *Measurer) freshAccount() types.Address {
 
 // EstimateY implements the paper's workload-adaptive pricing: rank the
 // pending transactions in M's own (standard-policy) mempool by gas price
-// and take the median (§5.2.1). It falls back to 0.1 Gwei on an empty pool,
-// and over a live vantage, which keeps no estimation pool.
+// and take the median (§5.2.1). The pool is the vantage's PendingPriceView
+// when it has one (the supernode's shadow pool, also through a wrapper). It
+// falls back to 0.1 Gwei on an empty pool, and over a live vantage, which
+// keeps no estimation pool.
 func (m *Measurer) EstimateY() uint64 {
 	var prices []uint64
-	if m.super != nil {
-		prices = m.super.PendingPriceView()
+	if pv, ok := m.v.(interface{ PendingPriceView() []uint64 }); ok {
+		prices = pv.PendingPriceView()
 	}
 	if len(prices) == 0 {
 		return types.Gwei / 10
@@ -316,6 +318,7 @@ func (m *Measurer) MeasureOneLink(a, b types.NodeID) (bool, error) {
 	if !m.v.Reaches(a) || !m.v.Reaches(b) {
 		return false, fmt.Errorf("core: unknown target %v or %v", a, b)
 	}
+	m.v.Retire()
 	probeStart := m.v.Now()
 	span := m.tracer.StartSpan(SpanOneLink,
 		trace.Int(attrNodeA, int64(a)), trace.Int(attrNodeB, int64(b)),

@@ -384,11 +384,16 @@ func TestFirstEvidence(t *testing.T) {
 
 // TestSightingsSince: the supernode's log answers Sightings from its
 // arrival-ordered suffix — everything before since is dropped — with the
-// delivery flag intact.
+// delivery flag intact. Only a watched hash (one M injected) is logged, and
+// Retire empties the log.
 func TestSightingsSince(t *testing.T) {
 	_, m, ids := buildRing(t, 4, 6)
 	super := m.Supernode()
 	tx := types.NewTransaction(types.AddressFromUint64(100), types.AddressFromUint64(101), 0, 1, 0)
+	other := types.NewTransaction(types.AddressFromUint64(102), types.AddressFromUint64(103), 0, 1, 0)
+	_ = super.Inject(ids[2], tx)
+	super.Node().OnTxDelivered(ids[0], other, 1)
+	super.Node().OnHashAnnounced(ids[1], other.Hash(), 2)
 	super.Node().OnTxDelivered(ids[0], tx, 1)
 	super.Node().OnHashAnnounced(ids[1], tx.Hash(), 2)
 	super.Node().OnTxDelivered(ids[1], tx, 3)
@@ -398,6 +403,17 @@ func TestSightingsSince(t *testing.T) {
 	}
 	if got := super.Sightings(tx.Hash(), 4); len(got) != 0 {
 		t.Fatalf("Sightings after the last one = %v, want none", got)
+	}
+	if got := super.Sightings(other.Hash(), 0); len(got) != 0 {
+		t.Fatalf("Sightings of a hash M never injected = %v, want none", got)
+	}
+	super.Retire()
+	if got := super.Sightings(tx.Hash(), 0); len(got) != 0 {
+		t.Fatalf("Sightings after Retire = %v, want none", got)
+	}
+	super.Node().OnTxDelivered(ids[1], tx, 5)
+	if got := super.Sightings(tx.Hash(), 0); len(got) != 0 {
+		t.Fatalf("Sightings of a retired hash = %v, want none", got)
 	}
 	if size := unsafe.Sizeof(gossip.Sighting{}); size != 16 {
 		t.Fatalf("a sighting takes %d bytes, want 16", size)

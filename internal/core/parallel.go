@@ -62,6 +62,7 @@ func (m *Measurer) MeasurePar(edges []Edge) (*ParResult, error) {
 			return nil, fmt.Errorf("core: unknown sink %v", id)
 		}
 	}
+	m.v.Retire()
 
 	span := m.tracer.StartSpan(SpanPar, trace.Int(attrEdges, int64(len(edges))))
 	defer span.End()

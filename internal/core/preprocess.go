@@ -52,6 +52,7 @@ func (m *Measurer) Preprocess(nodes []types.NodeID) *PreprocessReport {
 		Excluded:    make(map[types.NodeID]string),
 		ZDiscovered: make(map[types.NodeID]int),
 	}
+	m.v.Retire()
 	y := m.resolveY()
 
 	// The future-forwarding probe needs a second observation point: a node
@@ -84,15 +85,15 @@ func (m *Measurer) Preprocess(nodes []types.NodeID) *PreprocessReport {
 		acct := m.freshAccount()
 		probe := types.NewTransaction(acct, m.freshAccount(), 7, m.params.PriceFuture(y), 0)
 		probes[id] = probe.Hash()
-		m.super.Inject(id, probe)
+		m.v.Inject(id, probe)
 	}
-	m.super.WaitDrained(-1)
+	m.v.WaitDrained(-1)
 	m.net.RunFor(3)
 	pushed := func(s gossip.Sighting) bool { return s.Pushed }
 	for id, h := range probes {
 		fromID := func(s gossip.Sighting) bool { return s.Pushed && s.Peer == id }
 		if slices.ContainsFunc(monitor.Sightings(h, checkFrom), fromID) ||
-			slices.ContainsFunc(m.super.Sightings(h, checkFrom), pushed) {
+			slices.ContainsFunc(m.v.Sightings(h, checkFrom), pushed) {
 			rep.Excluded[id] = "forwards-futures"
 		}
 	}

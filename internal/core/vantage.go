@@ -13,6 +13,16 @@ import (
 // every strategy in internal/strategy see the network through it alone. The
 // simulator's supernode implements it on virtual time, node.Vantage on wall
 // time.
+//
+// The log is bounded by two rules:
+//   - Watch: a hash is logged only while it is watched, and it becomes
+//     watched when M sends it with Inject — before the send, so not even a
+//     loopback echo is missed. InjectRuns watches nothing: no probe reads a
+//     future back. In the simulator the watch set is the network's, so
+//     every supernode on it (Preprocess's monitor too) logs M's probes.
+//   - Retire: each probe calls Retire when it begins, which unwatches every
+//     hash and drops every log entry. A probe therefore reads only hashes it
+//     injected itself, with a since taken after its own Retire.
 type Vantage interface {
 	// Now returns M's clock in seconds.
 	Now() float64
@@ -24,15 +34,18 @@ type Vantage interface {
 	// bound, the live vantage makes a round trip to each peer injected into.
 	WaitDrained(d float64)
 	// Inject sends txs to peer `to` as they are, bypassing M's own pool, so
-	// futures go out too.
+	// futures go out too. It watches every one of them.
 	Inject(to types.NodeID, txs ...*types.Transaction) error
 	// InjectRuns is Inject for the members of runs, in order. The simulator
 	// carries them as runs, so a target's pool builds no member it is not
 	// asked for.
 	InjectRuns(to types.NodeID, runs ...*types.Run) error
 	// Sightings returns every sighting of h at or after since, in arrival
-	// order, for reading only.
+	// order, for reading only. An unwatched hash has none.
 	Sightings(h types.Hash, since float64) []gossip.Sighting
+	// Retire unwatches every hash and empties the sighting log; a probe
+	// calls it first.
+	Retire()
 	// Peers returns, in a fixed order, the peers a flood can be seeded
 	// through.
 	Peers() []types.NodeID

@@ -273,6 +273,9 @@ type Network struct {
 	// supers registers every supernode attached to this network, in creation
 	// order (checkpoint restore re-binds their observation hooks).
 	supers []*Supernode
+	// watched holds the hashes a supernode injected since the last Retire:
+	// every supernode logs sightings of these alone. It is not checkpointed.
+	watched map[types.Hash]struct{}
 
 	nextID types.NodeID
 

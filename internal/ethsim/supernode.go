@@ -9,11 +9,16 @@ import (
 )
 
 // Supernode is the instrumented measurement node M: it connects to every
-// node, records every delivery and announcement with its source peer, never
-// relays anything, and can inject arbitrary transactions — including future
-// transactions, which a stock client would refuse to propagate — to chosen
-// peers. This mirrors the paper's statically instrumented Geth client (§5.1).
-// It is core.Vantage on virtual time.
+// node, records every delivery and announcement of a watched hash with its
+// source peer, never relays anything, and can inject arbitrary transactions —
+// including future transactions, which a stock client would refuse to
+// propagate — to chosen peers. This mirrors the paper's statically
+// instrumented Geth client (§5.1). It is core.Vantage on virtual time.
+//
+// The watch set belongs to the network: a hash any of its supernodes
+// injected with Inject is logged by every one of them, so a second
+// supernode can monitor M's probes (core.Preprocess). Retire empties the
+// watch set and every supernode's log.
 type Supernode struct {
 	node *Node
 	net  *Network
@@ -21,8 +26,9 @@ type Supernode struct {
 	// sendCursor serializes outgoing injections on the supernode's uplink.
 	sendCursor float64
 
-	// seen is the sighting log: per hash, every delivery and announcement in
-	// arrival order, so each list is sorted by time.
+	// seen is the sighting log: per watched hash, every delivery and
+	// announcement since it was injected, in arrival order, so each list is
+	// sorted by time.
 	seen map[types.Hash][]gossip.Sighting
 
 	// shadow is a standard-policy mempool mirroring every delivery. The
@@ -55,17 +61,39 @@ func (n *Network) addSupernode(node *Node, shadow *txpool.Pool) *Supernode {
 		seen:   make(map[types.Hash][]gossip.Sighting),
 		shadow: shadow,
 	}
+	if n.watched == nil {
+		n.watched = make(map[types.Hash]struct{})
+	}
 	node.OnTxDelivered = func(from types.NodeID, tx *types.Transaction, at float64) {
-		h := tx.Hash()
-		s.seen[h] = append(s.seen[h], gossip.Sighting{At: at, Peer: from, Pushed: true})
+		if h := tx.Hash(); n.isWatched(h) {
+			s.seen[h] = append(s.seen[h], gossip.Sighting{At: at, Peer: from, Pushed: true})
+		}
 		s.shadow.Offer(tx)
 	}
 	node.OnHashAnnounced = func(from types.NodeID, h types.Hash, at float64) {
-		s.seen[h] = append(s.seen[h], gossip.Sighting{At: at, Peer: from})
+		if n.isWatched(h) {
+			s.seen[h] = append(s.seen[h], gossip.Sighting{At: at, Peer: from})
+		}
 	}
 	n.AddJanitorHook(func(now float64) { s.shadow.SetTime(now) })
 	n.supers = append(n.supers, s)
 	return s
+}
+
+// isWatched reports whether a supernode injected h since the last Retire.
+func (n *Network) isWatched(h types.Hash) bool {
+	_, ok := n.watched[h]
+	return ok
+}
+
+// Retire ends every probe's watch: it empties the network's watch set and
+// the sighting log of each of its supernodes. The maps keep their capacity,
+// so a campaign's log holds at most its largest probe's sightings.
+func (s *Supernode) Retire() {
+	clear(s.net.watched)
+	for _, sn := range s.net.supers {
+		clear(sn.seen)
+	}
 }
 
 // Supernodes returns the supernodes attached to the network, in creation
@@ -118,8 +146,12 @@ const InjectBatchSize = 64
 // InjectBatchSize and consecutive messages are spaced by the configured
 // SendSpacing, so injecting thousands of future transactions takes
 // proportional virtual time — the uplink serialization that makes large
-// parallel groups slower to set up (Figures 4b and 5). It never fails.
+// parallel groups slower to set up (Figures 4b and 5). Every transaction
+// becomes watched until the next Retire. It never fails.
 func (s *Supernode) Inject(to types.NodeID, txs ...*types.Transaction) error {
+	for _, tx := range txs {
+		s.net.watched[tx.Hash()] = struct{}{}
+	}
 	for len(txs) > 0 {
 		n := min(InjectBatchSize, len(txs))
 		if mi := s.send(to); mi >= 0 {
@@ -134,7 +166,7 @@ func (s *Supernode) Inject(to types.NodeID, txs ...*types.Transaction) error {
 // InjectRuns is Inject for the members of runs, in order: the same messages
 // at the same times as Inject of every member's object, but each message
 // carries stretches of runs, and the receiving pool builds no member it is
-// not asked for.
+// not asked for. It watches no member: futures are never read back.
 func (s *Supernode) InjectRuns(to types.NodeID, runs ...*types.Run) error {
 	k := 0 // the next member of runs[0]
 	next := func() {
@@ -209,8 +241,8 @@ func (s *Supernode) WaitDrained(d float64) {
 }
 
 // Sightings returns the deliveries and announcements of h at or after since,
-// in arrival order. The slice aliases the log: it is valid until the network
-// next runs.
+// in arrival order: none unless h was injected since the last Retire. The
+// slice aliases the log: it is valid until the network next runs.
 func (s *Supernode) Sightings(h types.Hash, since float64) []gossip.Sighting {
 	log := s.seen[h]
 	i := sort.Search(len(log), func(i int) bool { return log[i].At >= since })

@@ -10,6 +10,7 @@ import (
 	"toposhot/internal/netgen"
 	"toposhot/internal/runner"
 	"toposhot/internal/strategy"
+	"toposhot/internal/trace"
 	"toposhot/internal/types"
 )
 
@@ -79,6 +80,21 @@ func comparePairs(cfg CompareConfig, seed int64, truth *core.EdgeSet,
 	return pairs
 }
 
+// compareReplica builds one method's replica with its traffic running, its
+// ground truth and the shared probe list. Every method gets its own
+// same-seed goerli-preset replica, so the four campaigns probe identical
+// topologies, identical workloads, and identical virtual clocks without
+// sharing pools.
+func compareReplica(seed int64, cfg CompareConfig, lane *trace.Tracer) (*Built, *core.EdgeSet, [][2]types.NodeID) {
+	g := netgen.Grow(netgen.GoerliConfig.WithSeed(seed).WithN(cfg.Nodes))
+	replica := testnet(seed, g, netgen.Uniform(), poolScale, 350)
+	replica.Lane = lane
+	world := replica.Build()
+	world.StartTraffic()
+	truth := core.EdgeSetOf(world.Net.Edges())
+	return world, truth, comparePairs(cfg, seed, truth, world.Inst, world.Super.ID())
+}
+
 // Compare runs TopoShot, DEthna, TxProbe, and Ethna head-to-head: four
 // same-seed goerli-preset replicas, one shared probe list, one row per
 // method with accuracy, probe cost, and virtual time. The rows are
@@ -95,17 +111,8 @@ func Compare(seed int64, cfg CompareConfig) ([]CompareRow, error) {
 	results := runner.MapWorker(0, len(ms), func(w, i int) res {
 		sp := rowSpan(lanes[i], i, w, int64(i))
 		defer sp.End()
-		// Every method gets its own same-seed goerli-preset replica, so the four
-		// campaigns probe identical topologies, identical workloads, and
-		// identical virtual clocks without sharing pools.
-		g := netgen.Grow(netgen.GoerliConfig.WithSeed(seed).WithN(cfg.Nodes))
-		replica := testnet(seed, g, netgen.Uniform(), poolScale, 350)
-		replica.Lane = lanes[i]
-		world := replica.Build()
-		world.StartTraffic()
-		net, super, inst := world.Net, world.Super, world.Inst
-		truth := core.EdgeSetOf(net.Edges())
-		pairs := comparePairs(cfg, seed, truth, inst, super.ID())
+		world, truth, pairs := compareReplica(seed, cfg, lanes[i])
+		net, super := world.Net, world.Super
 		s, err := strategy.NewMethod(ms[i], net, super, cfg.Strategy)
 		if err != nil {
 			return res{err: err}

@@ -28,16 +28,20 @@ func DefaultProbeParams(capacity int) core.Params {
 const loopbackHop = 0.0001
 
 // Vantage is the live measurement node M, core.Vantage on wall time: a
-// NoForward node that logs every delivery and announcement its peers send it,
-// so core.NewMeasurerAt probes TCP peers with the code that probes the
-// simulator. A peer's id is its index in order of first contact.
+// NoForward node that logs every delivery and announcement of a hash it
+// injected since the last Retire, so core.NewMeasurerAt probes TCP peers with
+// the code that probes the simulator. A peer's id is its index in order of
+// first contact.
 type Vantage struct {
 	node  *Node
 	start time.Time
 
 	mu    sync.Mutex
 	addrs []string // id → peer address
-	seen  map[types.Hash][]gossip.Sighting
+	// watched holds the hashes Inject sent since the last Retire; seen logs
+	// their sightings in arrival order.
+	watched map[types.Hash]struct{}
+	seen    map[types.Hash][]gossip.Sighting
 	// sent holds the addresses injected into since the last drain.
 	sent []string
 }
@@ -62,21 +66,25 @@ func NewVantage(networkID uint64, seed int64) (*Vantage, error) {
 
 // watch makes n a vantage's node.
 func watch(n *Node) *Vantage {
-	v := &Vantage{node: n, start: time.Now(), seen: make(map[types.Hash][]gossip.Sighting)}
+	v := &Vantage{node: n, start: time.Now(),
+		watched: make(map[types.Hash]struct{}), seen: make(map[types.Hash][]gossip.Sighting)}
 	n.mu.Lock()
 	n.onSeen = v.record
 	n.mu.Unlock()
 	return v
 }
 
-// record logs hashes delivered (pushed) or announced by the peer at addr.
+// record logs the watched ones among hashes delivered (pushed) or announced
+// by the peer at addr.
 func (v *Vantage) record(addr string, hashes []types.Hash, pushed bool) {
 	at := v.Now()
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	id := v.id(addr)
 	for _, h := range hashes {
-		v.seen[h] = append(v.seen[h], gossip.Sighting{At: at, Peer: id, Pushed: pushed})
+		if _, ok := v.watched[h]; ok {
+			v.seen[h] = append(v.seen[h], gossip.Sighting{At: at, Peer: id, Pushed: pushed})
+		}
 	}
 }
 
@@ -132,8 +140,32 @@ func (v *Vantage) WaitDrained(d float64) {
 	}
 }
 
-// Inject writes txs to peer `to` in one Transactions frame.
+// Inject watches txs, then writes them to peer `to` in one Transactions
+// frame: a peer's echo cannot arrive before its hash is watched.
 func (v *Vantage) Inject(to types.NodeID, txs ...*types.Transaction) error {
+	v.mu.Lock()
+	for _, tx := range txs {
+		v.watched[tx.Hash()] = struct{}{}
+	}
+	v.mu.Unlock()
+	return v.send(to, txs)
+}
+
+// InjectRuns builds the members of runs and writes them in one Transactions
+// frame (the wire carries objects), watching none of them.
+func (v *Vantage) InjectRuns(to types.NodeID, runs ...*types.Run) error {
+	var txs []*types.Transaction
+	for _, r := range runs {
+		for k := 0; k < r.Count; k++ {
+			txs = append(txs, r.Tx(k))
+		}
+	}
+	return v.send(to, txs)
+}
+
+// send writes txs to peer `to` in one Transactions frame, marking the peer
+// for the next drain.
+func (v *Vantage) send(to types.NodeID, txs []*types.Transaction) error {
 	addr, err := v.addr(to)
 	if err != nil {
 		return err
@@ -146,16 +178,12 @@ func (v *Vantage) Inject(to types.NodeID, txs ...*types.Transaction) error {
 	return v.node.SendTo(addr, txs)
 }
 
-// InjectRuns builds the members of runs and writes them in one Transactions
-// frame: the wire carries objects.
-func (v *Vantage) InjectRuns(to types.NodeID, runs ...*types.Run) error {
-	var txs []*types.Transaction
-	for _, r := range runs {
-		for k := 0; k < r.Count; k++ {
-			txs = append(txs, r.Tx(k))
-		}
-	}
-	return v.Inject(to, txs...)
+// Retire unwatches every hash and empties the sighting log.
+func (v *Vantage) Retire() {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	clear(v.watched)
+	clear(v.seen)
 }
 
 // Sightings returns a copy of h's sightings at or after since.

@@ -76,6 +76,7 @@ func (d *DEthna) probeTarget(a types.NodeID) error {
 		return err
 	}
 	d.probed[a] = true
+	d.v.Retire()
 	set := make(map[types.NodeID]bool)
 	d.neighbors[a] = set
 	window := d.v.Hop()

@@ -75,6 +75,7 @@ func (e *Ethna) sweep() error {
 	if len(entries) == 0 {
 		return nil
 	}
+	e.v.Retire()
 	pushes := make(map[types.NodeID]int)
 	seen := make(map[types.NodeID]int)
 	for s := 0; s < e.Samples; s++ {

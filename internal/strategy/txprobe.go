@@ -41,6 +41,7 @@ func (p *TxProbe) MeasurePair(a, b types.NodeID) (Claim, error) {
 	if err := reach(p.v, a, b); err != nil {
 		return Claim{}, err
 	}
+	p.v.Retire()
 	sender := p.mint.fresh()
 	// The "double spend": same sender+nonce, different receivers.
 	tx1 := types.NewTransaction(sender, p.mint.fresh(), 0, probePrice, 0)
