@@ -46,6 +46,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzObsJSONL -fuzztime=30s ./internal/obs/
 	$(GO) test -fuzz=FuzzDynamicGraph -fuzztime=30s ./internal/graph/
 	$(GO) test -fuzz=FuzzTrackerRestore -fuzztime=30s ./internal/tracker/
+	$(GO) test -fuzz=FuzzLocks -fuzztime=30s ./internal/gossip/
 
 # loc prints the non-test, non-fixture Go lines per package and in total: the
 # number "small" is measured by.

@@ -64,7 +64,7 @@ func checkBatches(t *testing.T, net *Network) {
 	t.Helper()
 	refs := make([]int32, len(net.batches))
 	for i := range net.msgs {
-		if m := &net.msgs[i]; m.dst != nil && m.batch != 0 {
+		if m := &net.msgs[i]; m.to != 0 && m.batch != 0 {
 			refs[m.batch]++
 		}
 	}
@@ -114,7 +114,7 @@ func TestFlushBatchRecycledOnce(t *testing.T) {
 			var last int32
 			for i := range net.msgs {
 				m := &net.msgs[i]
-				if m.dst == dead && m.batch != 0 && net.batches[m.batch].refs == 1 {
+				if m.to == dead.id && m.batch != 0 && net.batches[m.batch].refs == 1 {
 					last = m.batch
 				}
 			}
@@ -147,11 +147,11 @@ func TestCheckpointWithSharedBatchesInFlight(t *testing.T) {
 	shared, filtered := 0, 0
 	for i := range net.msgs {
 		m := &net.msgs[i]
-		if m.dst == nil || m.batch == 0 {
+		if m.to == 0 || m.batch == 0 {
 			continue
 		}
 		shared++
-		if items := net.batches[m.batch].items; addressedTo(items, m.dst.id) < len(items) {
+		if items := net.batches[m.batch].items; addressedTo(items, m.to) < len(items) {
 			filtered++
 		}
 	}
@@ -201,15 +201,15 @@ func TestCheckpointWithHintedRequestInFlight(t *testing.T) {
 	hinted := func(net *Network) (requests, withHint int) {
 		for i := range net.msgs {
 			m := &net.msgs[i]
-			if m.dst == nil || m.kind != msgRequest {
+			if m.to == 0 || m.kind != msgRequest {
 				continue
 			}
 			requests++
-			if len(m.txs) > 0 {
+			if len(net.privs[m.priv].txs) > 0 {
 				withHint++
-				for j, tx := range m.txs {
-					if len(m.txs) != len(m.hashes) || tx.Hash() != m.hashes[j] {
-						t.Fatalf("request in slot %d: asked objects are not parallel to its %d hashes", i, len(m.hashes))
+				for j, tx := range net.privs[m.priv].txs {
+					if len(net.privs[m.priv].txs) != len(net.privs[m.priv].hashes) || tx.Hash() != net.privs[m.priv].hashes[j] {
+						t.Fatalf("request in slot %d: asked objects are not parallel to its %d hashes", i, len(net.privs[m.priv].hashes))
 					}
 				}
 			}
@@ -303,7 +303,7 @@ func injectFill(sn *Supernode, to types.NodeID, seq uint64, z, u int, price uint
 func fillInFlight(net *Network, src types.NodeID) (queued, flying int) {
 	for i := range net.msgs {
 		m := &net.msgs[i]
-		if m.dst == nil || m.from != src || m.runs == 0 {
+		if m.to == 0 || m.from != src || m.runs == 0 {
 			continue
 		}
 		switch m.kind {

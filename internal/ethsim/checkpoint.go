@@ -283,15 +283,16 @@ func (n *Network) arenaImage(tt *txTable) arenaImage {
 	img := arenaImage{Len: uint64(len(n.msgs)), Free: n.msgFree}
 	for i := range n.msgs {
 		m := &n.msgs[i]
-		if m.dst == nil {
+		if m.to == 0 {
 			continue
 		}
-		mi := msgImage{Slot: uint64(i), Kind: m.kind, From: m.from, Dst: m.dst.id, Sent: m.sent}
+		p := &n.privs[m.priv]
+		mi := msgImage{Slot: uint64(i), Kind: m.kind, From: m.from, Dst: m.to, Sent: m.sent}
 		if m.batch != 0 {
 			b := &n.batches[m.batch]
 			for j, it := range b.items {
 				switch {
-				case it.exclude == m.dst.id:
+				case it.exclude == m.to:
 				case m.kind == msgTxs:
 					mi.Txs = append(mi.Txs, tt.ref(it.tx))
 				default:
@@ -300,7 +301,7 @@ func (n *Network) arenaImage(tt *txTable) arenaImage {
 			}
 		}
 		if m.kind != msgRequest {
-			for _, tx := range m.txs {
+			for _, tx := range p.txs {
 				mi.Txs = append(mi.Txs, tt.ref(tx))
 			}
 		}
@@ -309,7 +310,7 @@ func (n *Network) arenaImage(tt *txTable) arenaImage {
 				mi.Txs = append(mi.Txs, tt.ref(p.run.Tx(k)))
 			}
 		}
-		mi.Hashes = append(mi.Hashes, m.hashes...)
+		mi.Hashes = append(mi.Hashes, p.hashes...)
 		img.Live = append(img.Live, mi)
 	}
 	return img
@@ -517,10 +518,12 @@ func (img *image) build(lanes int) (*Network, error) {
 	n.msgFree = img.Msgs.Free
 	for _, mi := range img.Msgs.Live {
 		m := &n.msgs[mi.Slot]
-		m.kind, m.from, m.dst, m.sent, m.hashes = mi.Kind, mi.From, n.node(mi.Dst), mi.Sent, mi.Hashes
+		m.kind, m.from, m.to, m.sent = mi.Kind, mi.From, mi.Dst, mi.Sent
+		p := n.payload(int32(mi.Slot))
+		p.hashes = mi.Hashes
 		if m.kind != msgRequest { // on a request txs is the run-time hint, which no file supplies
 			for _, r := range mi.Txs {
-				m.txs = append(m.txs, txs[r])
+				p.txs = append(p.txs, txs[r])
 			}
 		}
 	}

@@ -36,8 +36,8 @@ func corruptWorld(tb testing.TB) []byte {
 		request, shared := false, false
 		for i := range net.msgs {
 			m := &net.msgs[i]
-			request = request || (m.dst != nil && m.kind == msgRequest)
-			shared = shared || (m.dst != nil && m.batch != 0)
+			request = request || (m.to != 0 && m.kind == msgRequest)
+			shared = shared || (m.to != 0 && m.batch != 0)
 		}
 		if request && shared {
 			blob, err := net.Checkpoint()

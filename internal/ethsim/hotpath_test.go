@@ -1,7 +1,9 @@
 package ethsim
 
 import (
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"toposhot/internal/trace"
 	"toposhot/internal/txpool"
@@ -124,6 +126,53 @@ func TestAnnounceLockStillFiltersDuplicates(t *testing.T) {
 	net.RunFor(5)
 	if got := net.MsgCounts()["request"]; got != 1 {
 		t.Fatalf("requests after duplicate announce = %d, want 1", got)
+	}
+}
+
+// TestAnnounceTakesSlotOnlyWhenAsking: an announcement that wants nothing
+// leaves no message slot live and takes no payload, and one from an unknown
+// announcer asks nothing but still locks what it announced.
+func TestAnnounceTakesSlotOnlyWhenAsking(t *testing.T) {
+	net := testNet(15)
+	nd := net.AddNode(DefaultNodeConfig())
+	src := net.AddNode(DefaultNodeConfig())
+	if err := net.Connect(nd.ID(), src.ID()); err != nil {
+		t.Fatal(err)
+	}
+	held := types.NewTransaction(types.AddressFromUint64(1), types.AddressFromUint64(2), 0, types.Gwei, 0)
+	nd.pool.Offer(held)
+	nd.deliverAnnounce(src.ID(), []types.Hash{held.Hash()}, nil)
+	if live := len(net.msgs) - len(net.msgFree); live != 0 || len(net.privs) != 1 {
+		t.Fatalf("an announcement wanting nothing holds %d message slots and took %d payloads", live, len(net.privs)-1)
+	}
+
+	h := types.BytesToHash([]byte{0xbb})
+	nd.deliverAnnounce(99, []types.Hash{h}, nil)
+	if live := len(net.msgs) - len(net.msgFree); live != 0 {
+		t.Fatalf("an unknown announcer was sent a request (%d message slots live)", live)
+	}
+	nd.deliverAnnounce(src.ID(), []types.Hash{h}, nil)
+	net.RunFor(5)
+	if got := net.MsgCounts()["request"]; got != 0 {
+		t.Fatalf("%d requests for a hash an unknown announcer locked, want 0", got)
+	}
+}
+
+// TestNetMsgSize: the message arena holds every in-flight message, so its
+// slot is the arena's memory and what the garbage collector must scan. A
+// slot is 32 B with no pointer-typed field; the payloads live in side
+// arenas.
+func TestNetMsgSize(t *testing.T) {
+	if got := unsafe.Sizeof(netMsg{}); got != 32 {
+		t.Errorf("sizeof(netMsg) = %d B, want 32", got)
+	}
+	typ := reflect.TypeOf(netMsg{})
+	for i := 0; i < typ.NumField(); i++ {
+		switch f := typ.Field(i); f.Type.Kind() {
+		case reflect.Pointer, reflect.Slice, reflect.Map, reflect.Chan, reflect.Func,
+			reflect.Interface, reflect.String, reflect.UnsafePointer, reflect.Struct, reflect.Array:
+			t.Errorf("netMsg.%s is a %v, which holds or may hold a pointer", f.Name, f.Type.Kind())
+		}
 	}
 }
 

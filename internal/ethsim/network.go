@@ -153,24 +153,32 @@ const (
 	argKindChurn    = 4 // payload: churns registry index
 )
 
-// netMsg is one pooled in-flight message: kind, payload, and destination.
-// Slots live in Network.msgs and recycle through Network.msgFree. A message
-// sent by a gossip flush carries no payload of its own, only the index of the
-// flush's shared batch; requests, replies, injections and restored messages
-// own private buffers, which keep their capacity across reuse so that they
-// too send without allocating. Buffers may retain transaction pointers until
-// the slot is next reused — bounded by the peak in-flight message count.
+// netMsg is one pooled in-flight message: kind, sender, destination, send
+// time, and the index of its payload in one of three side arenas. Slots live
+// in Network.msgs and recycle through Network.msgFree; to 0 marks a free slot.
+// The message holds no pointer, so the arena is 32 B a slot and the garbage
+// collector never scans it. A message sent by a gossip flush points at the
+// flush's shared batch; injected run members at a run payload; requests,
+// replies, injections and restored messages at a private payload, whose
+// buffers keep their capacity across reuse so that they too send without
+// allocating. Payload buffers may retain transaction pointers until they are
+// next reused — bounded by the peak in-flight message count.
 type netMsg struct {
-	kind msgKind
-	from types.NodeID
-	dst  *Node
-	sent float64
+	sent     float64
+	from, to types.NodeID
 	// batch indexes Network.batches when the payload is a flush's shared
 	// batch: the message is what the batch holds minus the items whose
-	// exclude is dst. runs indexes Network.runs when the payload is run
-	// members (Supernode.InjectRuns). 0 in both means the payload is private,
-	// in txs or hashes. The two share a word, so netMsg stays 80 B.
-	batch, runs int32
+	// exclude is to. runs indexes Network.runs when the payload is run
+	// members (Supernode.InjectRuns). priv indexes Network.privs when the
+	// payload is the message's own. Slot 0 of each arena is never handed
+	// out, so 0 means "none", and a message with none of the three carries
+	// nothing.
+	batch, runs, priv int32
+	kind              msgKind
+}
+
+// msgPayload is a message's private payload (Network.privs).
+type msgPayload struct {
 	// txs carries full transactions (msgTxs, msgInject). On a msgRequest it
 	// is a run-time hint: the asked objects, parallel to hashes, for a
 	// requester that held them (deliverAnnounce). The hint is not part of the
@@ -243,6 +251,10 @@ type Network struct {
 	// slot 0 is never handed out, so a zero netMsg.batch means "none".
 	batches   []flushBatch
 	batchFree []int32
+	// privs is the pooled private-payload arena, recycled through privFree
+	// with its buffers' capacity. Slot 0 is never handed out and stays empty.
+	privs    []msgPayload
+	privFree []int32
 
 	// permBuf is flush's reused peer-permutation buffer.
 	permBuf []int
@@ -363,6 +375,7 @@ func NewNetwork(cfg Config) *Network {
 		overflowMark: make(map[uint64]float64),
 		batches:      make([]flushBatch, 1),
 		runs:         make([][]runPart, 1),
+		privs:        make([]msgPayload, 1),
 	}
 	if r := metrics.Enabled(); r != nil {
 		n.SetMetrics(r)
@@ -486,8 +499,7 @@ func linkKey(from, to types.NodeID) uint64 {
 // its arena index, or -1 when the destination is unknown (the message is
 // dropped silently, like a packet to a dead peer).
 func (n *Network) msgTo(kind msgKind, from, to types.NodeID) int32 {
-	dst := n.node(to)
-	if dst == nil {
+	if n.node(to) == nil {
 		return -1
 	}
 	var i int32
@@ -499,24 +511,57 @@ func (n *Network) msgTo(kind msgKind, from, to types.NodeID) int32 {
 		i = int32(len(n.msgs) - 1)
 	}
 	m := &n.msgs[i]
-	m.kind, m.from, m.dst = kind, from, dst
+	m.kind, m.from, m.to = kind, from, to
 	return i
 }
 
-// freeMsg releases a message slot back to the pool, keeping its payload
-// buffers' capacity for the next sender.
+// reserveMsg makes sure a slot for a message to `to` is free, growing the
+// arena by one slot if none is, so the next msgTo takes the slot it would
+// have taken here.
+//
+//toposhot:hotpath
+func (n *Network) reserveMsg(to types.NodeID) {
+	if len(n.msgFree) == 0 && n.node(to) != nil {
+		n.msgs = append(n.msgs, netMsg{})
+		n.msgFree = append(n.msgFree, int32(len(n.msgs)-1))
+	}
+}
+
+// freeMsg releases a message slot back to the pool, and its run or private
+// payload to theirs with the buffers' capacity kept for the next sender.
 func (n *Network) freeMsg(i int32) {
 	m := &n.msgs[i]
-	m.dst = nil
+	m.to = 0
 	m.batch = 0
 	if m.runs != 0 {
 		n.runs[m.runs] = n.runs[m.runs][:0]
 		n.runsFree = append(n.runsFree, m.runs)
 		m.runs = 0
 	}
-	m.txs = m.txs[:0]
-	m.hashes = m.hashes[:0]
+	if m.priv != 0 {
+		p := &n.privs[m.priv]
+		p.txs, p.hashes = p.txs[:0], p.hashes[:0]
+		n.privFree = append(n.privFree, m.priv)
+		m.priv = 0
+	}
 	n.msgFree = append(n.msgFree, i)
+}
+
+// payload returns message slot i's private payload, giving it an empty
+// pooled one if it has none. The pointer is valid until the next payload
+// anywhere is handed out.
+func (n *Network) payload(i int32) *msgPayload {
+	m := &n.msgs[i]
+	if m.priv == 0 {
+		if k := len(n.privFree); k > 0 {
+			m.priv = n.privFree[k-1]
+			n.privFree = n.privFree[:k-1]
+		} else {
+			n.privs = append(n.privs, msgPayload{})
+			m.priv = int32(len(n.privs) - 1)
+		}
+	}
+	return &n.privs[m.priv]
 }
 
 // takeRuns returns the index of a pooled, empty run payload; the message it
@@ -569,7 +614,7 @@ func (n *Network) route(i int32) {
 	m := &n.msgs[i]
 	slot := -1
 	if src := n.node(m.from); src != nil {
-		if p := src.peerPos(m.dst.id); p >= 0 {
+		if p := src.peerPos(m.to); p >= 0 {
 			slot = int(src.peerOff) + p
 		}
 	}
@@ -599,17 +644,17 @@ func (n *Network) routeVia(i int32, slot int) {
 		}
 		n.adjMark[slot] = at
 	} else {
-		key := linkKey(m.from, m.dst.id)
+		key := linkKey(m.from, m.to)
 		if last := n.overflowMark[key]; at <= last {
 			at = last + 1e-6
 		}
 		n.overflowMark[key] = at
 	}
 	m.sent = sent
-	n.eng.AtHandlerLane(at, n, uint64(i), int(m.dst.id))
+	n.eng.AtHandlerLane(at, n, uint64(i), int(m.to))
 	if n.traceEngine {
 		n.tracer.Event(evMsgEnqueue, trace.String(attrKind, m.kind.String()),
-			trace.Int(attrFrom, int64(m.from)), trace.Int(attrTo, int64(m.dst.id)))
+			trace.Int(attrFrom, int64(m.from)), trace.Int(attrTo, int64(m.to)))
 	}
 }
 
@@ -648,52 +693,57 @@ func (n *Network) handleMsg(i int32) {
 		n.route(i)
 		return
 	}
-	// Copy the header out: delivery below can send new messages, growing
-	// n.msgs and invalidating pointers into it. Slice headers and the dst
-	// pointer stay valid across that growth; the slot itself is not reused
-	// until freeMsg below. A shared batch is read through its own slice
-	// headers for the same reason, and nothing mutates it while this
-	// message holds a reference.
+	// Copy the header and the payload's slice headers out: delivery below
+	// can send new messages, growing n.msgs and n.privs and invalidating
+	// pointers into them. The slot and its payload are not reused until
+	// freeMsg below. A shared batch is read through its own slice headers for
+	// the same reason, and nothing mutates it while this message holds a
+	// reference.
 	m := n.msgs[i]
+	dst := n.nodes[m.to-1]
 	var items []outItem
 	var parts []runPart
-	if m.batch != 0 {
-		items, m.hashes = n.batches[m.batch].items, n.batches[m.batch].hashes
-	} else if m.runs != 0 {
+	var p msgPayload
+	switch {
+	case m.batch != 0:
+		items, p.hashes = n.batches[m.batch].items, n.batches[m.batch].hashes
+	case m.runs != 0:
 		parts = n.runs[m.runs]
+	default:
+		p = n.privs[m.priv]
 	}
-	if !m.dst.cfg.Unresponsive {
+	if !dst.cfg.Unresponsive {
 		n.msgTally[m.kind]++
 		n.metrics.msgCounter(m.kind).Inc()
 		n.metrics.deliveryLatency.Observe(n.eng.Now() - m.sent) // effective one-hop delay
 		if n.traceEngine {
-			size := len(m.txs) + len(m.hashes)
+			size := len(p.txs) + len(p.hashes)
 			switch {
 			case m.batch != 0:
-				size = addressedTo(items, m.dst.id)
+				size = addressedTo(items, m.to)
 			case m.kind == msgRequest:
-				size = len(m.hashes) // txs is the hint, not payload
+				size = len(p.hashes) // txs is the hint, not payload
 			case m.runs != 0:
 				size = members(parts)
 			}
 			n.tracer.Event(evMsgDeliver, trace.String(attrKind, m.kind.String()),
-				trace.Int(attrFrom, int64(m.from)), trace.Int(attrTo, int64(m.dst.id)),
+				trace.Int(attrFrom, int64(m.from)), trace.Int(attrTo, int64(m.to)),
 				trace.Int(attrN, int64(size)))
 		}
 		switch m.kind {
 		case msgTxs:
 			switch {
 			case m.batch != 0:
-				m.dst.deliverBatch(m.from, items)
+				dst.deliverBatch(m.from, items)
 			case m.runs != 0:
-				m.dst.deliverRuns(m.from, parts)
+				dst.deliverRuns(m.from, parts)
 			default:
-				m.dst.deliverTxs(m.from, m.txs)
+				dst.deliverTxs(m.from, p.txs)
 			}
 		case msgAnnounce:
-			m.dst.deliverAnnounce(m.from, m.hashes, items)
+			dst.deliverAnnounce(m.from, p.hashes, items)
 		case msgRequest:
-			m.dst.deliverRequest(m.from, m.hashes, m.txs)
+			dst.deliverRequest(m.from, p.hashes, p.txs)
 		}
 	}
 	if m.batch != 0 {

@@ -446,24 +446,29 @@ func addressedTo(items []outItem, peer types.NodeID) int {
 
 // deliverAnnounce handles an announcement: unknown, unlocked hashes are
 // requested back from the announcer and locked for the AnnounceLock window.
-// The request's hash list is built directly into a pooled message buffer.
-// When the announcement rides a flush's shared batch, items is the batch
-// (parallel to hashes) and the hashes excluded for this node are skipped;
-// items is nil for a private payload. The batch puts the announced objects in
-// this node's hands, so it asks its pool by object and sends them along with
-// the request as a hint (netMsg.txs); only a private payload — a message
-// restored from a checkpoint — is looked up by hash.
+// The request's slot and pooled payload are taken at the first wanted hash —
+// most announcements want none — and its hash list is built directly into
+// the payload. An unknown announcer is asked nothing, but its hashes are
+// locked all the same. When the announcement rides a flush's shared batch,
+// items is the batch (parallel to hashes) and the hashes excluded for this
+// node are skipped; items is nil for a private payload. The batch puts the
+// announced objects in this node's hands, so it asks its pool by object and
+// sends them along with the request as a hint (msgPayload.txs); only a
+// private payload — a message restored from a checkpoint — is looked up by
+// hash.
 //
 //toposhot:hotpath
 func (nd *Node) deliverAnnounce(from types.NodeID, hashes []types.Hash, items []outItem) {
 	net := nd.net
 	now := net.Now()
-	mi := net.msgTo(msgRequest, nd.id, from)
+	// The request slot is reserved on entry, so the arena (whose length and
+	// free list a checkpoint records) grows exactly when it would if every
+	// announcement took its slot here. Neither the hook nor Fetch takes or
+	// frees a slot, so the first wanted hash takes the reserved one.
+	net.reserveMsg(from)
+	mi := int32(-1)
 	var want []types.Hash
 	var asked []*types.Transaction
-	if mi >= 0 {
-		want, asked = net.msgs[mi].hashes[:0], net.msgs[mi].txs[:0]
-	}
 	for i, h := range hashes {
 		if items != nil && items[i].exclude == nd.id {
 			continue
@@ -482,27 +487,29 @@ func (nd *Node) deliverAnnounce(from types.NodeID, hashes []types.Hash, items []
 			net.metrics.announceLockHits.Inc()
 			continue
 		}
-		if mi >= 0 {
-			want = append(want, h)
-			if items != nil {
-				asked = append(asked, items[i].tx)
+		if mi < 0 {
+			if mi = net.msgTo(msgRequest, nd.id, from); mi < 0 {
+				continue
 			}
+			p := net.payload(mi)
+			want, asked = p.hashes[:0], p.txs[:0]
+		}
+		want = append(want, h)
+		if items != nil {
+			asked = append(asked, items[i].tx)
 		}
 	}
 	if mi < 0 {
 		return
 	}
-	net.msgs[mi].hashes, net.msgs[mi].txs = want, asked
-	if len(want) == 0 {
-		net.freeMsg(mi)
-		return
-	}
+	p := net.payload(mi)
+	p.hashes, p.txs = want, asked
 	net.route(mi)
 }
 
 // deliverRequest answers a GetPooledTransactions request (gossip.Answer) in
-// a pooled message buffer. A request restored from a checkpoint carries no
-// asked objects and is answered by hash.
+// a pooled payload. A request restored from a checkpoint carries no asked
+// objects and is answered by hash.
 //
 //toposhot:hotpath
 func (nd *Node) deliverRequest(from types.NodeID, hashes []types.Hash, asked []*types.Transaction) {
@@ -511,8 +518,8 @@ func (nd *Node) deliverRequest(from types.NodeID, hashes []types.Hash, asked []*
 	if mi < 0 {
 		return
 	}
-	net.msgs[mi].txs = gossip.Answer(net.msgs[mi].txs[:0], nd.pool, hashes, asked)
-	if len(net.msgs[mi].txs) == 0 {
+	p := net.payload(mi)
+	if p.txs = gossip.Answer(p.txs[:0], nd.pool, hashes, asked); len(p.txs) == 0 {
 		net.freeMsg(mi)
 		return
 	}

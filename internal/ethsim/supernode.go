@@ -155,8 +155,8 @@ func (s *Supernode) Inject(to types.NodeID, txs ...*types.Transaction) error {
 	for len(txs) > 0 {
 		n := min(InjectBatchSize, len(txs))
 		if mi := s.send(to); mi >= 0 {
-			m := &s.net.msgs[mi]
-			m.txs = append(m.txs[:0], txs[:n]...)
+			p := s.net.payload(mi)
+			p.txs = append(p.txs, txs[:n]...)
 		}
 		txs = txs[n:]
 	}
