@@ -42,6 +42,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzPoolIdentity -fuzztime=30s ./internal/txpool/
 	$(GO) test -fuzz=FuzzIDSet -fuzztime=30s ./internal/txpool/
 	$(GO) test -fuzz=FuzzFutureRun -fuzztime=30s ./internal/txpool/
+	$(GO) test -fuzz=FuzzSenders -fuzztime=30s ./internal/txpool/
 	$(GO) test -fuzz=FuzzTraceJSONL -fuzztime=30s ./internal/trace/
 	$(GO) test -fuzz=FuzzObsJSONL -fuzztime=30s ./internal/obs/
 	$(GO) test -fuzz=FuzzDynamicGraph -fuzztime=30s ./internal/graph/

@@ -213,9 +213,6 @@ func (t *Tracker) Targets() []types.NodeID {
 	return append([]types.NodeID(nil), t.ids...)
 }
 
-// Tick returns the tracker's tick counter (number of delta campaigns run).
-func (t *Tracker) TickCount() int { return int(t.tick) }
-
 // Belief returns the live belief graph. Read-only: its statistics
 // (clustering, assortativity, components, …) are maintained incrementally
 // and equal a batch recompute on BeliefEdges at every instant.

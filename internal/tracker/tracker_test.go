@@ -284,8 +284,8 @@ func TestTrackerStateRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr2.TickCount() != tr.TickCount() {
-		t.Fatalf("tick count %d != %d", tr2.TickCount(), tr.TickCount())
+	if tr2.tick != tr.tick {
+		t.Fatalf("tick count %d != %d", tr2.tick, tr.tick)
 	}
 	if !reflect.DeepEqual(tr2.BeliefEdges().Edges(), tr.BeliefEdges().Edges()) {
 		t.Fatal("restored belief differs")

@@ -30,7 +30,7 @@ func (p *Pool) SetBaseFee(baseFee uint64) []*types.Transaction {
 	var drop []*types.Transaction
 	for e := p.oldest; e != nil; e = e.next {
 		if e.price < baseFee { // the fee cap
-			drop = append(drop, e.object())
+			drop = append(drop, p.object(e))
 		}
 	}
 	// Drop in hash order: the removal sequence feeds DropObserver and the

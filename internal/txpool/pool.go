@@ -2,6 +2,7 @@ package txpool
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"toposhot/internal/types"
@@ -106,10 +107,10 @@ func (v Victim) Tx() *types.Transaction {
 type entry struct {
 	// tx is the entry's transaction. An entry admitted as a run member
 	// (OfferRun) starts without one — it is the member at nonce of its
-	// sender's run — and object builds it on first demand and keeps it here,
-	// so every caller that is handed the member gets the same object.
+	// sender's run — and Pool.object builds it on first demand and keeps it
+	// here, so every caller that is handed the member gets the same object.
 	tx      *types.Transaction
-	snd     *sender // the sender record holding this entry
+	rec     uint32 // the slab number of the sender record holding this entry
 	nonce   uint64
 	price   uint64  // the gas price, kept here so heap sifts stay off the tx
 	added   float64 // pool time at admission, for expiry
@@ -124,30 +125,21 @@ type entry struct {
 	prev, next *entry
 }
 
-// object returns the entry's transaction, building a run member's on first
-// demand.
-func (e *entry) object() *types.Transaction {
+// object returns e's transaction, building a run member's on first demand.
+// Only an unbuilt member touches its sender record.
+func (p *Pool) object(e *entry) *types.Transaction {
 	if e.tx == nil {
-		r := e.snd.run
-		e.tx = r.Tx(int(e.nonce - r.Nonce))
+		p.senders.at(e.rec).build(e)
 	}
 	return e.tx
 }
 
 // victim describes e as evicted, building nothing.
-func (e *entry) victim() Victim {
+func (p *Pool) victim(e *entry) Victim {
 	if e.tx != nil {
 		return Victim{tx: e.tx}
 	}
-	return Victim{run: e.snd.run, nonce: e.nonce}
-}
-
-// from returns the entry's sender without building its transaction.
-func (e *entry) from() types.Address {
-	if e.tx != nil {
-		return e.tx.From
-	}
-	return e.snd.run.From
+	return Victim{run: p.senders.at(e.rec).run, nonce: e.nonce}
 }
 
 // offered is the transaction one offer submits: the object tx, or, with tx
@@ -165,26 +157,25 @@ func (o *offered) from() *types.Address {
 	return &o.run.From
 }
 
-// holds reports whether e has o's content. The caller found e in the slot o
-// names, so sender and nonce agree already; two members of one run at one
-// nonce are one member.
+// holds reports whether e, an entry of s, has o's content. The caller found e
+// in the slot o names, so sender and nonce agree already; two members of one
+// run at one nonce are one member.
 //
 //toposhot:hotpath
-func (e *entry) holds(o *offered) bool {
+func (s *sender) holds(e *entry, o *offered) bool {
 	switch {
-	case o.tx == nil && e.tx == nil && e.snd.run == o.run:
+	case o.tx == nil && e.tx == nil && s.run == o.run:
 		return true
 	case o.tx == nil:
-		return o.run.Equal(int(o.nonce-o.run.Nonce), e.object())
+		return o.run.Equal(int(o.nonce-o.run.Nonce), s.build(e))
 	case e.tx != nil:
 		return e.tx.Equal(o.tx)
 	}
-	r := e.snd.run
-	return r.Equal(int(e.nonce-r.Nonce), o.tx)
+	return s.run.Equal(int(e.nonce-s.run.Nonce), o.tx)
 }
 
 // sender is everything the pool knows about one account, behind a single
-// map look-up per admission. Released records go on the pool's free stack
+// table look-up per admission. Released records go on the table's free stack
 // (releaseIfIdle) and come back zeroed for the next account.
 type sender struct {
 	// stateNonce is the account nonce from chain state: the next expected
@@ -196,22 +187,37 @@ type sender struct {
 	// txs holds the account's entries in ascending nonce order, all at or
 	// above stateNonce. Nonces arrive in order and evictions, expiries and
 	// confirmations take the oldest, so the common edits are an append at
-	// the tail and a reslice at the head that moves nothing. A capacity of 1
-	// means a one-slot array of the record's own (removeAt keeps it so),
-	// which the record keeps across its release.
+	// the tail and a reslice at the head that moves nothing. A run member
+	// admitted into a full array grows it once for the rest of its run. A
+	// capacity of 1 means a one-slot array of the record's own (removeAt
+	// keeps it so), which the record keeps across its release.
 	txs []*entry
 	// run is the run whose members this account's unbuilt entries are
-	// (entry.object): a fill's members share a sender, so the run is
+	// (build): a fill's members share a sender, so the run is
 	// remembered once here rather than per entry. A member of another run
 	// has the earlier run's members built first (adopt).
 	run *types.Run
+	// addr is the account, which confirms an index tag match; rec is the
+	// record's own number in the slab.
+	addr types.Address
+	rec  uint32
+}
+
+// build returns the transaction of e, one of s's entries, building a run
+// member's on first demand and keeping it in the entry, so every caller
+// that is handed the member gets the same object.
+func (s *sender) build(e *entry) *types.Transaction {
+	if e.tx == nil {
+		e.tx = s.run.Tx(int(e.nonce - s.run.Nonce))
+	}
+	return e.tx
 }
 
 // adopt makes r the sender's run, building every member of the one before
 // that is still unbuilt.
 func (s *sender) adopt(r *types.Run) {
 	for _, e := range s.txs {
-		e.object()
+		s.build(e)
 	}
 	s.run = r
 }
@@ -290,12 +296,7 @@ type Pool struct {
 	live idSet
 	// senders holds one record per account with buffered entries or a
 	// non-zero state nonce; idle zero-nonce accounts have none.
-	senders map[types.Address]*sender
-	// spare is the free stack of released sender records, at most
-	// maxSpareSenders. A record keeps only a one-slot nonce array, so a lone
-	// sender's turnover allocates nothing and a run-sized array is never
-	// pinned.
-	spare []*sender
+	senders senderTable
 	// byHash serves the callers that hold nothing but a hash (lookup). It is
 	// filled on demand: it indexes exactly the entries admitted up to
 	// indexedSeq (the admission list ascends in seq, so that is a prefix of
@@ -339,7 +340,6 @@ type Pool struct {
 func New(policy Policy) *Pool {
 	return &Pool{
 		policy:  policy,
-		senders: make(map[types.Address]*sender),
 		price:   entryHeap{kind: priceHeap},
 		futures: entryHeap{kind: futureHeap},
 	}
@@ -365,7 +365,7 @@ func (p *Pool) SetTime(now float64) {
 	for e := p.oldest; e != nil && now-e.added > p.policy.Expiry; e = p.oldest {
 		var tx *types.Transaction
 		if p.DropObserver != nil {
-			tx = e.object()
+			tx = p.object(e)
 		}
 		p.repartitionAfterRemove(e)
 		p.metrics.observeExpired()
@@ -390,9 +390,9 @@ func (p *Pool) FutureCount() int { return p.futureCount }
 //
 //toposhot:hotpath
 func (p *Pool) find(tx *types.Transaction) *entry {
-	s := p.senders[tx.From]
+	s := p.senders.get(&tx.From)
 	if i, ok := s.search(tx.Nonce); ok {
-		if e := s.txs[i]; e.holds(&offered{tx: tx}) {
+		if e := s.txs[i]; s.holds(e, &offered{tx: tx}) {
 			return e
 		}
 	}
@@ -438,7 +438,7 @@ func (p *Pool) lookup(h types.Hash) *entry {
 			p.byHash = make(map[types.Hash]*entry, p.Len())
 		}
 		for e := p.newest; e != nil && e.seq > p.indexedSeq; e = e.prev {
-			p.byHash[e.object().Hash()] = e
+			p.byHash[p.object(e).Hash()] = e
 		}
 		p.indexedSeq = p.admitSeq
 	}
@@ -451,7 +451,7 @@ func (p *Pool) Has(h types.Hash) bool { return p.lookup(h) != nil }
 // Get returns the buffered transaction with the given hash, or nil.
 func (p *Pool) Get(h types.Hash) *types.Transaction {
 	if e := p.lookup(h); e != nil {
-		return e.object()
+		return p.object(e)
 	}
 	return nil
 }
@@ -459,9 +459,9 @@ func (p *Pool) Get(h types.Hash) *types.Transaction {
 // GetBySenderNonce returns the buffered transaction from sender with the
 // given nonce, or nil.
 func (p *Pool) GetBySenderNonce(sender types.Address, nonce uint64) *types.Transaction {
-	s := p.senders[sender]
+	s := p.senders.get(&sender)
 	if i, ok := s.search(nonce); ok {
-		return s.txs[i].object()
+		return s.build(s.txs[i])
 	}
 	return nil
 }
@@ -474,7 +474,7 @@ func (p *Pool) IsPending(h types.Hash) bool {
 
 // StateNonce returns the chain nonce recorded for sender.
 func (p *Pool) StateNonce(sender types.Address) uint64 {
-	if s := p.senders[sender]; s != nil {
+	if s := p.senders.get(&sender); s != nil {
 		return s.stateNonce
 	}
 	return 0
@@ -486,10 +486,10 @@ func (p *Pool) StateNonce(sender types.Address) uint64 {
 //
 //toposhot:hotpath
 func (p *Pool) SetStateNonce(addr types.Address, nonce uint64) []*types.Transaction {
-	s := p.senders[addr]
+	s := p.senders.get(&addr)
 	if s == nil {
 		if nonce != 0 {
-			p.newSender(addr).stateNonce = nonce
+			p.senders.add(&addr).stateNonce = nonce
 		}
 		return nil
 	}
@@ -498,53 +498,21 @@ func (p *Pool) SetStateNonce(addr types.Address, nonce uint64) []*types.Transact
 		p.remove(s.txs[0])
 	}
 	if len(s.txs) == 0 {
-		p.releaseIfIdle(addr, s)
+		p.releaseIfIdle(s)
 		return nil
 	}
 	return p.repartition(s)
 }
 
-// maxSpareSenders bounds a pool's free stack of sender records. A fill that
-// evicts a pool of lone pendings releases one record per victim, and the
-// floods after it take most of them back. 256 serves about as many of those
-// as an unbounded stack does, and holds less than a full pool's worth of
-// records between fills (DESIGN.md §15, "One sender record").
-const maxSpareSenders = 256
-
-// newSender registers a record for addr, the last one released if any.
-func (p *Pool) newSender(addr types.Address) *sender {
-	var s *sender
-	if n := len(p.spare); n > 0 {
-		s = p.spare[n-1]
-		p.spare[n-1] = nil
-		p.spare = p.spare[:n-1]
-	} else {
-		s = new(sender)
-	}
-	p.senders[addr] = s
-	return s
-}
-
 // releaseIfIdle forgets a sender that holds no entries and sits at nonce 0 —
-// indistinguishable from an account the pool never saw — and pushes its
-// record on the free stack unless that is full, so s is dead afterwards.
-// Only a one-slot nonce array stays with it.
+// indistinguishable from an account the pool never saw — and returns its
+// record to the table's free stack, so s is dead afterwards.
 //
 //toposhot:hotpath
-func (p *Pool) releaseIfIdle(addr types.Address, s *sender) {
-	if len(s.txs) != 0 || s.stateNonce != 0 {
-		return
+func (p *Pool) releaseIfIdle(s *sender) {
+	if len(s.txs) == 0 && s.stateNonce == 0 {
+		p.senders.release(s)
 	}
-	delete(p.senders, addr)
-	if len(p.spare) == maxSpareSenders {
-		return
-	}
-	txs := s.txs
-	if cap(txs) != 1 {
-		txs = nil
-	}
-	*s = sender{txs: txs}
-	p.spare = append(p.spare, s)
 }
 
 // markPending flips an entry's pending flag, keeping the global and
@@ -554,18 +522,19 @@ func (p *Pool) markPending(e *entry, pending bool) {
 		return
 	}
 	e.pending = pending
+	s := p.senders.at(e.rec)
 	if pending {
-		p.live.add(e.object().ID())
+		p.live.add(s.build(e).ID())
 		p.pendingCount++
 		p.futureCount--
-		e.snd.pending++
-		e.snd.future--
+		s.pending++
+		s.future--
 	} else {
 		p.live.remove(e.tx.ID())
 		p.pendingCount--
 		p.futureCount++
-		e.snd.pending--
-		e.snd.future++
+		s.pending--
+		s.future++
 	}
 }
 
@@ -600,7 +569,7 @@ func (p *Pool) offer(o offered) Result {
 	if o.tx != nil && p.livePending(o.tx) {
 		return Result{Status: StatusKnown}
 	}
-	s := p.senders[*o.from()] // nil for an account the pool holds nothing of
+	s := p.senders.get(o.from()) // nil for an account the pool holds nothing of
 	var state uint64
 	var futures int
 	if s != nil {
@@ -618,14 +587,14 @@ func (p *Pool) offer(o offered) Result {
 	i, found := s.search(o.nonce)
 	if found {
 		old := s.txs[i]
-		if old.holds(&o) {
+		if s.holds(old, &o) {
 			return Result{Status: StatusKnown}
 		}
 		if o.price < p.policy.ReplaceThreshold(old.price) {
 			return Result{Status: StatusUnderpriced}
 		}
-		replaced, wasPending := old.object(), old.pending
-		p.unlink(old)
+		replaced, wasPending := s.build(old), old.pending
+		p.unlink(old, s)
 		s.txs[i] = p.link(&o, s, wasPending)
 		return Result{Status: StatusReplaced, Replaced: replaced}
 	}
@@ -673,16 +642,16 @@ func (p *Pool) offer(o offered) Result {
 		// The observer is handed an object, and the victim carries the same
 		// one; without an observer an unbuilt member stays unbuilt.
 		if p.DropObserver != nil {
-			victim.object()
+			p.object(victim)
 		}
-		v, own := victim.victim(), victim.snd == s
+		v, own := p.victim(victim), s != nil && victim.rec == s.rec
 		p.remove(victim)
 		if own {
 			// The victim was one of the offer's own sender's entries: the
 			// record may be released and the slot has moved. The
 			// classification above stands (repartition below corrects it),
 			// as it always has.
-			s = p.senders[*o.from()]
+			s = p.senders.get(o.from())
 			i, _ = s.search(o.nonce)
 		}
 		evicted = append(evicted, v)
@@ -693,7 +662,12 @@ func (p *Pool) offer(o offered) Result {
 	p.evictBuf = evicted
 
 	if s == nil {
-		s = p.newSender(*o.from())
+		s = p.senders.add(o.from())
+	}
+	if o.run != nil && len(s.txs) == cap(s.txs) {
+		// A full nonce array grows once to hold the rest of the run, not by
+		// doubling per member.
+		s.txs = slices.Grow(s.txs, o.run.Count-int(o.nonce-o.run.Nonce))
 	}
 	s.insertAt(i, p.link(&o, s, executable))
 	status := StatusFuture
@@ -723,12 +697,12 @@ func (p *Pool) link(o *offered, s *sender, pending bool) *entry {
 	if o.run != nil {
 		s.run = o.run // a new record's; offer adopted it into an existing one
 	}
-	*e = entry{tx: o.tx, snd: s, nonce: o.nonce, price: o.price, added: p.now, seq: p.admitSeq,
+	*e = entry{tx: o.tx, rec: s.rec, nonce: o.nonce, price: o.price, added: p.now, seq: p.admitSeq,
 		pending: pending, idx: [2]int32{-1, -1}}
 	p.enlist(e)
 	p.price.push(e)
 	if pending {
-		p.live.add(e.object().ID())
+		p.live.add(s.build(e).ID())
 		p.pendingCount++
 		s.pending++
 	} else {
@@ -750,13 +724,13 @@ func (p *Pool) enlist(e *entry) {
 	p.newest = e
 }
 
-// unlink is link's inverse: it takes e out of every index except its
-// sender's nonce order and recycles it. e's fields are dead afterwards —
-// callers take e.object() (and anything else they need) first. An indexed or
+// unlink is link's inverse: it takes e, an entry of s, out of every index
+// except s's nonce order and recycles it. e's fields are dead afterwards —
+// callers take p.object(e) (and anything else they need) first. An indexed or
 // pending entry has its object: lookup or link built it.
 //
 //toposhot:hotpath
-func (p *Pool) unlink(e *entry) {
+func (p *Pool) unlink(e *entry, s *sender) {
 	if e.seq <= p.indexedSeq {
 		delete(p.byHash, e.tx.Hash()) // memoized when e was indexed
 	}
@@ -765,10 +739,10 @@ func (p *Pool) unlink(e *entry) {
 	if e.pending {
 		p.live.remove(e.tx.ID())
 		p.pendingCount--
-		e.snd.pending--
+		s.pending--
 	} else {
 		p.futureCount--
-		e.snd.future--
+		s.future--
 	}
 	if e.prev != nil {
 		e.prev.next = e.next
@@ -784,19 +758,19 @@ func (p *Pool) unlink(e *entry) {
 	p.free = e
 }
 
-// remove deletes an entry from all indexes and recycles it; take e.object()
+// remove deletes an entry from all indexes and recycles it; take p.object(e)
 // before calling. A sender left with nothing to remember is forgotten.
 //
 //toposhot:hotpath
 func (p *Pool) remove(e *entry) {
-	s, addr := e.snd, e.from()
+	s := p.senders.at(e.rec)
 	i := 0
 	if s.txs[0] != e {
 		i, _ = s.search(e.nonce)
 	}
 	s.removeAt(i)
-	p.unlink(e)
-	p.releaseIfIdle(addr, s)
+	p.unlink(e, s)
+	p.releaseIfIdle(s)
 }
 
 // repartitionAfterRemove removes e and re-derives its sender's pending/future
@@ -805,7 +779,7 @@ func (p *Pool) remove(e *entry) {
 //
 //toposhot:hotpath
 func (p *Pool) repartitionAfterRemove(e *entry) {
-	s := e.snd
+	s := p.senders.at(e.rec)
 	p.remove(e)
 	if len(s.txs) > 0 {
 		p.repartition(s)
@@ -904,7 +878,7 @@ func (p *Pool) Pending() []*types.Transaction {
 	out := make([]*types.Transaction, 0, p.pendingCount)
 	for e := p.oldest; e != nil; e = e.next {
 		if e.pending {
-			out = append(out, e.object())
+			out = append(out, p.object(e))
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -924,7 +898,7 @@ func (p *Pool) Pending() []*types.Transaction {
 func (p *Pool) Content() []*types.Transaction {
 	out := make([]*types.Transaction, 0, p.Len())
 	for e := p.oldest; e != nil; e = e.next {
-		out = append(out, e.object())
+		out = append(out, p.object(e))
 	}
 	sort.Slice(out, func(i, j int) bool {
 		hi, hj := out[i].Hash(), out[j].Hash()

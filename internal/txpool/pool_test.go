@@ -420,11 +420,21 @@ func TestDropRemoves(t *testing.T) {
 // findEntry returns the entry in e's sender slot if it holds e's content —
 // find for an entry whose object may not have been built, building none.
 func (p *Pool) findEntry(e *entry) *entry {
-	s := p.senders[e.from()]
-	if i, ok := s.search(e.nonce); ok && (s.txs[i] == e || e.tx != nil && s.txs[i].holds(&offered{tx: e.tx})) {
+	from := p.entryFrom(e)
+	s := p.senders.get(&from)
+	if i, ok := s.search(e.nonce); ok && (s.txs[i] == e || e.tx != nil && s.holds(s.txs[i], &offered{tx: e.tx})) {
 		return s.txs[i]
 	}
 	return nil
+}
+
+// entryFrom returns e's sender as its transaction or run names it, building
+// nothing.
+func (p *Pool) entryFrom(e *entry) types.Address {
+	if e.tx != nil {
+		return e.tx.From
+	}
+	return p.senders.at(e.rec).run.From
 }
 
 func invariantCheck(t *testing.T, p *Pool) {
@@ -456,7 +466,7 @@ func invariantCheck(t *testing.T, p *Pool) {
 	}
 	indexed := 0
 	for e := p.oldest; e != nil; e = e.next {
-		if r := e.snd.run; e.tx == nil && (e.pending || r == nil || e.nonce < r.Nonce || e.nonce-r.Nonce >= uint64(r.Count)) {
+		if r := p.senders.at(e.rec).run; e.tx == nil && (e.pending || r == nil || e.nonce < r.Nonce || e.nonce-r.Nonce >= uint64(r.Count)) {
 			t.Fatalf("entry seq=%d pending=%v has neither an object nor a run member", e.seq, e.pending)
 		}
 		if e.tx != nil && e.tx.Nonce != e.nonce {
@@ -490,7 +500,7 @@ func invariantCheck(t *testing.T, p *Pool) {
 	var ref *entry
 	for e := p.oldest; e != nil; e = e.next {
 		h := e.seq
-		if e.tx != nil && e.price != e.tx.GasPrice || e.tx == nil && e.price != e.snd.run.Price {
+		if e.tx != nil && e.price != e.tx.GasPrice || e.tx == nil && e.price != p.senders.at(e.rec).run.Price {
 			t.Fatalf("entry seq=%d carries price %d", h, e.price)
 		}
 		if i := e.idx[priceHeap]; i < 0 || p.price.a[i] != e {
@@ -516,20 +526,34 @@ func invariantCheck(t *testing.T, p *Pool) {
 	// entries in strictly ascending nonce order at or above its state nonce,
 	// with tallies that agree with a recount, and no record may outlive its
 	// purpose: one with no entries and state nonce 0 must have been released.
-	records := make(map[*sender]bool)
-	filed := 0
-	for addr, s := range p.senders {
-		if records[s] {
+	// The index is walked in slot order, which only the order of failures
+	// depends on.
+	records := make(map[uint32]bool)
+	filed, slots := 0, 0
+	for _, slot := range p.senders.idx {
+		if slot.tag == 0 {
+			continue
+		}
+		slots++
+		if slot.rec == 0 || slot.rec >= p.senders.n {
+			t.Fatalf("index slot names record %d of %d", slot.rec, p.senders.n)
+		}
+		s := p.senders.at(slot.rec)
+		addr := s.addr
+		if records[slot.rec] {
 			t.Fatalf("sender record of %v is filed under two addresses", addr)
 		}
-		records[s] = true
+		records[slot.rec] = true
+		if s.rec != slot.rec || slot.tag != senderTag(&addr) || p.senders.get(&addr) != s {
+			t.Fatalf("sender record %d of %v is not where its address finds it", slot.rec, addr)
+		}
 		live := s.txs
 		if len(live) == 0 && s.stateNonce == 0 {
 			t.Fatalf("empty sender record left behind for %v", addr)
 		}
 		pending, future := 0, 0
 		for i, e := range live {
-			if e.snd != s || e.from() != addr || p.findEntry(e) != e {
+			if e.rec != slot.rec || p.entryFrom(e) != addr || p.findEntry(e) != e {
 				t.Fatalf("sender %v slot %d holds a foreign or dead entry", addr, i)
 			}
 			if e.nonce < s.stateNonce || (i > 0 && live[i-1].nonce >= e.nonce) {
@@ -549,16 +573,24 @@ func invariantCheck(t *testing.T, p *Pool) {
 	if filed != p.Len() {
 		t.Fatalf("sender records hold %d entries, pool %d", filed, p.Len())
 	}
+	if slots != p.senders.live {
+		t.Fatalf("index holds %d records, its count says %d", slots, p.senders.live)
+	}
 	// Released records are zeroed but for a one-slot nonce array, and none is
-	// still live or stacked twice.
-	for i, s := range p.spare {
-		if records[s] {
-			t.Fatalf("spare sender record %d is live or stacked twice", i)
+	// still live or stacked twice; every record of the slab but the unused
+	// first is live or released.
+	for i, rec := range p.senders.free {
+		if rec == 0 || rec >= p.senders.n || records[rec] {
+			t.Fatalf("spare sender record %d (%d) is live, stacked twice or out of the slab", i, rec)
 		}
-		records[s] = true
-		if len(s.txs) != 0 || cap(s.txs) > 1 || s.stateNonce != 0 || s.pending != 0 || s.future != 0 || s.run != nil {
+		records[rec] = true
+		s := p.senders.at(rec)
+		if len(s.txs) != 0 || cap(s.txs) > 1 || s.stateNonce != 0 || s.pending != 0 || s.future != 0 || s.run != nil || s.addr != (types.Address{}) || s.rec != rec {
 			t.Fatalf("spare sender record %d holds state: %d entries, cap %d, nonce %d, run %v", i, len(s.txs), cap(s.txs), s.stateNonce, s.run)
 		}
+	}
+	if n := int(p.senders.n); n > 0 && len(records) != n-1 {
+		t.Fatalf("%d live and released records in a slab of %d", len(records), n-1)
 	}
 	// The admission list visits exactly the live entries in seq order.
 	visited := 0
@@ -578,7 +610,7 @@ func invariantCheck(t *testing.T, p *Pool) {
 	// Recycled entries hold nothing and stay bounded by the capacity.
 	spare := 0
 	for e := p.free; e != nil; e = e.next {
-		if e.tx != nil || e.snd != nil {
+		if e.tx != nil || e.rec != 0 {
 			t.Fatal("free entry retains its transaction or sender")
 		}
 		spare++
@@ -727,15 +759,18 @@ func TestConfirmDemoteDeterministic(t *testing.T) {
 }
 
 // TestEntrySize: a pool's entries and sender records are its most numerous
-// objects, so their size classes are its memory. An entry is 80 B (the 80-B
-// class) and a sender record 48 B (the 48-B class); one more word moves
-// either into the next class, which a full-pool gossip flood pays for every
-// buffered transaction.
+// objects, so their sizes are its memory. An entry is 80 B (the 80-B class);
+// one more word moves it into the next class, which a full-pool gossip flood
+// pays for every buffered transaction. A sender record is 72 B, its address
+// and slab number filling the last of its nine words, and the table's slab
+// pages of 32 records fill the 2304-B class exactly. One more field costs
+// 8 B for every record the slab holds, live or released, and moves every page
+// into the 2688-B class.
 func TestEntrySize(t *testing.T) {
 	if got := unsafe.Sizeof(entry{}); got != 80 {
 		t.Errorf("sizeof(entry) = %d B, want 80", got)
 	}
-	if got := unsafe.Sizeof(sender{}); got != 48 {
-		t.Errorf("sizeof(sender) = %d B, want 48", got)
+	if got := unsafe.Sizeof(sender{}); got != 72 {
+		t.Errorf("sizeof(sender) = %d B, want 72", got)
 	}
 }

@@ -51,7 +51,7 @@ func (p *Pool) Snapshot() Snapshot {
 	s.Entries = make([]EntrySnapshot, 0, p.Len())
 	for e := p.oldest; e != nil; e = e.next {
 		e.mark = int32(len(s.Entries))
-		s.Entries = append(s.Entries, EntrySnapshot{Tx: e.object(), Added: e.added, Seq: e.seq, Pending: e.pending})
+		s.Entries = append(s.Entries, EntrySnapshot{Tx: p.object(e), Added: e.added, Seq: e.seq, Pending: e.pending})
 	}
 	s.PriceOrder = make([]int32, len(p.price.a))
 	for i, e := range p.price.a {
@@ -61,10 +61,15 @@ func (p *Pool) Snapshot() Snapshot {
 	for i, e := range p.futures.a {
 		s.FutureOrder[i] = e.mark
 	}
-	s.StateNonces = make([]NonceSnapshot, 0, len(p.senders))
-	for addr, snd := range p.senders {
-		if snd.stateNonce != 0 {
-			s.StateNonces = append(s.StateNonces, NonceSnapshot{Addr: addr, Nonce: snd.stateNonce})
+	// Released and unused records are zero, so the slab's non-zero nonces
+	// are the live accounts'; the index's slot order never reaches the
+	// snapshot.
+	s.StateNonces = make([]NonceSnapshot, 0, p.senders.live)
+	for _, pg := range p.senders.pages {
+		for i := range pg {
+			if snd := &pg[i]; snd.stateNonce != 0 {
+				s.StateNonces = append(s.StateNonces, NonceSnapshot{Addr: snd.addr, Nonce: snd.stateNonce})
+			}
 		}
 	}
 	sort.Slice(s.StateNonces, func(i, j int) bool {
@@ -96,9 +101,9 @@ func RestorePool(policy Policy, s Snapshot) (*Pool, error) {
 			return nil, fmt.Errorf("txpool: snapshot entry %d has admission seq %d out of order", i, es.Seq)
 		}
 		lastSeq = es.Seq
-		snd := p.senders[es.Tx.From]
+		snd := p.senders.get(&es.Tx.From)
 		if snd == nil {
-			snd = p.newSender(es.Tx.From)
+			snd = p.senders.add(&es.Tx.From)
 		}
 		if es.Tx.Nonce < snd.stateNonce {
 			return nil, fmt.Errorf("txpool: snapshot holds %v nonce %d below its state nonce %d", es.Tx.From, es.Tx.Nonce, snd.stateNonce)
@@ -107,7 +112,7 @@ func RestorePool(policy Policy, s Snapshot) (*Pool, error) {
 		if dup {
 			return nil, fmt.Errorf("txpool: snapshot holds two transactions for %v nonce %d", es.Tx.From, es.Tx.Nonce)
 		}
-		e := &entry{tx: es.Tx, snd: snd, nonce: es.Tx.Nonce, price: es.Tx.GasPrice, added: es.Added, seq: es.Seq, pending: es.Pending, idx: [2]int32{-1, -1}}
+		e := &entry{tx: es.Tx, rec: snd.rec, nonce: es.Tx.Nonce, price: es.Tx.GasPrice, added: es.Added, seq: es.Seq, pending: es.Pending, idx: [2]int32{-1, -1}}
 		ents[i] = e
 		snd.insertAt(at, e)
 		p.enlist(e)
