@@ -7,10 +7,8 @@ import (
 
 	"toposhot/internal/core"
 	"toposhot/internal/ethsim"
-	"toposhot/internal/graph"
 	"toposhot/internal/netgen"
 	"toposhot/internal/obs"
-	"toposhot/internal/runner"
 	"toposhot/internal/tracker"
 	"toposhot/internal/types"
 )
@@ -192,10 +190,7 @@ func GoerliTracking(seed int64) TrackingConfig {
 
 // RunTracking seeds a tracker with one full census, starts peer churn, and
 // then follows the evolving topology with budgeted delta campaigns, scoring
-// the belief graph against live ground truth after every tick. Each tick
-// also cross-checks the belief's incremental O(Δ) statistics against a batch
-// recompute (bit-for-bit, runner-parallel) — the Dynamic-equivalence
-// invariant, enforced end to end.
+// the belief graph against live ground truth after every tick.
 func RunTracking(cfg TrackingConfig) (*Tracking, error) {
 	if cfg.Ticks <= 0 {
 		return nil, fmt.Errorf("tracking: Ticks must be positive, got %d", cfg.Ticks)
@@ -351,9 +346,6 @@ func RunTracking(cfg TrackingConfig) (*Tracking, error) {
 			Net:           net,
 			checkpoint:    checkpoint,
 		}
-		if err := verifyBeliefIncremental(trk.Belief()); err != nil {
-			return nil, fmt.Errorf("tracking: tick %d: %w", tick+1, err)
-		}
 		if cfg.OnTick != nil {
 			if err := cfg.OnTick(&tt); err != nil {
 				return nil, fmt.Errorf("tracking: tick %d checkpoint: %w", tick+1, err)
@@ -384,44 +376,6 @@ func RunTracking(cfg TrackingConfig) (*Tracking, error) {
 		out.MinRecall = minRecall
 	}
 	return out, nil
-}
-
-// verifyBeliefIncremental cross-checks the belief Dynamic's incrementally
-// maintained statistics against a from-scratch batch recompute of its
-// snapshot, bit-for-bit. The comparisons are independent, so they fan out on
-// the shared worker pool.
-func verifyBeliefIncremental(d *graph.Dynamic) error {
-	snap := d.Snapshot()
-	checks := []struct {
-		name      string
-		inc, ref  float64
-		exactInts [2]int
-		isInt     bool
-	}{
-		{name: "nodes", exactInts: [2]int{d.NumNodes(), snap.NumNodes()}, isInt: true},
-		{name: "edges", exactInts: [2]int{d.NumEdges(), snap.NumEdges()}, isInt: true},
-		{name: "components", exactInts: [2]int{d.NumComponents(), len(snap.ConnectedComponents())}, isInt: true},
-		{name: "avgdeg", inc: d.AverageDegree(), ref: snap.AverageDegree()},
-		{name: "clustering", inc: d.ClusteringCoefficient(), ref: snap.ClusteringCoefficient()},
-		{name: "transitivity", inc: d.Transitivity(), ref: snap.Transitivity()},
-		{name: "assortativity", inc: d.DegreeAssortativity(), ref: snap.DegreeAssortativity()},
-	}
-	_, err := runner.MapErr(0, len(checks), func(i int) (struct{}, error) {
-		c := checks[i]
-		if c.isInt {
-			if c.exactInts[0] != c.exactInts[1] {
-				return struct{}{}, fmt.Errorf("belief %s: incremental %d != batch %d",
-					c.name, c.exactInts[0], c.exactInts[1])
-			}
-			return struct{}{}, nil
-		}
-		if math.Float64bits(c.inc) != math.Float64bits(c.ref) {
-			return struct{}{}, fmt.Errorf("belief %s: incremental %v != batch %v (bit mismatch)",
-				c.name, c.inc, c.ref)
-		}
-		return struct{}{}, nil
-	})
-	return err
 }
 
 // FormatTracking renders the per-tick trajectory and the cost/recall summary.

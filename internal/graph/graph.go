@@ -49,9 +49,7 @@ func (g *Graph) AddEdge(u, v int) {
 
 // RemoveEdge deletes the undirected edge {u,v} if present. Absent edges,
 // unknown vertices, and self-loops (which AddEdge never creates) are all
-// no-ops that leave NumEdges and the adjacency maps untouched — the
-// operation is on the tracker's per-tick path, where a silent m-- drift
-// would corrupt every maintained statistic downstream.
+// no-ops that leave NumEdges and the adjacency maps untouched.
 func (g *Graph) RemoveEdge(u, v int) {
 	if u == v {
 		return
@@ -131,6 +129,12 @@ func (g *Graph) Clone() *Graph {
 	}
 	return c
 }
+
+// FromGraph returns a copy of g. It exists only because the
+// graph.dynamic_edge_ns layer metric in bench/layers.go calls it (and then
+// times Graph's own AddEdge/RemoveEdge on the copy); it goes, with that
+// metric, in the change that rewrites bench/ (ROADMAP item 4).
+func FromGraph(g *Graph) *Graph { return g.Clone() }
 
 // AverageDegree returns 2m/n, or 0 for an empty graph.
 func (g *Graph) AverageDegree() float64 {
@@ -340,10 +344,8 @@ func (g *Graph) Transitivity() float64 {
 // The correlation is computed from exact integer moments of the degree
 // sequence rather than a float series: over the directed-pair population,
 // Σx = Σy = Σ_v d_v², Σx² = Σy² = Σ_v d_v³, and Σxy = 2·Σ_{uv∈E} d_u·d_v.
-// Integer accumulation is order-free (no low-bit dependence on iteration
-// order) and — crucially — each moment shifts by an O(degree) integer delta
-// under a single edge insert or delete, which is what lets graph.Dynamic
-// maintain the identical value incrementally.
+// Integer accumulation is order-free: no low-bit dependence on the map
+// iteration order below.
 func (g *Graph) DegreeAssortativity() float64 {
 	var s2, s3, p int64
 	for u, nbrs := range g.adj {

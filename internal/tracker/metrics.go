@@ -14,10 +14,10 @@ type trackMetrics struct {
 	failed     *metrics.Counter // probe setup failures (re-queued urgent)
 	urgent     *metrics.Counter // planned pairs that came from the urgent queue
 	staleSwept *metrics.Counter // planned pairs from the confidence-decay sweep
-	changed    *metrics.Counter // verdict flips (belief-graph edits)
+	changed    *metrics.Counter // verdict flips
 
-	beliefNodes *metrics.Gauge // belief-graph order
-	beliefEdges *metrics.Gauge // belief-graph size
+	beliefNodes *metrics.Gauge // tracked targets
+	beliefEdges *metrics.Gauge // pairs believed present
 	urgentDepth *metrics.Gauge // pending urgent queue after the tick
 	budget      *metrics.Gauge // configured pairs-per-tick budget
 	budgetUsed  *metrics.Gauge // pairs planned by the latest tick
@@ -32,9 +32,9 @@ type trackMetrics struct {
 //	tracker.pairs.failed   probe setup failures, re-queued urgent
 //	tracker.pairs.urgent   planned pairs drawn from the urgent queue
 //	tracker.pairs.stale    planned pairs drawn from the confidence-decay sweep
-//	tracker.verdict_flips  belief-graph edge edits
-//	tracker.belief.nodes   belief-graph order (gauge)
-//	tracker.belief.edges   belief-graph size (gauge)
+//	tracker.verdict_flips  verdict flips (believed-link edits)
+//	tracker.belief.nodes   tracked targets (gauge)
+//	tracker.belief.edges   pairs believed present (gauge)
 //	tracker.urgent_depth   urgent queue length after the tick (gauge)
 //	tracker.budget         configured pairs-per-tick budget (gauge)
 //	tracker.budget_used    pairs planned by the latest tick (gauge)
@@ -72,8 +72,8 @@ func (t *Tracker) observeTick(rep *TickReport) {
 	mm.urgent.Add(int64(rep.Urgent))
 	mm.staleSwept.Add(int64(rep.Planned - rep.Urgent))
 	mm.changed.Add(int64(rep.Changed))
-	mm.beliefNodes.Set(int64(t.belief.NumNodes()))
-	mm.beliefEdges.Set(int64(t.belief.NumEdges()))
+	mm.beliefNodes.Set(int64(len(t.ids)))
+	mm.beliefEdges.Set(int64(t.edges))
 	mm.urgentDepth.Set(int64(len(t.urgent) - t.urgentHead))
 	mm.budgetUsed.Set(int64(rep.Planned))
 }

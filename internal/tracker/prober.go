@@ -108,3 +108,11 @@ func (p *GroupedProber) ProbePairs(pairs [][2]types.NodeID) ([]ProbeResult, erro
 	}
 	return results, nil
 }
+
+// pairKey packs an unordered pair into one map key, smaller id high.
+func pairKey(a, b types.NodeID) uint64 {
+	if a > b {
+		a, b = b, a
+	}
+	return uint64(a)<<32 | uint64(b)
+}

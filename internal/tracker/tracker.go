@@ -11,26 +11,23 @@
 // planner needs no per-tick decay sweep: it pops pairs from lazily-validated
 // staleness buckets, oldest first, up to the budget, after first draining an
 // urgent queue fed by churn observations (Observe) and probe setup failures.
-// Planning is O(budget) amortized, and the belief graph is a graph.Dynamic,
-// so every graph statistic stays current in O(Δ) per verdict flip — no
-// O(V+E) recompute anywhere on the tick path (the trk* helpers are under
+// Planning is O(budget) amortized, and the belief is the pair table's own
+// verdict bits, which a flip updates in O(1) (the trk* helpers are under
 // toposhotlint's map-iteration and allocation bans, DESIGN.md §13).
 //
 // Persistence: State() captures the full pair table (in staleness-bucket
 // order) plus the pending urgent queue as a JSON-serializable snapshot that
 // rides in the cmd/toposhot checkpoint container next to the engine blob;
-// Restore rebuilds the tracker — buckets, urgent queue, belief graph and all
-// — so the continuation plans the identical probe schedule the original
-// would have.
+// Restore rebuilds the tracker — verdicts, buckets and urgent queue — so the
+// continuation plans the identical probe schedule the original would have.
 package tracker
 
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"toposhot/internal/core"
-	"toposhot/internal/graph"
 	"toposhot/internal/metrics"
 	"toposhot/internal/types"
 )
@@ -108,7 +105,7 @@ type TickReport struct {
 	Planned, Probed, Failed int
 	// Urgent counts planned pairs that came from the urgent queue.
 	Urgent int
-	// Changed counts verdict flips (belief graph edits) this tick.
+	// Changed counts verdict flips this tick.
 	Changed int
 }
 
@@ -120,8 +117,8 @@ type Tracker struct {
 	prober     Prober
 
 	ids   []types.NodeID // sorted targets
-	pairs []pairRec      // one record per unordered target pair
-	index map[uint64]int32
+	pairs []pairRec      // one record per unordered target pair (pairIndex order)
+	edges int            // pairs believed present
 
 	// buckets holds, oldest first, the (lazily-validated) indices of pairs
 	// last verified at each bucket's tick; head is the sweep cursor. An entry
@@ -137,8 +134,7 @@ type Tracker struct {
 	urgentMark []bool
 	plannedAt  []int32 // per-pair tick stamp deduping urgent vs sweep
 
-	tick   int32
-	belief *graph.Dynamic
+	tick int32
 
 	metrics trackMetrics
 
@@ -160,9 +156,8 @@ func New(cfg Config, targets []types.NodeID, initial *core.EdgeSet, p Prober) (*
 		staleAfter: cfg.staleAfterTicks(),
 		prober:     p,
 		ids:        append([]types.NodeID(nil), targets...),
-		belief:     graph.NewDynamic(),
 	}
-	sort.Slice(t.ids, func(i, j int) bool { return t.ids[i] < t.ids[j] })
+	slices.Sort(t.ids)
 	for i := 1; i < len(t.ids); i++ {
 		if t.ids[i] == t.ids[i-1] {
 			return nil, fmt.Errorf("tracker: duplicate target %v", t.ids[i])
@@ -170,17 +165,14 @@ func New(cfg Config, targets []types.NodeID, initial *core.EdgeSet, p Prober) (*
 	}
 	n := len(t.ids)
 	t.pairs = make([]pairRec, 0, n*(n-1)/2)
-	t.index = make(map[uint64]int32, n*(n-1)/2)
 	for i := 0; i < n; i++ {
-		t.belief.AddNode(int(t.ids[i]))
 		for j := i + 1; j < n; j++ {
 			a, b := t.ids[i], t.ids[j]
 			rec := pairRec{a: a, b: b}
 			if initial != nil && initial.Has(a, b) {
 				rec.present = true
-				t.belief.AddEdge(int(a), int(b))
+				t.edges++
 			}
-			t.index[pairKey(a, b)] = int32(len(t.pairs))
 			t.pairs = append(t.pairs, rec)
 		}
 	}
@@ -200,12 +192,20 @@ func New(cfg Config, targets []types.NodeID, initial *core.EdgeSet, p Prober) (*
 	return t, nil
 }
 
-// pairKey packs an unordered pair into the index key, smaller id high.
-func pairKey(a, b types.NodeID) uint64 {
+// pairIndex locates pair (a, b) in t.pairs. New lays the pairs out row by
+// row over the sorted targets, so the pair of targets i < j sits at
+// i·(2n−i−1)/2 + (j−i−1). An unknown id, or a == b, is not found.
+func (t *Tracker) pairIndex(a, b types.NodeID) (int32, bool) {
 	if a > b {
 		a, b = b, a
 	}
-	return uint64(a)<<32 | uint64(b)
+	i, okA := slices.BinarySearch(t.ids, a)
+	j, okB := slices.BinarySearch(t.ids, b)
+	if !okA || !okB || i == j {
+		return 0, false
+	}
+	n := len(t.ids)
+	return int32(i*(2*n-i-1)/2 + (j - i - 1)), true
 }
 
 // Targets returns the tracked node set, ascending.
@@ -213,16 +213,14 @@ func (t *Tracker) Targets() []types.NodeID {
 	return append([]types.NodeID(nil), t.ids...)
 }
 
-// Belief returns the live belief graph. Read-only: its statistics
-// (clustering, assortativity, components, …) are maintained incrementally
-// and equal a batch recompute on BeliefEdges at every instant.
-func (t *Tracker) Belief() *graph.Dynamic { return t.belief }
-
-// BeliefEdges returns the currently-believed link set.
+// BeliefEdges returns the currently-believed link set: every pair whose
+// last verdict was present.
 func (t *Tracker) BeliefEdges() *core.EdgeSet {
 	s := core.NewEdgeSet()
-	for _, e := range t.belief.Edges() {
-		s.Add(types.NodeID(e[0]), types.NodeID(e[1]))
+	for i := range t.pairs {
+		if p := &t.pairs[i]; p.present {
+			s.Add(p.a, p.b)
+		}
 	}
 	return s
 }
@@ -230,7 +228,7 @@ func (t *Tracker) BeliefEdges() *core.EdgeSet {
 // Confidence returns the decayed confidence of the current verdict on pair
 // (a, b): 0.5^(age/HalfLife), or 0 for untracked pairs.
 func (t *Tracker) Confidence(a, b types.NodeID) float64 {
-	i, ok := t.index[pairKey(a, b)]
+	i, ok := t.pairIndex(a, b)
 	if !ok {
 		return 0
 	}
@@ -240,7 +238,7 @@ func (t *Tracker) Confidence(a, b types.NodeID) float64 {
 
 // Believed reports the tracker's current verdict on pair (a, b).
 func (t *Tracker) Believed(a, b types.NodeID) bool {
-	i, ok := t.index[pairKey(a, b)]
+	i, ok := t.pairIndex(a, b)
 	return ok && t.pairs[i].present
 }
 
@@ -249,7 +247,7 @@ func (t *Tracker) Believed(a, b types.NodeID) bool {
 // the next tick's plan. Pairs outside the target set are ignored. This is
 // the hook RunTracking connects to the ethsim churn event log.
 func (t *Tracker) Observe(a, b types.NodeID) {
-	i, ok := t.index[pairKey(a, b)]
+	i, ok := t.pairIndex(a, b)
 	if !ok {
 		return
 	}
@@ -258,7 +256,7 @@ func (t *Tracker) Observe(a, b types.NodeID) {
 
 // Tick plans and executes one delta campaign: drain the urgent queue, sweep
 // stale pairs oldest-first up to the budget, probe them, and fold the
-// verdicts into the belief graph. On a probe transport error the planned
+// verdicts into the pair table. On a probe transport error the planned
 // pairs are re-queued urgent and the error is returned — the tracker's
 // state stays consistent for a retry.
 func (t *Tracker) Tick() (TickReport, error) {
@@ -357,8 +355,8 @@ func (t *Tracker) trkMarkUrgent(i int32) {
 	t.urgent = append(t.urgent, i)
 }
 
-// trkApply folds one probe result into the pair table, the belief graph,
-// and the staleness buckets.
+// trkApply folds one probe result into the pair table and the staleness
+// buckets.
 //
 //toposhot:hotpath
 func (t *Tracker) trkApply(i int32, r ProbeResult, rep *TickReport) {
@@ -372,9 +370,9 @@ func (t *Tracker) trkApply(i int32, r ProbeResult, rep *TickReport) {
 	if r.Present != p.present {
 		rep.Changed++
 		if r.Present {
-			t.belief.AddEdge(int(p.a), int(p.b))
+			t.edges++
 		} else {
-			t.belief.RemoveEdge(int(p.a), int(p.b))
+			t.edges--
 		}
 		p.present = r.Present
 	}
@@ -456,9 +454,8 @@ func (t *Tracker) State() *State {
 }
 
 // Restore rebuilds a tracker from a State snapshot: pair table, staleness
-// buckets in their serialized order, urgent queue, and the belief graph
-// (whose incremental statistics are thereby freshly re-seeded). The
-// continuation plans the identical probe schedule the original would have.
+// buckets in their serialized order and urgent queue. The continuation plans
+// the identical probe schedule the original would have.
 func Restore(st *State, cfg Config, p Prober) (*Tracker, error) {
 	t, err := New(cfg, st.Targets, nil, p)
 	if err != nil {
@@ -475,7 +472,7 @@ func Restore(st *State, cfg Config, p Prober) (*Tracker, error) {
 	t.buckets = t.buckets[:0]
 	seen := make([]bool, len(t.pairs))
 	for _, ps := range st.Pairs {
-		i, ok := t.index[pairKey(ps.A, ps.B)]
+		i, ok := t.pairIndex(ps.A, ps.B)
 		if !ok {
 			return nil, fmt.Errorf("tracker: restore: pair %v-%v not in target universe", ps.A, ps.B)
 		}
@@ -491,7 +488,7 @@ func Restore(st *State, cfg Config, p Prober) (*Tracker, error) {
 		rec.present = ps.Present
 		rec.lastTick = ps.LastTick
 		if ps.Present {
-			t.belief.AddEdge(int(ps.A), int(ps.B))
+			t.edges++
 		}
 		if !ps.Unbucketed {
 			if n := len(t.buckets); n > 0 && ps.LastTick < t.buckets[n-1].tick {
@@ -502,7 +499,7 @@ func Restore(st *State, cfg Config, p Prober) (*Tracker, error) {
 		}
 	}
 	for _, pr := range st.Urgent {
-		i, ok := t.index[pairKey(pr[0], pr[1])]
+		i, ok := t.pairIndex(pr[0], pr[1])
 		if !ok {
 			return nil, fmt.Errorf("tracker: restore: urgent pair %v-%v not in target universe", pr[0], pr[1])
 		}

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"toposhot/internal/core"
-	"toposhot/internal/graph"
 	"toposhot/internal/metrics"
 	"toposhot/internal/types"
 )
@@ -71,6 +70,27 @@ func TestTrackerSeedBelief(t *testing.T) {
 	}
 	if c := tr.Confidence(99, 100); c != 0 {
 		t.Fatalf("untracked confidence = %v, want 0", c)
+	}
+}
+
+// TestPairIndex: the arithmetic index finds every pair where New put it, in
+// either endpoint order, and reports unknown ids and self-pairs as absent.
+func TestPairIndex(t *testing.T) {
+	tr, err := New(Config{}, []types.NodeID{40, 7, 19, 3, 88}, nil, &oracleProber{truth: core.NewEdgeSet()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, p := range tr.pairs {
+		for _, q := range [][2]types.NodeID{{p.a, p.b}, {p.b, p.a}} {
+			if i, ok := tr.pairIndex(q[0], q[1]); !ok || int(i) != k {
+				t.Fatalf("pairIndex(%v, %v) = %d, %v; want %d", q[0], q[1], i, ok, k)
+			}
+		}
+	}
+	for _, q := range [][2]types.NodeID{{7, 7}, {7, 8}, {2, 3}, {88, 89}} {
+		if _, ok := tr.pairIndex(q[0], q[1]); ok {
+			t.Fatalf("pairIndex(%v, %v) found a pair", q[0], q[1])
+		}
 	}
 }
 
@@ -207,48 +227,6 @@ func TestTrackerProbeErrorRecovers(t *testing.T) {
 	}
 }
 
-// TestTrackerBeliefMatchesBatch: after arbitrary churn and tracking, the
-// belief Dynamic's incremental statistics equal a batch recompute on the
-// materialized graph — the tracker-level restatement of the graph.Dynamic
-// equivalence contract.
-func TestTrackerBeliefMatchesBatch(t *testing.T) {
-	const n = 14
-	truth := ringTruth(n)
-	o := &oracleProber{truth: truth}
-	tr, err := New(Config{Budget: 12, HalfLife: 2, MinConfidence: 0.5}, targetIDs(n), truth, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	flip := func(a, b types.NodeID) {
-		if truth.Has(a, b) {
-			truth.Remove(a, b)
-		} else {
-			truth.Add(a, b)
-		}
-		tr.Observe(a, b)
-	}
-	for round := 0; round < 30; round++ {
-		flip(types.NodeID(round%n+1), types.NodeID((round*5)%n+1))
-		if _, err := tr.Tick(); err != nil {
-			t.Fatal(err)
-		}
-		d := tr.Belief()
-		g := graph.New()
-		for _, id := range tr.Targets() {
-			g.AddNode(int(id))
-		}
-		for _, e := range d.Edges() {
-			g.AddEdge(e[0], e[1])
-		}
-		if d.ClusteringCoefficient() != g.ClusteringCoefficient() ||
-			d.DegreeAssortativity() != g.DegreeAssortativity() ||
-			d.Transitivity() != g.Transitivity() ||
-			d.NumEdges() != g.NumEdges() {
-			t.Fatalf("round %d: incremental belief stats diverged from batch", round)
-		}
-	}
-}
-
 // TestTrackerStateRoundTrip: State → JSON → Restore reproduces belief,
 // verdicts, confidence clocks, and — critically — the same future probe
 // schedule as the original tracker.
@@ -289,6 +267,10 @@ func TestTrackerStateRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(tr2.BeliefEdges().Edges(), tr.BeliefEdges().Edges()) {
 		t.Fatal("restored belief differs")
+	}
+	if tr2.edges != tr.edges || tr2.edges != tr2.BeliefEdges().Len() {
+		t.Fatalf("restored edge count %d, original %d, restored belief %d",
+			tr2.edges, tr.edges, tr2.BeliefEdges().Len())
 	}
 	for _, a := range tr.Targets() {
 		for _, b := range tr.Targets() {
@@ -339,8 +321,8 @@ func TestTrackerRejectsBadInput(t *testing.T) {
 }
 
 // TestTrackerMetrics wires a registry and checks the per-tick instruments:
-// budget accounting, urgent/stale split, verdict flips, and the belief-graph
-// gauges tracking the live graph.
+// budget accounting, urgent/stale split, verdict flips, and the belief
+// gauges following the believed link set through a removal and an addition.
 func TestTrackerMetrics(t *testing.T) {
 	truth := ringTruth(8)
 	o := &oracleProber{truth: truth}
@@ -375,15 +357,32 @@ func TestTrackerMetrics(t *testing.T) {
 	if got := reg.Counter("tracker.verdict_flips").Value(); got != int64(rep.Changed) || rep.Changed < 1 {
 		t.Fatalf("tracker.verdict_flips = %d (report %d), want ≥1", got, rep.Changed)
 	}
-	if got := reg.Gauge("tracker.belief.nodes").Value(); got != int64(tr.Belief().NumNodes()) {
-		t.Fatalf("tracker.belief.nodes = %d, want %d", got, tr.Belief().NumNodes())
+	checkBelief := func(when string) {
+		t.Helper()
+		if got, want := reg.Gauge("tracker.belief.nodes").Value(), int64(len(tr.Targets())); got != want {
+			t.Fatalf("after %s: tracker.belief.nodes = %d, want %d", when, got, want)
+		}
+		if got, want := reg.Gauge("tracker.belief.edges").Value(), int64(tr.BeliefEdges().Len()); got != want {
+			t.Fatalf("after %s: tracker.belief.edges = %d, want %d", when, got, want)
+		}
 	}
-	if got := reg.Gauge("tracker.belief.edges").Value(); got != int64(tr.Belief().NumEdges()) {
-		t.Fatalf("tracker.belief.edges = %d, want %d", got, tr.Belief().NumEdges())
+	if tr.Believed(1, 2) {
+		t.Fatal("removal did not flip the verdict")
 	}
+	checkBelief("a removal flip")
 	if got := reg.Gauge("tracker.budget_used").Value(); got != int64(rep.Planned) {
 		t.Fatalf("tracker.budget_used = %d, want %d", got, rep.Planned)
 	}
+
+	truth.Add(1, 5)
+	tr.Observe(1, 5)
+	if _, err := tr.Tick(); err != nil {
+		t.Fatal(err)
+	}
+	if !tr.Believed(1, 5) {
+		t.Fatal("addition did not flip the verdict")
+	}
+	checkBelief("an addition flip")
 
 	// A failed batch lands in pairs.failed and leaves the queue non-empty.
 	o.failNext = true
