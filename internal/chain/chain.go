@@ -86,12 +86,18 @@ type MinerConfig struct {
 	GasLimit uint64
 	// BroadcastDelay is the time for a block to reach the whole network.
 	BroadcastDelay float64
+	// BaseFee, when non-zero, makes the miner an EIP-1559 one (Appendix E)
+	// with this first base fee: blocks pack by effective tip above the
+	// running base fee, which moves per NextBaseFee and reaches every pool
+	// with its block. Zero keeps legacy gas-price packing.
+	BaseFee uint64
 }
 
 // Miner drives block production on a network. Each round, the next miner
 // node (round-robin over the registered miners) packs a block from its own
-// mempool. It is the sim.Handler of its own events: argument 0 is a
-// production round, argument n applies block n network-wide.
+// mempool, by PackBlock or, with a base fee configured, PackBlock1559. It is
+// the sim.Handler of its own events: argument 0 is a production round,
+// argument n applies block n network-wide.
 type Miner struct {
 	net    *ethsim.Network
 	cfg    MinerConfig
@@ -101,6 +107,11 @@ type Miner struct {
 	stop   bool
 	stopAt float64
 
+	baseFee uint64 // the next block's base fee; 0 on a legacy miner
+	// fees[n-1] is the base fee block n leaves behind, pushed into the pools
+	// when block n is applied (EIP-1559 only).
+	fees []uint64
+
 	// OnBlock, when set, fires after each block is applied network-wide.
 	OnBlock func(b *types.Block)
 }
@@ -109,11 +120,15 @@ type Miner struct {
 func NewMiner(net *ethsim.Network, cfg MinerConfig, miners []types.NodeID) *Miner {
 	ids := append([]types.NodeID(nil), miners...)
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return &Miner{net: net, cfg: cfg, chain: NewChain(), ids: ids}
+	return &Miner{net: net, cfg: cfg, chain: NewChain(), ids: ids, baseFee: cfg.BaseFee}
 }
 
 // Chain returns the chain being produced.
 func (m *Miner) Chain() *Chain { return m.chain }
+
+// BaseFee returns the base fee the next block will carry (0 on a legacy
+// miner).
+func (m *Miner) BaseFee() uint64 { return m.baseFee }
 
 // Start schedules recurring block production until Stop or virtual time
 // stopAt (0 = unbounded).
@@ -129,40 +144,52 @@ func (m *Miner) Start(stopAt float64) {
 func (m *Miner) Stop() { m.stop = true }
 
 // HandleEvent runs one production round (arg 0) or applies block arg. A
-// round schedules its successor only after ProduceBlock has scheduled the
+// round schedules its successor only after produceBlock has scheduled the
 // block's application, so the two keep their relative sequence numbers.
 func (m *Miner) HandleEvent(arg uint64) {
 	if arg != 0 {
-		m.apply(m.chain.blocks[arg-1])
+		m.apply(arg)
 		return
 	}
 	if m.stop || (m.stopAt > 0 && m.net.Now() >= m.stopAt) {
 		return
 	}
-	m.ProduceBlock()
+	m.produceBlock()
 	m.net.Engine().AfterHandler(m.cfg.Interval, m, 0)
 }
 
-// ProduceBlock immediately mines one block on the next miner in rotation
-// and applies it network-wide after the broadcast delay. It returns the
-// block (which may be empty).
-func (m *Miner) ProduceBlock() *types.Block {
+// produceBlock mines one block (which may be empty) on the next miner in
+// rotation and schedules its application after the broadcast delay.
+func (m *Miner) produceBlock() {
 	id := m.ids[m.next%len(m.ids)]
 	m.next++
 	node := m.net.Node(id)
 	if node == nil {
-		return nil
+		return
 	}
-	b := PackBlock(node, uint64(m.chain.Height()+1), m.cfg.GasLimit, m.net.Now())
+	number := uint64(m.chain.Height() + 1)
+	var b *types.Block
+	if m.cfg.BaseFee == 0 {
+		b = PackBlock(node, number, m.cfg.GasLimit, m.net.Now())
+	} else {
+		b = PackBlock1559(node, number, m.cfg.GasLimit, m.baseFee, m.net.Now())
+		m.baseFee = NextBaseFee(m.baseFee, b.GasUsed, b.GasLimit)
+		m.fees = append(m.fees, m.baseFee)
+	}
 	m.chain.append(b)
 	m.net.Engine().AfterHandler(m.cfg.BroadcastDelay, m, b.Number)
-	return b
 }
 
-// apply removes included transactions from every pool.
-func (m *Miner) apply(b *types.Block) {
+// apply removes block n's transactions from every pool and, on an EIP-1559
+// miner, sets the base fee the block leaves behind (dropping newly
+// underpriced transactions, the Appendix-E "negative priority fee" rule).
+func (m *Miner) apply(n uint64) {
+	b := m.chain.blocks[n-1]
 	for _, nd := range m.net.Nodes() {
 		nd.Pool().RemoveConfirmed(b.Txs)
+		if m.cfg.BaseFee != 0 {
+			nd.Pool().SetBaseFee(m.fees[n-1])
+		}
 	}
 	if m.OnBlock != nil {
 		m.OnBlock(b)

@@ -72,8 +72,8 @@ func TestMiner1559AdjustsBaseFeeAndDrops(t *testing.T) {
 	w := ethsim.NewWorkload(net, 20, 10*types.Gwei, 20*types.Gwei)
 	w.Prefill(100, 2)
 	w.Start(0)
-	m := NewMiner1559(net, MinerConfig{Interval: 5, GasLimit: 21000 * 10, BroadcastDelay: 0.5},
-		ids[:1], types.Gwei)
+	m := NewMiner(net, MinerConfig{Interval: 5, GasLimit: 21000 * 10, BroadcastDelay: 0.5, BaseFee: types.Gwei},
+		ids[:1])
 	m.Start(0)
 	net.RunFor(60)
 	m.Stop()

@@ -2,6 +2,7 @@ package chain
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -21,10 +22,13 @@ func minedWorld(seed int64) (*ethsim.Network, []types.NodeID) {
 }
 
 // TestMinerScheduleGolden pins block numbers, block times and per-block
-// transaction counts (plus Miner1559's base-fee sequence) on a fixed seed.
-// The expectations were recorded before the miners became sim.Handlers, so the
-// handler events must reproduce the same rounds, the same draws and
-// the same equal-time ordering of block application against traffic.
+// transaction counts (plus the EIP-1559 miner's base-fee sequence) on a fixed
+// seed. The expectations were recorded before the miners became sim.Handlers,
+// so the handler events must reproduce the same rounds, the same draws and
+// the same equal-time ordering of block application against traffic. Both
+// modes share one miner, so each also checks what the other's mode must not
+// change: a legacy miner leaves every pool's base fee at 0, and an EIP-1559
+// miner fires OnBlock once per applied block, in block order.
 func TestMinerScheduleGolden(t *testing.T) {
 	cfg := MinerConfig{Interval: 5, GasLimit: 40 * types.TxGasTransfer, BroadcastDelay: 0.5}
 
@@ -37,6 +41,11 @@ func TestMinerScheduleGolden(t *testing.T) {
 		}
 		m.Start(stopAt)
 		net.RunFor(42)
+		for _, nd := range net.Nodes() {
+			if fee := nd.Pool().BaseFee(); fee != 0 {
+				t.Errorf("legacy miner left node %d's pool at base fee %d", nd.ID(), fee)
+			}
+		}
 		var sb strings.Builder
 		for _, b := range m.Chain().Blocks() {
 			fmt.Fprintf(&sb, "%d@%.6f:%d ", b.Number, b.Time, len(b.Txs))
@@ -45,12 +54,25 @@ func TestMinerScheduleGolden(t *testing.T) {
 	}
 	dynamic := func(stopAt float64) string {
 		net, ids := minedWorld(12)
-		m := NewMiner1559(net, cfg, ids[:1], types.Gwei)
+		cfg := cfg
+		cfg.BaseFee = types.Gwei
+		m := NewMiner(net, cfg, ids[:1])
+		var applied []uint64
+		m.OnBlock = func(b *types.Block) { applied = append(applied, b.Number) }
 		m.Start(stopAt)
 		var sb strings.Builder
 		for i := 0; i < 6; i++ {
 			net.RunFor(7)
 			fmt.Fprintf(&sb, "h%d/fee%d/pool%d ", m.Chain().Height(), m.BaseFee(), net.Node(ids[3]).Pool().BaseFee())
+		}
+		var due []uint64
+		for _, b := range m.Chain().Blocks() {
+			if b.Time+cfg.BroadcastDelay <= net.Now() {
+				due = append(due, b.Number)
+			}
+		}
+		if !slices.Equal(applied, due) {
+			t.Errorf("EIP-1559 miner fired OnBlock for blocks %v, want %v", applied, due)
 		}
 		for _, b := range m.Chain().Blocks() {
 			fmt.Fprintf(&sb, "%d@%.6f:%d ", b.Number, b.Time, len(b.Txs))

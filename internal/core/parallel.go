@@ -352,13 +352,13 @@ func planNetworkBatches(nodes []types.NodeID, k, edgeBudget int) []planBatch {
 		rest := nodes[restStart:]
 		iteration++
 		for s0 := 0; s0 < len(g); s0 += sp {
-			schunk := g[s0:minInt(s0+sp, len(g))]
+			schunk := g[s0:min(s0+sp, len(g))]
 			sq := edgeBudget / len(schunk)
 			if sq < 1 {
 				sq = 1
 			}
 			for t0 := 0; t0 < len(rest); t0 += sq {
-				tchunk := rest[t0:minInt(t0+sq, len(rest))]
+				tchunk := rest[t0:min(t0+sq, len(rest))]
 				edges := make([]Edge, 0, len(schunk)*len(tchunk))
 				for _, a := range schunk {
 					for _, b := range tchunk {
@@ -491,13 +491,6 @@ func isqrt(n int) int {
 		r++
 	}
 	return r
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // MeasureAllPairsSerial measures every pair with the one-link primitive —

@@ -10,15 +10,11 @@ import (
 	"toposhot/internal/types"
 )
 
-// PreprocessReport records the pre-processing phase of §5.2.3/§6.2.1: nodes
-// excluded from measurement (with reasons) and per-node Z overrides
-// discovered for non-default mempool sizes.
+// PreprocessReport records the pre-processing phase of §5.2.3/§6.2.1: the
+// nodes excluded from measurement, with reasons.
 type PreprocessReport struct {
 	// Excluded maps a node to the reason it was removed from the target set.
 	Excluded map[types.NodeID]string
-	// ZDiscovered maps nodes with enlarged mempools to the future-count
-	// that measured them successfully.
-	ZDiscovered map[types.NodeID]int
 }
 
 // Eligible reports whether a node survived pre-processing.
@@ -48,10 +44,7 @@ func (r *PreprocessReport) EligibleNodes(ids []types.NodeID) []types.NodeID {
 //     with the whole network, playing §6.2.1's "monitor node") whether it
 //     comes back; forwarders are excluded.
 func (m *Measurer) Preprocess(nodes []types.NodeID) *PreprocessReport {
-	rep := &PreprocessReport{
-		Excluded:    make(map[types.NodeID]string),
-		ZDiscovered: make(map[types.NodeID]int),
-	}
+	rep := &PreprocessReport{Excluded: make(map[types.NodeID]string)}
 	m.v.Retire()
 	y := m.resolveY()
 

@@ -46,11 +46,12 @@ func AppE(seed int64) (*AppEResult, error) {
 	}
 
 	const initialBaseFee = types.Gwei / 4
-	miners := chain.NewMiner1559(net, chain.MinerConfig{
+	miners := chain.NewMiner(net, chain.MinerConfig{
 		Interval:       13,
 		GasLimit:       21000 * 20,
 		BroadcastDelay: 1,
-	}, []types.NodeID{inst.IDs[0], inst.IDs[1]}, initialBaseFee)
+		BaseFee:        initialBaseFee,
+	}, []types.NodeID{inst.IDs[0], inst.IDs[1]})
 	miners.Start(0)
 	net.RunFor(40)
 

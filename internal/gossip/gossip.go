@@ -6,7 +6,6 @@
 package gossip
 
 import (
-	"hash/maphash"
 	"math"
 
 	"toposhot/internal/txpool"
@@ -90,20 +89,15 @@ func Answer(dst []*types.Transaction, pool *txpool.Pool, hashes []types.Hash, as
 // table. A hash re-armed after expiry leaves a stale ring entry behind, which
 // Sweep and Live tell from the hash's current entry, its latest arm.
 //
-// The index idx finds a hash's current entry without a Go map: an
-// open-addressing table of 8-byte slots, each a 32-bit tag of the hash and the
-// entry's ring number, probed linearly at load ≤ ½ and deleted from by
-// backward shift. A ring number counts arms (mod 2³²) and q[i] has number
-// base+i; compaction advances base, so no slot is rewritten. The tag hashes
-// all 32 bytes under a per-process seed, because a live node locks hashes its
-// peers choose (a prefix would let them pile hashes into one probe run); the
-// seed moves slots around the table and changes nothing else.
+// The index idx (a types.SlotIndex) finds a hash's current entry without a
+// Go map: each slot holds a tag of all 32 hash bytes and the entry's ring
+// number. A ring number counts arms (mod 2³²) and q[i] has number base+i;
+// compaction advances base, so no slot is rewritten.
 type Locks struct {
 	q    []lockEntry
 	head int
 	base uint32
-	idx  []lockSlot
-	live int // occupied slots of idx: the locked hashes
+	idx  types.SlotIndex
 }
 
 type lockEntry struct {
@@ -111,40 +105,22 @@ type lockEntry struct {
 	until float64
 }
 
-// lockSlot is one index slot: tag 0 marks it empty, and tag&(len(idx)-1) is
-// the slot its probe starts at.
-type lockSlot struct {
-	tag, ring uint32
-}
-
-var lockSeed = maphash.MakeSeed()
-
-// lockTag returns h's non-zero index tag.
+// find returns the index slot of h's current entry, whose tag is given, or
+// -1 when h holds no lock.
 //
 //toposhot:hotpath
-func lockTag(h *types.Hash) uint32 {
-	if t := uint32(maphash.Bytes(lockSeed, h[:])); t != 0 {
-		return t
+func (l *Locks) find(h *types.Hash, tag uint32) int {
+	if len(l.idx.Slots) == 0 {
+		return -1
 	}
-	return 1
-}
-
-// find returns the slot of h's current entry, or, when h holds no lock, the
-// empty slot where its probe ended (-1 in an unallocated index).
-//
-//toposhot:hotpath
-func (l *Locks) find(h *types.Hash, tag uint32) (int, bool) {
-	if len(l.idx) == 0 {
-		return -1, false
-	}
-	mask := len(l.idx) - 1
+	mask := len(l.idx.Slots) - 1
 	for i := int(tag) & mask; ; i = (i + 1) & mask {
-		s := l.idx[i]
-		if s.tag == 0 {
-			return i, false
+		s := l.idx.Slots[i]
+		if s.Tag == 0 {
+			return -1
 		}
-		if s.tag == tag && l.q[s.ring-l.base].h == *h {
-			return i, true
+		if s.Tag == tag && l.q[s.Ref-l.base].h == *h {
+			return i
 		}
 	}
 }
@@ -152,7 +128,7 @@ func (l *Locks) find(h *types.Hash, tag uint32) (int, bool) {
 // until returns the deadline of the entry slot i points at.
 //
 //toposhot:hotpath
-func (l *Locks) until(i int) float64 { return l.q[l.idx[i].ring-l.base].until }
+func (l *Locks) until(i int) float64 { return l.q[l.idx.Slots[i].Ref-l.base].until }
 
 // Fetch reports whether an announcement of h at time now is to be requested:
 // false while h's lock is live (a lock hit), else it arms the lock until
@@ -160,72 +136,32 @@ func (l *Locks) until(i int) float64 { return l.q[l.idx[i].ring-l.base].until }
 //
 //toposhot:hotpath
 func (l *Locks) Fetch(h types.Hash, now, window float64) bool {
-	tag := lockTag(&h)
-	i, ok := l.find(&h, tag)
-	if ok && now < l.until(i) {
+	tag := types.SlotTag(h[:])
+	i := l.find(&h, tag)
+	if i >= 0 && now < l.until(i) {
 		return false
 	}
-	l.arm(h, now+window, tag, i, ok)
+	l.arm(h, now+window, tag, i)
 	return true
 }
 
 // Arm locks h until the given time. Locks are armed in expiry order (Fetch
 // does so; a checkpoint restore re-arms Live's output).
 func (l *Locks) Arm(h types.Hash, until float64) {
-	tag := lockTag(&h)
-	i, ok := l.find(&h, tag)
-	l.arm(h, until, tag, i, ok)
+	tag := types.SlotTag(h[:])
+	l.arm(h, until, tag, l.find(&h, tag))
 }
 
-// arm appends h's new current entry and points h's slot at it: slot i when
-// found, else a new slot at the end of h's probe.
-func (l *Locks) arm(h types.Hash, until float64, tag uint32, i int, found bool) {
+// arm appends h's new current entry and points h's slot at it: slot i when h
+// has one (i ≥ 0), else a new slot.
+func (l *Locks) arm(h types.Hash, until float64, tag uint32, i int) {
 	ring := l.base + uint32(len(l.q))
 	l.q = append(l.q, lockEntry{h: h, until: until})
-	if found {
-		l.idx[i].ring = ring
+	if i >= 0 {
+		l.idx.Slots[i].Ref = ring
 		return
 	}
-	if 2*(l.live+1) > len(l.idx) {
-		l.grow()
-		i, _ = l.find(&h, tag)
-	}
-	l.idx[i] = lockSlot{tag: tag, ring: ring}
-	l.live++
-}
-
-// grow doubles the index (to 8 slots from none) and re-places every slot.
-func (l *Locks) grow() {
-	old := l.idx
-	l.idx = make([]lockSlot, max(8, 2*len(old)))
-	mask := len(l.idx) - 1
-	for _, s := range old {
-		if s.tag == 0 {
-			continue
-		}
-		i := int(s.tag) & mask
-		for l.idx[i].tag != 0 {
-			i = (i + 1) & mask
-		}
-		l.idx[i] = s
-	}
-}
-
-// remove empties slot i, shifting back every later slot of its probe run
-// whose probe starts at or before the hole, so no probe crosses an empty slot
-// before its hash.
-//
-//toposhot:hotpath
-func (l *Locks) remove(i int) {
-	mask := len(l.idx) - 1
-	for j := (i + 1) & mask; l.idx[j].tag != 0; j = (j + 1) & mask {
-		if home := int(l.idx[j].tag) & mask; (j-home)&mask >= (j-i)&mask {
-			l.idx[i] = l.idx[j]
-			i = j
-		}
-	}
-	l.idx[i] = lockSlot{}
-	l.live--
+	l.idx.Insert(types.Slot{Tag: tag, Ref: ring})
 }
 
 // Live calls fn for every locked hash's current entry, in expiry order;
@@ -233,7 +169,7 @@ func (l *Locks) remove(i int) {
 func (l *Locks) Live(fn func(h types.Hash, until float64)) {
 	for k := l.head; k < len(l.q); k++ {
 		e := &l.q[k]
-		if i, ok := l.find(&e.h, lockTag(&e.h)); ok && l.idx[i].ring == l.base+uint32(k) {
+		if i := l.find(&e.h, types.SlotTag(e.h[:])); i >= 0 && l.idx.Slots[i].Ref == l.base+uint32(k) {
 			fn(e.h, e.until)
 		}
 	}
@@ -248,8 +184,8 @@ func (l *Locks) Sweep(now float64) {
 	for head < len(q) && now >= q[head].until {
 		h := &q[head].h
 		head++
-		if i, ok := l.find(h, lockTag(h)); ok && now >= l.until(i) {
-			l.remove(i)
+		if i := l.find(h, types.SlotTag(h[:])); i >= 0 && now >= l.until(i) {
+			l.idx.Remove(i)
 		}
 	}
 	l.head = head

@@ -116,7 +116,7 @@ func TestLocksFetch(t *testing.T) {
 // lockOf returns h's lock deadline and whether h is locked: the map-backed
 // table's until[h].
 func lockOf(l *Locks, h types.Hash) (float64, bool) {
-	if i, ok := l.find(&h, lockTag(&h)); ok {
+	if i := l.find(&h, types.SlotTag(h[:])); i >= 0 {
 		return l.until(i), true
 	}
 	return 0, false
@@ -155,8 +155,8 @@ func TestLocksSweepRing(t *testing.T) {
 	}
 
 	l.Sweep(12)
-	if l.live != 0 {
-		t.Fatalf("locks remain after final sweep: %d", l.live)
+	if l.idx.Len() != 0 {
+		t.Fatalf("locks remain after final sweep: %d", l.idx.Len())
 	}
 	if l.head != 0 || len(l.q) != 0 {
 		t.Fatalf("drained ring not compacted: head=%d len=%d", l.head, len(l.q))
@@ -181,14 +181,14 @@ func TestLocksAdversarialKeys(t *testing.T) {
 		}
 	}
 	if run := longestRun(&l); run >= 64 {
-		t.Fatalf("longest probe run is %d slots of %d, want < 64", run, len(l.idx))
+		t.Fatalf("longest probe run is %d slots of %d, want < 64", run, len(l.idx.Slots))
 	}
 	// Hash i is locked over [i, i+w). A sweep at t drops those with i+w ≤ t,
 	// and a Fetch at t+1 re-arms those with i+w ≤ t+1.
 	const w, t0 = int(AnnounceLock), n / 2
 	l.Sweep(t0)
-	if want := n - (t0 - w + 1); l.live != want {
-		t.Fatalf("%d locks live after the sweep at t=%d, want %d", l.live, t0, want)
+	if want := n - (t0 - w + 1); l.idx.Len() != want {
+		t.Fatalf("%d locks live after the sweep at t=%d, want %d", l.idx.Len(), t0, want)
 	}
 	for i, h := range hashes {
 		if got, want := l.Fetch(h, t0+1, AnnounceLock), i+w <= t0+1; got != want {
@@ -196,21 +196,21 @@ func TestLocksAdversarialKeys(t *testing.T) {
 		}
 	}
 	l.Sweep(2 * n)
-	if l.live != 0 || longestRun(&l) != 0 {
-		t.Fatalf("%d locks live after the last sweep", l.live)
+	if l.idx.Len() != 0 || longestRun(&l) != 0 {
+		t.Fatalf("%d locks live after the last sweep", l.idx.Len())
 	}
 }
 
 // longestRun returns the length of the longest run of occupied index slots.
 func longestRun(l *Locks) int {
 	longest, run := 0, 0
-	for _, s := range append(l.idx, l.idx...) { // a run may wrap around the end
-		if s.tag == 0 {
+	for _, s := range append(l.idx.Slots, l.idx.Slots...) { // a run may wrap around the end
+		if s.Tag == 0 {
 			run = 0
 			continue
 		}
 		run++
-		longest = max(longest, min(run, len(l.idx)))
+		longest = max(longest, min(run, len(l.idx.Slots)))
 	}
 	return longest
 }
@@ -302,8 +302,8 @@ func FuzzLocks(f *testing.F) {
 					t.Fatalf("op %d: Live = %v, reference %v", k/2, g, w)
 				}
 			}
-			if got.live != len(want.until) {
-				t.Fatalf("op %d: %d locks live, reference %d", k/2, got.live, len(want.until))
+			if got.idx.Len() != len(want.until) {
+				t.Fatalf("op %d: %d locks live, reference %d", k/2, got.idx.Len(), len(want.until))
 			}
 		}
 	})

@@ -530,22 +530,22 @@ func invariantCheck(t *testing.T, p *Pool) {
 	// depends on.
 	records := make(map[uint32]bool)
 	filed, slots := 0, 0
-	for _, slot := range p.senders.idx {
-		if slot.tag == 0 {
+	for _, slot := range p.senders.idx.Slots {
+		if slot.Tag == 0 {
 			continue
 		}
 		slots++
-		if slot.rec == 0 || slot.rec >= p.senders.n {
-			t.Fatalf("index slot names record %d of %d", slot.rec, p.senders.n)
+		if slot.Ref == 0 || slot.Ref >= p.senders.n {
+			t.Fatalf("index slot names record %d of %d", slot.Ref, p.senders.n)
 		}
-		s := p.senders.at(slot.rec)
+		s := p.senders.at(slot.Ref)
 		addr := s.addr
-		if records[slot.rec] {
+		if records[slot.Ref] {
 			t.Fatalf("sender record of %v is filed under two addresses", addr)
 		}
-		records[slot.rec] = true
-		if s.rec != slot.rec || slot.tag != senderTag(&addr) || p.senders.get(&addr) != s {
-			t.Fatalf("sender record %d of %v is not where its address finds it", slot.rec, addr)
+		records[slot.Ref] = true
+		if s.rec != slot.Ref || slot.Tag != types.SlotTag(addr[:]) || p.senders.get(&addr) != s {
+			t.Fatalf("sender record %d of %v is not where its address finds it", slot.Ref, addr)
 		}
 		live := s.txs
 		if len(live) == 0 && s.stateNonce == 0 {
@@ -553,7 +553,7 @@ func invariantCheck(t *testing.T, p *Pool) {
 		}
 		pending, future := 0, 0
 		for i, e := range live {
-			if e.rec != slot.rec || p.entryFrom(e) != addr || p.findEntry(e) != e {
+			if e.rec != slot.Ref || p.entryFrom(e) != addr || p.findEntry(e) != e {
 				t.Fatalf("sender %v slot %d holds a foreign or dead entry", addr, i)
 			}
 			if e.nonce < s.stateNonce || (i > 0 && live[i-1].nonce >= e.nonce) {
@@ -573,8 +573,8 @@ func invariantCheck(t *testing.T, p *Pool) {
 	if filed != p.Len() {
 		t.Fatalf("sender records hold %d entries, pool %d", filed, p.Len())
 	}
-	if slots != p.senders.live {
-		t.Fatalf("index holds %d records, its count says %d", slots, p.senders.live)
+	if slots != p.senders.idx.Len() {
+		t.Fatalf("index holds %d records, its count says %d", slots, p.senders.idx.Len())
 	}
 	// Released records are zeroed but for a one-slot nonce array, and none is
 	// still live or stacked twice; every record of the slab but the unused

@@ -66,8 +66,8 @@ func FuzzSenders(f *testing.F) {
 					add(senderKey(byte(j), k), uint64(k+1))
 				}
 			}
-			if got.live != len(want) {
-				t.Fatalf("op %d: %d records live, reference %d", k/2, got.live, len(want))
+			if got.idx.Len() != len(want) {
+				t.Fatalf("op %d: %d records live, reference %d", k/2, got.idx.Len(), len(want))
 			}
 		}
 		for a, stamp := range want {
@@ -94,7 +94,7 @@ func TestSenderTableAdversarialKeys(t *testing.T) {
 		tab.add(&addrs[i]).stateNonce = uint64(i + 1)
 	}
 	if run := longestSenderRun(&tab); run >= 64 {
-		t.Fatalf("longest probe run is %d slots of %d, want < 64", run, len(tab.idx))
+		t.Fatalf("longest probe run is %d slots of %d, want < 64", run, len(tab.idx.Slots))
 	}
 	for i := range addrs {
 		if s := tab.get(&addrs[i]); s == nil || s.stateNonce != uint64(i+1) {
@@ -112,8 +112,8 @@ func TestSenderTableAdversarialKeys(t *testing.T) {
 	for i := 1; i < n; i += 2 {
 		tab.release(tab.get(&addrs[i]))
 	}
-	if tab.live != 0 || longestSenderRun(&tab) != 0 || len(tab.free) != n || tab.n != n+1 {
-		t.Fatalf("%d records live, %d released of a %d-record slab after releasing all", tab.live, len(tab.free), tab.n-1)
+	if tab.idx.Len() != 0 || longestSenderRun(&tab) != 0 || len(tab.free) != n || tab.n != n+1 {
+		t.Fatalf("%d records live, %d released of a %d-record slab after releasing all", tab.idx.Len(), len(tab.free), tab.n-1)
 	}
 }
 
@@ -121,13 +121,13 @@ func TestSenderTableAdversarialKeys(t *testing.T) {
 // slots.
 func longestSenderRun(t *senderTable) int {
 	longest, run := 0, 0
-	for _, s := range append(t.idx, t.idx...) { // a run may wrap around the end
-		if s.tag == 0 {
+	for _, s := range append(t.idx.Slots, t.idx.Slots...) { // a run may wrap around the end
+		if s.Tag == 0 {
 			run = 0
 			continue
 		}
 		run++
-		longest = max(longest, min(run, len(t.idx)))
+		longest = max(longest, min(run, len(t.idx.Slots)))
 	}
 	return longest
 }

@@ -64,7 +64,7 @@ func (p *Pool) Snapshot() Snapshot {
 	// Released and unused records are zero, so the slab's non-zero nonces
 	// are the live accounts'; the index's slot order never reaches the
 	// snapshot.
-	s.StateNonces = make([]NonceSnapshot, 0, p.senders.live)
+	s.StateNonces = make([]NonceSnapshot, 0, p.senders.idx.Len())
 	for _, pg := range p.senders.pages {
 		for i := range pg {
 			if snd := &pg[i]; snd.stateNonce != 0 {
