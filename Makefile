@@ -34,21 +34,23 @@ check: build vet lint race
 # fuzz gives the protocol decoders a short native-fuzz shake; this is the one
 # list of targets (CI's non-blocking fuzz job runs `make fuzz`), and
 # internal/lint's TestMakeFuzzListsEveryTarget fails when it names a missing
-# target or leaves one out.
+# target or leaves one out. Each target caps the minimization of a new corpus
+# entry at 5 s: at the default 60 s a target can spend most of its 30 s
+# minimizing and execute nothing.
 fuzz:
-	$(GO) test -fuzz=FuzzRLPDecode -fuzztime=30s ./internal/rlp/
-	$(GO) test -fuzz=FuzzFrameParse -fuzztime=30s ./internal/wire/
+	$(GO) test -fuzz=FuzzRLPDecode -fuzztime=30s -fuzzminimizetime=5s ./internal/rlp/
+	$(GO) test -fuzz=FuzzFrameParse -fuzztime=30s -fuzzminimizetime=5s ./internal/wire/
 	$(GO) test -fuzz=FuzzRestoreNetwork -fuzztime=30s -fuzzminimizetime=5s ./internal/ethsim/
-	$(GO) test -fuzz=FuzzEventQueue -fuzztime=30s ./internal/sim/
-	$(GO) test -fuzz=FuzzPoolHeaps -fuzztime=30s ./internal/txpool/
-	$(GO) test -fuzz=FuzzPoolIdentity -fuzztime=30s ./internal/txpool/
-	$(GO) test -fuzz=FuzzIDSet -fuzztime=30s ./internal/txpool/
-	$(GO) test -fuzz=FuzzFutureRun -fuzztime=30s ./internal/txpool/
-	$(GO) test -fuzz=FuzzSenders -fuzztime=30s ./internal/txpool/
-	$(GO) test -fuzz=FuzzTraceJSONL -fuzztime=30s ./internal/trace/
-	$(GO) test -fuzz=FuzzObsJSONL -fuzztime=30s ./internal/obs/
-	$(GO) test -fuzz=FuzzTrackerRestore -fuzztime=30s ./internal/tracker/
-	$(GO) test -fuzz=FuzzLocks -fuzztime=30s ./internal/gossip/
+	$(GO) test -fuzz=FuzzEventQueue -fuzztime=30s -fuzzminimizetime=5s ./internal/sim/
+	$(GO) test -fuzz=FuzzPoolHeaps -fuzztime=30s -fuzzminimizetime=5s ./internal/txpool/
+	$(GO) test -fuzz=FuzzPoolIdentity -fuzztime=30s -fuzzminimizetime=5s ./internal/txpool/
+	$(GO) test -fuzz=FuzzIDSet -fuzztime=30s -fuzzminimizetime=5s ./internal/txpool/
+	$(GO) test -fuzz=FuzzFutureRun -fuzztime=30s -fuzzminimizetime=5s ./internal/txpool/
+	$(GO) test -fuzz=FuzzSenders -fuzztime=30s -fuzzminimizetime=5s ./internal/txpool/
+	$(GO) test -fuzz=FuzzTraceJSONL -fuzztime=30s -fuzzminimizetime=5s ./internal/trace/
+	$(GO) test -fuzz=FuzzObsJSONL -fuzztime=30s -fuzzminimizetime=5s ./internal/obs/
+	$(GO) test -fuzz=FuzzTrackerRestore -fuzztime=30s -fuzzminimizetime=5s ./internal/tracker/
+	$(GO) test -fuzz=FuzzLocks -fuzztime=30s -fuzzminimizetime=5s ./internal/gossip/
 
 # loc prints the non-test, non-fixture Go lines per package and in total: the
 # number "small" is measured by.

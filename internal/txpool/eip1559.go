@@ -28,9 +28,9 @@ func (p *Pool) SetBaseFee(baseFee uint64) []*types.Transaction {
 		return nil
 	}
 	var drop []*types.Transaction
-	for e := p.oldest; e != nil; e = e.next {
-		if e.price < baseFee { // the fee cap
-			drop = append(drop, p.object(e))
+	for i := p.oldest; i != 0; i = p.entries.at(i).next {
+		if p.entries.at(i).price < baseFee { // the fee cap
+			drop = append(drop, p.object(i))
 		}
 	}
 	// Drop in hash order: the removal sequence feeds DropObserver and the

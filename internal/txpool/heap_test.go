@@ -7,17 +7,18 @@ import (
 )
 
 // refHeap is the container/heap reference the typed heaps must match slot
-// for slot: the same two comparators over the same entries, with its own
-// index bookkeeping.
+// for slot: the same two comparators over the same slab entries, with its
+// own index bookkeeping.
 type refHeap struct {
-	a    []*entry
+	a    []uint32
 	kind int
-	at   map[*entry]int
+	slab *entrySlab
+	at   map[uint32]int
 }
 
 func (h *refHeap) Len() int { return len(h.a) }
 func (h *refHeap) Less(i, j int) bool {
-	x, y := h.a[i], h.a[j]
+	x, y := h.slab.at(h.a[i]), h.slab.at(h.a[j])
 	if x.price != y.price {
 		return x.price < y.price
 	}
@@ -31,7 +32,7 @@ func (h *refHeap) Swap(i, j int) {
 	h.at[h.a[i]], h.at[h.a[j]] = i, j
 }
 func (h *refHeap) Push(x interface{}) {
-	e := x.(*entry)
+	e := x.(uint32)
 	h.at[e] = len(h.a)
 	h.a = append(h.a, e)
 }
@@ -43,8 +44,9 @@ func (h *refHeap) Pop() interface{} {
 }
 
 // FuzzPoolHeaps drives a typed heap and the container/heap reference with
-// the same seeded push/remove stream and requires identical array layouts
-// after every step. Prices come from a tiny set so ties dominate, and under
+// the same seeded push/remove stream over one slab's entry numbers, removed
+// entries going back to the slab for reuse, and requires identical array
+// layouts after every step. Prices come from a tiny set so ties dominate, and under
 // the price comparator pending flags flip between operations without a
 // re-sift — exactly how the pool treats its price heap — so the comparator
 // is exercised as the non-total order it is.
@@ -58,15 +60,17 @@ func FuzzPoolHeaps(f *testing.F) {
 		if future {
 			kind = futureHeap
 		}
-		h := entryHeap{kind: kind}
-		ref := &refHeap{kind: kind, at: map[*entry]int{}}
-		var members []*entry
+		var slab entrySlab
+		h := entryHeap{kind: kind, slab: &slab}
+		ref := &refHeap{kind: kind, slab: &slab, at: map[uint32]int{}}
+		var members []uint32
 		var seq uint64
 		for step := 0; step < (int(size)+1)*8; step++ {
 			switch k := rng.Intn(10); {
 			case k < 6 || len(members) == 0:
 				seq++
-				e := &entry{price: uint64(1 + rng.Intn(4)), seq: seq, pending: rng.Intn(2) == 0, idx: [2]int32{-1, -1}}
+				e := slab.alloc()
+				*slab.at(e) = entry{price: uint64(1 + rng.Intn(4)), seq: seq, pending: rng.Intn(2) == 0, idx: [2]int32{-1, -1}}
 				members = append(members, e)
 				h.push(e)
 				heap.Push(ref, e)
@@ -77,21 +81,22 @@ func FuzzPoolHeaps(f *testing.F) {
 				members = members[:len(members)-1]
 				heap.Remove(ref, ref.at[e])
 				h.remove(e)
-				if e.idx[kind] != -1 {
-					t.Fatalf("step %d: removed entry keeps slot %d", step, e.idx[kind])
+				if slot := slab.at(e).idx[kind]; slot != -1 {
+					t.Fatalf("step %d: removed entry keeps slot %d", step, slot)
 				}
 				h.remove(e) // removing an absent entry is a no-op
+				slab.release(e)
 			default:
-				e := members[rng.Intn(len(members))]
+				e := slab.at(members[rng.Intn(len(members))])
 				e.pending = !e.pending
 			}
 			if len(h.a) != len(ref.a) {
 				t.Fatalf("step %d: typed heap holds %d entries, reference %d", step, len(h.a), len(ref.a))
 			}
 			for i, e := range ref.a {
-				if h.a[i] != e || int(e.idx[kind]) != i {
+				if h.a[i] != e || int(slab.at(e).idx[kind]) != i {
 					t.Fatalf("step %d: slot %d diverged from container/heap (seq %d vs %d, idx %d)",
-						step, i, h.a[i].seq, e.seq, e.idx[kind])
+						step, i, slab.at(h.a[i]).seq, slab.at(e).seq, slab.at(e).idx[kind])
 				}
 			}
 			if e := h.top(); len(ref.a) > 0 && e != ref.a[0] {

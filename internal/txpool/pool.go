@@ -102,44 +102,44 @@ func (v Victim) Tx() *types.Transaction {
 	return v.run.Tx(int(v.nonce - v.run.Nonce))
 }
 
-// entry is one buffered transaction. At 80 B it allocates from the 80-B size
-// class (TestEntrySize): a pool holds thousands.
+// entry is one buffered transaction, kept by value in the pool's slab and
+// named by its number there. It holds no pointer: its transaction object sits
+// in the slab's column beside it (entrySlab.tx). An entry admitted as a run
+// member (OfferRun) starts without one — it is the member at nonce of its
+// sender's run — and Pool.build makes it on first demand and keeps it there,
+// so every caller that is handed the member gets the same object. At 64 B,
+// 64 entries fill a 4096-B page (TestEntrySize).
 type entry struct {
-	// tx is the entry's transaction. An entry admitted as a run member
-	// (OfferRun) starts without one — it is the member at nonce of its
-	// sender's run — and Pool.object builds it on first demand and keeps it
-	// here, so every caller that is handed the member gets the same object.
-	tx      *types.Transaction
-	rec     uint32 // the slab number of the sender record holding this entry
-	nonce   uint64
-	price   uint64  // the gas price, kept here so heap sifts stay off the tx
-	added   float64 // pool time at admission, for expiry
-	seq     uint64  // admission sequence, tie-break for equal-price eviction
-	pending bool
-	mark    int32 // scratch: the entry's index in Entries while Snapshot runs
+	nonce uint64
+	price uint64  // the gas price, kept here so heap sifts stay off the tx
+	added float64 // pool time at admission, for expiry
+	seq   uint64  // admission sequence, tie-break for equal-price eviction
+	rec   uint32  // the slab number of the sender record holding this entry
+	mark  int32   // scratch: the entry's index in Entries while Snapshot runs
 	// idx holds the entry's slot in the price heap and in the future-only
 	// heap (indexed by heap kind); -1 when not in that heap.
 	idx [2]int32
-	// prev/next link the admission-ordered list; next also chains the free
-	// list once the entry is removed.
-	prev, next *entry
+	// prev/next link the admission-ordered list by entry number; next also
+	// chains the free list once the entry is removed.
+	prev, next uint32
+	pending    bool
 }
 
-// object returns e's transaction, building a run member's on first demand.
-// Only an unbuilt member touches its sender record.
-func (p *Pool) object(e *entry) *types.Transaction {
-	if e.tx == nil {
-		p.senders.at(e.rec).build(e)
+// object returns entry i's transaction, building a run member's on first
+// demand. Only an unbuilt member touches its sender record.
+func (p *Pool) object(i uint32) *types.Transaction {
+	if tx := p.entries.tx(i); tx != nil {
+		return tx
 	}
-	return e.tx
+	return p.build(p.senders.at(p.entries.at(i).rec), i)
 }
 
-// victim describes e as evicted, building nothing.
-func (p *Pool) victim(e *entry) Victim {
-	if e.tx != nil {
-		return Victim{tx: e.tx}
+// victim describes entry i as evicted, building nothing.
+func (p *Pool) victim(i uint32) Victim {
+	if tx := p.entries.tx(i); tx != nil {
+		return Victim{tx: tx}
 	}
-	return Victim{run: p.senders.at(e.rec).run, nonce: e.nonce}
+	return Victim{run: p.senders.at(p.entries.at(i).rec).run, nonce: p.entries.at(i).nonce}
 }
 
 // offered is the transaction one offer submits: the object tx, or, with tx
@@ -157,21 +157,22 @@ func (o *offered) from() *types.Address {
 	return &o.run.From
 }
 
-// holds reports whether e, an entry of s, has o's content. The caller found e
-// in the slot o names, so sender and nonce agree already; two members of one
-// run at one nonce are one member.
+// holds reports whether entry i of s has o's content. The caller found i in
+// the slot o names, so sender and nonce agree already; two members of one run
+// at one nonce are one member.
 //
 //toposhot:hotpath
-func (s *sender) holds(e *entry, o *offered) bool {
+func (p *Pool) holds(s *sender, i uint32, o *offered) bool {
+	tx := p.entries.tx(i)
 	switch {
-	case o.tx == nil && e.tx == nil && s.run == o.run:
+	case o.tx == nil && tx == nil && s.run == o.run:
 		return true
 	case o.tx == nil:
-		return o.run.Equal(int(o.nonce-o.run.Nonce), s.build(e))
-	case e.tx != nil:
-		return e.tx.Equal(o.tx)
+		return o.run.Equal(int(o.nonce-o.run.Nonce), p.build(s, i))
+	case tx != nil:
+		return tx.Equal(o.tx)
 	}
-	return s.run.Equal(int(e.nonce-s.run.Nonce), o.tx)
+	return s.run.Equal(int(p.entries.at(i).nonce-s.run.Nonce), o.tx)
 }
 
 // sender is everything the pool knows about one account, behind a single
@@ -184,14 +185,15 @@ type sender struct {
 	// pending/future tally the account's entries, so the per-account cap
 	// check and repartition's demotion test are O(1).
 	pending, future int32
-	// txs holds the account's entries in ascending nonce order, all at or
-	// above stateNonce. Nonces arrive in order and evictions, expiries and
-	// confirmations take the oldest, so the common edits are an append at
+	// txs holds the account's entry numbers in ascending nonce order, all
+	// at or above stateNonce. Nonces arrive in order and evictions, expiries
+	// and confirmations take the oldest, so the common edits are an append at
 	// the tail and a reslice at the head that moves nothing. A run member
 	// admitted into a full array grows it once for the rest of its run. A
-	// capacity of 1 means a one-slot array of the record's own (removeAt
-	// keeps it so), which the record keeps across its release.
-	txs []*entry
+	// capacity of at most 2 means an array of the record's own allocated with
+	// that many slots (removeAt keeps it so), which the record keeps across
+	// its release.
+	txs []uint32
 	// run is the run whose members this account's unbuilt entries are
 	// (build): a fill's members share a sender, so the run is
 	// remembered once here rather than per entry. A member of another run
@@ -203,54 +205,56 @@ type sender struct {
 	rec  uint32
 }
 
-// build returns the transaction of e, one of s's entries, building a run
-// member's on first demand and keeping it in the entry, so every caller
-// that is handed the member gets the same object.
-func (s *sender) build(e *entry) *types.Transaction {
-	if e.tx == nil {
-		e.tx = s.run.Tx(int(e.nonce - s.run.Nonce))
+// build returns the transaction of entry i, one of s's, building a run
+// member's on first demand and keeping it in the slab's column, so every
+// caller that is handed the member gets the same object.
+func (p *Pool) build(s *sender, i uint32) *types.Transaction {
+	tx := p.entries.tx(i)
+	if tx == nil {
+		tx = s.run.Tx(int(p.entries.at(i).nonce - s.run.Nonce))
+		p.entries.setTx(i, tx)
 	}
-	return e.tx
+	return tx
 }
 
-// adopt makes r the sender's run, building every member of the one before
-// that is still unbuilt.
-func (s *sender) adopt(r *types.Run) {
-	for _, e := range s.txs {
-		s.build(e)
+// adopt makes r the run of s, building every member of the one before that
+// is still unbuilt.
+func (p *Pool) adopt(s *sender, r *types.Run) {
+	for _, i := range s.txs {
+		p.build(s, i)
 	}
 	s.run = r
 }
 
 // search returns the position of nonce in s's nonce order and whether an
 // entry with that nonce is buffered. A nil sender holds nothing.
-func (s *sender) search(nonce uint64) (int, bool) {
+func (p *Pool) search(s *sender, nonce uint64) (int, bool) {
 	if s == nil {
 		return 0, false
 	}
 	n := len(s.txs)
-	if n == 0 || s.txs[n-1].nonce < nonce {
+	if n == 0 || p.entries.at(s.txs[n-1]).nonce < nonce {
 		return n, false
 	}
-	if s.txs[0].nonce >= nonce {
-		return 0, s.txs[0].nonce == nonce
+	if first := p.entries.at(s.txs[0]).nonce; first >= nonce {
+		return 0, first == nonce
 	}
 	lo, hi := 1, n-1 // txs[lo-1] < nonce <= txs[hi]
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if s.txs[mid].nonce < nonce {
+		if p.entries.at(s.txs[mid]).nonce < nonce {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	return lo, s.txs[lo].nonce == nonce
+	return lo, p.entries.at(s.txs[lo]).nonce == nonce
 }
 
-// insertAt places e at position i of the nonce order.
+// insertAt places entry e at position i of the nonce order.
 //
 //toposhot:hotpath
-func (s *sender) insertAt(i int, e *entry) {
+func (s *sender) insertAt(i int, e uint32) {
 	s.txs = append(s.txs, e)
 	if i < len(s.txs)-1 {
 		copy(s.txs[i+1:], s.txs[i:])
@@ -259,22 +263,20 @@ func (s *sender) insertAt(i int, e *entry) {
 }
 
 // removeAt drops position i of the nonce order. The last entry leaves the
-// slice's capacity as it is, and a head reslice never leaves a capacity of 1,
-// so only an array allocated with one slot ever has it.
+// slice's capacity as it is, and a head reslice never leaves a capacity of 2
+// or less, so only an array allocated with at most two slots (the smallest
+// []uint32 allocation holds two) ever has one.
 //
 //toposhot:hotpath
 func (s *sender) removeAt(i int) {
 	n := len(s.txs)
 	switch {
 	case n == 1:
-		s.txs[0] = nil
 		s.txs = s.txs[:0]
-	case i == 0 && cap(s.txs) > 2:
-		s.txs[0] = nil
+	case i == 0 && cap(s.txs) > 3:
 		s.txs = s.txs[1:]
 	default:
 		copy(s.txs[i:], s.txs[i+1:])
-		s.txs[n-1] = nil
 		s.txs = s.txs[:n-1]
 	}
 }
@@ -302,8 +304,11 @@ type Pool struct {
 	// indexedSeq (the admission list ascends in seq, so that is a prefix of
 	// it), and a by-hash call first indexes the younger tail. A pool nobody
 	// asks by hash never computes one.
-	byHash     map[types.Hash]*entry
+	byHash     map[types.Hash]uint32
 	indexedSeq uint64
+
+	// entries holds every entry, live or free, by number.
+	entries entrySlab
 
 	price entryHeap // min-heap over gas price for eviction victims
 	// futures is a second index over future entries only, so the full-pool
@@ -316,11 +321,10 @@ type Pool struct {
 	evictBuf []Victim // backs Result.Evicted: evicting allocates no slice
 
 	// oldest/newest bound the admission-ordered list of live entries:
-	// SetTime expires from oldest, Snapshot walks it.
-	oldest, newest *entry
-	// free chains removed entries for reuse. Live plus free entries never
-	// outnumber the peak population, so the list is bounded by Capacity.
-	free *entry
+	// SetTime expires from oldest, Snapshot walks it. Live plus free entries
+	// (entries.free) never outnumber the peak population, so the slab is
+	// bounded by Capacity.
+	oldest, newest uint32
 
 	pendingCount int
 	futureCount  int
@@ -338,11 +342,10 @@ type Pool struct {
 
 // New returns an empty pool with the given policy.
 func New(policy Policy) *Pool {
-	return &Pool{
-		policy:  policy,
-		price:   entryHeap{kind: priceHeap},
-		futures: entryHeap{kind: futureHeap},
-	}
+	p := &Pool{policy: policy}
+	p.price = entryHeap{kind: priceHeap, slab: &p.entries}
+	p.futures = entryHeap{kind: futureHeap, slab: &p.entries}
+	return p
 }
 
 // Policy returns the pool's policy.
@@ -362,7 +365,7 @@ func (p *Pool) SetTime(now float64) {
 	if p.policy.Expiry <= 0 {
 		return
 	}
-	for e := p.oldest; e != nil && now-e.added > p.policy.Expiry; e = p.oldest {
+	for e := p.oldest; e != 0 && now-p.entries.at(e).added > p.policy.Expiry; e = p.oldest {
 		var tx *types.Transaction
 		if p.DropObserver != nil {
 			tx = p.object(e)
@@ -384,19 +387,19 @@ func (p *Pool) PendingCount() int { return p.pendingCount }
 // FutureCount returns the number of nonce-gapped transactions.
 func (p *Pool) FutureCount() int { return p.futureCount }
 
-// find returns the entry holding tx — the same object or one of equal
-// content — or nil. No hash is computed: tx can only sit in the one slot its
-// sender and nonce name.
+// find returns the number of the entry holding tx — the same object or one
+// of equal content — or 0. No hash is computed: tx can only sit in the one
+// slot its sender and nonce name.
 //
 //toposhot:hotpath
-func (p *Pool) find(tx *types.Transaction) *entry {
+func (p *Pool) find(tx *types.Transaction) uint32 {
 	s := p.senders.get(&tx.From)
-	if i, ok := s.search(tx.Nonce); ok {
-		if e := s.txs[i]; s.holds(e, &offered{tx: tx}) {
+	if i, ok := p.search(s, tx.Nonce); ok {
+		if e := s.txs[i]; p.holds(s, e, &offered{tx: tx}) {
 			return e
 		}
 	}
-	return nil
+	return 0
 }
 
 // Contains reports whether the pool holds tx (by content, as Has would for
@@ -405,7 +408,7 @@ func (p *Pool) find(tx *types.Transaction) *entry {
 //
 //toposhot:hotpath
 func (p *Pool) Contains(tx *types.Transaction) bool {
-	return p.livePending(tx) || p.find(tx) != nil
+	return p.livePending(tx) || p.find(tx) != 0
 }
 
 // ContainsPending reports whether the pool holds tx as a pending transaction.
@@ -416,7 +419,7 @@ func (p *Pool) ContainsPending(tx *types.Transaction) bool {
 		return true
 	}
 	e := p.find(tx)
-	return e != nil && e.pending
+	return e != 0 && p.entries.at(e).pending
 }
 
 // livePending reports whether the pool holds this very object pending. An
@@ -426,18 +429,18 @@ func (p *Pool) livePending(tx *types.Transaction) bool {
 	return id != 0 && p.live.has(id)
 }
 
-// lookup returns the entry with the given hash, or nil, after bringing the
-// by-hash index up to date with the admission list — so Has, Get and
-// IsPending write to the pool, and a caller sharing one between goroutines
+// lookup returns the number of the entry with the given hash, or 0, after
+// bringing the by-hash index up to date with the admission list — so Has, Get
+// and IsPending write to the pool, and a caller sharing one between goroutines
 // holds its lock exclusively for them too. The first call sizes the map for
 // the whole pool: grown by doubling instead, a pool probed once at the end of
 // a run would carry the garbage of every smaller table it outgrew.
-func (p *Pool) lookup(h types.Hash) *entry {
+func (p *Pool) lookup(h types.Hash) uint32 {
 	if p.indexedSeq != p.admitSeq {
 		if p.byHash == nil {
-			p.byHash = make(map[types.Hash]*entry, p.Len())
+			p.byHash = make(map[types.Hash]uint32, p.Len())
 		}
-		for e := p.newest; e != nil && e.seq > p.indexedSeq; e = e.prev {
+		for e := p.newest; e != 0 && p.entries.at(e).seq > p.indexedSeq; e = p.entries.at(e).prev {
 			p.byHash[p.object(e).Hash()] = e
 		}
 		p.indexedSeq = p.admitSeq
@@ -446,11 +449,11 @@ func (p *Pool) lookup(h types.Hash) *entry {
 }
 
 // Has reports whether the pool holds the transaction with the given hash.
-func (p *Pool) Has(h types.Hash) bool { return p.lookup(h) != nil }
+func (p *Pool) Has(h types.Hash) bool { return p.lookup(h) != 0 }
 
 // Get returns the buffered transaction with the given hash, or nil.
 func (p *Pool) Get(h types.Hash) *types.Transaction {
-	if e := p.lookup(h); e != nil {
+	if e := p.lookup(h); e != 0 {
 		return p.object(e)
 	}
 	return nil
@@ -460,8 +463,8 @@ func (p *Pool) Get(h types.Hash) *types.Transaction {
 // given nonce, or nil.
 func (p *Pool) GetBySenderNonce(sender types.Address, nonce uint64) *types.Transaction {
 	s := p.senders.get(&sender)
-	if i, ok := s.search(nonce); ok {
-		return s.build(s.txs[i])
+	if i, ok := p.search(s, nonce); ok {
+		return p.build(s, s.txs[i])
 	}
 	return nil
 }
@@ -469,7 +472,7 @@ func (p *Pool) GetBySenderNonce(sender types.Address, nonce uint64) *types.Trans
 // IsPending reports whether the hash is buffered as a pending transaction.
 func (p *Pool) IsPending(h types.Hash) bool {
 	e := p.lookup(h)
-	return e != nil && e.pending
+	return e != 0 && p.entries.at(e).pending
 }
 
 // StateNonce returns the chain nonce recorded for sender.
@@ -494,7 +497,7 @@ func (p *Pool) SetStateNonce(addr types.Address, nonce uint64) []*types.Transact
 		return nil
 	}
 	s.stateNonce = nonce
-	for len(s.txs) > 0 && s.txs[0].nonce < nonce {
+	for len(s.txs) > 0 && p.entries.at(s.txs[0]).nonce < nonce {
 		p.remove(s.txs[0])
 	}
 	if len(s.txs) == 0 {
@@ -515,22 +518,23 @@ func (p *Pool) releaseIfIdle(s *sender) {
 	}
 }
 
-// markPending flips an entry's pending flag, keeping the global and
+// markPending flips entry i's pending flag, keeping the global and
 // per-sender tallies and the pending-only live index in sync.
-func (p *Pool) markPending(e *entry, pending bool) {
+func (p *Pool) markPending(i uint32, pending bool) {
+	e := p.entries.at(i)
 	if e.pending == pending {
 		return
 	}
 	e.pending = pending
 	s := p.senders.at(e.rec)
 	if pending {
-		p.live.add(s.build(e).ID())
+		p.live.add(p.build(s, i).ID())
 		p.pendingCount++
 		p.futureCount--
 		s.pending++
 		s.future--
 	} else {
-		p.live.remove(e.tx.ID())
+		p.live.remove(p.entries.tx(i).ID())
 		p.pendingCount--
 		p.futureCount++
 		s.pending--
@@ -575,7 +579,7 @@ func (p *Pool) offer(o offered) Result {
 	if s != nil {
 		state, futures = s.stateNonce, int(s.future)
 		if o.run != nil && s.run != o.run {
-			s.adopt(o.run)
+			p.adopt(s, o.run)
 		}
 	}
 	if o.nonce < state {
@@ -584,16 +588,17 @@ func (p *Pool) offer(o offered) Result {
 
 	// Replacement path: same sender and nonce as a buffered transaction.
 	// The new entry takes the old one's slot in the nonce order.
-	i, found := s.search(o.nonce)
+	i, found := p.search(s, o.nonce)
 	if found {
 		old := s.txs[i]
-		if s.holds(old, &o) {
+		if p.holds(s, old, &o) {
 			return Result{Status: StatusKnown}
 		}
-		if o.price < p.policy.ReplaceThreshold(old.price) {
+		oe := p.entries.at(old)
+		if o.price < p.policy.ReplaceThreshold(oe.price) {
 			return Result{Status: StatusUnderpriced}
 		}
-		replaced, wasPending := s.build(old), old.pending
+		replaced, wasPending := p.build(s, old), oe.pending
 		p.unlink(old, s)
 		s.txs[i] = p.link(&o, s, wasPending)
 		return Result{Status: StatusReplaced, Replaced: replaced}
@@ -611,31 +616,32 @@ func (p *Pool) offer(o offered) Result {
 	// Capacity pressure: evict until there is room, or reject.
 	evicted := p.evictBuf[:0]
 	for p.Len() >= p.policy.Capacity {
-		var victim *entry
+		var victim uint32
 		if executable {
 			// Executable transactions are first-class: they displace the
 			// cheapest queued future regardless of price (Geth truncates the
 			// queue before touching pending slots), falling back to a
 			// price-checked pending victim.
 			victim = p.cheapestFuture()
-			if victim == nil {
+			if victim == 0 {
 				victim = p.cheapest()
-				if victim == nil || o.price <= victim.price {
+				if victim == 0 || o.price <= p.entries.at(victim).price {
 					return Result{Status: StatusPoolFull}
 				}
 			}
 		} else {
 			victim = p.cheapest()
-			if victim == nil {
+			if victim == 0 {
 				return Result{Status: StatusPoolFull}
 			}
 			// The incoming future must outbid the victim, and may evict a
 			// pending transaction only while the pending population exceeds
 			// P (Table 2's eviction conditions).
-			if o.price <= victim.price {
+			ve := p.entries.at(victim)
+			if o.price <= ve.price {
 				return Result{Status: StatusPoolFull}
 			}
-			if victim.pending && p.pendingCount <= p.policy.MinPendingForEviction {
+			if ve.pending && p.pendingCount <= p.policy.MinPendingForEviction {
 				return Result{Status: StatusPoolFull}
 			}
 		}
@@ -644,7 +650,7 @@ func (p *Pool) offer(o offered) Result {
 		if p.DropObserver != nil {
 			p.object(victim)
 		}
-		v, own := p.victim(victim), s != nil && victim.rec == s.rec
+		v, own := p.victim(victim), s != nil && p.entries.at(victim).rec == s.rec
 		p.remove(victim)
 		if own {
 			// The victim was one of the offer's own sender's entries: the
@@ -652,7 +658,7 @@ func (p *Pool) offer(o offered) Result {
 			// classification above stands (repartition below corrects it),
 			// as it always has.
 			s = p.senders.get(o.from())
-			i, _ = s.search(o.nonce)
+			i, _ = p.search(s, o.nonce)
 		}
 		evicted = append(evicted, v)
 		if p.DropObserver != nil {
@@ -682,118 +688,115 @@ func (p *Pool) offer(o offered) Result {
 }
 
 // link creates the entry for o and adds it to every index except its
-// sender's nonce order, which the caller maintains. A pending entry draws its
-// object's ID, so a pending run member is built here.
+// sender's nonce order, which the caller maintains, returning its number. A
+// pending entry draws its object's ID, so a pending run member is built here.
 //
 //toposhot:hotpath
-func (p *Pool) link(o *offered, s *sender, pending bool) *entry {
-	e := p.free
-	if e != nil {
-		p.free = e.next
-	} else {
-		e = new(entry)
-	}
+func (p *Pool) link(o *offered, s *sender, pending bool) uint32 {
+	i := p.entries.alloc()
 	p.admitSeq++
 	if o.run != nil {
 		s.run = o.run // a new record's; offer adopted it into an existing one
 	}
-	*e = entry{tx: o.tx, rec: s.rec, nonce: o.nonce, price: o.price, added: p.now, seq: p.admitSeq,
+	*p.entries.at(i) = entry{rec: s.rec, nonce: o.nonce, price: o.price, added: p.now, seq: p.admitSeq,
 		pending: pending, idx: [2]int32{-1, -1}}
-	p.enlist(e)
-	p.price.push(e)
+	p.entries.setTx(i, o.tx)
+	p.enlist(i)
+	p.price.push(i)
 	if pending {
-		p.live.add(s.build(e).ID())
+		p.live.add(p.build(s, i).ID())
 		p.pendingCount++
 		s.pending++
 	} else {
 		p.futureCount++
 		s.future++
-		p.futures.push(e)
+		p.futures.push(i)
 	}
-	return e
+	return i
 }
 
-// enlist appends e to the admission-ordered list.
-func (p *Pool) enlist(e *entry) {
-	e.prev = p.newest
-	if p.newest != nil {
-		p.newest.next = e
+// enlist appends entry i to the admission-ordered list.
+func (p *Pool) enlist(i uint32) {
+	p.entries.at(i).prev = p.newest
+	if p.newest != 0 {
+		p.entries.at(p.newest).next = i
 	} else {
-		p.oldest = e
+		p.oldest = i
 	}
-	p.newest = e
+	p.newest = i
 }
 
-// unlink is link's inverse: it takes e, an entry of s, out of every index
-// except s's nonce order and recycles it. e's fields are dead afterwards —
-// callers take p.object(e) (and anything else they need) first. An indexed or
-// pending entry has its object: lookup or link built it.
+// unlink is link's inverse: it takes entry i of s out of every index except
+// s's nonce order and recycles it. Its fields and object are dead afterwards
+// — callers take p.object(i) (and anything else they need) first. An indexed
+// or pending entry has its object: lookup or link built it.
 //
 //toposhot:hotpath
-func (p *Pool) unlink(e *entry, s *sender) {
+func (p *Pool) unlink(i uint32, s *sender) {
+	e := p.entries.at(i)
 	if e.seq <= p.indexedSeq {
-		delete(p.byHash, e.tx.Hash()) // memoized when e was indexed
+		delete(p.byHash, p.entries.tx(i).Hash()) // memoized when i was indexed
 	}
-	p.price.remove(e)
-	p.futures.remove(e)
+	p.price.remove(i)
+	p.futures.remove(i)
 	if e.pending {
-		p.live.remove(e.tx.ID())
+		p.live.remove(p.entries.tx(i).ID())
 		p.pendingCount--
 		s.pending--
 	} else {
 		p.futureCount--
 		s.future--
 	}
-	if e.prev != nil {
-		e.prev.next = e.next
+	if e.prev != 0 {
+		p.entries.at(e.prev).next = e.next
 	} else {
 		p.oldest = e.next
 	}
-	if e.next != nil {
-		e.next.prev = e.prev
+	if e.next != 0 {
+		p.entries.at(e.next).prev = e.prev
 	} else {
 		p.newest = e.prev
 	}
-	*e = entry{next: p.free}
-	p.free = e
+	p.entries.release(i)
 }
 
-// remove deletes an entry from all indexes and recycles it; take p.object(e)
+// remove deletes entry i from all indexes and recycles it; take p.object(i)
 // before calling. A sender left with nothing to remember is forgotten.
 //
 //toposhot:hotpath
-func (p *Pool) remove(e *entry) {
+func (p *Pool) remove(i uint32) {
+	e := p.entries.at(i)
 	s := p.senders.at(e.rec)
-	i := 0
-	if s.txs[0] != e {
-		i, _ = s.search(e.nonce)
+	k := 0
+	if s.txs[0] != i {
+		k, _ = p.search(s, e.nonce)
 	}
-	s.removeAt(i)
-	p.unlink(e, s)
+	s.removeAt(k)
+	p.unlink(i, s)
 	p.releaseIfIdle(s)
 }
 
-// repartitionAfterRemove removes e and re-derives its sender's pending/future
-// split around the hole. A sender left with nothing has gone to the free
-// stack, empty, and needs none.
+// repartitionAfterRemove removes entry i and re-derives its sender's
+// pending/future split around the hole. A sender left with nothing has gone
+// to the free stack, empty, and needs none.
 //
 //toposhot:hotpath
-func (p *Pool) repartitionAfterRemove(e *entry) {
-	s := p.senders.at(e.rec)
-	p.remove(e)
+func (p *Pool) repartitionAfterRemove(i uint32) {
+	s := p.senders.at(p.entries.at(i).rec)
+	p.remove(i)
 	if len(s.txs) > 0 {
 		p.repartition(s)
 	}
 }
 
-// cheapest returns the lowest-priced entry, or nil when the pool is empty.
-func (p *Pool) cheapest() *entry { return p.price.top() }
+// cheapest returns the lowest-priced entry, or 0 when the pool is empty.
+func (p *Pool) cheapest() uint32 { return p.price.top() }
 
 // cheapestFuture returns the lowest-priced future entry (oldest admission on
-// price ties), or nil when no futures are buffered. The dedicated future heap
+// price ties), or 0 when no futures are buffered. The dedicated future heap
 // makes the full-pool pending-admission path O(log n); it used to scan the
 // whole pool.
-func (p *Pool) cheapestFuture() *entry { return p.futures.top() }
+func (p *Pool) cheapestFuture() uint32 { return p.futures.top() }
 
 // repartition re-derives the pending/future flags for one sender's
 // transactions after an insertion or nonce change, returning transactions
@@ -805,13 +808,13 @@ func (p *Pool) repartition(s *sender) []*types.Transaction {
 	// The executable run is the prefix whose nonces count up from the state
 	// nonce without a gap.
 	run := 0
-	for run < len(s.txs) && s.txs[run].nonce == s.stateNonce+uint64(run) {
-		e := s.txs[run]
-		if !e.pending {
-			p.markPending(e, true)
-			p.futures.remove(e)
+	for run < len(s.txs) && p.entries.at(s.txs[run]).nonce == s.stateNonce+uint64(run) {
+		i := s.txs[run]
+		if !p.entries.at(i).pending {
+			p.markPending(i, true)
+			p.futures.remove(i)
 			//lint:ignore hotalloc result slice handed to the caller; empty unless a nonce gap closed
-			promoted = append(promoted, e.tx)
+			promoted = append(promoted, p.entries.tx(i))
 		}
 		run++
 	}
@@ -821,10 +824,10 @@ func (p *Pool) repartition(s *sender) []*types.Transaction {
 	// equals the run's length no stale pending entry can exist and the scan
 	// is skipped — without the check every future admission pays O(entries).
 	if int(s.pending) != run {
-		for _, e := range s.txs[run:] {
-			if e.pending {
-				p.markPending(e, false)
-				p.futures.push(e)
+		for _, i := range s.txs[run:] {
+			if p.entries.at(i).pending {
+				p.markPending(i, false)
+				p.futures.push(i)
 			}
 		}
 	}
@@ -836,7 +839,7 @@ func (p *Pool) repartition(s *sender) []*types.Transaction {
 func (p *Pool) RemoveConfirmed(txs []*types.Transaction) []*types.Transaction {
 	touched := make(map[types.Address]uint64)
 	for _, tx := range txs {
-		if e := p.find(tx); e != nil {
+		if e := p.find(tx); e != 0 {
 			p.remove(e)
 		}
 		if next := tx.Nonce + 1; next > touched[tx.From] {
@@ -865,7 +868,7 @@ func (p *Pool) RemoveConfirmed(txs []*types.Transaction) []*types.Transaction {
 // for invalidated transactions). It reports whether the hash was present.
 func (p *Pool) Drop(h types.Hash) bool {
 	e := p.lookup(h)
-	if e == nil {
+	if e == 0 {
 		return false
 	}
 	p.repartitionAfterRemove(e)
@@ -876,8 +879,8 @@ func (p *Pool) Drop(h types.Hash) bool {
 // price (miner order). Ties break on sender/nonce for determinism.
 func (p *Pool) Pending() []*types.Transaction {
 	out := make([]*types.Transaction, 0, p.pendingCount)
-	for e := p.oldest; e != nil; e = e.next {
-		if e.pending {
+	for e := p.oldest; e != 0; e = p.entries.at(e).next {
+		if p.entries.at(e).pending {
 			out = append(out, p.object(e))
 		}
 	}
@@ -897,7 +900,7 @@ func (p *Pool) Pending() []*types.Transaction {
 // txpool_content RPC view is stable across runs.
 func (p *Pool) Content() []*types.Transaction {
 	out := make([]*types.Transaction, 0, p.Len())
-	for e := p.oldest; e != nil; e = e.next {
+	for e := p.oldest; e != 0; e = p.entries.at(e).next {
 		out = append(out, p.object(e))
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -912,10 +915,12 @@ func (p *Pool) Content() []*types.Transaction {
 // (§5.2.1).
 func (p *Pool) PendingPrices() []uint64 {
 	out := make([]uint64, 0, p.pendingCount)
-	for e := p.oldest; e != nil; e = e.next {
+	for i := p.oldest; i != 0; {
+		e := p.entries.at(i)
 		if e.pending {
 			out = append(out, e.price)
 		}
+		i = e.next
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out

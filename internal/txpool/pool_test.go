@@ -2,6 +2,7 @@ package txpool
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -416,27 +417,29 @@ func TestDropRemoves(t *testing.T) {
 	}
 }
 
-// invariantCheck verifies internal consistency of the pool's indexes.
-// findEntry returns the entry in e's sender slot if it holds e's content —
-// find for an entry whose object may not have been built, building none.
-func (p *Pool) findEntry(e *entry) *entry {
-	from := p.entryFrom(e)
+// findEntry returns the entry in entry i's sender slot if it holds i's
+// content — find for an entry whose object may not have been built, building
+// none.
+func (p *Pool) findEntry(i uint32) uint32 {
+	from := p.entryFrom(i)
 	s := p.senders.get(&from)
-	if i, ok := s.search(e.nonce); ok && (s.txs[i] == e || e.tx != nil && s.holds(s.txs[i], &offered{tx: e.tx})) {
-		return s.txs[i]
+	tx := p.entries.tx(i)
+	if k, ok := p.search(s, p.entries.at(i).nonce); ok && (s.txs[k] == i || tx != nil && p.holds(s, s.txs[k], &offered{tx: tx})) {
+		return s.txs[k]
 	}
-	return nil
+	return 0
 }
 
-// entryFrom returns e's sender as its transaction or run names it, building
-// nothing.
-func (p *Pool) entryFrom(e *entry) types.Address {
-	if e.tx != nil {
-		return e.tx.From
+// entryFrom returns entry i's sender as its transaction or run names it,
+// building nothing.
+func (p *Pool) entryFrom(i uint32) types.Address {
+	if tx := p.entries.tx(i); tx != nil {
+		return tx.From
 	}
-	return p.senders.at(e.rec).run.From
+	return p.senders.at(p.entries.at(i).rec).run.From
 }
 
+// invariantCheck verifies internal consistency of the pool's indexes.
 func invariantCheck(t *testing.T, p *Pool) {
 	t.Helper()
 	if p.PendingCount()+p.FutureCount() != p.Len() {
@@ -465,20 +468,21 @@ func invariantCheck(t *testing.T, p *Pool) {
 		t.Fatalf("by-hash watermark %d is ahead of admission seq %d", p.indexedSeq, p.admitSeq)
 	}
 	indexed := 0
-	for e := p.oldest; e != nil; e = e.next {
-		if r := p.senders.at(e.rec).run; e.tx == nil && (e.pending || r == nil || e.nonce < r.Nonce || e.nonce-r.Nonce >= uint64(r.Count)) {
+	for i := p.oldest; i != 0; i = p.entries.at(i).next {
+		e, tx := p.entries.at(i), p.entries.tx(i)
+		if r := p.senders.at(e.rec).run; tx == nil && (e.pending || r == nil || e.nonce < r.Nonce || e.nonce-r.Nonce >= uint64(r.Count)) {
 			t.Fatalf("entry seq=%d pending=%v has neither an object nor a run member", e.seq, e.pending)
 		}
-		if e.tx != nil && e.tx.Nonce != e.nonce {
-			t.Fatalf("entry seq=%d holds %v at nonce %d", e.seq, e.tx, e.nonce)
+		if tx != nil && tx.Nonce != e.nonce {
+			t.Fatalf("entry seq=%d holds %v at nonce %d", e.seq, tx, e.nonce)
 		}
-		if e.tx == nil {
+		if tx == nil {
 			if e.seq <= p.indexedSeq {
 				t.Fatalf("unbuilt member seq=%d is below the by-hash watermark %d", e.seq, p.indexedSeq)
 			}
 			continue // nothing built it, so it has no ID and no hash
 		}
-		id := e.tx.AssignedID()
+		id := tx.AssignedID()
 		if e.pending && id == 0 {
 			t.Fatalf("pending entry seq=%d has drawn no ID", e.seq)
 		}
@@ -489,7 +493,7 @@ func invariantCheck(t *testing.T, p *Pool) {
 			continue
 		}
 		indexed++
-		if !e.tx.Hashed() || p.byHash[e.tx.Hash()] != e {
+		if !tx.Hashed() || p.byHash[tx.Hash()] != i {
 			t.Fatalf("entry seq=%d is below the watermark %d and not indexed by hash", e.seq, p.indexedSeq)
 		}
 	}
@@ -497,14 +501,15 @@ func invariantCheck(t *testing.T, p *Pool) {
 		t.Fatalf("live holds %d IDs for %d pending entries, byHash %d of %d indexed ones",
 			bits, p.PendingCount(), len(p.byHash), indexed)
 	}
-	var ref *entry
-	for e := p.oldest; e != nil; e = e.next {
+	var ref uint32
+	for i := p.oldest; i != 0; i = p.entries.at(i).next {
+		e, tx := p.entries.at(i), p.entries.tx(i)
 		h := e.seq
-		if e.tx != nil && e.price != e.tx.GasPrice || e.tx == nil && e.price != p.senders.at(e.rec).run.Price {
+		if tx != nil && e.price != tx.GasPrice || tx == nil && e.price != p.senders.at(e.rec).run.Price {
 			t.Fatalf("entry seq=%d carries price %d", h, e.price)
 		}
-		if i := e.idx[priceHeap]; i < 0 || p.price.a[i] != e {
-			t.Fatalf("entry seq=%d mis-indexed in price heap (idx=%d)", h, i)
+		if k := e.idx[priceHeap]; k < 0 || p.price.a[k] != i {
+			t.Fatalf("entry seq=%d mis-indexed in price heap (idx=%d)", h, k)
 		}
 		if e.pending {
 			if e.idx[futureHeap] >= 0 {
@@ -512,11 +517,11 @@ func invariantCheck(t *testing.T, p *Pool) {
 			}
 			continue
 		}
-		if i := e.idx[futureHeap]; i < 0 || p.futures.a[i] != e {
-			t.Fatalf("future seq=%d mis-indexed (idx=%d)", h, i)
+		if k := e.idx[futureHeap]; k < 0 || p.futures.a[k] != i {
+			t.Fatalf("future seq=%d mis-indexed (idx=%d)", h, k)
 		}
-		if ref == nil || e.price < ref.price || (e.price == ref.price && e.seq < ref.seq) {
-			ref = e
+		if r := p.entries.at(ref); ref == 0 || e.price < r.price || (e.price == r.price && e.seq < r.seq) {
+			ref = i
 		}
 	}
 	if got := p.cheapestFuture(); got != ref {
@@ -552,12 +557,13 @@ func invariantCheck(t *testing.T, p *Pool) {
 			t.Fatalf("empty sender record left behind for %v", addr)
 		}
 		pending, future := 0, 0
-		for i, e := range live {
-			if e.rec != slot.Ref || p.entryFrom(e) != addr || p.findEntry(e) != e {
-				t.Fatalf("sender %v slot %d holds a foreign or dead entry", addr, i)
+		for k, i := range live {
+			e := p.entries.at(i)
+			if i == 0 || i >= p.entries.n || e.rec != slot.Ref || p.entryFrom(i) != addr || p.findEntry(i) != i {
+				t.Fatalf("sender %v slot %d holds a foreign or dead entry", addr, k)
 			}
-			if e.nonce < s.stateNonce || (i > 0 && live[i-1].nonce >= e.nonce) {
-				t.Fatalf("sender %v nonce order broken at slot %d", addr, i)
+			if e.nonce < s.stateNonce || (k > 0 && p.entries.at(live[k-1]).nonce >= e.nonce) {
+				t.Fatalf("sender %v nonce order broken at slot %d", addr, k)
 			}
 			if e.pending {
 				pending++
@@ -576,7 +582,8 @@ func invariantCheck(t *testing.T, p *Pool) {
 	if slots != p.senders.idx.Len() {
 		t.Fatalf("index holds %d records, its count says %d", slots, p.senders.idx.Len())
 	}
-	// Released records are zeroed but for a one-slot nonce array, and none is
+	// Released records are zeroed but for a nonce array of at most two slots
+	// (the smallest a []uint32 allocates), and none is
 	// still live or stacked twice; every record of the slab but the unused
 	// first is live or released.
 	for i, rec := range p.senders.free {
@@ -585,21 +592,25 @@ func invariantCheck(t *testing.T, p *Pool) {
 		}
 		records[rec] = true
 		s := p.senders.at(rec)
-		if len(s.txs) != 0 || cap(s.txs) > 1 || s.stateNonce != 0 || s.pending != 0 || s.future != 0 || s.run != nil || s.addr != (types.Address{}) || s.rec != rec {
+		if len(s.txs) != 0 || cap(s.txs) > 2 || s.stateNonce != 0 || s.pending != 0 || s.future != 0 || s.run != nil || s.addr != (types.Address{}) || s.rec != rec {
 			t.Fatalf("spare sender record %d holds state: %d entries, cap %d, nonce %d, run %v", i, len(s.txs), cap(s.txs), s.stateNonce, s.run)
 		}
 	}
 	if n := int(p.senders.n); n > 0 && len(records) != n-1 {
 		t.Fatalf("%d live and released records in a slab of %d", len(records), n-1)
 	}
-	// The admission list visits exactly the live entries in seq order.
+	// The admission list visits exactly the live entries in seq order, each
+	// once, by number.
 	visited := 0
-	var prev *entry
-	for e := p.oldest; e != nil; prev, e = e, e.next {
-		if p.findEntry(e) != e {
-			t.Fatalf("admission list visits dead entry seq=%d", e.seq)
+	numbered := make(map[uint32]bool)
+	var prev uint32
+	for i := p.oldest; i != 0; prev, i = i, p.entries.at(i).next {
+		if i >= p.entries.n || numbered[i] || p.findEntry(i) != i {
+			t.Fatalf("admission list visits dead, repeated or out-of-slab entry %d", i)
 		}
-		if e.prev != prev || (prev != nil && prev.seq >= e.seq) {
+		numbered[i] = true
+		e := p.entries.at(i)
+		if e.prev != prev || (prev != 0 && p.entries.at(prev).seq >= e.seq) {
 			t.Fatalf("admission list broken at seq=%d", e.seq)
 		}
 		visited++
@@ -607,16 +618,25 @@ func invariantCheck(t *testing.T, p *Pool) {
 	if visited != p.Len() || p.newest != prev {
 		t.Fatalf("admission list visits %d of %d entries", visited, p.Len())
 	}
-	// Recycled entries hold nothing and stay bounded by the capacity.
+	// Recycled entries hold nothing, no number is both live and free, and
+	// live plus free entries are every number the slab has handed out and
+	// stay bounded by the capacity.
 	spare := 0
-	for e := p.free; e != nil; e = e.next {
-		if e.tx != nil || e.rec != 0 {
+	for i := p.entries.free; i != 0; i = p.entries.at(i).next {
+		if i >= p.entries.n || numbered[i] {
+			t.Fatalf("free entry %d is live, chained twice or out of the slab", i)
+		}
+		numbered[i] = true
+		if p.entries.tx(i) != nil || p.entries.at(i).rec != 0 {
 			t.Fatal("free entry retains its transaction or sender")
 		}
 		spare++
 	}
 	if p.Len()+spare > p.Policy().Capacity {
 		t.Fatalf("%d live + %d free entries exceed capacity %d", p.Len(), spare, p.Policy().Capacity)
+	}
+	if n := int(max(p.entries.n, 1)) - 1; p.Len()+spare != n {
+		t.Fatalf("%d live + %d free entries in a slab that handed out %d", p.Len(), spare, n)
 	}
 }
 
@@ -759,18 +779,57 @@ func TestConfirmDemoteDeterministic(t *testing.T) {
 }
 
 // TestEntrySize: a pool's entries and sender records are its most numerous
-// objects, so their sizes are its memory. An entry is 80 B (the 80-B class);
-// one more word moves it into the next class, which a full-pool gossip flood
-// pays for every buffered transaction. A sender record is 72 B, its address
-// and slab number filling the last of its nine words, and the table's slab
-// pages of 32 records fill the 2304-B class exactly. One more field costs
-// 8 B for every record the slab holds, live or released, and moves every page
-// into the 2688-B class.
+// objects, so their sizes are its memory. An entry is 64 B, seven bytes of
+// padding after its pending flag, so 64 of them fill a 4096-B slab page, a
+// size class exactly; the page's column of 64 transaction pointers is 512 B,
+// another. One more word in the entry makes a page 4608 B, which allocates
+// from the 4864-B class, and a full-pool gossip flood pays that on every
+// page. A sender record is 72 B, its address and slab number filling the last
+// of its nine words, and the table's slab pages of 32 records fill the 2304-B
+// class exactly. One more field costs 8 B for every record the slab holds,
+// live or released, and moves every page into the 2688-B class.
 func TestEntrySize(t *testing.T) {
-	if got := unsafe.Sizeof(entry{}); got != 80 {
-		t.Errorf("sizeof(entry) = %d B, want 80", got)
+	if got := unsafe.Sizeof(entry{}); got != 64 {
+		t.Errorf("sizeof(entry) = %d B, want 64", got)
+	}
+	if got := unsafe.Sizeof(entryPage{}); got != 4096 {
+		t.Errorf("sizeof(entryPage) = %d B, want 4096", got)
+	}
+	if got := unsafe.Sizeof(txColumn{}); got != 512 {
+		t.Errorf("sizeof(txColumn) = %d B, want 512", got)
 	}
 	if got := unsafe.Sizeof(sender{}); got != 72 {
 		t.Errorf("sizeof(sender) = %d B, want 72", got)
+	}
+}
+
+// TestEntryHoldsNoPointers: the slab's pages are pointer-free, so the garbage
+// collector never scans them and moving an entry costs no write barrier.
+// Every field of entry, walked by reflection, must be free of pointers,
+// slices, maps, strings and interfaces; a field that is not fails here by
+// name. A transaction object belongs in the slab's column (entrySlab.tx).
+func TestEntryHoldsNoPointers(t *testing.T) {
+	var scalar func(reflect.Type) bool
+	scalar = func(typ reflect.Type) bool {
+		switch typ.Kind() {
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map, reflect.String,
+			reflect.Interface, reflect.Chan, reflect.Func:
+			return false
+		case reflect.Array:
+			return scalar(typ.Elem())
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				if !scalar(typ.Field(i).Type) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	typ := reflect.TypeOf(entry{})
+	for i := 0; i < typ.NumField(); i++ {
+		if f := typ.Field(i); !scalar(f.Type) {
+			t.Errorf("entry.%s is a %v, which holds a pointer", f.Name, f.Type)
+		}
 	}
 }

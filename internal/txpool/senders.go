@@ -87,14 +87,14 @@ func (t *senderTable) add(a *types.Address) *sender {
 }
 
 // release forgets s's account and puts s on the free stack, zeroed but for a
-// one-slot nonce array: a lone sender's array comes back with its record,
-// while a run-sized one is dropped rather than pinned.
+// nonce array of at most two slots, the smallest: a lone sender's array comes
+// back with its record, while a run-sized one is dropped rather than pinned.
 //
 //toposhot:hotpath
 func (t *senderTable) release(s *sender) {
 	t.idx.Remove(t.find(&s.addr, types.SlotTag(s.addr[:])))
 	txs, rec := s.txs, s.rec
-	if cap(txs) != 1 {
+	if cap(txs) > 2 {
 		txs = nil
 	}
 	*s = sender{txs: txs, rec: rec}

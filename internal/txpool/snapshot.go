@@ -49,17 +49,19 @@ type Snapshot struct {
 func (p *Pool) Snapshot() Snapshot {
 	var s Snapshot
 	s.Entries = make([]EntrySnapshot, 0, p.Len())
-	for e := p.oldest; e != nil; e = e.next {
+	for i := p.oldest; i != 0; {
+		e := p.entries.at(i)
 		e.mark = int32(len(s.Entries))
-		s.Entries = append(s.Entries, EntrySnapshot{Tx: p.object(e), Added: e.added, Seq: e.seq, Pending: e.pending})
+		s.Entries = append(s.Entries, EntrySnapshot{Tx: p.object(i), Added: e.added, Seq: e.seq, Pending: e.pending})
+		i = e.next
 	}
 	s.PriceOrder = make([]int32, len(p.price.a))
-	for i, e := range p.price.a {
-		s.PriceOrder[i] = e.mark
+	for k, i := range p.price.a {
+		s.PriceOrder[k] = p.entries.at(i).mark
 	}
 	s.FutureOrder = make([]int32, len(p.futures.a))
-	for i, e := range p.futures.a {
-		s.FutureOrder[i] = e.mark
+	for k, i := range p.futures.a {
+		s.FutureOrder[k] = p.entries.at(i).mark
 	}
 	// Released and unused records are zero, so the slab's non-zero nonces
 	// are the live accounts'; the index's slot order never reaches the
@@ -90,7 +92,7 @@ func RestorePool(policy Policy, s Snapshot) (*Pool, error) {
 	for _, ns := range s.StateNonces {
 		p.SetStateNonce(ns.Addr, ns.Nonce)
 	}
-	ents := make([]*entry, len(s.Entries))
+	ents := make([]uint32, len(s.Entries))
 	lastSeq := uint64(0)
 	for i, es := range s.Entries {
 		if es.Tx == nil {
@@ -108,11 +110,13 @@ func RestorePool(policy Policy, s Snapshot) (*Pool, error) {
 		if es.Tx.Nonce < snd.stateNonce {
 			return nil, fmt.Errorf("txpool: snapshot holds %v nonce %d below its state nonce %d", es.Tx.From, es.Tx.Nonce, snd.stateNonce)
 		}
-		at, dup := snd.search(es.Tx.Nonce)
+		at, dup := p.search(snd, es.Tx.Nonce)
 		if dup {
 			return nil, fmt.Errorf("txpool: snapshot holds two transactions for %v nonce %d", es.Tx.From, es.Tx.Nonce)
 		}
-		e := &entry{tx: es.Tx, rec: snd.rec, nonce: es.Tx.Nonce, price: es.Tx.GasPrice, added: es.Added, seq: es.Seq, pending: es.Pending, idx: [2]int32{-1, -1}}
+		e := p.entries.alloc()
+		*p.entries.at(e) = entry{rec: snd.rec, nonce: es.Tx.Nonce, price: es.Tx.GasPrice, added: es.Added, seq: es.Seq, pending: es.Pending, idx: [2]int32{-1, -1}}
+		p.entries.setTx(e, es.Tx)
 		ents[i] = e
 		snd.insertAt(at, e)
 		p.enlist(e)
@@ -128,21 +132,21 @@ func RestorePool(policy Policy, s Snapshot) (*Pool, error) {
 	if len(s.PriceOrder) != len(ents) {
 		return nil, fmt.Errorf("txpool: price-heap layout covers %d of %d entries", len(s.PriceOrder), len(ents))
 	}
-	p.price.a = make([]*entry, len(s.PriceOrder))
+	p.price.a = make([]uint32, len(s.PriceOrder))
 	for i, idx := range s.PriceOrder {
-		if idx < 0 || int(idx) >= len(ents) || ents[idx].idx[priceHeap] != -1 {
+		if idx < 0 || int(idx) >= len(ents) || p.entries.at(ents[idx]).idx[priceHeap] != -1 {
 			return nil, fmt.Errorf("txpool: invalid price-heap slot %d → %d", i, idx)
 		}
 		p.price.a[i] = ents[idx]
-		ents[idx].idx[priceHeap] = int32(i)
+		p.entries.at(ents[idx]).idx[priceHeap] = int32(i)
 	}
-	p.futures.a = make([]*entry, len(s.FutureOrder))
+	p.futures.a = make([]uint32, len(s.FutureOrder))
 	for i, idx := range s.FutureOrder {
-		if idx < 0 || int(idx) >= len(ents) || ents[idx].idx[futureHeap] != -1 || ents[idx].pending {
+		if idx < 0 || int(idx) >= len(ents) || p.entries.at(ents[idx]).idx[futureHeap] != -1 || p.entries.at(ents[idx]).pending {
 			return nil, fmt.Errorf("txpool: invalid future-heap slot %d → %d", i, idx)
 		}
 		p.futures.a[i] = ents[idx]
-		ents[idx].idx[futureHeap] = int32(i)
+		p.entries.at(ents[idx]).idx[futureHeap] = int32(i)
 	}
 	if len(p.futures.a) != p.futureCount {
 		return nil, fmt.Errorf("txpool: future heap holds %d of %d futures", len(p.futures.a), p.futureCount)
