@@ -115,12 +115,6 @@ func run(args []string, _, stderr io.Writer) int {
 		obs.Int("network", int64(*networkID)), obs.String("client", *client),
 		obs.Int("pool", int64(pol.Capacity)))
 
-	// The daemon's event stream feeds a watchdog: a peer link going quiet or
-	// the frame budget blowing up surfaces as first-class warn events on the
-	// same stream the dashboard tails.
-	wd := obs.NewWatchdog(obs.WatchdogConfig{StallAfter: 120}, lg)
-	defer wd.Watch(lg)()
-
 	if *metricsHTTP != "" {
 		// The obs dashboard serves /, /dashboard, /events, /log, /ledger,
 		// /metrics, /trace/snapshot, and /progress; the daemon adds its own

@@ -19,46 +19,25 @@ import (
 
 // Chain is an append-only record of produced blocks.
 type Chain struct {
-	blocks   []*types.Block
-	included map[types.Hash]uint64 // tx hash → block number
+	blocks []*types.Block
 }
 
 // NewChain returns an empty chain.
-func NewChain() *Chain {
-	return &Chain{included: make(map[types.Hash]uint64)}
-}
+func NewChain() *Chain { return &Chain{} }
 
 // NewChainFromBlocks builds a chain holding the given blocks in order.
 func NewChainFromBlocks(blocks []*types.Block) *Chain {
-	c := NewChain()
-	for _, b := range blocks {
-		c.append(b)
-	}
-	return c
+	return &Chain{blocks: append([]*types.Block(nil), blocks...)}
 }
 
 // Append adds a block to the chain (reconstruction/filtering helpers).
-func (c *Chain) Append(b *types.Block) { c.append(b) }
+func (c *Chain) Append(b *types.Block) { c.blocks = append(c.blocks, b) }
 
 // Blocks returns the produced blocks in order.
 func (c *Chain) Blocks() []*types.Block { return c.blocks }
 
-// Head returns the latest block, or nil for an empty chain.
-func (c *Chain) Head() *types.Block {
-	if len(c.blocks) == 0 {
-		return nil
-	}
-	return c.blocks[len(c.blocks)-1]
-}
-
 // Height returns the number of produced blocks.
 func (c *Chain) Height() int { return len(c.blocks) }
-
-// Included reports the block number containing the transaction, if any.
-func (c *Chain) Included(h types.Hash) (uint64, bool) {
-	n, ok := c.included[h]
-	return n, ok
-}
 
 // BlocksIn returns blocks with timestamps in [t1, t2].
 func (c *Chain) BlocksIn(t1, t2 float64) []*types.Block {
@@ -69,13 +48,6 @@ func (c *Chain) BlocksIn(t1, t2 float64) []*types.Block {
 		}
 	}
 	return out
-}
-
-func (c *Chain) append(b *types.Block) {
-	c.blocks = append(c.blocks, b)
-	for _, tx := range b.Txs {
-		c.included[tx.Hash()] = b.Number
-	}
 }
 
 // MinerConfig parameterizes block production.
@@ -176,7 +148,7 @@ func (m *Miner) produceBlock() {
 		m.baseFee = NextBaseFee(m.baseFee, b.GasUsed, b.GasLimit)
 		m.fees = append(m.fees, m.baseFee)
 	}
-	m.chain.append(b)
+	m.chain.Append(b)
 	m.net.Engine().AfterHandler(m.cfg.BroadcastDelay, m, b.Number)
 }
 

@@ -85,7 +85,7 @@ func TestMiner1559AdjustsBaseFeeAndDrops(t *testing.T) {
 		t.Fatalf("blocks = %d", m.Chain().Height())
 	}
 	// Pools must have learned the base fee.
-	if got := net.Node(ids[2]).Pool().BaseFee(); got == 0 {
+	if got := net.Node(ids[2]).Pool().Snapshot().BaseFee; got == 0 {
 		t.Fatal("base fee not propagated to pools")
 	}
 }

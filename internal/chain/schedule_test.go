@@ -42,7 +42,7 @@ func TestMinerScheduleGolden(t *testing.T) {
 		m.Start(stopAt)
 		net.RunFor(42)
 		for _, nd := range net.Nodes() {
-			if fee := nd.Pool().BaseFee(); fee != 0 {
+			if fee := nd.Pool().Snapshot().BaseFee; fee != 0 {
 				t.Errorf("legacy miner left node %d's pool at base fee %d", nd.ID(), fee)
 			}
 		}
@@ -63,7 +63,7 @@ func TestMinerScheduleGolden(t *testing.T) {
 		var sb strings.Builder
 		for i := 0; i < 6; i++ {
 			net.RunFor(7)
-			fmt.Fprintf(&sb, "h%d/fee%d/pool%d ", m.Chain().Height(), m.BaseFee(), net.Node(ids[3]).Pool().BaseFee())
+			fmt.Fprintf(&sb, "h%d/fee%d/pool%d ", m.Chain().Height(), m.BaseFee(), net.Node(ids[3]).Pool().Snapshot().BaseFee)
 		}
 		var due []uint64
 		for _, b := range m.Chain().Blocks() {

@@ -69,11 +69,6 @@ func TestLedgerAccounting(t *testing.T) {
 	if l.WorstCaseWei() != wantWorst {
 		t.Fatalf("worst case = %v, want %v", l.WorstCaseWei(), wantWorst)
 	}
-	// Actual cost counts only chain-included measurement txs.
-	c := chain.NewChainFromBlocks([]*types.Block{{Number: 1, Txs: []*types.Transaction{tx1}}})
-	if got := l.ActualWei(c); got != float64(tx1.Fee()) {
-		t.Fatalf("actual = %v, want %v", got, float64(tx1.Fee()))
-	}
 	if Ether(1e18) != 1 {
 		t.Fatal("wei→ether conversion wrong")
 	}
@@ -146,12 +141,12 @@ func TestNIVerifierConditions(t *testing.T) {
 	if len(violations) != 2 {
 		t.Fatalf("violations = %v", violations)
 	}
-	if v.OK() {
-		t.Fatal("OK with violations")
+	if len(v.Check()) == 0 {
+		t.Fatal("verifier passes a window with violations")
 	}
 	clean := NIVerifier{Chain: c, Y0: 10, T1: 0, T2: 4, Expiry: 7}
 	// Window [0,11]: only block 1, which is full with tx priced 1000 > 10.
-	if !clean.OK() {
+	if len(clean.Check()) != 0 {
 		t.Fatalf("clean window flagged: %v", clean.Check())
 	}
 }
@@ -257,38 +252,9 @@ func TestEntryNodesAreLinkedPeers(t *testing.T) {
 	}
 	sources, sinks := participantSets(edges)
 	for _, e := range m.entryNodes(sources, sinks) {
-		if !net.Connected(m.Supernode().ID(), e) {
+		if !net.Connected(supernode(m).ID(), e) {
 			t.Errorf("flood entry %v is not linked to M", e)
 		}
-	}
-}
-
-func TestProbeZDiscoversEnlargedPool(t *testing.T) {
-	_, m, ids := buildRing(t, 6, 31)
-	// Enlarge one node's pool beyond the default Z.
-	target := ids[2]
-	big := m.Network().AddNode(ethsim.NodeConfig{
-		Policy: txpool.Geth.WithCapacity(1024), MaxPeers: 50,
-	})
-	_ = m.Network().Connect(big.ID(), target)
-	_ = m.Supernode().Connect(big.ID())
-	z, ok := m.ProbeZ(big.ID(), []int{512, 1024, 2048})
-	if !ok {
-		t.Fatal("probe failed to find a working Z")
-	}
-	if z < 1024 {
-		t.Fatalf("discovered Z = %d, want ≥ 1024", z)
-	}
-	if m.ZOverride[big.ID()] != z {
-		t.Fatal("override not retained")
-	}
-}
-
-func TestCalibrateX(t *testing.T) {
-	_, m, _ := buildRing(t, 10, 33)
-	x := m.CalibrateX(3, 2)
-	if x <= 0 || x > 120 {
-		t.Fatalf("calibrated X = %v", x)
 	}
 }
 

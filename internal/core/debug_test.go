@@ -14,23 +14,23 @@ func TestDebugPrimitiveTrace(t *testing.T) {
 	acctC := m.freshAccount()
 	dest := m.freshAccount()
 	txC := types.NewTransaction(acctC, dest, 0, m.params.PriceTxC(y), 0)
-	m.super.Inject(a, txC)
+	m.v.Inject(a, txC)
 	net.RunFor(m.params.X)
 	for _, id := range []types.NodeID{a, b} {
 		nd := net.Node(id)
 		t.Logf("after step1 node %v: has txC=%v poolLen=%d pending=%d", id, nd.Pool().Has(txC.Hash()), nd.Pool().Len(), nd.Pool().PendingCount())
 	}
-	m.super.InjectRuns(b, m.futureRuns(m.zFor(b), m.params.PriceFuture(y))...)
+	m.v.InjectRuns(b, m.futureRuns(m.zFor(b), m.params.PriceFuture(y))...)
 	txB := types.NewTransaction(acctC, dest, 0, m.params.PriceTxB(y), 0)
-	m.super.Inject(b, txB)
+	m.v.Inject(b, txB)
 	m.v.WaitDrained(-1)
 	nb := net.Node(b)
 	t.Logf("after step2 B: hasTxC=%v hasTxB=%v len=%d pending=%d future=%d",
 		nb.Pool().Has(txC.Hash()), nb.Pool().Has(txB.Hash()), nb.Pool().Len(), nb.Pool().PendingCount(), nb.Pool().FutureCount())
-	m.super.InjectRuns(a, m.futureRuns(m.zFor(a), m.params.PriceFuture(y))...)
+	m.v.InjectRuns(a, m.futureRuns(m.zFor(a), m.params.PriceFuture(y))...)
 	txA := types.NewTransaction(acctC, dest, 0, m.params.PriceTxA(y), 0)
 	checkFrom := net.Now()
-	m.super.Inject(a, txA)
+	m.v.Inject(a, txA)
 	m.v.WaitDrained(-1)
 	na := net.Node(a)
 	t.Logf("after step3 A: hasTxC=%v hasTxA=%v len=%d pending=%d future=%d",
@@ -68,7 +68,7 @@ func TestDebugMeasurePar(t *testing.T) {
 	entries := m.entryNodes(sources, sinks)
 	t.Logf("entries=%v", entries)
 	for i, tx := range txC {
-		m.super.Inject(entries[i%len(entries)], tx)
+		m.v.Inject(entries[i%len(entries)], tx)
 	}
 	net.RunFor(m.params.X)
 	for _, id := range ids {
@@ -82,7 +82,7 @@ func TestDebugMeasurePar(t *testing.T) {
 		t.Logf("after p1 node %v: txCs=%d/9 len=%d", id, n, nd.Pool().Len())
 	}
 	for _, b := range sortedIDs(sinks) {
-		m.super.InjectRuns(b, m.futureRuns(m.zFor(b), m.params.PriceFuture(y))...)
+		m.v.InjectRuns(b, m.futureRuns(m.zFor(b), m.params.PriceFuture(y))...)
 		stream := make([]*types.Transaction, len(edges))
 		for i, e := range edges {
 			if e.Sink == b {
@@ -91,7 +91,7 @@ func TestDebugMeasurePar(t *testing.T) {
 				stream[i] = txC[i]
 			}
 		}
-		m.super.Inject(b, stream...)
+		m.v.Inject(b, stream...)
 	}
 	m.v.WaitDrained(-1)
 	for _, id := range sortedIDs(sinks) {
@@ -108,7 +108,7 @@ func TestDebugMeasurePar(t *testing.T) {
 		t.Logf("after sinks node %v: txBs=%d txCs=%d len=%d pend=%d fut=%d", id, nb, nc, nd.Pool().Len(), nd.Pool().PendingCount(), nd.Pool().FutureCount())
 	}
 	for _, a := range sortedIDs(sources) {
-		m.super.InjectRuns(a, m.futureRuns(m.zFor(a), m.params.PriceFuture(y))...)
+		m.v.InjectRuns(a, m.futureRuns(m.zFor(a), m.params.PriceFuture(y))...)
 		var others, own []*types.Transaction
 		for i, e := range edges {
 			if e.Source == a {
@@ -117,8 +117,8 @@ func TestDebugMeasurePar(t *testing.T) {
 				others = append(others, txC[i])
 			}
 		}
-		m.super.Inject(a, others...)
-		m.super.Inject(a, own...)
+		m.v.Inject(a, others...)
+		m.v.Inject(a, own...)
 	}
 	m.v.WaitDrained(-1)
 	for _, id := range sortedIDs(sources) {
@@ -147,7 +147,7 @@ func TestDebugSchedule(t *testing.T) {
 		t.Fatal(err)
 	}
 	truth := EdgeSetOf(net.Edges())
-	superID := m.Supernode().ID()
+	superID := supernode(m).ID()
 	for _, e := range res.Detected.Edges() {
 		if e[0] == superID || e[1] == superID {
 			continue
@@ -206,7 +206,7 @@ func TestDebugRound2Call(t *testing.T) {
 	entries := m.entryNodes(sources, sinks)
 	t.Logf("entries=%v sources=%v sinks=%v", entries, sortedIDs(sources), sortedIDs(sinks))
 	for i, tx := range txC {
-		m.super.Inject(entries[i%len(entries)], tx)
+		m.v.Inject(entries[i%len(entries)], tx)
 	}
 	net.RunFor(m.params.X)
 	for _, id := range ids {
@@ -220,7 +220,7 @@ func TestDebugRound2Call(t *testing.T) {
 		t.Logf("after p1 %v: txCs=%v len=%d pend=%d", id, have, nd.Pool().Len(), nd.Pool().PendingCount())
 	}
 	for _, b := range sortedIDs(sinks) {
-		m.super.InjectRuns(b, m.futureRuns(m.zFor(b), m.params.PriceFuture(y))...)
+		m.v.InjectRuns(b, m.futureRuns(m.zFor(b), m.params.PriceFuture(y))...)
 		stream := make([]*types.Transaction, len(edges))
 		for i, e := range edges {
 			if e.Sink == b {
@@ -229,7 +229,7 @@ func TestDebugRound2Call(t *testing.T) {
 				stream[i] = txC[i]
 			}
 		}
-		m.super.Inject(b, stream...)
+		m.v.Inject(b, stream...)
 	}
 	m.v.WaitDrained(-1)
 	for _, id := range sortedIDs(sinks) {
@@ -246,7 +246,7 @@ func TestDebugRound2Call(t *testing.T) {
 		t.Logf("after sinks %v: txB=%v txC=%v len=%d pend=%d fut=%d", id, hasB, hasC, nd.Pool().Len(), nd.Pool().PendingCount(), nd.Pool().FutureCount())
 	}
 	for _, a := range sortedIDs(sources) {
-		m.super.InjectRuns(a, m.futureRuns(m.zFor(a), m.params.PriceFuture(y))...)
+		m.v.InjectRuns(a, m.futureRuns(m.zFor(a), m.params.PriceFuture(y))...)
 		var others, own []*types.Transaction
 		for i, e := range edges {
 			if e.Source == a {
@@ -255,8 +255,8 @@ func TestDebugRound2Call(t *testing.T) {
 				others = append(others, txC[i])
 			}
 		}
-		m.super.Inject(a, others...)
-		m.super.Inject(a, own...)
+		m.v.Inject(a, others...)
+		m.v.Inject(a, own...)
 	}
 	checkFrom := net.Now()
 	m.v.WaitDrained(-1)

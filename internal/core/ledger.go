@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 
-	"toposhot/internal/chain"
 	"toposhot/internal/types"
 )
 
@@ -147,18 +146,6 @@ func (l *Ledger) WorstCaseWei() float64 {
 	sum := l.baseWorstWei
 	for _, tx := range l.sortedPending() {
 		sum += float64(tx.Fee())
-	}
-	return sum
-}
-
-// ActualWei prices the campaign against a produced chain: only transactions
-// that were actually included cost Ether.
-func (l *Ledger) ActualWei(c *chain.Chain) float64 {
-	var sum float64
-	for _, tx := range l.sortedPending() {
-		if _, ok := c.Included(tx.Hash()); ok {
-			sum += float64(tx.Fee())
-		}
 	}
 	return sum
 }

@@ -134,13 +134,12 @@ func (p Params) PriceTxB(y uint64) uint64 {
 
 // Measurer runs TopoShot measurements. Every probe step of MeasureOneLink,
 // MeasurePar and the schedules built on them goes through M's Vantage, so one
-// probe runs over the simulator and over live TCP alike. Preprocess, ProbeZ
-// and CalibrateX add nodes or read simulator state: they need the simulator
-// handles only NewMeasurer keeps.
+// probe runs over the simulator and over live TCP alike. Preprocess adds a
+// monitor node and reads simulator state: it needs the network handle only
+// NewMeasurer keeps.
 type Measurer struct {
 	v      Vantage
 	net    *ethsim.Network
-	super  *ethsim.Supernode
 	params Params
 
 	// acctSeq mints fresh measurement accounts in the SpaceTopoShot account
@@ -148,8 +147,9 @@ type Measurer struct {
 	// senders (see types.NamespacedAddress).
 	acctSeq uint64
 
-	// ZOverride holds per-node future-count overrides discovered by
-	// pre-processing (nodes with enlarged mempools need a bigger Z).
+	// ZOverride holds per-node future-count overrides (nodes with enlarged
+	// mempools need a bigger Z). No call in the program writes it; it stays
+	// because the campaign checkpoint format carries it.
 	ZOverride map[types.NodeID]int
 
 	// entryCandidates caches the vantage's Peers for the duration of one
@@ -181,7 +181,7 @@ type Measurer struct {
 // NewMeasurer wires a measurer to a simulated network through its supernode.
 func NewMeasurer(net *ethsim.Network, super *ethsim.Supernode, params Params) *Measurer {
 	m := NewMeasurerAt(super, params)
-	m.net, m.super = net, super
+	m.net = net
 	return m
 }
 
@@ -230,13 +230,6 @@ func (m *Measurer) SetParams(p Params) { m.params = p }
 
 // Vantage returns the vantage the measurer probes through.
 func (m *Measurer) Vantage() Vantage { return m.v }
-
-// Supernode returns the simulated measurement node M (nil over a live vantage).
-func (m *Measurer) Supernode() *ethsim.Supernode { return m.super }
-
-// Network returns the simulated network under measurement (nil over a live
-// vantage).
-func (m *Measurer) Network() *ethsim.Network { return m.net }
 
 // freshAccount mints a measurement account never seen by the network.
 func (m *Measurer) freshAccount() types.Address {
@@ -443,57 +436,4 @@ func (m *Measurer) injectErr() error {
 	err := m.failed
 	m.failed = nil
 	return err
-}
-
-// CalibrateX implements §5.2's probe for the propagation wait X: it joins
-// `probes` observer nodes (mutually unconnected), floods one transaction
-// from a random member, and measures the time until the transaction is
-// present on all observers, repeating `trials` times and reporting the
-// maximum (the paper's "with 99.9% chance present after X seconds").
-func (m *Measurer) CalibrateX(probes, trials int) float64 {
-	var worst float64
-	y := m.resolveY()
-	for t := 0; t < trials; t++ {
-		// Observer nodes attach to random existing nodes.
-		obs := make([]*ethsim.Node, probes)
-		all := m.net.Nodes()
-		for i := range obs {
-			obs[i] = m.net.AddNode(ethsim.DefaultNodeConfig())
-			for j := 0; j < 3; j++ {
-				peer := all[m.net.Engine().Rand().Intn(len(all))]
-				if peer.ID() != obs[i].ID() {
-					_ = m.net.Connect(obs[i].ID(), peer.ID())
-				}
-			}
-		}
-		acct := m.freshAccount()
-		tx := types.NewTransaction(acct, m.freshAccount(), 0, y+uint64(t)+1, 0)
-		start := m.net.Now()
-		entry := all[m.net.Engine().Rand().Intn(len(all))]
-		m.super.Inject(entry.ID(), tx)
-		// Advance until all observers have it, in 0.5 s increments.
-		deadline := start + 120
-		for m.net.Now() < deadline {
-			m.net.RunFor(0.5)
-			allHave := true
-			for _, o := range obs {
-				if !o.Pool().Contains(tx) {
-					allHave = false
-					break
-				}
-			}
-			if allHave {
-				break
-			}
-		}
-		if d := m.net.Now() - start; d > worst {
-			worst = d
-		}
-		for _, o := range obs {
-			for _, p := range o.Peers() {
-				m.net.Disconnect(o.ID(), p)
-			}
-		}
-	}
-	return worst
 }

@@ -16,6 +16,10 @@ import (
 // buildRing creates a small ring network of n default Geth nodes with a
 // supernode attached to all, pre-filled with background transactions so
 // pools operate the way TopoShot expects, and returns the measurer.
+// supernode returns the simulated measurement node M a measurer probes
+// through.
+func supernode(m *Measurer) *ethsim.Supernode { return m.v.(*ethsim.Supernode) }
+
 func buildRing(t testing.TB, n int, seed int64) (*ethsim.Network, *Measurer, []types.NodeID) {
 	t.Helper()
 	cfg := ethsim.DefaultConfig(seed)
@@ -82,7 +86,7 @@ func TestMeasureOneLinkAllPairsPerfectOnRing(t *testing.T) {
 			}
 		}
 	}
-	superID := m.Supernode().ID()
+	superID := supernode(m).ID()
 	filter := func(id types.NodeID) bool { return id != superID }
 	sc := ScoreAgainst(measured, truth, filter)
 	if sc.Precision() != 1 {
@@ -127,7 +131,7 @@ func TestMeasureNetworkRecoversRing(t *testing.T) {
 		t.Fatalf("measureNetwork: %v", err)
 	}
 	truth := EdgeSetOf(net.Edges())
-	superID := m.Supernode().ID()
+	superID := supernode(m).ID()
 	filter := func(id types.NodeID) bool { return id != superID }
 	sc := ScoreAgainst(res.Detected, truth, filter)
 	if sc.Precision() != 1 || sc.Recall() != 1 {
@@ -228,9 +232,9 @@ func TestMeasureSmallWorldNetwork(t *testing.T) {
 	cfg := ethsim.DefaultConfig(7)
 	net := ethsim.NewNetwork(cfg)
 	g := netgen.ErdosRenyiNM(14, 30, 7)
-	inst := netgen.Instantiate(net, g, netgen.Uniform(), 7)
+	inst := netgen.InstantiateScaled(net, g, netgen.Uniform(), 7, 1)
 	// Scale the pools down like buildRing does.
-	// (Instantiate used default Geth policy; rebuild with scaled policy.)
+	// (InstantiateScaled at scale 1 used default Geth policy; rebuild with scaled policy.)
 	_ = inst
 	super := ethsim.NewSupernode(net)
 	super.ConnectAll()
@@ -387,16 +391,17 @@ func TestFirstEvidence(t *testing.T) {
 // delivery flag intact. Only a watched hash (one M injected) is logged, and
 // Retire empties the log.
 func TestSightingsSince(t *testing.T) {
-	_, m, ids := buildRing(t, 4, 6)
-	super := m.Supernode()
+	net, m, ids := buildRing(t, 4, 6)
+	super := supernode(m)
+	nd := net.Node(super.ID())
 	tx := types.NewTransaction(types.AddressFromUint64(100), types.AddressFromUint64(101), 0, 1, 0)
 	other := types.NewTransaction(types.AddressFromUint64(102), types.AddressFromUint64(103), 0, 1, 0)
 	_ = super.Inject(ids[2], tx)
-	super.Node().OnTxDelivered(ids[0], other, 1)
-	super.Node().OnHashAnnounced(ids[1], other.Hash(), 2)
-	super.Node().OnTxDelivered(ids[0], tx, 1)
-	super.Node().OnHashAnnounced(ids[1], tx.Hash(), 2)
-	super.Node().OnTxDelivered(ids[1], tx, 3)
+	nd.OnTxDelivered(ids[0], other, 1)
+	nd.OnHashAnnounced(ids[1], other.Hash(), 2)
+	nd.OnTxDelivered(ids[0], tx, 1)
+	nd.OnHashAnnounced(ids[1], tx.Hash(), 2)
+	nd.OnTxDelivered(ids[1], tx, 3)
 	want := []gossip.Sighting{{At: 2, Peer: ids[1]}, {At: 3, Peer: ids[1], Pushed: true}}
 	if got := super.Sightings(tx.Hash(), 1.5); !slices.Equal(got, want) {
 		t.Fatalf("Sightings since 1.5 = %v, want %v", got, want)
@@ -411,7 +416,7 @@ func TestSightingsSince(t *testing.T) {
 	if got := super.Sightings(tx.Hash(), 0); len(got) != 0 {
 		t.Fatalf("Sightings after Retire = %v, want none", got)
 	}
-	super.Node().OnTxDelivered(ids[1], tx, 5)
+	nd.OnTxDelivered(ids[1], tx, 5)
 	if got := super.Sightings(tx.Hash(), 0); len(got) != 0 {
 		t.Fatalf("Sightings of a retired hash = %v, want none", got)
 	}

@@ -58,9 +58,6 @@ func (v NIVerifier) Check() []Violation {
 	return out
 }
 
-// OK reports whether both conditions held throughout.
-func (v NIVerifier) OK() bool { return len(v.Check()) == 0 }
-
 // SafeY0 derives a workload-adaptive measurement price that V2 is expected
 // to hold for: strictly below the cheapest transaction included in the
 // recent window of blocks (and at most the given ceiling). It returns 0

@@ -111,49 +111,3 @@ func clientFromVersion(version string) (txpool.Policy, bool) {
 	}
 	return txpool.Policy{}, false
 }
-
-// ProbeZ discovers the future-transaction count needed to measure a node
-// with a non-default (enlarged) mempool, per §5.2.3: a helper node B′ under
-// our control is peered with the target, the link is measured with
-// increasing Z until the known-true link is detected, and the working value
-// is recorded as this node's override. It reports the discovered Z and
-// whether any candidate worked; on success the override is retained for
-// subsequent measurements.
-func (m *Measurer) ProbeZ(target types.NodeID, candidates []int) (int, bool) {
-	if len(candidates) == 0 {
-		candidates = []int{m.params.Z, 2 * m.params.Z, 4 * m.params.Z, 8 * m.params.Z}
-	}
-	// The helper runs the default policy at the measurer's working scale:
-	// its pool must be exactly one Z deep so the B′ side of the probe
-	// behaves like a stock node.
-	helperCfg := ethsim.DefaultNodeConfig()
-	helperCfg.Policy = txpool.Geth.WithCapacity(m.params.Z)
-	helper := m.net.AddNode(helperCfg)
-	defer func() {
-		for _, p := range helper.Peers() {
-			m.net.Disconnect(helper.ID(), p)
-		}
-	}()
-	if err := m.net.Connect(helper.ID(), target); err != nil {
-		return 0, false
-	}
-	if err := m.super.Connect(helper.ID()); err != nil {
-		return 0, false
-	}
-	// Let the helper's pool reach steady state.
-	m.net.RunFor(2)
-	saved, hadSaved := m.ZOverride[target]
-	for _, z := range candidates {
-		m.ZOverride[target] = z
-		ok, err := m.MeasureOneLink(target, helper.ID())
-		if err == nil && ok {
-			return z, true
-		}
-	}
-	if hadSaved {
-		m.ZOverride[target] = saved
-	} else {
-		delete(m.ZOverride, target)
-	}
-	return 0, false
-}

@@ -41,12 +41,6 @@ func (s *EdgeSet) Add(a, b types.NodeID) {
 	s.set[norm(a, b)] = struct{}{}
 }
 
-// Remove deletes the undirected edge {a,b} if present (tracked ground
-// truths evolve under churn).
-func (s *EdgeSet) Remove(a, b types.NodeID) {
-	delete(s.set, norm(a, b))
-}
-
 // Has reports membership of {a,b}.
 func (s *EdgeSet) Has(a, b types.NodeID) bool {
 	_, ok := s.set[norm(a, b)]

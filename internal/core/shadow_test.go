@@ -22,9 +22,9 @@ type shadowVantage struct {
 	reads, answered int
 }
 
-func newShadowVantage(t testing.TB, s *ethsim.Supernode) *shadowVantage {
+func newShadowVantage(t testing.TB, net *ethsim.Network, s *ethsim.Supernode) *shadowVantage {
 	v := &shadowVantage{Supernode: s, t: t, full: make(map[types.Hash][]gossip.Sighting)}
-	nd := s.Node()
+	nd := net.Node(s.ID())
 	onTx, onHash := nd.OnTxDelivered, nd.OnHashAnnounced
 	nd.OnTxDelivered = func(from types.NodeID, tx *types.Transaction, at float64) {
 		h := tx.Hash()
@@ -61,7 +61,7 @@ func (v *shadowVantage) Sightings(h types.Hash, since float64) []gossip.Sighting
 // probes — every read of the bounded log answers what the full log would.
 func TestSightingsMatchFullLog(t *testing.T) {
 	net := ethsim.NewNetwork(ethsim.DefaultConfig(11))
-	inst := netgen.Instantiate(net, netgen.ErdosRenyiNM(14, 30, 11), netgen.Uniform(), 11)
+	inst := netgen.InstantiateScaled(net, netgen.ErdosRenyiNM(14, 30, 11), netgen.Uniform(), 11, 1)
 	super := ethsim.NewSupernode(net)
 	super.ConnectAll()
 	w := ethsim.NewWorkload(net, 20, types.Gwei/10, 2*types.Gwei)
@@ -70,7 +70,7 @@ func TestSightingsMatchFullLog(t *testing.T) {
 	params := DefaultParams()
 	params.SettleTime = 8
 	m := NewMeasurer(net, super, params)
-	v := newShadowVantage(t, super)
+	v := newShadowVantage(t, net, super)
 	m.v = v
 
 	eligible := m.Preprocess(inst.IDs).EligibleNodes(inst.IDs)

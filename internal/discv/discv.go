@@ -22,10 +22,6 @@ const BucketSize = 16
 // NumBuckets is the number of distance buckets kept (17 in Geth).
 const NumBuckets = 17
 
-// TableSize is the maximum routing-table population (272 = 17×16, the
-// inactive-neighbor count the paper quotes for Geth).
-const TableSize = NumBuckets * BucketSize
-
 // kadID hashes a node id onto the 256-bit Kademlia keyspace.
 func kadID(id types.NodeID) [32]byte {
 	var buf [4]byte
@@ -87,9 +83,6 @@ func (t *Table) Add(id types.NodeID) bool {
 	t.present[id] = true
 	return true
 }
-
-// Contains reports whether id is in the table.
-func (t *Table) Contains(id types.NodeID) bool { return t.present[id] }
 
 // Len returns the table population.
 func (t *Table) Len() int { return len(t.present) }
@@ -174,9 +167,6 @@ func (s *System) FindNode(dest, target types.NodeID) []types.NodeID {
 	}
 	return tbl.Closest(target, BucketSize)
 }
-
-// Table returns a node's routing table (nil if unknown).
-func (s *System) Table(id types.NodeID) *Table { return s.tables[id] }
 
 // CrawlInactiveEdges reproduces the W2 measurement: repeatedly FIND_NODE
 // every node with `lookups` random targets each and union the revealed

@@ -40,8 +40,8 @@ func TestTableAddAndCaps(t *testing.T) {
 	if tbl.Len() != added {
 		t.Fatalf("len %d != added %d", tbl.Len(), added)
 	}
-	if tbl.Len() > TableSize {
-		t.Fatalf("table overflow: %d > %d", tbl.Len(), TableSize)
+	if tbl.Len() > NumBuckets*BucketSize {
+		t.Fatalf("table overflow: %d > %d", tbl.Len(), NumBuckets*BucketSize)
 	}
 	// Duplicate insert rejected.
 	entries := tbl.Entries()
@@ -72,7 +72,7 @@ func TestSystemBootstrapPopulatesTables(t *testing.T) {
 	sys := NewSystem(all, 8, 3, 1)
 	var sum int
 	for _, id := range all {
-		sum += sys.Table(id).Len()
+		sum += sys.tables[id].Len()
 	}
 	avg := float64(sum) / float64(len(all))
 	if avg < 30 {
@@ -87,9 +87,9 @@ func TestFindNodeRespondsFromTable(t *testing.T) {
 	if len(resp) == 0 || len(resp) > BucketSize {
 		t.Fatalf("FIND_NODE response size %d", len(resp))
 	}
-	tbl := sys.Table(all[0])
+	tbl := sys.tables[all[0]]
 	for _, id := range resp {
-		if !tbl.Contains(id) {
+		if !tbl.present[id] {
 			t.Fatalf("response %v not in responder's table", id)
 		}
 	}

@@ -156,7 +156,7 @@ func TestChurnOnEventHook(t *testing.T) {
 		if !inPop(ev.A) || !inPop(ev.B) {
 			t.Fatalf("churn touched out-of-population link %d-%d", ev.A, ev.B)
 		}
-		if ev.A == sn.Node().ID() || ev.B == sn.Node().ID() {
+		if ev.A == sn.ID() || ev.B == sn.ID() {
 			t.Fatal("churn touched the supernode")
 		}
 	}

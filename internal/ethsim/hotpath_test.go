@@ -120,7 +120,7 @@ func TestAnnounceLockStillFiltersDuplicates(t *testing.T) {
 	if err := net.Connect(nd.ID(), src.ID()); err != nil {
 		t.Fatal(err)
 	}
-	h := types.BytesToHash([]byte{0xaa})
+	h := types.Hash{31: 0xaa}
 	nd.deliverAnnounce(src.ID(), []types.Hash{h}, nil)
 	nd.deliverAnnounce(src.ID(), []types.Hash{h}, nil)
 	net.RunFor(5)
@@ -146,7 +146,7 @@ func TestAnnounceTakesSlotOnlyWhenAsking(t *testing.T) {
 		t.Fatalf("an announcement wanting nothing holds %d message slots and took %d payloads", live, len(net.privs)-1)
 	}
 
-	h := types.BytesToHash([]byte{0xbb})
+	h := types.Hash{31: 0xbb}
 	nd.deliverAnnounce(99, []types.Hash{h}, nil)
 	if live := len(net.msgs) - len(net.msgFree); live != 0 {
 		t.Fatalf("an unknown announcer was sent a request (%d message slots live)", live)

@@ -35,11 +35,6 @@ type NodeConfig struct {
 	VersionTag string
 }
 
-// DefaultNodeConfig returns a vanilla Geth node.
-func DefaultNodeConfig() NodeConfig {
-	return NodeConfig{Policy: txpool.Geth, MaxPeers: 50}
-}
-
 // Node is one simulated Ethereum peer. Its peer set lives as a sorted
 // segment of the network's shared adjacency arena (struct-of-arrays,
 // DESIGN.md §12): the node carries only the segment's offset/length/capacity,

@@ -7,15 +7,9 @@ import (
 )
 
 // RPC is the JSON-RPC-shaped facade a measurement node uses to interrogate
-// a target node: the reproduction's analogue of eth_getTransactionByHash,
-// admin_peers, txpool_content and web3_clientVersion. Unresponsive nodes
-// error on every call.
-//
-// A caller that minted the transaction it asks about uses HasTransaction,
-// which compares content and computes no hash; GetTransactionByHash is for a
-// caller that holds only the hash, and makes the target's pool index
-// everything it buffers by hash first (txpool.Pool's on-demand index) — on a
-// pool just filled with Z futures that is Z digests.
+// a target node: the reproduction's analogue of web3_clientVersion and of
+// eth_getTransactionByHash asked by a caller that minted the transaction.
+// Unresponsive nodes error on every call.
 type RPC struct {
 	n *Node
 }
@@ -38,38 +32,11 @@ func (r RPC) ClientVersion() (string, error) {
 	return v, nil
 }
 
-// GetTransactionByHash returns the buffered transaction, or nil when the
-// node does not hold it (eth_getTransactionByHash against the mempool).
-func (r RPC) GetTransactionByHash(h types.Hash) (*types.Transaction, error) {
-	if r.n.cfg.Unresponsive {
-		return nil, ErrUnresponsive
-	}
-	return r.n.pool.Get(h), nil
-}
-
-// HasTransaction reports whether the node buffers tx: the same question as
-// GetTransactionByHash(tx.Hash()) != nil, asked by object.
+// HasTransaction reports whether the node buffers tx: eth_getTransactionByHash
+// asked by object, so it compares content and computes no hash.
 func (r RPC) HasTransaction(tx *types.Transaction) (bool, error) {
 	if r.n.cfg.Unresponsive {
 		return false, ErrUnresponsive
 	}
 	return r.n.pool.Contains(tx), nil
-}
-
-// PeerList returns the node's active neighbors (admin_peers). TopoShot only
-// calls this on nodes the experimenter controls — ground truth is never
-// available for remote nodes, which is the paper's whole premise.
-func (r RPC) PeerList() ([]types.NodeID, error) {
-	if r.n.cfg.Unresponsive {
-		return nil, ErrUnresponsive
-	}
-	return r.n.Peers(), nil
-}
-
-// TxpoolStatus returns the pending and future population (txpool_status).
-func (r RPC) TxpoolStatus() (pending, future int, err error) {
-	if r.n.cfg.Unresponsive {
-		return 0, 0, ErrUnresponsive
-	}
-	return r.n.pool.PendingCount(), r.n.pool.FutureCount(), nil
 }

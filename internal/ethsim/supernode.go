@@ -118,9 +118,6 @@ func (s *Supernode) PendingPriceView() []uint64 {
 // ID returns the supernode's node id.
 func (s *Supernode) ID() types.NodeID { return s.node.ID() }
 
-// Node returns the underlying node.
-func (s *Supernode) Node() *Node { return s.node }
-
 // ConnectAll links the supernode to every current node except itself and
 // other supernodes already linked.
 func (s *Supernode) ConnectAll() {

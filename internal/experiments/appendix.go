@@ -305,7 +305,8 @@ type AblationRow struct {
 }
 
 // Ablations exercises the design choices DESIGN.md calls out: propagation
-// mode, announcement-lock duration, X calibration, and pre-processing.
+// mode, announcement-lock duration, the flood wait X (fixed 0.2 s vs the
+// default 10 s), and pre-processing.
 // Every row builds its own net from a row-specific seed, so the six rows
 // are independent simulations and run via the runner pool in fixed order.
 func Ablations(seed int64) []AblationRow {
@@ -331,7 +332,7 @@ func Ablations(seed int64) []AblationRow {
 			Precision: sc.Precision(), Recall: sc.Recall()}
 	}
 
-	// 2. X too small vs calibrated: a short flood wait leaves txC missing
+	// 2. X too small vs the default: a short flood wait leaves txC missing
 	// on distant nodes, breaking isolation (false positives appear).
 	floodWait := func(lane *trace.Tracer, x float64) AblationRow {
 		v := newValidationNet(seed+7, 120, netgen.Uniform(), publicLatency, 0, lane)

@@ -164,8 +164,8 @@ type Table7Row struct {
 }
 
 // Table7 summarizes the testnet censuses plus the mainnet subnetwork
-// measurement (Table 7), using worst-case cost accounting for the testnets
-// and chain-verified cost for the mainnet.
+// measurement (Table 7), all priced by worst-case cost accounting: every
+// pending-class measurement transaction counts as mined.
 func Table7(censuses []*Census, t6 *Table6Result) []Table7Row {
 	var rows []Table7Row
 	for _, c := range censuses {

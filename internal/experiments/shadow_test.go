@@ -21,9 +21,9 @@ type shadowVantage struct {
 	reads int
 }
 
-func newShadowVantage(t testing.TB, s *ethsim.Supernode) *shadowVantage {
+func newShadowVantage(t testing.TB, net *ethsim.Network, s *ethsim.Supernode) *shadowVantage {
 	v := &shadowVantage{Supernode: s, t: t, full: make(map[types.Hash][]gossip.Sighting)}
-	nd := s.Node()
+	nd := net.Node(s.ID())
 	onTx, onHash := nd.OnTxDelivered, nd.OnHashAnnounced
 	nd.OnTxDelivered = func(from types.NodeID, tx *types.Transaction, at float64) {
 		h := tx.Hash()
@@ -63,7 +63,7 @@ func TestCompareSightingsMatchFullLog(t *testing.T) {
 	}
 	for i, m := range strategy.Methods() {
 		world, truth, pairs := compareReplica(7, cfg, nil)
-		v := newShadowVantage(t, world.Super)
+		v := newShadowVantage(t, world.Net, world.Super)
 		s, err := strategy.NewMethodAt(m, v, cfg.Strategy)
 		if err != nil {
 			t.Fatal(err)

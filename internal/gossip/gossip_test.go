@@ -97,7 +97,7 @@ func TestAnswer(t *testing.T) {
 // after the window expires.
 func TestLocksFetch(t *testing.T) {
 	var l Locks
-	h := types.BytesToHash([]byte{0xaa})
+	h := types.Hash{31: 0xaa}
 	for _, c := range []struct {
 		now  float64
 		want bool
@@ -127,9 +127,9 @@ func lockOf(l *Locks, h types.Hash) (float64, bool) {
 // hash's current entry is authoritative), and the dead prefix compacts away.
 func TestLocksSweepRing(t *testing.T) {
 	var l Locks
-	h1 := types.BytesToHash([]byte{1})
-	h2 := types.BytesToHash([]byte{2})
-	h3 := types.BytesToHash([]byte{3})
+	h1 := types.Hash{31: 1}
+	h2 := types.Hash{31: 2}
+	h3 := types.Hash{31: 3}
 	l.Arm(h1, 5)
 	l.Arm(h2, 6)
 	l.Arm(h3, 7)
@@ -280,9 +280,9 @@ func FuzzLocks(f *testing.F) {
 		for k := 0; k+1 < len(ops); k += 2 {
 			op, arg := ops[k]%4, ops[k+1]
 			now += 0.25 + float64(arg%8)/16
-			h := types.BytesToHash([]byte{arg & 0x3f, 1})
+			h := types.Hash{30: arg & 0x3f, 31: 1}
 			if arg&0x80 != 0 {
-				h = types.BytesToHash(bytes.Repeat([]byte{arg, 0x5a}, 16))
+				h = types.Hash(bytes.Repeat([]byte{arg, 0x5a}, 16))
 				h[arg%32] ^= byte(k)
 			}
 			switch op {

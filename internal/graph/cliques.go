@@ -15,30 +15,6 @@ func (g *Graph) CountMaximalCliques(budget int) int {
 	return count
 }
 
-// MaximalCliques returns up to limit maximal cliques (limit ≤ 0: all).
-func (g *Graph) MaximalCliques(limit int) [][]int {
-	var out [][]int
-	g.enumerateCliques(limit, func(c []int) bool {
-		out = append(out, append([]int(nil), c...))
-		return limit <= 0 || len(out) < limit
-	})
-	return out
-}
-
-// MaxCliqueSize returns the order of the largest clique (ω(G)) found during
-// enumeration, bounded by budget maximal cliques (0 = unlimited).
-func (g *Graph) MaxCliqueSize(budget int) int {
-	best, count := 0, 0
-	g.enumerateCliques(budget, func(c []int) bool {
-		if len(c) > best {
-			best = len(c)
-		}
-		count++
-		return budget <= 0 || count < budget
-	})
-	return best
-}
-
 // enumerateCliques runs Bron–Kerbosch with pivoting, invoking yield for each
 // maximal clique until yield returns false.
 func (g *Graph) enumerateCliques(budget int, yield func([]int) bool) {

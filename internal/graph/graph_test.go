@@ -186,9 +186,6 @@ func TestMaximalCliques(t *testing.T) {
 	if n := k4().CountMaximalCliques(0); n != 1 {
 		t.Fatalf("K4 maximal cliques = %d", n)
 	}
-	if s := k4().MaxCliqueSize(0); s != 4 {
-		t.Fatalf("K4 clique size = %d", s)
-	}
 	// Path of 4: three maximal cliques (the edges).
 	if n := path(4).CountMaximalCliques(0); n != 3 {
 		t.Fatalf("P4 maximal cliques = %d", n)
@@ -197,7 +194,11 @@ func TestMaximalCliques(t *testing.T) {
 	if n := path(10).CountMaximalCliques(4); n != 4 {
 		t.Fatalf("budgeted count = %d", n)
 	}
-	cl := k4().MaximalCliques(0)
+	var cl [][]int
+	k4().enumerateCliques(0, func(c []int) bool {
+		cl = append(cl, append([]int(nil), c...))
+		return true
+	})
 	if len(cl) != 1 || len(cl[0]) != 4 {
 		t.Fatalf("clique listing wrong: %v", cl)
 	}
@@ -274,10 +275,10 @@ func TestLouvainTwoCliquesBridge(t *testing.T) {
 	}
 	// All members of each clique share a label.
 	for v := 1; v < 5; v++ {
-		if part.Of(v) != part.Of(0) {
+		if part.community[v] != part.community[0] {
 			t.Fatalf("clique 1 split")
 		}
-		if part.Of(v+5) != part.Of(5) {
+		if part.community[v+5] != part.community[5] {
 			t.Fatalf("clique 2 split")
 		}
 	}

@@ -10,9 +10,6 @@ type Partition struct {
 	community map[int]int
 }
 
-// Of returns v's community label.
-func (p *Partition) Of(v int) int { return p.community[v] }
-
 // NumCommunities returns the number of distinct communities.
 func (p *Partition) NumCommunities() int {
 	seen := make(map[int]struct{})

@@ -131,7 +131,7 @@ func takesTestingF(fn *ast.FuncDecl) bool {
 	return ok && pkg.Name == "testing"
 }
 
-func sortedKeys(m map[string]bool) []string {
+func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)

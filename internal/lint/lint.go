@@ -172,14 +172,6 @@ func selectAnalyzers(rules []string) ([]*Analyzer, error) {
 	return analyzers, nil
 }
 
-// CheckPackage applies analyzers to one loaded package by wrapping it in a
-// single-package program: type errors become typecheck findings, analyzer
-// findings pass through the package's ignore directives, and malformed,
-// unknown-rule, or stale directives are reported. Fixture tests use this.
-func CheckPackage(pkg *Package, analyzers []*Analyzer) []Finding {
-	return CheckProgram(NewProgram(pkg), analyzers)
-}
-
 // Format renders findings one per line — the golden-file format.
 func Format(findings []Finding) string {
 	var b strings.Builder

@@ -335,14 +335,48 @@ func TestByName(t *testing.T) {
 // clean, so reintroducing any fixture violation fails this test as well as
 // the CI lint job.
 func TestTreeClean(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-module load in -short mode")
-	}
-	findings, err := Run(Options{Dir: "../.."})
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
+	findings := CheckProgram(loadModule(t), Analyzers())
 	if len(findings) > 0 {
 		t.Errorf("module tree is not lint-clean:\n%s", Format(findings))
 	}
+}
+
+// LoadPackage parses and type-checks the single package in dir under the
+// claimed import path, test files included. It is the entry point tests use
+// to load fixture packages from testdata (which the normal pattern walk
+// skips). The claimed path controls path-scoped rules, so a fixture can opt
+// into, say, the simulation-package determinism checks. The second result is
+// the directory's external test package, or nil.
+func LoadPackage(dir, importPath string) (*Package, *Package, error) {
+	abs, err := filepath.Abs(dir)
+	if err != nil {
+		return nil, nil, err
+	}
+	ld, err := newLoader(abs, true)
+	if err != nil {
+		return nil, nil, err
+	}
+	base, ext, err := ld.checkDir(abs, importPath)
+	if err != nil {
+		return nil, nil, err
+	}
+	if ext != nil {
+		ld.pkgs[importPath] = base
+		ld.typecheck(ext, importPath+"_test")
+	}
+	return base, ext, nil
+}
+
+// CheckPackage applies analyzers to one loaded package by wrapping it in a
+// single-package program: type errors become typecheck findings, analyzer
+// findings pass through the package's ignore directives, and malformed,
+// unknown-rule, or stale directives are reported. Fixture tests use this.
+func CheckPackage(pkg *Package, analyzers []*Analyzer) []Finding {
+	return CheckProgram(NewProgram(pkg), analyzers)
+}
+
+// NewProgram wraps already-loaded packages (fixture tests build single-
+// package programs this way). Packages must share a FileSet.
+func NewProgram(pkgs ...*Package) *Program {
+	return &Program{Packages: pkgs}
 }

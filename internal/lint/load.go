@@ -384,29 +384,3 @@ func (l *loader) typecheck(pkg *Package, checkPath string) {
 	tpkg, _ := conf.Check(checkPath, l.fset, pkg.Files, pkg.Info)
 	pkg.Types = tpkg
 }
-
-// LoadPackage parses and type-checks the single package in dir under the
-// claimed import path, test files included. It is the entry point tests use
-// to load fixture packages from testdata (which the normal pattern walk
-// skips). The claimed path controls path-scoped rules, so a fixture can opt
-// into, say, the simulation-package determinism checks. The second result is
-// the directory's external test package, or nil.
-func LoadPackage(dir, importPath string) (*Package, *Package, error) {
-	abs, err := filepath.Abs(dir)
-	if err != nil {
-		return nil, nil, err
-	}
-	ld, err := newLoader(abs, true)
-	if err != nil {
-		return nil, nil, err
-	}
-	base, ext, err := ld.checkDir(abs, importPath)
-	if err != nil {
-		return nil, nil, err
-	}
-	if ext != nil {
-		ld.pkgs[importPath] = base
-		ld.typecheck(ext, importPath+"_test")
-	}
-	return base, ext, nil
-}

@@ -12,12 +12,6 @@ type Program struct {
 	Packages []*Package // sorted by Path; external test packages follow their subject
 }
 
-// NewProgram wraps already-loaded packages (fixture tests build single-
-// package programs this way). Packages must share a FileSet.
-func NewProgram(pkgs ...*Package) *Program {
-	return &Program{Packages: pkgs}
-}
-
 // LoadProgram expands the patterns and loads every matched package — and,
 // when test linting is on, each one's external test package — into one
 // Program. A package that cannot be loaded at all (unreadable directory, no

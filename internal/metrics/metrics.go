@@ -143,14 +143,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
 // Sum returns the running total of observed values.
 func (h *Histogram) Sum() float64 {
 	if h == nil {
@@ -181,11 +173,6 @@ func (h *Histogram) snapshot() HistogramSnapshot {
 // multi-minute campaign rounds, in seconds.
 var DefaultLatencyBuckets = []float64{
 	0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5, 10, 30, 60, 300, 1800,
-}
-
-// DefaultSizeBuckets suits message/frame byte sizes.
-var DefaultSizeBuckets = []float64{
-	64, 256, 1024, 4096, 16384, 65536, 262144, 1 << 20, 4 << 20, 16 << 20,
 }
 
 // Registry is a namespace of instruments. Lookups are get-or-create and

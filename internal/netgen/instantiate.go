@@ -63,16 +63,12 @@ type Instantiated struct {
 	Back map[types.NodeID]int
 }
 
-// Instantiate realizes a topology as a simulated network: one node per
+// InstantiateScaled realizes a topology as a simulated network: one node per
 // vertex with a configuration sampled from the heterogeneity profile, and
 // one Connect call per edge. The network's seed plus salt drives sampling.
-func Instantiate(net *ethsim.Network, g *graph.Graph, het Heterogeneity, salt int64) *Instantiated {
-	return InstantiateScaled(net, g, het, salt, 1)
-}
-
-// InstantiateScaled is Instantiate with every node's mempool capacity
-// multiplied by scale — whole-testnet campaigns use 1/10-scale pools to
-// stay tractable while preserving all policy ratios.
+// Every node's mempool capacity is multiplied by scale — whole-testnet
+// campaigns use 1/10-scale pools to stay tractable while preserving all
+// policy ratios; a scale of 0 or 1 keeps full-size pools.
 func InstantiateScaled(net *ethsim.Network, g *graph.Graph, het Heterogeneity, salt int64, scale float64) *Instantiated {
 	rng := rand.New(rand.NewSource(net.Config().Seed ^ salt))
 	nodes := g.Nodes()

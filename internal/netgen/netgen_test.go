@@ -59,9 +59,15 @@ func TestBarabasiAlbertShape(t *testing.T) {
 		t.Fatalf("avg degree = %v, want ≈ 2k = 10", avg)
 	}
 	// Preferential attachment must produce hubs well above the average.
-	if h := g.DegreeHistogram().Max(); h < 20 {
+	if h := maxDegree(g); h < 20 {
 		t.Fatalf("max degree = %d, expected hubs", h)
 	}
+}
+
+// maxDegree returns the largest vertex degree of g.
+func maxDegree(g *graph.Graph) int {
+	keys := g.DegreeHistogram().Keys()
+	return keys[len(keys)-1]
 }
 
 func TestGrowTestnetPresets(t *testing.T) {
@@ -96,8 +102,8 @@ func TestGrowTestnetPresets(t *testing.T) {
 func TestGrowLeafAndMonitorNodes(t *testing.T) {
 	g := Grow(GoerliConfig.WithSeed(7))
 	h := g.DegreeHistogram()
-	if h.Max() < 400 {
-		t.Fatalf("no monitor-grade node: max degree %d", h.Max())
+	if maxDegree(g) < 400 {
+		t.Fatalf("no monitor-grade node: max degree %d", maxDegree(g))
 	}
 	low := 0
 	for _, d := range []int{1, 2, 3} {
@@ -140,7 +146,7 @@ func TestBaselinesParallelismInvariance(t *testing.T) {
 func TestInstantiateMirrorsGraph(t *testing.T) {
 	g := ErdosRenyiNM(30, 90, 13)
 	net := ethsim.NewNetwork(ethsim.DefaultConfig(13))
-	inst := Instantiate(net, g, Uniform(), 13)
+	inst := InstantiateScaled(net, g, Uniform(), 13, 1)
 	if len(inst.IDs) != 30 {
 		t.Fatalf("ids = %d", len(inst.IDs))
 	}
@@ -176,7 +182,7 @@ func TestHeterogeneityApplied(t *testing.T) {
 		LegacyPushFraction: 0.5,
 		Expiry:             123,
 	}
-	inst := Instantiate(net, g, het, 19)
+	inst := InstantiateScaled(net, g, het, 19, 1)
 	noFwd, push := 0, 0
 	for _, id := range inst.IDs {
 		cfg := net.Node(id).Config()

@@ -618,17 +618,6 @@ func (n *Node) fanout(excludeAddr string) (push, announce []*peer) {
 	return push, announce
 }
 
-// SubmitLocal offers a transaction as a local user would (RPC submission)
-// and gossips it when executable.
-func (n *Node) SubmitLocal(tx *types.Transaction) txpool.Status {
-	n.mu.Lock()
-	res := n.pool.Offer(tx)
-	out := gossip.Propagatable(nil, tx, res, n.pool, false)
-	n.mu.Unlock()
-	n.propagate("", out)
-	return res.Status
-}
-
 // SendTo pushes transactions to one specific peer, bypassing the local pool
 // — the instrumented-client injection a measurement node needs (futures
 // included).
@@ -640,14 +629,6 @@ func (n *Node) SendTo(peerAddr string, txs []*types.Transaction) error {
 		return fmt.Errorf("node: no peer %s", peerAddr)
 	}
 	return n.sendTo(p, wire.Msg{Code: wire.CodeTransactions, Txs: txs})
-}
-
-// HasTx reports whether the pool buffers the hash (the RPC
-// eth_getTransactionByHash analogue).
-func (n *Node) HasTx(h types.Hash) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.pool.Has(h)
 }
 
 // PoolStats returns (total, pending, future) population counts.

@@ -209,7 +209,7 @@ func TestLiveAnnounceLocksExpire(t *testing.T) {
 		n.locks.Live(func(types.Hash, float64) { live++ })
 		return live
 	}
-	h := types.BytesToHash([]byte{0xaa})
+	h := types.Hash{31: 0xaa}
 
 	n.handleAnnounce(p, []types.Hash{h})
 	expect("first announcement", true)
@@ -449,4 +449,23 @@ func TestLiveCompare(t *testing.T) {
 			}
 		})
 	}
+}
+
+// SubmitLocal offers a transaction as a local user would (RPC submission)
+// and gossips it when executable.
+func (n *Node) SubmitLocal(tx *types.Transaction) txpool.Status {
+	n.mu.Lock()
+	res := n.pool.Offer(tx)
+	out := gossip.Propagatable(nil, tx, res, n.pool, false)
+	n.mu.Unlock()
+	n.propagate("", out)
+	return res.Status
+}
+
+// HasTx reports whether the pool buffers the hash (the RPC
+// eth_getTransactionByHash analogue).
+func (n *Node) HasTx(h types.Hash) bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.pool.Has(h)
 }

@@ -100,7 +100,7 @@ func TestDashLedgerJSONShape(t *testing.T) {
 
 func TestDashEventsSSEReplaysSnapshot(t *testing.T) {
 	d, lg := testDash()
-	lg.Info("second-event", Bool("ok", true))
+	lg.Info("second-event", trace.Bool("ok", true))
 	// A pre-cancelled context makes the SSE handler replay the buffered
 	// snapshot and return at the first live-stream select.
 	ctx, cancel := context.WithCancel(context.Background())

@@ -3,7 +3,6 @@ package obs
 import (
 	"bufio"
 	"encoding/json"
-	"fmt"
 	"io"
 	"strconv"
 	"strings"
@@ -15,8 +14,8 @@ import (
 // (trace/jsonl.go): one JSON object per line — a header, then per scope a
 // scope meta line followed by that scope's events in sequence order — with
 // the attribute encoding, lane bookkeeping and line scanner shared from
-// there. It round-trips losslessly through ReadJSONL and, because Snapshot is
-// deterministic, two same-seed runs serialize byte-identical streams at any
+// there. It round-trips losslessly (the package's tests read it back) and,
+// because Snapshot is deterministic, two same-seed runs serialize byte-identical streams at any
 // parallelism width.
 
 // jsonlVersion is bumped on incompatible line-schema changes.
@@ -86,46 +85,6 @@ func (lg *Log) WriteText(w io.Writer) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ReadJSONL parses a JSONL event-log stream back into a Log. Scopes keep
-// their first-seen order and metadata; events keep file order within their
-// scope. Events for a scope with no preceding scope line get an implicit
-// unnamed scope. Unknown line kinds are an error, as is any malformed line.
-func ReadJSONL(r io.Reader) (*Log, error) {
-	out := &trace.Trace{}
-	err := trace.ScanJSONL(r, "obs", func(line *jsonlLine) error {
-		switch line.Kind {
-		case "header":
-			// Version 1 has no header payload beyond v itself.
-		case "scope":
-			s := out.Lane(line.Scope)
-			s.Name = line.Name
-			s.Dropped = line.Dropped
-		case "event":
-			if len(line.Fields) > trace.MaxAttrs {
-				return fmt.Errorf("%d fields exceeds the event limit %d", len(line.Fields), trace.MaxAttrs)
-			}
-			lv, err := ParseLevel(line.Level)
-			if err != nil {
-				return err
-			}
-			ev := trace.Record{Kind: trace.KindEvent, Level: uint8(lv), Name: line.Msg,
-				Seq: line.Seq, Start: line.T, End: line.T}
-			for _, f := range line.Fields {
-				ev.Set(f.Attr())
-			}
-			s := out.Lane(line.Scope)
-			s.Records = append(s.Records, ev)
-		default:
-			return fmt.Errorf("unknown kind %q", line.Kind)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return (*Log)(out), nil
 }
 
 // needsQuote reports whether a logfmt value must be quoted.

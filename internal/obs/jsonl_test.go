@@ -3,6 +3,8 @@ package obs
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 
@@ -30,8 +32,8 @@ func sampleLog() *Log {
 	lg.SetClock(func() float64 { return 1.0 })
 	a := lg.Scope("census", func() float64 { return 2.0 })
 	lg.Info("campaign-started", Int("nodes", 30), Float("rate", 0.5))
-	a.Debug("batch-done", Int("batch", 1), Bool("ok", true))
-	a.Warn("slow", String("why", "queue depth"))
+	a.Debug("batch-done", Int("batch", 1), trace.Bool("ok", true))
+	a.log(LevelWarn, "slow", []Field{String("why", "queue depth")})
 	lg.Error("failed", Err(errors.New("boom")))
 	return lg.Snapshot()
 }
@@ -150,4 +152,44 @@ func FuzzObsJSONL(f *testing.F) {
 			t.Fatalf("not a fixed point:\n%s\nvs\n%s", a.String(), b.String())
 		}
 	})
+}
+
+// ReadJSONL parses a JSONL event-log stream back into a Log. Scopes keep
+// their first-seen order and metadata; events keep file order within their
+// scope. Events for a scope with no preceding scope line get an implicit
+// unnamed scope. Unknown line kinds are an error, as is any malformed line.
+func ReadJSONL(r io.Reader) (*Log, error) {
+	out := &trace.Trace{}
+	err := trace.ScanJSONL(r, "obs", func(line *jsonlLine) error {
+		switch line.Kind {
+		case "header":
+			// Version 1 has no header payload beyond v itself.
+		case "scope":
+			s := out.Lane(line.Scope)
+			s.Name = line.Name
+			s.Dropped = line.Dropped
+		case "event":
+			if len(line.Fields) > trace.MaxAttrs {
+				return fmt.Errorf("%d fields exceeds the event limit %d", len(line.Fields), trace.MaxAttrs)
+			}
+			lv, err := ParseLevel(line.Level)
+			if err != nil {
+				return err
+			}
+			ev := trace.Record{Kind: trace.KindEvent, Level: uint8(lv), Name: line.Msg,
+				Seq: line.Seq, Start: line.T, End: line.T}
+			for _, f := range line.Fields {
+				ev.Set(f.Attr())
+			}
+			s := out.Lane(line.Scope)
+			s.Records = append(s.Records, ev)
+		default:
+			return fmt.Errorf("unknown kind %q", line.Kind)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return (*Log)(out), nil
 }

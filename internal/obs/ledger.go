@@ -6,14 +6,13 @@ import (
 	"io"
 	"sync"
 
-	"toposhot/internal/trace"
 	"toposhot/internal/types"
 )
 
 // The cost-attribution ledger answers the paper's cost question — "what did
 // this inference cost, and where did it go?" — at three granularities:
-// per-record (one pair probe, one strategy/measurement round, one tracker
-// tick), per-phase, and per-campaign. Unlike core.Ledger, which prices the
+// per-record (one pair probe, one strategy/measurement round), per-phase,
+// and per-campaign. Unlike core.Ledger, which prices the
 // worst case of everything a measurer ever minted, this ledger attributes
 // each transaction and fee unit to the probe that spent it and the verdict
 // it bought, making individual link inferences auditable.
@@ -25,11 +24,10 @@ import (
 
 // Record kinds. A pair record attributes cost to one (A,B) link probe; a
 // round record carries cost shared across a batch (futures in a MeasurePar
-// call, a strategy Prepare); a tick record summarizes one tracker tick.
+// call, a strategy Prepare).
 const (
 	KindPair  = "pair"
 	KindRound = "round"
-	KindTick  = "tick"
 )
 
 // Verdicts carried by pair records beyond the measurement outcome strings.
@@ -183,17 +181,4 @@ func (l *Ledger) WriteJSONL(w io.Writer) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ReadLedgerJSONL parses a WriteJSONL stream back into a ledger.
-func ReadLedgerJSONL(r io.Reader) (*Ledger, error) {
-	out := NewLedger()
-	err := trace.ScanJSONL(r, "obs: ledger", func(rec *ProbeRecord) error {
-		out.recs = append(out.recs, *rec)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }

@@ -2,8 +2,11 @@ package obs
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
+
+	"toposhot/internal/trace"
 )
 
 func TestNilLedgerNoops(t *testing.T) {
@@ -29,7 +32,7 @@ func sampleLedger() *Ledger {
 	l.Record(ProbeRecord{Phase: "census", Kind: KindRound, Futures: 10, Start: 0, End: 60})
 	l.Record(ProbeRecord{Phase: "tick-1", Kind: KindPair, A: 2, B: 3, Pending: 3,
 		FeeWei: 21e9, Start: 60, End: 90, Verdict: VerdictSetupFailed})
-	l.Record(ProbeRecord{Phase: "tick-1", Kind: KindTick, Start: 60, End: 90})
+	l.Record(ProbeRecord{Phase: "tick-1", Kind: KindRound, Start: 60, End: 90})
 	return l
 }
 
@@ -136,4 +139,17 @@ func TestLedgerSerialVsParallelMergeOrder(t *testing.T) {
 	if !bytes.Equal(serialize(serial), serialize(par)) {
 		t.Fatal("per-replica ledgers merged in replica order must not depend on scheduling")
 	}
+}
+
+// ReadLedgerJSONL parses a WriteJSONL stream back into a ledger.
+func ReadLedgerJSONL(r io.Reader) (*Ledger, error) {
+	out := NewLedger()
+	err := trace.ScanJSONL(r, "obs: ledger", func(rec *ProbeRecord) error {
+		out.recs = append(out.recs, *rec)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }

@@ -2,9 +2,8 @@
 // internal/metrics counts, internal/trace owns the one virtual-clock record
 // (attribute, record, lane ring, sink, snapshot, wire codec), and obs adds
 // what an operator watching a campaign needs on top — a leveled event log
-// with a live sink and taps, a probe cost-attribution ledger, a stall
-// watchdog, the HTTP dashboard that serves all of them, and the shared CLI
-// flags. The event log is not a second recorder: it is a private trace sink
+// with a live sink and taps, a probe cost-attribution ledger, the HTTP
+// dashboard that serves all of them, and the shared CLI flags. The event log is not a second recorder: it is a private trace sink
 // whose records carry a severity, a scope is a lane of it, and a Field is a
 // trace.Attr.
 //
@@ -49,7 +48,7 @@ const (
 	LevelDebug Level = iota
 	// LevelInfo is the CLI default: campaign lifecycle and phase summaries.
 	LevelInfo
-	// LevelWarn records anomalies (watchdog findings, degraded phases).
+	// LevelWarn records anomalies (degraded phases).
 	LevelWarn
 	// LevelError records failures.
 	LevelError
@@ -123,9 +122,6 @@ func Int(key string, v int64) Field { return trace.Int(key, v) }
 
 // Float returns a float-valued field.
 func Float(key string, v float64) Field { return trace.Float(key, v) }
-
-// Bool returns a boolean field.
-func Bool(key string, v bool) Field { return trace.Bool(key, v) }
 
 // Err returns the conventional "err" field for an error value.
 func Err(err error) Field {
@@ -236,14 +232,6 @@ func (l *Logger) SetClock(clock func() float64) {
 	l.lane.SetClock(clock)
 }
 
-// Level returns the minimum recorded severity; LevelOff on a nil logger.
-func (l *Logger) Level() Level {
-	if l == nil {
-		return LevelOff
-	}
-	return l.live.level
-}
-
 // ScopeName returns the name of the scope with the given id, or "".
 func (l *Logger) ScopeName(id int) string {
 	if l == nil {
@@ -252,7 +240,7 @@ func (l *Logger) ScopeName(id int) string {
 	return l.lane.LaneName(id)
 }
 
-// Tap registers a live-event callback (watchdogs, SSE hubs) and returns its
+// Tap registers a live-event callback (SSE hubs) and returns its
 // cancel function. Callbacks run synchronously on the emitting goroutine, in
 // arrival order; they must not block. On a nil logger Tap returns a no-op
 // cancel.
@@ -281,9 +269,6 @@ func (l *Logger) Debug(msg string, fields ...Field) { l.log(LevelDebug, msg, fie
 
 // Info records an event at LevelInfo.
 func (l *Logger) Info(msg string, fields ...Field) { l.log(LevelInfo, msg, fields) }
-
-// Warn records an event at LevelWarn.
-func (l *Logger) Warn(msg string, fields ...Field) { l.log(LevelWarn, msg, fields) }
 
 // Error records an event at LevelError.
 func (l *Logger) Error(msg string, fields ...Field) { l.log(LevelError, msg, fields) }

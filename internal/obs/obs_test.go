@@ -18,9 +18,6 @@ func TestNilLoggerNoops(t *testing.T) {
 	if got := lg.Scope("child", nil); got != nil {
 		t.Fatalf("nil.Scope = %v, want nil", got)
 	}
-	if lg.Level() != LevelOff {
-		t.Fatalf("nil.Level = %v, want off", lg.Level())
-	}
 	if lg.ScopeName(0) != "" {
 		t.Fatal("nil.ScopeName should be empty")
 	}
@@ -67,7 +64,7 @@ func TestLevelFiltering(t *testing.T) {
 	lg := New(Options{Level: LevelWarn})
 	lg.Debug("d")
 	lg.Info("i")
-	lg.Warn("w")
+	lg.log(LevelWarn, "w", nil)
 	lg.Error("e")
 	snap := lg.Snapshot()
 	if len(snap.Lanes) != 1 || len(snap.Lanes[0].Records) != 2 {
@@ -76,8 +73,8 @@ func TestLevelFiltering(t *testing.T) {
 	if snap.Lanes[0].Records[0].Name != "w" || snap.Lanes[0].Records[1].Name != "e" {
 		t.Fatalf("events = %+v", snap.Lanes[0].Records)
 	}
-	if lg.Level() != LevelWarn {
-		t.Fatalf("Level = %v, want warn", lg.Level())
+	if lg.live.level != LevelWarn {
+		t.Fatalf("level = %v, want warn", lg.live.level)
 	}
 }
 
@@ -86,7 +83,7 @@ func TestClockSeqAndFields(t *testing.T) {
 	lg := New(Options{Level: LevelDebug})
 	lg.SetClock(func() float64 { return now })
 	now = 1.5
-	lg.Info("first", Int("n", 7), String("s", "x"), Bool("ok", true), Float("f", 0.5))
+	lg.Info("first", Int("n", 7), String("s", "x"), trace.Bool("ok", true), Float("f", 0.5))
 	now = 2.5
 	lg.Info("second", Int("n", 8), Int("n", 9)) // duplicate key overwrites
 	ev := lg.Snapshot().Lanes[0].Records
@@ -216,7 +213,7 @@ func TestLiveSinkTextFormat(t *testing.T) {
 func TestLiveSinkJSONLFormat(t *testing.T) {
 	var buf bytes.Buffer
 	lg := New(Options{Level: LevelInfo, Live: &buf, LiveFormat: FormatJSONL})
-	lg.Info("hello", Bool("ok", true))
+	lg.Info("hello", trace.Bool("ok", true))
 	line := strings.TrimSpace(buf.String())
 	if !strings.Contains(line, `"msg":"hello"`) || !strings.Contains(line, `"name":"main"`) {
 		t.Fatalf("live jsonl = %q", line)

@@ -180,12 +180,6 @@ func Decode(data []byte) (Item, error) {
 	return it, nil
 }
 
-// DecodePrefix parses one RLP item from the front of data and returns the
-// unconsumed remainder.
-func DecodePrefix(data []byte) (Item, []byte, error) {
-	return decodeOne(data)
-}
-
 var errTruncated = errors.New("rlp: truncated input")
 
 func decodeOne(data []byte) (Item, []byte, error) {

@@ -177,17 +177,6 @@ func TestDecodeNeverPanics(t *testing.T) {
 	}
 }
 
-func TestDecodePrefixReturnsRemainder(t *testing.T) {
-	enc := append(Encode(String("hello")), 0x01)
-	it, rest, err := DecodePrefix(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(it.Str) != "hello" || !bytes.Equal(rest, []byte{0x01}) {
-		t.Fatalf("prefix decode wrong: %q rest=%x", it.Str, rest)
-	}
-}
-
 func TestAsUintErrors(t *testing.T) {
 	if _, err := List().AsUint(); err == nil {
 		t.Error("uint from list accepted")

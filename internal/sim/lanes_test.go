@@ -37,7 +37,7 @@ func runLaneTrace(lanes int) []pair {
 	for i := 0; i < 64; i++ {
 		e.AtHandlerLane(e.Uniform(0, 2), h, uint64(i), i%lanes)
 	}
-	e.Run(0)
+	drain(e)
 	return h.seen
 }
 
@@ -74,14 +74,14 @@ func TestSetLanesRedistributes(t *testing.T) {
 	if e.LaneCount() != 5 {
 		t.Fatalf("LaneCount = %d, want 5", e.LaneCount())
 	}
-	e.Run(0)
+	drain(e)
 
 	e2 := New(7)
 	h2 := &recHandler{eng: e2, lanes: 1}
 	for i := 0; i < 40; i++ {
 		e2.AtHandler(e2.Uniform(0, 1), h2, uint64(i))
 	}
-	e2.Run(0)
+	drain(e2)
 	if len(h.seen) != len(h2.seen) {
 		t.Fatalf("redistributed run executed %d events, want %d", len(h.seen), len(h2.seen))
 	}
@@ -108,7 +108,7 @@ func TestSnapshotRestore(t *testing.T) {
 
 	// Uninterrupted reference run.
 	ref, refH := build()
-	ref.Run(0)
+	drain(ref)
 	refTail := make([]float64, 8)
 	for i := range refTail {
 		refTail[i] = ref.Uniform(0, 1)
@@ -146,7 +146,7 @@ func TestSnapshotRestore(t *testing.T) {
 	if b.Pending() != a.Pending() {
 		t.Fatalf("restored Pending = %d, want %d", b.Pending(), a.Pending())
 	}
-	b.Run(0)
+	drain(b)
 
 	combined := append(append([]pair{}, aH.seen...), bH.seen...)
 	if len(combined) != len(refH.seen) {
@@ -209,8 +209,7 @@ func TestRandDraws(t *testing.T) {
 	}
 	e.Uniform(0, 1)
 	e.Jitter(0.1, 0.2, 1)
-	e.Poisson(3)
-	e.Perm(10)
+	e.PermInto(nil, 10)
 	n := e.RandDraws()
 	if n == 0 {
 		t.Fatal("RandDraws did not advance")

@@ -278,14 +278,14 @@ func TestArenaRecyclesSlots(t *testing.T) {
 		h.fired = h.fired[:0]
 	}
 	fill()
-	e.Run(0)
+	drain(e)
 	caps := func() [5]int {
 		return [5]int{cap(e.arena), cap(e.free), cap(e.front), cap(e.spare), cap(e.far)}
 	}
 	grown := caps()
 	for round := 0; round < 50; round++ {
 		fill()
-		e.Run(0)
+		drain(e)
 	}
 	if caps() != grown {
 		t.Fatalf("capacities (arena, free, front, spare, far) grew from %v to %v across steady-state rounds", grown, caps())
@@ -332,7 +332,7 @@ func TestRunUntilBetweenPendingEvents(t *testing.T) {
 		e.AtHandler(1+gap*0.75, h, 20) // after it, before the pending event
 		e.AtHandler(1+gap, h, 4)       // same instant as the pending event
 		e.AtHandler(0, h, 21)          // the past: clamped to the clock
-		e.Run(0)
+		drain(e)
 		if want := []uint64{1, 2, 21, 20, 3, 4}; !slices.Equal(h.fired, want) {
 			t.Fatalf("gap %v: pop order %v, want %v", gap, h.fired, want)
 		}
@@ -360,7 +360,7 @@ func TestHugeTimesPopLast(t *testing.T) {
 		t.Fatalf("clock = %v after the last finite event", e.Now())
 	}
 	e.AfterHandler(1, h, 50) // scheduled from beyond the horizon
-	e.Run(0)
+	drain(e)
 	if want := []uint64{1, 2, 3, 4, 40, 5, 50, 6, 7}; !slices.Equal(h.fired, want) {
 		t.Fatalf("pop order %v, want %v", h.fired, want)
 	}
@@ -390,7 +390,7 @@ func TestSameInstantBurstPopsInSeqOrder(t *testing.T) {
 		want = append(want, uint64(burst+10+i))
 	}
 	want = append(want, burst+1)
-	e.Run(0)
+	drain(e)
 	if !slices.Equal(h.fired, want) {
 		t.Fatal("same-instant events did not pop in schedule order")
 	}
@@ -406,7 +406,7 @@ func TestRefillSortsCrowdedSlice(t *testing.T) {
 	for i := 0; i < n; i++ {
 		e.AtHandler(1+float64(n-i)*1e-9, h, uint64(n-i))
 	}
-	e.Run(0)
+	drain(e)
 	for i, arg := range h.fired {
 		if arg != uint64(i+1) {
 			t.Fatalf("pop %d is event %d", i, arg)
@@ -452,7 +452,7 @@ func TestHandlerEventsInterleaveWithClosures(t *testing.T) {
 	e.AtHandler(1, funcHandler(func() { order = append(order, "c1") }), 0)
 	e.AtHandler(1, h, 10)
 	e.AtHandler(2, funcHandler(func() { order = append(order, "c2") }), 0)
-	e.Run(0)
+	drain(e)
 	if len(h.fired) != 2 || h.fired[0] != 10 || h.fired[1] != 20 {
 		t.Fatalf("handler order = %v", h.fired)
 	}

@@ -585,22 +585,6 @@ func (e *Engine) stepUntil(limit float64) bool {
 //toposhot:hotpath
 func (e *Engine) Pending() int { return e.pending }
 
-// Run executes events until the queue drains or the event budget is
-// exhausted. The budget guards against runaway self-rescheduling loops; a
-// budget ≤ 0 means unlimited.
-//
-//toposhot:hotpath
-func (e *Engine) Run(budget int) {
-	if budget <= 0 {
-		budget = -1
-	}
-	for budget != 0 && e.Step() {
-		if budget > 0 {
-			budget--
-		}
-	}
-}
-
 // RunUntil executes events with timestamps ≤ t and then advances the clock
 // to exactly t. Events scheduled beyond t remain pending.
 //
@@ -715,36 +699,10 @@ func (e *Engine) Uniform(lo, hi float64) float64 {
 	return lo + e.rng.Float64()*(hi-lo)
 }
 
-// Poisson samples a Poisson-distributed count with the given mean using
-// Knuth's method for small means and a normal approximation for large ones.
-func (e *Engine) Poisson(mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	if mean > 30 {
-		v := e.rng.NormFloat64()*math.Sqrt(mean) + mean
-		if v < 0 {
-			return 0
-		}
-		return int(v + 0.5)
-	}
-	l := math.Exp(-mean)
-	k, p := 0, 1.0
-	for {
-		p *= e.rng.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-	}
-}
-
-// Perm returns a deterministic random permutation of n elements.
-func (e *Engine) Perm(n int) []int { return e.rng.Perm(n) }
-
-// PermInto is Perm into a caller-owned buffer, for per-event callers: the
-// same permutation from the same draws as rand.Perm — including its useless
-// draw for i = 0 — without the slice per call. It returns buf[:n], grown if
+// PermInto returns a deterministic random permutation of n elements in a
+// caller-owned buffer, for per-event callers: the same permutation from the
+// same draws as rand.Perm — including its useless draw for i = 0 — without
+// the slice per call. It returns buf[:n], grown if
 // its capacity was short.
 //
 //toposhot:hotpath

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 // funcHandler adapts a func() to Handler for tests that only need ordering.
 type funcHandler func()
@@ -16,7 +13,7 @@ func TestEventOrdering(t *testing.T) {
 	e.AtHandler(2.0, funcHandler(func() { order = append(order, 2) }), 0)
 	e.AtHandler(1.0, funcHandler(func() { order = append(order, 1) }), 0)
 	e.AtHandler(3.0, funcHandler(func() { order = append(order, 3) }), 0)
-	e.Run(0)
+	drain(e)
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("order = %v", order)
 	}
@@ -32,7 +29,7 @@ func TestFIFOAtSameTime(t *testing.T) {
 		i := i
 		e.AtHandler(1.0, funcHandler(func() { order = append(order, i) }), 0)
 	}
-	e.Run(0)
+	drain(e)
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("same-time events reordered: %v", order)
@@ -44,7 +41,7 @@ func TestAfterRelative(t *testing.T) {
 	e := New(1)
 	var at float64
 	e.AfterHandler(5, funcHandler(func() { at = e.Now() }), 0)
-	e.Run(0)
+	drain(e)
 	if at != 5 {
 		t.Fatalf("fired at %v", at)
 	}
@@ -59,7 +56,7 @@ func TestPastSchedulingClamps(t *testing.T) {
 			}
 		}), 0)
 	}), 0)
-	e.Run(0)
+	drain(e)
 }
 
 func TestRunUntilLeavesFutureEvents(t *testing.T) {
@@ -83,6 +80,14 @@ func TestRunUntilLeavesFutureEvents(t *testing.T) {
 	}
 }
 
+// drain steps e until its queue is empty.
+func drain(e *Engine) {
+	for e.Step() {
+	}
+}
+
+// TestRunBudgetStopsRunaway: a handler that reschedules itself forever is
+// stopped by the run's horizon, after exactly the events due by then.
 func TestRunBudgetStopsRunaway(t *testing.T) {
 	e := New(1)
 	var count int
@@ -92,7 +97,7 @@ func TestRunBudgetStopsRunaway(t *testing.T) {
 		e.AfterHandler(1, loop, 0)
 	}
 	e.AfterHandler(1, loop, 0)
-	e.Run(100)
+	e.RunUntil(100)
 	if count != 100 {
 		t.Fatalf("budget ignored: ran %d events", count)
 	}
@@ -142,23 +147,5 @@ func TestUniform(t *testing.T) {
 	}
 	if e.Uniform(3, 3) != 3 {
 		t.Fatal("degenerate range should return lo")
-	}
-}
-
-func TestPoissonMean(t *testing.T) {
-	e := New(7)
-	for _, mean := range []float64{0.5, 4, 60} {
-		var sum float64
-		const n = 20000
-		for i := 0; i < n; i++ {
-			sum += float64(e.Poisson(mean))
-		}
-		got := sum / n
-		if math.Abs(got-mean) > 0.15*mean+0.05 {
-			t.Errorf("poisson(%v) sample mean %v", mean, got)
-		}
-	}
-	if e.Poisson(0) != 0 || e.Poisson(-1) != 0 {
-		t.Error("non-positive mean should yield 0")
 	}
 }

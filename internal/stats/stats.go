@@ -1,42 +1,8 @@
 // Package stats provides the small statistical toolkit used by the TopoShot
-// reproduction: order statistics, histograms, correlation and summaries.
+// reproduction: medians and histograms.
 package stats
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
-
-// Median returns the median of xs, or 0 for an empty slice.
-// The input is not modified.
-func Median(xs []float64) float64 {
-	return Quantile(xs, 0.5)
-}
-
-// Quantile returns the q-th quantile (0 ≤ q ≤ 1) of xs using linear
-// interpolation between order statistics. It returns 0 for empty input.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if q <= 0 {
-		return s[0]
-	}
-	if q >= 1 {
-		return s[len(s)-1]
-	}
-	pos := q * float64(len(s)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return s[lo]
-	}
-	frac := pos - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
-}
+import "sort"
 
 // MedianUint64 returns the median of xs without modifying the input.
 // For even-length input it returns the lower of the two middle elements,
@@ -48,56 +14,6 @@ func MedianUint64(xs []uint64) uint64 {
 	s := append([]uint64(nil), xs...)
 	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
 	return s[(len(s)-1)/2]
-}
-
-// Mean returns the arithmetic mean of xs, or 0 for empty input.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
-// Variance returns the population variance of xs, or 0 for fewer than two
-// samples.
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var sum float64
-	for _, x := range xs {
-		d := x - m
-		sum += d * d
-	}
-	return sum / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
-// Pearson returns the Pearson correlation coefficient of the paired samples
-// xs and ys. It returns 0 when either variance is zero or the lengths differ.
-func Pearson(xs, ys []float64) float64 {
-	if len(xs) != len(ys) || len(xs) < 2 {
-		return 0
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var sxy, sxx, syy float64
-	for i := range xs {
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return 0
-	}
-	return sxy / math.Sqrt(sxx*syy)
 }
 
 // Histogram counts occurrences of integer-valued observations.
@@ -120,9 +36,6 @@ func (h *Histogram) Add(v int) {
 // Count returns the number of observations equal to v.
 func (h *Histogram) Count(v int) int { return h.counts[v] }
 
-// Total returns the number of observations recorded.
-func (h *Histogram) Total() int { return h.total }
-
 // Fraction returns the share of observations equal to v.
 func (h *Histogram) Fraction(v int) float64 {
 	if h.total == 0 {
@@ -139,60 +52,4 @@ func (h *Histogram) Keys() []int {
 	}
 	sort.Ints(keys)
 	return keys
-}
-
-// Bucket aggregates observations into [lo,hi] ranges and returns the counts
-// for the given bucket boundaries. bounds must be ascending; observations
-// above the last bound are dropped into the final overflow bucket.
-func (h *Histogram) Bucket(bounds []int) []int {
-	out := make([]int, len(bounds)+1)
-	for v, c := range h.counts {
-		idx := sort.SearchInts(bounds, v+1) // first bound > v
-		out[idx] += c
-	}
-	return out
-}
-
-// Max returns the largest observed value, or 0 when empty.
-func (h *Histogram) Max() int {
-	max := 0
-	for k := range h.counts {
-		if k > max {
-			max = k
-		}
-	}
-	return max
-}
-
-// Summary is a compact five-number-plus-mean description of a sample.
-type Summary struct {
-	N               int
-	Min, Max        float64
-	Mean, Median    float64
-	P25, P75, Stdev float64
-}
-
-// Summarize computes a Summary of xs.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	return Summary{
-		N:      len(s),
-		Min:    s[0],
-		Max:    s[len(s)-1],
-		Mean:   Mean(s),
-		Median: Quantile(s, 0.5),
-		P25:    Quantile(s, 0.25),
-		P75:    Quantile(s, 0.75),
-		Stdev:  StdDev(s),
-	}
-}
-
-// String renders the summary on one line.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d min=%.3g p25=%.3g med=%.3g mean=%.3g p75=%.3g max=%.3g sd=%.3g",
-		s.N, s.Min, s.P25, s.Median, s.Mean, s.P75, s.Max, s.Stdev)
 }

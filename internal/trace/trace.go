@@ -317,14 +317,6 @@ func (t *Tracer) SetClock(clock func() float64) {
 	t.l.mu.Unlock()
 }
 
-// Level returns the recording level; LevelOff on a nil tracer.
-func (t *Tracer) Level() Level {
-	if t == nil {
-		return LevelOff
-	}
-	return t.s.level
-}
-
 // Enabled reports whether records at the given level are kept.
 func (t *Tracer) Enabled(l Level) bool {
 	return t != nil && l != LevelOff && t.s.level >= l

@@ -225,23 +225,6 @@ func (t *Tracker) BeliefEdges() *core.EdgeSet {
 	return s
 }
 
-// Confidence returns the decayed confidence of the current verdict on pair
-// (a, b): 0.5^(age/HalfLife), or 0 for untracked pairs.
-func (t *Tracker) Confidence(a, b types.NodeID) float64 {
-	i, ok := t.pairIndex(a, b)
-	if !ok {
-		return 0
-	}
-	age := float64(t.tick - t.pairs[i].lastTick)
-	return math.Pow(0.5, age/t.cfg.HalfLife)
-}
-
-// Believed reports the tracker's current verdict on pair (a, b).
-func (t *Tracker) Believed(a, b types.NodeID) bool {
-	i, ok := t.pairIndex(a, b)
-	return ok && t.pairs[i].present
-}
-
 // Observe feeds an external churn observation about pair (a, b): the pair's
 // confidence is considered destroyed and it jumps the staleness queue into
 // the next tick's plan. Pairs outside the target set are ignored. This is

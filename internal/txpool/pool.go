@@ -469,12 +469,6 @@ func (p *Pool) GetBySenderNonce(sender types.Address, nonce uint64) *types.Trans
 	return nil
 }
 
-// IsPending reports whether the hash is buffered as a pending transaction.
-func (p *Pool) IsPending(h types.Hash) bool {
-	e := p.lookup(h)
-	return e != 0 && p.entries.at(e).pending
-}
-
 // StateNonce returns the chain nonce recorded for sender.
 func (p *Pool) StateNonce(sender types.Address) uint64 {
 	if s := p.senders.get(&sender); s != nil {
@@ -862,17 +856,6 @@ func (p *Pool) RemoveConfirmed(txs []*types.Transaction) []*types.Transaction {
 		}
 	}
 	return promoted
-}
-
-// Drop removes a specific transaction (used by tests and by the chain layer
-// for invalidated transactions). It reports whether the hash was present.
-func (p *Pool) Drop(h types.Hash) bool {
-	e := p.lookup(h)
-	if e == 0 {
-		return false
-	}
-	p.repartitionAfterRemove(e)
-	return true
 }
 
 // Pending returns the executable transactions ordered by descending gas

@@ -87,7 +87,7 @@ func TestReplacementOfFutureStaysFuture(t *testing.T) {
 	if res := p.Offer(rep); res.Status != StatusReplaced {
 		t.Fatalf("future replacement = %v", res.Status)
 	}
-	if p.IsPending(rep.Hash()) {
+	if p.ContainsPending(rep) {
 		t.Fatal("replaced future became pending")
 	}
 }
@@ -348,7 +348,7 @@ func TestRemoveConfirmedAdvancesNonces(t *testing.T) {
 	if len(promoted) != 1 || promoted[0].Hash() != t2.Hash() {
 		t.Fatalf("promotion after confirm: %v", promoted)
 	}
-	if !p.IsPending(t2.Hash()) {
+	if !p.ContainsPending(t2) {
 		t.Fatal("t2 not pending after promotion")
 	}
 }
@@ -379,14 +379,14 @@ func TestExpiryDemotesDependents(t *testing.T) {
 	p.SetTime(5)
 	later := tx(1, 1, 100)
 	p.Offer(later)
-	if !p.IsPending(later.Hash()) {
+	if !p.ContainsPending(later) {
 		t.Fatal("nonce 1 should be pending")
 	}
 	p.SetTime(11) // nonce 0 expires → nonce 1 must demote to future
 	if !p.Has(later.Hash()) {
 		t.Fatal("nonce 1 dropped")
 	}
-	if p.IsPending(later.Hash()) {
+	if p.ContainsPending(later) {
 		t.Fatal("nonce 1 still pending after dependency expired")
 	}
 }
@@ -406,10 +406,10 @@ func TestDropRemoves(t *testing.T) {
 	p := New(small(10))
 	a := tx(1, 0, 10)
 	p.Offer(a)
-	if !p.Drop(a.Hash()) {
+	if !dropByHash(p, a.Hash()) {
 		t.Fatal("drop failed")
 	}
-	if p.Drop(a.Hash()) {
+	if dropByHash(p, a.Hash()) {
 		t.Fatal("double drop succeeded")
 	}
 	if p.Len() != 0 {
@@ -437,6 +437,17 @@ func (p *Pool) entryFrom(i uint32) types.Address {
 		return tx.From
 	}
 	return p.senders.at(p.entries.at(i).rec).run.From
+}
+
+// dropByHash removes the entry with hash h through the removal path expiry
+// and confirmation take, and reports whether the pool held it.
+func dropByHash(p *Pool, h types.Hash) bool {
+	e := p.lookup(h)
+	if e == 0 {
+		return false
+	}
+	p.repartitionAfterRemove(e)
+	return true
 }
 
 // invariantCheck verifies internal consistency of the pool's indexes.
@@ -749,8 +760,8 @@ func TestConfirmDemoteDeterministic(t *testing.T) {
 		p.RemoveConfirmed(runs[0][3:4])
 		// Dropping mid-run entries strands the tails: five and four demotions
 		// in one repartition each.
-		p.Drop(runs[1][4].Hash())
-		p.Drop(runs[2][5].Hash())
+		dropByHash(p, runs[1][4].Hash())
+		dropByHash(p, runs[2][5].Hash())
 		// Jumping account 2 past its gap drops five stale entries and
 		// re-promotes the stranded tail.
 		p.SetStateNonce(acct(2), 5)

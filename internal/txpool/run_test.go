@@ -3,6 +3,7 @@ package txpool
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -63,11 +64,11 @@ func contentText(txs []*types.Transaction) string {
 // offers at tied prices, objects of a member's content (and of that content
 // with another tip) meeting the unbuilt member in its slot, expiry, state
 // nonces that close a run's gap so that its members turn pending and draw
-// IDs, drops by hash, and a mid-stream restore. After every operation each
-// Result, the DropObserver calls, the Snapshot and the Content must match by
-// content, and both pools must pass invariantCheck. Each input runs twice:
-// with a DropObserver on both pools, whose calls must match too, and with
-// none, so that evicted members stay unbuilt and their victims carry the run.
+// IDs, and a mid-stream restore. After every operation each Result, the
+// DropObserver calls, the Snapshot and the Content must match by content,
+// and both pools must pass invariantCheck. Each input runs twice: with a
+// DropObserver on both pools, whose calls must match too, and with none, so
+// that evicted members stay unbuilt and their victims carry the run.
 func FuzzFutureRun(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint16(300))
 	f.Add(int64(34), uint8(77), uint16(600))
@@ -172,10 +173,10 @@ func futureRun(t *testing.T, seed int64, shape uint8, steps uint16, watch bool) 
 					offer(step, "ordinary", ordinary())
 				}
 			}
-		case op < 55:
+		case op < 58:
 			now += 2 * rng.Float64()
 			both(step, "SetTime", func(rp *runPool) string { rp.p.SetTime(now); return "" })
-		case op < 67:
+		case op < 73:
 			// Half the time a run's own sender moves to the run's first
 			// nonce: a gap below the run closes and its members turn
 			// pending.
@@ -189,20 +190,11 @@ func futureRun(t *testing.T, seed int64, shape uint8, steps uint16, watch bool) 
 				next = pools[0].p.StateNonce(s) + 1 + uint64(rng.Intn(2))
 			}
 			both(step, "SetStateNonce", func(rp *runPool) string { return fmt.Sprint(rp.p.SetStateNonce(s, next)) })
-		case op < 80:
-			offer(step, "ordinary", ordinary())
 		case op < 86:
-			var h types.Hash
-			if len(runs) > 0 && rng.Intn(2) == 0 {
-				r, k := someMember()
-				h = r.Tx(k).Hash()
-			} else if len(minted) > 0 {
-				h = minted[rng.Intn(len(minted))].Copy().Hash()
-			}
-			both(step, "Drop", func(rp *runPool) string { return fmt.Sprint(rp.p.Drop(h)) })
+			offer(step, "ordinary", ordinary())
 		case op < 95:
 			fee := uint64(0)
-			if pools[0].p.BaseFee() == 0 {
+			if pools[0].p.baseFee == 0 {
 				fee = prices[rng.Intn(len(prices))] + 1
 			}
 			both(step, "SetBaseFee", func(rp *runPool) string { return fmt.Sprint(rp.p.SetBaseFee(fee)) })
@@ -227,8 +219,12 @@ func futureRun(t *testing.T, seed int64, shape uint8, steps uint16, watch bool) 
 		for _, rp := range pools {
 			invariantCheck(t, rp.p) // before the snapshot below builds every member
 		}
-		both(step, "snapshot", func(rp *runPool) string { return snapshotText(rp.p.Snapshot()) })
-		both(step, "content", func(rp *runPool) string { return contentText(rp.p.Content()) })
+		if a, b := pools[0].p.Snapshot(), pools[1].p.Snapshot(); !sameSnapshot(a, b) {
+			t.Fatalf("observed=%v step %d snapshot:\n run members: %s\n objects:     %s", watch, step, snapshotText(a), snapshotText(b))
+		}
+		if a, b := pools[0].p.Content(), pools[1].p.Content(); !slices.EqualFunc(a, b, (*types.Transaction).Equal) {
+			t.Fatalf("observed=%v step %d content:\n run members: %s\n objects:     %s", watch, step, contentText(a), contentText(b))
+		}
 		if len(minted) > 4*capacity {
 			minted = minted[len(minted)-2*capacity:]
 		}

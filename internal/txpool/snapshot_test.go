@@ -94,8 +94,8 @@ func TestSnapshotDropsTombstones(t *testing.T) {
 		p.Offer(tx)
 		hashes = append(hashes, tx.Hash())
 	}
-	p.Drop(hashes[0])
-	p.Drop(hashes[3])
+	dropByHash(p, hashes[0])
+	dropByHash(p, hashes[3])
 	snap := p.Snapshot()
 	if len(snap.Entries) != 6 {
 		t.Fatalf("snapshot holds %d entries, want 6 live", len(snap.Entries))

@@ -40,21 +40,6 @@ type Hash [HashLength]byte
 // example a 12.5% bump on 0.1 Gwei) stay exact in integer arithmetic.
 const Gwei = uint64(1_000_000_000)
 
-// Ether expressed in Wei. Note that uint64 cannot hold large Ether amounts;
-// cost accounting uses big-free float64 summaries instead (see internal/cost).
-const Ether = uint64(1_000_000_000_000_000_000)
-
-// BytesToAddress converts a byte slice to an Address, left-padding or
-// truncating to AddressLength.
-func BytesToAddress(b []byte) Address {
-	var a Address
-	if len(b) > AddressLength {
-		b = b[len(b)-AddressLength:]
-	}
-	copy(a[AddressLength-len(b):], b)
-	return a
-}
-
 // AddressFromUint64 derives a deterministic address from an integer seed.
 // It is used by simulators and tests to mint distinct accounts cheaply; the
 // seed is spread with a 64-bit mixer (no hashing — simulators mint millions
@@ -98,9 +83,6 @@ func NamespacedAddress(space, seq uint64) Address {
 	return AddressFromUint64(space<<56 | seq&(1<<56-1))
 }
 
-// Hex returns the 0x-prefixed hexadecimal form of the address.
-func (a Address) Hex() string { return "0x" + hex.EncodeToString(a[:]) }
-
 // String implements fmt.Stringer with a shortened display form.
 func (a Address) String() string {
 	h := hex.EncodeToString(a[:])
@@ -112,19 +94,6 @@ func (a Address) IsZero() bool { return a == Address{} }
 
 // Bytes returns the address as a byte slice.
 func (a Address) Bytes() []byte { return a[:] }
-
-// BytesToHash converts a byte slice to a Hash, left-padding or truncating.
-func BytesToHash(b []byte) Hash {
-	var h Hash
-	if len(b) > HashLength {
-		b = b[len(b)-HashLength:]
-	}
-	copy(h[HashLength-len(b):], b)
-	return h
-}
-
-// Hex returns the 0x-prefixed hexadecimal form of the hash.
-func (h Hash) Hex() string { return "0x" + hex.EncodeToString(h[:]) }
 
 // String implements fmt.Stringer with a shortened display form.
 func (h Hash) String() string {
@@ -381,22 +350,6 @@ func (b *Block) MinGasPrice() (uint64, bool) {
 		}
 	}
 	return min, true
-}
-
-// Hash returns the block digest over its header fields and tx hashes.
-func (b *Block) Hash() Hash {
-	h := sha256.New()
-	var buf [8]byte
-	binary.BigEndian.PutUint64(buf[:], b.Number)
-	h.Write(buf[:])
-	h.Write(b.Miner[:])
-	binary.BigEndian.PutUint64(buf[:], b.GasLimit)
-	h.Write(buf[:])
-	for _, tx := range b.Txs {
-		th := tx.Hash()
-		h.Write(th[:])
-	}
-	return BytesToHash(h.Sum(nil))
 }
 
 // NodeID identifies a P2P node (distinct from account addresses).

@@ -1,6 +1,7 @@
 package types
 
 import (
+	"encoding/hex"
 	"math"
 	"reflect"
 	"sync"
@@ -10,17 +11,16 @@ import (
 )
 
 func TestAddressRoundTrip(t *testing.T) {
-	a := BytesToAddress([]byte{1, 2, 3})
+	if !(Address{}).IsZero() {
+		t.Fatal("zero address not zero")
+	}
+	a := AddressFromUint64(0x010203)
 	if a.IsZero() {
 		t.Fatal("non-zero address reported zero")
 	}
-	if got := BytesToAddress(a.Bytes()); got != a {
-		t.Fatalf("round trip changed address: %v != %v", got, a)
-	}
-	long := make([]byte, 40)
-	long[39] = 7
-	if got := BytesToAddress(long); got[AddressLength-1] != 7 {
-		t.Fatalf("truncation kept wrong bytes: %v", got)
+	var got Address
+	if n := copy(got[:], a.Bytes()); n != AddressLength || got != a {
+		t.Fatalf("round trip through Bytes changed address: %v != %v", got, a)
 	}
 }
 
@@ -49,12 +49,12 @@ func TestHashHexAndZero(t *testing.T) {
 	if !h.IsZero() {
 		t.Fatal("zero hash not zero")
 	}
-	h = BytesToHash([]byte{0xab})
+	h = Hash{31: 0xab}
 	if h.IsZero() {
 		t.Fatal("non-zero hash zero")
 	}
-	if h.Hex()[:2] != "0x" {
-		t.Fatalf("hex missing prefix: %s", h.Hex())
+	if s := h.String(); s != "0x00000000…" {
+		t.Fatalf("hex display form = %s", s)
 	}
 }
 
@@ -243,17 +243,6 @@ func TestBlockFullAndMinPrice(t *testing.T) {
 	}
 }
 
-func TestBlockHashChangesWithContents(t *testing.T) {
-	mk := func(n uint64) *Block {
-		return &Block{Number: n, GasLimit: 1000, Txs: []*Transaction{
-			NewTransaction(AddressFromUint64(n), AddressFromUint64(2), 0, 1, 0),
-		}}
-	}
-	if mk(1).Hash() == mk(2).Hash() {
-		t.Fatal("different blocks share hash")
-	}
-}
-
 // pinnedTxs are the transactions whose digests TestTransactionHashPinned
 // hard-codes: a legacy transfer, a dynamic-fee transfer, and one carrying 100
 // bytes of payload.
@@ -282,7 +271,8 @@ func TestTransactionHashPinned(t *testing.T) {
 		"0xc91cea09aa8ec12d049d9c03008289d2807f4b6a842794f41de4769422bdfa32",
 	}
 	for i, tx := range pinnedTxs() {
-		if got := tx.Hash().Hex(); got != want[i] {
+		h := tx.Hash()
+		if got := "0x" + hex.EncodeToString(h[:]); got != want[i] {
 			t.Errorf("tx %d: hash %s, want %s", i, got, want[i])
 		}
 	}
