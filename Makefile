@@ -9,7 +9,7 @@ vet:
 	$(GO) vet ./...
 
 # lint runs the seven project-specific analyzers (see internal/lint and
-# DESIGN.md §6/§11): determinism, lock discipline (no blocking call and no
+# DESIGN.md §10): determinism, lock discipline (no blocking call and no
 # second mutex under a lock), wire-error hygiene, nil-safe handles (metrics
 # instruments; trace recorders and the obs logger and ledger), constant span
 # names, and the map-iteration and allocation bans inside every function
@@ -53,10 +53,14 @@ fuzz:
 	$(GO) test -fuzz=FuzzLocks -fuzztime=30s -fuzzminimizetime=5s ./internal/gossip/
 
 # loc prints the non-test, non-fixture Go lines per package and in total: the
-# number "small" is measured by.
+# number "small" is measured by. After the total come the line counts of the
+# two documents with a line budget (internal/lint's TestDocsCiteWhatExists
+# holds them to it).
 LOC_FIND = -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*'
+LOC_DOCS = DESIGN.md .claude/skills/verify/SKILL.md
 loc:
 	@for d in internal/* cmd/*; do \
 		printf '%6d %s\n' "$$(find $$d $(LOC_FIND) | xargs cat | wc -l)" $$d; \
 	done
 	@printf '%6d total\n' "$$(find internal cmd $(LOC_FIND) | xargs cat | wc -l)"
+	@for f in $(LOC_DOCS); do printf '%6d %s\n' "$$(wc -l < $$f)" $$f; done

@@ -99,9 +99,8 @@ func (l *Ledger) FutureCount() int { return l.futures }
 
 // RestoreAggregates seeds the ledger with the totals of a campaign's
 // pre-checkpoint run, so a resumed campaign's cost report covers the whole
-// campaign. Per-transaction data from before the checkpoint is not carried
-// (ActualWei against a chain is not meaningful across a resume — mining
-// campaigns are not checkpointable anyway).
+// campaign. Per-transaction data from before the checkpoint is not carried:
+// the cost report is worst-case pricing, which these totals suffice for.
 func (l *Ledger) RestoreAggregates(pending, futures, injected int, worstWei float64) {
 	l.basePending = pending
 	l.futures = futures

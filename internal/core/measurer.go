@@ -66,8 +66,8 @@ const (
 
 // Params configures the measurement primitive measureOneLink(A,B,X,Y,Z,R,U).
 type Params struct {
-	// X is the seconds Step 1 waits for txC to flood the network (10 in the
-	// paper's study; CalibrateX derives it per network).
+	// X is the seconds Step 1 waits for txC to flood the network (10, the
+	// paper's value, by default).
 	X float64
 	// Y is txC's gas price in Wei. Zero means "estimate": the median pending
 	// price in the measurement node's own mempool (§5.2.1).

@@ -46,9 +46,9 @@ type CampaignState struct {
 	// Detected holds every confirmed edge so far with its proving hash,
 	// sorted by (A, B) for deterministic serialization.
 	Detected []DetectedEdge
-	// ZOverrides carries the pre-processing future-count overrides, sorted
-	// by node id (pre-processing mutates the network, so it cannot simply be
-	// re-run after a restore).
+	// ZOverrides carries Measurer.ZOverride, sorted by node id. Nothing
+	// writes an override, so it is always empty; the field stays because
+	// the checkpoint format carries it.
 	ZOverrides []ZOverrideEntry
 
 	// Ledger aggregates: whole-campaign cost totals up to the checkpoint.

@@ -17,7 +17,7 @@ import (
 // strict-match: a restore refuses any version other than its own, because a
 // checkpoint is a byte-exact continuation artifact, not an interchange
 // format — carrying forward state through a layout change cannot preserve
-// replay identity, which is the whole point of resuming (DESIGN.md §12).
+// replay identity, which is the whole point of resuming (DESIGN.md §5).
 // Version 2 appended the churn-process registry to the root list.
 const checkpointVersion = 2
 

@@ -9,7 +9,7 @@
 // announcement lock — and deliberately simple elsewhere (no PoW, no state
 // execution).
 //
-// Hot state is struct-of-arrays (DESIGN.md §12): nodes live in a dense
+// Hot state is struct-of-arrays (DESIGN.md §5): nodes live in a dense
 // id-indexed slice, peer adjacency lives in a shared CSR-style arena of
 // sorted id segments with per-directed-link FIFO watermarks in a parallel
 // array, and every recurring engine event (delivery, flush, janitor,
@@ -84,7 +84,7 @@ type Config struct {
 	// Lanes is the engine's event-lane count (< 1 means 1). Deliveries are
 	// tagged with a lane by destination node; the tag is recorded on the
 	// event and in checkpoints and selects nothing, so any lane count replays
-	// byte-identically (DESIGN.md §12).
+	// byte-identically (DESIGN.md §3).
 	Lanes int
 }
 
@@ -307,11 +307,14 @@ type Network struct {
 // netMetrics pre-resolves the simulator's instruments. Message counters are
 // split by kind to keep the delivery path lookup-free.
 type netMetrics struct {
-	msgTxs, msgAnnounce, msgRequest, msgBlock, msgOther *metrics.Counter
-	deliveryLatency                                     *metrics.Histogram
-	announceLockHits                                    *metrics.Counter
+	msgTxs, msgAnnounce, msgRequest *metrics.Counter
+	deliveryLatency                 *metrics.Histogram
+	announceLockHits                *metrics.Counter
 }
 
+// msgCounter returns the counter of a delivered kind. Only pushes,
+// announcements and requests are delivered (an injection turns into a push
+// first), so any other kind gets the nil counter, whose Inc does nothing.
 func (m *netMetrics) msgCounter(kind msgKind) *metrics.Counter {
 	switch kind {
 	case msgTxs:
@@ -320,9 +323,8 @@ func (m *netMetrics) msgCounter(kind msgKind) *metrics.Counter {
 		return m.msgAnnounce
 	case msgRequest:
 		return m.msgRequest
-	default:
-		return m.msgOther
 	}
+	return nil
 }
 
 // SetMetrics wires the network (and every current and future node mempool)
@@ -337,8 +339,6 @@ func (n *Network) SetMetrics(r *metrics.Registry) {
 			msgTxs:           r.Counter("ethsim.msg.txs"),
 			msgAnnounce:      r.Counter("ethsim.msg.announce"),
 			msgRequest:       r.Counter("ethsim.msg.request"),
-			msgBlock:         r.Counter("ethsim.msg.block"),
-			msgOther:         r.Counter("ethsim.msg.other"),
 			deliveryLatency:  r.Histogram("ethsim.delivery_latency_s", metrics.DefaultLatencyBuckets),
 			announceLockHits: r.Counter("ethsim.announce_lock_hits"),
 		}

@@ -37,7 +37,7 @@ type NodeConfig struct {
 
 // Node is one simulated Ethereum peer. Its peer set lives as a sorted
 // segment of the network's shared adjacency arena (struct-of-arrays,
-// DESIGN.md §12): the node carries only the segment's offset/length/capacity,
+// DESIGN.md §5): the node carries only the segment's offset/length/capacity,
 // so 50k idle nodes cost three int32s each instead of a map apiece, and the
 // flush fan-out walks a contiguous sorted id slice.
 type Node struct {

@@ -35,7 +35,7 @@ type ScaleCensusConfig struct {
 	// parallelism, but less pair coverage.
 	Regions int
 	// Lanes is the per-region engine's event-lane count (a recorded tag).
-	// Lane count never changes results, only wall-clock (DESIGN.md §12).
+	// Lane count changes nothing (DESIGN.md §3).
 	Lanes int
 }
 

@@ -402,9 +402,9 @@ func FormatTracking(t *Tracking) string {
 }
 
 // FormatTrackingCost renders the per-phase probe-cost table from the run's
-// attribution ledger — the numbers are aggregated from per-record
-// attribution, which RunTracking cross-checked against the measurers' own
-// counters before returning.
+// attribution ledger. Its records are cut from the measurers' own
+// core.Ledger (Ledger.Cut), so they add up to the tracker's spend by
+// construction; no second count is compared.
 func FormatTrackingCost(t *Tracking) string {
 	if t.CostLedger.Len() == 0 {
 		return ""

@@ -37,7 +37,7 @@ const poolScale = 0.1
 // draw order, so Build has one fixed order and one hook, Join.
 type World struct {
 	Seed    int64   // seeds the engine and salts Graph's node sampling
-	Lanes   int     // engine event lanes; never changes results (DESIGN.md §12)
+	Lanes   int     // engine event lanes; never changes results (DESIGN.md §3)
 	Latency Latency // one-hop delivery profile
 	// Lane, when non-nil, is the trace lane of the network and its measurers;
 	// nil leaves them on the process-default tracer's root lane.

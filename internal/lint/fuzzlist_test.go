@@ -2,9 +2,6 @@ package lint
 
 import (
 	"go/ast"
-	"go/parser"
-	"go/token"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -20,7 +17,7 @@ import (
 func TestMakeFuzzListsEveryTarget(t *testing.T) {
 	const root = "../.."
 	listed := makeFuzzTargets(t, filepath.Join(root, "Makefile"))
-	defined := moduleFuzzFuncs(t, root)
+	defined := indexModule(t, root).fuzzTargets
 	for _, k := range sortedKeys(listed) {
 		if !defined[k] {
 			t.Errorf("Makefile fuzz target lists %s, but that package defines no such func(*testing.F)", k)
@@ -67,48 +64,6 @@ func makeFuzzTargets(t *testing.T, path string) map[string]bool {
 	}
 	if len(out) == 0 {
 		t.Fatal("Makefile has no fuzz target lines")
-	}
-	return out
-}
-
-// moduleFuzzFuncs returns "pkgdir.FuzzX" for every top-level
-// func FuzzX(*testing.F) in the module's _test.go files (testdata and dot
-// directories excluded, as the go tool excludes them).
-func moduleFuzzFuncs(t *testing.T, root string) map[string]bool {
-	t.Helper()
-	out := map[string]bool{}
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if path != root && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		dir, err := filepath.Rel(root, filepath.Dir(path))
-		if err != nil {
-			return err
-		}
-		for _, decl := range file.Decls {
-			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil &&
-				strings.HasPrefix(fn.Name.Name, "Fuzz") && takesTestingF(fn) {
-				out[filepath.ToSlash(dir)+"."+fn.Name.Name] = true
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	return out
 }

@@ -13,8 +13,8 @@ var analyzerHotAlloc = &Analyzer{
 
 // runHotAlloc enforces the allocation bans inside every function carrying
 // //toposhot:hotpath: the engine's schedule/step path and ethsim's delivery
-// path (DESIGN.md §8), txpool's admission path (§15), and the tracker's
-// trk* tick planner (§13). Every closure, map/slice literal,
+// path (DESIGN.md §3, §5), txpool's admission path (§2), and the tracker's
+// trk* tick planner (§8). Every closure, map/slice literal,
 // growing append on a fresh local, or interface boxing of a non-pointer value
 // there is one allocation per event, per message, per admission, or per
 // tracked change.

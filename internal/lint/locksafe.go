@@ -37,7 +37,7 @@ func runLockSafe(pkg *Package) []Finding {
 // while a different one is held is itself a finding: no function in the tree
 // nests locks, which is why there is no acquisition order to police. The scan
 // is per function — a callee that locks under its caller's lock is not seen
-// (go test -race is the dynamic check; DESIGN.md §6).
+// (go test -race is the dynamic check; DESIGN.md §10).
 type lockScan struct {
 	pkg      *Package
 	findings []Finding

@@ -52,8 +52,8 @@ var randAllowed = map[string]bool{
 
 // heapBanScope are the hot-path packages where container/heap is banned in
 // non-test code: event scheduling and message delivery run on the engine's
-// time wheel and its inline-key far heap (DESIGN.md §8) and the mempool's
-// eviction indexes on its typed entry heap (DESIGN.md §15); container/heap's
+// time wheel and its inline-key far heap (DESIGN.md §3) and the mempool's
+// eviction indexes on its typed entry heap (DESIGN.md §2); container/heap's
 // interface dispatch and boxing reintroduce the per-event and per-admission
 // costs those overhauls removed. Test files may still use it — the queue and pool-heap
 // fuzzers pin layouts against a container/heap reference.
@@ -116,9 +116,9 @@ func runNoDeterminism(pkg *Package) []Finding {
 func hotPathFindings(pkg *Package) []Finding {
 	var findings []Finding
 	if pathIn(pkg.ScopePath(), heapBanScope...) {
-		heapAdvice := "use the engine's time wheel and inline-key far heap (DESIGN.md §8)"
+		heapAdvice := "use the engine's time wheel and inline-key far heap (DESIGN.md §3)"
 		if pathIn(pkg.ScopePath(), modulePrefix+"/internal/txpool") {
-			heapAdvice = "use the pool's typed entry heap (DESIGN.md §15)"
+			heapAdvice = "use the pool's typed entry heap (DESIGN.md §2)"
 		}
 		for _, file := range pkg.Files {
 			if pkg.IsTestFile(file) {

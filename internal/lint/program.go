@@ -1,6 +1,6 @@
 // Program loads and type-checks every requested package once, over one
 // FileSet; CheckProgram applies the per-package analyzers to each in turn.
-// See DESIGN.md §11.
+// See DESIGN.md §10.
 
 package lint
 

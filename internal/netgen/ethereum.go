@@ -54,7 +54,7 @@ var (
 	// cost extrapolation against (§6.4): tens of thousands of reachable
 	// nodes, Geth-default maxpeers, a visible leaf population of light
 	// clients, and a handful of crawler/monitor services each covering a few
-	// percent of the network. The SoA engine (DESIGN.md §12) exists to make
+	// percent of the network. The SoA engine (DESIGN.md §5) exists to make
 	// this preset simulable on one machine.
 	MainnetConfig = GrowConfig{
 		N: 50_000, DialLo: 8, DialHi: 17, PeersLo: 25, PeersHi: 50,

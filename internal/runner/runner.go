@@ -7,7 +7,7 @@
 // nothing with its siblings. Under that discipline parallelism cannot change
 // results, only wall-clock: each job's event sequence is a pure function of
 // its seed, and the pool collects results in input order regardless of
-// completion order. See DESIGN.md §7 ("Concurrency model").
+// completion order. See DESIGN.md §9 ("Concurrency").
 package runner
 
 import (

@@ -20,7 +20,7 @@
 // strict total order (at, seq) — identical for any correct priority queue —
 // so the queue's layout is a pure implementation detail that can never
 // change a replay. A lane is a tag recorded on each event and carried into
-// checkpoints; it selects nothing. See DESIGN.md §8 and §12 for the
+// checkpoints; it selects nothing. See DESIGN.md §3 for the
 // invariants.
 package sim
 
@@ -71,7 +71,7 @@ func (a item) before(b item) bool {
 	return a.seq < b.seq
 }
 
-// The wheel's geometry, chosen by measurement (DESIGN.md §8): narrower
+// The wheel's geometry, chosen by measurement (DESIGN.md §3): narrower
 // buckets sort less per refill but scan more of the bitmap between refills,
 // and the ring must span the latencies gossip actually schedules (≤ 3 s of
 // hop latency, the 5 s janitor of the benchmarks) so only slow ticks reach
@@ -153,7 +153,7 @@ type Engine struct {
 	pending int
 	lanes   int
 
-	// The queue is three holders (DESIGN.md §8). An event whose bucket
+	// The queue is three holders (DESIGN.md §3). An event whose bucket
 	// ⌊at×wheelScale⌋ lies in (cur, cur+wheelSize) hangs on that bucket's
 	// unsorted list: heads[bucket&wheelMask] is the list's first arena slot,
 	// valid only while the bucket's bit in occ is set. front[head:] is the
@@ -211,7 +211,7 @@ func (e *Engine) LaneCount() int { return e.lanes }
 
 // SetLanes sets the number of event lanes to n (n < 1 is clamped to 1) and
 // re-tags every pending event with its recorded lane modulo n. A lane is only
-// a tag that EventRecord carries into checkpoints (DESIGN.md §12): it never
+// a tag that EventRecord carries into checkpoints (DESIGN.md §3): it never
 // selects a queue, so lane count is invisible to a replay.
 func (e *Engine) SetLanes(n int) {
 	if n < 1 {

@@ -78,7 +78,7 @@ func (c Cost) Total() int { return c.PendingTxs + c.FutureTxs }
 // network only through the peers of the measurement node M. Implementations
 // are single-goroutine, like the simulation engine they drive; run concurrent
 // strategies on independent same-seed networks (engine-per-goroutine,
-// DESIGN.md §7).
+// DESIGN.md §9).
 type Strategy interface {
 	// Name returns the method's stable identifier (table rows, trace attrs).
 	Name() string

@@ -26,7 +26,7 @@
 //     because each lane wraps on its own stream.
 //   - Concurrent lanes. A Tracer is a lane view over a shared sink. Each lane
 //     is confined to one goroutine (the engine-per-goroutine model of
-//     DESIGN.md §7) but guarded by a mutex so live HTTP snapshots can read a
+//     DESIGN.md §9) but guarded by a mutex so live HTTP snapshots can read a
 //     lane mid-run (through Live, which calls no clock: the clock is the
 //     engine's and unsynchronized). Lanes created before a parallel fan-out
 //     get deterministic ids regardless of scheduling.

@@ -6,7 +6,7 @@ import "toposhot/internal/metrics"
 // (all-nil instruments) is the un-instrumented default: every update is then
 // a nil-safe no-op call. Updates happen only in Tick, after the plan/apply
 // helpers return — the trk* tick-path functions stay allocation- and
-// instrumentation-free (DESIGN.md §13).
+// instrumentation-free (DESIGN.md §8).
 type trackMetrics struct {
 	ticks      *metrics.Counter // delta campaigns run
 	planned    *metrics.Counter // pairs selected across all ticks

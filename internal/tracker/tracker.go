@@ -13,7 +13,7 @@
 // urgent queue fed by churn observations (Observe) and probe setup failures.
 // Planning is O(budget) amortized, and the belief is the pair table's own
 // verdict bits, which a flip updates in O(1) (the trk* helpers are under
-// toposhotlint's map-iteration and allocation bans, DESIGN.md §13).
+// toposhotlint's map-iteration and allocation bans, DESIGN.md §8).
 //
 // Persistence: State() captures the full pair table (in staleness-bucket
 // order) plus the pending urgent queue as a JSON-serializable snapshot that

@@ -121,7 +121,7 @@ func FuzzPoolIdentity(f *testing.F) {
 				t.Fatalf("step %d %s:\n same objects: %s\n fresh copies: %s", step, what, a, b)
 			}
 		}
-		for step := 0; step < int(steps); step++ {
+		for step := 0; step < int(steps)%2048; step++ {
 			ref := pools[0].p
 			switch k := rng.Intn(100); {
 			case k < 60:

@@ -3,8 +3,8 @@ package txpool
 import "toposhot/internal/types"
 
 // senderTable is a pool's account table: one sender record per account with
-// buffered entries or a non-zero state nonce (DESIGN.md §15, "One sender
-// record"). Records live by value in a slab of fixed-size pages, each holding
+// buffered entries or a non-zero state nonce (DESIGN.md §2, "Account
+// table"). Records live by value in a slab of fixed-size pages, each holding
 // its account's address, and entries name theirs by slab number. A new page
 // is added when the last one fills, so a record never moves and a growing
 // pool copies none.

@@ -3,7 +3,7 @@ package txpool
 import "toposhot/internal/types"
 
 // entrySlab holds a pool's entries by value, named by a uint32 entry number;
-// number 0 names none (DESIGN.md §15, "Admission list and free list").
+// number 0 names none (DESIGN.md §2, "Entry slab").
 // Entries live in pages of 64 that hold no pointer, so the garbage collector
 // never scans them; the built transaction objects sit in a parallel column
 // of the same shape. A new page is added when the last one fills, so an
