@@ -87,7 +87,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // options is the parsed command line.
 type options struct {
-	n, k, lanes, regions, parallel           int
+	n, k, regions, parallel                  int
 	checkpointEvery, ticks, budget           int
 	seed                                     int64
 	churn                                    float64
@@ -107,7 +107,6 @@ func parse(args []string, stderr io.Writer) (*options, int) {
 	fs.IntVar(&o.k, "k", 20, "parallel schedule group size K")
 	fs.Int64Var(&o.seed, "seed", 42, "simulation seed")
 	fs.StringVar(&o.preset, "preset", "", "network preset: ropsten|rinkeby|goerli|mainnet (overrides -n)")
-	fs.IntVar(&o.lanes, "lanes", 0, "engine event-lane count: a tag recorded on events and in checkpoints; never changes results")
 	fs.IntVar(&o.regions, "regions", 0, "shard the census into this many regions, each censused in its own engine (mainnet-scale mode; only intra-region links are measurable, reported honestly)")
 	fs.StringVar(&o.checkpoint, "checkpoint", "", "write a resumable campaign checkpoint to this file at batch boundaries")
 	fs.IntVar(&o.checkpointEvery, "checkpoint-every", 25, "batches between checkpoint writes under -checkpoint")
@@ -237,7 +236,7 @@ func probeWritable(path string) error {
 // sharded runs the region-sharded census: one independent engine per region,
 // runner-wide parallel, honest intra-region coverage accounting.
 func (c *campaign) sharded() int {
-	sc, err := experiments.RunScaleCensus(experiments.ScaleCensusConfig{CensusConfig: c.census, Regions: c.regions, Lanes: c.lanes})
+	sc, err := experiments.RunScaleCensus(experiments.ScaleCensusConfig{CensusConfig: c.census, Regions: c.regions})
 	if err != nil {
 		return c.cli.Fatal(1, "census-failed", obs.Err(err))
 	}
@@ -254,7 +253,6 @@ func (c *campaign) tracking() int {
 		Ticks:         c.ticks,
 		Tracker:       tracker.Config{Budget: c.budget, HalfLife: 6, MinConfidence: 0.25},
 		ChurnInterval: c.churn,
-		Lanes:         c.lanes,
 		Ledger:        c.ledger,
 		Resume:        c.resume,
 	}
@@ -300,7 +298,7 @@ func (c *campaign) measure() int {
 	)
 	if c.resume != nil {
 		var err error
-		if world, err = experiments.RestoreCensusWorld(c.resume, c.lanes); err != nil {
+		if world, err = experiments.RestoreCensusWorld(c.resume); err != nil {
 			return cli.Fatal(1, "restore-failed", obs.String("file", c.resumeFrom), obs.Err(err))
 		}
 		m = world.Measurer(params)
@@ -311,9 +309,7 @@ func (c *campaign) measure() int {
 			obs.Int("edges", int64(len(resume.Detected))))
 	} else {
 		g := netgen.Grow(c.census.Grow)
-		w := c.census.World(g)
-		w.Lanes = c.lanes
-		world = w.Build()
+		world = c.census.World(g).Build()
 		world.StartTraffic()
 		m = world.Measurer(params)
 		lg.Info("network-built", obs.Int("nodes", int64(g.NumNodes())),

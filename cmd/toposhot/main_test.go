@@ -152,12 +152,12 @@ func TestCensusArtifacts(t *testing.T) {
 	checkManifest(t, "census_n40.trace.json", readFile(t, p("tr.json")))
 }
 
-// TestWidthLaneAndResumeInvariance runs one 60-node census four ways — serial,
-// at pool width 8, with 8 engine lanes, and checkpointed then resumed — and
-// requires byte-identical edges throughout, identical event logs and traces
-// across widths and lane counts, and a checkpoint file that repeats (CI's
-// former obs-smoke and census-scale-smoke cmp steps).
-func TestWidthLaneAndResumeInvariance(t *testing.T) {
+// TestWidthAndResumeInvariance runs one 60-node census three ways — serial,
+// at pool width 8, and checkpointed then resumed — and requires
+// byte-identical edges throughout, identical event logs and traces across
+// widths, and a checkpoint file that repeats (CI's former obs-smoke and
+// census-scale-smoke cmp steps).
+func TestWidthAndResumeInvariance(t *testing.T) {
 	dir := t.TempDir()
 	census := []string{"-n", "60", "-k", "10", "-seed", "7"}
 	type files struct{ edges, events, trace []byte }
@@ -168,19 +168,14 @@ func TestWidthLaneAndResumeInvariance(t *testing.T) {
 		toposhot(t, append(args, extra...)...)
 		return files{readFile(t, p("edges")), readFile(t, p("ev")), readFile(t, p("tr.json"))}
 	}
-	base := observe("serial", "-parallel", "1", "-lanes", "1")
+	base := observe("serial", "-parallel", "1")
 	checkManifest(t, "census_n60.edges", base.edges)
 	checkManifest(t, "census_n60.events.jsonl", base.events)
 	checkManifest(t, "census_n60.trace.json", base.trace)
-	for tag, extra := range map[string][]string{
-		"wide":  {"-parallel", "8", "-lanes", "1"},
-		"laned": {"-parallel", "1", "-lanes", "8"},
-	} {
-		got := observe(tag, extra...)
-		mustEqual(t, "edges, serial vs "+tag, base.edges, got.edges)
-		mustEqual(t, "event logs, serial vs "+tag, base.events, got.events)
-		mustEqual(t, "traces, serial vs "+tag, base.trace, got.trace)
-	}
+	wide := observe("wide", "-parallel", "8")
+	mustEqual(t, "edges, serial vs wide", base.edges, wide.edges)
+	mustEqual(t, "event logs, serial vs wide", base.events, wide.events)
+	mustEqual(t, "traces, serial vs wide", base.trace, wide.trace)
 
 	ckpt := filepath.Join(dir, "camp.ckpt")
 	toposhot(t, append(append([]string{}, census...), "-checkpoint", ckpt, "-checkpoint-every", "3", "-out", filepath.Join(dir, "full"))...)
@@ -229,7 +224,7 @@ func TestTrackingArtifacts(t *testing.T) {
 // TestShardedCensus pins the region-sharded mode's edges and coverage
 // summary, identical at pool widths 1 and 4.
 func TestShardedCensus(t *testing.T) {
-	sharded := []string{"-preset", "mainnet", "-n", "240", "-regions", "4", "-lanes", "2", "-seed", "42", "-log-level", "off"}
+	sharded := []string{"-preset", "mainnet", "-n", "240", "-regions", "4", "-seed", "42", "-log-level", "off"}
 	edges, summary := toposhot(t, append(sharded, "-parallel", "1")...)
 	checkGolden(t, "sharded_n240.edges", edges)
 	checkGolden(t, "sharded_n240.stderr.txt", summary)
@@ -249,8 +244,9 @@ func TestRivalStrategy(t *testing.T) {
 // and a file it cannot read or create exit 1, with the one reason line on
 // stderr and nothing else — no world is built or restored first. The
 // checkpoints here carry a dummy blob, so restoring one would fail loudly.
-// The last case gets past validation and fails restoring a blob cut short
-// after its header. A run that exits non-zero leaves no -out file behind.
+// Two cases get past validation and fail restoring: a blob cut short after
+// its header, and one of another layout version. A run that exits non-zero
+// leaves no -out file behind.
 func TestFlagValidation(t *testing.T) {
 	dir := t.TempDir()
 	trackCkpt, campCkpt := filepath.Join(dir, "track.ckpt"), filepath.Join(dir, "camp.ckpt")
@@ -268,7 +264,20 @@ func TestFlagValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ck.Blob = ck.Blob[:len(ck.Blob)/2]
+	// The blob is an RLP list whose first item, the layout version, is one
+	// byte after the list's prefix and length bytes: with it set to 2 the
+	// file is what the previous layout's build wrote.
+	v2Ckpt, blob := filepath.Join(dir, "v2.ckpt"), ck.Blob
+	ck.Blob = bytes.Clone(blob)
+	if v := 1 + int(ck.Blob[0]-0xf7); ck.Blob[v] == 3 {
+		ck.Blob[v] = 2
+	} else {
+		t.Fatalf("blob version byte %d, want 3", ck.Blob[v])
+	}
+	if err := ck.Write(v2Ckpt); err != nil {
+		t.Fatal(err)
+	}
+	ck.Blob = blob[:len(blob)/2]
 	if err := ck.Write(truncCkpt); err != nil {
 		t.Fatal(err)
 	}
@@ -294,6 +303,8 @@ func TestFlagValidation(t *testing.T) {
 		{"missing checkpoint", []string{"-resume", filepath.Join(dir, "absent")}, 1, "msg=checkpoint-read-failed"},
 		{"unwritable output", []string{"-n", "12", "-k", "4", "-out", filepath.Join(dir, "no", "such", "dir", "e")}, 1, "msg=output-create-failed"},
 		{"truncated checkpoint blob", []string{"-resume", truncCkpt, "-out", filepath.Join(dir, "resumed.edges")}, 1, "msg=restore-failed"},
+		{"checkpoint of another version", []string{"-resume", v2Ckpt, "-out", filepath.Join(dir, "resumed.edges")}, 1, "checkpoint version 2, want 3"},
+		{"lanes flag", []string{"-lanes", "4"}, 2, "flag provided but not defined: -lanes"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

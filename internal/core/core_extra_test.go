@@ -83,7 +83,7 @@ func TestLedgerAccounting(t *testing.T) {
 func TestLedgerIncrementalTotalMatchesFullSort(t *testing.T) {
 	l := NewLedger()
 	const base = 1.25e17
-	l.RestoreAggregates(7, 0, 7, base)
+	l.RestoreAggregates(7, 0, base)
 	rng := rand.New(rand.NewSource(3))
 	var all []*types.Transaction
 	for batch := 0; batch < 3; batch++ {

@@ -14,7 +14,7 @@ import (
 // aggregates belong to no stretch.
 func TestLedgerCut(t *testing.T) {
 	l := NewLedger()
-	l.RestoreAggregates(7, 900, 907, 1.25e17)
+	l.RestoreAggregates(7, 900, 1.25e17)
 	if got := l.Cut(); got != (Spend{}) {
 		t.Fatalf("restored aggregates leaked into the open stretch: %+v", got)
 	}
@@ -50,9 +50,8 @@ func TestLedgerCut(t *testing.T) {
 	if got := l.Cut(); got != (Spend{}) {
 		t.Fatalf("re-recorded transaction attributed again: %+v", got)
 	}
-	if l.PendingCount() != 7+3 || l.FutureCount() != 900+7 || l.InjectedMsgs != 907+13 {
-		t.Fatalf("campaign totals moved: pending %d futures %d injected %d",
-			l.PendingCount(), l.FutureCount(), l.InjectedMsgs)
+	if l.PendingCount() != 7+3 || l.FutureCount() != 900+7 {
+		t.Fatalf("campaign totals moved: pending %d futures %d", l.PendingCount(), l.FutureCount())
 	}
 }
 
@@ -89,8 +88,8 @@ func TestLedgerRecordsRunFeesMemberByMember(t *testing.T) {
 	}
 	l := NewLedger()
 	l.RecordFutures(runs)
-	if got := l.Cut(); got.FeeWei != want || got.Futures != 5120 || l.InjectedMsgs != 5120 {
-		t.Fatalf("recorded %+v and %d messages, want %v Wei over 5120 futures", got, l.InjectedMsgs, want)
+	if got := l.Cut(); got.FeeWei != want || got.Futures != 5120 {
+		t.Fatalf("recorded %+v, want %v Wei over 5120 futures", got, want)
 	}
 }
 
@@ -191,7 +190,7 @@ func TestCutAttributionAfterMidCampaignAttach(t *testing.T) {
 // continuation's records add up to the continuation's growth.
 func TestCutAttributionAfterResume(t *testing.T) {
 	m, ids := cutRing(t, 22)
-	m.Ledger.RestoreAggregates(42, 9000, 9042, 3.5e17)
+	m.Ledger.RestoreAggregates(42, 9000, 3.5e17)
 	since := markLedger(m.Ledger)
 	led := obs.NewLedger()
 	m.SetObs(nil, led)

@@ -20,14 +20,14 @@ func TestDebugPrimitiveTrace(t *testing.T) {
 		nd := net.Node(id)
 		t.Logf("after step1 node %v: has txC=%v poolLen=%d pending=%d", id, nd.Pool().Has(txC.Hash()), nd.Pool().Len(), nd.Pool().PendingCount())
 	}
-	m.v.InjectRuns(b, m.futureRuns(m.zFor(b), m.params.PriceFuture(y))...)
+	m.v.InjectRuns(b, m.futureRuns(m.params.Z, m.params.PriceFuture(y))...)
 	txB := types.NewTransaction(acctC, dest, 0, m.params.PriceTxB(y), 0)
 	m.v.Inject(b, txB)
 	m.v.WaitDrained(-1)
 	nb := net.Node(b)
 	t.Logf("after step2 B: hasTxC=%v hasTxB=%v len=%d pending=%d future=%d",
 		nb.Pool().Has(txC.Hash()), nb.Pool().Has(txB.Hash()), nb.Pool().Len(), nb.Pool().PendingCount(), nb.Pool().FutureCount())
-	m.v.InjectRuns(a, m.futureRuns(m.zFor(a), m.params.PriceFuture(y))...)
+	m.v.InjectRuns(a, m.futureRuns(m.params.Z, m.params.PriceFuture(y))...)
 	txA := types.NewTransaction(acctC, dest, 0, m.params.PriceTxA(y), 0)
 	checkFrom := net.Now()
 	m.v.Inject(a, txA)
@@ -82,7 +82,7 @@ func TestDebugMeasurePar(t *testing.T) {
 		t.Logf("after p1 node %v: txCs=%d/9 len=%d", id, n, nd.Pool().Len())
 	}
 	for _, b := range sortedIDs(sinks) {
-		m.v.InjectRuns(b, m.futureRuns(m.zFor(b), m.params.PriceFuture(y))...)
+		m.v.InjectRuns(b, m.futureRuns(m.params.Z, m.params.PriceFuture(y))...)
 		stream := make([]*types.Transaction, len(edges))
 		for i, e := range edges {
 			if e.Sink == b {
@@ -108,7 +108,7 @@ func TestDebugMeasurePar(t *testing.T) {
 		t.Logf("after sinks node %v: txBs=%d txCs=%d len=%d pend=%d fut=%d", id, nb, nc, nd.Pool().Len(), nd.Pool().PendingCount(), nd.Pool().FutureCount())
 	}
 	for _, a := range sortedIDs(sources) {
-		m.v.InjectRuns(a, m.futureRuns(m.zFor(a), m.params.PriceFuture(y))...)
+		m.v.InjectRuns(a, m.futureRuns(m.params.Z, m.params.PriceFuture(y))...)
 		var others, own []*types.Transaction
 		for i, e := range edges {
 			if e.Source == a {
@@ -220,7 +220,7 @@ func TestDebugRound2Call(t *testing.T) {
 		t.Logf("after p1 %v: txCs=%v len=%d pend=%d", id, have, nd.Pool().Len(), nd.Pool().PendingCount())
 	}
 	for _, b := range sortedIDs(sinks) {
-		m.v.InjectRuns(b, m.futureRuns(m.zFor(b), m.params.PriceFuture(y))...)
+		m.v.InjectRuns(b, m.futureRuns(m.params.Z, m.params.PriceFuture(y))...)
 		stream := make([]*types.Transaction, len(edges))
 		for i, e := range edges {
 			if e.Sink == b {
@@ -246,7 +246,7 @@ func TestDebugRound2Call(t *testing.T) {
 		t.Logf("after sinks %v: txB=%v txC=%v len=%d pend=%d fut=%d", id, hasB, hasC, nd.Pool().Len(), nd.Pool().PendingCount(), nd.Pool().FutureCount())
 	}
 	for _, a := range sortedIDs(sources) {
-		m.v.InjectRuns(a, m.futureRuns(m.zFor(a), m.params.PriceFuture(y))...)
+		m.v.InjectRuns(a, m.futureRuns(m.params.Z, m.params.PriceFuture(y))...)
 		var others, own []*types.Transaction
 		for i, e := range edges {
 			if e.Source == a {

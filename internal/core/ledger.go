@@ -24,9 +24,6 @@ type Ledger struct {
 	sorted []*types.Transaction
 	fresh  []*types.Transaction
 
-	// InjectedMsgs counts supernode sends, for load reporting.
-	InjectedMsgs int
-
 	// open is what was recorded since the last Cut.
 	open Spend
 
@@ -58,7 +55,6 @@ func (l *Ledger) RecordPending(tx *types.Transaction) {
 		l.open.Pending++
 		l.open.FeeWei += float64(tx.Fee())
 	}
-	l.InjectedMsgs++
 }
 
 // RecordFutures notes the emitted future transactions of a fill. Their fees
@@ -75,7 +71,6 @@ func (l *Ledger) RecordFutures(runs []*types.Run) {
 		n += r.Count
 	}
 	l.futures += n
-	l.InjectedMsgs += n
 	l.open.Futures += n
 	l.open.FeeWei += sum
 }
@@ -101,10 +96,9 @@ func (l *Ledger) FutureCount() int { return l.futures }
 // pre-checkpoint run, so a resumed campaign's cost report covers the whole
 // campaign. Per-transaction data from before the checkpoint is not carried:
 // the cost report is worst-case pricing, which these totals suffice for.
-func (l *Ledger) RestoreAggregates(pending, futures, injected int, worstWei float64) {
+func (l *Ledger) RestoreAggregates(pending, futures int, worstWei float64) {
 	l.basePending = pending
 	l.futures = futures
-	l.InjectedMsgs = injected
 	l.baseWorstWei = worstWei
 }
 

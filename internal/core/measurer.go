@@ -147,11 +147,6 @@ type Measurer struct {
 	// senders (see types.NamespacedAddress).
 	acctSeq uint64
 
-	// ZOverride holds per-node future-count overrides (nodes with enlarged
-	// mempools need a bigger Z). No call in the program writes it; it stays
-	// because the campaign checkpoint format carries it.
-	ZOverride map[types.NodeID]int
-
 	// entryCandidates caches the vantage's Peers for the duration of one
 	// MeasureNetwork run; nil means read them fresh on every MeasurePar call.
 	entryCandidates []types.NodeID
@@ -192,10 +187,9 @@ func NewMeasurerAt(v Vantage, params Params) *Measurer {
 		params = DefaultParams()
 	}
 	m := &Measurer{
-		v:         v,
-		params:    params,
-		ZOverride: make(map[types.NodeID]int),
-		Ledger:    NewLedger(),
+		v:      v,
+		params: params,
+		Ledger: NewLedger(),
 	}
 	if r := metrics.Enabled(); r != nil {
 		m.SetMetrics(r)
@@ -264,15 +258,6 @@ func (m *Measurer) resolveY() uint64 {
 	return y
 }
 
-// zFor returns the future-transaction count for a target, honoring
-// pre-processing overrides.
-func (m *Measurer) zFor(id types.NodeID) int {
-	if z, ok := m.ZOverride[id]; ok {
-		return z
-	}
-	return m.params.Z
-}
-
 // futureRuns mints a fill: z future transactions at the given price as
 // ⌈z/U⌉ runs, one per fresh account, of nonces 1..U (the nonce-0 gap stays
 // open, so they can never turn pending). Each member pays a fresh recipient:
@@ -336,7 +321,7 @@ func (m *Measurer) MeasureOneLink(a, b types.NodeID) (bool, error) {
 
 	// Step 2: fill B with futures (evicting txC there), then plant txB.
 	ev := m.tracer.StartSpan(spanEvictZ,
-		trace.Int(attrNode, int64(b)), trace.Int(attrZ, int64(m.zFor(b))))
+		trace.Int(attrNode, int64(b)), trace.Int(attrZ, int64(m.params.Z)))
 	m.fill(b, y)
 	ev.End()
 	pb := m.tracer.StartSpan(spanPlantTxB)
@@ -351,7 +336,7 @@ func (m *Measurer) MeasureOneLink(a, b types.NodeID) (bool, error) {
 
 	// Step 3: same on A, planting txA.
 	ev = m.tracer.StartSpan(spanEvictZ,
-		trace.Int(attrNode, int64(a)), trace.Int(attrZ, int64(m.zFor(a))))
+		trace.Int(attrNode, int64(a)), trace.Int(attrZ, int64(m.params.Z)))
 	m.fill(a, y)
 	ev.End()
 	pa := m.tracer.StartSpan(spanPlantTxA)
@@ -418,7 +403,7 @@ func (m *Measurer) inject(to types.NodeID, txs ...*types.Transaction) {
 // fill mints, records and injects target's mempool fill at txC price y,
 // keeping a failure as inject does.
 func (m *Measurer) fill(target types.NodeID, y uint64) {
-	runs := m.futureRuns(m.zFor(target), m.params.PriceFuture(y))
+	runs := m.futureRuns(m.params.Z, m.params.PriceFuture(y))
 	m.Ledger.RecordFutures(runs)
 	m.keepErr(m.v.InjectRuns(target, runs...))
 }

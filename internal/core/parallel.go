@@ -183,7 +183,7 @@ func (m *Measurer) MeasurePar(edges []Edge) (*ParResult, error) {
 	// Cost attribution: each edge owns its cut and its verdict; the
 	// per-participant mempool fills are shared batch cost and land on one
 	// round record. Records append in edge order, then the round line —
-	// deterministic for a single engine at any lane width.
+	// deterministic for a single engine.
 	if m.costs != nil {
 		failed := make(map[Edge]struct{}, len(res.SetupFailed))
 		for _, e := range res.SetupFailed {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"toposhot/internal/types"
 )
@@ -14,20 +13,13 @@ type DetectedEdge struct {
 	Via  types.Hash
 }
 
-// ZOverrideEntry is one serialized per-node future-count override.
-type ZOverrideEntry struct {
-	Node types.NodeID
-	Z    int
-}
-
 // CampaignState is the resumable progress of a MeasureNetwork campaign,
 // captured at a batch boundary. Paired with an ethsim network checkpoint
 // taken at the same instant, it lets a killed census resume and finish with
 // results identical to an uninterrupted run: the batch plan is re-derived
-// deterministically, the measurer's account counter and Z overrides are
-// restored, and accumulated detections/cost aggregates carry over. The
-// struct is plain data (JSON- or gob-serializable); the caller owns
-// persistence.
+// deterministically, the measurer's account counter is restored, and
+// accumulated detections/cost aggregates carry over. The struct is plain
+// data (JSON- or gob-serializable); the caller owns persistence.
 type CampaignState struct {
 	// BatchesDone counts fully executed plan batches; resume skips them.
 	BatchesDone int
@@ -46,15 +38,10 @@ type CampaignState struct {
 	// Detected holds every confirmed edge so far with its proving hash,
 	// sorted by (A, B) for deterministic serialization.
 	Detected []DetectedEdge
-	// ZOverrides carries Measurer.ZOverride, sorted by node id. Nothing
-	// writes an override, so it is always empty; the field stays because
-	// the checkpoint format carries it.
-	ZOverrides []ZOverrideEntry
 
 	// Ledger aggregates: whole-campaign cost totals up to the checkpoint.
 	LedgerPending  int
 	LedgerFutures  int
-	LedgerInjected int
 	LedgerWorstWei float64
 }
 
@@ -70,16 +57,11 @@ func (m *Measurer) captureCampaignState(done int, start float64, out *ScheduleRe
 		PairsMeasured:  out.PairsMeasured,
 		LedgerPending:  m.Ledger.PendingCount(),
 		LedgerFutures:  m.Ledger.FutureCount(),
-		LedgerInjected: m.Ledger.InjectedMsgs,
 		LedgerWorstWei: m.Ledger.WorstCaseWei(),
 	}
 	for _, e := range out.Detected.Edges() {
 		st.Detected = append(st.Detected, DetectedEdge{A: e[0], B: e[1], Via: out.DetectedVia[e]})
 	}
-	for id, z := range m.ZOverride {
-		st.ZOverrides = append(st.ZOverrides, ZOverrideEntry{Node: id, Z: z})
-	}
-	sort.Slice(st.ZOverrides, func(i, j int) bool { return st.ZOverrides[i].Node < st.ZOverrides[j].Node })
 	return st
 }
 
@@ -90,10 +72,7 @@ func (m *Measurer) applyCampaignState(st *CampaignState, planLen int, out *Sched
 		return fmt.Errorf("core: campaign state has %d batches done, plan has %d", st.BatchesDone, planLen)
 	}
 	m.acctSeq = st.AcctSeq
-	for _, zo := range st.ZOverrides {
-		m.ZOverride[zo.Node] = zo.Z
-	}
-	m.Ledger.RestoreAggregates(st.LedgerPending, st.LedgerFutures, st.LedgerInjected, st.LedgerWorstWei)
+	m.Ledger.RestoreAggregates(st.LedgerPending, st.LedgerFutures, st.LedgerWorstWei)
 	out.Iterations = st.Iterations
 	out.Calls = st.Calls
 	out.SetupFails = st.SetupFails

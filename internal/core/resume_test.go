@@ -77,7 +77,6 @@ func TestMeasureNetworkResumeMatchesUninterrupted(t *testing.T) {
 	}
 	if mRef.Ledger.PendingCount() != m2.Ledger.PendingCount() ||
 		mRef.Ledger.FutureCount() != m2.Ledger.FutureCount() ||
-		mRef.Ledger.InjectedMsgs != m2.Ledger.InjectedMsgs ||
 		mRef.Ledger.WorstCaseWei() != m2.Ledger.WorstCaseWei() {
 		t.Fatalf("ledger diverged: %v vs %v", mRef.Ledger, m2.Ledger)
 	}

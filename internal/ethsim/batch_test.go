@@ -140,9 +140,10 @@ func TestFlushBatchRecycledOnce(t *testing.T) {
 // their destination — writes each message as the private payload it stands
 // for: the blob is byte for byte what the parent commit (f23ef1b), whose
 // messages owned such payloads, wrote for the same seed (its SHA-256 was
-// recorded there). Restoring it and continuing equals the uninterrupted run.
+// recorded there, and re-recorded for layout v3 as that blob less the fields
+// v3 dropped). Restoring it and continuing equals the uninterrupted run.
 func TestCheckpointWithSharedBatchesInFlight(t *testing.T) {
-	net, _ := buildCheckpointNet(1)
+	net, _ := buildCheckpointNet()
 	net.RunFor(12.34)
 	shared, filtered := 0, 0
 	for i := range net.msgs {
@@ -163,7 +164,7 @@ func TestCheckpointWithSharedBatchesInFlight(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Checkpoint: %v", err)
 	}
-	const parent = "1a23b8c5eaa618146ce44e561ef5ec38512bc822cbfcce49e5e60c9145c90202"
+	const parent = "1b12e40ca07d68435b5d30dcf1ac3157fb8d24d76c3302ee27e56ac5a2fcfd07"
 	if got := fmt.Sprintf("%x", sha256.Sum256(blob)); got != parent {
 		t.Fatalf("checkpoint bytes moved: sha256 %s (%d bytes), parent %s", got, len(blob), parent)
 	}
@@ -193,10 +194,11 @@ func TestCheckpointWithSharedBatchesInFlight(t *testing.T) {
 // run-time hint that is no part of the message. A checkpoint taken with such
 // requests in flight is byte for byte what the parent commit (f70b0d4), whose
 // requests carried hashes only, wrote for the same seed (its SHA-256 was
-// recorded there); the restored requests have lost the hint and answer by
+// recorded there, and re-recorded for layout v3 as that blob less the fields
+// v3 dropped); the restored requests have lost the hint and answer by
 // hash, and the continuation still equals the uninterrupted run.
 func TestCheckpointWithHintedRequestInFlight(t *testing.T) {
-	net, _ := buildCheckpointNet(1)
+	net, _ := buildCheckpointNet()
 	net.RunFor(12)
 	hinted := func(net *Network) (requests, withHint int) {
 		for i := range net.msgs {
@@ -225,7 +227,7 @@ func TestCheckpointWithHintedRequestInFlight(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Checkpoint: %v", err)
 	}
-	const parent = "556da473e4a71800609f33097d18c16a0b88e0d31ada7518a27e63770143c828"
+	const parent = "a17a7d3fc7220446490038daf3a62eb2809e55d63673841be56c43c6e57ee58d"
 	if got := fmt.Sprintf("%x", sha256.Sum256(blob)); got != parent {
 		t.Fatalf("checkpoint bytes moved: sha256 %s (%d bytes), parent %s", got, len(blob), parent)
 	}
@@ -321,10 +323,11 @@ func fillInFlight(net *Network, src types.NodeID) (queued, flying int) {
 // pool, some flying as Transactions messages, some still queued on M's uplink
 // — is byte for byte what the parent commit (cf2653d), which injected futures
 // as transaction objects, wrote for the same seed (its SHA-256 was recorded
-// there). Restoring it and running on equals the uninterrupted run line for
+// there, and re-recorded for layout v3 as that blob less the fields v3
+// dropped). Restoring it and running on equals the uninterrupted run line for
 // line.
 func TestCheckpointWithFillInFlight(t *testing.T) {
-	net, sn := buildCheckpointNet(1)
+	net, sn := buildCheckpointNet()
 	net.RunFor(6)
 	target := types.NodeID(5)
 	injectFill(sn, target, 1000, 5120, 4096, 2*types.Gwei)
@@ -338,7 +341,7 @@ func TestCheckpointWithFillInFlight(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Checkpoint: %v", err)
 	}
-	const parent = "0359c7dd949a6c452a48e8b2cfdac9fa51813ef9a34e05cc2d0a24cc0326578e"
+	const parent = "748c7c24a2f7578aaeca0759f28692cb9bf7fc927400e4eee16290f1b1b879ea"
 	if got := fmt.Sprintf("%x", sha256.Sum256(blob)); got != parent {
 		t.Fatalf("checkpoint bytes moved: sha256 %s (%d bytes), parent %s", got, len(blob), parent)
 	}

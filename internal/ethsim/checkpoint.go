@@ -18,8 +18,9 @@ import (
 // checkpoint is a byte-exact continuation artifact, not an interchange
 // format — carrying forward state through a layout change cannot preserve
 // replay identity, which is the whole point of resuming (DESIGN.md §5).
-// Version 2 appended the churn-process registry to the root list.
-const checkpointVersion = 2
+// Version 3 holds only state that some run varies: a setting with one value
+// is a constant, not a field.
+const checkpointVersion = 3
 
 // image is a checkpoint: the blob is rlp.Marshal of an image, so the field
 // order of image and of the types it holds is the layout — written once,
@@ -48,10 +49,11 @@ type (
 		Seq, Draws uint64
 		Events     []sim.EventRecord
 	}
+	// txImage is a transaction without Data: no simulated transaction
+	// carries any (only internal/wire decodes it, for the live node).
 	txImage struct {
 		From, To                    types.Address
 		Nonce, GasPrice, Gas, Value uint64
-		Data                        []byte
 		Tip                         uint64
 		DynamicFee                  bool
 	}
@@ -123,21 +125,20 @@ type (
 	workloadImage struct {
 		Rate             float64
 		PriceLo, PriceHi uint64
-		Accounts         int
 		Stopped          bool
 		StopAt           float64
 		SeedIdx, Draws   uint64
 		Nonces           []txpool.NonceSnapshot // by address
 		Sinks            []types.NodeID
 	}
-	// churnImage is a churn process's restorable state: configuration,
+	// churnImage is a churn process's restorable state: interval,
 	// population, stop flag, and RNG position. The event log is observation
 	// state, deliberately dropped (see the Churn doc comment).
 	churnImage struct {
-		Interval, Start, StopAt, RemoveFrac float64
-		Stopped                             bool
-		Draws                               uint64
-		Pop                                 []types.NodeID
+		Interval float64
+		Stopped  bool
+		Draws    uint64
+		Pop      []types.NodeID
 	}
 )
 
@@ -180,7 +181,7 @@ func (t *txTable) ref(tx *types.Transaction) uint64 {
 	i := uint64(len(t.txs))
 	t.refs[h] = i
 	t.txs = append(t.txs, txImage{From: tx.From, To: tx.To, Nonce: tx.Nonce, GasPrice: tx.GasPrice,
-		Gas: tx.Gas, Value: tx.Value, Data: tx.Data, Tip: tx.Tip, DynamicFee: tx.DynamicFee})
+		Gas: tx.Gas, Value: tx.Value, Tip: tx.Tip, DynamicFee: tx.DynamicFee})
 	return i
 }
 
@@ -217,8 +218,7 @@ func (n *Network) image() (*image, error) {
 		img.Workloads = append(img.Workloads, w.image())
 	}
 	for _, c := range n.churns {
-		img.Churns = append(img.Churns, churnImage{Interval: c.cfg.Interval, Start: c.cfg.Start,
-			StopAt: c.cfg.StopAt, RemoveFrac: c.cfg.RemoveFrac, Stopped: c.stopped, Draws: c.crng.Draws(), Pop: c.pop})
+		img.Churns = append(img.Churns, churnImage{Interval: c.cfg.Interval, Stopped: c.stopped, Draws: c.crng.Draws(), Pop: c.pop})
 	}
 	img.Txs = tt.txs
 	return img, nil
@@ -317,7 +317,7 @@ func (n *Network) arenaImage(tt *txTable) arenaImage {
 }
 
 func (w *Workload) image() workloadImage {
-	img := workloadImage{Rate: w.Rate, PriceLo: w.PriceLo, PriceHi: w.PriceHi, Accounts: w.Accounts,
+	img := workloadImage{Rate: w.Rate, PriceLo: w.PriceLo, PriceHi: w.PriceHi,
 		Stopped: w.stopped, StopAt: w.stopAt, SeedIdx: w.seedIdx, Draws: w.crng.Draws(), Sinks: w.sinks}
 	for a, nonce := range w.nonces {
 		img.Nonces = append(img.Nonces, txpool.NonceSnapshot{Addr: a, Nonce: nonce})
@@ -332,23 +332,34 @@ func (w *Workload) image() workloadImage {
 // network continues byte-identically: same event order, same RNG stream,
 // same pool eviction sequences, same message timings.
 func RestoreNetwork(data []byte) (*Network, error) {
-	return RestoreNetworkLanes(data, 0)
-}
-
-// RestoreNetworkLanes is RestoreNetwork with a lane-count override (0 keeps
-// the checkpointed lane count). Lane count never affects results — the
-// engine pops the global (at, seq) minimum regardless — so resuming a
-// 1-lane checkpoint under 8 lanes still replays byte-identically.
-func RestoreNetworkLanes(data []byte, lanes int) (*Network, error) {
 	var img image
 	if err := rlp.Unmarshal(data, &img); err != nil {
+		// Another layout fails to decode at its first differing field; name
+		// its version instead, which check would have refused.
+		if v, ok := blobVersion(data); ok && v != checkpointVersion {
+			err = fmt.Errorf("checkpoint version %d, want %d", v, checkpointVersion)
+		}
 		return nil, fmt.Errorf("ethsim: restore: %w", err)
 	}
-	n, err := img.build(lanes)
+	n, err := img.build()
 	if err != nil {
 		return nil, fmt.Errorf("ethsim: restore: %w", err)
 	}
 	return n, nil
+}
+
+// blobVersion reads the version a blob of any layout leads with: the first
+// item of its list, an unsigned integer.
+func blobVersion(data []byte) (uint64, bool) {
+	it, err := rlp.Decode(data)
+	if err != nil || it.Kind != rlp.KindList || len(it.Items) == 0 {
+		return 0, false
+	}
+	var v uint64
+	if rlp.Unmarshal(rlp.Encode(it.Items[0]), &v) != nil {
+		return 0, false
+	}
+	return v, true
 }
 
 // check validates every reference the image carries against the table it
@@ -360,8 +371,7 @@ func (img *image) check() error {
 		return fmt.Errorf("checkpoint version %d, want %d", img.Version, checkpointVersion)
 	}
 	c := img.Config
-	for _, v := range []float64{c.LatencyBase, c.LatencyTail, c.LatencyMax, c.AnnounceLock,
-		c.SendSpacing, c.FlushInterval, c.SpikeProb, c.SpikeMax} {
+	for _, v := range []float64{c.LatencyTail, c.LatencyMax, c.SpikeProb, c.SpikeMax} {
 		if !(v >= 0) {
 			return fmt.Errorf("config value %v", v)
 		}
@@ -446,7 +456,7 @@ func (img *image) check() error {
 			ok = p < uint64(len(img.Workloads))
 			if ok {
 				w := &img.Workloads[p]
-				ok = w.Rate > 0 && !math.IsInf(w.Rate, 1) && w.Accounts > 0 && len(w.Sinks) > 0 &&
+				ok = w.Rate > 0 && !math.IsInf(w.Rate, 1) && len(w.Sinks) > 0 &&
 					(w.PriceHi <= w.PriceLo || w.PriceHi-w.PriceLo <= math.MaxInt64)
 			}
 		case argKindChurn:
@@ -465,19 +475,15 @@ func (img *image) check() error {
 }
 
 // build checks the image and constructs the network it describes.
-func (img *image) build(lanes int) (*Network, error) {
+func (img *image) build() (*Network, error) {
 	if err := img.check(); err != nil {
 		return nil, err
 	}
-	cfg := img.Config
-	if lanes > 0 {
-		cfg.Lanes = lanes
-	}
-	n := NewNetwork(cfg)
+	n := NewNetwork(img.Config)
 	txs := make([]*types.Transaction, len(img.Txs))
 	for i, t := range img.Txs {
 		txs[i] = &types.Transaction{From: t.From, To: t.To, Nonce: t.Nonce, GasPrice: t.GasPrice,
-			Gas: t.Gas, Value: t.Value, Data: t.Data, Tip: t.Tip, DynamicFee: t.DynamicFee}
+			Gas: t.Gas, Value: t.Value, Tip: t.Tip, DynamicFee: t.DynamicFee}
 	}
 
 	// Nodes: recreate via AddNode (ids are sequential, so creation order
@@ -540,7 +546,7 @@ func (img *image) build(lanes int) (*Network, error) {
 
 	for _, wi := range img.Workloads {
 		w := NewWorkload(n, wi.Rate, wi.PriceLo, wi.PriceHi)
-		w.Accounts, w.stopped, w.stopAt, w.seedIdx, w.sinks = wi.Accounts, wi.Stopped, wi.StopAt, wi.SeedIdx, wi.Sinks
+		w.stopped, w.stopAt, w.seedIdx, w.sinks = wi.Stopped, wi.StopAt, wi.SeedIdx, wi.Sinks
 		w.crng.FastForward(wi.Draws)
 		for _, ns := range wi.Nonces {
 			w.nonces[ns.Addr] = ns.Nonce
@@ -549,8 +555,7 @@ func (img *image) build(lanes int) (*Network, error) {
 	for _, ci := range img.Churns {
 		// addChurn registers without arming: the pending tick (if any) is
 		// already in the restored event queue.
-		c := n.addChurn(ChurnConfig{Interval: ci.Interval, Start: ci.Start, StopAt: ci.StopAt,
-			RemoveFrac: ci.RemoveFrac, Population: ci.Pop})
+		c := n.addChurn(ChurnConfig{Interval: ci.Interval, Population: ci.Pop})
 		c.stopped = ci.Stopped
 		c.crng.FastForward(ci.Draws)
 	}

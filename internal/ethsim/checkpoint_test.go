@@ -12,11 +12,10 @@ import (
 // buildCheckpointNet assembles a network with every checkpointable moving
 // part active: chorded ring topology, supernode observing everything,
 // background workload, janitor, and congestion spikes.
-func buildCheckpointNet(lanes int) (*Network, *Supernode) {
+func buildCheckpointNet() (*Network, *Supernode) {
 	cfg := DefaultConfig(42)
 	cfg.SpikeProb = 0.05
 	cfg.SpikeMax = 0.5
-	cfg.Lanes = lanes
 	net := NewNetwork(cfg)
 	for i := 0; i < 24; i++ {
 		net.AddNode(DefaultNodeConfig())
@@ -68,12 +67,11 @@ func observeRun(net *Network, d float64) []string {
 }
 
 // TestCheckpointRoundTrip pins the resume contract: checkpoint mid-run,
-// restore (under a different lane count, which must not matter), and the
-// restored network replays the continuation byte-identically — every offer
+// restore, and the restored network replays the continuation byte-identically — every offer
 // on every node in the same order with the same verdict, every pool ending
 // with the same contents, the engine at the same (time, seq, draw) point.
 func TestCheckpointRoundTrip(t *testing.T) {
-	net, _ := buildCheckpointNet(1)
+	net, _ := buildCheckpointNet()
 	net.RunFor(30)
 
 	blob, err := net.Checkpoint()
@@ -82,12 +80,9 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 	want := observeRun(net, 20)
 
-	restored, err := RestoreNetworkLanes(blob, 8)
+	restored, err := RestoreNetwork(blob)
 	if err != nil {
 		t.Fatalf("RestoreNetwork: %v", err)
-	}
-	if restored.Engine().LaneCount() != 8 {
-		t.Fatalf("lane override ignored: %d lanes", restored.Engine().LaneCount())
 	}
 	got := observeRun(restored, 20)
 
@@ -104,7 +99,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 // TestCheckpointDeterministicBytes: checkpointing the same state twice must
 // produce identical bytes — map-ordered structures are canonicalized.
 func TestCheckpointDeterministicBytes(t *testing.T) {
-	net, _ := buildCheckpointNet(2)
+	net, _ := buildCheckpointNet()
 	net.RunFor(15)
 	a, err := net.Checkpoint()
 	if err != nil {

@@ -17,18 +17,15 @@ type ChurnConfig struct {
 	// Interval is the mean virtual seconds between churn events
 	// (exponentially distributed).
 	Interval float64
-	// Start delays the first event, leaving an initial census a stable graph.
-	Start float64
-	// StopAt halts churn when virtual time reaches it (0 means never).
-	StopAt float64
-	// RemoveFrac is the probability an event tears a link down rather than
-	// establishing one. 0.5 holds expected density steady.
-	RemoveFrac float64
 	// Population restricts churn to links with both endpoints in this set.
 	// Empty means every non-supernode node. Links touching nodes outside the
 	// population (the supernode above all) are never created or removed.
 	Population []types.NodeID
 }
+
+// churnRemoveFrac is the probability a churn event tears a link down rather
+// than establishing one: 0.5 holds expected density steady.
+const churnRemoveFrac = 0.5
 
 // ChurnEvent records one applied topology change.
 type ChurnEvent struct {
@@ -40,8 +37,7 @@ type ChurnEvent struct {
 // Churn is a registered churn process. Like workloads, its recurring event
 // is a kind-tagged handler event indexing the network's churn registry, and
 // its randomness comes from a private counted RNG — so a pending churn tick
-// serializes into a checkpoint and the stream replays byte-identically at
-// any lane count.
+// serializes into a checkpoint and the stream replays byte-identically.
 //
 // The event log is observation state, not simulation state: it is NOT part
 // of a checkpoint. Consumers that tail it with a cursor (the tracker) must
@@ -105,11 +101,11 @@ func (n *Network) addChurn(cfg ChurnConfig) *Churn {
 }
 
 // StartChurn registers a churn process and arms its first event at
-// Start + Exp(Interval) from now.
+// Exp(Interval) from now.
 func (n *Network) StartChurn(cfg ChurnConfig) *Churn {
 	c := n.addChurn(cfg)
 	if cfg.Interval > 0 && len(c.pop) >= 2 {
-		c.schedule(cfg.Start + c.rng.ExpFloat64()*cfg.Interval)
+		c.schedule(c.rng.ExpFloat64() * cfg.Interval)
 	}
 	return c
 }
@@ -123,7 +119,7 @@ func (n *Network) Churns() []*Churn {
 // schedule arms the next churn event d seconds from now.
 func (c *Churn) schedule(d float64) {
 	arg := uint64(argKindChurn)<<argKindShift | uint64(c.index)
-	c.net.eng.AtHandlerLane(c.net.eng.Now()+d, c.net, arg, 0)
+	c.net.eng.AtHandler(c.net.eng.Now()+d, c.net, arg)
 }
 
 // Stop halts the process after the current tick.
@@ -148,7 +144,7 @@ func (c *Churn) NumEvents() int { return len(c.events) }
 // tick applies one churn event and re-arms. Call order (apply → sample gap →
 // schedule) is fixed so converted and restored runs replay byte-identically.
 func (c *Churn) tick() {
-	if c.stopped || (c.cfg.StopAt > 0 && c.net.Now() >= c.cfg.StopAt) {
+	if c.stopped {
 		return
 	}
 	c.step()
@@ -160,7 +156,7 @@ func (c *Churn) tick() {
 // other kind runs instead, keeping the process alive in degenerate regimes;
 // the fallback is a pure function of simulation state, so determinism holds.
 func (c *Churn) step() {
-	if c.rng.Float64() < c.cfg.RemoveFrac {
+	if c.rng.Float64() < churnRemoveFrac {
 		if !c.removeOne() {
 			c.addOne()
 		}

@@ -3,6 +3,7 @@ package ethsim
 import (
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"toposhot/internal/types"
@@ -10,10 +11,8 @@ import (
 
 // buildChurnNet assembles a churning network: chorded ring, supernode,
 // workload traffic, janitor, and a churn process over the ring nodes.
-func buildChurnNet(lanes int) (*Network, *Churn) {
-	cfg := DefaultConfig(99)
-	cfg.Lanes = lanes
-	net := NewNetwork(cfg)
+func buildChurnNet() (*Network, *Churn) {
+	net := NewNetwork(DefaultConfig(99))
 	for i := 0; i < 20; i++ {
 		net.AddNode(DefaultNodeConfig())
 	}
@@ -26,7 +25,7 @@ func buildChurnNet(lanes int) (*Network, *Churn) {
 	net.StartJanitor(5)
 	w := NewWorkload(net, 30, types.Gwei, 8*types.Gwei)
 	w.Start(0)
-	c := net.StartChurn(ChurnConfig{Interval: 2, Start: 1, RemoveFrac: 0.5})
+	c := net.StartChurn(ChurnConfig{Interval: 2})
 	return net, c
 }
 
@@ -42,9 +41,9 @@ func churnDigest(net *Network, c *Churn) []string {
 }
 
 func TestChurnDeterministic(t *testing.T) {
-	netA, cA := buildChurnNet(1)
+	netA, cA := buildChurnNet()
 	netA.RunFor(60)
-	netB, cB := buildChurnNet(1)
+	netB, cB := buildChurnNet()
 	netB.RunFor(60)
 	a, b := churnDigest(netA, cA), churnDigest(netB, cB)
 	if len(a) < 10 {
@@ -66,23 +65,36 @@ func TestChurnDeterministic(t *testing.T) {
 	}
 }
 
-// TestChurnSerialParallelIdentical pins the lane-independence contract for
-// churn: the event stream, the evolving topology, and the full gossip
-// observation must be byte-identical between a serial-heap engine and a
-// multi-lane engine.
+// TestChurnSerialParallelIdentical pins that a churning network holds no
+// state shared with another: the event stream, the evolving topology, and
+// the full gossip observation after it must be byte-identical between a run
+// on its own and two same-seed runs stepped concurrently.
 func TestChurnSerialParallelIdentical(t *testing.T) {
-	netS, cS := buildChurnNet(1)
-	wantChurn := func() []string { netS.RunFor(45); return churnDigest(netS, cS) }()
-	netP, cP := buildChurnNet(8)
+	netS, cS := buildChurnNet()
+	netS.RunFor(45)
+	wantChurn := churnDigest(netS, cS)
 	wantObs := observeRun(netS, 15)
-	netP.RunFor(45)
-	gotChurn := churnDigest(netP, cP)
-	gotObs := observeRun(netP, 15)
-	if !reflect.DeepEqual(wantChurn, gotChurn) {
-		t.Fatal("churn stream differs between 1-lane and 8-lane engines")
+
+	var gotChurn, gotObs [2][]string
+	var wg sync.WaitGroup
+	for i := range gotChurn {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			netP, cP := buildChurnNet()
+			netP.RunFor(45)
+			gotChurn[i] = churnDigest(netP, cP)
+			gotObs[i] = observeRun(netP, 15)
+		}(i)
 	}
-	if !reflect.DeepEqual(wantObs, gotObs) {
-		t.Fatal("post-churn gossip observation differs between 1-lane and 8-lane engines")
+	wg.Wait()
+	for i := range gotChurn {
+		if !reflect.DeepEqual(wantChurn, gotChurn[i]) {
+			t.Fatalf("churn stream of concurrent run %d differs from the serial run", i)
+		}
+		if !reflect.DeepEqual(wantObs, gotObs[i]) {
+			t.Fatalf("post-churn gossip observation of concurrent run %d differs from the serial run", i)
+		}
 	}
 }
 
@@ -90,7 +102,7 @@ func TestChurnSerialParallelIdentical(t *testing.T) {
 // whose continuation — including future churn picks — replays
 // byte-identically, with the churn registry and RNG position intact.
 func TestChurnCheckpointRestore(t *testing.T) {
-	net, c := buildChurnNet(1)
+	net, c := buildChurnNet()
 	net.RunFor(30)
 	before := c.NumEvents()
 	if before == 0 {
@@ -101,7 +113,7 @@ func TestChurnCheckpointRestore(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Checkpoint: %v", err)
 	}
-	restored, err := RestoreNetworkLanes(blob, 4)
+	restored, err := RestoreNetwork(blob)
 	if err != nil {
 		t.Fatalf("RestoreNetwork: %v", err)
 	}
@@ -144,7 +156,7 @@ func TestChurnOnEventHook(t *testing.T) {
 	sn := NewSupernode(net)
 	sn.ConnectAll()
 	pop := []types.NodeID{1, 2, 3, 4, 5, 6}
-	c := net.StartChurn(ChurnConfig{Interval: 1, RemoveFrac: 0.5, Population: pop})
+	c := net.StartChurn(ChurnConfig{Interval: 1, Population: pop})
 	var hooked []ChurnEvent
 	c.OnEvent = func(ev ChurnEvent) { hooked = append(hooked, ev) }
 	net.RunFor(40)
@@ -193,7 +205,7 @@ func TestChurnExercisesArenaOverflow(t *testing.T) {
 	net.StartJanitor(5)
 	w := NewWorkload(net, 80, types.Gwei, 4*types.Gwei)
 	w.Start(0)
-	net.StartChurn(ChurnConfig{Interval: 0.5, RemoveFrac: 0.5})
+	net.StartChurn(ChurnConfig{Interval: 0.5})
 
 	sawOverflow := false
 	for round := 0; round < 12; round++ {

@@ -1,6 +1,8 @@
 package ethsim
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"toposhot/internal/rlp"
@@ -30,7 +32,7 @@ func corruptWorld(tb testing.TB) []byte {
 	sn.ConnectAll()
 	net.StartJanitor(1)
 	NewWorkload(net, 8, types.Gwei, 10*types.Gwei).Start(0)
-	net.StartChurn(ChurnConfig{Interval: 1, Start: 0.5, RemoveFrac: 0.5})
+	net.StartChurn(ChurnConfig{Interval: 1})
 	net.RunFor(1)
 	for step := 0; step < 1000; step++ {
 		request, shared := false, false
@@ -101,7 +103,7 @@ func TestRestoreRejectsCorruptBlob(t *testing.T) {
 // behind it (bit 4 held a miner switch nothing read) is a damaged blob, not a
 // silently dropped setting; the highest real switch still restores.
 func TestRestoreRejectsUnknownConfigFlag(t *testing.T) {
-	net, _ := buildCheckpointNet(1)
+	net, _ := buildCheckpointNet()
 	for _, tc := range []struct {
 		flags uint64
 		ok    bool
@@ -121,6 +123,35 @@ func TestRestoreRejectsUnknownConfigFlag(t *testing.T) {
 		}
 		if tc.ok && !restored.Node(1).Config().Unresponsive {
 			t.Fatalf("flags %#x: Unresponsive not restored", tc.flags)
+		}
+	}
+}
+
+// TestRestoreRefusesOtherVersion: a blob of another version is refused, and
+// the error names both versions — whether the blob has this layout with the
+// old version number, or another layout, which does not decode.
+func TestRestoreRefusesOtherVersion(t *testing.T) {
+	net, _ := buildCheckpointNet()
+	img, err := net.image()
+	if err != nil {
+		t.Fatal(err)
+	}
+	img.Version = checkpointVersion - 1
+	relabelled, err := rlp.Marshal(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := rlp.Marshal(struct {
+		Version uint64
+		Config  [10]float64
+	}{Version: checkpointVersion - 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("checkpoint version %d, want %d", checkpointVersion-1, checkpointVersion)
+	for name, blob := range map[string][]byte{"this layout": relabelled, "another layout": other} {
+		if _, err := RestoreNetwork(blob); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: err = %v, want one naming %q", name, err, want)
 		}
 	}
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // TestFlushCoalescesWindow pins the coalescing contract: every admission
-// inside one FlushInterval rides a single flush, producing exactly one
+// inside one flushInterval rides a single flush, producing exactly one
 // Transactions message per pushed peer — not one message per admission.
 func TestFlushCoalescesWindow(t *testing.T) {
 	net := testNet(11)

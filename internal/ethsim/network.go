@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"sort"
 
-	"toposhot/internal/gossip"
 	"toposhot/internal/metrics"
 	"toposhot/internal/sim"
 	"toposhot/internal/trace"
@@ -51,29 +50,32 @@ const (
 	attrN    = "n"
 )
 
+// The network's fixed timings, in virtual seconds. The announcement-response
+// window is gossip.AnnounceLock (5 s, as in Geth): after requesting an
+// announced transaction a node ignores further announcements of the same
+// hash for that long.
+const (
+	// latencyBase is the minimum one-hop delivery delay.
+	latencyBase = 0.05
+	// sendSpacing is the interval between consecutive messages injected by
+	// the supernode, modelling its uplink serialization. It makes parallel
+	// measurement setup time grow with group size, as observed in Fig 4b/5.
+	sendSpacing = 0.002
+	// flushInterval is the gossip coalescing window: admissions buffer in a
+	// per-node out-queue flushed on this timer, like Geth's broadcast loop.
+	flushInterval = 0.08
+)
+
 // Config holds network-wide simulation parameters.
 type Config struct {
 	// Seed drives all randomness (latency, peer choice, workload).
 	Seed int64
-	// LatencyBase is the minimum one-hop delivery delay in seconds.
-	LatencyBase float64
 	// LatencyTail is the mean of the exponential straggler tail added to the
 	// base latency. Stragglers are what occasionally re-propagate txC into a
 	// just-evicted mempool (§5.2.1) and erode parallel recall (Fig 4b).
 	LatencyTail float64
 	// LatencyMax caps one-hop latency.
 	LatencyMax float64
-	// AnnounceLock is the announcement-response window (gossip.AnnounceLock,
-	// 5 s as in Geth): after requesting an announced transaction a node
-	// ignores further announcements of the same hash for this long.
-	AnnounceLock float64
-	// SendSpacing is the interval between consecutive messages injected by
-	// the supernode, modelling its uplink serialization. It makes parallel
-	// measurement setup time grow with group size, as observed in Fig 4b/5.
-	SendSpacing float64
-	// FlushInterval is the gossip coalescing window: admissions buffer in a
-	// per-node out-queue flushed on this timer, like Geth's broadcast loop.
-	FlushInterval float64
 	// SpikeProb is the probability a delivery suffers a congestion spike of
 	// up to SpikeMax extra seconds — the straggler deliveries that break
 	// parallel-measurement isolation when per-node pacing gets tight
@@ -81,25 +83,12 @@ type Config struct {
 	SpikeProb float64
 	// SpikeMax bounds a congestion spike in seconds.
 	SpikeMax float64
-	// Lanes is the engine's event-lane count (< 1 means 1). Deliveries are
-	// tagged with a lane by destination node; the tag is recorded on the
-	// event and in checkpoints and selects nothing, so any lane count replays
-	// byte-identically (DESIGN.md §3).
-	Lanes int
 }
 
 // DefaultConfig returns parameters resembling a public testnet: ~50 ms base
 // hop latency with a 100 ms straggler tail capped at 3 s.
 func DefaultConfig(seed int64) Config {
-	return Config{
-		Seed:          seed,
-		LatencyBase:   0.05,
-		LatencyTail:   0.1,
-		LatencyMax:    3.0,
-		AnnounceLock:  gossip.AnnounceLock,
-		SendSpacing:   0.002,
-		FlushInterval: 0.08,
-	}
+	return Config{Seed: seed, LatencyTail: 0.1, LatencyMax: 3.0}
 }
 
 // msgKind discriminates the typed gossip messages the simulator exchanges.
@@ -365,13 +354,9 @@ func (n *Network) SetTracer(t *trace.Tracer) {
 // process-default metrics registry is enabled (metrics.Enable), the network
 // auto-wires to it; likewise for an enabled process-default tracer.
 func NewNetwork(cfg Config) *Network {
-	eng := sim.New(cfg.Seed)
-	if cfg.Lanes > 1 {
-		eng.SetLanes(cfg.Lanes)
-	}
 	n := &Network{
 		cfg:          cfg,
-		eng:          eng,
+		eng:          sim.New(cfg.Seed),
 		overflowMark: make(map[uint64]float64),
 		batches:      make([]flushBatch, 1),
 		runs:         make([][]runPart, 1),
@@ -622,7 +607,7 @@ func (n *Network) route(i int32) {
 }
 
 // routeVia samples link latency for the filled message slot i, applies the
-// per-link FIFO clamp, and schedules its delivery on the destination's lane.
+// per-link FIFO clamp, and schedules its delivery.
 // The watermark lives in adjacency slot `slot` of the sender's segment —
 // reused in place on every send, so steady-state gossip keeps exactly one
 // float per live directed link — falling back to the overflow map (slot < 0)
@@ -632,7 +617,7 @@ func (n *Network) route(i int32) {
 //toposhot:hotpath
 func (n *Network) routeVia(i int32, slot int) {
 	m := &n.msgs[i]
-	lat := n.eng.Jitter(n.cfg.LatencyBase, n.cfg.LatencyTail, n.cfg.LatencyMax)
+	lat := n.eng.Jitter(latencyBase, n.cfg.LatencyTail, n.cfg.LatencyMax)
 	if n.cfg.SpikeProb > 0 && n.eng.Rand().Float64() < n.cfg.SpikeProb {
 		lat += n.eng.Uniform(0, n.cfg.SpikeMax)
 	}
@@ -651,7 +636,7 @@ func (n *Network) routeVia(i int32, slot int) {
 		n.overflowMark[key] = at
 	}
 	m.sent = sent
-	n.eng.AtHandlerLane(at, n, uint64(i), int(m.to))
+	n.eng.AtHandler(at, n, uint64(i))
 	if n.traceEngine {
 		n.tracer.Event(evMsgEnqueue, trace.String(attrKind, m.kind.String()),
 			trace.Int(attrFrom, int64(m.from)), trace.Int(attrTo, int64(m.to)))
@@ -671,7 +656,7 @@ func (n *Network) HandleEvent(arg uint64) {
 		n.nodes[arg&argPayload].flush()
 	case argKindJanitor:
 		n.TickPools()
-		n.eng.AtHandlerLane(n.eng.Now()+n.janitorIntervals[arg&argPayload], n, arg, 0)
+		n.eng.AtHandler(n.eng.Now()+n.janitorIntervals[arg&argPayload], n, arg)
 	case argKindWorkload:
 		n.workloads[arg&argPayload].tick()
 	case argKindChurn:
@@ -814,5 +799,5 @@ func (n *Network) AddJanitorHook(h func(now float64)) {
 func (n *Network) StartJanitor(interval float64) {
 	n.janitorIntervals = append(n.janitorIntervals, interval)
 	arg := uint64(argKindJanitor)<<argKindShift | uint64(len(n.janitorIntervals)-1)
-	n.eng.AtHandlerLane(n.eng.Now()+interval, n, arg, 0)
+	n.eng.AtHandler(n.eng.Now()+interval, n, arg)
 }

@@ -365,7 +365,7 @@ func (nd *Node) propagate(exclude types.NodeID, txs []*types.Transaction) {
 	nd.flushScheduled = true
 	net := nd.net
 	arg := uint64(argKindFlush)<<argKindShift | uint64(nd.id-1)
-	net.eng.AtHandlerLane(net.eng.Now()+net.cfg.FlushInterval, net, arg, int(nd.id-1))
+	net.eng.AtHandler(net.eng.Now()+flushInterval, net, arg)
 }
 
 // flush drains the out-queue: direct push to gossip.PushCount random peers
@@ -440,7 +440,7 @@ func addressedTo(items []outItem, peer types.NodeID) int {
 }
 
 // deliverAnnounce handles an announcement: unknown, unlocked hashes are
-// requested back from the announcer and locked for the AnnounceLock window.
+// requested back from the announcer and locked for gossip.AnnounceLock.
 // The request's slot and pooled payload are taken at the first wanted hash —
 // most announcements want none — and its hash list is built directly into
 // the payload. An unknown announcer is asked nothing, but its hashes are
@@ -478,7 +478,7 @@ func (nd *Node) deliverAnnounce(from types.NodeID, hashes []types.Hash, items []
 		} else if nd.pool.Has(h) {
 			continue
 		}
-		if !nd.locks.Fetch(h, now, net.cfg.AnnounceLock) {
+		if !nd.locks.Fetch(h, now, gossip.AnnounceLock) {
 			net.metrics.announceLockHits.Inc()
 			continue
 		}

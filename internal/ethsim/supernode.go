@@ -140,11 +140,11 @@ const InjectBatchSize = 64
 
 // Inject sends transactions directly to one peer, bypassing the supernode's
 // own pool and admission checks. Transactions are packed into messages of
-// InjectBatchSize and consecutive messages are spaced by the configured
-// SendSpacing, so injecting thousands of future transactions takes
-// proportional virtual time — the uplink serialization that makes large
-// parallel groups slower to set up (Figures 4b and 5). Every transaction
-// becomes watched until the next Retire. It never fails.
+// InjectBatchSize and consecutive messages are spaced by sendSpacing, so
+// injecting thousands of future transactions takes proportional virtual
+// time — the uplink serialization that makes large parallel groups slower
+// to set up (Figures 4b and 5). Every transaction becomes watched until the
+// next Retire. It never fails.
 func (s *Supernode) Inject(to types.NodeID, txs ...*types.Transaction) error {
 	for _, tx := range txs {
 		s.net.watched[tx.Hash()] = struct{}{}
@@ -201,7 +201,7 @@ func (s *Supernode) send(to types.NodeID) int32 {
 	if s.sendCursor > at {
 		at = s.sendCursor
 	}
-	at += s.net.cfg.SendSpacing
+	at += sendSpacing
 	s.sendCursor = at
 	mi := s.net.msgTo(msgInject, s.node.ID(), to)
 	if mi >= 0 {
@@ -280,5 +280,5 @@ func (s *Supernode) Reaches(id types.NodeID) bool { return s.net.node(id) != nil
 // chain trails its relay by at least another flush interval plus a hop. This
 // window splits those populations as well as timing alone can.
 func (s *Supernode) Hop() float64 {
-	return s.net.cfg.FlushInterval/2 + s.net.cfg.LatencyBase + s.net.cfg.LatencyTail
+	return flushInterval/2 + latencyBase + s.net.cfg.LatencyTail
 }

@@ -19,8 +19,6 @@ type Workload struct {
 	Rate float64
 	// PriceLo and PriceHi bound the uniform gas-price distribution (Wei).
 	PriceLo, PriceHi uint64
-	// Accounts is the number of distinct sender accounts cycled through.
-	Accounts int
 
 	nonces  map[types.Address]uint64
 	sinks   []types.NodeID
@@ -41,6 +39,10 @@ type Workload struct {
 	accountBase uint64
 }
 
+// workloadAccounts is the number of distinct sender accounts a workload's
+// nonce-continuing transactions cycle through.
+const workloadAccounts = 256
+
 // NewWorkload returns a workload targeting every non-supernode node.
 // Workload identity (account space, RNG stream) is derived from the network
 // seed and a per-network counter, so twin networks built identically get
@@ -53,7 +55,6 @@ func NewWorkload(net *Network, rate float64, priceLo, priceHi uint64) *Workload 
 		Rate:        rate,
 		PriceLo:     priceLo,
 		PriceHi:     priceHi,
-		Accounts:    256,
 		nonces:      make(map[types.Address]uint64),
 		accountBase: serial << 32,
 		crng:        crng,
@@ -90,7 +91,7 @@ func (w *Workload) next() (*types.Transaction, types.NodeID) {
 		tx := types.NewTransaction(from, to, 0, price, 1)
 		return tx, w.sinks[rng.Intn(len(w.sinks))]
 	}
-	acctIdx := rng.Intn(w.Accounts)
+	acctIdx := rng.Intn(workloadAccounts)
 	from := w.account(acctIdx)
 	nonce := w.nonces[from]
 	w.nonces[from] = nonce + 1
@@ -121,7 +122,7 @@ func (w *Workload) Start(stopAt float64) {
 // scheduleTick arms the next arrival event d seconds from now.
 func (w *Workload) scheduleTick(d float64) {
 	arg := uint64(argKindWorkload)<<argKindShift | uint64(w.index)
-	w.net.eng.AtHandlerLane(w.net.eng.Now()+d, w.net, arg, 0)
+	w.net.eng.AtHandler(w.net.eng.Now()+d, w.net, arg)
 }
 
 // tick fires one Poisson arrival: mint, submit, re-arm. The call order

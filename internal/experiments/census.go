@@ -104,18 +104,18 @@ func RunCensus(cfg CensusConfig) (*Census, error) {
 		trace.String(attrName, cfg.Name), trace.Int(attrSeed, cfg.Seed),
 		trace.Int(attrNodes, int64(cfg.Grow.N)), trace.Int(attrK, int64(cfg.GroupK)))
 	defer span.End()
-	return runCensus(cfg, netgen.Grow(cfg.Grow), 0, tr, obs.Enabled().Scope(key, nil))
+	return runCensus(cfg, netgen.Grow(cfg.Grow), tr, obs.Enabled().Scope(key, nil))
 }
 
-// runCensus is the census body (§5.3, §6.2): it builds cfg's world over g on
-// lanes engine lanes, prefills it, pre-processes every node, measures every
-// eligible pair and scores the detections. It records the census's phases as
-// child spans on tr, which the caller has opened a census span on, and the
-// campaign's events on lg. RunCensus and every region of RunScaleCensus run it.
-func runCensus(cfg CensusConfig, g *graph.Graph, lanes int, tr *trace.Tracer, lg *obs.Logger) (*Census, error) {
+// runCensus is the census body (§5.3, §6.2): it builds cfg's world over g,
+// prefills it, pre-processes every node, measures every eligible pair and
+// scores the detections. It records the census's phases as child spans on
+// tr, which the caller has opened a census span on, and the campaign's
+// events on lg. RunCensus and every region of RunScaleCensus run it.
+func runCensus(cfg CensusConfig, g *graph.Graph, tr *trace.Tracer, lg *obs.Logger) (*Census, error) {
 	bs := tr.StartSpan(spanCensusBuild)
 	wv := cfg.World(g)
-	wv.Lanes, wv.Lane = lanes, tr
+	wv.Lane = tr
 	world := wv.Build()
 	// The prefill span ends before a measurer exists to bind the lane's clock.
 	tr.SetClock(world.Net.Now)

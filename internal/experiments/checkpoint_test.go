@@ -31,8 +31,7 @@ func campaignCheckpoint() *Checkpoint {
 		Targets: []types.NodeID{1, 2, 3}, Back: testBack(),
 		Campaign: &core.CampaignState{
 			BatchesDone: 5, StartTime: 12.5, AcctSeq: 99, Calls: 5, PairsMeasured: 40,
-			Detected:   []core.DetectedEdge{{A: 1, B: 2, Via: types.Hash{0xab}}},
-			ZOverrides: []core.ZOverrideEntry{{Node: 3, Z: 1024}},
+			Detected: []core.DetectedEdge{{A: 1, B: 2, Via: types.Hash{0xab}}},
 		},
 	}
 }
@@ -186,7 +185,7 @@ func TestRestoreRejectsNonBijectiveBack(t *testing.T) {
 		if ck, err = ReadCheckpoint(path); err != nil {
 			t.Fatal(err)
 		}
-		_, err = RestoreCensusWorld(ck, 0)
+		_, err = RestoreCensusWorld(ck)
 		return err
 	}
 	if err := restore(func([]backPair) {}); err != nil {

@@ -34,9 +34,6 @@ type ScaleCensusConfig struct {
 	// an independent replica network. More regions → smaller engines and more
 	// parallelism, but less pair coverage.
 	Regions int
-	// Lanes is the per-region engine's event-lane count (a recorded tag).
-	// Lane count changes nothing (DESIGN.md §3).
-	Lanes int
 }
 
 // MainnetScaleCensus returns the 50k-node mainnet-sized sharded campaign.
@@ -50,7 +47,7 @@ func MainnetScaleCensus(seed int64) ScaleCensusConfig {
 	cfg := RopstenCensus(seed)
 	cfg.Name = "mainnet"
 	cfg.Grow = netgen.MainnetConfig.WithSeed(seed)
-	return ScaleCensusConfig{CensusConfig: cfg, Regions: 500, Lanes: 4}
+	return ScaleCensusConfig{CensusConfig: cfg, Regions: 500}
 }
 
 // ScaleRegion summarizes one region's census.
@@ -132,7 +129,7 @@ func runScaleRegion(cfg ScaleCensusConfig, g *graph.Graph, region int, lg *obs.L
 	// The region's events go to its own pre-created scope (never the shared
 	// root scope: concurrent regions interleaving there would break snapshot
 	// byte-identity).
-	c, err := runCensus(rc, sub, cfg.Lanes, tr, lg)
+	c, err := runCensus(rc, sub, tr, lg)
 	if err != nil {
 		return nil, fmt.Errorf("region %d: %w", region, err)
 	}
@@ -208,8 +205,8 @@ func RunScaleCensus(cfg ScaleCensusConfig) (*ScaleCensus, error) {
 func FormatScaleCensus(sc *ScaleCensus) string {
 	var b strings.Builder
 	cfg := sc.Config
-	fmt.Fprintf(&b, "sharded census — %s (n=%d, m=%d, %d regions, %d lanes/engine)\n",
-		cfg.Name, sc.Truth.NumNodes(), sc.Truth.NumEdges(), cfg.Regions, cfg.Lanes)
+	fmt.Fprintf(&b, "sharded census — %s (n=%d, m=%d, %d regions)\n",
+		cfg.Name, sc.Truth.NumNodes(), sc.Truth.NumEdges(), cfg.Regions)
 	fmt.Fprintf(&b, "  coverage: %d/%d links intra-region (%.1f%%); %d cross-region links out of scope for this pass\n",
 		sc.CoveredEdges, sc.Truth.NumEdges(),
 		100*float64(sc.CoveredEdges)/float64(max(1, sc.Truth.NumEdges())), sc.CrossEdges)

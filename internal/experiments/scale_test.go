@@ -10,7 +10,7 @@ import (
 
 // scaleTestConfig is a downsized sharded census: a few hundred nodes in a
 // handful of regions, so the whole test stays in CI budget while still
-// exercising multi-region aggregation and multi-lane engines.
+// exercising multi-region aggregation.
 func scaleTestConfig(seed int64) ScaleCensusConfig {
 	return ScaleCensusConfig{
 		CensusConfig: CensusConfig{
@@ -24,7 +24,6 @@ func scaleTestConfig(seed int64) ScaleCensusConfig {
 			Prefill:    120,
 		},
 		Regions: 4,
-		Lanes:   2,
 	}
 }
 

@@ -29,8 +29,6 @@ const (
 	// tickSeconds is the virtual idle time between campaigns (the network
 	// churns during it).
 	tickSeconds = 120
-	// churnRemoveFrac is churn's teardown share (0.5 = steady density).
-	churnRemoveFrac = 0.5
 	// hintEvery feeds every k-th churn event to Tracker.Observe, modelling a
 	// session crawler (à la Ethna) that tips the tracker off about *some*
 	// churn; the rest must be found by the staleness sweep.
@@ -52,8 +50,6 @@ type TrackingConfig struct {
 	// ChurnInterval is the mean virtual seconds between single-link churn
 	// events.
 	ChurnInterval float64
-	// Lanes is the engine lane count (wall-clock only, never results).
-	Lanes int
 	// Ledger, when set, receives the run's cost attribution in place of a
 	// fresh internal one — the CLI passes the live dashboard's ledger so cost
 	// burn is visible mid-run. It must start empty (the census baseline is
@@ -220,7 +216,7 @@ func RunTracking(cfg TrackingConfig) (*Tracking, error) {
 			return nil, fmt.Errorf("tracking: resume: not a tracking checkpoint")
 		}
 		var err error
-		if world, err = RestoreCensusWorld(ck, cfg.Lanes); err != nil {
+		if world, err = RestoreCensusWorld(ck); err != nil {
 			return nil, fmt.Errorf("tracking: %w", err)
 		}
 		if len(world.Net.Churns()) == 0 {
@@ -239,9 +235,7 @@ func RunTracking(cfg TrackingConfig) (*Tracking, error) {
 	} else {
 		// Fresh run: build RunCensus's world and seed the tracker with a full
 		// census — the per-tick baseline being beaten.
-		wv := cfg.Census.World(netgen.Grow(cfg.Census.Grow))
-		wv.Lanes = cfg.Lanes
-		world = wv.Build()
+		world = cfg.Census.World(netgen.Grow(cfg.Census.Grow)).Build()
 		world.StartTraffic()
 
 		m := world.Measurer(params)
@@ -274,11 +268,7 @@ func RunTracking(cfg TrackingConfig) (*Tracking, error) {
 		}
 
 		// Churn starts only now: the census seeded a stable graph.
-		world.Net.StartChurn(ethsim.ChurnConfig{
-			Interval:   cfg.ChurnInterval,
-			RemoveFrac: churnRemoveFrac,
-			Population: targets,
-		})
+		world.Net.StartChurn(ethsim.ChurnConfig{Interval: cfg.ChurnInterval, Population: targets})
 	}
 	out.Targets = len(targets)
 	net := world.Net

@@ -37,7 +37,6 @@ const poolScale = 0.1
 // draw order, so Build has one fixed order and one hook, Join.
 type World struct {
 	Seed    int64   // seeds the engine and salts Graph's node sampling
-	Lanes   int     // engine event lanes; never changes results (DESIGN.md §3)
 	Latency Latency // one-hop delivery profile
 	// Lane, when non-nil, is the trace lane of the network and its measurers;
 	// nil leaves them on the process-default tracer's root lane.
@@ -137,7 +136,6 @@ func (w World) Build() *Built {
 	cfg := ethsim.DefaultConfig(w.Seed)
 	cfg.LatencyTail, cfg.LatencyMax = w.Latency.Tail, w.Latency.Max
 	cfg.SpikeProb, cfg.SpikeMax = w.Latency.SpikeProb, w.Latency.SpikeMax
-	cfg.Lanes = w.Lanes
 	b := &Built{World: w, Net: ethsim.NewNetwork(cfg)}
 	if w.Lane != nil {
 		b.Net.SetTracer(w.Lane)
@@ -192,13 +190,13 @@ func (b *Built) Measurer(params core.Params) *core.Measurer {
 	return m
 }
 
-// RestoreCensusWorld rebuilds the world a checkpoint was taken of, on lanes
-// engine lanes: the network from the blob, the measurer supernode by its
-// index, the vertex mapping from Back. It is the one restore path of every
-// resumable campaign. Background traffic is engine state, so the restored
-// world is already running; StartTraffic is for fresh worlds only.
-func RestoreCensusWorld(ck *Checkpoint, lanes int) (*Built, error) {
-	net, err := ethsim.RestoreNetworkLanes(ck.Blob, lanes)
+// RestoreCensusWorld rebuilds the world a checkpoint was taken of: the
+// network from the blob, the measurer supernode by its index, the vertex
+// mapping from Back. It is the one restore path of every resumable
+// campaign. Background traffic is engine state, so the restored world is
+// already running; StartTraffic is for fresh worlds only.
+func RestoreCensusWorld(ck *Checkpoint) (*Built, error) {
+	net, err := ethsim.RestoreNetwork(ck.Blob)
 	if err != nil {
 		return nil, fmt.Errorf("restore engine: %w", err)
 	}

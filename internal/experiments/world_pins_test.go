@@ -13,18 +13,19 @@ import (
 // coarse to notice a draw-order slip — a Fig 7 row is 0 % or 100 % — while
 // the checkpoint holds every pool, peer list, pending event and RNG draw
 // count, so a slip in a recipe's configuration or draw order moves its
-// digest.
+// digest. They were re-recorded once, for checkpoint layout v3, as the
+// parent's blobs less the fields v3 dropped; at v2 the census pin had a twin
+// on four engine lanes, which differed only in the lane tags.
 var worldPins = map[string]string{
-	"census":        "d1a7c32b23579593d0cd30e1e6f421e633532ce92ba3bdcd91a81ffb1dce734b",
-	"census-lanes4": "4654d757f98ff47daa3a322bd89a39fff38cf954396c2c788ad36f3751fc82e2",
-	"validation":    "634457f1ad66baaa3c0c807f6ed96d7e98b414398d520c040d48a19e368dd8a8",
-	"validation-4b": "e7500e5ab7fa1570da87feacbc07ebe46a0783b2f2fe4cdf626c2d3850016401",
-	"appe":          "ceebf4f69ea55ba3a8a43a5b072bc01287589282d3cba226924bb09d170e9aab",
-	"appc":          "623c17926f0b75c4a69e9010d22316464d0c947a22a873e0e161a0705026e335",
-	"table6":        "ff136cf98ccf08afdf056778fafdbd73bb3948991c892e8a15c319ca1f96d315",
-	"fig7":          "c5058283c30c99f43e05e5a8754b3bdb3e002c14dc13956ac4f7564fd45e1085",
-	"table8":        "78741eb0ce79731d835cbaf66701fd51dffc5a239b0a8bc2d4aa87331463612f",
-	"flood":         "b29fc6d1e73192af2eeacc5a42ea313814366f9b781c388e21d3f17161339b0b",
+	"census":        "f107abcf6844fef0c16e76ff6c9149c9083bfcb10f754e064090b29f87cdeeb0",
+	"validation":    "780df75040d8cf0d40184222fd2402a10d49ba83ca734b81fbc5ad65dd0f7967",
+	"validation-4b": "af386ff4205b36188118f2ba8484a0959ca3597bfad040311b521a11ea90818b",
+	"appe":          "8380b9fda56695b8db739d92b4e2e13547d39d00c46547db9d4b37b7738922e3",
+	"appc":          "b3d845ff52d269d8463268547e473d8be43dc25d66a9e56bb23a81af3fc2a5f8",
+	"table6":        "234ffa59b04fbd4b44138698af19f4bb984418319451fcbb17b983064c581ecf",
+	"fig7":          "0786716934887022fecab07db005bbf3aa88b11d634fa55be7130b46c1d1b0c5",
+	"table8":        "f882aed668047dd3091c48298409ffddae15873228385f62f6dde18c5b79ee31",
+	"flood":         "84bcd361eb941ba97694cd54b0bc5db6e184ec6cb935250542343ad13a8e74fb",
 }
 
 func TestWorldStatePins(t *testing.T) {

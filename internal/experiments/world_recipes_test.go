@@ -16,18 +16,12 @@ func pinRecipes() map[string]func() *ethsim.Network {
 		b.StartTraffic()
 		return b.Net
 	}
-	census := func(lanes int) func() *ethsim.Network {
-		return func() *ethsim.Network {
+	return map[string]func() *ethsim.Network{
+		"census": func() *ethsim.Network {
 			cfg := GoerliCensus(seed)
 			cfg.Grow = cfg.Grow.WithN(48)
-			w := cfg.World(netgen.Grow(cfg.Grow))
-			w.Lanes = lanes
-			return started(w)
-		}
-	}
-	return map[string]func() *ethsim.Network{
-		"census":        census(0),
-		"census-lanes4": census(4),
+			return started(cfg.World(netgen.Grow(cfg.Grow)))
+		},
 		"validation": func() *ethsim.Network {
 			het := netgen.Heterogeneity{CustomPoolFraction: 0.14, CustomPoolFactorMin: 1.1,
 				CustomPoolFactorMax: 1.85, NoForwardFraction: 0.03}

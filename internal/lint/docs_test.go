@@ -25,8 +25,10 @@ const (
 )
 
 // citingDocs are the documents whose citations TestDocsCiteWhatExists
-// resolves. Only DESIGN.md and the skill are held to backticked Go names,
-// since they are the two that describe the code declaration by declaration.
+// resolves; the CI workflow is one, since its comments name the tests and
+// sections a job stands in for. Only DESIGN.md and the skill are held to
+// backticked Go names, since they are the two that describe the code
+// declaration by declaration.
 var citingDocs = []struct {
 	path     string
 	goNames  bool
@@ -36,6 +38,7 @@ var citingDocs = []struct {
 	{".claude/skills/verify/SKILL.md", true, skillMaxLines},
 	{"README.md", false, 0},
 	{"EXPERIMENTS.md", false, 0},
+	{".github/workflows/ci.yml", false, 0},
 }
 
 var (

@@ -116,9 +116,9 @@ func runNoDeterminism(pkg *Package) []Finding {
 func hotPathFindings(pkg *Package) []Finding {
 	var findings []Finding
 	if pathIn(pkg.ScopePath(), heapBanScope...) {
-		heapAdvice := "use the engine's time wheel and inline-key far heap (DESIGN.md §3)"
+		heapAdvice := "use the engine's time wheel and inline-key far heap in internal/sim"
 		if pathIn(pkg.ScopePath(), modulePrefix+"/internal/txpool") {
-			heapAdvice = "use the pool's typed entry heap (DESIGN.md §2)"
+			heapAdvice = "use the pool's typed entry heap in internal/txpool"
 		}
 		for _, file := range pkg.Files {
 			if pkg.IsTestFile(file) {

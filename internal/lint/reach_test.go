@@ -19,7 +19,6 @@ var reachAllowlist = map[string]string{
 	"types.Transaction.Hashed":          "tests of txpool and core check with it whether a digest was computed",
 	"trace.ReadJSONL":                   "core's trace-golden test decodes the JSONL stream it writes",
 	"core.Measurer.MeasureLinkRepeated": "its repeat span attribute is pinned by core's three-node trace goldens",
-	"sim.Engine.LaneCount":              "ethsim's checkpoint test reads it; engine lanes leave in the next checkpoint-format bump",
 }
 
 var (

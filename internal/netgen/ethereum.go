@@ -138,10 +138,3 @@ func Grow(cfg GrowConfig) *graph.Graph {
 	}
 	return g
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

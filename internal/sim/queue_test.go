@@ -15,10 +15,9 @@ import (
 // outside the nodeterminism lint's container/heap ban, and the reference
 // exists precisely to cross-check the replacement.
 type refEvent struct {
-	at   float64
-	seq  uint64
-	arg  uint64
-	lane int32
+	at  float64
+	seq uint64
+	arg uint64
 }
 
 type refHeap []refEvent
@@ -41,20 +40,19 @@ func (h *refHeap) Pop() interface{} {
 }
 
 // refQueue is the reference scheduler: container/heap plus the engine's
-// clock, sequence counter, clamp and lane tagging, written the obvious way.
+// clock, sequence counter and clamp, written the obvious way.
 type refQueue struct {
-	h     refHeap
-	now   float64
-	seq   uint64
-	lanes int32
+	h   refHeap
+	now float64
+	seq uint64
 }
 
-func (r *refQueue) schedule(at float64, arg uint64, lane int) {
+func (r *refQueue) schedule(at float64, arg uint64) {
 	if at < r.now {
 		at = r.now
 	}
 	r.seq++
-	heap.Push(&r.h, refEvent{at: at, seq: r.seq, arg: arg, lane: int32(lane) % r.lanes})
+	heap.Push(&r.h, refEvent{at: at, seq: r.seq, arg: arg})
 }
 
 // step pops the earliest event if it is not after limit.
@@ -81,18 +79,11 @@ func (r *refQueue) runUntil(t float64) (popped []uint64) {
 	return popped
 }
 
-func (r *refQueue) setLanes(n int32) {
-	r.lanes = n
-	for i := range r.h {
-		r.h[i].lane %= n
-	}
-}
-
 // records returns the pending events in schedule order, as SnapshotEvents does.
 func (r *refQueue) records() []EventRecord {
 	out := make([]EventRecord, len(r.h))
 	for i, ev := range r.h {
-		out[i] = EventRecord{At: ev.at, Seq: ev.seq, Arg: ev.arg, Lane: ev.lane}
+		out[i] = EventRecord{At: ev.at, Seq: ev.seq, Arg: ev.arg}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	return out
@@ -128,7 +119,7 @@ func fuzzDelay(rng *rand.Rand) float64 {
 // a reproducible schedule. Beside pushes and pops the stream interleaves
 // RunUntil(t) for a t strictly between two pending events followed by a
 // schedule at now (which must pop before an event RunUntil already had to
-// look at), SetLanes, and SnapshotEvents → RestoreState onto a fresh engine
+// look at), and SnapshotEvents → RestoreState onto a fresh engine
 // that then takes over.
 func FuzzEventQueue(f *testing.F) {
 	f.Add(int64(1), uint8(8))
@@ -141,14 +132,13 @@ func FuzzEventQueue(f *testing.F) {
 
 		h := &countingHandler{}
 		e := New(0)
-		ref := &refQueue{lanes: 1}
+		ref := &refQueue{}
 		var want []uint64
 		var id uint64
 		checked := 0 // pops already compared
 		push := func(at float64) {
-			lane := rng.Intn(32)
-			ref.schedule(at, id, lane)
-			e.AtHandlerLane(at, h, id, lane)
+			ref.schedule(at, id)
+			e.AtHandler(at, h, id)
 			id++
 		}
 		check := func(when string) {
@@ -163,7 +153,7 @@ func FuzzEventQueue(f *testing.F) {
 			checked = len(want)
 		}
 		for i := 0; i < rounds; i++ {
-			switch op := rng.Intn(24); {
+			switch op := rng.Intn(23); {
 			case op < 14 || e.Pending() == 0:
 				push(e.Now() + fuzzDelay(rng))
 			case op < 20:
@@ -190,10 +180,6 @@ func FuzzEventQueue(f *testing.F) {
 				want = append(want, ref.runUntil(mid)...)
 				check("RunUntil")
 				push(e.Now())
-			case op < 23:
-				n := 1 + rng.Intn(9)
-				e.SetLanes(n)
-				ref.setLanes(int32(n))
 			default:
 				recs, err := e.SnapshotEvents(h)
 				if err != nil {
@@ -203,7 +189,6 @@ func FuzzEventQueue(f *testing.F) {
 					t.Fatalf("EventRecords diverged:\nengine    %v\nreference %v", recs, ref.records())
 				}
 				fresh := New(0)
-				fresh.SetLanes(e.LaneCount())
 				if err := fresh.RestoreState(e.Now(), e.SeqCount(), e.RandDraws(), h, recs); err != nil {
 					t.Fatal(err)
 				}

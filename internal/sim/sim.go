@@ -19,9 +19,7 @@
 // is also what makes pending events serializable. The pop order is the
 // strict total order (at, seq) — identical for any correct priority queue —
 // so the queue's layout is a pure implementation detail that can never
-// change a replay. A lane is a tag recorded on each event and carried into
-// checkpoints; it selects nothing. See DESIGN.md §3 for the
-// invariants.
+// change a replay. See DESIGN.md §3 for the invariants.
 package sim
 
 import (
@@ -48,7 +46,6 @@ type event struct {
 	seq  uint64 // tie-break: FIFO among same-time events
 	h    Handler
 	arg  uint64
-	lane int32
 	next int32
 }
 
@@ -151,7 +148,6 @@ type Engine struct {
 	arena   []event
 	free    []int32
 	pending int
-	lanes   int
 
 	// The queue is three holders (DESIGN.md §3). An event whose bucket
 	// ⌊at×wheelScale⌋ lies in (cur, cur+wheelSize) hangs on that bucket's
@@ -175,12 +171,12 @@ type Engine struct {
 	src *countingSource
 }
 
-// New returns an engine with virtual time 0, one event lane, and a
-// deterministic random source derived from seed.
+// New returns an engine with virtual time 0 and a deterministic random
+// source derived from seed.
 func New(seed int64) *Engine {
 	src := &countingSource{src: rand.NewSource(seed).(rand.Source64)}
 	e := &Engine{
-		rng: rand.New(src), src: src, lanes: 1,
+		rng: rand.New(src), src: src,
 		// refill's two buffers start large enough for an ordinary bucket, so
 		// an engine's first refills do not climb there by doubling.
 		front: make([]item, 0, refillCap),
@@ -206,24 +202,9 @@ func (e *Engine) RandDraws() uint64 { return e.src.draws }
 // (and thus equal-time pop order) continue identically after a restore.
 func (e *Engine) SeqCount() uint64 { return e.seq }
 
-// LaneCount returns the number of event lanes.
-func (e *Engine) LaneCount() int { return e.lanes }
-
-// SetLanes sets the number of event lanes to n (n < 1 is clamped to 1) and
-// re-tags every pending event with its recorded lane modulo n. A lane is only
-// a tag that EventRecord carries into checkpoints (DESIGN.md §3): it never
-// selects a queue, so lane count is invisible to a replay.
-func (e *Engine) SetLanes(n int) {
-	if n < 1 {
-		n = 1
-	}
-	e.lanes = n
-	for i := range e.arena {
-		if ev := &e.arena[i]; ev.seq != 0 {
-			ev.lane %= int32(n)
-		}
-	}
-}
+// SetLanes does nothing. It exists only for bench/layers.go, until ROADMAP
+// item 4(d) removes that caller.
+func (e *Engine) SetLanes(int) {}
 
 // AtHandler schedules h.HandleEvent(arg) at absolute virtual time t.
 // Scheduling in the past runs the event at the current time instead (never
@@ -231,35 +212,26 @@ func (e *Engine) SetLanes(n int) {
 // reused Handler is allocation-free.
 //
 //toposhot:hotpath
-func (e *Engine) AtHandler(t float64, h Handler, arg uint64) { e.schedule(t, h, arg, 0) }
+func (e *Engine) AtHandler(t float64, h Handler, arg uint64) { e.schedule(t, h, arg) }
 
 // AfterHandler schedules h.HandleEvent(arg) d seconds from now.
 //
 //toposhot:hotpath
-func (e *Engine) AfterHandler(d float64, h Handler, arg uint64) { e.schedule(e.now+d, h, arg, 0) }
+func (e *Engine) AfterHandler(d float64, h Handler, arg uint64) { e.schedule(e.now+d, h, arg) }
 
-// AtHandlerLane schedules h.HandleEvent(arg) at absolute time t, tagged with
-// the given lane (taken modulo the lane count). The tag is recorded, nothing
-// more: it never affects the event's position in the pop order.
-//
-//toposhot:hotpath
-func (e *Engine) AtHandlerLane(t float64, h Handler, arg uint64, lane int) {
-	e.schedule(t, h, arg, lane)
-}
+// AtHandlerLane is AtHandler. It exists only for bench/layers.go, until
+// ROADMAP item 4(d) removes that caller.
+func (e *Engine) AtHandlerLane(t float64, h Handler, arg uint64, _ int) { e.AtHandler(t, h, arg) }
 
 // schedule stores the event in a recycled arena slot and files it. The
 // (at, seq) key is unique per event, so where it is filed cannot influence
 // pop order.
 //
 //toposhot:hotpath
-func (e *Engine) schedule(t float64, h Handler, arg uint64, lane int) {
+func (e *Engine) schedule(t float64, h Handler, arg uint64) {
 	if t < e.now {
 		t = e.now
 	}
-	if lane < 0 {
-		lane = -lane
-	}
-	lane %= e.lanes
 	e.seq++
 	var idx int32
 	if n := len(e.free); n > 0 {
@@ -269,7 +241,7 @@ func (e *Engine) schedule(t float64, h Handler, arg uint64, lane int) {
 		e.arena = append(e.arena, event{})
 		idx = int32(len(e.arena) - 1)
 	}
-	e.arena[idx] = event{at: t, seq: e.seq, h: h, arg: arg, lane: int32(lane)}
+	e.arena[idx] = event{at: t, seq: e.seq, h: h, arg: arg}
 	e.file(idx)
 }
 
@@ -606,10 +578,9 @@ func (e *Engine) RunUntil(t float64) {
 // EventRecord is the serializable form of one pending event: everything but
 // the Handler, which the restoring side supplies.
 type EventRecord struct {
-	At   float64
-	Seq  uint64
-	Arg  uint64
-	Lane int32
+	At  float64
+	Seq uint64
+	Arg uint64
 }
 
 // ErrForeignHandler is returned by SnapshotEvents when a pending event
@@ -634,7 +605,7 @@ func (e *Engine) SnapshotEvents(h Handler) ([]EventRecord, error) {
 		if ev.h != h {
 			return nil, ErrForeignHandler
 		}
-		out = append(out, EventRecord{At: ev.at, Seq: ev.seq, Arg: ev.arg, Lane: ev.lane})
+		out = append(out, EventRecord{At: ev.at, Seq: ev.seq, Arg: ev.arg})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	return out, nil
@@ -667,11 +638,7 @@ func (e *Engine) RestoreState(now float64, seq, draws uint64, h Handler, events 
 			// clock has run. The wheel relies on it (times are never negative).
 			return errors.New("sim: event before the checkpointed clock")
 		}
-		lane := int(rec.Lane) % e.lanes
-		if lane < 0 {
-			lane = -lane
-		}
-		e.arena = append(e.arena, event{at: rec.At, seq: rec.Seq, h: h, arg: rec.Arg, lane: int32(lane)})
+		e.arena = append(e.arena, event{at: rec.At, seq: rec.Seq, h: h, arg: rec.Arg})
 		e.file(int32(len(e.arena) - 1))
 	}
 	e.seq = seq

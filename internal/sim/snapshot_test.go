@@ -11,7 +11,6 @@ type recHandler struct {
 	eng   *Engine
 	seen  []pair
 	chain int // remaining self-rescheduled events
-	lanes int
 }
 
 type pair struct {
@@ -24,71 +23,7 @@ func (h *recHandler) HandleEvent(arg uint64) {
 	if h.chain > 0 {
 		h.chain--
 		d := h.eng.Jitter(0.01, 0.05, 1.0)
-		h.eng.AtHandlerLane(h.eng.Now()+d, h, arg+1000, int(arg)%h.lanes)
-	}
-}
-
-// runLaneTrace runs a fixed workload on an engine with the given lane count
-// and returns the executed (time, arg) sequence.
-func runLaneTrace(lanes int) []pair {
-	e := New(42)
-	e.SetLanes(lanes)
-	h := &recHandler{eng: e, chain: 200, lanes: lanes}
-	for i := 0; i < 64; i++ {
-		e.AtHandlerLane(e.Uniform(0, 2), h, uint64(i), i%lanes)
-	}
-	drain(e)
-	return h.seen
-}
-
-// TestLaneCountInvariance pins the core lane contract: the executed event
-// order (and therefore every downstream trace) is byte-identical at any
-// lane count, including under self-rescheduling chains.
-func TestLaneCountInvariance(t *testing.T) {
-	base := runLaneTrace(1)
-	if len(base) == 0 {
-		t.Fatal("workload executed no events")
-	}
-	for _, lanes := range []int{2, 3, 8, 17} {
-		got := runLaneTrace(lanes)
-		if len(got) != len(base) {
-			t.Fatalf("lanes=%d: executed %d events, want %d", lanes, len(got), len(base))
-		}
-		for i := range base {
-			if got[i] != base[i] {
-				t.Fatalf("lanes=%d: event %d = %+v, want %+v", lanes, i, got[i], base[i])
-			}
-		}
-	}
-}
-
-// TestSetLanesRedistributes checks that resizing lanes with events pending
-// preserves pop order.
-func TestSetLanesRedistributes(t *testing.T) {
-	e := New(7)
-	h := &recHandler{eng: e, lanes: 1}
-	for i := 0; i < 40; i++ {
-		e.AtHandler(e.Uniform(0, 1), h, uint64(i))
-	}
-	e.SetLanes(5)
-	if e.LaneCount() != 5 {
-		t.Fatalf("LaneCount = %d, want 5", e.LaneCount())
-	}
-	drain(e)
-
-	e2 := New(7)
-	h2 := &recHandler{eng: e2, lanes: 1}
-	for i := 0; i < 40; i++ {
-		e2.AtHandler(e2.Uniform(0, 1), h2, uint64(i))
-	}
-	drain(e2)
-	if len(h.seen) != len(h2.seen) {
-		t.Fatalf("redistributed run executed %d events, want %d", len(h.seen), len(h2.seen))
-	}
-	for i := range h.seen {
-		if h.seen[i] != h2.seen[i] {
-			t.Fatalf("event %d = %+v, want %+v", i, h.seen[i], h2.seen[i])
-		}
+		h.eng.AtHandler(h.eng.Now()+d, h, arg+1000)
 	}
 }
 
@@ -98,10 +33,9 @@ func TestSetLanesRedistributes(t *testing.T) {
 func TestSnapshotRestore(t *testing.T) {
 	build := func() (*Engine, *recHandler) {
 		e := New(99)
-		e.SetLanes(4)
-		h := &recHandler{eng: e, chain: 120, lanes: 4}
+		h := &recHandler{eng: e, chain: 120}
 		for i := 0; i < 32; i++ {
-			e.AtHandlerLane(e.Uniform(0, 1), h, uint64(i), i%4)
+			e.AtHandler(e.Uniform(0, 1), h, uint64(i))
 		}
 		return e, h
 	}
@@ -135,8 +69,7 @@ func TestSnapshotRestore(t *testing.T) {
 	}
 
 	b := New(99)
-	b.SetLanes(4)
-	bH := &recHandler{eng: b, chain: aH.chain, lanes: 4}
+	bH := &recHandler{eng: b, chain: aH.chain}
 	if err := b.RestoreState(a.Now(), a.seq, a.RandDraws(), bH, events); err != nil {
 		t.Fatalf("RestoreState: %v", err)
 	}

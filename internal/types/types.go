@@ -326,7 +326,6 @@ func (r *Run) Fee() uint64 { return TxGasTransfer * r.Price }
 // gas limit. Headers carry only the fields the reproduction needs.
 type Block struct {
 	Number   uint64
-	Miner    Address
 	Time     float64 // simulation timestamp (seconds)
 	GasLimit uint64
 	GasUsed  uint64
