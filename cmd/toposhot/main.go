@@ -119,7 +119,7 @@ func parse(args []string, stderr io.Writer) (*options, int) {
 	fs.StringVar(&o.out, "out", "", "output file (default stdout)")
 	fs.IntVar(&o.parallel, "parallel", 0, "worker-pool width for independent simulations (0 = GOMAXPROCS, 1 = serial); results are identical at any width")
 	o.telemetry = obs.RegisterCLIFlags(fs)
-	fs.StringVar(&o.events, "events", "", "serve the live campaign dashboard (/, /events, /log, /ledger, /metrics, /trace/snapshot, /progress) on this address while the run is active")
+	fs.StringVar(&o.events, "events", "", "serve the live campaign dashboard (/, /events, /log, /ledger, /metrics, /trace/snapshot, /progress) on this address while the run is active; a rival -strategy's /ledger fills when its campaign ends, and -regions leaves /ledger empty")
 	fs.Usage = func() {} // a bad flag is its one error line; -h prints the defaults below
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -143,10 +143,14 @@ var presets = map[string]netgen.GrowConfig{
 // checkpoint it resumes (nil for a fresh run), and where its output goes.
 type campaign struct {
 	*options
-	cli            *obs.CLI
-	census         experiments.CensusConfig
-	resume         *experiments.Checkpoint
-	ledger         *obs.Ledger // probe cost attribution, fed by every mode and served by the dashboard
+	cli    *obs.CLI
+	census experiments.CensusConfig
+	resume *experiments.Checkpoint
+	// ledger is the probe cost attribution the dashboard serves. The census
+	// and tracking modes record into it as they probe; a rival strategy's
+	// records arrive when its campaign ends (RunPairs keeps its own ledger);
+	// the sharded mode records nothing.
+	ledger         *obs.Ledger
 	stdout, stderr io.Writer
 }
 
@@ -366,6 +370,9 @@ func (c *campaign) measure() int {
 		out, err := strategy.RunPairs(cli.Tracer, lg, net, s, pairs)
 		if err != nil {
 			return cli.Fatal(1, "measurement-failed", obs.Err(err))
+		}
+		for _, r := range out.Ledger.Records() {
+			c.ledger.Record(r)
 		}
 		detected = out.Claimed
 		lg.Info("campaign-scored", obs.Float("virtual_h", out.VirtualSeconds/3600),

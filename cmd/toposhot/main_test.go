@@ -6,10 +6,13 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -238,6 +241,30 @@ func TestRivalStrategy(t *testing.T) {
 	edges, stderr := toposhot(t, "-n", "24", "-seed", "5", "-strategy", "dethna")
 	checkGolden(t, "dethna_n24.edges", edges)
 	checkGolden(t, "dethna_n24.stderr.txt", stderr)
+}
+
+// TestRivalStrategyFillsTheLedger: a rival strategy's campaign lands in the
+// ledger the dashboard's /ledger serves, one pair record per pair probed.
+func TestRivalStrategyFillsTheLedger(t *testing.T) {
+	var stderr bytes.Buffer
+	o, _ := parse([]string{"-n", "12", "-k", "4", "-seed", "5", "-strategy", "dethna"}, &stderr)
+	cli, _ := o.telemetry.Open(&stderr)
+	defer cli.Close()
+	c, code := validate(o, cli, io.Discard, &stderr)
+	if c == nil {
+		t.Fatalf("validate: exit %d\n%s", code, stderr.Bytes())
+	}
+	if code := c.measure(); code != 0 {
+		t.Fatalf("measure: exit %d\n%s", code, stderr.Bytes())
+	}
+	m := regexp.MustCompile(`msg=pairs-planned pairs=(\d+)`).FindSubmatch(stderr.Bytes())
+	if m == nil {
+		t.Fatalf("no pairs-planned line in\n%s", stderr.Bytes())
+	}
+	planned, _ := strconv.Atoi(string(m[1]))
+	if got := c.ledger.Totals().Pairs; planned == 0 || got != planned {
+		t.Fatalf("ledger holds %d pair records, want the %d pairs probed", got, planned)
+	}
 }
 
 // TestFlagValidation: a flag combination the binary cannot honour is exit 2,

@@ -25,11 +25,6 @@ type Chain struct {
 // NewChain returns an empty chain.
 func NewChain() *Chain { return &Chain{} }
 
-// NewChainFromBlocks builds a chain holding the given blocks in order.
-func NewChainFromBlocks(blocks []*types.Block) *Chain {
-	return &Chain{blocks: append([]*types.Block(nil), blocks...)}
-}
-
 // Append adds a block to the chain (reconstruction/filtering helpers).
 func (c *Chain) Append(b *types.Block) { c.blocks = append(c.blocks, b) }
 
@@ -71,21 +66,17 @@ type MinerConfig struct {
 // the sim.Handler of its own events: argument 0 is a production round,
 // argument n applies block n network-wide.
 type Miner struct {
-	net    *ethsim.Network
-	cfg    MinerConfig
-	chain  *Chain
-	ids    []types.NodeID
-	next   int
-	stop   bool
-	stopAt float64
+	net   *ethsim.Network
+	cfg   MinerConfig
+	chain *Chain
+	ids   []types.NodeID
+	next  int
+	stop  bool
 
 	baseFee uint64 // the next block's base fee; 0 on a legacy miner
 	// fees[n-1] is the base fee block n leaves behind, pushed into the pools
 	// when block n is applied (EIP-1559 only).
 	fees []uint64
-
-	// OnBlock, when set, fires after each block is applied network-wide.
-	OnBlock func(b *types.Block)
 }
 
 // NewMiner registers the given nodes as miners producing into a new chain.
@@ -102,13 +93,11 @@ func (m *Miner) Chain() *Chain { return m.chain }
 // miner).
 func (m *Miner) BaseFee() uint64 { return m.baseFee }
 
-// Start schedules recurring block production until Stop or virtual time
-// stopAt (0 = unbounded).
-func (m *Miner) Start(stopAt float64) {
+// Start schedules recurring block production until Stop.
+func (m *Miner) Start() {
 	if len(m.ids) == 0 {
 		return
 	}
-	m.stopAt = stopAt
 	m.net.Engine().AfterHandler(m.cfg.Interval, m, 0)
 }
 
@@ -123,7 +112,7 @@ func (m *Miner) HandleEvent(arg uint64) {
 		m.apply(arg)
 		return
 	}
-	if m.stop || (m.stopAt > 0 && m.net.Now() >= m.stopAt) {
+	if m.stop {
 		return
 	}
 	m.produceBlock()
@@ -162,9 +151,6 @@ func (m *Miner) apply(n uint64) {
 		if m.cfg.BaseFee != 0 {
 			nd.Pool().SetBaseFee(m.fees[n-1])
 		}
-	}
-	if m.OnBlock != nil {
-		m.OnBlock(b)
 	}
 }
 

@@ -75,7 +75,7 @@ func TestMinerAppliesBlocksNetworkWide(t *testing.T) {
 	nd.SubmitLocal(high)
 	net.RunFor(3)
 	m := NewMiner(net, MinerConfig{Interval: 5, GasLimit: 10 * types.TxGasTransfer, BroadcastDelay: 0.5}, ids[:2])
-	m.Start(0)
+	m.Start()
 	net.RunFor(12)
 	m.Stop()
 	if m.Chain().Height() < 1 {
@@ -100,7 +100,7 @@ func TestRunningMinerBlocksCheckpoint(t *testing.T) {
 	if _, err := net.Checkpoint(); err != nil {
 		t.Fatalf("Checkpoint before mining: %v", err)
 	}
-	NewMiner(net, MinerConfig{Interval: 13, GasLimit: 10 * types.TxGasTransfer, BroadcastDelay: 1}, ids[:1]).Start(0)
+	NewMiner(net, MinerConfig{Interval: 13, GasLimit: 10 * types.TxGasTransfer, BroadcastDelay: 1}, ids[:1]).Start()
 	if _, err := net.Checkpoint(); !errors.Is(err, sim.ErrForeignHandler) {
 		t.Fatalf("Checkpoint with a running miner: err = %v, want sim.ErrForeignHandler", err)
 	}
@@ -155,9 +155,10 @@ func TestTxSetEqual(t *testing.T) {
 	}
 }
 
-func TestNewChainFromBlocks(t *testing.T) {
+func TestChainAppend(t *testing.T) {
 	b := &types.Block{Number: 1, Txs: []*types.Transaction{tx(1, 0, 5)}}
-	c := NewChainFromBlocks([]*types.Block{b})
+	c := NewChain()
+	c.Append(b)
 	if c.Height() != 1 {
 		t.Fatal("height wrong")
 	}

@@ -74,7 +74,7 @@ func TestMiner1559AdjustsBaseFeeAndDrops(t *testing.T) {
 	w.Start(0)
 	m := NewMiner(net, MinerConfig{Interval: 5, GasLimit: 21000 * 10, BroadcastDelay: 0.5, BaseFee: types.Gwei},
 		ids[:1])
-	m.Start(0)
+	m.Start()
 	net.RunFor(60)
 	m.Stop()
 	w.Stop()

@@ -11,6 +11,15 @@ import (
 	"toposhot/internal/types"
 )
 
+// chainOf builds a chain holding the given blocks in order.
+func chainOf(blocks ...*types.Block) *chain.Chain {
+	c := chain.NewChain()
+	for _, b := range blocks {
+		c.Append(b)
+	}
+	return c
+}
+
 func TestEdgeSetBasics(t *testing.T) {
 	s := NewEdgeSet()
 	s.Add(2, 1)
@@ -133,7 +142,7 @@ func TestNIVerifierConditions(t *testing.T) {
 		Txs: []*types.Transaction{
 			types.NewTransaction(types.AddressFromUint64(3), types.AddressFromUint64(4), 0, 50, 0),
 		}}
-	c := chain.NewChainFromBlocks([]*types.Block{full, slack})
+	c := chainOf(full, slack)
 	v := NIVerifier{Chain: c, Y0: 100, T1: 0, T2: 15, Expiry: 10}
 	violations := v.Check()
 	// Block 2 (time 20 ≤ T2+Expiry=25) violates both V1 (not full) and V2
@@ -156,25 +165,20 @@ func TestSafeY0(t *testing.T) {
 		types.NewTransaction(types.AddressFromUint64(1), types.AddressFromUint64(2), 0, 1000, 0),
 		types.NewTransaction(types.AddressFromUint64(3), types.AddressFromUint64(4), 0, 400, 0),
 	}}
-	c := chain.NewChainFromBlocks([]*types.Block{b})
-	if y := SafeY0(c, 4, 0); y != 200 {
+	c := chainOf(b)
+	if y := SafeY0(c); y != 200 {
 		t.Fatalf("SafeY0 = %d, want 200 (half of 400)", y)
 	}
-	if y := SafeY0(c, 4, 150); y != 150 {
-		t.Fatalf("ceiling ignored: %d", y)
-	}
-	if y := SafeY0(chain.NewChain(), 4, 0); y != 0 {
+	if y := SafeY0(chain.NewChain()); y != 0 {
 		t.Fatalf("empty chain Y0 = %d", y)
 	}
 }
 
 func TestCompareTwinWorlds(t *testing.T) {
 	mk := func(price uint64) *chain.Chain {
-		return chain.NewChainFromBlocks([]*types.Block{
-			{Number: 1, Txs: []*types.Transaction{
-				types.NewTransaction(types.AddressFromUint64(1), types.AddressFromUint64(2), 0, price, 0),
-			}},
-		})
+		return chainOf(&types.Block{Number: 1, Txs: []*types.Transaction{
+			types.NewTransaction(types.AddressFromUint64(1), types.AddressFromUint64(2), 0, price, 0),
+		}})
 	}
 	same := CompareTwinWorlds(mk(100), mk(100))
 	if same.Interfered() || same.BlocksCompared != 1 {

@@ -275,14 +275,14 @@ func (m *Measurer) futureRuns(z int, price uint64) []*types.Run {
 	return runs
 }
 
-// mintTx builds one measurement transaction at the given fee level,
+// mintTx builds one nonce-0 measurement transaction at the given fee level,
 // dynamic-fee when the params ask for it.
-func (m *Measurer) mintTx(from types.Address, nonce, price uint64) *types.Transaction {
+func (m *Measurer) mintTx(from types.Address, price uint64) *types.Transaction {
 	to := m.freshAccount()
 	if m.params.DynamicFeeTip > 0 {
-		return types.NewDynamicFeeTransaction(from, to, nonce, price, m.params.DynamicFeeTip, 0)
+		return types.NewDynamicFeeTransaction(from, to, 0, price, m.params.DynamicFeeTip, 0)
 	}
-	return types.NewTransaction(from, to, nonce, price, 0)
+	return types.NewTransaction(from, to, 0, price, 0)
 }
 
 // MeasureOneLink runs the four-step primitive of §5.2 against target nodes
@@ -311,7 +311,7 @@ func (m *Measurer) MeasureOneLink(a, b types.NodeID) (bool, error) {
 
 	// Step 1: plant txC on A and let it flood the network for X seconds.
 	sc := m.tracer.StartSpan(spanSendTxC)
-	txC := m.mintTx(acctC, 0, m.params.PriceTxC(y))
+	txC := m.mintTx(acctC, m.params.PriceTxC(y))
 	m.Ledger.RecordPending(txC)
 	m.inject(a, txC)
 	sc.End()
@@ -325,7 +325,7 @@ func (m *Measurer) MeasureOneLink(a, b types.NodeID) (bool, error) {
 	m.fill(b, y)
 	ev.End()
 	pb := m.tracer.StartSpan(spanPlantTxB)
-	txB := m.mintTx(acctC, 0, m.params.PriceTxB(y))
+	txB := m.mintTx(acctC, m.params.PriceTxB(y))
 	txB.To = txC.To
 	m.Ledger.RecordPending(txB)
 	m.inject(b, txB)
@@ -340,7 +340,7 @@ func (m *Measurer) MeasureOneLink(a, b types.NodeID) (bool, error) {
 	m.fill(a, y)
 	ev.End()
 	pa := m.tracer.StartSpan(spanPlantTxA)
-	txA := m.mintTx(acctC, 0, m.params.PriceTxA(y))
+	txA := m.mintTx(acctC, m.params.PriceTxA(y))
 	txA.To = txC.To
 	m.Ledger.RecordPending(txA)
 	checkFrom := m.v.Now()

@@ -58,33 +58,22 @@ func (v NIVerifier) Check() []Violation {
 	return out
 }
 
+// safeY0Window is how many of the latest blocks SafeY0 calibrates against.
+const safeY0Window = 4
+
 // SafeY0 derives a workload-adaptive measurement price that V2 is expected
-// to hold for: strictly below the cheapest transaction included in the
-// recent window of blocks (and at most the given ceiling). It returns 0
-// when no recent block exists to calibrate against.
-func SafeY0(c *chain.Chain, window int, ceiling uint64) uint64 {
+// to hold for: half the cheapest transaction included in the last
+// safeY0Window blocks. It returns 0 when no recent block exists to
+// calibrate against.
+func SafeY0(c *chain.Chain) uint64 {
 	blocks := c.Blocks()
-	if len(blocks) == 0 {
-		return 0
-	}
 	lo := uint64(0)
-	start := len(blocks) - window
-	if start < 0 {
-		start = 0
-	}
-	for _, b := range blocks[start:] {
+	for _, b := range blocks[max(0, len(blocks)-safeY0Window):] {
 		if min, ok := b.MinGasPrice(); ok && (lo == 0 || min < lo) {
 			lo = min
 		}
 	}
-	if lo == 0 {
-		return 0
-	}
-	y := lo / 2
-	if ceiling != 0 && y > ceiling {
-		y = ceiling
-	}
-	return y
+	return lo / 2
 }
 
 // TwinWorldReport compares the actual (measured) world's blocks against the

@@ -19,7 +19,7 @@ func runGoldenObs(t *testing.T) (*obs.Log, *obs.Ledger) {
 	lg := obs.New(obs.Options{Level: obs.LevelDebug})
 	led := obs.NewLedger()
 	m.SetTracer(trace.New(trace.Options{Level: trace.LevelMeasure, Deterministic: true}))
-	m.SetObs(lg.Scope("three-node", nil), led)
+	m.SetObs(lg.Scope("three-node"), led)
 	m.SetPhase("golden")
 	if _, err := m.MeasureOneLink(ids[0], ids[1]); err != nil {
 		t.Fatalf("measure: %v", err)

@@ -86,10 +86,10 @@ func (m *Measurer) MeasurePar(edges []Edge) (*ParResult, error) {
 	}
 	for i := range edges {
 		acct := m.freshAccount()
-		txC[i] = m.mintTx(acct, 0, m.params.PriceTxC(y))
-		txA[i] = m.mintTx(acct, 0, m.params.PriceTxA(y))
+		txC[i] = m.mintTx(acct, m.params.PriceTxC(y))
+		txA[i] = m.mintTx(acct, m.params.PriceTxA(y))
 		txA[i].To = txC[i].To
-		txB[i] = m.mintTx(acct, 0, m.params.PriceTxB(y))
+		txB[i] = m.mintTx(acct, m.params.PriceTxB(y))
 		txB[i].To = txC[i].To
 		m.Ledger.RecordPending(txC[i])
 		m.Ledger.RecordPending(txA[i])

@@ -84,9 +84,6 @@ func (t *Table) Add(id types.NodeID) bool {
 	return true
 }
 
-// Len returns the table population.
-func (t *Table) Len() int { return len(t.present) }
-
 // Entries returns all table entries in ascending id order.
 func (t *Table) Entries() []types.NodeID {
 	out := make([]types.NodeID, 0, len(t.present))

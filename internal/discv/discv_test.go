@@ -37,11 +37,11 @@ func TestTableAddAndCaps(t *testing.T) {
 			added++
 		}
 	}
-	if tbl.Len() != added {
-		t.Fatalf("len %d != added %d", tbl.Len(), added)
+	if n := len(tbl.Entries()); n != added {
+		t.Fatalf("len %d != added %d", n, added)
 	}
-	if tbl.Len() > NumBuckets*BucketSize {
-		t.Fatalf("table overflow: %d > %d", tbl.Len(), NumBuckets*BucketSize)
+	if added > NumBuckets*BucketSize {
+		t.Fatalf("table overflow: %d > %d", added, NumBuckets*BucketSize)
 	}
 	// Duplicate insert rejected.
 	entries := tbl.Entries()
@@ -72,7 +72,7 @@ func TestSystemBootstrapPopulatesTables(t *testing.T) {
 	sys := NewSystem(all, 8, 3, 1)
 	var sum int
 	for _, id := range all {
-		sum += sys.tables[id].Len()
+		sum += len(sys.tables[id].present)
 	}
 	avg := float64(sum) / float64(len(all))
 	if avg < 30 {

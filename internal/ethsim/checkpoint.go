@@ -153,12 +153,11 @@ type (
 // (e.g. a running chain.Miner round) makes the state unserializable and
 // returns an error wrapping sim.ErrForeignHandler.
 // Function-valued hooks are not part of the image: supernode observation
-// hooks are re-bound automatically on restore, but custom OnOffer /
-// AddJanitorHook callbacks must be re-registered by the caller. Supernode
-// sighting logs are deliberately dropped: every verdict read filters
-// sightings to At >= t for a measurement start t, and any measurement started
-// after a resume has t at or past the checkpoint time, so pre-checkpoint
-// sightings are unreachable.
+// hooks are re-bound automatically on restore, but an OnOffer callback must
+// be re-registered by the caller. Supernode sighting logs are deliberately
+// dropped: every verdict read filters sightings to At >= t for a measurement
+// start t, and any measurement started after a resume has t at or past the
+// checkpoint time, so pre-checkpoint sightings are unreachable.
 func (n *Network) Checkpoint() ([]byte, error) {
 	img, err := n.image()
 	if err != nil {

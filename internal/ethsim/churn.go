@@ -47,12 +47,10 @@ type Churn struct {
 	net *Network
 	cfg ChurnConfig
 
-	// OnEvent, when set, observes every applied change as it happens. Like
-	// all function hooks it is not checkpointed — re-register after restore.
-	OnEvent func(ChurnEvent)
-
-	pop     []types.NodeID // sorted churn population
-	member  []bool         // dense id-indexed membership mark
+	pop    []types.NodeID // sorted churn population
+	member []bool         // dense id-indexed membership mark
+	// stopped is set only by restoring an image whose Stopped is true; no
+	// run writes one any more, and the next checkpoint layout drops it.
 	stopped bool
 	index   int // slot in the network's churn registry (event payload)
 
@@ -122,9 +120,6 @@ func (c *Churn) schedule(d float64) {
 	c.net.eng.AtHandler(c.net.eng.Now()+d, c.net, arg)
 }
 
-// Stop halts the process after the current tick.
-func (c *Churn) Stop() { c.stopped = true }
-
 // Events returns the churn log from index `from` on (a copy). Consumers
 // tail the log by remembering len(previous)+... — i.e., a cursor equal to
 // NumEvents at the last read.
@@ -188,7 +183,7 @@ func (c *Churn) removeOne() bool {
 	}
 	e := edges[c.rng.Intn(len(edges))]
 	c.net.Disconnect(e[0], e[1])
-	c.record(ChurnEvent{At: c.net.Now(), A: e[0], B: e[1], Added: false})
+	c.events = append(c.events, ChurnEvent{At: c.net.Now(), A: e[0], B: e[1], Added: false})
 	return true
 }
 
@@ -213,15 +208,8 @@ func (c *Churn) addOne() bool {
 		if err := c.net.Connect(a, b); err != nil {
 			continue
 		}
-		c.record(ChurnEvent{At: c.net.Now(), A: a, B: b, Added: true})
+		c.events = append(c.events, ChurnEvent{At: c.net.Now(), A: a, B: b, Added: true})
 		return true
 	}
 	return false
-}
-
-func (c *Churn) record(ev ChurnEvent) {
-	c.events = append(c.events, ev)
-	if c.OnEvent != nil {
-		c.OnEvent(ev)
-	}
 }

@@ -253,11 +253,12 @@ type Network struct {
 	// MsgCounts materializes the legacy map shape for snapshots.
 	msgTally [numMsgKinds]int
 
-	// OnOffer, when set, observes every transaction offer on every node —
-	// a global trace hook for debugging and white-box experiments.
+	// OnOffer, when set, observes every transaction offer on every node. No
+	// production code installs it: it stays as the observation seam of
+	// core's TestCensusNeverHashesUnrelayedTransactions and experiments'
+	// TestTraceFalsePositive.
 	OnOffer func(node, from types.NodeID, tx *types.Transaction, status string)
 
-	janitorHooks []func(now float64)
 	// janitorIntervals records every StartJanitor interval; the recurring
 	// janitor event's payload indexes this slice (checkpoint-restorable,
 	// unlike the closure chain it replaces).
@@ -749,10 +750,10 @@ func members(parts []runPart) int {
 // RunFor advances virtual time by d seconds.
 func (n *Network) RunFor(d float64) { n.eng.RunUntil(n.eng.Now() + d) }
 
-// TickPools advances each pool's expiry clock to the current virtual time
-// and prunes expired announcement locks. The lock sweep is incremental:
-// each node pops the expired prefix of its expiry-ordered lock ring instead
-// of scanning its whole lock map per tick.
+// TickPools advances each pool's expiry clock, the supernodes' shadow pools
+// last, to the current virtual time and prunes expired announcement locks.
+// The lock sweep is incremental: each node pops the expired prefix of its
+// expiry-ordered lock ring instead of scanning its whole lock map per tick.
 //
 //toposhot:hotpath
 func (n *Network) TickPools() {
@@ -761,8 +762,8 @@ func (n *Network) TickPools() {
 		nd.pool.SetTime(now)
 		nd.locks.Sweep(now)
 	}
-	for _, h := range n.janitorHooks {
-		h(now)
+	for _, s := range n.supers {
+		s.shadow.SetTime(now)
 	}
 	n.pruneDeliveryHorizon(now)
 }
@@ -783,12 +784,6 @@ func (n *Network) pruneDeliveryHorizon(now float64) {
 			delete(n.overflowMark, link)
 		}
 	}
-}
-
-// AddJanitorHook registers a callback run on every janitor tick (the
-// supernode uses it to age its estimation pool).
-func (n *Network) AddJanitorHook(h func(now float64)) {
-	n.janitorHooks = append(n.janitorHooks, h)
 }
 
 // StartJanitor ticks pool expiry every `interval` virtual seconds, forever.

@@ -478,7 +478,7 @@ func (nd *Node) deliverAnnounce(from types.NodeID, hashes []types.Hash, items []
 		} else if nd.pool.Has(h) {
 			continue
 		}
-		if !nd.locks.Fetch(h, now, gossip.AnnounceLock) {
+		if !nd.locks.Fetch(h, now) {
 			net.metrics.announceLockHits.Inc()
 			continue
 		}

@@ -75,7 +75,6 @@ func (n *Network) addSupernode(node *Node, shadow *txpool.Pool) *Supernode {
 			s.seen[h] = append(s.seen[h], gossip.Sighting{At: at, Peer: from})
 		}
 	}
-	n.AddJanitorHook(func(now float64) { s.shadow.SetTime(now) })
 	n.supers = append(n.supers, s)
 	return s
 }

@@ -110,7 +110,9 @@ func (w *Workload) price() uint64 {
 // Start begins Poisson arrivals and keeps them going until Stop or until
 // virtual time reaches stopAt (0 means no limit). The recurring tick is a
 // kind-tagged handler event indexing the network's workload registry, so a
-// pending arrival serializes into a checkpoint.
+// pending arrival serializes into a checkpoint. Every caller passes 0;
+// stopAt stays because bench/ calls Start, and goes with the next change
+// there.
 func (w *Workload) Start(stopAt float64) {
 	if w.Rate <= 0 || len(w.sinks) == 0 {
 		return

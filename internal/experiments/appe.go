@@ -52,7 +52,7 @@ func AppE(seed int64) (*AppEResult, error) {
 		BroadcastDelay: 1,
 		BaseFee:        initialBaseFee,
 	}, []types.NodeID{inst.IDs[0], inst.IDs[1]})
-	miners.Start(0)
+	miners.Start()
 	net.RunFor(40)
 
 	params := built.World.Params()

@@ -94,12 +94,9 @@ func FormatAppA(r *AppAResult) string {
 // AppCResult is the twin-world non-interference experiment.
 type AppCResult struct {
 	// Verifier outcome in the measured world.
-	V1V2OK     bool
-	Violations []core.Violation
+	V1V2OK bool
 	// Twin-world block comparison (measurement transactions excluded).
 	Twin core.TwinWorldReport
-	// Blocks produced during the comparison window.
-	Blocks int
 }
 
 // AppC validates Theorem C.2 executably: two deterministic twin networks
@@ -117,7 +114,7 @@ func AppC(seed int64) (*AppCResult, error) {
 			GasLimit:       21000 * 20,
 			BroadcastDelay: 1,
 		}, []types.NodeID{inst.IDs[0], inst.IDs[1]})
-		miners.Start(0)
+		miners.Start()
 		net.RunFor(40)
 
 		params := built.World.Params()
@@ -160,17 +157,12 @@ func AppC(seed int64) (*AppCResult, error) {
 	// Strip measurement transactions before comparing (they are priced to
 	// stay unmined; FilterMeasurement guards against the residual case).
 	mBlocks := measured.Blocks()
-	filtered := chain.NewChainFromBlocks(nil)
+	filtered := chain.NewChain()
 	for _, b := range mBlocks {
 		filtered.Append(core.FilterMeasurement(b, ledger))
 	}
 	rep := core.CompareTwinWorlds(filtered, hypothetical)
-	return &AppCResult{
-		V1V2OK:     len(violations) == 0,
-		Violations: violations,
-		Twin:       rep,
-		Blocks:     rep.BlocksCompared,
-	}, nil
+	return &AppCResult{V1V2OK: len(violations) == 0, Twin: rep}, nil
 }
 
 // appCWorld is a twin world of Appendix C: a deterministic substrate —

@@ -86,9 +86,10 @@ type Census struct {
 	DurationHours float64
 	// CostEther is the worst-case campaign cost.
 	CostEther float64
-	// Iterations and Calls summarize the schedule.
-	Iterations, Calls int
-	// MsgCount tallies delivered messages by kind.
+	// Calls is the number of measurement calls the schedule made.
+	Calls int
+	// MsgCount tallies delivered messages by kind (bench/selfcheck_test.go
+	// checks a composed census against it).
 	MsgCount map[string]int
 }
 
@@ -99,12 +100,12 @@ func RunCensus(cfg CensusConfig) (*Census, error) {
 	// so concurrent campaigns (PrewarmCensuses) never share a clock or
 	// interleave records.
 	key := "census:" + censusKey(cfg)
-	tr := trace.Enabled().Lane(key, nil)
+	tr := trace.Enabled().Lane(key)
 	span := tr.StartSpan(spanCensus,
 		trace.String(attrName, cfg.Name), trace.Int(attrSeed, cfg.Seed),
 		trace.Int(attrNodes, int64(cfg.Grow.N)), trace.Int(attrK, int64(cfg.GroupK)))
 	defer span.End()
-	return runCensus(cfg, netgen.Grow(cfg.Grow), tr, obs.Enabled().Scope(key, nil))
+	return runCensus(cfg, netgen.Grow(cfg.Grow), tr, obs.Enabled().Scope(key))
 }
 
 // runCensus is the census body (§5.3, §6.2): it builds cfg's world over g,
@@ -158,7 +159,6 @@ func runCensus(cfg CensusConfig, g *graph.Graph, tr *trace.Tracer, lg *obs.Logge
 		Eligible:      len(targets),
 		DurationHours: res.Duration / 3600,
 		CostEther:     core.Ether(m.Ledger.WorstCaseWei()),
-		Iterations:    res.Iterations,
 		Calls:         res.Calls,
 		MsgCount:      world.Net.MsgCounts(),
 	}, nil

@@ -54,13 +54,13 @@ func table6(seed int64, cfg mainnet.Config, servicePairs [][2]string) (*Table6Re
 		BroadcastDelay: 1,
 	}
 	miners := chain.NewMiner(net, minerCfg, sc.Regular[:3])
-	miners.Start(0)
+	miners.Start()
 	net.RunFor(60) // let some blocks land before measuring
 
 	params := built.World.Params()
 	// Workload-adaptive Y0: strictly below everything recent blocks
 	// included, so V2 holds by construction (Appendix C's design).
-	y0 := core.SafeY0(miners.Chain(), 4, 0)
+	y0 := core.SafeY0(miners.Chain())
 	if y0 == 0 {
 		y0 = types.Gwei / 10
 	}

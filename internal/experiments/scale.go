@@ -53,7 +53,6 @@ func MainnetScaleCensus(seed int64) ScaleCensusConfig {
 // ScaleRegion summarizes one region's census.
 type ScaleRegion struct {
 	Index    int
-	Nodes    int
 	Edges    int // intra-region ground-truth edges
 	Eligible int
 	Detected int
@@ -121,7 +120,7 @@ func runScaleRegion(cfg ScaleCensusConfig, g *graph.Graph, region int, lg *obs.L
 	// latency draws and account keys.
 	rc := cfg.CensusConfig
 	rc.Name, rc.Seed = fmt.Sprintf("%s-r%d", cfg.Name, region), cfg.Seed^int64(region+1)<<24
-	tr := trace.Enabled().Lane(fmt.Sprintf("scale:%s/%d/r%d", cfg.Name, cfg.Seed, region), nil)
+	tr := trace.Enabled().Lane(fmt.Sprintf("scale:%s/%d/r%d", cfg.Name, cfg.Seed, region))
 	span := tr.StartSpan(spanCensus,
 		trace.String(attrName, rc.Name), trace.Int(attrSeed, cfg.Seed),
 		trace.Int(attrNodes, int64(sub.NumNodes())), trace.Int(attrK, int64(cfg.GroupK)))
@@ -166,7 +165,6 @@ func RunScaleCensus(cfg ScaleCensusConfig) (*ScaleCensus, error) {
 	for r, c := range censuses {
 		row := ScaleRegion{
 			Index:         r,
-			Nodes:         c.Truth.NumNodes(),
 			Edges:         c.Truth.NumEdges(),
 			Eligible:      c.Eligible,
 			Detected:      c.Measured.NumEdges(),

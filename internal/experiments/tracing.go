@@ -45,7 +45,7 @@ func sweepLanes(name string, n int) []*trace.Tracer {
 		return lanes
 	}
 	for i := range lanes {
-		lanes[i] = tr.Lane(fmt.Sprintf("%s[%d]", name, i), nil)
+		lanes[i] = tr.Lane(fmt.Sprintf("%s[%d]", name, i))
 	}
 	return lanes
 }
@@ -61,7 +61,7 @@ func obsScopes(name string, n int) []*obs.Logger {
 		return scopes
 	}
 	for i := range scopes {
-		scopes[i] = lg.Scope(fmt.Sprintf("%s[%d]", name, i), nil)
+		scopes[i] = lg.Scope(fmt.Sprintf("%s[%d]", name, i))
 	}
 	return scopes
 }

@@ -84,8 +84,7 @@ type TrackingResume struct {
 // TrackingTotals is a tracking run's spend record: the seeding census's
 // probe transactions, worst-case cost, virtual duration and score against
 // the pre-churn truth, then the tracker's totals across all ticks. Embedded
-// untagged, its fields are flattened into the JSON of both TrackingResume
-// and Tracking.
+// untagged, its fields are flattened into TrackingResume's JSON.
 type TrackingTotals struct {
 	BaselineTxs      int
 	BaselineEther    float64
@@ -129,9 +128,8 @@ type Tracking struct {
 	TrackingTotals
 	ChurnEvents int
 	Ticks       []TrackingTick
-	// Belief is the final tracked edge set; FinalState its serialized form.
-	Belief     *core.EdgeSet
-	FinalState *tracker.State
+	// Belief is the final tracked edge set.
+	Belief *core.EdgeSet
 	// Back maps NodeIDs to the generated graph's vertex ids (edge output).
 	Back map[types.NodeID]int
 	// FinalScore is the last tick's score; MeanRecall/MinRecall summarize
@@ -276,7 +274,7 @@ func RunTracking(cfg TrackingConfig) (*Tracking, error) {
 	// The tracker's measurer feeds the same run ledger, phase-labelled per tick.
 	pm := probe.Measurer()
 	pm.SetObs(pm.Obs(), led)
-	lg := obs.Enabled().Scope(scopeTracking, nil)
+	lg := obs.Enabled().Scope(scopeTracking)
 	lg.SetClock(net.Now)
 
 	churn := net.Churns()[0]
@@ -358,7 +356,6 @@ func RunTracking(cfg TrackingConfig) (*Tracking, error) {
 	out.TrackerEther = baseEther + core.Ether(ledger.WorstCaseWei())
 	out.ChurnEvents = churnSeen
 	out.Belief = trk.BeliefEdges()
-	out.FinalState = trk.State()
 	out.Back = world.Inst.Back
 	if n := len(out.Ticks); n > 0 {
 		out.FinalScore = out.Ticks[n-1].Score

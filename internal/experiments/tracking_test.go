@@ -83,10 +83,23 @@ func TestRunTrackingResume(t *testing.T) {
 	}
 	const splitAt = 3
 	cfg := smallTracking(23)
+	// finalState keeps the tracker's serialized state at the run's last tick.
+	finalState := func(tt *TrackingTick, into *[]byte) error {
+		if tt.Tick != cfg.Ticks {
+			return nil
+		}
+		last, err := tt.Checkpoint()
+		if err != nil {
+			return err
+		}
+		*into, err = json.Marshal(last.Tracking.Tracker)
+		return err
+	}
 	var ck *Checkpoint
+	var wantState, gotState []byte
 	cfg.OnTick = func(tt *TrackingTick) error {
 		if tt.Tick != splitAt {
-			return nil
+			return finalState(tt, &wantState)
 		}
 		var err error
 		ck, err = tt.Checkpoint()
@@ -116,6 +129,7 @@ func TestRunTrackingResume(t *testing.T) {
 
 	cfg2 := smallTracking(23)
 	cfg2.Resume = ck
+	cfg2.OnTick = func(tt *TrackingTick) error { return finalState(tt, &gotState) }
 	cont, err := RunTracking(cfg2)
 	if err != nil {
 		t.Fatal(err)
@@ -138,8 +152,9 @@ func TestRunTrackingResume(t *testing.T) {
 	if cont.TrackerTxs != base.TrackerTxs {
 		t.Fatalf("cumulative tracker spend diverged: %d vs %d", cont.TrackerTxs, base.TrackerTxs)
 	}
-	wantState, _ := json.Marshal(base.FinalState)
-	gotState, _ := json.Marshal(cont.FinalState)
+	if len(wantState) == 0 {
+		t.Fatal("OnTick never reached the last tick")
+	}
 	if string(wantState) != string(gotState) {
 		t.Fatal("final tracker state diverged after resume")
 	}

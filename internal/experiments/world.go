@@ -145,7 +145,7 @@ func (w World) Build() *Built {
 		het.Expiry = w.Expiry
 		b.Inst = netgen.InstantiateScaled(b.Net, w.Graph, het, w.Seed, w.PoolScale)
 	} else {
-		b.Inst = &netgen.Instantiated{Net: b.Net, Back: make(map[types.NodeID]int, len(w.Nodes))}
+		b.Inst = &netgen.Instantiated{Back: make(map[types.NodeID]int, len(w.Nodes))}
 		for i, nc := range w.Nodes {
 			nc.Policy = w.policy(nc.Policy)
 			id := b.Net.AddNode(nc).ID()
@@ -204,7 +204,7 @@ func RestoreCensusWorld(ck *Checkpoint) (*Built, error) {
 	if ck.Super < 0 || ck.Super >= len(supers) {
 		return nil, fmt.Errorf("restore: supernode index %d out of range (have %d)", ck.Super, len(supers))
 	}
-	inst := &netgen.Instantiated{Net: net, IDs: make([]types.NodeID, len(ck.Back)), Back: make(map[types.NodeID]int, len(ck.Back))}
+	inst := &netgen.Instantiated{IDs: make([]types.NodeID, len(ck.Back)), Back: make(map[types.NodeID]int, len(ck.Back))}
 	// Back must map the network's nodes one to one onto vertices 0..n-1: a
 	// file is outside input, and a repeat would leave a vertex without a node.
 	for _, p := range ck.Back {

@@ -132,16 +132,16 @@ func (l *Locks) until(i int) float64 { return l.q[l.idx.Slots[i].Ref-l.base].unt
 
 // Fetch reports whether an announcement of h at time now is to be requested:
 // false while h's lock is live (a lock hit), else it arms the lock until
-// now+window. Whether the pool already holds h is the caller's check.
+// now+AnnounceLock. Whether the pool already holds h is the caller's check.
 //
 //toposhot:hotpath
-func (l *Locks) Fetch(h types.Hash, now, window float64) bool {
+func (l *Locks) Fetch(h types.Hash, now float64) bool {
 	tag := types.SlotTag(h[:])
 	i := l.find(&h, tag)
 	if i >= 0 && now < l.until(i) {
 		return false
 	}
-	l.arm(h, now+window, tag, i)
+	l.arm(h, now+AnnounceLock, tag, i)
 	return true
 }
 

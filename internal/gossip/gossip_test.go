@@ -102,7 +102,7 @@ func TestLocksFetch(t *testing.T) {
 		now  float64
 		want bool
 	}{{0, true}, {1, false}, {4.9, false}, {5, true}, {9, false}, {10, true}} {
-		if got := l.Fetch(h, c.now, AnnounceLock); got != c.want {
+		if got := l.Fetch(h, c.now); got != c.want {
 			t.Errorf("Fetch at t=%v = %v, want %v", c.now, got, c.want)
 		}
 	}
@@ -176,7 +176,7 @@ func TestLocksAdversarialKeys(t *testing.T) {
 	}
 	var l Locks
 	for i, h := range hashes {
-		if !l.Fetch(h, float64(i), AnnounceLock) {
+		if !l.Fetch(h, float64(i)) {
 			t.Fatalf("first announcement of hash %d found a lock", i)
 		}
 	}
@@ -191,7 +191,7 @@ func TestLocksAdversarialKeys(t *testing.T) {
 		t.Fatalf("%d locks live after the sweep at t=%d, want %d", l.idx.Len(), t0, want)
 	}
 	for i, h := range hashes {
-		if got, want := l.Fetch(h, t0+1, AnnounceLock), i+w <= t0+1; got != want {
+		if got, want := l.Fetch(h, t0+1), i+w <= t0+1; got != want {
 			t.Fatalf("Fetch of hash %d at t=%d = %v, want %v", i, t0+1, got, want)
 		}
 	}
@@ -224,11 +224,11 @@ type mapLocks struct {
 	head  int
 }
 
-func (l *mapLocks) Fetch(h types.Hash, now, window float64) bool {
+func (l *mapLocks) Fetch(h types.Hash, now float64) bool {
 	if until, ok := l.until[h]; ok && now < until {
 		return false
 	}
-	l.Arm(h, now+window)
+	l.Arm(h, now+AnnounceLock)
 	return true
 }
 
@@ -287,7 +287,7 @@ func FuzzLocks(f *testing.F) {
 			}
 			switch op {
 			case 0:
-				if g, w := got.Fetch(h, now, AnnounceLock), want.Fetch(h, now, AnnounceLock); g != w {
+				if g, w := got.Fetch(h, now), want.Fetch(h, now); g != w {
 					t.Fatalf("op %d: Fetch(%x) at t=%v = %v, reference %v", k/2, h[:4], now, g, w)
 				}
 			case 1:

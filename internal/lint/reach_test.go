@@ -19,6 +19,8 @@ var reachAllowlist = map[string]string{
 	"types.Transaction.Hashed":          "tests of txpool and core check with it whether a digest was computed",
 	"trace.ReadJSONL":                   "core's trace-golden test decodes the JSONL stream it writes",
 	"core.Measurer.MeasureLinkRepeated": "its repeat span attribute is pinned by core's three-node trace goldens",
+	"types.noCopy.Lock":                 "vet's copylocks check flags a copied value of a type with Lock and Unlock",
+	"types.noCopy.Unlock":               "vet's copylocks check flags a copied value of a type with Lock and Unlock",
 }
 
 var (
@@ -44,22 +46,28 @@ func loadModule(t *testing.T) *Program {
 // TestEveryExportedNameIsReached fails on every exported func, method, type,
 // const and package-level var declared in a non-test file under internal/
 // that no non-test file of the module uses (bench/, cmd/ and examples/
-// count as users), unless reachAllowlist names it. A method whose name some
-// interface in the program or its imports declares counts as reached, since
-// a call through that interface names no concrete method. An allowlist entry
-// that names nothing, or names a reached declaration, fails as stale.
+// count as users), unless reachAllowlist names it. A method no non-test file
+// names counts as reached only through an interface: when its receiver type,
+// or a pointer to it, implements an interface type that a non-test file
+// names or writes and that declares the method, or when fmt or errors call
+// it (stdlibCalled). An allowlist entry that names nothing, or names a
+// reached declaration, fails as stale.
 func TestEveryExportedNameIsReached(t *testing.T) {
 	prog := loadModule(t)
 	decls := exportedInternalDecls(prog)
 	used := nonTestUses(prog)
-	ifaceMethods := interfaceMethodNames(prog)
+	ifaces := dispatchInterfaces(prog)
+	reached := func(obj types.Object) bool {
+		if used[obj] {
+			return true
+		}
+		fn, ok := obj.(*types.Func)
+		return ok && fn.Type().(*types.Signature).Recv() != nil && (stdlibCalled[fn.Name()] || reachedByInterface(fn, ifaces))
+	}
 
 	var unreached []string
 	for key, obj := range decls {
-		if used[obj] {
-			continue
-		}
-		if fn, ok := obj.(*types.Func); ok && fn.Type().(*types.Signature).Recv() != nil && ifaceMethods[fn.Name()] {
+		if reached(obj) {
 			continue
 		}
 		if _, ok := reachAllowlist[key]; !ok {
@@ -75,8 +83,8 @@ func TestEveryExportedNameIsReached(t *testing.T) {
 		switch {
 		case !ok:
 			t.Errorf("stale allowlist entry %s: no such exported declaration", key)
-		case used[obj]:
-			t.Errorf("stale allowlist entry %s: a non-test file uses it", key)
+		case reached(obj):
+			t.Errorf("stale allowlist entry %s: a non-test file reaches it", key)
 		}
 	}
 }
@@ -160,6 +168,11 @@ func recvTypeName(e ast.Expr) string {
 	}
 }
 
+// inTestFile reports whether p lies in one of pkg's _test.go files.
+func inTestFile(pkg *Package, p token.Pos) bool {
+	return strings.HasSuffix(pkg.Fset.Position(p).Filename, "_test.go")
+}
+
 // nonTestUses is the set of objects some non-test file of the module
 // refers to. A use of an instantiated generic function or method counts
 // for its declaration.
@@ -167,7 +180,7 @@ func nonTestUses(prog *Program) map[types.Object]bool {
 	used := map[types.Object]bool{}
 	for _, pkg := range prog.Packages {
 		for id, obj := range pkg.Info.Uses {
-			if strings.HasSuffix(pkg.Fset.Position(id.Pos()).Filename, "_test.go") {
+			if inTestFile(pkg, id.Pos()) {
 				continue
 			}
 			if fn, ok := obj.(*types.Func); ok {
@@ -179,41 +192,55 @@ func nonTestUses(prog *Program) map[types.Object]bool {
 	return used
 }
 
-// interfaceMethodNames collects the method names of every interface type
-// the module's packages mention and of every named interface in the
-// packages they import, transitively.
-func interfaceMethodNames(prog *Program) map[string]bool {
-	names := map[string]bool{}
-	addIface := func(t types.Type) {
-		if it, ok := t.Underlying().(*types.Interface); ok {
-			for i := 0; i < it.NumMethods(); i++ {
-				names[it.Method(i).Name()] = true
-			}
-		}
-	}
-	seen := map[*types.Package]bool{}
-	var walk func(p *types.Package)
-	walk = func(p *types.Package) {
-		if p == nil || seen[p] {
-			return
-		}
-		seen[p] = true
-		for _, n := range p.Scope().Names() {
-			if tn, ok := p.Scope().Lookup(n).(*types.TypeName); ok {
-				addIface(tn.Type())
-			}
-		}
-		for _, imp := range p.Imports() {
-			walk(imp)
+// dispatchInterfaces is every interface type with methods that a non-test
+// file of the module names (an identifier of a named interface type) or
+// writes (an interface type literal).
+func dispatchInterfaces(prog *Program) []*types.Interface {
+	var out []*types.Interface
+	seen := map[*types.Interface]bool{}
+	add := func(t types.Type) {
+		if it, ok := t.Underlying().(*types.Interface); ok && it.NumMethods() > 0 && !seen[it] {
+			seen[it] = true
+			out = append(out, it)
 		}
 	}
 	for _, pkg := range prog.Packages {
-		for _, tv := range pkg.Info.Types {
-			if tv.Type != nil {
-				addIface(tv.Type)
+		for id, obj := range pkg.Info.Uses {
+			if tn, ok := obj.(*types.TypeName); ok && !inTestFile(pkg, id.Pos()) {
+				add(tn.Type())
 			}
 		}
-		walk(pkg.Types)
+		for e, tv := range pkg.Info.Types {
+			if _, ok := e.(*ast.InterfaceType); ok && !inTestFile(pkg, e.Pos()) {
+				add(tv.Type)
+			}
+		}
 	}
-	return names
+	return out
 }
+
+// reachedByInterface reports whether a method's receiver type, or a pointer
+// to it, implements one of ifaces that declares the method: a call through
+// that interface names no concrete method.
+func reachedByInterface(fn *types.Func, ifaces []*types.Interface) bool {
+	recv := fn.Type().(*types.Signature).Recv().Type()
+	if p, ok := recv.(*types.Pointer); ok {
+		recv = p.Elem()
+	}
+	ptr := types.NewPointer(recv) // its method set holds the value receiver's too
+	for _, it := range ifaces {
+		if !types.Implements(ptr, it) {
+			continue
+		}
+		for i := 0; i < it.NumMethods(); i++ {
+			if it.Method(i).Name() == fn.Name() {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// stdlibCalled names the methods fmt and errors call on any value that has
+// them, through interfaces no file of the module needs to name.
+var stdlibCalled = map[string]bool{"String": true, "Error": true, "Unwrap": true}

@@ -78,13 +78,6 @@ func (g *Gauge) Set(n int64) {
 	}
 }
 
-// Add adjusts the value by n (may be negative).
-func (g *Gauge) Add(n int64) {
-	if g != nil {
-		g.v.Add(n)
-	}
-}
-
 // Value returns the current value.
 func (g *Gauge) Value() int64 {
 	if g == nil {
@@ -141,14 +134,6 @@ func (h *Histogram) Observe(v float64) {
 			break
 		}
 	}
-}
-
-// Sum returns the running total of observed values.
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return math.Float64frombits(h.sum.Load())
 }
 
 // snapshot captures the histogram's current state.

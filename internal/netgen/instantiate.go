@@ -28,7 +28,9 @@ type Heterogeneity struct {
 	ForwardFuturesFraction float64
 	// UnresponsiveFraction of nodes answer nothing.
 	UnresponsiveFraction float64
-	// ParityFraction of nodes run Parity instead of Geth.
+	// ParityFraction of nodes run Parity instead of Geth. Every profile sets
+	// it to 0, but its draw is in every world's random stream, so it goes
+	// only with the next change that moves the world goldens.
 	ParityFraction float64
 	// LegacyPushFraction of nodes push to all peers (no announcements).
 	LegacyPushFraction float64
@@ -58,7 +60,6 @@ func Uniform() Heterogeneity { return Heterogeneity{} }
 
 // Instantiated maps graph vertices to simulator node ids.
 type Instantiated struct {
-	Net  *ethsim.Network
 	IDs  []types.NodeID // vertex v → IDs[v]
 	Back map[types.NodeID]int
 }
@@ -72,7 +73,7 @@ type Instantiated struct {
 func InstantiateScaled(net *ethsim.Network, g *graph.Graph, het Heterogeneity, salt int64, scale float64) *Instantiated {
 	rng := rand.New(rand.NewSource(net.Config().Seed ^ salt))
 	nodes := g.Nodes()
-	inst := &Instantiated{Net: net, IDs: make([]types.NodeID, len(nodes)), Back: make(map[types.NodeID]int)}
+	inst := &Instantiated{IDs: make([]types.NodeID, len(nodes)), Back: make(map[types.NodeID]int)}
 	for i, v := range nodes {
 		cfg := ethsim.NodeConfig{Policy: txpool.Geth, MaxPeers: g.Degree(v) + 8}
 		if rng.Float64() < het.ParityFraction {

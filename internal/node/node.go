@@ -521,7 +521,7 @@ func (n *Node) handleAnnounce(p *peer, hashes []types.Hash) {
 	n.mu.Lock()
 	n.locks.Sweep(now)
 	for _, h := range hashes {
-		if !n.pool.Has(h) && n.locks.Fetch(h, now, gossip.AnnounceLock) {
+		if !n.pool.Has(h) && n.locks.Fetch(h, now) {
 			want = append(want, h)
 		}
 	}
@@ -645,7 +645,8 @@ func (n *Node) PeerCount() int {
 	return len(n.peers)
 }
 
-// PeerStat is one connected peer's traffic accounting.
+// PeerStat is one connected peer's traffic accounting. toposhotd's /peers
+// encodes it whole, so no field is read by name.
 type PeerStat struct {
 	Addr      string
 	Version   string

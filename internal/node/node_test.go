@@ -12,6 +12,7 @@ import (
 	"toposhot/internal/core"
 	"toposhot/internal/ethsim"
 	"toposhot/internal/gossip"
+	"toposhot/internal/obs"
 	"toposhot/internal/strategy"
 	"toposhot/internal/txpool"
 	"toposhot/internal/types"
@@ -380,6 +381,18 @@ func TestLiveCensus(t *testing.T) {
 	}
 }
 
+// pairClaims lists an outcome's per-pair claims in campaign order, from its
+// ledger's pair records.
+func pairClaims(o *strategy.Outcome) []strategy.Claim {
+	var out []strategy.Claim
+	for _, r := range o.Ledger.Records() {
+		if r.Kind == obs.KindPair {
+			out = append(out, strategy.Claim{Detected: r.Detected, Verdict: r.Verdict})
+		}
+	}
+	return out
+}
+
 // TestLiveCompare runs all four strategies over the census graph, each on
 // its own loopback copy and on its own simulated copy, over two links and two
 // non-links. The loopback campaigns run at once, since they mostly wait.
@@ -433,8 +446,9 @@ func TestLiveCompare(t *testing.T) {
 				t.Fatal(err)
 			}
 			live, differ := lives[i], 0
+			liveClaims, simClaims := pairClaims(live), pairClaims(sim)
 			for j, pr := range pairs {
-				lc, sc := live.Verdicts[j].Claim, sim.Verdicts[j].Claim
+				lc, sc := liveClaims[j], simClaims[j]
 				if m == strategy.MethodTopoShot && (lc != sc || lc.Detected != linked(pr)) {
 					t.Errorf("pair %d-%d: live %q, simulated %q, linked %v", pr[0], pr[1], lc.Verdict, sc.Verdict, linked(pr))
 				}

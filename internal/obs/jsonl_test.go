@@ -30,7 +30,8 @@ func (w *failWriter) Write(p []byte) (int, error) {
 func sampleLog() *Log {
 	lg := New(Options{Level: LevelDebug})
 	lg.SetClock(func() float64 { return 1.0 })
-	a := lg.Scope("census", func() float64 { return 2.0 })
+	a := lg.Scope("census")
+	a.SetClock(func() float64 { return 2.0 })
 	lg.Info("campaign-started", Int("nodes", 30), Float("rate", 0.5))
 	a.Debug("batch-done", Int("batch", 1), trace.Bool("ok", true))
 	a.log(LevelWarn, "slow", []Field{String("why", "queue depth")})

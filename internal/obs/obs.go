@@ -213,13 +213,13 @@ func NewCLI(level, format string, w io.Writer) (*Logger, error) {
 // Scope creates a new recording track on the logger's sink and returns a
 // view of it. Scope ids are assigned in creation order; create scopes before
 // a parallel fan-out to keep ids (and therefore snapshot order)
-// deterministic. clock supplies the scope's virtual time; nil records zeros
-// until SetClock. On a nil logger, Scope returns nil.
-func (l *Logger) Scope(name string, clock func() float64) *Logger {
+// deterministic. The scope records time 0 until SetClock binds it. On a nil
+// logger, Scope returns nil.
+func (l *Logger) Scope(name string) *Logger {
 	if l == nil {
 		return nil
 	}
-	return &Logger{lane: l.lane.Lane(name, clock), name: name, live: l.live}
+	return &Logger{lane: l.lane.Lane(name), name: name, live: l.live}
 }
 
 // SetClock binds the scope to a virtual clock (typically Network.Now). It

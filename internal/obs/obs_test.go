@@ -15,7 +15,7 @@ func TestNilLoggerNoops(t *testing.T) {
 	lg.Info("ignored", Int("x", 1))
 	lg.Error("ignored")
 	lg.SetClock(func() float64 { return 1 })
-	if got := lg.Scope("child", nil); got != nil {
+	if got := lg.Scope("child"); got != nil {
 		t.Fatalf("nil.Scope = %v, want nil", got)
 	}
 	if lg.ScopeName(0) != "" {
@@ -133,9 +133,9 @@ func TestRingWrapCountsDropped(t *testing.T) {
 
 func TestScopesSnapshotInIDOrderEmptyOmitted(t *testing.T) {
 	lg := New(Options{Level: LevelInfo})
-	a := lg.Scope("a", nil)
-	_ = lg.Scope("unused", nil)
-	b := lg.Scope("b", nil)
+	a := lg.Scope("a")
+	_ = lg.Scope("unused")
+	b := lg.Scope("b")
 	b.Info("on-b")
 	a.Info("on-a")
 	lg.Info("on-main")
@@ -162,8 +162,8 @@ func TestSerialVsParallelByteIdentity(t *testing.T) {
 		workers := make([]*Logger, scopes)
 		for i := range workers {
 			i := i
-			clock := func() float64 { return float64(i) } // per-scope fixed virtual clock
-			workers[i] = lg.Scope(fmt.Sprintf("worker-%d", i), clock)
+			workers[i] = lg.Scope(fmt.Sprintf("worker-%d", i))
+			workers[i].SetClock(func() float64 { return float64(i) }) // per-scope fixed virtual clock
 		}
 		emit := func(w *Logger, i int) {
 			for j := 0; j < events; j++ {

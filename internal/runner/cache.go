@@ -57,14 +57,6 @@ func (c *Cache[K, V]) Do(key K, build func() (V, error)) (V, error) {
 	return cl.val, cl.err
 }
 
-// Get returns the cached value for key without building.
-func (c *Cache[K, V]) Get(key K) (V, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	v, ok := c.built[key]
-	return v, ok
-}
-
 // Prewarm starts background builds for every key that is neither cached nor
 // in flight, using the supplied per-key build function. It returns
 // immediately; a later Do for the same key blocks on the in-flight build.

@@ -148,8 +148,8 @@ func TestCacheDoesNotCacheErrors(t *testing.T) {
 	if err != nil || v != 7 {
 		t.Fatalf("retry after error: %d, %v", v, err)
 	}
-	if got, ok := c.Get("k"); !ok || got != 7 {
-		t.Fatalf("Get = %d, %v", got, ok)
+	if got, ok := c.built["k"]; !ok || got != 7 {
+		t.Fatalf("cached = %d, %v", got, ok)
 	}
 }
 
@@ -186,7 +186,7 @@ func TestCachePrewarmSerialIsNoOp(t *testing.T) {
 		t.Error("prewarm built under -parallel 1")
 		return 0, nil
 	})
-	if _, ok := c.Get(1); ok {
+	if _, ok := c.built[1]; ok {
 		t.Fatal("value cached despite serial prewarm")
 	}
 }

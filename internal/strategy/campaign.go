@@ -81,19 +81,13 @@ func NewMethodAt(m Method, v core.Vantage, cfg Config) (Strategy, error) {
 	return nil, fmt.Errorf("strategy: unknown method %q", m)
 }
 
-// PairVerdict is one pair's claim, in campaign input order.
-type PairVerdict struct {
-	A, B  types.NodeID
-	Claim Claim
-}
-
-// Outcome summarizes one strategy's campaign over a pair list.
+// Outcome summarizes one strategy's campaign over a pair list. Each pair's
+// claim is on its probe span and its ledger record.
 type Outcome struct {
-	Method string
+	// Pairs is the campaign's pair list, in input order.
+	Pairs [][2]types.NodeID
 	// Claimed holds the pairs the strategy asserted as links.
 	Claimed *core.EdgeSet
-	// Verdicts records every pair's claim in input order.
-	Verdicts []PairVerdict
 	// Cost is the strategy's probe-transaction tally after the campaign.
 	Cost Cost
 	// Ledger attributes that tally: one record per pair probe (with its
@@ -147,11 +141,7 @@ func RunPairs(tr *trace.Tracer, lg *obs.Logger, clock interface{ Now() float64 }
 			Start: start, End: clock.Now()})
 		prev = c
 	}
-	out := &Outcome{
-		Method:   s.Name(),
-		Claimed:  core.NewEdgeSet(),
-		Verdicts: make([]PairVerdict, 0, len(pairs)),
-	}
+	out := &Outcome{Pairs: pairs, Claimed: core.NewEdgeSet()}
 	for _, pr := range pairs {
 		ps := tr.StartSpan(SpanProbe,
 			trace.String(AttrMethod, s.Name()),
@@ -173,7 +163,6 @@ func RunPairs(tr *trace.Tracer, lg *obs.Logger, clock interface{ Now() float64 }
 		if c.Detected {
 			out.Claimed.Add(pr[0], pr[1])
 		}
-		out.Verdicts = append(out.Verdicts, PairVerdict{A: pr[0], B: pr[1], Claim: c})
 	}
 	out.Cost = s.Cost()
 	out.Ledger = led
@@ -190,9 +179,9 @@ func RunPairs(tr *trace.Tracer, lg *obs.Logger, clock interface{ Now() float64 }
 // pairs — the strategy is only accountable for what it was asked about.
 func (o *Outcome) Score(truth *core.EdgeSet) core.Score {
 	measuredTruth := core.NewEdgeSet()
-	for _, v := range o.Verdicts {
-		if truth.Has(v.A, v.B) {
-			measuredTruth.Add(v.A, v.B)
+	for _, pr := range o.Pairs {
+		if truth.Has(pr[0], pr[1]) {
+			measuredTruth.Add(pr[0], pr[1])
 		}
 	}
 	return core.ScoreAgainst(o.Claimed, measuredTruth, nil)

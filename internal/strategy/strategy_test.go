@@ -163,9 +163,11 @@ func TestConformanceScoring(t *testing.T) {
 // comparison across runner widths.
 func renderOutcome(s Strategy, out *Outcome, truth *core.EdgeSet) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s cost=%+v virtual=%.6f score=%v\n", out.Method, out.Cost, out.VirtualSeconds, out.Score(truth))
-	for _, v := range out.Verdicts {
-		fmt.Fprintf(&b, "%v-%v %v %s\n", v.A, v.B, v.Claim.Detected, v.Claim.Verdict)
+	fmt.Fprintf(&b, "%s cost=%+v virtual=%.6f score=%v\n", s.Name(), out.Cost, out.VirtualSeconds, out.Score(truth))
+	for _, r := range out.Ledger.Records() {
+		if r.Kind == obs.KindPair {
+			fmt.Fprintf(&b, "%v-%v %v %s\n", r.A, r.B, r.Detected, r.Verdict)
+		}
 	}
 	if e, ok := s.(*Ethna); ok {
 		fmt.Fprintf(&b, "degree-err=%.6f\n", ringDegreeError(e))
@@ -225,8 +227,8 @@ func TestVerdictSpansEmitted(t *testing.T) {
 			if campaigns != 1 {
 				t.Errorf("campaign spans = %d, want 1", campaigns)
 			}
-			if probes != len(out.Verdicts) {
-				t.Errorf("probe spans = %d, want %d", probes, len(out.Verdicts))
+			if probes != len(out.Pairs) {
+				t.Errorf("probe spans = %d, want %d", probes, len(out.Pairs))
 			}
 		})
 	}
@@ -299,8 +301,8 @@ func TestRunPairsLedgerAttribution(t *testing.T) {
 				t.Fatalf("%s: pair record %v-%v has no verdict", m, r.A, r.B)
 			}
 		}
-		if pairRecords != len(out.Verdicts) {
-			t.Fatalf("%s: %d pair records for %d verdicts", m, pairRecords, len(out.Verdicts))
+		if pairRecords != len(out.Pairs) {
+			t.Fatalf("%s: %d pair records for %d pairs", m, pairRecords, len(out.Pairs))
 		}
 		snap := lg.Snapshot()
 		if len(snap.Lanes) != 1 {

@@ -18,7 +18,8 @@ func fuzzSeedTrace() []byte {
 	tr.Event(tsTick, Int("i", 1))
 	inner.End()
 	outer.End()
-	lane := tr.Lane("lane-two", func() float64 { clock++; return clock })
+	lane := tr.Lane("lane-two")
+	lane.SetClock(func() float64 { clock++; return clock })
 	lane.StartSpan(tsSolo) // left open on purpose
 	var b bytes.Buffer
 	if err := tr.Snapshot().WriteJSONL(&b); err != nil {

@@ -45,7 +45,8 @@ func jsonlTestTrace() *Trace {
 	tr.Event(tsTick, Int("i", 1))
 	inner.End()
 	outer.End()
-	lane := tr.Lane("lane-two", tick)
+	lane := tr.Lane("lane-two")
+	lane.SetClock(tick)
 	lane.StartSpan(tsSolo) // left open on purpose
 	for i := 0; i < 100; i++ {
 		lane.Event(tsFiller, Int("i", int64(i)))
@@ -133,7 +134,8 @@ func TestJSONLSnapshotDuringRecording(t *testing.T) {
 	clock := 0.0
 	tr := New(Options{Level: LevelMeasure})
 	tr.SetClock(func() float64 { clock++; return clock })
-	lane := tr.Lane("lane-two", func() float64 { return 0 })
+	lane := tr.Lane("lane-two")
+	lane.SetClock(func() float64 { return 0 })
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)

@@ -283,12 +283,12 @@ func New(o Options) *Tracer {
 		o.Capacity = DefaultCapacity
 	}
 	s := &sink{level: o.Level, det: o.Deterministic, cap: o.Capacity}
-	return s.newLane("main", nil)
+	return s.newLane("main")
 }
 
-func (s *sink) newLane(name string, clock func() float64) *Tracer {
+func (s *sink) newLane(name string) *Tracer {
 	s.mu.Lock()
-	l := &lane{id: len(s.lanes), name: name, clock: clock, cap: s.cap}
+	l := &lane{id: len(s.lanes), name: name, cap: s.cap}
 	s.lanes = append(s.lanes, l)
 	s.mu.Unlock()
 	return &Tracer{s: s, l: l}
@@ -296,14 +296,14 @@ func (s *sink) newLane(name string, clock func() float64) *Tracer {
 
 // Lane creates a new recording track on the tracer's sink and returns a view
 // of it. Lane ids are assigned in creation order; create lanes before a
-// parallel fan-out to keep ids (and therefore exports) deterministic. clock
-// supplies the lane's virtual time; nil records zeros until SetClock. On a
-// nil tracer, Lane returns nil.
-func (t *Tracer) Lane(name string, clock func() float64) *Tracer {
+// parallel fan-out to keep ids (and therefore exports) deterministic. The
+// lane records time 0 until SetClock binds it. On a nil tracer, Lane returns
+// nil.
+func (t *Tracer) Lane(name string) *Tracer {
 	if t == nil {
 		return nil
 	}
-	return t.s.newLane(name, clock)
+	return t.s.newLane(name)
 }
 
 // SetClock binds the lane to a virtual clock (typically Network.Now). It

@@ -40,7 +40,7 @@ func TestNilTracerNoops(t *testing.T) {
 	if tr.Deterministic() {
 		t.Error("nil tracer reports deterministic")
 	}
-	if tr.Lane(tsSolo, nil) != nil {
+	if tr.Lane(tsSolo) != nil {
 		t.Error("nil tracer Lane != nil")
 	}
 	tr.SetClock(func() float64 { return 1 })
@@ -170,7 +170,7 @@ func TestRingWrapCountsDropped(t *testing.T) {
 // the capacity, at it, and past it.
 func TestRingGrowsToCapacity(t *testing.T) {
 	tr, _ := newTestTracer(t, Options{Level: LevelMeasure, Deterministic: true, Capacity: 5})
-	idle := tr.Lane(tsSolo, nil)
+	idle := tr.Lane(tsSolo)
 	for i := 1; i <= 12; i++ {
 		tr.Event(tsTick, Int("i", int64(i)))
 		l := tr.Snapshot().Lanes[0]
@@ -197,7 +197,8 @@ func TestRingGrowsToCapacity(t *testing.T) {
 // hands back exactly what it stored (the obs live sink renders that copy).
 func TestLogCarriesLevelAndReturnsTheRecord(t *testing.T) {
 	tr, c := newTestTracer(t, Options{Level: LevelMeasure, Deterministic: true})
-	lane := tr.Lane(tsSolo, c.now)
+	lane := tr.Lane(tsSolo)
+	lane.SetClock(c.now)
 	c.t = 2.5
 	sp := lane.StartSpan(tsOuter)
 	got := lane.Log(3, "built at run time", []Attr{Int("n", 7), Int("n", 8)})
@@ -239,8 +240,9 @@ func TestMaxAttrsDropsExtras(t *testing.T) {
 func TestLanesAndOpenSnapshots(t *testing.T) {
 	tr, c := newTestTracer(t, Options{Level: LevelMeasure, Deterministic: true})
 	c2 := &fakeClock{t: 10}
-	l2 := tr.Lane(tsSolo, c2.now)
-	unused := tr.Lane(tsFiller, nil)
+	l2 := tr.Lane(tsSolo)
+	l2.SetClock(c2.now)
+	unused := tr.Lane(tsFiller)
 	_ = unused // empty lanes are omitted from snapshots
 
 	c.t = 1

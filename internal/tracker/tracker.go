@@ -68,6 +68,8 @@ func (c Config) staleAfterTicks() int32 {
 
 // ProbeResult is one pair's probe outcome.
 type ProbeResult struct {
+	// A and B name the pair; the tracker reads results by position, but
+	// bench/layers.go's probers build them by pair.
 	A, B types.NodeID
 	// Present is the probe's verdict about the undirected link.
 	Present bool
@@ -99,6 +101,8 @@ type pairRec struct {
 
 // TickReport summarizes one delta campaign.
 type TickReport struct {
+	// Tick is the report's tick number. bench/workloads.go prints the whole
+	// report with %+v into the tracking_churn fingerprint, so it stays.
 	Tick int
 	// Planned pairs were selected (urgent + stale); Probed of them returned a
 	// verdict, Failed did not and were re-queued.

@@ -71,7 +71,9 @@ func (s Status) String() string {
 type Result struct {
 	Status Status
 	// Replaced is the transaction displaced by a same-sender/nonce
-	// replacement, if Status == StatusReplaced.
+	// replacement, if Status == StatusReplaced. Production callers read only
+	// the status; it stays as part of what an offer decided, which
+	// testdata/layout_golden.txt logs.
 	Replaced *types.Transaction
 	// Evicted lists the transactions dropped to make room for the offered
 	// one. It is the pool's own buffer, valid until the pool's next call, and

@@ -89,20 +89,11 @@ func (a Address) String() string {
 	return "0x" + h[:8] + "…" + h[len(h)-4:]
 }
 
-// IsZero reports whether the address is all zeroes.
-func (a Address) IsZero() bool { return a == Address{} }
-
-// Bytes returns the address as a byte slice.
-func (a Address) Bytes() []byte { return a[:] }
-
 // String implements fmt.Stringer with a shortened display form.
 func (h Hash) String() string {
 	s := hex.EncodeToString(h[:])
 	return "0x" + s[:8] + "…"
 }
-
-// IsZero reports whether the hash is all zeroes.
-func (h Hash) IsZero() bool { return h == Hash{} }
 
 // Transaction is an account-model transaction. Gas prices are in Wei.
 //

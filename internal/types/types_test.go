@@ -1,6 +1,7 @@
 package types
 
 import (
+	"encoding/binary"
 	"encoding/hex"
 	"math"
 	"reflect"
@@ -10,17 +11,16 @@ import (
 	"unsafe"
 )
 
+// TestAddressRoundTrip: the seed comes back out of the address's low bytes.
 func TestAddressRoundTrip(t *testing.T) {
-	if !(Address{}).IsZero() {
-		t.Fatal("zero address not zero")
-	}
-	a := AddressFromUint64(0x010203)
-	if a.IsZero() {
-		t.Fatal("non-zero address reported zero")
-	}
-	var got Address
-	if n := copy(got[:], a.Bytes()); n != AddressLength || got != a {
-		t.Fatalf("round trip through Bytes changed address: %v != %v", got, a)
+	for _, n := range []uint64{1, 0x010203, math.MaxUint64} {
+		a := AddressFromUint64(n)
+		if a == (Address{}) {
+			t.Fatalf("seed %#x minted the zero address", n)
+		}
+		if got := binary.BigEndian.Uint64(a[12:20]); got != n {
+			t.Fatalf("seed %#x came back as %#x", n, got)
+		}
 	}
 }
 
@@ -45,16 +45,13 @@ func TestAddressFromUint64Deterministic(t *testing.T) {
 }
 
 func TestHashHexAndZero(t *testing.T) {
-	var h Hash
-	if !h.IsZero() {
-		t.Fatal("zero hash not zero")
-	}
-	h = Hash{31: 0xab}
-	if h.IsZero() {
-		t.Fatal("non-zero hash zero")
-	}
-	if s := h.String(); s != "0x00000000…" {
-		t.Fatalf("hex display form = %s", s)
+	for _, c := range []struct {
+		h    Hash
+		want string
+	}{{Hash{}, "0x00000000…"}, {Hash{31: 0xab}, "0x00000000…"}, {Hash{0: 0xab, 3: 0x01}, "0xab000001…"}} {
+		if s := c.h.String(); s != c.want {
+			t.Fatalf("hex display form of %x = %s, want %s", c.h[:], s, c.want)
+		}
 	}
 }
 
@@ -284,7 +281,7 @@ func TestTransactionHashAllocs(t *testing.T) {
 	for i, tx := range pinnedTxs() {
 		allocs := testing.AllocsPerRun(100, func() {
 			tx.hash = nil // fresh memo
-			if tx.Hash().IsZero() {
+			if tx.Hash() == (Hash{}) {
 				t.Fatal("zero hash")
 			}
 		})
@@ -304,7 +301,7 @@ func BenchmarkTransactionHash(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		tx.Nonce, tx.hash = uint64(i), nil
-		if tx.Hash().IsZero() {
+		if tx.Hash() == (Hash{}) {
 			b.Fatal("zero hash")
 		}
 	}

@@ -38,7 +38,8 @@ const MaxFrameSize = 16 << 20
 // ProtocolVersion is the handshake protocol version.
 const ProtocolVersion = 66
 
-// Status is the handshake message; its field order is the payload layout.
+// Status is the handshake message; its field order is the payload layout, so
+// every field is encoded whether or not a reader checks it.
 type Status struct {
 	ProtocolVersion uint64
 	NetworkID       uint64
