@@ -148,7 +148,7 @@ type campaign struct {
 	resume *experiments.Checkpoint
 	// ledger is the probe cost attribution the dashboard serves. The census
 	// and tracking modes record into it as they probe; a rival strategy's
-	// records arrive when its campaign ends (RunPairs keeps its own ledger);
+	// records arrive when its campaign ends (RunPairs keeps its own journal);
 	// the sharded mode records nothing.
 	ledger         *obs.Ledger
 	stdout, stderr io.Writer
@@ -377,7 +377,7 @@ func (c *campaign) measure() int {
 		detected = out.Claimed
 		lg.Info("campaign-scored", obs.Float("virtual_h", out.VirtualSeconds/3600),
 			obs.String("score", out.Score(truth).String()),
-			obs.Int("probe_txs", int64(out.Cost.Total())))
+			obs.Int("probe_txs", int64(out.Ledger.Totals().Txs())))
 	}
 	return c.finish(vertexEdges(detected, world.Inst.Back))
 }

@@ -262,14 +262,6 @@ func TestEntryNodesAreLinkedPeers(t *testing.T) {
 	}
 }
 
-func TestMeasureLinkRepeatedUsesUnion(t *testing.T) {
-	_, m, ids := buildRing(t, 6, 37)
-	ok, err := m.MeasureLinkRepeated(ids[0], ids[1], 2)
-	if err != nil || !ok {
-		t.Fatalf("repeated measurement failed: %v %v", ok, err)
-	}
-}
-
 func TestMeasureOneLinkErrors(t *testing.T) {
 	_, m, ids := buildRing(t, 4, 41)
 	if _, err := m.MeasureOneLink(ids[0], ids[0]); err == nil {

@@ -56,7 +56,6 @@ const (
 	attrNode     = "node"
 	attrY        = "y"
 	attrZ        = "z"
-	attrRepeat   = "repeat"
 	attrEdges    = "edges"
 	attrNodes    = "nodes"
 	attrK        = "k"
@@ -157,10 +156,6 @@ type Measurer struct {
 
 	// tracer records measurement spans; nil no-ops every call.
 	tracer *trace.Tracer
-
-	// repeatIdx is the current MeasureLinkRepeated iteration, carried as the
-	// repeat attr on SpanOneLink.
-	repeatIdx int
 
 	// metrics holds the campaign instruments; its zero value is a no-op.
 	metrics measureMetrics
@@ -299,8 +294,7 @@ func (m *Measurer) MeasureOneLink(a, b types.NodeID) (bool, error) {
 	m.v.Retire()
 	probeStart := m.v.Now()
 	span := m.tracer.StartSpan(SpanOneLink,
-		trace.Int(attrNodeA, int64(a)), trace.Int(attrNodeB, int64(b)),
-		trace.Int(attrRepeat, int64(m.repeatIdx)))
+		trace.Int(attrNodeA, int64(a)), trace.Int(attrNodeB, int64(b)))
 	defer span.End()
 
 	ys := m.tracer.StartSpan(spanEstimateY)
@@ -362,7 +356,7 @@ func (m *Measurer) MeasureOneLink(a, b types.NodeID) (bool, error) {
 	span.SetAttr(trace.String(AttrVerdict, verdict.String()))
 	// One ledger line per probe: everything it recorded — txC/txB/txA and
 	// both endpoints' eviction futures, fees in emission order.
-	m.recordPairCost(a, b, m.Ledger.Cut(), probeStart, verdict.String(), detected)
+	m.recordPairCost(a, b, m.cut(), probeStart, verdict.String(), detected)
 	m.metrics.oneLinks.Inc()
 	m.metrics.edgesMeasured.Inc()
 	if detected {
@@ -372,26 +366,6 @@ func (m *Measurer) MeasureOneLink(a, b types.NodeID) (bool, error) {
 		return false, err
 	}
 	return detected, nil
-}
-
-// MeasureLinkRepeated runs the primitive `repeats` times and ORs the
-// results — the passive recall-improvement heuristic of §5.2.3.
-func (m *Measurer) MeasureLinkRepeated(a, b types.NodeID, repeats int) (bool, error) {
-	if repeats < 1 {
-		repeats = 1
-	}
-	defer func() { m.repeatIdx = 0 }()
-	for i := 0; i < repeats; i++ {
-		m.repeatIdx = i
-		ok, err := m.MeasureOneLink(a, b)
-		if err != nil {
-			return false, err
-		}
-		if ok {
-			return true, nil
-		}
-	}
-	return false, nil
 }
 
 // inject sends txs through the vantage, keeping the first failure for

@@ -314,9 +314,6 @@ func TestMeasureOneLinkTraceSpans(t *testing.T) {
 				t.Errorf("span %d: %d %q children, want 2", i, kids[phase], phase)
 			}
 		}
-		if a, ok := root.Attr("repeat"); !ok || a.Value() != int64(0) {
-			t.Errorf("span %d repeat attr = %v, %v; want 0", i, a.Value(), ok)
-		}
 		if _, ok := root.Attr("y"); !ok {
 			t.Errorf("span %d missing y attr", i)
 		}

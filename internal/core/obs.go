@@ -37,6 +37,17 @@ func (m *Measurer) Obs() *obs.Logger { return m.olog }
 // per-pair → per-phase → per-campaign aggregation.
 func (m *Measurer) SetPhase(p string) { m.phase = p }
 
+// cut returns the account's spend since the last cut, for a record of costs.
+// Without a cost ledger there is no record to make, and the account stays
+// uncut: its one cutter is then whoever holds it (strategy.RunPairs cuts a
+// TopoShot strategy's).
+func (m *Measurer) cut() Spend {
+	if m.costs == nil {
+		return Spend{}
+	}
+	return m.Ledger.Cut()
+}
+
 // recordPairCost appends one pair record: the per-probe "why" line that
 // makes a single link inference auditable — what was spent, when, and what
 // verdict it bought.

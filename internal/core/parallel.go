@@ -79,7 +79,7 @@ func (m *Measurer) MeasurePar(edges []Edge) (*ParResult, error) {
 	txA := make([]*types.Transaction, len(edges))
 	txB := make([]*types.Transaction, len(edges))
 	// Each edge owns its three measurement transactions: one cut per edge,
-	// kept only when a cost ledger is attached to receive it.
+	// made only when a cost ledger is attached to receive it.
 	var edgeSpend []Spend
 	if m.costs != nil {
 		edgeSpend = make([]Spend, len(edges))
@@ -94,8 +94,8 @@ func (m *Measurer) MeasurePar(edges []Edge) (*ParResult, error) {
 		m.Ledger.RecordPending(txC[i])
 		m.Ledger.RecordPending(txA[i])
 		m.Ledger.RecordPending(txB[i])
-		if s := m.Ledger.Cut(); edgeSpend != nil {
-			edgeSpend[i] = s
+		if edgeSpend != nil {
+			edgeSpend[i] = m.cut()
 		}
 	}
 
@@ -150,7 +150,7 @@ func (m *Measurer) MeasurePar(edges []Edge) (*ParResult, error) {
 	}
 	m.v.WaitDrained(-1)
 	sp.End()
-	roundSpend := m.Ledger.Cut() // the two set-up phases' mempool fills
+	roundSpend := m.cut() // the two set-up phases' mempool fills
 
 	// p2's proceed-only-if check: verify each txA actually stuck on its
 	// source before trusting the iteration's negatives.

@@ -8,6 +8,7 @@ import (
 	"toposhot/internal/core"
 	"toposhot/internal/ethsim"
 	"toposhot/internal/netgen"
+	"toposhot/internal/obs"
 	"toposhot/internal/runner"
 	"toposhot/internal/strategy"
 	"toposhot/internal/trace"
@@ -40,7 +41,7 @@ type CompareRow struct {
 	Method         strategy.Method
 	Pairs          int
 	Score          core.Score
-	Cost           strategy.Cost
+	Cost           obs.CostTotals
 	VirtualSeconds float64
 	Note           string
 }
@@ -123,7 +124,7 @@ func Compare(seed int64, cfg CompareConfig) ([]CompareRow, error) {
 		}
 		row := CompareRow{
 			Method: ms[i], Pairs: len(pairs), Score: out.Score(truth),
-			Cost: out.Cost, VirtualSeconds: out.VirtualSeconds,
+			Cost: out.Ledger.Totals(), VirtualSeconds: out.VirtualSeconds,
 		}
 		switch ms[i] {
 		case strategy.MethodTopoShot:
@@ -182,7 +183,7 @@ func FormatCompare(rows []CompareRow) string {
 			r.Method, r.Pairs,
 			r.Score.TruePositives, r.Score.FalsePositives, r.Score.FalseNegatives,
 			100*r.Score.Precision(), 100*r.Score.Recall(),
-			r.Cost.PendingTxs, r.Cost.FutureTxs, r.VirtualSeconds/60, r.Note)
+			r.Cost.Pending, r.Cost.Futures, r.VirtualSeconds/60, r.Note)
 	}
 	b.WriteString("  TxProbe's false positives are the account-model collapse (Appendix A);\n")
 	b.WriteString("  TopoShot pays its probe cost in evictable futures and stays exact.\n")

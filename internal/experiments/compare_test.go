@@ -42,7 +42,7 @@ func TestCompareHeadToHead(t *testing.T) {
 	if ts.Score.FalsePositives != 0 || ts.Score.Recall() != 1 {
 		t.Errorf("TopoShot not exact: %v", ts.Score)
 	}
-	if ts.Cost.FutureTxs == 0 {
+	if ts.Cost.Futures == 0 {
 		t.Error("TopoShot reported no future-transaction cost")
 	}
 	tp := byMethod[strategy.MethodTxProbe]
@@ -50,8 +50,8 @@ func TestCompareHeadToHead(t *testing.T) {
 		t.Error("TxProbe clean: account-model collapse not reproduced")
 	}
 	de := byMethod[strategy.MethodDEthna]
-	if de.Cost.Total() >= ts.Cost.Total() {
-		t.Errorf("DEthna cost %d not below TopoShot cost %d", de.Cost.Total(), ts.Cost.Total())
+	if de.Cost.Txs() >= ts.Cost.Txs() {
+		t.Errorf("DEthna cost %d not below TopoShot cost %d", de.Cost.Txs(), ts.Cost.Txs())
 	}
 }
 

@@ -76,9 +76,9 @@ func TestCompareSightingsMatchFullLog(t *testing.T) {
 			t.Errorf("%s read no sightings", m)
 		}
 		r := rows[i]
-		if sc := out.Score(truth); sc != r.Score || out.Cost != r.Cost || out.VirtualSeconds != r.VirtualSeconds {
+		if sc, cost := out.Score(truth), out.Ledger.Totals(); sc != r.Score || cost != r.Cost || out.VirtualSeconds != r.VirtualSeconds {
 			t.Errorf("%s through the shadow: %v %+v %v s, Compare's row: %v %+v %v s",
-				m, sc, out.Cost, out.VirtualSeconds, r.Score, r.Cost, r.VirtualSeconds)
+				m, sc, cost, out.VirtualSeconds, r.Score, r.Cost, r.VirtualSeconds)
 		}
 	}
 }

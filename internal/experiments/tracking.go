@@ -251,7 +251,7 @@ func RunTracking(cfg TrackingConfig) (*Tracking, error) {
 		if err != nil {
 			return nil, fmt.Errorf("tracking: seeding census: %w", err)
 		}
-		out.BaselineTxs = led.Totals().Txs()
+		out.BaselineTxs = m.Ledger.PendingCount() + m.Ledger.FutureCount()
 		out.BaselineEther = core.Ether(m.Ledger.WorstCaseWei())
 		out.BaselineDuration = res.Duration
 		out.CensusScore = score

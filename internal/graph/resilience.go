@@ -9,78 +9,20 @@ import (
 // eclipse targets (use case 1), and articulation points / bridges are the
 // single points of failure whose loss partitions the network (use case 2).
 
-// ArticulationPoints returns the cut vertices of g (removal disconnects a
-// component), via Tarjan's low-link algorithm, in ascending order.
-func (g *Graph) ArticulationPoints() []int {
+// cuts returns g's cut vertices and cut edges (bridges): removing either
+// disconnects a component. One iterative Tarjan low-link walk finds both.
+// The vertices come in ascending order, the bridges smaller endpoint first,
+// sorted.
+func (g *Graph) cuts() (points []int, bridges [][2]int) {
 	disc := make(map[int]int, len(g.adj))
 	low := make(map[int]int, len(g.adj))
-	parent := make(map[int]int, len(g.adj))
 	isCut := make(map[int]bool)
 	timer := 0
 
 	// Iterative DFS to survive deep graphs.
 	type frame struct {
-		v, childIdx int
-		nbrs        []int
-		children    int
-	}
-	for _, root := range g.Nodes() {
-		if _, seen := disc[root]; seen {
-			continue
-		}
-		stack := []frame{{v: root, nbrs: g.Neighbors(root)}}
-		timer++
-		disc[root], low[root] = timer, timer
-		parent[root] = -1
-		for len(stack) > 0 {
-			f := &stack[len(stack)-1]
-			if f.childIdx < len(f.nbrs) {
-				u := f.nbrs[f.childIdx]
-				f.childIdx++
-				if _, seen := disc[u]; !seen {
-					parent[u] = f.v
-					timer++
-					disc[u], low[u] = timer, timer
-					f.children++
-					stack = append(stack, frame{v: u, nbrs: g.Neighbors(u)})
-				} else if u != parent[f.v] && disc[u] < low[f.v] {
-					low[f.v] = disc[u]
-				}
-				continue
-			}
-			// Post-order: fold into parent.
-			stack = stack[:len(stack)-1]
-			if len(stack) > 0 {
-				p := &stack[len(stack)-1]
-				if low[f.v] < low[p.v] {
-					low[p.v] = low[f.v]
-				}
-				if parent[p.v] != -1 && low[f.v] >= disc[p.v] {
-					isCut[p.v] = true
-				}
-			} else if f.children > 1 {
-				isCut[f.v] = true // root with ≥2 DFS children
-			}
-		}
-	}
-	out := make([]int, 0, len(isCut))
-	for v := range isCut {
-		out = append(out, v)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// Bridges returns the cut edges of g (removal disconnects a component),
-// smaller endpoint first, sorted.
-func (g *Graph) Bridges() [][2]int {
-	disc := make(map[int]int, len(g.adj))
-	low := make(map[int]int, len(g.adj))
-	var bridges [][2]int
-	timer := 0
-	type frame struct {
-		v, parent, childIdx int
-		nbrs                []int
+		v, parent, childIdx, children int
+		nbrs                          []int
 	}
 	for _, root := range g.Nodes() {
 		if _, seen := disc[root]; seen {
@@ -97,35 +39,42 @@ func (g *Graph) Bridges() [][2]int {
 				if _, seen := disc[u]; !seen {
 					timer++
 					disc[u], low[u] = timer, timer
+					f.children++
 					stack = append(stack, frame{v: u, parent: f.v, nbrs: g.Neighbors(u)})
 				} else if u != f.parent && disc[u] < low[f.v] {
 					low[f.v] = disc[u]
 				}
 				continue
 			}
+			// Post-order: fold into the parent.
 			stack = stack[:len(stack)-1]
-			if len(stack) > 0 {
-				p := &stack[len(stack)-1]
-				if low[f.v] < low[p.v] {
-					low[p.v] = low[f.v]
+			if len(stack) == 0 {
+				if f.children > 1 {
+					isCut[f.v] = true // root with ≥2 DFS children
 				}
-				if low[f.v] > disc[p.v] {
-					a, b := p.v, f.v
-					if b < a {
-						a, b = b, a
-					}
-					bridges = append(bridges, [2]int{a, b})
-				}
+				continue
+			}
+			p := &stack[len(stack)-1]
+			low[p.v] = min(low[p.v], low[f.v])
+			if p.parent != -1 && low[f.v] >= disc[p.v] {
+				isCut[p.v] = true
+			}
+			if low[f.v] > disc[p.v] {
+				bridges = append(bridges, [2]int{min(p.v, f.v), max(p.v, f.v)})
 			}
 		}
 	}
+	for v := range isCut {
+		points = append(points, v)
+	}
+	sort.Ints(points)
 	sort.Slice(bridges, func(i, j int) bool {
 		if bridges[i][0] != bridges[j][0] {
 			return bridges[i][0] < bridges[j][0]
 		}
 		return bridges[i][1] < bridges[j][1]
 	})
-	return bridges
+	return points, bridges
 }
 
 // BetweennessCentrality computes unweighted shortest-path betweenness for
@@ -215,8 +164,8 @@ func AnalyzeEclipseRisk(g *Graph) EclipseRisk {
 	for i := 0; i < len(nodes) && i < 10; i++ {
 		r.CheapestTargets = append(r.CheapestTargets, nodes[i])
 	}
-	r.ArticulationPoints = len(g.ArticulationPoints())
-	r.Bridges = len(g.Bridges())
+	points, bridges := g.cuts()
+	r.ArticulationPoints, r.Bridges = len(points), len(bridges)
 	for _, b := range g.BetweennessCentrality() {
 		if b > r.MaxBetweenness {
 			r.MaxBetweenness = b

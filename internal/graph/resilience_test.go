@@ -22,7 +22,7 @@ func barbell() *Graph {
 }
 
 func TestArticulationPoints(t *testing.T) {
-	got := barbell().ArticulationPoints()
+	got, _ := barbell().cuts()
 	want := []int{2, 3, 6}
 	if len(got) != len(want) {
 		t.Fatalf("articulation points = %v, want %v", got, want)
@@ -37,17 +37,17 @@ func TestArticulationPoints(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		cyc.AddEdge(i, (i+1)%5)
 	}
-	if ap := cyc.ArticulationPoints(); len(ap) != 0 {
+	if ap, _ := cyc.cuts(); len(ap) != 0 {
 		t.Fatalf("cycle articulation points = %v", ap)
 	}
 	// A path has all interior vertices.
-	if ap := path(4).ArticulationPoints(); len(ap) != 2 {
+	if ap, _ := path(4).cuts(); len(ap) != 2 {
 		t.Fatalf("path articulation points = %v", ap)
 	}
 }
 
 func TestBridges(t *testing.T) {
-	got := barbell().Bridges()
+	_, got := barbell().cuts()
 	want := [][2]int{{2, 6}, {3, 6}}
 	if len(got) != len(want) {
 		t.Fatalf("bridges = %v, want %v", got, want)
@@ -57,10 +57,10 @@ func TestBridges(t *testing.T) {
 			t.Fatalf("bridges = %v, want %v", got, want)
 		}
 	}
-	if br := k4().Bridges(); len(br) != 0 {
+	if _, br := k4().cuts(); len(br) != 0 {
 		t.Fatalf("K4 bridges = %v", br)
 	}
-	if br := path(4).Bridges(); len(br) != 3 {
+	if _, br := path(4).cuts(); len(br) != 3 {
 		t.Fatalf("path bridges = %v", br)
 	}
 }

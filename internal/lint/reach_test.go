@@ -15,12 +15,11 @@ import (
 // package path below internal/, then the receiver type for a method, then
 // the name: "txpool.Pool.BaseFee".
 var reachAllowlist = map[string]string{
-	"types.Transaction.Copy":            "tests of txpool, ethsim and core build a content-equal second object with it",
-	"types.Transaction.Hashed":          "tests of txpool and core check with it whether a digest was computed",
-	"trace.ReadJSONL":                   "core's trace-golden test decodes the JSONL stream it writes",
-	"core.Measurer.MeasureLinkRepeated": "its repeat span attribute is pinned by core's three-node trace goldens",
-	"types.noCopy.Lock":                 "vet's copylocks check flags a copied value of a type with Lock and Unlock",
-	"types.noCopy.Unlock":               "vet's copylocks check flags a copied value of a type with Lock and Unlock",
+	"types.Transaction.Copy":   "tests of txpool, ethsim and core build a content-equal second object with it",
+	"types.Transaction.Hashed": "tests of txpool and core check with it whether a digest was computed",
+	"trace.ReadJSONL":          "core's trace-golden test decodes the JSONL stream it writes",
+	"types.noCopy.Lock":        "vet's copylocks check flags a copied value of a type with Lock and Unlock",
+	"types.noCopy.Unlock":      "vet's copylocks check flags a copied value of a type with Lock and Unlock",
 }
 
 var (

@@ -10,11 +10,9 @@ import (
 	"toposhot/internal/types"
 )
 
-// Ledger phases a campaign attributes cost to: transactions inherited from
-// work before the campaign (a census the strategy's measurer already ran),
-// the Prepare call, and the per-pair probes.
+// Ledger phases a campaign attributes cost to: the Prepare call and the
+// per-pair probes.
 const (
-	PhaseCarried = "carried"
 	PhasePrepare = "prepare"
 	PhaseProbe   = "probe"
 )
@@ -88,11 +86,10 @@ type Outcome struct {
 	Pairs [][2]types.NodeID
 	// Claimed holds the pairs the strategy asserted as links.
 	Claimed *core.EdgeSet
-	// Cost is the strategy's probe-transaction tally after the campaign.
-	Cost Cost
-	// Ledger attributes that tally: one record per pair probe (with its
-	// verdict), plus round records for Prepare and any cost carried in from
-	// before the campaign. Its totals telescope back to exactly Cost.
+	// Ledger is the campaign's cost journal: a round record for what
+	// Prepare spent and one record per pair probe (with its verdict), each
+	// a Cut of the strategy's account, so its totals are what the campaign
+	// recorded there.
 	Ledger *obs.Ledger
 	// VirtualSeconds is the time the campaign consumed on its clock:
 	// virtual on the simulator, wall time on a live vantage.
@@ -103,12 +100,14 @@ type Outcome struct {
 // (which refuses pairs the strategy's vantage cannot reach), then MeasurePair
 // each pair in order, recording a campaign span with one probe span (and
 // verdict attribute) per pair. clock, the vantage or the network, stamps the
-// event log and times the ledger. Cost accounting is built by delta:
-// s.Cost() is sampled around Prepare and around every probe, and each delta
-// lands as one ledger record, so the final ledger aggregation telescopes to
-// exactly the strategy's own tally. tr may be nil (tracing off) and lg may
-// be nil (event logging off); the ledger is always built. Campaigns that fan
-// out over workers pass each worker its own pre-created lg scope.
+// event log and times the ledger. Cost is attributed by cutting the
+// strategy's account (s.Ledger) after Prepare and after every probe, each
+// cut one journal record; a cut at the start discards what was spent before
+// the campaign. RunPairs is the account's one cutter: a TopoShot measurer
+// cuts only when it holds a journal of its own, which NewMethod's does not.
+// tr may be nil (tracing off) and lg may be nil (event logging off); the
+// journal is always built. Campaigns that fan out over workers pass each
+// worker its own pre-created lg scope.
 func RunPairs(tr *trace.Tracer, lg *obs.Logger, clock interface{ Now() float64 }, s Strategy, pairs [][2]types.NodeID) (*Outcome, error) {
 	for _, pr := range pairs {
 		if pr[0] == pr[1] {
@@ -124,22 +123,15 @@ func RunPairs(tr *trace.Tracer, lg *obs.Logger, clock interface{ Now() float64 }
 		obs.Int("span", int64(span.ID())))
 	led := obs.NewLedger()
 	start := clock.Now()
-	prev := s.Cost()
-	if prev.Total() > 0 {
-		// Cost the strategy accrued before this campaign (a census already
-		// run on its measurer) is attributed, not silently folded into the
-		// first probe.
-		led.Record(obs.ProbeRecord{Phase: PhaseCarried, Kind: obs.KindRound,
-			Pending: prev.PendingTxs, Futures: prev.FutureTxs, Start: start, End: start})
-	}
+	acct := s.Ledger()
+	acct.Cut()
 	if err := s.Prepare(pairs); err != nil {
 		return nil, err
 	}
-	if c := s.Cost(); c != prev {
+	if sp := acct.Cut(); sp != (core.Spend{}) {
 		led.Record(obs.ProbeRecord{Phase: PhasePrepare, Kind: obs.KindRound,
-			Pending: c.PendingTxs - prev.PendingTxs, Futures: c.FutureTxs - prev.FutureTxs,
+			Pending: sp.Pending, Futures: sp.Futures, FeeWei: sp.FeeWei,
 			Start: start, End: clock.Now()})
-		prev = c
 	}
 	out := &Outcome{Pairs: pairs, Claimed: core.NewEdgeSet()}
 	for _, pr := range pairs {
@@ -154,23 +146,21 @@ func RunPairs(tr *trace.Tracer, lg *obs.Logger, clock interface{ Now() float64 }
 		}
 		ps.SetAttr(trace.String(AttrVerdict, c.Verdict))
 		ps.End()
-		cost := s.Cost()
+		sp := acct.Cut()
 		led.Record(obs.ProbeRecord{Phase: PhaseProbe, Kind: obs.KindPair,
-			A: pr[0], B: pr[1],
-			Pending: cost.PendingTxs - prev.PendingTxs, Futures: cost.FutureTxs - prev.FutureTxs,
+			A: pr[0], B: pr[1], Pending: sp.Pending, Futures: sp.Futures, FeeWei: sp.FeeWei,
 			Start: probeStart, End: clock.Now(), Verdict: c.Verdict, Detected: c.Detected})
-		prev = cost
 		if c.Detected {
 			out.Claimed.Add(pr[0], pr[1])
 		}
 	}
-	out.Cost = s.Cost()
 	out.Ledger = led
 	out.VirtualSeconds = clock.Now() - start
 	span.SetAttr(trace.Int(attrClaimed, int64(out.Claimed.Len())))
+	tot := led.Totals()
 	lg.Info(core.MsgCampaignDone,
 		obs.String("method", s.Name()), obs.Int("claimed", int64(out.Claimed.Len())),
-		obs.Int("pending_txs", int64(out.Cost.PendingTxs)), obs.Int("future_txs", int64(out.Cost.FutureTxs)),
+		obs.Int("pending_txs", int64(tot.Pending)), obs.Int("future_txs", int64(tot.Futures)),
 		obs.Float("virtual_s", out.VirtualSeconds))
 	return out, nil
 }

@@ -29,8 +29,8 @@ type DEthna struct {
 	v core.Vantage
 	p core.Params
 
-	mint    accountMinter
-	pending int
+	mint   accountMinter
+	ledger *core.Ledger
 
 	// neighbors holds the claimed one-hop sets per probed target.
 	neighbors map[types.NodeID]map[types.NodeID]bool
@@ -42,6 +42,7 @@ func NewDEthna(v core.Vantage, p core.Params) *DEthna {
 	return &DEthna{
 		v: v, p: p,
 		mint:      minter(types.SpaceDEthna),
+		ledger:    core.NewLedger(),
 		neighbors: make(map[types.NodeID]map[types.NodeID]bool),
 		probed:    make(map[types.NodeID]bool),
 	}
@@ -84,7 +85,7 @@ func (d *DEthna) probeTarget(a types.NodeID) error {
 		sender := d.mint.fresh()
 		mark := types.NewTransaction(sender, d.mint.fresh(), 0, probePrice, 0)
 		checkFrom := d.v.Now()
-		d.pending++
+		d.ledger.RecordPending(mark)
 		if err := d.v.Inject(a, mark); err != nil {
 			return err
 		}
@@ -118,6 +119,6 @@ func (d *DEthna) MeasurePair(a, b types.NodeID) (Claim, error) {
 	return Claim{Verdict: "unmarked"}, nil
 }
 
-// Cost implements Strategy: dethnaRepeats pending transactions per probed
+// Ledger implements Strategy: dethnaRepeats pending transactions per probed
 // target.
-func (d *DEthna) Cost() Cost { return Cost{PendingTxs: d.pending} }
+func (d *DEthna) Ledger() *core.Ledger { return d.ledger }

@@ -32,8 +32,8 @@ type Ethna struct {
 	// Samples is the number of flooded sample transactions.
 	Samples int
 
-	mint    accountMinter
-	pending int
+	mint   accountMinter
+	ledger *core.Ledger
 
 	prepared bool
 	// est maps node id → estimated degree (M's link excluded); estTotal is
@@ -48,6 +48,7 @@ func NewEthna(v core.Vantage, p core.Params) *Ethna {
 		v: v, p: p,
 		Samples: 24,
 		mint:    minter(types.SpaceEthna),
+		ledger:  core.NewLedger(),
 		est:     make(map[types.NodeID]int),
 	}
 }
@@ -85,7 +86,7 @@ func (e *Ethna) sweep() error {
 		// Rotate the entry node so no peer is systematically the silent
 		// origin (a node never relays back to the peer it received from, so
 		// the entry contributes no evidence for its own sample).
-		e.pending++
+		e.ledger.RecordPending(tx)
 		if err := e.v.Inject(entries[s%len(entries)], tx); err != nil {
 			return err
 		}
@@ -145,6 +146,6 @@ func (e *Ethna) MeasurePair(a, b types.NodeID) (Claim, error) {
 // link excluded. The map is the strategy's own: read it, do not keep it.
 func (e *Ethna) Degrees() map[types.NodeID]int { return e.est }
 
-// Cost implements Strategy: Samples pending transactions for the whole
+// Ledger implements Strategy: Samples pending transactions for the whole
 // campaign.
-func (e *Ethna) Cost() Cost { return Cost{PendingTxs: e.pending} }
+func (e *Ethna) Ledger() *core.Ledger { return e.ledger }

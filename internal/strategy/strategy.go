@@ -63,17 +63,6 @@ type Claim struct {
 	Verdict string
 }
 
-// Cost tallies the probe transactions a strategy has emitted. Pending-class
-// transactions risk inclusion fees; future transactions are free but load
-// target mempools (the §5.2.2 cost model).
-type Cost struct {
-	PendingTxs int
-	FutureTxs  int
-}
-
-// Total returns the total probe transactions emitted.
-func (c Cost) Total() int { return c.PendingTxs + c.FutureTxs }
-
 // Strategy is one topology-inference method bound to a vantage: it sees the
 // network only through the peers of the measurement node M. Implementations
 // are single-goroutine, like the simulation engine they drive; run concurrent
@@ -90,8 +79,10 @@ type Strategy interface {
 	Prepare(pairs [][2]types.NodeID) error
 	// MeasurePair returns the strategy's claim about the undirected link a–b.
 	MeasurePair(a, b types.NodeID) (Claim, error)
-	// Cost reports the probe transactions emitted so far.
-	Cost() Cost
+	// Ledger returns the method's spend account: every probe transaction
+	// it mints is recorded there, priced by the §5.2.2 rule (pending
+	// transactions at gas × price, futures free).
+	Ledger() *core.Ledger
 }
 
 // UnknownNodeError reports a probe pair referencing a node the vantage cannot

@@ -113,7 +113,8 @@ func TestConformanceScoring(t *testing.T) {
 			s, out, truth := runOnRing(t, m, 5, 10, nil)
 			outcomes[m] = out
 			sc := out.Score(truth)
-			t.Logf("%s: %v cost=%+v virtual=%.1fs", m, sc, out.Cost, out.VirtualSeconds)
+			cost := out.Ledger.Totals()
+			t.Logf("%s: %v cost=%+v virtual=%.1fs", m, sc, cost, out.VirtualSeconds)
 			switch m {
 			case MethodTopoShot:
 				if sc.FalsePositives != 0 {
@@ -122,15 +123,15 @@ func TestConformanceScoring(t *testing.T) {
 				if sc.Recall() != 1 {
 					t.Errorf("TopoShot recall = %v, want 1 on the ring", sc.Recall())
 				}
-				if out.Cost.FutureTxs == 0 {
+				if cost.Futures == 0 {
 					t.Error("TopoShot reported no future transactions")
 				}
 			case MethodTxProbe:
 				if sc.FalsePositives == 0 {
 					t.Error("TxProbe unexpectedly clean: account-model flooding absent")
 				}
-				if out.Cost.FutureTxs != 0 {
-					t.Errorf("TxProbe futures = %d, want 0", out.Cost.FutureTxs)
+				if cost.Futures != 0 {
+					t.Errorf("TxProbe futures = %d, want 0", cost.Futures)
 				}
 			case MethodDEthna:
 				if sc.Precision() < 0.6 {
@@ -139,8 +140,8 @@ func TestConformanceScoring(t *testing.T) {
 				if sc.Recall() < 0.6 {
 					t.Errorf("DEthna recall = %v, want ≥ 0.6", sc.Recall())
 				}
-				if out.Cost.FutureTxs != 0 {
-					t.Errorf("DEthna futures = %d, want 0", out.Cost.FutureTxs)
+				if cost.Futures != 0 {
+					t.Errorf("DEthna futures = %d, want 0", cost.Futures)
 				}
 			case MethodEthna:
 				e := s.(*Ethna)
@@ -154,8 +155,8 @@ func TestConformanceScoring(t *testing.T) {
 		})
 	}
 	ts, de := outcomes[MethodTopoShot], outcomes[MethodDEthna]
-	if ts != nil && de != nil && de.Cost.Total() >= ts.Cost.Total() {
-		t.Errorf("DEthna cost %d not below TopoShot cost %d", de.Cost.Total(), ts.Cost.Total())
+	if ts != nil && de != nil && de.Ledger.Totals().Txs() >= ts.Ledger.Totals().Txs() {
+		t.Errorf("DEthna cost %d not below TopoShot cost %d", de.Ledger.Totals().Txs(), ts.Ledger.Totals().Txs())
 	}
 }
 
@@ -163,7 +164,7 @@ func TestConformanceScoring(t *testing.T) {
 // comparison across runner widths.
 func renderOutcome(s Strategy, out *Outcome, truth *core.EdgeSet) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s cost=%+v virtual=%.6f score=%v\n", s.Name(), out.Cost, out.VirtualSeconds, out.Score(truth))
+	fmt.Fprintf(&b, "%s cost=%+v virtual=%.6f score=%v\n", s.Name(), out.Ledger.Totals(), out.VirtualSeconds, out.Score(truth))
 	for _, r := range out.Ledger.Records() {
 		if r.Kind == obs.KindPair {
 			fmt.Fprintf(&b, "%v-%v %v %s\n", r.A, r.B, r.Detected, r.Verdict)
@@ -271,10 +272,10 @@ func TestAccountSpacesDisjoint(t *testing.T) {
 }
 
 // TestRunPairsLedgerAttribution checks the cost-exactness invariant on every
-// built-in method: the campaign ledger's aggregation equals the strategy's
-// own cost counters (records are deltas of those counters, so the sum
-// telescopes; this is where the identity is checked), one pair record per
-// verdict, and an event log that carries the campaign lifecycle.
+// built-in method: the campaign journal's totals equal what the strategy's
+// account recorded (records are cuts of that account, so they add up to it;
+// this is where the identity is checked), one pair record per verdict, and
+// an event log that carries the campaign lifecycle.
 func TestRunPairsLedgerAttribution(t *testing.T) {
 	for _, m := range Methods() {
 		lg := obs.New(obs.Options{Level: obs.LevelDebug})
@@ -287,9 +288,10 @@ func TestRunPairsLedgerAttribution(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", m, err)
 		}
-		tot := out.Ledger.Totals()
-		if got := (Cost{PendingTxs: tot.Pending, FutureTxs: tot.Futures}); got != out.Cost {
-			t.Fatalf("%s: ledger aggregation %+v != cost counters %+v", m, got, out.Cost)
+		tot, acct := out.Ledger.Totals(), s.Ledger()
+		if tot.Pending != acct.PendingCount() || tot.Futures != acct.FutureCount() {
+			t.Fatalf("%s: journal totals %d pending, %d futures; account %d pending, %d futures",
+				m, tot.Pending, tot.Futures, acct.PendingCount(), acct.FutureCount())
 		}
 		pairRecords := 0
 		for _, r := range out.Ledger.Records() {
@@ -311,6 +313,40 @@ func TestRunPairsLedgerAttribution(t *testing.T) {
 		evs := snap.Lanes[0].Records
 		if len(evs) < 2 || evs[0].Name != core.MsgCampaignStarted || evs[len(evs)-1].Name != core.MsgCampaignDone {
 			t.Fatalf("%s: campaign lifecycle events missing: %d events", m, len(evs))
+		}
+	}
+}
+
+// TestRunPairsRecordsFees: a campaign's journal prices what it sent. For
+// each rival method, probing through a vantage that keeps every injected
+// transaction, the journal's fee total is the sum of those transactions'
+// fees in injection order; TopoShot's, which also counts its futures'
+// worst case, is positive.
+func TestRunPairsRecordsFees(t *testing.T) {
+	for _, m := range Methods() {
+		net, super, ids := buildRing(t, 9, 6)
+		v := &injections{Supernode: super}
+		s, err := NewMethodAt(m, v, testConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := RunPairs(nil, nil, net, s, ringPairs(ids))
+		if err != nil {
+			t.Fatalf("%s: %v", m, err)
+		}
+		got := out.Ledger.Totals().FeeWei
+		if got <= 0 {
+			t.Errorf("%s: journal fee %v Wei, want > 0", m, got)
+		}
+		if m == MethodTopoShot {
+			continue
+		}
+		var want float64
+		for _, tx := range v.txs {
+			want += float64(tx.Fee())
+		}
+		if got != want {
+			t.Errorf("%s: journal fee %v Wei, the %d injected transactions' %v", m, got, len(v.txs), want)
 		}
 	}
 }
@@ -340,8 +376,8 @@ func TestRunPairsValidates(t *testing.T) {
 	if _, err = RunPairs(nil, nil, net, s, [][2]types.NodeID{{ids[1], ids[1]}}); err == nil {
 		t.Fatal("self-pair accepted")
 	}
-	if c := s.Cost(); c.Total() != 0 {
-		t.Fatalf("validation emitted probes: %+v", c)
+	if n := s.Ledger().PendingCount(); n != 0 {
+		t.Fatalf("validation emitted %d probes", n)
 	}
 }
 

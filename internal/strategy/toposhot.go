@@ -38,10 +38,5 @@ func (s *TopoShot) MeasurePair(a, b types.NodeID) (Claim, error) {
 	return Claim{Verdict: "undetected"}, nil
 }
 
-// Cost implements Strategy from the measurer's ledger.
-func (s *TopoShot) Cost() Cost {
-	return Cost{
-		PendingTxs: s.m.Ledger.PendingCount(),
-		FutureTxs:  s.m.Ledger.FutureCount(),
-	}
-}
+// Ledger implements Strategy: the measurer's own account.
+func (s *TopoShot) Ledger() *core.Ledger { return s.m.Ledger }

@@ -21,13 +21,13 @@ type TxProbe struct {
 	v core.Vantage
 	p core.Params
 
-	mint    accountMinter
-	pending int
+	mint   accountMinter
+	ledger *core.Ledger
 }
 
 // NewTxProbe wires the baseline to a vantage, waiting p.X and p.SettleTime.
 func NewTxProbe(v core.Vantage, p core.Params) *TxProbe {
-	return &TxProbe{v: v, p: p, mint: minter(types.SpaceTxProbe)}
+	return &TxProbe{v: v, p: p, mint: minter(types.SpaceTxProbe), ledger: core.NewLedger()}
 }
 
 // Name implements Strategy.
@@ -46,7 +46,8 @@ func (p *TxProbe) MeasurePair(a, b types.NodeID) (Claim, error) {
 	// The "double spend": same sender+nonce, different receivers.
 	tx1 := types.NewTransaction(sender, p.mint.fresh(), 0, probePrice, 0)
 	tx1p := types.NewTransaction(sender, p.mint.fresh(), 0, probePrice, 0)
-	p.pending += 2
+	p.ledger.RecordPending(tx1)
+	p.ledger.RecordPending(tx1p)
 	if err := p.v.Inject(a, tx1); err != nil {
 		return Claim{}, err
 	}
@@ -58,7 +59,7 @@ func (p *TxProbe) MeasurePair(a, b types.NodeID) (Claim, error) {
 	// The marker transaction: child of tx1, sent to A only.
 	txA := types.NewTransaction(sender, p.mint.fresh(), 1, probePrice, 0)
 	checkFrom := p.v.Now()
-	p.pending++
+	p.ledger.RecordPending(txA)
 	if err := p.v.Inject(a, txA); err != nil {
 		return Claim{}, err
 	}
@@ -71,5 +72,5 @@ func (p *TxProbe) MeasurePair(a, b types.NodeID) (Claim, error) {
 	return Claim{Verdict: "marker-absent"}, nil
 }
 
-// Cost implements Strategy: three pending-class transactions per pair.
-func (p *TxProbe) Cost() Cost { return Cost{PendingTxs: p.pending} }
+// Ledger implements Strategy: three pending-class transactions per pair.
+func (p *TxProbe) Ledger() *core.Ledger { return p.ledger }
