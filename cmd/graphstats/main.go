@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	topogen -model ethereum | graphstats -communities
+//	topogen -preset ropsten | graphstats -communities
 //	graphstats -in edges.txt -baselines 10
 package main
 
@@ -19,6 +19,9 @@ import (
 	"toposhot/internal/netgen"
 )
 
+// cliqueBudget caps maximal-clique enumeration at the budget Table 4 uses.
+const cliqueBudget = 300000
+
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
@@ -29,7 +32,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	in := fs.String("in", "", "edge-list file (default stdin)")
 	communities := fs.Bool("communities", false, "also print Louvain communities")
 	baselines := fs.Int("baselines", 0, "average this many ER/CM/BA baseline instances")
-	cliqueBudget := fs.Int("clique-budget", 300000, "maximal-clique enumeration cap (0 = unlimited)")
 	seed := fs.Int64("seed", 42, "baseline generator seed")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -65,7 +67,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	p := graph.ComputeProperties(g.LargestComponent(), *cliqueBudget)
+	p := graph.ComputeProperties(g.LargestComponent(), cliqueBudget)
 	fmt.Fprintf(stdout, "nodes                 %d\n", p.Nodes)
 	fmt.Fprintf(stdout, "edges                 %d\n", p.Edges)
 	fmt.Fprintf(stdout, "average degree        %.2f\n", p.AvgDegree)
@@ -82,7 +84,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "communities           %d\n", p.Communities)
 
 	if *baselines > 0 {
-		b := netgen.Baselines(g.LargestComponent(), *baselines, *seed, *cliqueBudget)
+		b := netgen.Baselines(g.LargestComponent(), *baselines, *seed, cliqueBudget)
 		fmt.Fprintf(stdout, "\nbaselines (avg of %d runs):\n", *baselines)
 		fmt.Fprintf(stdout, "  %-14s %10s %10s %10s\n", "property", "ER", "CM", "BA")
 		fmt.Fprintf(stdout, "  %-14s %10.1f %10.1f %10.1f\n", "diameter",

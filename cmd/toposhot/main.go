@@ -28,7 +28,6 @@ import (
 	"toposhot/internal/obs"
 	"toposhot/internal/runner"
 	"toposhot/internal/strategy"
-	"toposhot/internal/tracker"
 	"toposhot/internal/types"
 )
 
@@ -88,9 +87,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 // options is the parsed command line.
 type options struct {
 	n, k, regions, parallel                  int
-	checkpointEvery, ticks, budget           int
+	checkpointEvery, ticks                   int
 	seed                                     int64
-	churn                                    float64
 	track, nSet                              bool
 	preset, strategy, checkpoint, resumeFrom string
 	out, events                              string
@@ -114,8 +112,6 @@ func parse(args []string, stderr io.Writer) (*options, int) {
 	fs.StringVar(&o.strategy, "strategy", "toposhot", "measurement method: toposhot|dethna|txprobe|ethna (non-toposhot methods probe all eligible pairs)")
 	fs.BoolVar(&o.track, "track", false, "after the seeding census, follow the churning network with budgeted delta campaigns instead of re-censusing")
 	fs.IntVar(&o.ticks, "track-ticks", 12, "delta campaigns to run under -track")
-	fs.IntVar(&o.budget, "track-budget", 72, "pairs re-probed per delta campaign under -track")
-	fs.Float64Var(&o.churn, "track-churn", 20, "mean virtual seconds between peer-churn events under -track")
 	fs.StringVar(&o.out, "out", "", "output file (default stdout)")
 	fs.IntVar(&o.parallel, "parallel", 0, "worker-pool width for independent simulations (0 = GOMAXPROCS, 1 = serial); results are identical at any width")
 	o.telemetry = obs.RegisterCLIFlags(fs)
@@ -249,17 +245,12 @@ func (c *campaign) sharded() int {
 }
 
 // tracking runs one seeding census, then per-tick delta campaigns over the
-// churning network. Checkpoints carry the engine blob (churn registry
-// included) plus the tracker snapshot, so -resume continues mid-campaign.
+// churning network, with GoerliTracking's budget, tracker and churn rate.
+// Checkpoints carry the engine blob (churn registry included) plus the
+// tracker snapshot, so -resume continues mid-campaign.
 func (c *campaign) tracking() int {
-	cfg := experiments.TrackingConfig{
-		Census:        c.census,
-		Ticks:         c.ticks,
-		Tracker:       tracker.Config{Budget: c.budget, HalfLife: 6, MinConfidence: 0.25},
-		ChurnInterval: c.churn,
-		Ledger:        c.ledger,
-		Resume:        c.resume,
-	}
+	cfg := experiments.GoerliTracking(c.seed)
+	cfg.Census, cfg.Ticks, cfg.Ledger, cfg.Resume = c.census, c.ticks, c.ledger, c.resume
 	if r := c.resume; r != nil {
 		c.cli.Logger.Info("tracking-resumed", obs.String("file", c.resumeFrom),
 			obs.Int("ticks_done", int64(r.Tracking.TicksDone)), obs.Int("ticks", int64(c.ticks)),

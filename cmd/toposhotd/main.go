@@ -1,12 +1,16 @@
 // Command toposhotd runs a live Ethereum-lite node over TCP — a peering
 // target for live-mode TopoShot (see examples/live-tcp and the prober in
-// internal/node).
+// internal/node). It runs Geth's mempool policy at Geth's capacity and
+// client version, with the node package's default peer deadlines.
 //
 // Usage:
 //
 //	toposhotd -listen 127.0.0.1:30311 -network 1337
 //	toposhotd -listen 127.0.0.1:30312 -peers 127.0.0.1:30311
 //	toposhotd -listen 127.0.0.1:30311 -metrics-http 127.0.0.1:9311
+//
+// The other flags are -trace-level (the in-memory trace's verbosity) and
+// the shared logging trio -log-level, -log-format and -log.
 //
 // With -metrics-http the daemon serves the campaign observatory: the HTML
 // dashboard at GET / (phase progress, cost burn, live event pane), the live
@@ -51,12 +55,7 @@ func run(args []string, _, stderr io.Writer) int {
 	listen := fs.String("listen", "127.0.0.1:0", "listen address")
 	networkID := fs.Uint64("network", 1337, "network id")
 	peers := fs.String("peers", "", "comma-separated peer addresses to dial")
-	client := fs.String("client", "geth", "mempool policy: geth|parity|nethermind|besu|aleth")
-	capacity := fs.Int("capacity", 0, "override mempool capacity (0 = client default)")
-	version := fs.String("version", "", "client version override")
 	metricsHTTP := fs.String("metrics-http", "", "serve the observability endpoints (dashboard, /events, /metrics, /trace/snapshot, /peers, pprof) on this address (empty = off)")
-	readIdle := fs.Duration("read-idle", 0, "idle read deadline per peer (0 = default, negative = disabled)")
-	writeTimeout := fs.Duration("write-timeout", 0, "per-frame write deadline per peer (0 = default, negative = disabled)")
 	traceLevel := fs.String("trace-level", "measure", "in-memory trace verbosity: off|measure|engine (served at /trace/snapshot)")
 	logging := obs.RegisterLogFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -77,10 +76,6 @@ func run(args []string, _, stderr io.Writer) int {
 	if err != nil {
 		return cli.Fatal(2, "trace-setup-failed", obs.Err(err))
 	}
-	pol, ok := txpool.ClientByName(*client)
-	if !ok {
-		return cli.Fatal(2, "unknown-client", obs.String("client", *client))
-	}
 
 	// The daemon is a live process, so its trace lane and event log run on
 	// wall seconds since startup rather than a simulation clock.
@@ -91,28 +86,20 @@ func run(args []string, _, stderr io.Writer) int {
 	trace.Enable(tracer) // the node self-wires, like metrics; cli.Close puts the old default back
 	lg.SetClock(wall)
 
-	if *capacity > 0 {
-		pol = pol.WithCapacity(*capacity)
-	}
-	cv := pol.ClientVersion
-	if *version != "" {
-		cv = *version
-	}
+	pol := txpool.Geth
 	reg := metrics.NewRegistry()
 	n, err := node.Start(node.Config{
-		ClientVersion:   cv,
-		NetworkID:       *networkID,
-		Policy:          pol,
-		Seed:            time.Now().UnixNano(),
-		ReadIdleTimeout: *readIdle,
-		WriteTimeout:    *writeTimeout,
-		Metrics:         reg,
+		ClientVersion: pol.ClientVersion,
+		NetworkID:     *networkID,
+		Policy:        pol,
+		Seed:          time.Now().UnixNano(),
+		Metrics:       reg,
 	}, *listen)
 	if err != nil {
 		return cli.Fatal(1, "start-failed", obs.Err(err))
 	}
 	lg.Info("listening", obs.String("addr", n.Addr()),
-		obs.Int("network", int64(*networkID)), obs.String("client", *client),
+		obs.Int("network", int64(*networkID)), obs.String("client", pol.Name),
 		obs.Int("pool", int64(pol.Capacity)))
 
 	if *metricsHTTP != "" {

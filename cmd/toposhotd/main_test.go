@@ -22,7 +22,6 @@ func TestFlagValidation(t *testing.T) {
 	}{
 		{"help", []string{"-h"}, 0, "-log-format"},
 		{"unknown flag", []string{"-nosuch"}, 2, "flag provided but not defined"},
-		{"unknown client", []string{"-client", "nosuch"}, 2, "msg=unknown-client client=nosuch"},
 		{"unknown log level", []string{"-log-level", "nosuch"}, 2, "nosuch"},
 		{"unknown trace level", []string{"-trace-level", "nosuch"}, 2, "msg=trace-setup-failed"},
 	}

@@ -1,16 +1,15 @@
 // Command toposhotlint runs the repository's project-specific static
-// analyzers (see internal/lint) over module packages.
+// analyzers (see internal/lint) over module packages, test files included.
 //
 // Usage:
 //
-//	toposhotlint [-rules rule1,rule2] [-list] [-json] [-sarif file]
-//	             [-github] [-no-tests] [packages...]
+//	toposhotlint [-list] [-json] [-sarif file] [-github] [packages...]
 //
-// Packages default to ./... . Findings print one per line as
-// "file:line: [rule] message"; -json switches stdout to a JSON array, -sarif
-// additionally writes a SARIF 2.1.0 log to the given file (CI uploads it as
-// an artifact), and -github appends GitHub Actions ::error annotations so
-// findings surface inline on pull requests. Exit status is 0 when the tree
+// Packages default to ./... and every rule runs. Findings print one per line
+// as "file:line: [rule] message"; -json switches stdout to a JSON array,
+// -sarif additionally writes a SARIF 2.1.0 log to the given file (CI uploads
+// it as an artifact), and -github appends GitHub Actions ::error annotations
+// so findings surface inline on pull requests. Exit status is 0 when the tree
 // is clean, 1 when findings were reported, and 2 on usage or load errors.
 package main
 
@@ -19,7 +18,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"toposhot/internal/lint"
 )
@@ -31,14 +29,12 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("toposhotlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	rules := fs.String("rules", "", "comma-separated subset of rules to run (default: all)")
 	list := fs.Bool("list", false, "list known rules and exit")
 	asJSON := fs.Bool("json", false, "print findings as a JSON array instead of plain lines")
 	sarifPath := fs.String("sarif", "", "also write a SARIF 2.1.0 log to this file")
 	github := fs.Bool("github", false, "emit GitHub Actions ::error annotations for findings")
-	noTests := fs.Bool("no-tests", false, "exclude _test.go files from analysis")
 	fs.Usage = func() {
-		fmt.Fprintln(stderr, "usage: toposhotlint [-rules rule1,rule2] [-list] [-json] [-sarif file] [-github] [-no-tests] [packages...]")
+		fmt.Fprintln(stderr, "usage: toposhotlint [-list] [-json] [-sarif file] [-github] [packages...]")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -50,18 +46,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
-	opts := lint.Options{
-		Patterns: fs.Args(),
-		NoTests:  *noTests,
-	}
-	if *rules != "" {
-		for _, r := range strings.Split(*rules, ",") {
-			if r = strings.TrimSpace(r); r != "" {
-				opts.Rules = append(opts.Rules, r)
-			}
-		}
-	}
-	findings, err := lint.Run(opts)
+	findings, err := lint.Run(lint.Options{Patterns: fs.Args()})
 	if err != nil {
 		fmt.Fprintln(stderr, "toposhotlint:", err)
 		return 2

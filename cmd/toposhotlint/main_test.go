@@ -43,6 +43,9 @@ const cleanFile = "package p\n\nfunc Sum(xs []int) (n int) {\n\tfor _, x := rang
 // a function that declares itself hot, in a package no rule scopes by path.
 const hotFile = "package p\n\n//toposhot:hotpath\nfunc Sum(m map[int]int) (n int) {\n\tfor _, x := range m {\n\t\tn += x\n\t}\n\treturn n\n}\n"
 
+// staleRuleFile suppresses a rule the suite no longer has.
+const staleRuleFile = "package p\n\n//lint:ignore lockorder the rule was deleted\nfunc F() {}\n"
+
 func TestRun(t *testing.T) {
 	const finding = "p/p.go:5: [nodeterminism] map iteration in hot-path function Sum"
 	cases := []struct {
@@ -58,9 +61,10 @@ func TestRun(t *testing.T) {
 			wantStdout: []string{finding}, wantStderr: "1 finding(s)"},
 		{name: "github annotation", file: hotFile, args: []string{"-github"}, wantExit: 1,
 			wantStdout: []string{finding, "::error file=p/p.go,line=5,title=nodeterminism::map iteration"}},
-		{name: "rule subset skips the finding", file: hotFile, args: []string{"-rules", "locksafe"}, wantExit: 0},
-		{name: "unknown rule", file: cleanFile, args: []string{"-rules", "lockorder"}, wantExit: 2,
-			wantStderr: `unknown rule "lockorder"`},
+		{name: "unknown rule", file: staleRuleFile, wantExit: 1,
+			wantStdout: []string{`p/p.go:3: [typecheck] ignore directive names unknown rule "lockorder"`}},
+		{name: "removed -rules flag", file: cleanFile, args: []string{"-rules", "locksafe"}, wantExit: 2,
+			wantStderr: "flag provided but not defined: -rules"},
 		{name: "removed -parallel flag", file: cleanFile, args: []string{"-parallel", "2"}, wantExit: 2,
 			wantStderr: "flag provided but not defined: -parallel"},
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"toposhot/internal/obs"
@@ -8,10 +9,10 @@ import (
 )
 
 // TestLedgerCut pins Cut's arithmetic on the ledger alone: a stretch holds
-// what was recorded since the last cut, fees summed one term per Record*
-// call in call order (the values are past float exactness, so == sees the
-// order), a transaction recorded twice is attributed once, and restored
-// aggregates belong to no stretch.
+// what was recorded since the last cut, pending fees summed one term per
+// RecordPending call in call order (the values are past float exactness, so
+// == sees the order), futures counted but free, a transaction recorded twice
+// is attributed once, and restored aggregates belong to no stretch.
 func TestLedgerCut(t *testing.T) {
 	l := NewLedger()
 	l.RestoreAggregates(7, 900, 1.25e17)
@@ -36,9 +37,7 @@ func TestLedgerCut(t *testing.T) {
 	l.RecordPending(a)
 	want := Spend{Pending: 3, Futures: 7}
 	want.FeeWei = float64(c.Fee())
-	want.FeeWei += memberFees(fut)
 	want.FeeWei += float64(b.Fee())
-	want.FeeWei += memberFees(fut[:2])
 	want.FeeWei += float64(a.Fee())
 	if got := l.Cut(); got != want {
 		t.Fatalf("cut = %+v, want %+v", got, want)
@@ -55,41 +54,37 @@ func TestLedgerCut(t *testing.T) {
 	}
 }
 
-// memberFees sums the fees of runs' members one transaction at a time, in
-// order: what recording every member as an object summed.
-func memberFees(runs []*types.Run) float64 {
-	var sum float64
-	for _, r := range runs {
-		for k := 0; k < r.Count; k++ {
-			sum += float64(r.Tx(k).Fee())
-		}
-	}
-	return sum
-}
-
-// TestLedgerRecordsRunFeesMemberByMember: a fill recorded as runs costs, bit
-// for bit, the sum of its members' fees added one at a time. At Z = 5120 and
-// Y = 1 Gwei each future may pay 23 100 000 021 000 Wei, and the partial sums
-// pass 2^53 Wei, where count × fee rounds differently: a ledger that
-// multiplies fails here.
-func TestLedgerRecordsRunFeesMemberByMember(t *testing.T) {
+// TestLedgerFuturesCostNothing: a fill is counted but adds nothing to either
+// price, since futures are never mined (§5.2.2). At Z = 5120 and Y = 1 Gwei
+// each future would pay 23 100 000 021 000 Wei if it were.
+func TestLedgerFuturesCostNothing(t *testing.T) {
 	m := &Measurer{params: DefaultParams()}
 	runs := m.futureRuns(5120, m.params.PriceFuture(types.Gwei))
-	if len(runs) != 2 || runs[0].Count != 4096 || runs[1].Count != 1024 || runs[0].Fee() != 23_100_000_021_000 {
+	if len(runs) != 2 || runs[0].Count != 4096 || runs[1].Count != 1024 || runs[0].Tx(0).Fee() != 23_100_000_021_000 {
 		t.Fatalf("fill minted as %d runs: %+v", len(runs), runs)
-	}
-	want := memberFees(runs)
-	var product float64
-	for _, r := range runs {
-		product += float64(r.Count) * float64(r.Fee())
-	}
-	if product == want || 5120*float64(runs[0].Fee()) == want {
-		t.Fatalf("count × fee equals the member sum %v: the test cannot tell them apart", want)
 	}
 	l := NewLedger()
 	l.RecordFutures(runs)
-	if got := l.Cut(); got.FeeWei != want || got.Futures != 5120 {
-		t.Fatalf("recorded %+v, want %v Wei over 5120 futures", got, want)
+	if got := l.Cut(); got != (Spend{Futures: 5120}) || l.WorstCaseWei() != 0 {
+		t.Fatalf("recorded %+v and a worst case of %v Wei for 5120 futures, want both free", got, l.WorstCaseWei())
+	}
+}
+
+// TestJournalPricesWhatWorstCasePrices: a campaign has one price. The cost
+// journal's fees over a whole MeasureNetwork add up to the ledger's
+// WorstCaseWei, which prices pending transactions only; the two sums differ
+// in order (records in emission order, WorstCaseWei in hash order), hence
+// the relative tolerance.
+func TestJournalPricesWhatWorstCasePrices(t *testing.T) {
+	_, m, ids := buildRing(t, 4, 13)
+	led := obs.NewLedger()
+	m.SetObs(nil, led)
+	if _, err := m.MeasureNetwork(ids, 2, 2000); err != nil {
+		t.Fatal(err)
+	}
+	journal, worst := led.Totals().FeeWei, m.Ledger.WorstCaseWei()
+	if worst <= 0 || math.Abs(journal-worst) > 1e-12*worst {
+		t.Fatalf("journal prices the campaign at %v Wei, WorstCaseWei at %v Wei", journal, worst)
 	}
 }
 
@@ -108,11 +103,11 @@ func markLedger(l *Ledger) ledgerMark {
 }
 
 // checkAttribution demands Σ records == the ledger's growth since the mark:
-// pending, futures and fees. The growth is taken in integers — every pending
-// transaction new since the mark, plus the new futures at the one price the
-// fixed Y gives them — and every fee is a multiple of 8 with all sums below
-// 2⁵⁶, so the float sum over the records, in record order, is exact and ==
-// is the right comparison: one transaction counted twice or dropped shows.
+// pending, futures and fees. The fee growth is taken in integers — every
+// pending transaction new since the mark; futures are free — and every fee
+// is a multiple of 8 with all sums below 2⁵⁶, so the float sum over the
+// records, in record order, is exact and == is the right comparison: one
+// transaction counted twice or dropped shows.
 func checkAttribution(t *testing.T, m *Measurer, since ledgerMark, led *obs.Ledger) {
 	t.Helper()
 	var wantFee uint64
@@ -124,8 +119,6 @@ func checkAttribution(t *testing.T, m *Measurer, since ledgerMark, led *obs.Ledg
 		}
 	}
 	wantFutures := m.Ledger.futures - since.futures
-	future := types.NewTransaction(types.Address{}, types.Address{}, 1, m.params.PriceFuture(m.params.Y), 0)
-	wantFee += uint64(wantFutures) * future.Fee()
 	if wantFee >= 1<<56 {
 		t.Fatalf("growth %d Wei is past where the float sum is exact; shrink the test", wantFee)
 	}
@@ -140,8 +133,8 @@ func checkAttribution(t *testing.T, m *Measurer, since ledgerMark, led *obs.Ledg
 	}
 }
 
-// cutRing is buildRing with txC's price fixed, so a test can price a future
-// without seeing it.
+// cutRing is buildRing with txC's price fixed at 0.1 Gwei, which keeps the
+// campaign's fee sums exact in float64.
 func cutRing(t *testing.T, seed int64) (*Measurer, []types.NodeID) {
 	t.Helper()
 	_, m, ids := buildRing(t, 6, seed)

@@ -41,7 +41,8 @@ func NewLedger() *Ledger {
 }
 
 // Spend is one stretch of a ledger's growth: the transactions recorded
-// between two cuts and their worst-case fees, summed in recording order.
+// between two cuts and the worst-case fees of the pending ones, summed in
+// recording order.
 type Spend struct {
 	Pending, Futures int
 	FeeWei           float64
@@ -57,22 +58,15 @@ func (l *Ledger) RecordPending(tx *types.Transaction) {
 	}
 }
 
-// RecordFutures notes the emitted future transactions of a fill. Their fees
-// are summed member by member, in order, as they would be one transaction at
-// a time: past 2^53 Wei a float64 product count×fee is not that sum.
+// RecordFutures notes the emitted future transactions of a fill. Futures are
+// never mined (§5.2.2), so they are counted but add nothing to the price.
 func (l *Ledger) RecordFutures(runs []*types.Run) {
 	var n int
-	var sum float64
 	for _, r := range runs {
-		fee := float64(r.Fee())
-		for k := 0; k < r.Count; k++ {
-			sum += fee
-		}
 		n += r.Count
 	}
 	l.futures += n
 	l.open.Futures += n
-	l.open.FeeWei += sum
 }
 
 // Cut returns everything recorded since the previous cut and starts the next

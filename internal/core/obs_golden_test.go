@@ -34,9 +34,10 @@ func runGoldenObs(t *testing.T) (*obs.Log, *obs.Ledger) {
 }
 
 // TestObsGolden pins the event log in both renderings and the cost ledger's
-// JSONL — fee_wei included — for the three-node world. The files were
+// JSONL — fee_wei included — for the three-node world. The log files were
 // recorded on commit 3a3eb45, before the log became a trace sink and
-// attribution a cut of core.Ledger; they move only if the bytes do.
+// attribution a cut of core.Ledger; the ledger's was re-recorded once, when
+// futures stopped adding to fee_wei. They move only if the bytes do.
 func TestObsGolden(t *testing.T) {
 	log, led := runGoldenObs(t)
 	var b bytes.Buffer

@@ -395,7 +395,7 @@ func Ablations(seed int64) []AblationRow {
 		func(l *trace.Tracer) AblationRow { return preprocessing(l, true) },
 	}
 	lanes := sweepLanes("ablation", len(jobs))
-	return runner.MapWorker(0, len(jobs), func(w, i int) AblationRow {
+	return runner.MapWorker(len(jobs), func(w, i int) AblationRow {
 		sp := rowSpan(lanes[i], i, w, int64(i))
 		defer sp.End()
 		return jobs[i](lanes[i])

@@ -109,7 +109,7 @@ func Compare(seed int64, cfg CompareConfig) ([]CompareRow, error) {
 		row CompareRow
 		err error
 	}
-	results := runner.MapWorker(0, len(ms), func(w, i int) res {
+	results := runner.MapWorker(len(ms), func(w, i int) res {
 		sp := rowSpan(lanes[i], i, w, int64(i))
 		defer sp.End()
 		world, truth, pairs := compareReplica(seed, cfg, lanes[i])

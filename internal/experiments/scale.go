@@ -151,7 +151,7 @@ func RunScaleCensus(cfg ScaleCensusConfig) (*ScaleCensus, error) {
 	// One event-log scope per region, pre-created serially so scope ids are
 	// deterministic at any worker-pool width (the obsScopes convention).
 	scopes := obsScopes(fmt.Sprintf("scale:%s/%d", cfg.Name, cfg.Seed), cfg.Regions)
-	censuses, err := runner.MapErr(0, cfg.Regions, func(r int) (*Census, error) {
+	censuses, err := runner.MapErr(cfg.Regions, func(r int) (*Census, error) {
 		return runScaleRegion(cfg, g, r, scopes[r])
 	})
 	if err != nil {

@@ -96,7 +96,7 @@ func fig4a(seed int64, zs []int) []Fig4aRow {
 		NoForwardFraction:   0.03,
 	}
 	lanes := sweepLanes("fig4a", len(zs))
-	return runner.MapWorker(0, len(zs), func(w, i int) Fig4aRow {
+	return runner.MapWorker(len(zs), func(w, i int) Fig4aRow {
 		v := newValidationNet(seed, 150, het, publicLatency, 60, lanes[i])
 		sp := rowSpan(lanes[i], i, w, int64(zs[i]))
 		defer sp.End()
@@ -160,7 +160,7 @@ func fig4b(seed int64, ps []int) []Fig4bRow {
 	const pacingWindow = 38.0
 
 	lanes := sweepLanes("fig4b", len(ps))
-	return runner.MapWorker(0, len(ps), func(w, i int) Fig4bRow {
+	return runner.MapWorker(len(ps), func(w, i int) Fig4bRow {
 		p := ps[i]
 		// No miner runs: what caps large groups' recall is straggler
 		// interference on the internet profile, never inclusion.
@@ -264,7 +264,7 @@ func fig5(seed int64, groupN int, ks []int) []Fig5Row {
 		ok       bool
 	}
 	lanes, scopes := sweepLanes("fig5", len(ks)), obsScopes("fig5", len(ks))
-	res := runner.MapWorker(0, len(ks), func(w, i int) measured {
+	res := runner.MapWorker(len(ks), func(w, i int) measured {
 		k := ks[i]
 		v := newValidationNet(seed+int64(k), groupN+40, netgen.Uniform(), publicLatency, 10, lanes[i])
 		v.m.SetObs(scopes[i], nil)
@@ -331,7 +331,7 @@ func Fig7(seed int64) []Fig7Row {
 	// Every cell derives its trial seeds from (L, pending, rep) alone, so
 	// the 16 cells are independent jobs for the pool.
 	lanes := sweepLanes("fig7", len(Ls)*len(pendings))
-	return runner.MapWorker(0, len(Ls)*len(pendings), func(w, idx int) Fig7Row {
+	return runner.MapWorker(len(Ls)*len(pendings), func(w, idx int) Fig7Row {
 		L := Ls[idx/len(pendings)]
 		pending := pendings[idx%len(pendings)]
 		sp := rowSpan(lanes[idx], idx, w, int64(L))
@@ -413,7 +413,7 @@ func Table8(seed int64, reps int) []Table8Row {
 	// Each configuration seeds its trials from (ci, rep), so the six
 	// configurations run as independent pool jobs.
 	lanes := sweepLanes("table8", len(cfgs))
-	return runner.MapWorker(0, len(cfgs), func(w, ci int) Table8Row {
+	return runner.MapWorker(len(cfgs), func(w, ci int) Table8Row {
 		c := cfgs[ci]
 		sp := rowSpan(lanes[ci], ci, w, int64(ci))
 		defer sp.End()

@@ -109,28 +109,12 @@ func (t *ignoreTable) matches(f Finding) bool {
 	return true
 }
 
-// stale reports directives that suppressed nothing. A directive is only
-// judged when every rule it names was actually run — under a -rules subset
-// an idle directive proves nothing — so the audit never false-positives on
-// partial runs.
-func (t *ignoreTable) stale(ran []*Analyzer) []Finding {
-	ranSet := make(map[string]bool, len(ran))
-	for _, a := range ran {
-		ranSet[a.Name] = true
-	}
+// stale reports directives that suppressed nothing. Every run applies the
+// full suite, so an idle directive has outlived the code it excused.
+func (t *ignoreTable) stale() []Finding {
 	var out []Finding
 	for _, d := range t.directives {
 		if d.used {
-			continue
-		}
-		judged := true
-		for _, r := range d.rules {
-			if !ranSet[r] {
-				judged = false
-				break
-			}
-		}
-		if !judged {
 			continue
 		}
 		sorted := append([]string(nil), d.rules...)

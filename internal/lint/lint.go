@@ -118,58 +118,31 @@ type Options struct {
 	// Patterns are package patterns: "./..." (the default when empty),
 	// "./dir/..." or "./dir".
 	Patterns []string
-	// Rules selects a subset of analyzers by name; empty means all. Unknown
-	// names are rejected with an error.
-	Rules []string
-	// NoTests excludes _test.go files from the load. By default test files
-	// are linted too: determinism bugs in test helpers (unseeded RNG,
-	// map-order golden construction) corrupt goldens as surely as bugs in
-	// the code under test.
-	NoTests bool
 }
 
 // TypecheckRule is the pseudo-rule under which loader and type-check errors
-// are reported. It cannot be selected or suppressed: a package that does not
-// type-check cannot be trusted to lint clean.
+// are reported. It cannot be suppressed: a package that does not type-check
+// cannot be trusted to lint clean.
 const TypecheckRule = "typecheck"
 
 // StaleIgnoreRule is the pseudo-rule under which unused //lint:ignore
-// directives are reported. Like typecheck it cannot be selected or
-// suppressed — a suppression must not be able to excuse itself.
+// directives are reported. Like typecheck it cannot be suppressed — a
+// suppression must not be able to excuse itself.
 const StaleIgnoreRule = "stale-ignore"
 
-// Run loads the requested packages into one Program and applies the selected
-// analyzers. Findings come back sorted by position; type-check and parse
-// errors are reported as findings under the "typecheck" pseudo-rule rather
-// than aborting the run, so a broken package degrades to a report, not a
-// panic.
+// Run loads the requested packages, test files included, into one Program
+// and applies every analyzer: determinism bugs in test helpers (unseeded
+// RNG, map-order golden construction) corrupt goldens as surely as bugs in
+// the code under test. Findings come back sorted by position; type-check and
+// parse errors are reported as findings under the "typecheck" pseudo-rule
+// rather than aborting the run, so a broken package degrades to a report,
+// not a panic.
 func Run(opts Options) ([]Finding, error) {
-	analyzers, err := selectAnalyzers(opts.Rules)
-	if err != nil {
-		return nil, err
-	}
 	prog, err := LoadProgram(opts)
 	if err != nil {
 		return nil, err
 	}
-	return CheckProgram(prog, analyzers), nil
-}
-
-// selectAnalyzers resolves a -rules subset (empty means the full suite).
-func selectAnalyzers(rules []string) ([]*Analyzer, error) {
-	analyzers := Analyzers()
-	if len(rules) == 0 {
-		return analyzers, nil
-	}
-	analyzers = nil
-	for _, name := range rules {
-		a := ByName(name)
-		if a == nil {
-			return nil, fmt.Errorf("unknown rule %q (known: %s)", name, strings.Join(AnalyzerNames(), ", "))
-		}
-		analyzers = append(analyzers, a)
-	}
-	return analyzers, nil
+	return CheckProgram(prog), nil
 }
 
 // Format renders findings one per line — the golden-file format.

@@ -26,7 +26,7 @@ func checkFixture(t *testing.T, name, importPath string) string {
 	if ext != nil {
 		pkgs = append(pkgs, ext)
 	}
-	return Format(CheckProgram(NewProgram(pkgs...), Analyzers()))
+	return Format(CheckProgram(NewProgram(pkgs...)))
 }
 
 // golden compares got against testdata/<name>.golden, rewriting it under
@@ -149,9 +149,9 @@ func writeTree(t *testing.T, files map[string]string) string {
 	return dir
 }
 
-// TestNoTestsOption: by default _test.go files (in-package and external) are
-// linted; NoTests drops them from the load entirely.
-func TestNoTestsOption(t *testing.T) {
+// TestTestFilesAreLinted: _test.go files, in-package and external, are
+// linted like the code they test.
+func TestTestFilesAreLinted(t *testing.T) {
 	dir := writeTree(t, map[string]string{
 		"go.mod":                     "module toposhot\n\ngo 1.22\n",
 		"internal/sim/x/x.go":        "package x\n\nfunc Ok() int { return 1 }\n",
@@ -169,13 +169,6 @@ func TestNoTestsOption(t *testing.T) {
 		if f.Rule != "nodeterminism" {
 			t.Errorf("unexpected rule %s: %s", f.Rule, f)
 		}
-	}
-	without, err := Run(Options{Dir: dir, NoTests: true})
-	if err != nil {
-		t.Fatalf("run without tests: %v", err)
-	}
-	if len(without) != 0 {
-		t.Errorf("NoTests run should be clean, got:\n%s", Format(without))
 	}
 }
 
@@ -287,14 +280,6 @@ func TestIgnoreDirectives(t *testing.T) {
 	}
 }
 
-// TestUnknownRuleRejected: selecting a rule that does not exist fails fast.
-func TestUnknownRuleRejected(t *testing.T) {
-	_, err := Run(Options{Rules: []string{"nosuchrule"}})
-	if err == nil || !strings.Contains(err.Error(), "unknown rule") {
-		t.Fatalf("want unknown-rule error, got %v", err)
-	}
-}
-
 // TestBrokenPackageReports: a package with a type error degrades to a
 // typecheck finding, not a panic or an aborted run.
 func TestBrokenPackageReports(t *testing.T) {
@@ -302,7 +287,7 @@ func TestBrokenPackageReports(t *testing.T) {
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	findings := CheckPackage(pkg, Analyzers())
+	findings := CheckPackage(pkg)
 	if len(findings) == 0 {
 		t.Fatal("want at least one typecheck finding, got none")
 	}
@@ -316,7 +301,7 @@ func TestBrokenPackageReports(t *testing.T) {
 	}
 }
 
-// TestByName covers rule lookup used by the CLI's -rules flag.
+// TestByName covers rule lookup used by ignore directives and -list.
 func TestByName(t *testing.T) {
 	for _, name := range AnalyzerNames() {
 		if ByName(name) == nil {
@@ -335,7 +320,7 @@ func TestByName(t *testing.T) {
 // clean, so reintroducing any fixture violation fails this test as well as
 // the CI lint job.
 func TestTreeClean(t *testing.T) {
-	findings := CheckProgram(loadModule(t), Analyzers())
+	findings := CheckProgram(loadModule(t))
 	if len(findings) > 0 {
 		t.Errorf("module tree is not lint-clean:\n%s", Format(findings))
 	}
@@ -352,7 +337,7 @@ func LoadPackage(dir, importPath string) (*Package, *Package, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	ld, err := newLoader(abs, true)
+	ld, err := newLoader(abs)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -367,12 +352,12 @@ func LoadPackage(dir, importPath string) (*Package, *Package, error) {
 	return base, ext, nil
 }
 
-// CheckPackage applies analyzers to one loaded package by wrapping it in a
-// single-package program: type errors become typecheck findings, analyzer
+// CheckPackage applies every analyzer to one loaded package by wrapping it in
+// a single-package program: type errors become typecheck findings, analyzer
 // findings pass through the package's ignore directives, and malformed,
 // unknown-rule, or stale directives are reported. Fixture tests use this.
-func CheckPackage(pkg *Package, analyzers []*Analyzer) []Finding {
-	return CheckProgram(NewProgram(pkg), analyzers)
+func CheckPackage(pkg *Package) []Finding {
+	return CheckProgram(NewProgram(pkg))
 }
 
 // NewProgram wraps already-loaded packages (fixture tests build single-

@@ -30,9 +30,8 @@ type Package struct {
 	ModRoot string
 	// Fset positions every file in the package.
 	Fset *token.FileSet
-	// Files are the parsed source files, sorted by file name. Test files are
-	// included unless the load opted out (Options.NoTests); IsTestFile tells
-	// them apart.
+	// Files are the parsed source files, sorted by file name, test files
+	// included; IsTestFile tells them apart.
 	Files []*ast.File
 	// Types is the type-checked package object.
 	Types *types.Package
@@ -66,14 +65,13 @@ type loader struct {
 	baseDir string // absolute directory patterns resolve against
 	modRoot string
 	modPath string
-	tests   bool // parse _test.go files too
 	pkgs    map[string]*Package
 	extPkgs map[string]*Package // external test package by subject path
 	loading map[string]bool
 	std     types.Importer
 }
 
-func newLoader(dir string, tests bool) (*loader, error) {
+func newLoader(dir string) (*loader, error) {
 	if dir == "" {
 		dir = "."
 	}
@@ -99,7 +97,6 @@ func newLoader(dir string, tests bool) (*loader, error) {
 		baseDir: abs,
 		modRoot: modRoot,
 		modPath: modPath,
-		tests:   tests,
 		pkgs:    make(map[string]*Package),
 		extPkgs: make(map[string]*Package),
 		loading: make(map[string]bool),
@@ -164,7 +161,7 @@ func (l *loader) expand(patterns []string) ([]string, error) {
 		}
 		root := filepath.Join(l.baseDir, filepath.FromSlash(pat))
 		if !recursive {
-			if !hasGoFiles(root, l.tests) {
+			if !hasGoFiles(root) {
 				return nil, fmt.Errorf("no Go files in %s", root)
 			}
 			add(l.importPathFor(root))
@@ -181,7 +178,7 @@ func (l *loader) expand(patterns []string) ([]string, error) {
 			if path != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
 				return filepath.SkipDir
 			}
-			if hasGoFiles(path, l.tests) {
+			if hasGoFiles(path) {
 				add(l.importPathFor(path))
 			}
 			return nil
@@ -204,31 +201,25 @@ func (l *loader) importPathFor(dir string) string {
 }
 
 // hasGoFiles reports whether dir holds at least one candidate Go file.
-func hasGoFiles(dir string, tests bool) bool {
+func hasGoFiles(dir string) bool {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return false
 	}
 	for _, e := range entries {
-		if sourceFile(e, tests) {
+		if sourceFile(e) {
 			return true
 		}
 	}
 	return false
 }
 
-// sourceFile reports whether the entry is a lintable Go file. With tests
-// false, _test.go files are excluded (the -no-tests opt-out).
-func sourceFile(e os.DirEntry, tests bool) bool {
+// sourceFile reports whether the entry is a lintable Go file, test files
+// included.
+func sourceFile(e os.DirEntry) bool {
 	name := e.Name()
-	if e.IsDir() || !strings.HasSuffix(name, ".go") ||
-		strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
-		return false
-	}
-	if !tests && strings.HasSuffix(name, "_test.go") {
-		return false
-	}
-	return true
+	return !e.IsDir() && strings.HasSuffix(name, ".go") &&
+		!strings.HasPrefix(name, ".") && !strings.HasPrefix(name, "_")
 }
 
 // Import implements types.Importer: module-internal paths load from source
@@ -250,8 +241,8 @@ func (l *loader) Import(path string) (*types.Package, error) {
 
 // loadModulePackage parses and type-checks one module package (memoized).
 // Note: a package loaded as a dependency of another package includes its
-// in-package test files when the loader lints tests — harmless extra symbols
-// for the importer, and it keeps every package type-checked exactly once.
+// in-package test files — harmless extra symbols for the importer, and it
+// keeps every package type-checked exactly once.
 func (l *loader) loadModulePackage(path string) (*Package, error) {
 	if p, ok := l.pkgs[path]; ok {
 		return p, nil
@@ -283,9 +274,6 @@ func (l *loader) loadModulePackage(path string) (*Package, error) {
 // a module package, loading the subject first so the test files' import of it
 // resolves to the memoized result. Nil when the directory has none.
 func (l *loader) loadExternalTest(path string) (*Package, error) {
-	if !l.tests {
-		return nil, nil
-	}
 	if _, err := l.loadModulePackage(path); err != nil {
 		return nil, err
 	}
@@ -301,7 +289,7 @@ func (l *loader) parseDir(dir string, pkg *Package) (base, external []*ast.File,
 	}
 	var names []string
 	for _, e := range entries {
-		if sourceFile(e, l.tests) {
+		if sourceFile(e) {
 			names = append(names, e.Name())
 		}
 	}

@@ -12,13 +12,13 @@ type Program struct {
 	Packages []*Package // sorted by Path; external test packages follow their subject
 }
 
-// LoadProgram expands the patterns and loads every matched package — and,
-// when test linting is on, each one's external test package — into one
-// Program. A package that cannot be loaded at all (unreadable directory, no
-// Go files) is an environment error; packages that merely fail to type-check
-// load fine and degrade to typecheck findings.
+// LoadProgram expands the patterns and loads every matched package and its
+// external test package into one Program. A package that cannot be loaded
+// at all (unreadable directory, no Go files) is an environment error;
+// packages that merely fail to type-check load fine and degrade to
+// typecheck findings.
 func LoadProgram(opts Options) (*Program, error) {
-	ld, err := newLoader(opts.Dir, !opts.NoTests)
+	ld, err := newLoader(opts.Dir)
 	if err != nil {
 		return nil, err
 	}
@@ -48,12 +48,13 @@ func LoadProgram(opts Options) (*Program, error) {
 	return prog, nil
 }
 
-// CheckProgram applies the selected analyzers to every package of the
-// program, in package order: type errors, malformed //lint:ignore and
-// misplaced //toposhot: directives become typecheck findings, suppressions
-// are honored module-wide, and ignore directives that suppressed nothing are
+// CheckProgram applies every analyzer to every package of the program, in
+// package order: type errors, malformed //lint:ignore and misplaced
+// //toposhot: directives become typecheck findings, suppressions are
+// honored module-wide, and ignore directives that suppressed nothing are
 // themselves reported.
-func CheckProgram(prog *Program, analyzers []*Analyzer) []Finding {
+func CheckProgram(prog *Program) []Finding {
+	analyzers := Analyzers()
 	table := newIgnoreTable()
 	var findings []Finding
 	for _, pkg := range prog.Packages {
@@ -81,7 +82,7 @@ func CheckProgram(prog *Program, analyzers []*Analyzer) []Finding {
 		}
 		kept = append(kept, f)
 	}
-	findings = append(kept, table.stale(analyzers)...)
+	findings = append(kept, table.stale()...)
 	sortFindings(findings)
 	return findings
 }

@@ -1,7 +1,11 @@
 package netgen
 
 import (
+	"bytes"
+	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -9,6 +13,33 @@ import (
 	"toposhot/internal/graph"
 	"toposhot/internal/runner"
 )
+
+// TestModels pins one small edge list per random model, in the "u v" form
+// the CLI tools read: ER with n=24, m=60; BA with n=24 and 3 edges per new
+// node; CM over the ER list's degree sequence; all at seed 7.
+func TestModels(t *testing.T) {
+	er := ErdosRenyiNM(24, 60, 7)
+	for _, c := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"er_n24_m60.edges", er},
+		{"ba_n24_d6.edges", BarabasiAlbert(24, 3, 7)},
+		{"cm_of_er.edges", Configuration(DegreeSequence(er), 7)},
+	} {
+		var b bytes.Buffer
+		for _, e := range c.g.Edges() {
+			fmt.Fprintf(&b, "%d %d\n", e[0], e[1])
+		}
+		want, err := os.ReadFile(filepath.Join("testdata", c.name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(b.Bytes(), want) {
+			t.Errorf("%s drifted\n--- want\n%s--- got\n%s", c.name, want, b.Bytes())
+		}
+	}
+}
 
 func TestErdosRenyiNM(t *testing.T) {
 	g := ErdosRenyiNM(100, 300, 1)

@@ -48,18 +48,18 @@ type Config struct {
 	NoForward bool
 	// Seed drives peer sampling for push/announce splits.
 	Seed int64
-	// ReadIdleTimeout is the idle read deadline, refreshed before every
-	// frame: a peer silent for this long is disconnected and deregistered
-	// (0 = DefaultReadIdleTimeout; negative disables the deadline).
-	ReadIdleTimeout time.Duration
-	// WriteTimeout bounds each frame write; on expiry the stalled peer is
-	// dropped (0 = DefaultWriteTimeout; negative disables the deadline).
-	WriteTimeout time.Duration
 	// Metrics, when set, receives node instrumentation under the "node."
 	// prefix (and mempool counters under "txpool."). Nil falls back to the
 	// process default registry (metrics.Enable), and to no-op instruments
 	// when that is off too.
 	Metrics *metrics.Registry
+
+	// readIdle is the idle read deadline, refreshed before every frame: a
+	// peer silent for this long is disconnected and deregistered. writeTimeout
+	// bounds each frame write; on expiry the stalled peer is dropped. 0 means
+	// DefaultReadIdleTimeout and DefaultWriteTimeout; only the stall tests
+	// shorten them.
+	readIdle, writeTimeout time.Duration
 }
 
 // Trace event names for the live node (the trace-spanname lint rule keeps
@@ -191,11 +191,9 @@ func (p *peer) send(m wire.Msg, reply chan []*types.Transaction) error {
 	if m.Code == wire.CodeGetPooledTransactions {
 		p.asked = append(p.asked, reply)
 	}
-	if p.writeTimeout > 0 {
-		//lint:ignore locksafe writeMu exists to serialize whole frames; the deadline set here bounds how long it is held
-		if err := p.conn.SetWriteDeadline(time.Now().Add(p.writeTimeout)); err != nil {
-			return err
-		}
+	//lint:ignore locksafe writeMu exists to serialize whole frames; the deadline set here bounds how long it is held
+	if err := p.conn.SetWriteDeadline(time.Now().Add(p.writeTimeout)); err != nil {
+		return err
 	}
 	//lint:ignore locksafe frame serialization is writeMu's purpose; the write deadline above caps the hold time
 	return wire.WriteMsg(p.w, m)
@@ -223,11 +221,11 @@ func Start(cfg Config, addr string) (*Node, error) {
 	if cfg.Policy.Capacity == 0 {
 		cfg.Policy = txpool.Geth
 	}
-	if cfg.ReadIdleTimeout == 0 {
-		cfg.ReadIdleTimeout = DefaultReadIdleTimeout
+	if cfg.readIdle == 0 {
+		cfg.readIdle = DefaultReadIdleTimeout
 	}
-	if cfg.WriteTimeout == 0 {
-		cfg.WriteTimeout = DefaultWriteTimeout
+	if cfg.writeTimeout == 0 {
+		cfg.writeTimeout = DefaultWriteTimeout
 	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.Enabled()
@@ -351,7 +349,7 @@ func (n *Node) setupPeer(conn net.Conn) error {
 		conn:         conn,
 		addr:         conn.RemoteAddr().String(),
 		version:      remote.Status.ClientVersion,
-		writeTimeout: n.cfg.WriteTimeout,
+		writeTimeout: n.cfg.writeTimeout,
 	}
 	p.w = counting{p: p, n: n}
 
@@ -435,14 +433,11 @@ func (n *Node) readLoop(p *peer) {
 	defer n.wg.Done()
 	defer n.dropPeer(p)
 	r := counting{p: p, n: n}
-	idle := n.cfg.ReadIdleTimeout
 	for {
-		if idle > 0 {
-			// A connection that cannot even arm its deadline is dead; bail
-			// out through the deferred teardown.
-			if err := p.conn.SetReadDeadline(time.Now().Add(idle)); err != nil {
-				return
-			}
+		// A connection that cannot even arm its deadline is dead; bail out
+		// through the deferred teardown.
+		if err := p.conn.SetReadDeadline(time.Now().Add(n.cfg.readIdle)); err != nil {
+			return
 		}
 		m, err := wire.ReadMsg(r)
 		if err != nil {

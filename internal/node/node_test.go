@@ -179,7 +179,7 @@ func TestLiveAnnounceLocksExpire(t *testing.T) {
 	defer remote.Close()
 	clock := 0.0
 	n := &Node{pool: txpool.New(txpool.Geth.WithCapacity(16)), now: func() float64 { return clock }}
-	p := &peer{conn: local, addr: "announcer", w: local}
+	p := &peer{conn: local, addr: "announcer", w: local, writeTimeout: DefaultWriteTimeout}
 	requests := make(chan []types.Hash)
 	go func() {
 		for {

@@ -47,11 +47,11 @@ func rawPeer(t *testing.T, addr string) net.Conn {
 func TestSilentPeerIdleDisconnect(t *testing.T) {
 	reg := metrics.NewRegistry()
 	n, err := Start(Config{
-		ClientVersion:   "geth-lite/test",
-		NetworkID:       testNetID,
-		Policy:          txpool.Geth.WithCapacity(64),
-		ReadIdleTimeout: 150 * time.Millisecond,
-		Metrics:         reg,
+		ClientVersion: "geth-lite/test",
+		NetworkID:     testNetID,
+		Policy:        txpool.Geth.WithCapacity(64),
+		Metrics:       reg,
+		readIdle:      150 * time.Millisecond,
 	}, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -79,29 +79,6 @@ func TestSilentPeerIdleDisconnect(t *testing.T) {
 	}
 }
 
-// TestIdleDeadlineDisabled proves a negative ReadIdleTimeout turns the
-// deadline off: a silent peer stays connected.
-func TestIdleDeadlineDisabled(t *testing.T) {
-	n, err := Start(Config{
-		ClientVersion:   "geth-lite/test",
-		NetworkID:       testNetID,
-		Policy:          txpool.Geth.WithCapacity(64),
-		ReadIdleTimeout: -1,
-	}, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n.Close()
-	rawPeer(t, n.Addr())
-	if !waitFor(t, time.Second, func() bool { return n.PeerCount() == 1 }) {
-		t.Fatal("raw peer not registered")
-	}
-	time.Sleep(400 * time.Millisecond)
-	if n.PeerCount() != 1 {
-		t.Fatal("silent peer dropped although the idle deadline is disabled")
-	}
-}
-
 // bigTx mints a pending transaction with a payload large enough to fill
 // socket buffers quickly.
 func bigTx(seq uint64, size int) *types.Transaction {
@@ -121,8 +98,8 @@ func TestStalledWriterDoesNotBlockBroadcast(t *testing.T) {
 		NetworkID:     testNetID,
 		Policy:        txpool.Geth.WithCapacity(1024),
 		Seed:          1,
-		WriteTimeout:  250 * time.Millisecond,
 		Metrics:       reg,
+		writeTimeout:  250 * time.Millisecond,
 	}, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

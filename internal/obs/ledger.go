@@ -36,9 +36,9 @@ const (
 )
 
 // ProbeRecord is one ledger entry. Pending/Futures count transactions in
-// the core.Ledger sense; FeeWei is the worst-case replacement-fee exposure
-// of this record's transactions (gas × gas price, summed in emission
-// order); Start/End are engine virtual seconds.
+// the core.Ledger sense; FeeWei is the worst-case fee of this record's
+// pending transactions (gas × gas price, summed in emission order; futures
+// are never mined and cost nothing); Start/End are engine virtual seconds.
 type ProbeRecord struct {
 	Phase    string       `json:"phase,omitempty"`
 	Kind     string       `json:"kind"`

@@ -40,32 +40,22 @@ func Parallelism() int {
 
 // Map runs fn(0..n-1) across at most Parallelism() workers and returns the
 // results in input order. fn must confine all mutable state to its own call
-// (engine-per-goroutine); it may not touch its siblings' state.
+// (engine-per-goroutine); it may not touch its siblings' state. At width 1
+// the jobs run serially on the calling goroutine, which is the reference
+// behaviour the parallel path must reproduce byte-identically.
 func Map[T any](n int, fn func(i int) T) []T {
-	return MapN(0, n, fn)
+	return MapWorker(n, func(_, i int) T { return fn(i) })
 }
 
-// MapN is Map with an explicit pool width; parallel ≤ 0 means Parallelism().
-// With parallel == 1 the jobs run serially on the calling goroutine, which is
-// the reference behaviour the parallel path must reproduce byte-identically.
-func MapN[T any](parallel, n int, fn func(i int) T) []T {
-	return MapWorker(parallel, n, func(_, i int) T { return fn(i) })
-}
-
-// MapWorker is MapN exposing each job's worker slot (0..parallel-1) — purely
+// MapWorker is Map exposing each job's worker slot (0..width-1) — purely
 // observational (trace lane attribution, per-worker scratch); results must
 // not depend on it, since the worker→job assignment varies with scheduling.
 // The serial path runs everything as worker 0.
-func MapWorker[T any](parallel, n int, fn func(worker, i int) T) []T {
+func MapWorker[T any](n int, fn func(worker, i int) T) []T {
 	if n <= 0 {
 		return nil
 	}
-	if parallel <= 0 {
-		parallel = Parallelism()
-	}
-	if parallel > n {
-		parallel = n
-	}
+	parallel := min(Parallelism(), n)
 	out := make([]T, n)
 	if parallel == 1 {
 		for i := range out {
@@ -109,13 +99,13 @@ func MapWorker[T any](parallel, n int, fn func(worker, i int) T) []T {
 	return out
 }
 
-// MapErr is MapN for jobs that can fail. All jobs run to completion (a
+// MapErr is Map for jobs that can fail. All jobs run to completion (a
 // failure does not cancel siblings, matching a serial loop that collects
 // every row); the returned error is the lowest-index one, so the reported
 // failure is the same no matter how the schedule interleaved.
-func MapErr[T any](parallel, n int, fn func(i int) (T, error)) ([]T, error) {
+func MapErr[T any](n int, fn func(i int) (T, error)) ([]T, error) {
 	errs := make([]error, n)
-	out := MapN(parallel, n, func(i int) T {
+	out := Map(n, func(i int) T {
 		v, err := fn(i)
 		errs[i] = err
 		return v

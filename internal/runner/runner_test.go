@@ -10,8 +10,15 @@ import (
 	"testing"
 )
 
+// mapAt runs Map at pool width w and restores the default width.
+func mapAt[T any](w, n int, fn func(i int) T) []T {
+	defer SetParallelism(0)
+	SetParallelism(w)
+	return Map(n, fn)
+}
+
 func TestMapCollectsInInputOrder(t *testing.T) {
-	got := MapN(8, 100, func(i int) int { return i * i })
+	got := mapAt(8, 100, func(i int) int { return i * i })
 	for i, v := range got {
 		if v != i*i {
 			t.Fatalf("slot %d = %d, want %d", i, v, i*i)
@@ -30,9 +37,9 @@ func TestMapMatchesSerial(t *testing.T) {
 		}
 		return acc
 	}
-	serial := MapN(1, 64, job)
+	serial := mapAt(1, 64, job)
 	for _, w := range []int{2, 3, 8, 64} {
-		par := MapN(w, 64, job)
+		par := mapAt(w, 64, job)
 		for i := range serial {
 			if par[i] != serial[i] {
 				t.Fatalf("width %d: slot %d differs", w, i)
@@ -43,7 +50,7 @@ func TestMapMatchesSerial(t *testing.T) {
 
 func TestMapBoundsWorkers(t *testing.T) {
 	var cur, peak atomic.Int64
-	MapN(3, 50, func(i int) struct{} {
+	mapAt(3, 50, func(i int) struct{} {
 		n := cur.Add(1)
 		for {
 			p := peak.Load()
@@ -60,10 +67,10 @@ func TestMapBoundsWorkers(t *testing.T) {
 }
 
 func TestMapZeroAndOne(t *testing.T) {
-	if got := MapN(4, 0, func(i int) int { return i }); got != nil {
+	if got := mapAt(4, 0, func(i int) int { return i }); got != nil {
 		t.Fatalf("n=0 returned %v", got)
 	}
-	if got := MapN(4, 1, func(i int) int { return 42 }); len(got) != 1 || got[0] != 42 {
+	if got := mapAt(4, 1, func(i int) int { return 42 }); len(got) != 1 || got[0] != 42 {
 		t.Fatalf("n=1 returned %v", got)
 	}
 }
@@ -74,7 +81,7 @@ func TestMapPanicPropagates(t *testing.T) {
 			t.Fatal("panic did not propagate to caller")
 		}
 	}()
-	MapN(4, 16, func(i int) int {
+	mapAt(4, 16, func(i int) int {
 		if i == 7 {
 			panic("job 7 failed")
 		}
@@ -83,8 +90,10 @@ func TestMapPanicPropagates(t *testing.T) {
 }
 
 func TestMapErrReturnsLowestIndexError(t *testing.T) {
+	defer SetParallelism(0)
+	SetParallelism(8)
 	wantErr := errors.New("job 3")
-	_, err := MapErr(8, 10, func(i int) (int, error) {
+	_, err := MapErr(10, func(i int) (int, error) {
 		switch i {
 		case 3:
 			return 0, wantErr
@@ -96,7 +105,7 @@ func TestMapErrReturnsLowestIndexError(t *testing.T) {
 	if !errors.Is(err, wantErr) {
 		t.Fatalf("err = %v, want the lowest-index failure", err)
 	}
-	out, err := MapErr(8, 10, func(i int) (int, error) { return i, nil })
+	out, err := MapErr(10, func(i int) (int, error) { return i, nil })
 	if err != nil || len(out) != 10 {
 		t.Fatalf("clean run: out=%v err=%v", out, err)
 	}

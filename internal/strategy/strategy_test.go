@@ -185,8 +185,11 @@ func TestSerialParallelByteIdentity(t *testing.T) {
 		s, out, truth := runOnRing(t, ms[i], 5, 8, nil)
 		return renderOutcome(s, out, truth)
 	}
-	serial := runner.MapN(1, len(ms), job)
-	parallel := runner.MapN(4, len(ms), job)
+	defer runner.SetParallelism(runner.Parallelism())
+	runner.SetParallelism(1)
+	serial := runner.Map(len(ms), job)
+	runner.SetParallelism(4)
+	parallel := runner.Map(len(ms), job)
 	for i, m := range ms {
 		if serial[i] != parallel[i] {
 			t.Errorf("%s: serial and parallel runs differ\nserial:\n%s\nparallel:\n%s",

@@ -310,9 +310,6 @@ func (r *Run) Equal(k int, tx *Transaction) bool {
 		tx.Value == 0 && tx.Tip == r.Tip && tx.DynamicFee == (r.Tip > 0) && len(tx.Data) == 0
 }
 
-// Fee returns what each member can pay at most, as Transaction.Fee does.
-func (r *Run) Fee() uint64 { return TxGasTransfer * r.Price }
-
 // Block is a mined block: an ordered list of included transactions under a
 // gas limit. Headers carry only the fields the reproduction needs.
 type Block struct {
