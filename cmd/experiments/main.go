@@ -54,8 +54,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	seed := fs.Int64("seed", 42, "simulation seed")
 	parallel := fs.Int("parallel", 0, "worker-pool width for independent simulations (0 = GOMAXPROCS, 1 = serial); results are identical at any width")
 	telemetry := obs.RegisterCLIFlags(fs)
-	// Sweeps fan out over workers, so this binary's help adds the width caveat.
-	fs.Lookup("trace-deterministic").Usage += " (use with -parallel 1)"
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0

@@ -19,8 +19,12 @@ import (
 	"toposhot/internal/netgen"
 )
 
-// cliqueBudget caps maximal-clique enumeration at the budget Table 4 uses.
-const cliqueBudget = 300000
+// cliqueBudget caps maximal-clique enumeration at the budget Table 4 uses,
+// and baselineSeed seeds the -baselines generators.
+const (
+	cliqueBudget = 300000
+	baselineSeed = 42
+)
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
@@ -32,7 +36,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	in := fs.String("in", "", "edge-list file (default stdin)")
 	communities := fs.Bool("communities", false, "also print Louvain communities")
 	baselines := fs.Int("baselines", 0, "average this many ER/CM/BA baseline instances")
-	seed := fs.Int64("seed", 42, "baseline generator seed")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -84,7 +87,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "communities           %d\n", p.Communities)
 
 	if *baselines > 0 {
-		b := netgen.Baselines(g.LargestComponent(), *baselines, *seed, cliqueBudget)
+		b := netgen.Baselines(g.LargestComponent(), *baselines, baselineSeed, cliqueBudget)
 		fmt.Fprintf(stdout, "\nbaselines (avg of %d runs):\n", *baselines)
 		fmt.Fprintf(stdout, "  %-14s %10s %10s %10s\n", "property", "ER", "CM", "BA")
 		fmt.Fprintf(stdout, "  %-14s %10.1f %10.1f %10.1f\n", "diameter",

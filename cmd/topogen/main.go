@@ -1,9 +1,9 @@
-// Command topogen grows an Ethereum-style testnet overlay of one preset and
-// writes it as an edge list, one "u v" pair per line.
+// Command topogen grows an Ethereum-style testnet overlay of one preset, on
+// generator seed 42, and writes it as an edge list, one "u v" pair per line.
 //
 // Usage:
 //
-//	topogen -preset ropsten -seed 7
+//	topogen -preset ropsten
 //	topogen -preset goerli | graphstats -communities
 package main
 
@@ -18,6 +18,9 @@ import (
 	"toposhot/internal/netgen"
 )
 
+// seed is the generator seed every overlay grows from.
+const seed = 42
+
 // presets are the -preset worlds.
 var presets = map[string]netgen.GrowConfig{
 	"ropsten": netgen.RopstenConfig, "rinkeby": netgen.RinkebyConfig, "goerli": netgen.GoerliConfig,
@@ -31,7 +34,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("topogen", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	preset := fs.String("preset", "ropsten", "testnet preset: ropsten|rinkeby|goerli")
-	seed := fs.Int64("seed", 42, "generator seed")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -44,7 +46,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	g := netgen.Grow(cfg.WithSeed(*seed))
+	g := netgen.Grow(cfg.WithSeed(seed))
 	fmt.Fprintf(stderr, "generated ethereum: n=%d m=%d avgdeg=%.1f\n",
 		g.NumNodes(), g.NumEdges(), g.AverageDegree())
 	bw := bufio.NewWriter(stdout)

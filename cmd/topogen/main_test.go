@@ -10,7 +10,7 @@ import (
 // summary line carries the paper's node count.
 func TestEthereumPreset(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-preset", "ropsten", "-seed", "7"}, &stdout, &stderr); code != 0 {
+	if code := run([]string{"-preset", "ropsten"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit %d\n%s", code, stderr.String())
 	}
 	if !strings.HasPrefix(stderr.String(), "generated ethereum: n=588 ") {

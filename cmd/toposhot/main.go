@@ -26,7 +26,6 @@ import (
 	"toposhot/internal/metrics"
 	"toposhot/internal/netgen"
 	"toposhot/internal/obs"
-	"toposhot/internal/runner"
 	"toposhot/internal/strategy"
 	"toposhot/internal/types"
 )
@@ -50,12 +49,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if c == nil {
 		return code
 	}
-	// One campaign is one serial engine, so this knob matters only for the
-	// pool-backed helpers underneath (and keeps the flag uniform with
-	// cmd/experiments).
-	defer runner.SetParallelism(runner.Parallelism())
-	runner.SetParallelism(o.parallel)
-
 	// The live dashboard serves the campaign's observability surfaces for the
 	// duration of the run; its /metrics needs a registry even without -metrics.
 	if o.events != "" {
@@ -86,7 +79,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // options is the parsed command line.
 type options struct {
-	n, k, regions, parallel                  int
+	n, k, regions                            int
 	checkpointEvery, ticks                   int
 	seed                                     int64
 	track, nSet                              bool
@@ -113,9 +106,8 @@ func parse(args []string, stderr io.Writer) (*options, int) {
 	fs.BoolVar(&o.track, "track", false, "after the seeding census, follow the churning network with budgeted delta campaigns instead of re-censusing")
 	fs.IntVar(&o.ticks, "track-ticks", 12, "delta campaigns to run under -track")
 	fs.StringVar(&o.out, "out", "", "output file (default stdout)")
-	fs.IntVar(&o.parallel, "parallel", 0, "worker-pool width for independent simulations (0 = GOMAXPROCS, 1 = serial); results are identical at any width")
 	o.telemetry = obs.RegisterCLIFlags(fs)
-	fs.StringVar(&o.events, "events", "", "serve the live campaign dashboard (/, /events, /log, /ledger, /metrics, /trace/snapshot, /progress) on this address while the run is active; a rival -strategy's /ledger fills when its campaign ends, and -regions leaves /ledger empty")
+	fs.StringVar(&o.events, "events", "", "serve the live campaign dashboard (/, /events, /ledger, /metrics, /trace/snapshot, /progress) on this address while the run is active; a rival -strategy's /ledger fills when its campaign ends, and -regions leaves /ledger empty")
 	fs.Usage = func() {} // a bad flag is its one error line; -h prints the defaults below
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {

@@ -110,6 +110,15 @@ func toposhot(t *testing.T, args ...string) (stdout, stderr []byte) {
 	return out.Bytes(), errb.Bytes()
 }
 
+// atWidth is toposhot with the runner's default pool width set to n for the
+// run, as on a machine with n cores.
+func atWidth(t *testing.T, n int, args ...string) (stdout, stderr []byte) {
+	t.Helper()
+	defer runner.SetParallelism(runner.Parallelism())
+	runner.SetParallelism(n)
+	return toposhot(t, args...)
+}
+
 func readFile(t *testing.T, path string) []byte {
 	t.Helper()
 	data, err := os.ReadFile(path)
@@ -139,16 +148,16 @@ func mustEqual(t *testing.T, what string, a, b []byte) {
 func TestCensusArtifacts(t *testing.T) {
 	dir := t.TempDir()
 	p := func(name string) string { return filepath.Join(dir, name) }
-	census := []string{"-n", "40", "-k", "8", "-seed", "7", "-parallel", "1", "-log-level", "debug", "-trace-deterministic"}
+	census := []string{"-n", "40", "-k", "8", "-seed", "7", "-log-level", "debug", "-trace-deterministic"}
 
-	_, stderr := toposhot(t, append(census, "-log", p("ev"), "-trace", p("tr.jsonl"), "-out", p("edges"))...)
+	_, stderr := atWidth(t, 1, append(census, "-log", p("ev"), "-trace", p("tr.jsonl"), "-out", p("edges"))...)
 	edges, events := readFile(t, p("edges")), readFile(t, p("ev"))
 	checkGolden(t, "census_n40.edges", edges)
 	checkGolden(t, "census_n40.events.jsonl", events)
 	checkGolden(t, "census_n40.stderr.txt", stderr)
 	checkManifest(t, "census_n40.trace.jsonl", readFile(t, p("tr.jsonl")))
 
-	stdout, stderr := toposhot(t, append(census, "-log-format", "jsonl", "-log", p("ev2"), "-trace", p("tr.json"))...)
+	stdout, stderr := atWidth(t, 1, append(census, "-log-format", "jsonl", "-log", p("ev2"), "-trace", p("tr.json"))...)
 	mustEqual(t, "-out file and stdout edge lists", edges, stdout)
 	mustEqual(t, "event-log snapshots under the two live formats", events, readFile(t, p("ev2")))
 	checkManifest(t, "census_n40.stderr.jsonl", stderr)
@@ -164,18 +173,18 @@ func TestWidthAndResumeInvariance(t *testing.T) {
 	dir := t.TempDir()
 	census := []string{"-n", "60", "-k", "10", "-seed", "7"}
 	type files struct{ edges, events, trace []byte }
-	observe := func(tag string, extra ...string) files {
+	observe := func(tag string, width int) files {
 		p := func(name string) string { return filepath.Join(dir, tag+"."+name) }
 		args := append(append([]string{}, census...), "-log-level", "debug", "-log", p("ev"),
 			"-trace", p("tr.json"), "-trace-deterministic", "-out", p("edges"))
-		toposhot(t, append(args, extra...)...)
+		atWidth(t, width, args...)
 		return files{readFile(t, p("edges")), readFile(t, p("ev")), readFile(t, p("tr.json"))}
 	}
-	base := observe("serial", "-parallel", "1")
+	base := observe("serial", 1)
 	checkManifest(t, "census_n60.edges", base.edges)
 	checkManifest(t, "census_n60.events.jsonl", base.events)
 	checkManifest(t, "census_n60.trace.json", base.trace)
-	wide := observe("wide", "-parallel", "8")
+	wide := observe("wide", 8)
 	mustEqual(t, "edges, serial vs wide", base.edges, wide.edges)
 	mustEqual(t, "event logs, serial vs wide", base.events, wide.events)
 	mustEqual(t, "traces, serial vs wide", base.trace, wide.trace)
@@ -228,10 +237,10 @@ func TestTrackingArtifacts(t *testing.T) {
 // summary, identical at pool widths 1 and 4.
 func TestShardedCensus(t *testing.T) {
 	sharded := []string{"-preset", "mainnet", "-n", "240", "-regions", "4", "-seed", "42", "-log-level", "off"}
-	edges, summary := toposhot(t, append(sharded, "-parallel", "1")...)
+	edges, summary := atWidth(t, 1, sharded...)
 	checkGolden(t, "sharded_n240.edges", edges)
 	checkGolden(t, "sharded_n240.stderr.txt", summary)
-	wideEdges, wideSummary := toposhot(t, append(sharded, "-parallel", "4")...)
+	wideEdges, wideSummary := atWidth(t, 4, sharded...)
 	mustEqual(t, "sharded edges at widths 1 and 4", edges, wideEdges)
 	mustEqual(t, "sharded summaries at widths 1 and 4", summary, wideSummary)
 }
@@ -357,13 +366,12 @@ func TestFlagValidation(t *testing.T) {
 	}
 }
 
-// TestRunRestoresProcessDefaults: run installs a logger, a tracer, a registry
-// and a pool width process-wide; the next run in the same process — the next
-// test — must not inherit them, whether the run succeeded or was refused.
+// TestRunRestoresProcessDefaults: run installs a logger, a tracer and a
+// registry process-wide; the next run in the same process — the next test —
+// must not inherit them, whether the run succeeded or was refused.
 func TestRunRestoresProcessDefaults(t *testing.T) {
 	dir := t.TempDir()
-	width := runner.Parallelism()
-	telemetry := []string{"-parallel", "3", "-metrics", "-trace", filepath.Join(dir, "t.json"), "-log", filepath.Join(dir, "ev")}
+	telemetry := []string{"-metrics", "-trace", filepath.Join(dir, "t.json"), "-log", filepath.Join(dir, "ev")}
 	for name, args := range map[string][]string{
 		"completed": append([]string{"-n", "12", "-k", "4", "-out", filepath.Join(dir, "e")}, telemetry...),
 		"refused":   append([]string{"-preset", "nosuch"}, telemetry...),
@@ -373,9 +381,6 @@ func TestRunRestoresProcessDefaults(t *testing.T) {
 		if obs.Enabled() != nil || trace.Enabled() != nil || metrics.Enabled() != nil {
 			t.Errorf("%s run left a process default installed: logger %v, tracer %v, registry %v",
 				name, obs.Enabled() != nil, trace.Enabled() != nil, metrics.Enabled() != nil)
-		}
-		if got := runner.Parallelism(); got != width {
-			t.Errorf("%s run left the pool width at %d, want %d", name, got, width)
 		}
 		if _, err := os.Stat(filepath.Join(dir, "ev")); err != nil {
 			t.Errorf("%s run wrote no event-log snapshot: %v", name, err)

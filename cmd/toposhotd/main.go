@@ -9,18 +9,18 @@
 //	toposhotd -listen 127.0.0.1:30312 -peers 127.0.0.1:30311
 //	toposhotd -listen 127.0.0.1:30311 -metrics-http 127.0.0.1:9311
 //
-// The other flags are -trace-level (the in-memory trace's verbosity) and
-// the shared logging trio -log-level, -log-format and -log.
+// The other flags are the shared logging trio -log-level, -log-format and
+// -log. The in-memory trace records at the measure level.
 //
 // With -metrics-http the daemon serves the campaign observatory: the HTML
 // dashboard at GET / (phase progress, cost burn, live event pane), the live
-// event stream at GET /events (SSE; ?format=jsonl for a snapshot dump), the
-// buffered event log at GET /log, a JSON snapshot of every node, txpool, and
-// per-peer instrument at GET /metrics (Prometheus text exposition with
-// ?format=prom or an Accept: text/plain header), the in-memory timeline
-// trace at GET /trace/snapshot (Chrome/Perfetto JSON; ?format=jsonl for
-// JSONL), span-derived progress/ETA at GET /progress, per-peer stats at
-// GET /peers, and live profiles under /debug/pprof.
+// event stream at GET /events (SSE; ?format=jsonl for a snapshot dump of the
+// buffered event log), a JSON snapshot of every node, txpool, and per-peer
+// instrument at GET /metrics (Prometheus text exposition with ?format=prom
+// or an Accept: text/plain header), the in-memory timeline trace at GET
+// /trace/snapshot (Chrome/Perfetto JSON), span-derived progress/ETA at GET
+// /progress, per-peer stats at GET /peers, and live profiles under
+// /debug/pprof.
 package main
 
 import (
@@ -56,7 +56,6 @@ func run(args []string, _, stderr io.Writer) int {
 	networkID := fs.Uint64("network", 1337, "network id")
 	peers := fs.String("peers", "", "comma-separated peer addresses to dial")
 	metricsHTTP := fs.String("metrics-http", "", "serve the observability endpoints (dashboard, /events, /metrics, /trace/snapshot, /peers, pprof) on this address (empty = off)")
-	traceLevel := fs.String("trace-level", "measure", "in-memory trace verbosity: off|measure|engine (served at /trace/snapshot)")
 	logging := obs.RegisterLogFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -72,16 +71,11 @@ func run(args []string, _, stderr io.Writer) int {
 	defer cli.Close() // last: the snapshot holds every shutdown event
 	lg := cli.Logger
 
-	lv, err := trace.ParseLevel(*traceLevel)
-	if err != nil {
-		return cli.Fatal(2, "trace-setup-failed", obs.Err(err))
-	}
-
 	// The daemon is a live process, so its trace lane and event log run on
 	// wall seconds since startup rather than a simulation clock.
 	start := time.Now()
 	wall := func() float64 { return time.Since(start).Seconds() }
-	tracer := trace.New(trace.Options{Level: lv})
+	tracer := trace.New(trace.Options{Level: trace.LevelMeasure})
 	tracer.SetClock(wall)
 	trace.Enable(tracer) // the node self-wires, like metrics; cli.Close puts the old default back
 	lg.SetClock(wall)
@@ -103,9 +97,9 @@ func run(args []string, _, stderr io.Writer) int {
 		obs.Int("pool", int64(pol.Capacity)))
 
 	if *metricsHTTP != "" {
-		// The obs dashboard serves /, /dashboard, /events, /log, /ledger,
-		// /metrics, /trace/snapshot, and /progress; the daemon adds its own
-		// /peers and the pprof handlers on top.
+		// The obs dashboard serves /, /events, /ledger, /metrics,
+		// /trace/snapshot and /progress; the daemon adds its own /peers and
+		// the pprof handlers on top.
 		dash := &obs.Dash{Logger: lg, Metrics: reg, Tracer: tracer}
 		mux := http.NewServeMux()
 		mux.Handle("/", dash.Handler())

@@ -23,7 +23,6 @@ func TestFlagValidation(t *testing.T) {
 		{"help", []string{"-h"}, 0, "-log-format"},
 		{"unknown flag", []string{"-nosuch"}, 2, "flag provided but not defined"},
 		{"unknown log level", []string{"-log-level", "nosuch"}, 2, "nosuch"},
-		{"unknown trace level", []string{"-trace-level", "nosuch"}, 2, "msg=trace-setup-failed"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

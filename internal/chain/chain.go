@@ -45,14 +45,17 @@ func (c *Chain) BlocksIn(t1, t2 float64) []*types.Block {
 	return out
 }
 
+// blockInterval is the seconds between blocks (~13 s on mainnet), and
+// broadcastDelay the seconds a block takes to reach the whole network.
+const (
+	blockInterval  = 13
+	broadcastDelay = 1
+)
+
 // MinerConfig parameterizes block production.
 type MinerConfig struct {
-	// Interval is the seconds between blocks (~13 s on mainnet).
-	Interval float64
 	// GasLimit is the per-block gas limit.
 	GasLimit uint64
-	// BroadcastDelay is the time for a block to reach the whole network.
-	BroadcastDelay float64
 	// BaseFee, when non-zero, makes the miner an EIP-1559 one (Appendix E)
 	// with this first base fee: blocks pack by effective tip above the
 	// running base fee, which moves per NextBaseFee and reaches every pool
@@ -98,7 +101,7 @@ func (m *Miner) Start() {
 	if len(m.ids) == 0 {
 		return
 	}
-	m.net.Engine().AfterHandler(m.cfg.Interval, m, 0)
+	m.net.Engine().AfterHandler(blockInterval, m, 0)
 }
 
 // Stop halts production after the current round.
@@ -116,7 +119,7 @@ func (m *Miner) HandleEvent(arg uint64) {
 		return
 	}
 	m.produceBlock()
-	m.net.Engine().AfterHandler(m.cfg.Interval, m, 0)
+	m.net.Engine().AfterHandler(blockInterval, m, 0)
 }
 
 // produceBlock mines one block (which may be empty) on the next miner in
@@ -138,7 +141,7 @@ func (m *Miner) produceBlock() {
 		m.fees = append(m.fees, m.baseFee)
 	}
 	m.chain.Append(b)
-	m.net.Engine().AfterHandler(m.cfg.BroadcastDelay, m, b.Number)
+	m.net.Engine().AfterHandler(broadcastDelay, m, b.Number)
 }
 
 // apply removes block n's transactions from every pool and, on an EIP-1559

@@ -74,9 +74,9 @@ func TestMinerAppliesBlocksNetworkWide(t *testing.T) {
 	high := tx(1, 0, 1000)
 	nd.SubmitLocal(high)
 	net.RunFor(3)
-	m := NewMiner(net, MinerConfig{Interval: 5, GasLimit: 10 * types.TxGasTransfer, BroadcastDelay: 0.5}, ids[:2])
+	m := NewMiner(net, MinerConfig{GasLimit: 10 * types.TxGasTransfer}, ids[:2])
 	m.Start()
-	net.RunFor(12)
+	net.RunFor(15)
 	m.Stop()
 	if m.Chain().Height() < 1 {
 		t.Fatal("no blocks produced")
@@ -100,7 +100,7 @@ func TestRunningMinerBlocksCheckpoint(t *testing.T) {
 	if _, err := net.Checkpoint(); err != nil {
 		t.Fatalf("Checkpoint before mining: %v", err)
 	}
-	NewMiner(net, MinerConfig{Interval: 13, GasLimit: 10 * types.TxGasTransfer, BroadcastDelay: 1}, ids[:1]).Start()
+	NewMiner(net, MinerConfig{GasLimit: 10 * types.TxGasTransfer}, ids[:1]).Start()
 	if _, err := net.Checkpoint(); !errors.Is(err, sim.ErrForeignHandler) {
 		t.Fatalf("Checkpoint with a running miner: err = %v, want sim.ErrForeignHandler", err)
 	}

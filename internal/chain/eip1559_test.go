@@ -72,10 +72,9 @@ func TestMiner1559AdjustsBaseFeeAndDrops(t *testing.T) {
 	w := ethsim.NewWorkload(net, 20, 10*types.Gwei, 20*types.Gwei)
 	w.Prefill(100, 2)
 	w.Start(0)
-	m := NewMiner(net, MinerConfig{Interval: 5, GasLimit: 21000 * 10, BroadcastDelay: 0.5, BaseFee: types.Gwei},
-		ids[:1])
+	m := NewMiner(net, MinerConfig{GasLimit: 21000 * 10, BaseFee: types.Gwei}, ids[:1])
 	m.Start()
-	net.RunFor(60)
+	net.RunFor(80)
 	m.Stop()
 	w.Stop()
 	if m.BaseFee() <= types.Gwei {

@@ -33,20 +33,21 @@ func runStopping(net *ethsim.Network, m *Miner, d, stopAt float64) {
 
 // TestMinerScheduleGolden pins block numbers, block times and per-block
 // transaction counts (plus the EIP-1559 miner's base-fee sequence) on a fixed
-// seed. The expectations were recorded before the miners became sim.Handlers,
-// so the handler events must reproduce the same rounds, the same draws and
-// the same equal-time ordering of block application against traffic. Both
-// modes share one miner, so each also checks what the other's mode must not
-// change: a legacy miner leaves every pool's base fee at 0. The "-stop" cases
-// stop the miner at virtual time 20, between the rounds at 17 and 22.
+// seed: the rounds, the draws and the equal-time ordering of block
+// application against traffic. The EIP-1559 checks every 17.5 s, so the one
+// at 54.5 falls between block 4's packing and its application and its pools
+// still hold block 3's fee. Both modes share one miner, so each also checks
+// what the other's mode must not change: a legacy miner leaves every pool's
+// base fee at 0. The "-stop" cases stop the miner at virtual time 50,
+// between the rounds at 41 and 54.
 func TestMinerScheduleGolden(t *testing.T) {
-	cfg := MinerConfig{Interval: 5, GasLimit: 40 * types.TxGasTransfer, BroadcastDelay: 0.5}
+	cfg := MinerConfig{GasLimit: 80 * types.TxGasTransfer}
 
 	plain := func(stopAt float64) string {
 		net, ids := minedWorld(11)
 		m := NewMiner(net, cfg, ids[:2])
 		m.Start()
-		runStopping(net, m, 42, stopAt)
+		runStopping(net, m, 108, stopAt)
 		for _, nd := range net.Nodes() {
 			if fee := nd.Pool().Snapshot().BaseFee; fee != 0 {
 				t.Errorf("legacy miner left node %d's pool at base fee %d", nd.ID(), fee)
@@ -66,7 +67,7 @@ func TestMinerScheduleGolden(t *testing.T) {
 		m.Start()
 		var sb strings.Builder
 		for i := 0; i < 6; i++ {
-			runStopping(net, m, 7, stopAt)
+			runStopping(net, m, 17.5, stopAt)
 			fmt.Fprintf(&sb, "h%d/fee%d/pool%d ", m.Chain().Height(), m.BaseFee(), net.Node(ids[3]).Pool().Snapshot().BaseFee)
 		}
 		for _, b := range m.Chain().Blocks() {
@@ -77,17 +78,17 @@ func TestMinerScheduleGolden(t *testing.T) {
 
 	for _, tc := range []struct{ name, got, want string }{
 		{"fixed", plain(0),
-			"1@7.000000:40 2@12.000000:40 3@17.000000:22 4@22.000000:23 5@27.000000:13 6@32.000000:17 7@37.000000:21 8@42.000000:28"},
-		{"fixed-stop", plain(20),
-			"1@7.000000:40 2@12.000000:40 3@17.000000:22"},
+			"1@15.000000:80 2@28.000000:62 3@41.000000:51 4@54.000000:48 5@67.000000:48 6@80.000000:50 7@93.000000:55 8@106.000000:44"},
+		{"fixed-stop", plain(50),
+			"1@15.000000:80 2@28.000000:62 3@41.000000:51"},
 		{"1559", dynamic(0),
-			"h1/fee1125000000/pool1125000000 h2/fee1265625000/pool1265625000 h4/fee1297018432/pool1297018432 " +
-				"h5/fee1280805702/pool1280805702 h7/fee1225270768/pool1264795631 h8/fee1171665172/pool1171665172 " +
-				"1@7.000000:40 2@12.000000:40 3@17.000000:19 4@22.000000:25 5@27.000000:18 6@32.000000:18 7@37.000000:15 8@42.000000:13"},
-		{"1559-stop", dynamic(20),
-			"h1/fee1125000000/pool1125000000 h2/fee1265625000/pool1265625000 h3/fee1257714844/pool1257714844 " +
-				"h3/fee1257714844/pool1257714844 h3/fee1257714844/pool1257714844 h3/fee1257714844/pool1257714844 " +
-				"1@7.000000:40 2@12.000000:40 3@17.000000:19"},
+			"h1/fee1125000000/pool1125000000 h2/fee1219921875/pool1219921875 h4/fee1235027939/pool1212297364 " +
+				"h5/fee1281341486/pool1281341486 h6/fee1345408560/pool1345408560 h8/fee1357969211/pool1357969211 " +
+				"1@15.000000:80 2@28.000000:67 3@41.000000:38 4@54.000000:46 5@67.000000:52 6@80.000000:56 7@93.000000:44 8@106.000000:39"},
+		{"1559-stop", dynamic(50),
+			"h1/fee1125000000/pool1125000000 h2/fee1219921875/pool1219921875 h3/fee1212297364/pool1212297364 " +
+				"h3/fee1212297364/pool1212297364 h3/fee1212297364/pool1212297364 h3/fee1212297364/pool1212297364 " +
+				"1@15.000000:80 2@28.000000:67 3@41.000000:38"},
 	} {
 		if tc.got != tc.want {
 			t.Errorf("%s schedule moved:\n got: %s\nwant: %s", tc.name, tc.got, tc.want)

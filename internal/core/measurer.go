@@ -63,7 +63,17 @@ const (
 	attrFailed   = "setup_failed"
 )
 
-// Params configures the measurement primitive measureOneLink(A,B,X,Y,Z,R,U).
+// bumpMil is the target client's replacement threshold R in thousandths
+// (Geth: 100 = 10%), and futureAllowance its per-account future allowance U
+// (Geth: 4096): a fill spreads over ⌈Z/U⌉ accounts. Both are Geth's, the
+// client the primitive targets.
+const (
+	bumpMil         = 100
+	futureAllowance = 4096
+)
+
+// Params configures the measurement primitive measureOneLink(A,B,X,Y,Z,R,U);
+// R and U are Geth's (bumpMil, futureAllowance).
 type Params struct {
 	// X is the seconds Step 1 waits for txC to flood the network (10, the
 	// paper's value, by default).
@@ -74,12 +84,6 @@ type Params struct {
 	// Z is the number of future transactions used to fill a target's
 	// mempool (the Geth default capacity, 5120).
 	Z int
-	// BumpMil is the target client's replacement threshold R in thousandths
-	// (Geth: 100 = 10%).
-	BumpMil uint64
-	// U is the per-account future allowance of the target client; futures
-	// are spread over ⌈Z/U⌉ accounts.
-	U int
 	// SettleTime is the Step-4 wait for txA to cross A→B→M.
 	SettleTime float64
 	// DynamicFeeTip, when non-zero, makes every measurement transaction an
@@ -105,8 +109,6 @@ func DefaultParams() Params {
 	return Params{
 		X:             10,
 		Z:             5120,
-		BumpMil:       100,
-		U:             4096,
 		SettleTime:    6,
 		InterNodeWait: -1,
 	}
@@ -118,17 +120,17 @@ func (p Params) PriceTxC(y uint64) uint64 { return y }
 // PriceFuture returns the future transactions' price (1+R)·Y, nudged one Wei
 // above the threshold so they strictly outbid txC for eviction.
 func (p Params) PriceFuture(y uint64) uint64 {
-	return y*(1000+p.BumpMil)/1000 + 1
+	return y*(1000+bumpMil)/1000 + 1
 }
 
 // PriceTxA returns txA's price (1+R/2)·Y.
 func (p Params) PriceTxA(y uint64) uint64 {
-	return y * (1000 + p.BumpMil/2) / 1000
+	return y * (1000 + bumpMil/2) / 1000
 }
 
 // PriceTxB returns txB's price (1−R/2)·Y.
 func (p Params) PriceTxB(y uint64) uint64 {
-	return y * (1000 - p.BumpMil/2) / 1000
+	return y * (1000 - bumpMil/2) / 1000
 }
 
 // Measurer runs TopoShot measurements. Every probe step of MeasureOneLink,
@@ -259,10 +261,9 @@ func (m *Measurer) resolveY() uint64 {
 // the account counter moves as if mintTx had built every member, and every
 // later account is the one it always was.
 func (m *Measurer) futureRuns(z int, price uint64) []*types.Run {
-	u := max(m.params.U, 1)
 	var runs []*types.Run
-	for ; z > 0; z -= u {
-		r := &types.Run{From: m.freshAccount(), Nonce: 1, Count: min(z, u), Price: price,
+	for ; z > 0; z -= futureAllowance {
+		r := &types.Run{From: m.freshAccount(), Nonce: 1, Count: min(z, futureAllowance), Price: price,
 			Tip: m.params.DynamicFeeTip, ToSpace: types.SpaceTopoShot, ToSeq: m.acctSeq + 1}
 		m.acctSeq += uint64(r.Count)
 		runs = append(runs, r)

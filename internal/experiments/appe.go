@@ -47,10 +47,8 @@ func AppE(seed int64) (*AppEResult, error) {
 
 	const initialBaseFee = types.Gwei / 4
 	miners := chain.NewMiner(net, chain.MinerConfig{
-		Interval:       13,
-		GasLimit:       21000 * 20,
-		BroadcastDelay: 1,
-		BaseFee:        initialBaseFee,
+		GasLimit: 21000 * 20,
+		BaseFee:  initialBaseFee,
 	}, []types.NodeID{inst.IDs[0], inst.IDs[1]})
 	miners.Start()
 	net.RunFor(40)

@@ -110,9 +110,7 @@ func AppC(seed int64) (*AppCResult, error) {
 		net, inst := built.Net, built.Inst
 		w := built.StartTraffic()
 		miners := chain.NewMiner(net, chain.MinerConfig{
-			Interval:       13,
-			GasLimit:       21000 * 20,
-			BroadcastDelay: 1,
+			GasLimit: 21000 * 20,
 		}, []types.NodeID{inst.IDs[0], inst.IDs[1]})
 		miners.Start()
 		net.RunFor(40)

@@ -15,12 +15,13 @@ import (
 	"toposhot/internal/types"
 )
 
+// edgePairs and nonEdgePairs size the head-to-head's shared probe list.
+const edgePairs, nonEdgePairs = 10, 10
+
 // CompareConfig sizes the four-method strategy head-to-head.
 type CompareConfig struct {
 	// Nodes is the goerli-preset replica size.
 	Nodes int
-	// EdgePairs / NonEdgePairs size the shared probe list.
-	EdgePairs, NonEdgePairs int
 	// Strategy carries per-method tuning.
 	Strategy strategy.Config
 }
@@ -28,7 +29,7 @@ type CompareConfig struct {
 // DefaultCompareConfig is the cmd/experiments entry's configuration.
 func DefaultCompareConfig() CompareConfig {
 	return CompareConfig{
-		Nodes: 48, EdgePairs: 10, NonEdgePairs: 10,
+		Nodes: 48,
 		// Ethna's push-ratio inversion flattens as degree grows (⌈√d⌉/d ≈
 		// 1/√d), so the goerli-preset replica gets a larger sample budget
 		// than Ethna's small-network default.
@@ -46,11 +47,11 @@ type CompareRow struct {
 	Note           string
 }
 
-// comparePairs picks the shared probe list — EdgePairs true links and
-// NonEdgePairs non-links — from a dedicated seed-derived stream, so every
+// comparePairs picks the shared probe list — edgePairs true links and
+// nonEdgePairs non-links — from a dedicated seed-derived stream, so every
 // replica computes the identical list regardless of how its own engine RNG
 // has advanced.
-func comparePairs(cfg CompareConfig, seed int64, truth *core.EdgeSet,
+func comparePairs(seed int64, truth *core.EdgeSet,
 	inst *netgen.Instantiated, superID types.NodeID) [][2]types.NodeID {
 	rng := rand.New(rand.NewSource(seed ^ 0x636f6d70617265))
 	var candidates [][2]types.NodeID
@@ -61,15 +62,15 @@ func comparePairs(cfg CompareConfig, seed int64, truth *core.EdgeSet,
 	}
 	picked := core.NewEdgeSet()
 	var pairs [][2]types.NodeID
-	for attempts := 0; picked.Len() < cfg.EdgePairs && attempts < 50*cfg.EdgePairs && len(candidates) > 0; attempts++ {
+	for attempts := 0; picked.Len() < edgePairs && attempts < 50*edgePairs && len(candidates) > 0; attempts++ {
 		e := candidates[rng.Intn(len(candidates))]
 		if !picked.Has(e[0], e[1]) {
 			picked.Add(e[0], e[1])
 			pairs = append(pairs, e)
 		}
 	}
-	want := picked.Len() + cfg.NonEdgePairs
-	for attempts := 0; picked.Len() < want && attempts < 50*cfg.NonEdgePairs; attempts++ {
+	want := picked.Len() + nonEdgePairs
+	for attempts := 0; picked.Len() < want && attempts < 50*nonEdgePairs; attempts++ {
 		a := inst.IDs[rng.Intn(len(inst.IDs))]
 		b := inst.IDs[rng.Intn(len(inst.IDs))]
 		if a == b || truth.Has(a, b) || picked.Has(a, b) {
@@ -93,7 +94,7 @@ func compareReplica(seed int64, cfg CompareConfig, lane *trace.Tracer) (*Built, 
 	world := replica.Build()
 	world.StartTraffic()
 	truth := core.EdgeSetOf(world.Net.Edges())
-	return world, truth, comparePairs(cfg, seed, truth, world.Inst, world.Super.ID())
+	return world, truth, comparePairs(seed, truth, world.Inst, world.Super.ID())
 }
 
 // Compare runs TopoShot, DEthna, TxProbe, and Ethna head-to-head: four

@@ -49,9 +49,7 @@ func table6(seed int64, cfg mainnet.Config, servicePairs [][2]string) (*Table6Re
 	// and never reach the sub-Gwei measurement floor (V2); the scaled
 	// expiry keeps the mempools from saturating.
 	minerCfg := chain.MinerConfig{
-		Interval:       13,
-		GasLimit:       21000 * 50,
-		BroadcastDelay: 1,
+		GasLimit: 21000 * 50,
 	}
 	miners := chain.NewMiner(net, minerCfg, sc.Regular[:3])
 	miners.Start()

@@ -56,7 +56,7 @@ func (v *shadowVantage) Sightings(h types.Hash, since float64) []gossip.Sighting
 // strategy probing through a shadowed supernode: every read of the bounded
 // log answers what the full log would, and every row equals Compare's.
 func TestCompareSightingsMatchFullLog(t *testing.T) {
-	cfg := smallCompareConfig()
+	cfg := DefaultCompareConfig()
 	rows, err := Compare(7, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -29,6 +29,9 @@ const (
 	// tickSeconds is the virtual idle time between campaigns (the network
 	// churns during it).
 	tickSeconds = 120
+	// churnInterval is the mean virtual seconds between single-link churn
+	// events.
+	churnInterval = 20
 	// hintEvery feeds every k-th churn event to Tracker.Observe, modelling a
 	// session crawler (à la Ethna) that tips the tracker off about *some*
 	// churn; the rest must be found by the staleness sweep.
@@ -47,9 +50,6 @@ type TrackingConfig struct {
 	// Tracker is the delta-campaign planner configuration (budget in pairs
 	// per tick, confidence half-life in ticks, staleness cutoff).
 	Tracker tracker.Config
-	// ChurnInterval is the mean virtual seconds between single-link churn
-	// events.
-	ChurnInterval float64
 	// Ledger, when set, receives the run's cost attribution in place of a
 	// fresh internal one — the CLI passes the live dashboard's ledger so cost
 	// burn is visible mid-run. It must start empty (the census baseline is
@@ -175,10 +175,9 @@ func (t *Tracking) RecallLoss() float64 {
 // as usual).
 func GoerliTracking(seed int64) TrackingConfig {
 	return TrackingConfig{
-		Census:        GoerliCensus(seed),
-		Ticks:         12,
-		Tracker:       tracker.Config{Budget: 72, HalfLife: 6, MinConfidence: 0.25},
-		ChurnInterval: 20,
+		Census:  GoerliCensus(seed),
+		Ticks:   12,
+		Tracker: tracker.Config{Budget: 72, HalfLife: 6, MinConfidence: 0.25},
 	}
 }
 
@@ -266,7 +265,7 @@ func RunTracking(cfg TrackingConfig) (*Tracking, error) {
 		}
 
 		// Churn starts only now: the census seeded a stable graph.
-		world.Net.StartChurn(ethsim.ChurnConfig{Interval: cfg.ChurnInterval, Population: targets})
+		world.Net.StartChurn(ethsim.ChurnConfig{Interval: churnInterval, Population: targets})
 	}
 	out.Targets = len(targets)
 	net := world.Net

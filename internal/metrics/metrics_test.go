@@ -169,9 +169,9 @@ func TestProgressLogger(t *testing.T) {
 		defer mu.Unlock()
 		return buf.Write(p)
 	})
-	p := StartProgress(r, w, 20*time.Millisecond)
+	p := StartProgress(r, w)
 	r.Counter("work").Add(2)
-	time.Sleep(60 * time.Millisecond)
+	p.report(10 * time.Second) // the first tick's line, without waiting for it
 	p.Stop()
 	p.Stop() // idempotent
 	mu.Lock()
@@ -181,7 +181,7 @@ func TestProgressLogger(t *testing.T) {
 		t.Fatalf("progress output missing counter delta: %q", out)
 	}
 	// Nil logger (nil registry/writer) is inert.
-	StartProgress(nil, w, time.Millisecond).Stop()
+	StartProgress(nil, w).Stop()
 }
 
 type writerFunc func([]byte) (int, error)

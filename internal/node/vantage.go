@@ -17,7 +17,7 @@ import (
 // X and SettleTime (seconds) are far below the paper's internet-scale X=10 s.
 // Y is set because a live vantage keeps no pool to estimate it from.
 func DefaultProbeParams(capacity int) core.Params {
-	return core.Params{Y: types.Gwei, Z: capacity, BumpMil: 100, U: 4096, X: 0.75, SettleTime: 0.75, InterNodeWait: -1}
+	return core.Params{Y: types.Gwei, Z: capacity, X: 0.75, SettleTime: 0.75, InterNodeWait: -1}
 }
 
 // loopbackHop is Hop on localhost in seconds. A live node relays as it

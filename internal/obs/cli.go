@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"time"
 
 	"toposhot/internal/metrics"
 	"toposhot/internal/trace"
@@ -75,12 +74,11 @@ func (f *LogFlags) Open(stderr io.Writer) (*CLI, int) {
 	return c, 0
 }
 
-// CLIFlags holds the ten telemetry flags cmd/toposhot and cmd/experiments
+// CLIFlags holds the nine telemetry flags cmd/toposhot and cmd/experiments
 // share: the logging trio plus tracing, metrics and profiling.
 type CLIFlags struct {
 	log                    *LogFlags
 	metrics, traceDet      *bool
-	metricsEvery           *time.Duration
 	cpuProfile, memProfile *string
 	traceOut, traceLevel   *string
 }
@@ -88,14 +86,13 @@ type CLIFlags struct {
 // RegisterCLIFlags declares the shared telemetry flags on fs.
 func RegisterCLIFlags(fs *flag.FlagSet) *CLIFlags {
 	return &CLIFlags{
-		log:          RegisterLogFlags(fs),
-		metrics:      fs.Bool("metrics", false, "print periodic progress lines and a final metrics snapshot to stderr"),
-		metricsEvery: fs.Duration("metrics-interval", 10*time.Second, "progress line interval under -metrics"),
-		cpuProfile:   fs.String("cpuprofile", "", "write a CPU profile to this file"),
-		memProfile:   fs.String("memprofile", "", "write a heap profile to this file on exit"),
-		traceOut:     fs.String("trace", "", "write a timeline trace to this file (.jsonl = JSONL, else Chrome/Perfetto JSON)"),
-		traceLevel:   fs.String("trace-level", "measure", "trace verbosity with -trace: off|measure|engine"),
-		traceDet:     fs.Bool("trace-deterministic", false, "suppress wall-clock fields so same-seed runs produce byte-identical traces"),
+		log:        RegisterLogFlags(fs),
+		metrics:    fs.Bool("metrics", false, "print progress lines every 10 s and a final metrics snapshot to stderr"),
+		cpuProfile: fs.String("cpuprofile", "", "write a CPU profile to this file"),
+		memProfile: fs.String("memprofile", "", "write a heap profile to this file on exit"),
+		traceOut:   fs.String("trace", "", "write a timeline trace to this file (.jsonl = JSONL, else Chrome/Perfetto JSON)"),
+		traceLevel: fs.String("trace-level", "measure", "trace verbosity with -trace: off|measure|engine"),
+		traceDet:   fs.Bool("trace-deterministic", false, "suppress wall-clock fields so same-seed runs produce byte-identical traces"),
 	}
 }
 
@@ -132,7 +129,7 @@ func (f *CLIFlags) Open(stderr io.Writer) (*CLI, int) {
 	if *f.metrics {
 		c.Metrics = metrics.NewRegistry()
 		metrics.Enable(c.Metrics)
-		c.progress = metrics.StartProgress(c.Metrics, stderr, *f.metricsEvery)
+		c.progress = metrics.StartProgress(c.Metrics, stderr)
 	}
 	return c, 0
 }

@@ -13,16 +13,15 @@ import (
 // Dash bundles the four observability surfaces behind one HTTP handler —
 // the live campaign dashboard served by toposhotd and by `toposhot -events`:
 //
-//	GET /                same as /dashboard
-//	GET /dashboard       HTML status page (phase progress, ETA, cost burn)
+//	GET /                HTML status page (phase progress, ETA, cost burn)
 //	GET /events          live event stream: SSE by default, the full
 //	                     buffered log as JSONL with ?format=jsonl
-//	GET /log             buffered event log (JSONL; ?format=text for logfmt)
 //	GET /ledger          cost totals + per-phase table as JSON
 //	                     (?format=jsonl streams the raw records)
 //	GET /metrics         metrics snapshot (JSON; Prometheus text via
 //	                     ?format=prom or an Accept: text/plain header)
-//	GET /trace/snapshot  trace (Chrome JSON; ?format=jsonl for JSONL)
+//	GET /trace/snapshot  trace as Chrome JSON (a -trace x.jsonl file
+//	                     exports JSONL)
 //	GET /progress        span-derived phase progress and ETA
 //
 // Any surface may be nil; its endpoints then serve empty documents rather
@@ -40,9 +39,7 @@ type Dash struct {
 func (d *Dash) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", d.serveDashboard)
-	mux.HandleFunc("/dashboard", d.serveDashboard)
 	mux.HandleFunc("/events", d.serveEvents)
-	mux.HandleFunc("/log", d.serveLog)
 	mux.HandleFunc("/ledger", d.serveLedger)
 	mux.HandleFunc("/metrics", d.serveMetrics)
 	mux.HandleFunc("/trace/snapshot", d.serveTrace)
@@ -115,21 +112,6 @@ func (d *Dash) serveEvents(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func (d *Dash) serveLog(w http.ResponseWriter, r *http.Request) {
-	snap := d.Logger.Snapshot()
-	if r.URL.Query().Get("format") == "text" {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		if err := snap.WriteText(w); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-		return
-	}
-	w.Header().Set("Content-Type", "application/jsonl")
-	if err := snap.WriteJSONL(w); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
-}
-
 func (d *Dash) serveLedger(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("format") == "jsonl" {
 		w.Header().Set("Content-Type", "application/jsonl")
@@ -172,16 +154,8 @@ func (d *Dash) serveMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 func (d *Dash) serveTrace(w http.ResponseWriter, r *http.Request) {
-	snap := d.Tracer.Live()
-	if r.URL.Query().Get("format") == "jsonl" {
-		w.Header().Set("Content-Type", "application/jsonl")
-		if err := snap.WriteJSONL(w); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-		return
-	}
 	w.Header().Set("Content-Type", "application/json")
-	if err := snap.WriteChromeJSON(w); err != nil {
+	if err := d.Tracer.Live().WriteChromeJSON(w); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
 }
@@ -194,7 +168,7 @@ func (d *Dash) serveProgress(w http.ResponseWriter, r *http.Request) {
 }
 
 func (d *Dash) serveDashboard(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path != "/" && r.URL.Path != "/dashboard" {
+	if r.URL.Path != "/" {
 		http.NotFound(w, r)
 		return
 	}

@@ -37,18 +37,14 @@ func TestDashEndpointsServe(t *testing.T) {
 	d, _ := testDash()
 	h := d.Handler()
 	for url, want := range map[string]string{
-		"/dashboard":                   "campaign observatory",
-		"/":                            "campaign observatory",
-		"/events?format=jsonl":         `"kind":"header"`,
-		"/log":                         `"msg":"campaign-started"`,
-		"/log?format=text":             "msg=campaign-started",
-		"/ledger":                      `"totals"`,
-		"/ledger?format=jsonl":         `"kind":"pair"`,
-		"/metrics":                     "obs.test.counter",
-		"/metrics?format=prom":         "toposhot_obs_test_counter",
-		"/trace/snapshot":              "traceEvents",
-		"/trace/snapshot?format=jsonl": `"kind":"header"`,
-		"/progress":                    `"phases"`,
+		"/":                    "campaign observatory",
+		"/events?format=jsonl": `"kind":"header"`,
+		"/ledger":              `"totals"`,
+		"/ledger?format=jsonl": `"kind":"pair"`,
+		"/metrics":             "obs.test.counter",
+		"/metrics?format=prom": "toposhot_obs_test_counter",
+		"/trace/snapshot":      "traceEvents",
+		"/progress":            `"phases"`,
 	} {
 		rec := get(t, h, url)
 		if rec.Code != http.StatusOK {
@@ -59,8 +55,10 @@ func TestDashEndpointsServe(t *testing.T) {
 			t.Errorf("%s: body missing %q:\n%s", url, want, rec.Body.String())
 		}
 	}
-	if rec := get(t, d.Handler(), "/no-such-page"); rec.Code != http.StatusNotFound {
-		t.Errorf("unknown path: status %d, want 404", rec.Code)
+	for _, url := range []string{"/no-such-page", "/dashboard", "/log"} {
+		if rec := get(t, h, url); rec.Code != http.StatusNotFound {
+			t.Errorf("%s: status %d, want 404", url, rec.Code)
+		}
 	}
 }
 
@@ -68,7 +66,7 @@ func TestDashNilSurfaces(t *testing.T) {
 	d := &Dash{} // every surface nil: endpoints serve empty docs, not 404s
 	h := d.Handler()
 	for _, url := range []string{
-		"/events?format=jsonl", "/log", "/ledger", "/metrics", "/trace/snapshot", "/progress",
+		"/events?format=jsonl", "/ledger", "/metrics", "/trace/snapshot", "/progress",
 	} {
 		if rec := get(t, h, url); rec.Code != http.StatusOK {
 			t.Errorf("%s with nil surfaces: status %d", url, rec.Code)

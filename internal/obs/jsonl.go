@@ -73,20 +73,6 @@ func (lg *Log) WriteJSONL(w io.Writer) error {
 	return bw.Flush()
 }
 
-// WriteText renders the log in the human logfmt-style line format, scopes in
-// id order. The same renderer backs the live text sink.
-func (lg *Log) WriteText(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	for _, sc := range lg.Lanes {
-		for i := range sc.Records {
-			if err := writeEventText(bw, sc.Name, &sc.Records[i]); err != nil {
-				return err
-			}
-		}
-	}
-	return bw.Flush()
-}
-
 // needsQuote reports whether a logfmt value must be quoted.
 func needsQuote(s string) bool {
 	if s == "" {

@@ -94,15 +94,21 @@ func TestWriteJSONLPropagatesWriteFailure(t *testing.T) {
 	if err := orig.WriteJSONL(&failWriter{n: 0}); err == nil {
 		t.Fatal("WriteJSONL on a dead sink should fail")
 	}
-	if err := orig.WriteText(&failWriter{n: 0}); err == nil {
-		t.Fatal("WriteText on a dead sink should fail")
+	if err := writeEventText(&failWriter{n: 0}, "main", &orig.Lanes[0].Records[0]); err == nil {
+		t.Fatal("a text line on a dead sink should fail")
 	}
 }
 
+// TestWriteTextRendersAllKinds renders every record of the sample log
+// through the live text sink's line writer.
 func TestWriteTextRendersAllKinds(t *testing.T) {
 	var buf bytes.Buffer
-	if err := sampleLog().WriteText(&buf); err != nil {
-		t.Fatal(err)
+	for _, sc := range sampleLog().Lanes {
+		for i := range sc.Records {
+			if err := writeEventText(&buf, sc.Name, &sc.Records[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	out := buf.String()
 	for _, want := range []string{

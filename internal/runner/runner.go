@@ -21,7 +21,7 @@ import (
 var defaultParallelism atomic.Int64
 
 // SetParallelism sets the process-wide default pool width. n ≤ 0 restores
-// the GOMAXPROCS default. Commands expose this as their -parallel flag;
+// the GOMAXPROCS default. cmd/experiments exposes this as its -parallel flag;
 // 1 fully serializes every fan-out in the process.
 func SetParallelism(n int) {
 	if n < 0 {
